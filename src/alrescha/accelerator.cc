@@ -21,16 +21,6 @@ Accelerator::requireLoaded() const
     ALR_ASSERT(_ld != nullptr, "no matrix loaded");
 }
 
-ThreadPool *
-Accelerator::hostPool()
-{
-    if (_params.hostThreads <= 0)
-        return nullptr; // encode/convert fall back to the global pool
-    if (!_hostPool || _hostPool->threadCount() != _params.hostThreads)
-        _hostPool = std::make_unique<ThreadPool>(_params.hostThreads);
-    return _hostPool.get();
-}
-
 void
 Accelerator::loadPde(const CsrMatrix &a)
 {
@@ -39,7 +29,7 @@ Accelerator::loadPde(const CsrMatrix &a)
     // are keyed on their identity, so drop them before the addresses
     // can be recycled.
     _engine.invalidateSchedules();
-    ThreadPool *pool = hostPool();
+    ThreadPool *pool = &_engine.hostPool();
     _ld = std::make_unique<LocallyDenseMatrix>(LocallyDenseMatrix::encode(
         a, _params.omega, LdLayout::SymGs, pool));
     bool reorder = _params.reorderDataPaths;
@@ -59,7 +49,7 @@ void
 Accelerator::loadSpmvOnly(const CsrMatrix &a)
 {
     _engine.invalidateSchedules();
-    ThreadPool *pool = hostPool();
+    ThreadPool *pool = &_engine.hostPool();
     _ld = std::make_unique<LocallyDenseMatrix>(LocallyDenseMatrix::encode(
         a, _params.omega, LdLayout::Plain, pool));
     _spmvTable = std::make_unique<ConfigTable>(ConfigTable::convert(
@@ -79,7 +69,7 @@ Accelerator::loadGraph(const CsrMatrix &adj)
     _engine.invalidateSchedules();
     _outDegrees = outDegrees(adj);
     CsrMatrix adjT = adj.transposed();
-    ThreadPool *pool = hostPool();
+    ThreadPool *pool = &_engine.hostPool();
     _ld = std::make_unique<LocallyDenseMatrix>(LocallyDenseMatrix::encode(
         adjT, _params.omega, LdLayout::Plain, pool));
     _bfsTable = std::make_unique<ConfigTable>(ConfigTable::convert(

@@ -188,13 +188,9 @@ class Accelerator
     void requireLoaded() const;
     GraphResult relaxToFixpoint(const ConfigTable &table,
                                 DenseVector init, bool labels);
-    /** Preprocessing pool: private (params.hostThreads > 0) or global. */
-    ThreadPool *hostPool();
-
     AccelParams _params;
     EnergyModel _energyModel;
     Engine _engine;
-    std::unique_ptr<ThreadPool> _hostPool;
 
     std::unique_ptr<LocallyDenseMatrix> _ld;
     std::unique_ptr<ConfigTable> _spmvTable;

@@ -201,7 +201,23 @@ ConfigTable::serialize(std::ostream &out) const
 uint64_t
 ConfigTable::contentHash() const
 {
-    return hash::ofSerialized([&](std::ostream &os) { serialize(os); });
+    // Exactly the fields serialize() writes, fed value by value.
+    hash::WordHasher h;
+    h.field(_kernel);
+    h.field(_direction);
+    h.field(_reordered);
+    h.field(_omega);
+    h.field(_n);
+    h.field(uint64_t(_entries.size()));
+    for (const ConfigEntry &e : _entries) {
+        h.field(e.dp);
+        h.field(e.inxIn);
+        h.field(e.inxOut);
+        h.field(e.order);
+        h.field(e.op);
+        h.field(e.blockId);
+    }
+    return h.digest();
 }
 
 ConfigTable

@@ -118,7 +118,7 @@ class ConfigTable
     static ConfigTable deserialize(std::istream &in);
 
     /**
-     * 64-bit digest of the canonical serialized bytes (see
+     * 64-bit digest of the fields serialize() writes (see
      * LocallyDenseMatrix::contentHash()): the restart-stable identity
      * the persisted schedule cache keys on.
      */

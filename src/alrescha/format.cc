@@ -325,7 +325,25 @@ LocallyDenseMatrix::serialize(std::ostream &out) const
 uint64_t
 LocallyDenseMatrix::contentHash() const
 {
-    return hash::ofSerialized([&](std::ostream &os) { serialize(os); });
+    // Exactly the fields serialize() writes, fed value by value.
+    hash::WordHasher h;
+    h.field(_rows);
+    h.field(_cols);
+    h.field(_omega);
+    h.field(_blockRows);
+    h.field(_nnz);
+    h.field(_layout);
+    h.field(uint64_t(_blocks.size()));
+    for (const LdBlockInfo &blk : _blocks) {
+        h.field(blk.blockRow);
+        h.field(blk.blockCol);
+        h.field(blk.offset);
+        h.field(blk.size);
+    }
+    h.array(_blockRowPtr);
+    h.array(_stream);
+    h.array(_diag);
+    return h.digest();
 }
 
 LocallyDenseMatrix

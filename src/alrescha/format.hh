@@ -164,10 +164,11 @@ class LocallyDenseMatrix
     static LocallyDenseMatrix deserialize(std::istream &in);
 
     /**
-     * 64-bit digest of the canonical serialized bytes: a content
-     * identity that -- unlike generation() -- survives process
-     * restarts, so the persisted schedule cache can key on it.  Two
-     * encodings hash equal iff their serialized forms are identical.
+     * 64-bit digest (hash::WordHasher) of the fields serialize()
+     * writes, read from the live arrays: a content identity that --
+     * unlike generation() -- survives process restarts, so the
+     * persisted schedule cache can key on it.  Two encodings with
+     * identical serialized forms hash equal.
      */
     uint64_t contentHash() const;
 

@@ -100,10 +100,11 @@ struct AccelParams
 
     /**
      * Worker threads for the host preprocessing pipeline (locally-dense
-     * encoding + Algorithm 1 conversion).  0 uses the process-wide pool
-     * sized by the ALR_THREADS environment variable (or hardware
-     * concurrency); a positive value gives this accelerator a private
-     * pool of that size.  Results are thread-count independent.
+     * encoding, Algorithm 1 conversion, schedule compilation).  0 uses
+     * the process-wide pool sized by the ALR_THREADS environment
+     * variable (or hardware concurrency); a positive value gives the
+     * engine a private pool of that size (Engine::hostPool).  Results
+     * are thread-count independent.
      */
     int hostThreads = 0;
 

@@ -304,6 +304,14 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
     if (cfg.metrics != nullptr)
         sm.bind(*cfg.metrics, fleet);
 
+    // Plan sequence numbers restart at 0 for every drain, so every
+    // entry's gate must too: a fleet may be drained more than once.
+    for (size_t i = 0; i < fleet.size(); ++i) {
+        ServeFleet::Entry &entry = fleet.entry(i);
+        std::lock_guard<std::mutex> lock(entry.mutex);
+        entry.nextSeq = 0;
+    }
+
     RequestQueue<QueuedItem> queue(cfg.queueDepth);
     int threads = std::max(1, cfg.threads);
     std::mutex tallyMutex;

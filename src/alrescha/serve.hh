@@ -124,7 +124,8 @@ class ServeFleet
      *  files restored. */
     size_t restoreScheduleCaches(const std::string &dir);
 
-    /** Per-entry lock + in-order execution gate (used by serve()). */
+    /** Per-entry lock + in-order execution gate (used by serve(),
+     *  which resets nextSeq to 0 at the start of every drain). */
     struct Entry
     {
         std::string name;

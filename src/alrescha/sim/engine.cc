@@ -26,9 +26,10 @@ namespace alr {
 using profile::Cause;
 
 /** Header of the persisted schedule-cache format ("Alrescha schedule
- *  cache", version 1).  Bump on any layout change. */
+ *  cache").  Bump on any layout or key change: version 2 moved every
+ *  key and checksum from byte-wise FNV-1a to hash::WordHasher. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 1;
+constexpr uint32_t kSchedCacheVersion = 2;
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
@@ -110,11 +111,17 @@ Engine::scheduleFor()
 
     // Generation miss: content hashes (computed only here, never on
     // the hit path) may still match a restored schedule -- the warm
-    // start claims it without compiling.
+    // start claims it without compiling.  A matrix serves several
+    // tables, so a live slot of the same matrix generation already
+    // holds its hash.
     ScheduleSlot slot;
     slot.ldGen = _ld->generation();
     slot.tableGen = _table->generation();
-    slot.ldHash = _ld->contentHash();
+    auto sameLd = std::find_if(
+        _schedules.begin(), _schedules.end(),
+        [&](const ScheduleSlot &s) { return s.ldGen == slot.ldGen; });
+    slot.ldHash = sameLd != _schedules.end() ? sameLd->ldHash
+                                             : _ld->contentHash();
     slot.tableHash = _table->contentHash();
     slot.entryCount = _table->entries().size();
     slot.blockCount = _ld->blocks().size();
@@ -143,7 +150,7 @@ Engine::scheduleFor()
     }
     if (!slot.sched) {
         slot.sched = std::make_unique<ExecSchedule>(
-            compileSchedule(*_ld, *_table, _params));
+            compileSchedule(*_ld, *_table, _params, &hostPool()));
         ++_scheduleCompiles;
     }
     _schedules.insert(_schedules.begin(), std::move(slot));
@@ -197,7 +204,7 @@ Engine::saveScheduleCache(std::ostream &out) const
     bio::writePod<uint32_t>(out, kSchedCacheVersion);
     bio::writePod<uint64_t>(out, scheduleParamsFingerprint(_params));
     bio::writePod<uint64_t>(out, uint64_t(bytes.size()));
-    bio::writePod<uint64_t>(out, hash::fnv1a(bytes.data(), bytes.size()));
+    bio::writePod<uint64_t>(out, hash::ofBytes(bytes.data(), bytes.size()));
     out.write(bytes.data(), std::streamsize(bytes.size()));
     if (!out) {
         warn("failed writing schedule cache");
@@ -242,7 +249,7 @@ Engine::loadScheduleCache(std::istream &in)
         in.read(bytes.data(), std::streamsize(bytes.size()));
         if (size_t(in.gcount()) != bytes.size())
             throw std::runtime_error("truncated schedule cache");
-        if (hash::fnv1a(bytes.data(), bytes.size()) != bodyHash)
+        if (hash::ofBytes(bytes.data(), bytes.size()) != bodyHash)
             throw std::runtime_error("schedule cache checksum mismatch");
         std::istringstream body(bytes);
         uint32_t count = bio::readPod<uint32_t>(body);
@@ -295,6 +302,16 @@ Engine::loadScheduleCacheFile(const std::string &path)
     if (!in)
         return false; // cold start: no cache yet, not an error
     return loadScheduleCache(in);
+}
+
+ThreadPool &
+Engine::hostPool()
+{
+    if (_params.hostThreads <= 0)
+        return ThreadPool::global();
+    if (!_hostPool)
+        _hostPool = std::make_unique<ThreadPool>(_params.hostThreads);
+    return *_hostPool;
 }
 
 ThreadPool *

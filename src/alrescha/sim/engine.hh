@@ -69,6 +69,14 @@ class Engine
     const ExecSchedule *prepareSchedule();
 
     /**
+     * The host preprocessing pool -- locally-dense encode, Algorithm 1
+     * conversion (Accelerator::load*) and schedule compilation: a
+     * private pool of params.hostThreads workers, built on first use,
+     * or the process-wide pool when that is <= 0.
+     */
+    ThreadPool &hostPool();
+
+    /**
      * Drop every cached schedule.  Schedules are keyed on the
      * generation counters of the programmed (matrix, table) pair, so a
      * new object at a recycled address can never alias a stale entry;
@@ -312,8 +320,11 @@ class Engine
      * schedule compiled from its predecessor.  The shape fingerprint
      * is kept as a belt-and-braces consistency check.  Content hashes
      * (stable across restarts, unlike generations) key the persisted
-     * form of the cache; they are computed once per miss, so hits stay
-     * hash-free.
+     * form of the cache.  A miss hashes its table, and its matrix only
+     * when no live slot of the same matrix generation holds that hash
+     * already (a PDE load's three tables share one matrix hash); hits
+     * stay hash-free.  Hashing at miss time, not at save time, keeps
+     * saveScheduleCache free of any handle to the keyed objects.
      *
      * All cache state (_schedules, _restored, _scheduleCompiles, the
      * eviction stat) is guarded by _scheduleMutex: concurrent lookups
@@ -344,6 +355,7 @@ class Engine
     uint64_t _scheduleCompiles = 0;
     uint64_t _scheduleHits = 0;
     std::unique_ptr<ThreadPool> _privatePool;
+    std::unique_ptr<ThreadPool> _hostPool;
 
     /** Operand staging scratch for the scheduled replay (gather plan):
      *  one padded vector, and k of them at an aligned stride for SpMM.

@@ -1,10 +1,12 @@
 #include "alrescha/sim/schedule.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "alrescha/sim/memory.hh"
 #include "alrescha/sim/replay.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace alr {
 
@@ -38,6 +40,12 @@ reconfigDelta(const AccelParams &params, DataPathType from, DataPathType to)
     return d;
 }
 
+/**
+ * Paths per chunk of the parallel compile passes.  A constant, not a
+ * function of the pool size, so every pool walks the same chunks.
+ */
+constexpr size_t kCompileChunkPaths = 1024;
+
 } // namespace
 
 size_t
@@ -60,7 +68,7 @@ ExecSchedule::bytes() const
 
 ExecSchedule
 compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
-                const AccelParams &params)
+                const AccelParams &params, ThreadPool *pool)
 {
     ALR_ASSERT(table.kernel() == KernelType::SpMV ||
                    table.kernel() == KernelType::SymGS,
@@ -72,15 +80,20 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     const Index cols = ld.cols();
     const bool spmv = table.kernel() == KernelType::SpMV;
     const bool backward = table.direction() == GsSweep::Backward;
+    const bool skipEmpty = params.skipEmptyBlockRows;
     const MemoryModel mem(params);
     const Fcu fcu(params);
     const int fillSum = fcu.fillLatency(ReduceOp::Sum);
     const int stepLat = params.aluLatency + 2 * params.peLatency;
+    const std::vector<ConfigEntry> &entries = table.entries();
+    const std::vector<LdBlockInfo> &blocks = ld.blocks();
+    const Value *stream = ld.stream().data();
+    const DenseVector &diag = ld.diagonal();
 
     ExecSchedule s;
     s.kernel = table.kernel();
     s.omega = omega;
-    s.pathCount = table.entries().size();
+    s.pathCount = entries.size();
 
     const size_t P = s.pathCount;
     s.dp.resize(P);
@@ -101,17 +114,18 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     s.chainCycles.resize(P, 0);
     s.rowBegin.resize(P + 1, 0);
 
+    // Pass 1, serial: the terms that depend on path i-1 (pipeline
+    // fill, reconfiguration, out-chunk write-out) plus each path's
+    // static geometry.  Nothing here reads the payload.
     bool filled = false;
     int64_t curRow = -1;
     bool monotonic = true;
-
     for (size_t i = 0; i < P; ++i) {
-        const ConfigEntry &e = table.entries()[i];
-        const LdBlockInfo &blk = ld.blocks()[e.blockId];
+        const ConfigEntry &e = entries[i];
+        const LdBlockInfo &blk = blocks[e.blockId];
         s.dp[i] = e.dp;
         s.blockRow[i] = blk.blockRow;
         s.blockCol[i] = blk.blockCol;
-        s.rowBegin[i] = s.rowIndex.size();
 
         // Reconfiguration: the i-1 -> i transition is a compile-time
         // fact; the run's first transition is replayed at runtime.
@@ -127,15 +141,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         if (i == 0 || dpSwitch)
             filled = false;
 
-        bool diagPath = !spmv && e.dp == DataPathType::DSymgs;
-        const bool diagBlk =
-            ld.layout() == LdLayout::SymGs && blk.isDiagonal();
-        const int32_t *lut =
-            ld.payloadLut(diagBlk, blk.blockCol > blk.blockRow);
-        const Value *stream = ld.stream().data() + blk.offset;
-        const DenseVector &diag = ld.diagonal();
-
-        if (!diagPath) {
+        if (spmv || e.dp != DataPathType::DSymgs) {
             ALR_ASSERT(e.dp == DataPathType::Gemv,
                        "unexpected data path in %s table",
                        toString(table.kernel()));
@@ -161,57 +167,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             s.xValid[i] =
                 Index(std::min<int64_t>(omega, int64_t(cols) - c0));
             s.xOff[i] = c0;
-
-            Index occupied = 0;
-            for (Index lr = 0; lr < omega; ++lr) {
-                Index r = blk.blockRow * omega + lr;
-                if (r >= rows)
-                    break;
-                Index useful = 0;
-                size_t base = s.values.size();
-                s.values.resize(base + omega);
-                for (Index lc = 0; lc < omega; ++lc) {
-                    int32_t pos = lut[size_t(lr) * omega + lc];
-                    Value v = pos >= 0 ? stream[pos]
-                                       : (r < rows ? diag[r] : 0.0);
-                    s.values[base + lc] = v;
-                    if (v != 0.0)
-                        ++useful;
-                }
-                if (useful == 0 && params.skipEmptyBlockRows) {
-                    s.values.resize(base);
-                    continue;
-                }
-                ++occupied;
-                s.rowIndex.push_back(r);
-                s.rowUseful.push_back(useful);
-                s.parFlops += 2.0 * useful;
-                s.usefulBytes += double(useful) * sizeof(Value);
-                s.fcuOps.mul += double(omega);
-                s.fcuOps.alu += double(omega);
-                s.fcuOps.reduce += double(omega);
-            }
-
-            uint64_t bytes, bc;
-            if (params.skipEmptyBlockRows) {
-                bytes = uint64_t(occupied) * omega * sizeof(Value);
-                bc = std::max<uint64_t>(occupied, mem.streamCycles(bytes));
-            } else {
-                bytes = uint64_t(blk.size) * sizeof(Value);
-                bc = std::max<uint64_t>(omega, mem.streamCycles(bytes));
-            }
-            s.streamCycles[i] = bc;
-            s.memCycles[i] = mem.streamCycles(bytes);
-            s.streamBytes[i] = bytes;
-            s.totalStreamBytes += bytes;
-
-            Index streamedRows =
-                params.skipEmptyBlockRows ? occupied : omega;
-            uint64_t spmmBytes =
-                uint64_t(streamedRows) * omega * sizeof(Value);
-            s.streamedRows[i] = streamedRows;
-            s.spmmMemCycles[i] = mem.streamCycles(spmmBytes);
-            s.spmmStreamBytes += spmmBytes;
         } else {
             // D-SymGS: the serialized diagonal chain.  Everything but
             // the cache traffic and the x recurrence is static.
@@ -227,46 +182,189 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             // Block payload plus the b operand through its FIFO.
             s.streamBytes[i] =
                 blkBytes + uint64_t(validRows) * sizeof(Value);
-            s.totalStreamBytes +=
-                blkBytes + uint64_t(validRows) * sizeof(Value);
-            s.usefulBytes += double(validRows) * sizeof(Value);
             s.chainCycles[i] = uint64_t(validRows) * uint64_t(stepLat);
-
-            // Chain steps in execution order (reversed for backward
-            // sweeps); the diagonal lane is pre-zeroed like the
-            // interpreter's operand rotation.
-            for (Index step = 0; step < omega; ++step) {
-                Index lr = backward ? omega - 1 - step : step;
-                Index r = r0 + lr;
-                if (r >= rows)
-                    continue;
-                Index useful = 0;
-                size_t base = s.values.size();
-                s.values.resize(base + omega);
-                for (Index lc = 0; lc < omega; ++lc) {
-                    if (lc == lr) {
-                        s.values[base + lc] = 0.0;
-                        continue;
-                    }
-                    int32_t pos = lut[size_t(lr) * omega + lc];
-                    Value v = pos >= 0 ? stream[pos] : diag[r];
-                    s.values[base + lc] = v;
-                    if (v != 0.0)
-                        ++useful;
-                }
-                s.rowIndex.push_back(r);
-                s.rowUseful.push_back(useful);
-                s.fcuOps.mul += double(omega);
-                s.fcuOps.alu += double(omega);
-                s.fcuOps.reduce += double(omega);
-                s.peOps += 2.0;
-                s.seqFlops += 2.0 * useful + 2.0;
-                s.usefulBytes += double(useful + 2) * sizeof(Value);
-            }
             filled = false; // tree was used in single-shot mode
         }
     }
-    s.rowBegin[P] = s.rowIndex.size();
+
+    // The payload passes run over fixed chunks of paths: the
+    // decomposition is a pure function of P, never of the pool size.
+    ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    const size_t chunks = (P + kCompileChunkPaths - 1) / kCompileChunkPaths;
+    auto chunkPaths = [&](size_t c) {
+        return std::pair<size_t, size_t>(
+            c * kCompileChunkPaths,
+            std::min(P, (c + 1) * kCompileChunkPaths));
+    };
+    auto isChain = [&](size_t i) {
+        return !spmv && s.dp[i] == DataPathType::DSymgs;
+    };
+    // The omega x omega payload-position LUT of a block's ordering
+    // case, and logical element (lr, lc) of the block through it.
+    auto lutOf = [&](const LdBlockInfo &blk) {
+        const bool diagBlk =
+            ld.layout() == LdLayout::SymGs && blk.isDiagonal();
+        return ld.payloadLut(diagBlk, blk.blockCol > blk.blockRow);
+    };
+    auto element = [&](const LdBlockInfo &blk, const int32_t *lut,
+                       Index lr, Index lc) {
+        int32_t pos = lut[size_t(lr) * omega + lc];
+        return pos >= 0 ? stream[blk.offset + size_t(pos)]
+                        : diag[blk.blockRow * omega + lr];
+    };
+
+    // Pass 2, parallel: occupied rows per path.  A chain records every
+    // step inside the matrix; a GEMV every row inside it, less the
+    // all-zero ones when they are skipped.
+    tp.parallelFor(0, chunks, [&](size_t c) {
+        auto [lo, hi] = chunkPaths(c);
+        for (size_t i = lo; i < hi; ++i) {
+            const LdBlockInfo &blk = blocks[entries[i].blockId];
+            Index inside = Index(std::clamp<int64_t>(
+                int64_t(rows) - int64_t(blk.blockRow) * omega, 0, omega));
+            if (isChain(i) || !skipEmpty) {
+                s.rowBegin[i + 1] = inside;
+                continue;
+            }
+            const int32_t *lut = lutOf(blk);
+            Index occupied = 0;
+            for (Index lr = 0; lr < inside; ++lr) {
+                for (Index lc = 0; lc < omega; ++lc) {
+                    if (element(blk, lut, lr, lc) != 0.0) {
+                        ++occupied;
+                        break;
+                    }
+                }
+            }
+            s.rowBegin[i + 1] = occupied;
+        }
+    });
+
+    // Pass 3, serial: the prefix sum gives every path its row slots,
+    // so the row arrays are sized exactly, once.
+    for (size_t i = 0; i < P; ++i)
+        s.rowBegin[i + 1] += s.rowBegin[i];
+    const size_t records = s.rowBegin[P];
+    s.rowIndex.resize(records);
+    s.rowUseful.resize(records);
+    s.values.resize(records * omega);
+
+    // Pass 4, parallel: gather each path's rows into its own slots,
+    // with per-chunk stat partials.  Every partial is an integer-valued
+    // double far below 2^53, so their sum is exact and equals the
+    // serial accumulation in any order.
+    struct Partial
+    {
+        double parFlops = 0.0;
+        double seqFlops = 0.0;
+        double usefulBytes = 0.0;
+        double peOps = 0.0;
+        double rowOps = 0.0; ///< FCU mul = alu = reduce ops
+        uint64_t streamBytes = 0;
+        uint64_t spmmBytes = 0;
+        bool contiguous = true;
+    };
+    std::vector<Partial> partials(chunks);
+    tp.parallelFor(0, chunks, [&](size_t c) {
+        auto [lo, hi] = chunkPaths(c);
+        Partial &acc = partials[c];
+        for (size_t i = lo; i < hi; ++i) {
+            const LdBlockInfo &blk = blocks[entries[i].blockId];
+            const int32_t *lut = lutOf(blk);
+            const Index r0 = blk.blockRow * omega;
+            size_t slot = s.rowBegin[i];
+            const size_t end = s.rowBegin[i + 1];
+
+            if (!isChain(i)) {
+                for (Index lr = 0; lr < omega; ++lr) {
+                    Index r = r0 + lr;
+                    if (r >= rows)
+                        break;
+                    Index useful = 0;
+                    for (Index lc = 0; lc < omega; ++lc)
+                        useful += element(blk, lut, lr, lc) != 0.0;
+                    // Test before writing: a skipped last row must not
+                    // touch the next path's first slot.
+                    if (useful == 0 && skipEmpty)
+                        continue;
+                    ALR_ASSERT(slot < end, "row count pass disagrees");
+                    Value *dst = s.values.data() + slot * omega;
+                    for (Index lc = 0; lc < omega; ++lc)
+                        dst[lc] = element(blk, lut, lr, lc);
+                    if (slot > s.rowBegin[i] &&
+                        s.rowIndex[slot - 1] + 1 != r)
+                        acc.contiguous = false;
+                    s.rowIndex[slot] = r;
+                    s.rowUseful[slot] = useful;
+                    ++slot;
+                    acc.parFlops += 2.0 * useful;
+                    acc.usefulBytes += double(useful) * sizeof(Value);
+                    acc.rowOps += double(omega);
+                }
+
+                Index occupied = Index(end - s.rowBegin[i]);
+                uint64_t bytes, bc;
+                if (skipEmpty) {
+                    bytes = uint64_t(occupied) * omega * sizeof(Value);
+                    bc = std::max<uint64_t>(occupied,
+                                            mem.streamCycles(bytes));
+                } else {
+                    bytes = uint64_t(blk.size) * sizeof(Value);
+                    bc = std::max<uint64_t>(omega, mem.streamCycles(bytes));
+                }
+                s.streamCycles[i] = bc;
+                s.memCycles[i] = mem.streamCycles(bytes);
+                s.streamBytes[i] = bytes;
+
+                Index streamedRows = skipEmpty ? occupied : omega;
+                uint64_t spmmBytes =
+                    uint64_t(streamedRows) * omega * sizeof(Value);
+                s.streamedRows[i] = streamedRows;
+                s.spmmMemCycles[i] = mem.streamCycles(spmmBytes);
+                acc.spmmBytes += spmmBytes;
+            } else {
+                acc.usefulBytes += double(s.validRows[i]) * sizeof(Value);
+                // Chain steps in execution order (reversed for backward
+                // sweeps); the diagonal lane is pre-zeroed like the
+                // interpreter's operand rotation.
+                for (Index step = 0; step < omega; ++step) {
+                    Index lr = backward ? omega - 1 - step : step;
+                    Index r = r0 + lr;
+                    if (r >= rows)
+                        continue;
+                    Value *dst = s.values.data() + slot * omega;
+                    Index useful = 0;
+                    for (Index lc = 0; lc < omega; ++lc) {
+                        dst[lc] = lc == lr ? 0.0 : element(blk, lut, lr, lc);
+                        useful += dst[lc] != 0.0;
+                    }
+                    s.rowIndex[slot] = r;
+                    s.rowUseful[slot] = useful;
+                    ++slot;
+                    acc.rowOps += double(omega);
+                    acc.peOps += 2.0;
+                    acc.seqFlops += 2.0 * useful + 2.0;
+                    acc.usefulBytes += double(useful + 2) * sizeof(Value);
+                }
+            }
+            ALR_ASSERT(slot == end, "row count pass disagrees");
+            acc.streamBytes += s.streamBytes[i];
+        }
+    });
+    s.contiguousRows = true;
+    for (const Partial &acc : partials) {
+        s.parFlops += acc.parFlops;
+        s.seqFlops += acc.seqFlops;
+        s.usefulBytes += acc.usefulBytes;
+        s.peOps += acc.peOps;
+        s.fcuOps.mul += acc.rowOps;
+        s.fcuOps.alu += acc.rowOps;
+        s.fcuOps.reduce += acc.rowOps;
+        s.totalStreamBytes += acc.streamBytes;
+        s.spmmStreamBytes += acc.spmmBytes;
+        s.contiguousRows = s.contiguousRows && acc.contiguous;
+    }
+
     // The staged operand covers the SpMV operand (cols entries) or the
     // SymGS iterate (rows entries), rounded up to whole chunks.
     Index operandLen = spmv ? cols : std::max(rows, cols);
@@ -325,22 +423,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             }
         }
         s.levelBegin.push_back(P);
-    }
-
-    // Row-layout shape for the replay specialization: when no GEMV
-    // path skipped a row (skipEmptyBlockRows never fired inside a
-    // path), row indices are consecutive per path and the specialized
-    // kernels fold the rowIndex indirection to base + offset.
-    s.contiguousRows = true;
-    for (size_t i = 0; i < P && s.contiguousRows; ++i) {
-        if (s.dp[i] != DataPathType::Gemv)
-            continue;
-        for (size_t rr = s.rowBegin[i] + 1; rr < s.rowBegin[i + 1]; ++rr) {
-            if (s.rowIndex[rr] != s.rowIndex[rr - 1] + 1) {
-                s.contiguousRows = false;
-                break;
-            }
-        }
     }
 
     // Stamp the replay entry points: runtime ISA dispatch happens

@@ -48,6 +48,8 @@
 
 namespace alr {
 
+class ThreadPool;
+
 /**
  * A compiled execution schedule: the configuration table lowered into
  * struct-of-arrays per-path records plus per-run stat totals.  Owned
@@ -194,10 +196,16 @@ struct ExecSchedule
  * engine state and no stats.  Only SpMV and SymGS tables are
  * schedulable (graph rounds stay on the interpreter: their control flow
  * depends on the frontier operand, which changes every round).
+ *
+ * The payload passes run on @p pool (nullptr = the process-wide pool;
+ * the engine passes its host pool, the one encode and convert use) and
+ * write exact-size row arrays; the result is byte-identical at any
+ * pool size (DESIGN.md "Schedule compiler").
  */
 ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,
-                             const AccelParams &params);
+                             const AccelParams &params,
+                             ThreadPool *pool = nullptr);
 
 /**
  * Fan-out of the partitioned timing walk.  A schedule constant (not a

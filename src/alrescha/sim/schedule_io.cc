@@ -163,23 +163,23 @@ scheduleParamsFingerprint(const AccelParams &p)
 {
     // Only the schedule-shaping knobs participate; see the header for
     // why thread counts and SIMD/specialization modes are excluded.
-    uint64_t h = hash::kFnvOffset;
-    h = hash::fnv1aPod(p.omega, h);
-    h = hash::fnv1aPod(p.clockGhz, h);
-    h = hash::fnv1aPod(p.memBandwidthGBs, h);
-    h = hash::fnv1aPod(p.dramLatency, h);
-    h = hash::fnv1aPod(p.cacheBytes, h);
-    h = hash::fnv1aPod(p.cacheLineBytes, h);
-    h = hash::fnv1aPod(p.cacheLatency, h);
-    h = hash::fnv1aPod(p.aluLatency, h);
-    h = hash::fnv1aPod(p.reSumLatency, h);
-    h = hash::fnv1aPod(p.reMinLatency, h);
-    h = hash::fnv1aPod(p.peLatency, h);
-    h = hash::fnv1aPod(p.configCycles, h);
-    h = hash::fnv1aPod(uint8_t(p.reorderDataPaths), h);
-    h = hash::fnv1aPod(uint8_t(p.skipEmptyBlockRows), h);
-    h = hash::fnv1aPod(uint8_t(p.frontierSkipping), h);
-    return h;
+    hash::WordHasher h;
+    h.field(p.omega);
+    h.field(p.clockGhz);
+    h.field(p.memBandwidthGBs);
+    h.field(p.dramLatency);
+    h.field(p.cacheBytes);
+    h.field(p.cacheLineBytes);
+    h.field(p.cacheLatency);
+    h.field(p.aluLatency);
+    h.field(p.reSumLatency);
+    h.field(p.reMinLatency);
+    h.field(p.peLatency);
+    h.field(p.configCycles);
+    h.field(p.reorderDataPaths);
+    h.field(p.skipEmptyBlockRows);
+    h.field(p.frontierSkipping);
+    return h.digest();
 }
 
 } // namespace alr

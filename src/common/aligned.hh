@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace alr {
@@ -50,6 +51,22 @@ struct AlignedAllocator
     void deallocate(T *p, std::size_t) noexcept
     {
         ::operator delete(p, std::align_val_t(Align));
+    }
+
+    /**
+     * Value-less construction default-initializes: resize(n) leaves
+     * the new elements of a trivial type uninitialized, like new T[n],
+     * instead of zeroing them on the calling thread.  Every user writes
+     * what it grows, and the big arrays (the encoded stream, the
+     * compiled schedule's values) are written in parallel, so their
+     * pages are first touched by the threads that fill them.
+     * resize(n, v), assign and copies still initialize: with arguments
+     * std::allocator_traits falls back to placement new.
+     */
+    template <typename U>
+    void construct(U *p) noexcept(std::is_nothrow_default_constructible_v<U>)
+    {
+        ::new (static_cast<void *>(p)) U;
     }
 
     template <typename U>

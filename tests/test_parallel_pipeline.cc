@@ -1,13 +1,14 @@
 /**
  * @file
  * Determinism property tests for the parallel host-preprocessing
- * pipeline: encoding, Algorithm 1 conversion, and multi-engine
- * execution must be bit-for-bit identical across thread counts.
- * Serialized byte streams are compared so every field (block
- * descriptors, block-row pointers, payload stream, diagonal, table
- * entries) is covered.
+ * pipeline: encoding, Algorithm 1 conversion, schedule compilation,
+ * and multi-engine execution must be bit-for-bit identical across
+ * thread counts.  Serialized byte streams are compared so every field
+ * (block descriptors, block-row pointers, payload stream, diagonal,
+ * table entries, compiled schedule state) is covered.
  */
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -17,8 +18,11 @@
 #include "alrescha/config_table.hh"
 #include "alrescha/format.hh"
 #include "alrescha/multi.hh"
+#include "alrescha/sim/schedule.hh"
+#include "alrescha/sim/schedule_io.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
 namespace alr {
@@ -98,6 +102,99 @@ TEST(ParallelPipeline, ConvertIsThreadCountInvariant)
                       gold)
                 << toString(c.kernel) << " with " << threads
                 << " threads";
+        }
+    }
+}
+
+/**
+ * A square matrix with a non-zero diagonal whose rows r % 4 == 3 hold
+ * only their diagonal entry.  At omega 4 and 8 the last row of every
+ * block therefore lies on such a row, so every off-diagonal block --
+ * every SymGS GEMV path -- ends in an all-zero row, the case a gather
+ * that writes before its emptiness test overruns on.  The edge is not
+ * a multiple of omega, so the last block row is partial.
+ */
+CsrMatrix
+lastRowEmptyMatrix(Index n)
+{
+    CooMatrix coo(n, n);
+    for (Index r = 0; r < n; ++r) {
+        coo.add(r, r, 4.0 + r % 3);
+        if (r % 4 == 3)
+            continue;
+        coo.add(r, (r + 37) % n, -1.0);
+        coo.add(r, (r * 7 + 11) % n, 0.5);
+        coo.add(r, (r + n - 29) % n, -0.25);
+    }
+    return CsrMatrix::fromCoo(coo);
+}
+
+std::string
+serializeSched(const ExecSchedule &s)
+{
+    std::ostringstream out;
+    serializeSchedule(out, s);
+    return out.str();
+}
+
+TEST(ParallelPipeline, CompileIsThreadCountInvariant)
+{
+    // Enough paths for several compile chunks, so the parallel passes
+    // really split the work at every pool size.
+    const CsrMatrix a = lastRowEmptyMatrix(8190);
+    struct Table
+    {
+        KernelType kernel;
+        GsSweep dir;
+    };
+    const Table tables[] = {
+        {KernelType::SpMV, GsSweep::Forward},
+        {KernelType::SymGS, GsSweep::Forward},
+        {KernelType::SymGS, GsSweep::Backward},
+    };
+    ThreadPool one(1);
+    for (Index omega : {4u, 8u}) {
+        LocallyDenseMatrix ld =
+            LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs, &one);
+        for (const Table &t : tables) {
+            ConfigTable table =
+                ConfigTable::convert(t.kernel, ld, true, t.dir, &one);
+            ASSERT_GT(table.entries().size(), 4096u);
+            for (bool skip : {true, false}) {
+                AccelParams params;
+                params.omega = omega;
+                params.skipEmptyBlockRows = skip;
+                ExecSchedule gold = compileSchedule(ld, table, params, &one);
+                const std::string goldBytes = serializeSched(gold);
+
+                // The fixture does exercise the empty-last-row case:
+                // some GEMV path other than the last loses its final
+                // row when empty rows are skipped.
+                if (skip && t.kernel == KernelType::SymGS) {
+                    bool endsEmpty = false;
+                    for (size_t i = 0; i + 1 < gold.pathCount; ++i) {
+                        if (gold.dp[i] != DataPathType::Gemv ||
+                            gold.rowBegin[i] == gold.rowBegin[i + 1])
+                            continue;
+                        Index last = std::min<Index>(
+                            a.rows(), (gold.blockRow[i] + 1) * omega);
+                        endsEmpty |=
+                            gold.rowIndex[gold.rowBegin[i + 1] - 1] + 1 <
+                            last;
+                    }
+                    EXPECT_TRUE(endsEmpty);
+                }
+
+                for (int threads : {2, 4, 8}) {
+                    ThreadPool pool(threads);
+                    EXPECT_EQ(serializeSched(compileSchedule(
+                                  ld, table, params, &pool)),
+                              goldBytes)
+                        << toString(t.kernel) << " omega " << omega
+                        << (skip ? " skipping" : " dense") << ", "
+                        << threads << " threads";
+                }
+            }
         }
     }
 }

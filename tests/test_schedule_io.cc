@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -83,6 +84,34 @@ TEST(ContentHash, PayloadChangesTheHash)
     auto ld = LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     auto ld2 = LocallyDenseMatrix::encode(a2, 8, LdLayout::Plain);
     EXPECT_NE(ld.contentHash(), ld2.contentHash());
+
+    // Two negated values flip the sign bit of two payload words.  A
+    // round that never folds the top bit down (state ^= word; state *=
+    // prime) lets the two flips cancel; the hash must not.
+    CsrMatrix a3 = a;
+    a3.vals()[1] = -a3.vals()[1];
+    a3.vals()[5] = -a3.vals()[5];
+    auto ld3 = LocallyDenseMatrix::encode(a3, 8, LdLayout::Plain);
+    EXPECT_NE(ld.contentHash(), ld3.contentHash());
+
+    // One table entry's output chunk changed, everything else equal.
+    auto table = ConfigTable::convert(KernelType::SpMV, ld);
+    ASSERT_GT(table.entries().size(), 2u);
+    std::stringstream ss;
+    table.serialize(ss);
+    std::string bytes = ss.str();
+    // Header: kernel, direction, reordered (u8 each), omega, n (u32),
+    // entry count (u64); entry: dp (u8), inxIn (u32), inxOut (i64),
+    // order, op (u8), blockId (u32).
+    const size_t entryBytes = 1 + 4 + 8 + 1 + 1 + 4;
+    const size_t inxOutAt = 3 + 4 + 4 + 8 + 2 * entryBytes + 1 + 4;
+    int64_t inxOut = table.entries()[2].inxOut + 8;
+    std::memcpy(bytes.data() + inxOutAt, &inxOut, sizeof(inxOut));
+    std::istringstream patched(bytes);
+    ConfigTable table2 = ConfigTable::deserialize(patched);
+    ASSERT_EQ(table2.entries()[2].inxOut, inxOut);
+    EXPECT_EQ(table2.entries()[2].blockId, table.entries()[2].blockId);
+    EXPECT_NE(table.contentHash(), table2.contentHash());
 }
 
 TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
@@ -249,6 +278,31 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
     ref.program(&refp.ld, &refp.table);
     EXPECT_EQ(fresh.runSpmv(x), ref.runSpmv(x));
     EXPECT_EQ(fresh.scheduleCompiles(), 1u);
+}
+
+TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
+{
+    // Version 1 keyed schedules on byte-wise FNV-1a digests; its keys
+    // can never match this build's, so the loader must reject the
+    // file and the engine compile as on a cold start.
+    Problem p(45);
+    Engine e(makeParams());
+    e.program(&p.ld, &p.table);
+    e.prepareSchedule();
+    std::stringstream good;
+    ASSERT_TRUE(e.saveScheduleCache(good));
+    std::string bytes = good.str();
+    const uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 4, &v1, sizeof(v1)); // after the magic
+
+    std::stringstream old(bytes);
+    Engine warm(makeParams());
+    EXPECT_FALSE(warm.loadScheduleCache(old));
+    EXPECT_EQ(warm.restoredSchedules(), 0u);
+    Problem same(45);
+    warm.program(&same.ld, &same.table);
+    EXPECT_NE(warm.prepareSchedule(), nullptr);
+    EXPECT_EQ(warm.scheduleCompiles(), 1u);
 }
 
 TEST(ScheduleCachePersistence, ParamsFingerprintMismatchRejected)

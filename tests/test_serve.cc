@@ -298,6 +298,32 @@ TEST(ServeFleetTest, WarmSchedulesCompilesEverythingOnce)
     EXPECT_EQ(fleet.scheduleCompiles(), 9u);
 }
 
+TEST(ServeFleetTest, SecondDrainOfOneFleetMatchesFreshFleets)
+{
+    // Every drain numbers each matrix's work items from 0, so a second
+    // serve() on the same fleet must start its per-matrix gates over
+    // instead of waiting forever for sequence 0.
+    std::vector<ServeRequest> first =
+        generateTrace(smallTrace(40), {1, 1, 1});
+    TraceParams tp = smallTrace(40);
+    tp.seed += 1;
+    std::vector<ServeRequest> second = generateTrace(tp, {1, 1, 1});
+    ServeConfig cfg;
+    cfg.threads = 2;
+    cfg.batchWindow = 4;
+    cfg.pcgIterations = 4;
+
+    ServeFleet reused = makeFleet();
+    ServeResult r1 = serve(reused, first, cfg);
+    ServeResult r2 = serve(reused, second, cfg);
+    EXPECT_EQ(r2.completed, second.size());
+
+    ServeFleet fresh1 = makeFleet();
+    ServeFleet fresh2 = makeFleet();
+    EXPECT_EQ(r1.checksums, serve(fresh1, first, cfg).checksums);
+    EXPECT_EQ(r2.checksums, serve(fresh2, second, cfg).checksums);
+}
+
 TEST(ServeFleetTest, CacheRoundTripThroughDirectory)
 {
     std::string dir = ::testing::TempDir() + "serve_caches";

@@ -25,11 +25,13 @@
  *           --fail-on 'cycles>0.1%'
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -59,6 +61,12 @@
 using namespace alr;
 
 namespace {
+
+/** Bounds of the integer flags: a block wider than 1024 or a pool of
+ *  more than 1024 threads is a typo, not a configuration. */
+constexpr long kMaxOmega = 1024;
+constexpr long kMaxThreads = 1024;
+constexpr long kMaxCount = std::numeric_limits<int>::max();
 
 struct Options
 {
@@ -151,6 +159,24 @@ printVersion()
     std::exit(0);
 }
 
+/**
+ * Parse @p text as a whole base-10 integer in [lo, hi]; anything else
+ * -- trailing garbage, an empty string, an out-of-range value -- is a
+ * caller error and ends in fatal (exit 1), never in a silent 0.
+ */
+long
+parseInteger(const char *what, const std::string &text, long lo, long hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    long v = std::strtol(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        v < lo || v > hi)
+        fatal("%s needs an integer in [%ld, %ld], got '%s'", what, lo, hi,
+              text.c_str());
+    return v;
+}
+
 CsrMatrix
 generate(const std::string &spec)
 {
@@ -158,9 +184,8 @@ generate(const std::string &spec)
     if (colon == std::string::npos)
         fatal("generator spec needs NAME:SIZE, got '%s'", spec.c_str());
     std::string name = spec.substr(0, colon);
-    long size = std::atol(spec.c_str() + colon + 1);
-    if (size <= 0)
-        fatal("bad generator size in '%s'", spec.c_str());
+    long size = parseInteger("generator size", spec.substr(colon + 1), 1,
+                             std::numeric_limits<Index>::max());
 
     Rng rng(1234);
     if (name == "stencil2d")
@@ -224,23 +249,22 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--kernel") {
             opt.kernel = next();
         } else if (arg == "--omega") {
-            opt.omega = Index(std::atoi(next().c_str()));
+            opt.omega = Index(parseInteger("--omega", next(), 1, kMaxOmega));
         } else if (arg == "--source") {
-            opt.source = Index(std::atoi(next().c_str()));
+            opt.source = Index(parseInteger(
+                "--source", next(), 0, std::numeric_limits<Index>::max()));
         } else if (arg == "--iters") {
-            opt.maxIterations = std::atoi(next().c_str());
+            opt.maxIterations = int(
+                parseInteger("--iters", next(), 1, kMaxCount));
         } else if (arg == "--threads") {
-            opt.threads = std::atoi(next().c_str());
-            if (opt.threads <= 0)
-                usage();
+            opt.threads = int(parseInteger("--threads", next(), 1,
+                                           kMaxThreads));
         } else if (arg == "--engine-threads") {
-            opt.engineThreads = std::atoi(next().c_str());
-            if (opt.engineThreads <= 0)
-                usage();
+            opt.engineThreads = int(parseInteger("--engine-threads", next(),
+                                                 1, kMaxThreads));
         } else if (arg == "--schedule-cache") {
-            opt.scheduleCache = std::atoi(next().c_str());
-            if (opt.scheduleCache <= 0)
-                usage();
+            opt.scheduleCache = int(
+                parseInteger("--schedule-cache", next(), 1, kMaxCount));
         } else if (arg == "--parallel-timing") {
             opt.parallelTiming = true;
         } else if (arg == "--simd") {
@@ -278,9 +302,9 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--version") {
             printVersion();
         } else if (arg == "--stats-interval") {
-            opt.statsInterval = std::atol(next().c_str());
-            if (opt.statsInterval <= 0)
-                usage();
+            opt.statsInterval = parseInteger(
+                "--stats-interval", next(), 1,
+                std::numeric_limits<long>::max());
         } else {
             if (variant)
                 fatal("--ab: unknown override flag '%s'", arg.c_str());
@@ -353,6 +377,20 @@ void
 programAccelerator(Accelerator &acc, const CsrMatrix &a,
                    const Options &opt, bool symgsImage, bool fromImage)
 {
+    static const std::set<std::string> kKernels = {
+        "spmv", "symgs", "pcg", "bicgstab", "gmres",
+        "bfs",  "sssp",  "pr",  "cc",       "eigen"};
+    if (!kKernels.count(opt.kernel))
+        fatal("unknown kernel '%s'", opt.kernel.c_str());
+    // Only SpMV runs on a rectangular matrix: the solvers, the smoother
+    // and the graph kernels all need a square one.
+    if (opt.kernel != "spmv" && a.rows() != a.cols())
+        fatal("--kernel %s needs a square matrix, got %u x %u",
+              opt.kernel.c_str(), a.rows(), a.cols());
+    if ((opt.kernel == "bfs" || opt.kernel == "sssp") &&
+        opt.source >= a.rows())
+        fatal("--source %u is out of range for %u vertices", opt.source,
+              a.rows());
     if (fromImage) {
         if (symgsImage)
             acc.loadPde(a);
@@ -362,13 +400,20 @@ programAccelerator(Accelerator &acc, const CsrMatrix &a,
             acc.loadSpmvOnly(a);
         return;
     }
-    if (isGraphKernel(opt))
+    if (isGraphKernel(opt)) {
         acc.loadGraph(a);
-    else if (opt.kernel == "spmv" || opt.kernel == "bicgstab" ||
-             opt.kernel == "gmres" || opt.kernel == "eigen")
+    } else if (opt.kernel == "spmv" || opt.kernel == "bicgstab" ||
+               opt.kernel == "gmres" || opt.kernel == "eigen") {
         acc.loadSpmvOnly(a);
-    else
+    } else {
+        // The SymGS layout stores the diagonal apart and divides by it.
+        DenseVector diag = a.diagonal();
+        for (Index r = 0; r < a.rows(); ++r)
+            if (diag[r] == 0.0)
+                fatal("--kernel %s needs a non-zero diagonal; row %u "
+                      "has none", opt.kernel.c_str(), r);
         acc.loadPde(a);
+    }
 }
 
 /** Run opt.kernel once on the programmed accelerator; @p summary gets
