@@ -7,13 +7,10 @@
  * measures only how fast the simulator itself runs, which is what bounds
  * every iterative experiment in bench/.
  *
- * Part two (ISSUE 3, reworked in ISSUE 7): replay of the compiled
- * schedule on the three largest fig18 datasets under every --simd mode
- * the machine can actually run, plus the constant-folded specialization
- * A/B -- specialized replay versus the per-call dispatch wrappers
- * (specializeReplay=false), which replay exactly like the PR 3 SIMD
- * baseline.  Same bit-identity contract across all engines, with a
- * hard failure if results, cycles, or stat dumps diverge.
+ * Part two: replay of the compiled schedule on the three largest
+ * fig18 datasets under every --simd mode the machine can actually run.
+ * Same bit-identity contract across all engines, with a hard failure
+ * if results, cycles, or stat dumps diverge.
  */
 
 #include <algorithm>
@@ -72,12 +69,11 @@ statDump(Accelerator &acc)
 }
 
 AccelParams
-spmvParams(bool use_schedule, SimdMode mode, bool specialize = true)
+spmvParams(bool use_schedule, SimdMode mode)
 {
     AccelParams p;
     p.useSchedule = use_schedule;
     p.simdMode = mode;
-    p.specializeReplay = specialize;
     p.engineThreads = 1; // single-threaded functional pass
     return p;
 }
@@ -97,10 +93,8 @@ runnableModes()
 
 /**
  * Replay sweep: the three largest fig18 datasets by nnz, SpMV replay
- * timed single-threaded under every runnable --simd mode, plus the
- * per-call-dispatch baseline (specializeReplay=false at --simd auto;
- * the PR 3-style replay loop) against the specialized auto replay.
- * Returns false on any divergence across all engines.
+ * timed single-threaded under every runnable --simd mode.  Returns
+ * false on any divergence across all engines.
  */
 bool
 replaySweep(int reps)
@@ -123,23 +117,17 @@ replaySweep(int reps)
     std::vector<std::string> headers = {"dataset", "nnz"};
     for (SimdMode m : modes)
         headers.push_back(std::string(replay::toString(m)) + " ms");
-    headers.push_back("dispatch ms"); // per-call wrappers, auto ISA
-    headers.push_back("spec/disp");   // specialization win, same ISA
     Table table(headers);
 
     std::vector<double> simd_speedups; // widest mode vs forced scalar
-    std::vector<double> spec_speedups; // specialized vs dispatch, auto
     bool ok = true;
     for (const Dataset &d : all) {
         Accelerator interp(spmvParams(false, SimdMode::Auto));
-        Accelerator dispatch(
-            spmvParams(true, SimdMode::Auto, /*specialize=*/false));
         std::vector<std::unique_ptr<Accelerator>> accs;
         for (SimdMode m : modes)
             accs.push_back(
                 std::make_unique<Accelerator>(spmvParams(true, m)));
         interp.loadSpmvOnly(d.matrix);
-        dispatch.loadSpmvOnly(d.matrix);
         for (auto &acc : accs)
             acc->loadSpmvOnly(d.matrix);
 
@@ -156,7 +144,7 @@ replaySweep(int reps)
                    interp.report().cycles != acc.report().cycles ||
                    statDump(interp) != statDump(acc);
         };
-        bool diverged = diverges(dispatch);
+        bool diverged = false;
         for (auto &acc : accs)
             diverged = diverges(*acc) || diverged;
         if (diverged) {
@@ -182,12 +170,7 @@ replaySweep(int reps)
             widest_ms = ms; // modes are ordered narrowest to widest
             row.push_back(fmt(ms, 3));
         }
-        double dispatch_ms = time(dispatch);
-        double spec = dispatch_ms / widest_ms;
-        row.push_back(fmt(dispatch_ms, 3));
-        row.push_back(fmt(spec, 2) + "x");
         table.addRow(row);
-        spec_speedups.push_back(spec);
         if (scalar_ms > 0.0 && widest_ms > 0.0 && modes.size() > 1)
             simd_speedups.push_back(scalar_ms / widest_ms);
     }
@@ -196,10 +179,6 @@ replaySweep(int reps)
         std::printf("\ngeo-mean SIMD replay speedup (widest vs forced "
                     "scalar): %.2fx\n",
                     geoMean(simd_speedups));
-    if (!spec_speedups.empty())
-        std::printf("geo-mean specialization speedup (stamped kernels "
-                    "vs per-call dispatch, same ISA): %.2fx\n",
-                    geoMean(spec_speedups));
     if (ok)
         std::printf("results, cycles, and stat dumps identical across "
                     "all replay modes\n");

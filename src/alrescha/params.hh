@@ -122,8 +122,7 @@ struct AccelParams
      * GEMV block-row groups.  1 runs inline (default); 0 uses the
      * process-wide pool; N > 1 a private pool.  Results are
      * thread-count independent (block-row partitions touch disjoint
-     * output rows; the timing walk stays sequential unless
-     * parallelTiming opts it in).
+     * output rows; the timing walk is always sequential).
      */
     int engineThreads = 1;
 
@@ -146,29 +145,6 @@ struct AccelParams
      * forcing the portable path, and for debugging.
      */
     SimdMode simdMode = SimdMode::Auto;
-
-    /**
-     * Stamp ω- and row-layout-specialized replay entry points into the
-     * compiled schedule (zero switches and zero indirect table reads
-     * in the replayed loop body).  false keeps the per-call
-     * runtime-dispatch wrappers -- the PR 3-style baseline -- as the
-     * reference; results are bit-identical either way.  Bench/debug
-     * knob (abl_schedule measures the specialization win with it).
-     */
-    bool specializeReplay = true;
-
-    /**
-     * Extend engineThreads to the modeled timing walk: partition the
-     * scheduled cycle walk by block rows, replay partitions in
-     * parallel against shadow cache state, and combine cycles, stats,
-     * timeline spans, and profile buckets in a deterministic ordered
-     * reduction.  Results, cycle counts, stat dumps, timelines, and
-     * profiles are bit-for-bit identical to the serial walk at any
-     * thread count; false keeps the sequential walk as the reference
-     * path.  The ALR_PARALLEL_TIMING environment variable (non-empty,
-     * not "0") forces this on for every engine.
-     */
-    bool parallelTiming = false;
 
     /** Bytes the memory system delivers per core cycle. */
     double bytesPerCycle() const { return memBandwidthGBs / clockGhz; }

@@ -62,57 +62,6 @@ class CacheModel
     /** Valid lines currently resident (timeline occupancy counter). */
     size_t occupancy() const;
 
-    // ---- shadow-replay interface (parallel timing walk) ----
-    //
-    // The scheduled access trace is a static function of the schedule,
-    // and a direct-mapped line's post-access state is the accessed tag
-    // regardless of what it held before.  A partitioned walk therefore
-    // replays each partition against a private shadow copy of the line
-    // array, resolves only the first access per line against the
-    // composed predecessor state, and then installs its final line
-    // images and counter deltas here -- bit-identical to the serial
-    // access sequence.
-
-    /** Tag one line holds (the private Line, made composable). */
-    struct LineImage
-    {
-        bool valid = false;
-        CacheVec vec = CacheVec::Xt;
-        Index chunk = 0;
-    };
-
-    /** Direct-mapped line index of (vec, chunk) -- the touch() hash. */
-    size_t lineIndex(CacheVec vec, Index chunk) const
-    {
-        return (size_t(vec) * 0x9e3779b9u + chunk) % _lines.size();
-    }
-    size_t lineCount() const { return _lines.size(); }
-    LineImage lineImage(size_t idx) const
-    {
-        const Line &l = _lines[idx];
-        return LineImage{l.valid, l.vec, l.chunk};
-    }
-    void setLineImage(size_t idx, const LineImage &img)
-    {
-        _lines[idx] = Line{img.valid, img.vec, img.chunk};
-    }
-
-    /**
-     * Flush a replayed partition's counter deltas in one batch.  The
-     * counts are exact integers, so one batched add is bit-identical
-     * to the serial walk's per-access increments; the port-occupancy
-     * charge is one cycle per access, as in read()/write().
-     */
-    void noteBatch(double reads, double writes, double hits,
-                   double misses)
-    {
-        _reads += reads;
-        _writes += writes;
-        _hits += hits;
-        _misses += misses;
-        _busyCycles += reads + writes;
-    }
-
     void reset();
     /** Attach this model's "cache" stat sub-group to @p group. */
     void registerStats(stats::StatGroup &group);
@@ -124,6 +73,12 @@ class CacheModel
         CacheVec vec = CacheVec::Xt;
         Index chunk = 0;
     };
+
+    /** Direct-mapped line index of (vec, chunk) -- the touch() hash. */
+    size_t lineIndex(CacheVec vec, Index chunk) const
+    {
+        return (size_t(vec) * 0x9e3779b9u + chunk) % _lines.size();
+    }
 
     uint64_t touch(CacheVec vec, Index chunk);
 

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include <fstream>
 #include <sstream>
 
 #include "alrescha/sim/profile.hh"
-#include "alrescha/sim/pwalk.hh"
 #include "alrescha/sim/reduce.hh"
 #include "alrescha/sim/replay.hh"
 #include "alrescha/sim/schedule_io.hh"
@@ -27,23 +24,16 @@ using profile::Cause;
 
 /** Header of the persisted schedule-cache format ("Alrescha schedule
  *  cache").  Bump on any layout or key change: version 2 moved every
- *  key and checksum from byte-wise FNV-1a to hash::WordHasher. */
+ *  key and checksum from byte-wise FNV-1a to hash::WordHasher, and
+ *  version 3 dropped the timing-partition and D-SymGS level
+ *  boundaries from each schedule. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 2;
+constexpr uint32_t kSchedCacheVersion = 3;
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
       _rcu(params, &_memory), _stats("alrescha")
 {
-    // ALR_PARALLEL_TIMING forces the partitioned timing walk on for
-    // every engine without touching call sites -- the lever the
-    // sanitizer CI uses to run the whole test suite through the
-    // parallel walk.  The walk is bit-identical to the serial one, so
-    // flipping it on cannot change any modeled number.
-    if (const char *env = std::getenv("ALR_PARALLEL_TIMING")) {
-        if (*env != '\0' && std::strcmp(env, "0") != 0)
-            _params.parallelTiming = true;
-    }
     _stats.registerScalar("cycles", &_cycles, "total execution cycles");
     _stats.registerScalar("cycles_seq", &_seqCycles,
                           "cycles in serialized D-SymGS paths");
@@ -581,34 +571,8 @@ Engine::runSpmvScheduled(const ExecSchedule &sched, const DenseVector &x,
     }
 
     // Timing walk: replays the interpreter's exact cache access
-    // sequence (the cache is stateful across runs) -- serially, or
-    // through the partitioned walk (pwalk.hh) when parallelTiming is
-    // on; both produce bit-identical cycles, stats, and profiles.
+    // sequence (the cache is stateful across runs), serially.
     RunTiming t;
-    if (_params.parallelTiming) {
-        pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
-        pwalk::GemvTiming g = pwalk::gemvWalk(ctx, S, 0, prof);
-        t.cycles = g.cycles;
-        t.parCycles = g.parCycles;
-        if (S.pathCount > 0) {
-            _rcu.setConfigured(S.lastDp);
-            _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-            _memory.recordStream(S.totalStreamBytes);
-            _fcu.noteOps(S.fcuOps);
-            if (S.parFlops != 0.0)
-                _parFlops += S.parFlops;
-            if (S.usefulBytes != 0.0)
-                _usefulBytes += S.usefulBytes;
-        }
-        t.cycles += uint64_t(_params.drainCycles());
-        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        ALR_TRACE("spmv(sched): %zu paths, %llu cycles", S.pathCount,
-                  (unsigned long long)t.cycles);
-        emitTimelineTail(tlBase, t, nullptr);
-        addTiming(timing, t);
-        return y;
-    }
     int64_t segStart = -1;
     DataPathType segDp{};
     if (S.pathCount > 0) {
@@ -882,32 +846,6 @@ Engine::runSpmmScheduled(const ExecSchedule &sched,
     const uint64_t lineBytes = _params.cacheLineBytes;
     const uint64_t cfgExposed = uint64_t(
         std::max(0, _params.configCycles - _params.drainCycles()));
-    if (_params.parallelTiming) {
-        pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
-        pwalk::GemvTiming g = pwalk::gemvWalk(ctx, S, k, prof);
-        t.cycles = g.cycles;
-        t.parCycles = g.parCycles;
-        if (S.pathCount > 0) {
-            _rcu.setConfigured(S.lastDp);
-            _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-            _memory.recordStream(S.spmmStreamBytes);
-            FcuOpCounts scaled{S.fcuOps.alu * double(k),
-                               S.fcuOps.reduce * double(k),
-                               S.fcuOps.mul * double(k),
-                               S.fcuOps.add * double(k)};
-            _fcu.noteOps(scaled);
-            if (S.parFlops != 0.0)
-                _parFlops += S.parFlops * double(k);
-            if (S.usefulBytes != 0.0)
-                _usefulBytes += S.usefulBytes;
-        }
-        t.cycles += uint64_t(_params.drainCycles());
-        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        emitTimelineTail(tlBase, t, "spmm");
-        addTiming(timing, t);
-        return ys;
-    }
     if (S.pathCount > 0) {
         uint64_t hidden0 = 0;
         uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
@@ -1279,49 +1217,6 @@ Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
     uint64_t dep_t = 0;    // completion of the dependence chain
 
     Value *xw = stageOperand(S, x);
-    if (_params.parallelTiming) {
-        // Parallel sweep: the functional pass runs level-scheduled over
-        // the diagonal-chain dependence structure (gathers of a level
-        // in parallel, then its chains; levels are barriers), and the
-        // timing walk runs partitioned (pwalk.hh).  Both are ordered
-        // reductions over schedule-fixed decompositions, so every
-        // number matches the fused serial walk bit for bit.
-        if (S.pathCount > 0) {
-            size_t depth0 = _rcu.linkStack().depth();
-            runSymgsLevels(S, b, xw);
-            pwalk::Ctx ctx{_params, _rcu, _memory, enginePool(), tlBase};
-            pwalk::SymgsTiming st = pwalk::symgsWalk(ctx, S, depth0, prof);
-            stream_t = st.streamT;
-            dep_t = st.depT;
-            t.seqCycles = st.seqCycles;
-            std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
-                      x.begin());
-            _rcu.setConfigured(S.lastDp);
-            _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
-            _memory.recordStream(S.totalStreamBytes);
-            _fcu.noteOps(S.fcuOps);
-            _rcu.notePeOps(S.peOps);
-            if (S.parFlops != 0.0)
-                _parFlops += S.parFlops;
-            if (S.seqFlops != 0.0)
-                _seqFlops += S.seqFlops;
-            if (S.usefulBytes != 0.0)
-                _usefulBytes += S.usefulBytes;
-        }
-        t.parCycles = stream_t;
-        t.cycles =
-            std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
-        prof.add(DataPathType::DSymgs, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        prof.commitSymgs(stream_t, dep_t,
-                         uint64_t(_params.pipelineDepth()));
-        ALR_TRACE("symgs(sched): stream %llu cycles, chain %llu cycles",
-                  (unsigned long long)stream_t,
-                  (unsigned long long)dep_t);
-        emitTimelineTail(tlBase, t, nullptr);
-        addTiming(timing, t);
-        return;
-    }
     std::vector<Value> partials(omega);
     std::vector<Value> lanes(fcutree::ceilPow2(omega));
     if (S.pathCount > 0) {
@@ -1471,85 +1366,6 @@ Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
               (unsigned long long)stream_t, (unsigned long long)dep_t);
     emitTimelineTail(tlBase, t, nullptr);
     addTiming(timing, t);
-}
-
-void
-Engine::runSymgsLevels(const ExecSchedule &S, const DenseVector &b,
-                       Value *xw)
-{
-    const Index omega = _params.omega;
-    const DenseVector &diag = _ld->diagonal();
-    ThreadPool *pool = enginePool();
-    ALR_ASSERT(S.levelBegin.size() >= 2,
-               "SymGS schedule compiled without levels");
-
-    std::vector<Value> slab;
-    std::vector<std::pair<size_t, DenseVector>> chains;
-    for (size_t l = 0; l + 1 < S.levelBegin.size(); ++l) {
-        const size_t lb = S.levelBegin[l], le = S.levelBegin[l + 1];
-        // (a) Every GEMV gather of the level reads iterate state from
-        // previous levels only (the level rule in compileSchedule), so
-        // the gathers run in parallel into per-path slab slots.
-        slab.assign((le - lb) * omega, 0.0);
-        auto gather = [&](size_t i) {
-            if (S.dp[i] == DataPathType::Gemv)
-                S.fns.symgs(S, i, xw,
-                            slab.data() + (i - lb) * omega);
-        };
-        if (pool && le - lb > 1) {
-            pool->parallelFor(lb, le, [&](size_t i) {
-                timeline::ScopedHostSpan gSpan("symgs.gather", "worker");
-                gather(i);
-            });
-        } else {
-            for (size_t i = lb; i < le; ++i)
-                gather(i);
-        }
-        // (b) The link stack is driven serially in path order: the
-        // exact push/pop sequence -- and thus the exact accumulation
-        // order and stack stats -- of the fused serial walk.
-        chains.clear();
-        for (size_t i = lb; i < le; ++i) {
-            if (S.dp[i] == DataPathType::Gemv) {
-                const Value *p = slab.data() + (i - lb) * omega;
-                _rcu.linkStack().push(DenseVector(p, p + omega));
-            } else {
-                chains.emplace_back(
-                    i, _rcu.linkStack().popAccumulate(omega));
-            }
-        }
-        // (c) Diagonal chains write disjoint chunks of the iterate and
-        // read only their own chunk (plus read-only b/diag), so they
-        // run in parallel; the in-chain recurrence is the fused walk's
-        // scalar math, step for step (sumTree zeroes its own pad
-        // lanes, so the per-chain scratch needs no pre-clearing).
-        auto runChain = [&](size_t c) {
-            const size_t i = chains[c].first;
-            const DenseVector &acc = chains[c].second;
-            const Index r0 = S.blockRow[i] * omega;
-            std::vector<Value> lanes(fcutree::ceilPow2(omega));
-            for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1];
-                 ++rr) {
-                Index r = S.rowIndex[rr];
-                Index lr = r - r0;
-                const Value *v = &S.values[rr * omega];
-                for (Index lc = 0; lc < omega; ++lc)
-                    lanes[lc] = v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
-                Value dot = fcutree::sumTree(lanes.data(), omega);
-                Value sum = acc[lr] + dot;
-                xw[r] = (b[r] - sum) / diag[r];
-            }
-        };
-        if (pool && chains.size() > 1) {
-            pool->parallelFor(0, chains.size(), [&](size_t c) {
-                timeline::ScopedHostSpan cSpan("symgs.chain", "worker");
-                runChain(c);
-            });
-        } else {
-            for (size_t c = 0; c < chains.size(); ++c)
-                runChain(c);
-        }
-    }
 }
 
 DenseVector

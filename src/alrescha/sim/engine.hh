@@ -293,17 +293,6 @@ class Engine
     void runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
                            DenseVector &x, RunTiming *timing);
 
-    /**
-     * Level-scheduled functional D-SymGS sweep (parallelTiming): per
-     * level, run the GEMV gathers in parallel, drive the link stack
-     * serially in path order, then run the diagonal chains in parallel
-     * (they touch disjoint iterate chunks).  Bit-identical to the fused
-     * serial walk's functional effect on @p xw and the link-stack
-     * stats; touches no timing state.
-     */
-    void runSymgsLevels(const ExecSchedule &S, const DenseVector &b,
-                        Value *xw);
-
     AccelParams _params;
     MemoryModel _memory;
     Fcu _fcu;

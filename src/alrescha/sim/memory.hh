@@ -31,13 +31,6 @@ class MemoryModel
     /** Record one random (cache-miss) line fetch; returns its latency. */
     uint64_t recordRandomAccess();
 
-    /**
-     * Record @p n random accesses in one batch (the parallel timing
-     * walk's per-partition flush).  Counts are exact integers, so one
-     * batched add is bit-identical to n recordRandomAccess() calls.
-     */
-    void noteRandomAccesses(double n) { _randomAccesses += n; }
-
     double bytesStreamed() const { return _bytesStreamed.value(); }
     double randomAccesses() const { return _randomAccesses.value(); }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Replay dispatcher: the portable scalar kernel table, the runtime-ω
- * generic arms, the per-call dispatch wrappers (the unspecialized
- * baseline), and the ISA selection logic (see replay.hh).
+ * generic arms, and the ISA selection logic (see replay.hh).
  *
  * This TU compiles with no ISA flags -- the portable scalar table
  * instantiates replay_body.hh at ALR_REPLAY_LANES = 0, which uses no
@@ -127,49 +126,6 @@ symgsGeneric(const ExecSchedule &S, size_t path, const Value *xpad,
                     [partials, r0, &S](size_t rr, Value d) {
                         partials[S.rowIndex[rr] - r0] = d;
                     });
-}
-
-// ---- per-call dispatch wrappers (the unspecialized baseline) ----
-//
-// These mirror the pre-specialization structure: one ω switch and one
-// table indirection per entry call (per *path* for SymGS).  Stamped
-// when specializeReplay is off or ω has no compile-time arm; also the
-// A-side of abl_schedule's specialization measurement.
-
-inline const detail::KernelTable *
-tableOf(const ExecSchedule &S)
-{
-    return S.replayTable ? S.replayTable : detail::scalarTable();
-}
-
-void
-spmvAuto(const ExecSchedule &S, const Value *xpad, Value *y,
-         size_t pBegin, size_t pEnd)
-{
-    int oi = detail::omegaIndex(S.omega);
-    if (oi < 0)
-        return spmvGeneric(S, xpad, y, pBegin, pEnd);
-    tableOf(S)->spmv[oi][0](S, xpad, y, pBegin, pEnd);
-}
-
-void
-spmmAuto(const ExecSchedule &S, const Value *const *xpads,
-         Value *const *ys, size_t k, size_t pBegin, size_t pEnd)
-{
-    int oi = detail::omegaIndex(S.omega);
-    if (oi < 0)
-        return spmmGeneric(S, xpads, ys, k, pBegin, pEnd);
-    tableOf(S)->spmm[oi][0](S, xpads, ys, k, pBegin, pEnd);
-}
-
-void
-symgsAuto(const ExecSchedule &S, size_t path, const Value *xpad,
-          Value *partials)
-{
-    int oi = detail::omegaIndex(S.omega);
-    if (oi < 0)
-        return symgsGeneric(S, path, xpad, partials);
-    tableOf(S)->symgs[oi][0](S, path, xpad, partials);
 }
 
 // ---- runtime ISA availability ----
@@ -403,18 +359,17 @@ writeVersionJson(std::ostream &os, SimdMode mode)
 void
 specialize(ExecSchedule &S, const AccelParams &params)
 {
-    const detail::KernelTable *t = select(params.simdMode);
-    S.replayTable = t;
     const int oi = detail::omegaIndex(S.omega);
-    if (params.specializeReplay && oi >= 0) {
+    if (oi >= 0) {
+        const detail::KernelTable *t = select(params.simdMode);
         const int ci = S.contiguousRows ? 1 : 0;
         S.fns.spmv = t->spmv[oi][ci];
         S.fns.spmm = t->spmm[oi][ci];
         S.fns.symgs = t->symgs[oi][ci];
     } else {
-        S.fns.spmv = &spmvAuto;
-        S.fns.spmm = &spmmAuto;
-        S.fns.symgs = &symgsAuto;
+        S.fns.spmv = &spmvGeneric;
+        S.fns.spmm = &spmmGeneric;
+        S.fns.symgs = &symgsGeneric;
     }
 }
 

@@ -20,9 +20,8 @@
  *  - Stage 2 (schedule-time specialization): specialize() stamps the
  *    per-(ω, kernel, row-layout) entry points straight into the
  *    ExecSchedule, so the replayed loop body carries zero switches
- *    and zero indirect table reads.  ω outside {2, 4, 8} (or
- *    AccelParams::specializeReplay = false) stamps per-call dispatch
- *    wrappers backed by a runtime-ω generic arm instead.
+ *    and zero indirect table reads.  ω outside {2, 4, 8} stamps the
+ *    runtime-ω generic arms instead.
  *
  * Every arm reduces in the canonical pairwise tree order (reduce.hh),
  * so the interpreter, the scheduled scalar path, and every dispatched
@@ -91,12 +90,11 @@ bool parseSimdMode(const char *text, SimdMode *mode);
 const detail::KernelTable *select(SimdMode mode);
 
 /**
- * Stamp the replay entry points for @p S into S.fns (and the selected
- * table into S.replayTable): the per-(ω, kernel, row-layout)
- * specialization when ω ∈ {2, 4, 8} and params.specializeReplay, the
- * per-call dispatch wrappers otherwise.  Called by compileSchedule as
- * its final step; requires S.omega / S.contiguousRows / S.blockRow
- * etc. to be final.
+ * Stamp the replay entry points for @p S into S.fns: the selected
+ * table's per-(ω, kernel, row-layout) slot when ω ∈ {2, 4, 8}, the
+ * generic runtime-ω arms otherwise.  Called by compileSchedule as its
+ * final step; requires S.omega / S.contiguousRows / S.blockRow etc. to
+ * be final.
  */
 void specialize(ExecSchedule &S, const AccelParams &params);
 

@@ -24,10 +24,6 @@ struct ExecSchedule;
 
 namespace replay {
 
-namespace detail {
-struct KernelTable;
-}
-
 /** Replay SpMV paths [pBegin, pEnd): accumulate each row record's dot
  *  product into y[row].  @p xpad is the operand staged to
  *  ExecSchedule::paddedOperand entries (tail zeroed). */

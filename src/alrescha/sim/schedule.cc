@@ -62,8 +62,7 @@ ExecSchedule::bytes() const
            vecBytes(spmmMemCycles) + vecBytes(xValid) + vecBytes(xOff) +
            vecBytes(validRows) + vecBytes(chainCycles) +
            vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(rowUseful) +
-           vecBytes(values) + vecBytes(groupBegin) +
-           vecBytes(partBegin) + vecBytes(levelBegin);
+           vecBytes(values) + vecBytes(groupBegin);
 }
 
 ExecSchedule
@@ -385,45 +384,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     if (P > 0)
         s.groupBegin.push_back(P);
     s.parallelSafe = spmv && monotonic;
-
-    // Timing-walk partitions: fixed-count, near-equal path ranges.  The
-    // boundaries depend only on the path count, never on the pool size,
-    // which is what makes the partitioned walk thread-count invariant.
-    s.partBegin.push_back(0);
-    if (P > 0) {
-        size_t parts = std::min(kTimingPartitions, P);
-        size_t per = (P + parts - 1) / parts;
-        for (size_t b = per; b < P; b += per)
-            s.partBegin.push_back(b);
-        s.partBegin.push_back(P);
-    }
-
-    // D-SymGS levels: scan the paths tracking, per vector chunk, the
-    // last diagonal chain that writes it.  A GEMV gather reading a
-    // chunk whose chain lives in the current level is a flow dependence
-    // the level barrier must order, so the level closes right before
-    // the gather.  Chains only read their own chunk (plus the
-    // read-only b and diagonal operands) and the link stack is driven
-    // serially in path order between the level's gather and chain
-    // phases, so no other hazard crosses a level boundary.
-    if (!spmv && P > 0) {
-        Index chunks =
-            Index(std::max(rows, cols) + omega - 1) / omega;
-        std::vector<int64_t> chainPathOf(size_t(chunks) + 1, -1);
-        size_t levelStart = 0;
-        s.levelBegin.push_back(0);
-        for (size_t i = 0; i < P; ++i) {
-            if (s.dp[i] == DataPathType::Gemv) {
-                if (chainPathOf[s.blockCol[i]] >= int64_t(levelStart)) {
-                    s.levelBegin.push_back(i);
-                    levelStart = i;
-                }
-            } else {
-                chainPathOf[s.blockRow[i]] = int64_t(i);
-            }
-        }
-        s.levelBegin.push_back(P);
-    }
 
     // Stamp the replay entry points: runtime ISA dispatch happens
     // here, once per compiled schedule, so the engine's hot loops

@@ -121,40 +121,15 @@ struct ExecSchedule
      *  rows and the functional pass may run them in parallel. */
     bool parallelSafe = false;
 
-    // ---- timing-walk partitions (parallelTiming) ----
-    /**
-     * Path range of timing partition p: [partBegin[p], partBegin[p+1]).
-     * The boundaries are a pure function of the schedule (fixed fan-out
-     * of kTimingPartitions, never the thread count), so the partitioned
-     * walk replays the identical decomposition -- and therefore the
-     * identical combined numbers -- at any pool size.
-     */
-    std::vector<size_t> partBegin;
-
-    // ---- D-SymGS levels (parallelTiming functional pass) ----
-    /**
-     * Level range of level l: [levelBegin[l], levelBegin[l+1]), SymGS
-     * schedules only.  A level is a maximal path range in which no GEMV
-     * gather reads a chunk written by a diagonal chain of the same
-     * range, so all gathers of a level may run in parallel before its
-     * chains; levels execute in order (barriers).  Derived from the
-     * same chain dependence structure the critical-path extractor
-     * walks.
-     */
-    std::vector<size_t> levelBegin;
-
     // ---- stamped replay specialization (replay::specialize) ----
     /**
      * Resolved replay entry points: the fully specialized
-     * per-(runtime ISA, ω, row-layout) kernels when ω ∈ {2, 4, 8} and
-     * params.specializeReplay, else per-call dispatch wrappers.  The
-     * engine's functional pass calls these blind -- no ω switch, no
-     * ISA branch in the replayed loop.
+     * per-(runtime ISA, ω, row-layout) kernels when ω ∈ {2, 4, 8},
+     * else the generic runtime-ω arms.  The engine's functional pass
+     * calls these blind -- no ω switch, no ISA branch in the replayed
+     * loop.
      */
     replay::Fns fns;
-    /** Kernel table the dispatch selected (the wrappers re-index it
-     *  per call; provenance via its name). */
-    const replay::detail::KernelTable *replayTable = nullptr;
     /**
      * Every GEMV path's rows are consecutive (no row skipped inside
      * any path), so a row's output index folds to base + offset and
@@ -206,13 +181,6 @@ ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,
                              const AccelParams &params,
                              ThreadPool *pool = nullptr);
-
-/**
- * Fan-out of the partitioned timing walk.  A schedule constant (not a
- * thread count): partitions are combined in index order, so any pool
- * size walks the same partitions and reduces them identically.
- */
-constexpr size_t kTimingPartitions = 32;
 
 } // namespace alr
 

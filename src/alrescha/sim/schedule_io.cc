@@ -49,8 +49,6 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
 
     bio::writeVec(out, s.groupBegin);
     bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
-    bio::writeVec(out, s.partBegin);
-    bio::writeVec(out, s.levelBegin);
     bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
 
     bio::writePod<int64_t>(out, s.finalOutRow);
@@ -109,8 +107,6 @@ deserializeSchedule(std::istream &in)
 
     bio::readVecInto(in, s.groupBegin);
     s.parallelSafe = bio::readPod<uint8_t>(in) != 0;
-    bio::readVecInto(in, s.partBegin);
-    bio::readVecInto(in, s.levelBegin);
     s.contiguousRows = bio::readPod<uint8_t>(in) != 0;
 
     s.finalOutRow = bio::readPod<int64_t>(in);

@@ -6,10 +6,10 @@
  * next to the program image lets a warm start replay with zero
  * compileSchedule calls.
  *
- * What round-trips: every per-path vector, row record, group/partition
- * /level boundary, and per-run constant -- the complete compiled
- * state.  What does not: the stamped replay entry points (fns /
- * replayTable), which are process-local function pointers; the loader
+ * What round-trips: every per-path vector, row record, group
+ * boundary, and per-run constant -- the complete compiled state.
+ * What does not: the stamped replay entry points (fns), which are
+ * process-local function pointers; the loader
  * re-stamps them through replay::specialize, so a restored schedule is
  * indistinguishable from a freshly compiled one (bit-identical
  * results, cycles, and stat dumps -- the round-trip tests enforce it).
@@ -44,9 +44,8 @@ ExecSchedule deserializeSchedule(std::istream &in);
 /**
  * Digest of the AccelParams fields a compiled schedule's contents
  * depend on (block width, latencies, bandwidth, reorder/skip knobs).
- * Thread counts, SIMD mode, and the specialization knob are excluded:
- * they only affect the re-stamped entry points, never the serialized
- * state.  A persisted cache whose fingerprint differs from the loading
+ * Thread counts and the SIMD mode are excluded: they only affect the
+ * re-stamped entry points, never the serialized state.  A persisted cache whose fingerprint differs from the loading
  * engine's params is stale and is recompiled instead.
  */
 uint64_t scheduleParamsFingerprint(const AccelParams &params);

@@ -9,7 +9,7 @@
  *  - forcing an unavailable ISA (params or ALR_SIMD_FORCE) must fall
  *    back down the dispatch chain with a warning, never crash;
  *  - compileSchedule must stamp the specialized entry points (and the
- *    per-call wrappers when specializeReplay is off) and detect
+ *    generic runtime-omega arms at any other omega) and detect
  *    contiguous row layouts;
  *  - the build must keep FP contraction off: a reduction whose result
  *    is exact 0.0 under separate rounding would come out nonzero if
@@ -45,15 +45,13 @@ statDump(Engine &e)
 }
 
 AccelParams
-makeParams(Index omega, bool use_schedule, SimdMode mode,
-           bool specialize = true)
+makeParams(Index omega, bool use_schedule, SimdMode mode)
 {
     AccelParams p;
     p.omega = omega;
     p.useSchedule = use_schedule;
     p.engineThreads = 1;
     p.simdMode = mode;
-    p.specializeReplay = specialize;
     return p;
 }
 
@@ -82,8 +80,7 @@ runnableModes()
  * serialized stat dumps must agree exactly.
  */
 void
-expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode,
-                       bool specialize = true)
+expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
 {
     SCOPED_TRACE(std::string("mode=") + replay::toString(mode) +
                  " omega=" + std::to_string(omega));
@@ -94,7 +91,7 @@ expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode,
                                              GsSweep::Forward);
 
     Engine ref(makeParams(omega, false, SimdMode::Scalar));
-    Engine sch(makeParams(omega, true, mode, specialize));
+    Engine sch(makeParams(omega, true, mode));
 
     DenseVector x(a.cols());
     for (size_t i = 0; i < x.size(); ++i)
@@ -144,17 +141,6 @@ TEST(ReplayDispatch, EveryRunnableModeBitIdentical)
             expectModeBitIdentical(a, omega, mode);
 }
 
-TEST(ReplayDispatch, UnspecializedWrappersBitIdentical)
-{
-    // specializeReplay=false replays through the per-call dispatch
-    // wrappers (the PR 3-style loop) -- same bits, just slower.
-    Rng rng(42);
-    CsrMatrix a = gen::banded(97, 6, 0.6, rng);
-    for (Index omega : {Index(2), Index(4), Index(8)})
-        expectModeBitIdentical(a, omega, SimdMode::Auto,
-                               /*specialize=*/false);
-}
-
 // ---------------------------------------------------------------------
 // Generic fallback at irregular shapes, under every forced mode.
 // ---------------------------------------------------------------------
@@ -162,7 +148,7 @@ TEST(ReplayDispatch, UnspecializedWrappersBitIdentical)
 TEST(ReplayDispatch, IrregularOmegaUsesGenericArm)
 {
     // omega=6 has no specialized kernel: compileSchedule must stamp
-    // the wrappers and the wrappers must take the runtime-omega arm.
+    // the generic runtime-omega arms.
     Rng rng(43);
     CsrMatrix a = gen::banded(89, 4, 0.8, rng);
     for (SimdMode mode : kAllModes)
@@ -266,24 +252,28 @@ TEST(ReplaySpecialize, StampsSpecializedEntryPoints)
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
     AccelParams p = makeParams(8, true, SimdMode::Auto);
     ExecSchedule s = compileSchedule(ld, table, p);
+    const replay::detail::KernelTable *t = replay::select(p.simdMode);
 
-    ASSERT_NE(s.replayTable, nullptr);
     ASSERT_NE(s.fns.spmv, nullptr);
     ASSERT_NE(s.fns.spmm, nullptr);
     ASSERT_NE(s.fns.symgs, nullptr);
     // omega=8 -> index 2; the stamped pointer must be the table slot
     // for the detected row layout.
     int ci = s.contiguousRows ? 1 : 0;
-    EXPECT_EQ(s.fns.spmv, s.replayTable->spmv[2][ci]);
-    EXPECT_EQ(s.fns.spmm, s.replayTable->spmm[2][ci]);
-    EXPECT_EQ(s.fns.symgs, s.replayTable->symgs[2][ci]);
+    EXPECT_EQ(s.fns.spmv, t->spmv[2][ci]);
+    EXPECT_EQ(s.fns.spmm, t->spmm[2][ci]);
+    EXPECT_EQ(s.fns.symgs, t->symgs[2][ci]);
 
-    // Unspecialized: wrappers, not table slots.
-    p.specializeReplay = false;
-    ExecSchedule w = compileSchedule(ld, table, p);
-    ASSERT_NE(w.fns.spmv, nullptr);
-    EXPECT_NE(w.fns.spmv, w.replayTable->spmv[2][0]);
-    EXPECT_NE(w.fns.spmv, w.replayTable->spmv[2][1]);
+    // omega=6 has no table slot: the generic arms, not any slot.
+    LocallyDenseMatrix ld6 =
+        LocallyDenseMatrix::encode(a, 6, LdLayout::Plain);
+    ConfigTable table6 = ConfigTable::convert(KernelType::SpMV, ld6);
+    p.omega = 6;
+    ExecSchedule g = compileSchedule(ld6, table6, p);
+    ASSERT_NE(g.fns.spmv, nullptr);
+    for (int oi = 0; oi < 3; ++oi)
+        for (int c = 0; c < 2; ++c)
+            EXPECT_NE(g.fns.spmv, t->spmv[oi][c]);
 }
 
 TEST(ReplaySpecialize, DetectsContiguousRows)

@@ -18,6 +18,9 @@
 #include "alrescha/sim/replay.hh"
 #include "alrescha/sim/schedule.hh"
 #include "alrescha/sim/schedule_io.hh"
+#include "common/binary_io.hh"
+#include "common/hash.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "sparse/generators.hh"
 
@@ -282,27 +285,62 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
 
 TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
 {
-    // Version 1 keyed schedules on byte-wise FNV-1a digests; its keys
-    // can never match this build's, so the loader must reject the
-    // file and the engine compile as on a cold start.
+    // Every older format must be rejected and recompiled.  Version 1
+    // keyed schedules on byte-wise FNV-1a digests; versions 1 and 2
+    // also wrote each schedule's timing-partition and D-SymGS level
+    // boundaries right after the parallelSafe flag.  The legacy file
+    // built here carries both vectors under a valid checksum, so only
+    // the version check stops the loader from misparsing it.
     Problem p(45);
     Engine e(makeParams());
     e.program(&p.ld, &p.table);
     e.prepareSchedule();
     std::stringstream good;
     ASSERT_TRUE(e.saveScheduleCache(good));
-    std::string bytes = good.str();
-    const uint32_t v1 = 1;
-    std::memcpy(bytes.data() + 4, &v1, sizeof(v1)); // after the magic
+    const std::string file = good.str();
 
-    std::stringstream old(bytes);
-    Engine warm(makeParams());
-    EXPECT_FALSE(warm.loadScheduleCache(old));
-    EXPECT_EQ(warm.restoredSchedules(), 0u);
-    Problem same(45);
-    warm.program(&same.ld, &same.table);
-    EXPECT_NE(warm.prepareSchedule(), nullptr);
-    EXPECT_EQ(warm.scheduleCompiles(), 1u);
+    // Header: magic and version (u32), then the params fingerprint,
+    // body length and body checksum (u64).  The body holds one
+    // schedule, whose record ends with the fields that follow the
+    // boundary vectors: contiguousRows (u8), finalOutRow (i64),
+    // lastDp (u8), ten doubles and three u64.
+    const size_t header = 4 + 4 + 3 * 8;
+    const size_t tail = 1 + 8 + 1 + 10 * 8 + 3 * 8;
+    std::string body = file.substr(header);
+    ExecSchedule s = compileSchedule(p.ld, p.table, makeParams());
+    ASSERT_EQ(body[body.size() - tail - 1], char(s.parallelSafe));
+    uint64_t padded = 0;
+    std::memcpy(&padded, body.data() + body.size() - 8, 8);
+    ASSERT_EQ(padded, s.paddedOperand);
+    std::ostringstream bounds;
+    bio::writeVec(bounds, std::vector<size_t>{0, s.pathCount / 2,
+                                              s.pathCount});
+    bio::writeVec(bounds, std::vector<size_t>{}); // no levels in SpMV
+    body.insert(body.size() - tail, bounds.str());
+
+    for (uint32_t version : {1u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::ostringstream legacy;
+        legacy.write(file.data(), 4); // magic
+        bio::writePod<uint32_t>(legacy, version);
+        legacy.write(file.data() + 8, 8); // params fingerprint
+        bio::writePod<uint64_t>(legacy, uint64_t(body.size()));
+        bio::writePod<uint64_t>(legacy,
+                                hash::ofBytes(body.data(), body.size()));
+        legacy << body;
+
+        std::stringstream old(legacy.str());
+        Engine warm(makeParams());
+        setLogCapture(true);
+        EXPECT_FALSE(warm.loadScheduleCache(old));
+        std::string log = setLogCapture(false);
+        EXPECT_NE(log.find("version mismatch"), std::string::npos) << log;
+        EXPECT_EQ(warm.restoredSchedules(), 0u);
+        Problem same(45);
+        warm.program(&same.ld, &same.table);
+        EXPECT_NE(warm.prepareSchedule(), nullptr);
+        EXPECT_EQ(warm.scheduleCompiles(), 1u);
+    }
 }
 
 TEST(ScheduleCachePersistence, ParamsFingerprintMismatchRejected)

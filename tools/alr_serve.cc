@@ -26,16 +26,20 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "cli_parse.hh"
 
 #include "alrescha/serve.hh"
 #include "alrescha/sim/replay.hh"
@@ -46,8 +50,13 @@
 #include "datasets/suites.hh"
 
 using namespace alr;
+using namespace alr::cli;
 
 namespace {
+
+/** A trace past 16M requests is a typo, not a workload (and gigabytes
+ *  of per-request state). */
+constexpr long kMaxRequests = long(1) << 24;
 
 struct Options
 {
@@ -122,43 +131,38 @@ parse(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--fleet") {
-            opt.fleet = std::atoi(next().c_str());
-            if (opt.fleet <= 0)
-                usage();
+            opt.fleet = int(parseInteger("--fleet", next(), 1, kMaxCount));
         } else if (arg == "--scale") {
-            opt.scale = Index(std::atoi(next().c_str()));
-            if (opt.scale == 0)
-                usage();
+            opt.scale = Index(parseInteger(
+                "--scale", next(), 1, std::numeric_limits<Index>::max()));
         } else if (arg == "--omega") {
-            opt.omega = Index(std::atoi(next().c_str()));
-            if (opt.omega == 0)
-                usage();
+            opt.omega = Index(parseInteger("--omega", next(), 1, kMaxOmega));
         } else if (arg == "--requests") {
-            opt.trace.requests = uint32_t(std::atol(next().c_str()));
+            opt.trace.requests = uint32_t(
+                parseInteger("--requests", next(), 1, kMaxRequests));
         } else if (arg == "--zipf") {
-            opt.trace.zipfS = std::atof(next().c_str());
+            opt.trace.zipfS = parseReal("--zipf", next(), 0.0, HUGE_VAL);
         } else if (arg == "--seed") {
-            opt.trace.seed = uint64_t(std::atoll(next().c_str()));
+            opt.trace.seed = uint64_t(parseInteger(
+                "--seed", next(), 0, std::numeric_limits<long>::max()));
         } else if (arg == "--burstiness") {
-            opt.trace.burstiness = std::atof(next().c_str());
+            opt.trace.burstiness =
+                parseReal("--burstiness", next(), 0.0, 1.0);
         } else if (arg == "--threads") {
-            opt.cfg.threads = std::atoi(next().c_str());
-            if (opt.cfg.threads <= 0)
-                usage();
+            opt.cfg.threads =
+                int(parseInteger("--threads", next(), 1, kMaxThreads));
         } else if (arg == "--batch-window") {
-            opt.cfg.batchWindow = uint32_t(std::atoi(next().c_str()));
+            opt.cfg.batchWindow =
+                uint32_t(parseInteger("--batch-window", next(), 0, kMaxCount));
         } else if (arg == "--queue") {
-            opt.cfg.queueDepth = size_t(std::atol(next().c_str()));
-            if (opt.cfg.queueDepth == 0)
-                usage();
+            opt.cfg.queueDepth =
+                size_t(parseInteger("--queue", next(), 1, kMaxCount));
         } else if (arg == "--pcg-iters") {
-            opt.cfg.pcgIterations = std::atoi(next().c_str());
-            if (opt.cfg.pcgIterations <= 0)
-                usage();
+            opt.cfg.pcgIterations =
+                int(parseInteger("--pcg-iters", next(), 1, kMaxCount));
         } else if (arg == "--schedule-cache") {
-            opt.scheduleCache = std::atoi(next().c_str());
-            if (opt.scheduleCache <= 0)
-                usage();
+            opt.scheduleCache =
+                int(parseInteger("--schedule-cache", next(), 1, kMaxCount));
         } else if (arg == "--cache-dir") {
             opt.cacheDir = next();
         } else if (arg == "--json") {
@@ -168,17 +172,13 @@ parse(int argc, char **argv)
         } else if (arg == "--metrics-out") {
             opt.metricsOut = next();
         } else if (arg == "--metrics-interval") {
-            opt.metricsIntervalMs = std::atof(next().c_str());
-            if (opt.metricsIntervalMs <= 0.0)
-                usage();
+            opt.metricsIntervalMs = parseReal("--metrics-interval", next(),
+                                              0.0, HUGE_VAL, true);
         } else if (arg == "--slo-us") {
-            opt.sloUs = std::atof(next().c_str());
-            if (opt.sloUs <= 0.0)
-                usage();
+            opt.sloUs = parseReal("--slo-us", next(), 0.0, HUGE_VAL, true);
         } else if (arg == "--slo-objective") {
-            opt.sloObjective = std::atof(next().c_str());
-            if (opt.sloObjective <= 0.0 || opt.sloObjective >= 1.0)
-                usage();
+            opt.sloObjective =
+                parseReal("--slo-objective", next(), 0.0, 1.0, true);
         } else {
             usage();
         }

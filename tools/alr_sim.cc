@@ -25,7 +25,6 @@
  *           --fail-on 'cycles>0.1%'
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,6 +36,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "cli_parse.hh"
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/program_image.hh"
@@ -59,14 +60,9 @@
 #include "sparse/reorder.hh"
 
 using namespace alr;
+using namespace alr::cli;
 
 namespace {
-
-/** Bounds of the integer flags: a block wider than 1024 or a pool of
- *  more than 1024 threads is a typo, not a configuration. */
-constexpr long kMaxOmega = 1024;
-constexpr long kMaxThreads = 1024;
-constexpr long kMaxCount = std::numeric_limits<int>::max();
 
 struct Options
 {
@@ -85,7 +81,6 @@ struct Options
     bool rcm = false;
     bool noSchedule = false;
     SimdMode simdMode = SimdMode::Auto;
-    bool parallelTiming = false;
     bool dumpStats = false;
     bool json = false;
     bool report = false;
@@ -112,7 +107,7 @@ usage()
         "               [--profile F.json] [--profile-csv F.csv]\n"
         "               [--profile-folded F.folded]\n"
         "               [--iters N] [--threads N] [--engine-threads N]\n"
-        "               [--parallel-timing] [--schedule-cache N]\n"
+        "               [--schedule-cache N]\n"
         "               [--save F.alr] [--trace F.log] [--no-schedule]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULE]\n"
         "               [--version]\n"
@@ -133,8 +128,6 @@ usage()
         "                    with a warning when unavailable\n"
         "                    (--no-simd is kept as an alias for\n"
         "                    --simd scalar)\n"
-        "  --parallel-timing partitioned timing walk on the engine\n"
-        "                    threads (bit-identical to the serial walk)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"
         "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"
@@ -157,24 +150,6 @@ printVersion()
                 version::gitDescribe(), version::simdBuild(),
                 replay::isaName(), replay::omegaSpecializations());
     std::exit(0);
-}
-
-/**
- * Parse @p text as a whole base-10 integer in [lo, hi]; anything else
- * -- trailing garbage, an empty string, an out-of-range value -- is a
- * caller error and ends in fatal (exit 1), never in a silent 0.
- */
-long
-parseInteger(const char *what, const std::string &text, long lo, long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-        v < lo || v > hi)
-        fatal("%s needs an integer in [%ld, %ld], got '%s'", what, lo, hi,
-              text.c_str());
-    return v;
 }
 
 CsrMatrix
@@ -265,8 +240,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--schedule-cache") {
             opt.scheduleCache = int(
                 parseInteger("--schedule-cache", next(), 1, kMaxCount));
-        } else if (arg == "--parallel-timing") {
-            opt.parallelTiming = true;
         } else if (arg == "--simd") {
             std::string mode = next();
             if (!replay::parseSimdMode(mode.c_str(), &opt.simdMode)) {
@@ -362,10 +335,6 @@ paramsFrom(const Options &opt)
     if (opt.engineThreads > 0)
         params.engineThreads = opt.engineThreads;
     params.simdMode = opt.simdMode;
-    // Partitioned timing walk on the engine threads; bit-identical to
-    // the serial walk at any thread count (ALR_PARALLEL_TIMING=1 is
-    // the environment equivalent).
-    params.parallelTiming = opt.parallelTiming;
     if (opt.scheduleCache > 0)
         params.scheduleCacheCapacity = opt.scheduleCache;
     return params;
@@ -392,6 +361,16 @@ programAccelerator(Accelerator &acc, const CsrMatrix &a,
         fatal("--source %u is out of range for %u vertices", opt.source,
               a.rows());
     if (fromImage) {
+        // An image serves only the kernels its layout was built for:
+        // the SymGS layout programs no graph tables, and the plain
+        // layout (an spmv or graph image) no SymGS tables.
+        if (symgsImage && isGraphKernel(opt))
+            fatal("--kernel %s needs a graph image; '%s' is a symgs/pcg "
+                  "image", opt.kernel.c_str(), opt.imagePath.c_str());
+        if (!symgsImage && (opt.kernel == "symgs" || opt.kernel == "pcg"))
+            fatal("--kernel %s needs a symgs/pcg image; '%s' has the "
+                  "plain layout", opt.kernel.c_str(),
+                  opt.imagePath.c_str());
         if (symgsImage)
             acc.loadPde(a);
         else if (isGraphKernel(opt))

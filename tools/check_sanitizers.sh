@@ -2,14 +2,10 @@
 # Sanitizer CI pass for the Alrescha repo:
 #
 #   1. ASan + UBSan build, full ctest suite.
-#   2. TSan build, the parallel-pipeline tests (thread pool, parallel
-#      encode/convert determinism, multi-engine scale-out) with a high
-#      thread count to provoke races.
-#   3. The same TSan build re-run over the schedule/profile/pwalk
-#      suites with ALR_PARALLEL_TIMING=1, which forces every engine
-#      through the partitioned parallel timing walk -- the shadow
-#      replay, ordered combine, and level-scheduled D-SymGS all execute
-#      on the pool under the race detector.
+#   2. TSan build, the suites that run on thread pools (thread pool,
+#      parallel encode/convert/compile determinism, multi-engine
+#      scale-out, scheduled replay, profiles, concurrent serving) with
+#      a high thread count to provoke races.
 #
 # Usage: tools/check_sanitizers.sh [build-dir-prefix]
 # Exits non-zero on any build failure, test failure, or sanitizer report.
@@ -53,22 +49,11 @@ for isa in scalar sse2 avx2 avx512 neon; do
             -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay')
 done
 
-# Thread-sanitizer pass over the parallel pipeline.  ALR_THREADS=8
+# Thread-sanitizer pass over the parallel suites.  ALR_THREADS=8
 # forces real concurrency even on small CI machines.
 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "-fsanitize=thread" \
     "TSan" \
-    -R 'ThreadPool|ParallelPipeline|Multi|Mmio'
-
-# Re-run the timing-sensitive suites through the partitioned parallel
-# timing walk (same TSan build; ALR_PARALLEL_TIMING=1 flips every
-# engine over without touching the tests).  The pwalk suite sweeps pool
-# sizes itself; the schedule/profile suites prove the walk stays
-# bit-identical while racing.
-echo "== TSan (ALR_PARALLEL_TIMING=1): testing parallel timing walk =="
-(cd "${prefix}-tsan" && \
-    ALR_PARALLEL_TIMING=1 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" \
-    ctest --output-on-failure -j "${jobs}" \
-        -R 'Pwalk|ScheduleEquivalence|Profile|Multi')
+    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|ScheduleEquivalence|Profile|ServeConcurrency|ServeEquivalence'
 
 echo "== sanitizers: all passes clean =="
