@@ -1,16 +1,14 @@
 /**
  * @file
- * Schedule-compiler ablation (ISSUE 2): wall-clock cost of simulating a
- * long PCG solve with the per-iteration config-table interpreter versus
- * the compile-once execution schedule.  Both modes produce bit-identical
- * results, cycles, and stats (enforced by test_schedule); this harness
- * measures only how fast the simulator itself runs, which is what bounds
- * every iterative experiment in bench/.
+ * Schedule replay ablation: SpMV replay of the compiled schedule on the
+ * three largest fig18 datasets under every --simd mode the machine can
+ * actually run, timed single-threaded.  Every mode must agree bit for
+ * bit -- results, cycles, and stat dumps -- or the bench fails.  (The
+ * test-only reference engine pins the scheduled engine itself; see
+ * test_schedule.)  Then the timeline recorder's wall-clock overhead on
+ * the largest dataset, also gated.
  *
- * Part two: replay of the compiled schedule on the three largest
- * fig18 datasets under every --simd mode the machine can actually run.
- * Same bit-identity contract across all engines, with a hard failure
- * if results, cycles, or stat dumps diverge.
+ * Usage: abl_schedule [REPS]   (timed replays per mode, default 10)
  */
 
 #include <algorithm>
@@ -22,43 +20,12 @@
 
 #include "alrescha/sim/replay.hh"
 #include "bench/bench_util.hh"
-#include "common/random.hh"
 #include "common/timeline.hh"
-#include "sparse/generators.hh"
 
 using namespace alr;
 using namespace alr::bench;
 
 namespace {
-
-struct Run
-{
-    double wall_ms = 0.0;
-    double load_ms = 0.0;
-    PcgResult result;
-    uint64_t cycles = 0;
-};
-
-Run
-solve(const CsrMatrix &a, const PcgOptions &opts, bool use_schedule)
-{
-    AccelParams params;
-    params.useSchedule = use_schedule;
-    params.engineThreads = 1; // single-threaded functional pass
-    Accelerator acc(params);
-
-    auto t0 = std::chrono::steady_clock::now();
-    acc.loadPde(a);
-    Run r;
-    r.load_ms = wallMsSince(t0);
-
-    DenseVector b(a.rows(), 1.0);
-    auto t1 = std::chrono::steady_clock::now();
-    r.result = acc.pcg(b, opts);
-    r.wall_ms = wallMsSince(t1);
-    r.cycles = acc.report().cycles;
-    return r;
-}
 
 std::string
 statDump(Accelerator &acc)
@@ -69,10 +36,9 @@ statDump(Accelerator &acc)
 }
 
 AccelParams
-spmvParams(bool use_schedule, SimdMode mode)
+spmvParams(SimdMode mode)
 {
     AccelParams p;
-    p.useSchedule = use_schedule;
     p.simdMode = mode;
     p.engineThreads = 1; // single-threaded functional pass
     return p;
@@ -94,7 +60,7 @@ runnableModes()
 /**
  * Replay sweep: the three largest fig18 datasets by nnz, SpMV replay
  * timed single-threaded under every runnable --simd mode.  Returns
- * false on any divergence across all engines.
+ * false when any mode diverges from forced scalar.
  */
 bool
 replaySweep(int reps)
@@ -122,12 +88,9 @@ replaySweep(int reps)
     std::vector<double> simd_speedups; // widest mode vs forced scalar
     bool ok = true;
     for (const Dataset &d : all) {
-        Accelerator interp(spmvParams(false, SimdMode::Auto));
         std::vector<std::unique_ptr<Accelerator>> accs;
         for (SimdMode m : modes)
-            accs.push_back(
-                std::make_unique<Accelerator>(spmvParams(true, m)));
-        interp.loadSpmvOnly(d.matrix);
+            accs.push_back(std::make_unique<Accelerator>(spmvParams(m)));
         for (auto &acc : accs)
             acc->loadSpmvOnly(d.matrix);
 
@@ -135,18 +98,19 @@ replaySweep(int reps)
         for (size_t i = 0; i < x.size(); ++i)
             x[i] = Value(i % 23) - 11.0;
 
-        // Bit-identity gate before timing anything: one run through
-        // each engine must agree on the result vector, the modeled
-        // cycles, and the entire serialized stat dump.
-        DenseVector yi = interp.spmv(x);
+        // Bit-identity gate before timing anything: one run in each
+        // mode must agree with forced scalar (modes[0]) on the result
+        // vector, the modeled cycles, and the entire stat dump.
+        Accelerator &scalar = *accs.front();
+        DenseVector ys = scalar.spmv(x);
         auto diverges = [&](Accelerator &acc) {
-            return yi != acc.spmv(x) ||
-                   interp.report().cycles != acc.report().cycles ||
-                   statDump(interp) != statDump(acc);
+            return ys != acc.spmv(x) ||
+                   scalar.report().cycles != acc.report().cycles ||
+                   statDump(scalar) != statDump(acc);
         };
         bool diverged = false;
-        for (auto &acc : accs)
-            diverged = diverges(*acc) || diverged;
+        for (size_t i = 1; i < accs.size(); ++i)
+            diverged = diverges(*accs[i]) || diverged;
         if (diverged) {
             std::printf("ERROR: %s: replay modes diverged\n",
                         d.name.c_str());
@@ -206,7 +170,7 @@ timelineOverhead(int reps)
             return x.matrix.nnz() < y.matrix.nnz();
         });
 
-    Accelerator acc(spmvParams(true, SimdMode::Auto));
+    Accelerator acc(spmvParams(SimdMode::Auto));
     acc.loadSpmvOnly(largest->matrix);
     DenseVector x(largest->matrix.cols());
     for (size_t i = 0; i < x.size(); ++i)
@@ -247,50 +211,7 @@ timelineOverhead(int reps)
 int
 main(int argc, char **argv)
 {
-    // stencil2d keeps the diagonal blocks dense enough that the SymGS
-    // sweep dominates -- the interpreter's worst case.
-    int side = argc > 1 ? std::atoi(argv[1]) : 64;
-    int iterations = argc > 2 ? std::atoi(argv[2]) : 120;
-    CsrMatrix a = gen::stencil2d(side, side);
-
-    PcgOptions opts;
-    opts.maxIterations = iterations;
-    opts.tolerance = 1e-30; // run the full iteration budget
-
-    std::printf("== Ablation: interpreter vs compiled schedule ==\n\n");
-    std::printf("matrix: stencil2d %dx%d (n=%u, nnz=%zu), PCG %d "
-                "iterations, 1 thread\n\n",
-                side, side, a.rows(), size_t(a.nnz()), iterations);
-
-    Run interp = solve(a, opts, false);
-    Run sched = solve(a, opts, true);
-
-    Table table({"mode", "pcg wall ms", "ms/iter", "load ms",
-                 "modeled cycles"});
-    table.addRow({"interpreter", fmt(interp.wall_ms, 1),
-                  fmt(interp.wall_ms / iterations, 3),
-                  fmt(interp.load_ms, 1), std::to_string(interp.cycles)});
-    table.addRow({"schedule", fmt(sched.wall_ms, 1),
-                  fmt(sched.wall_ms / iterations, 3),
-                  fmt(sched.load_ms, 1), std::to_string(sched.cycles)});
-    table.print();
-
-    double speedup = interp.wall_ms / sched.wall_ms;
-    std::printf("\nschedule speedup over interpreter: %.2fx\n", speedup);
-
-    // The equivalence contract is test-enforced; double-check the
-    // headline numbers here anyway so a CI run of this bench alone
-    // cannot silently report a speedup on diverging simulations.
-    bool same = interp.result.x == sched.result.x &&
-                interp.result.iterations == sched.result.iterations &&
-                interp.cycles == sched.cycles;
-    if (!same) {
-        std::printf("ERROR: interpreter and schedule runs diverged\n");
-        return 1;
-    }
-    std::printf("results, iterations, and cycle counts identical\n");
-
-    int reps = argc > 3 ? std::atoi(argv[3]) : 10;
+    int reps = argc > 1 ? std::atoi(argv[1]) : 10;
     if (!replaySweep(reps))
         return 1;
     if (!timelineOverhead(reps))

@@ -261,42 +261,6 @@ LocallyDenseMatrix::blockDensity() const
     return double(_nnz) / double(slots);
 }
 
-
-LocallyDenseMatrix
-LocallyDenseMatrix::assemble(Index rows, Index cols, Index omega,
-                             LdLayout layout, Index nnz,
-                             std::vector<LdBlockInfo> blocks,
-                             std::vector<Index> block_row_ptr,
-                             std::vector<Value> stream, DenseVector diag)
-{
-    ALR_ASSERT(omega > 0, "block width must be positive");
-    Index block_rows = (rows + omega - 1) / omega;
-    ALR_ASSERT(block_row_ptr.size() == block_rows + 1,
-               "block row pointer length mismatch");
-    for (const LdBlockInfo &blk : blocks) {
-        ALR_ASSERT(blk.offset + blk.size <= stream.size(),
-                   "block outside payload stream");
-    }
-    ALR_ASSERT(layout != LdLayout::SymGs || diag.size() == rows,
-               "SymGs layout needs a full diagonal");
-
-    LocallyDenseMatrix ld;
-    ld._rows = rows;
-    ld._cols = cols;
-    ld._omega = omega;
-    ld._blockRows = block_rows;
-    ld._nnz = nnz;
-    ld._layout = layout;
-    ld._blocks = std::move(blocks);
-    ld._blockRowPtr = std::move(block_row_ptr);
-    // The payload crosses into aligned storage here (assemble's public
-    // signature stays a plain vector for encoder compatibility).
-    ld._stream.assign(stream.begin(), stream.end());
-    ld._diag = std::move(diag);
-    ld.buildLuts();
-    return ld;
-}
-
 void
 LocallyDenseMatrix::serialize(std::ostream &out) const
 {

@@ -175,22 +175,11 @@ class LocallyDenseMatrix
     /**
      * Payload position of in-block element (lr, lc) under the format's
      * ordering rules, or -1 when the element lives in the separated
-     * diagonal.  Exposed for alternative encoders (StreamingEncoder).
+     * diagonal.  The payload-position LUTs are built from it.
      */
     static int64_t payloadPosition(LdLayout layout, bool diagonal,
                                    bool upper, Index omega, Index lr,
                                    Index lc);
-
-    /**
-     * Assemble from pre-built parts (validating consistency); the
-     * back door used by alternative encoders.  Panics on malformed
-     * parts.
-     */
-    static LocallyDenseMatrix
-    assemble(Index rows, Index cols, Index omega, LdLayout layout,
-             Index nnz, std::vector<LdBlockInfo> blocks,
-             std::vector<Index> block_row_ptr, std::vector<Value> stream,
-             DenseVector diag);
 
   private:
     /** Build the payload-position LUTs from payloadPosition(). */

@@ -109,15 +109,6 @@ struct AccelParams
     int hostThreads = 0;
 
     /**
-     * Execute kernels through the compiled ExecSchedule (the config
-     * table lowered once into flat per-path records) instead of
-     * re-decoding the table every run.  Results, cycle counts, and all
-     * registered stats are bit-for-bit identical either way; false
-     * keeps the interpreter as the reference path.
-     */
-    bool useSchedule = true;
-
-    /**
      * Worker threads for the scheduled functional pass over independent
      * GEMV block-row groups.  1 runs inline (default); 0 uses the
      * process-wide pool; N > 1 a private pool.  Results are

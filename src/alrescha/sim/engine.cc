@@ -24,11 +24,52 @@ using profile::Cause;
 
 /** Header of the persisted schedule-cache format ("Alrescha schedule
  *  cache").  Bump on any layout or key change: version 2 moved every
- *  key and checksum from byte-wise FNV-1a to hash::WordHasher, and
- *  version 3 dropped the timing-partition and D-SymGS level
- *  boundaries from each schedule. */
+ *  key and checksum from byte-wise FNV-1a to hash::WordHasher, version
+ *  3 dropped the timing-partition and D-SymGS level boundaries from
+ *  each schedule, and version 4 dropped the xValid, validRows and
+ *  rowUseful arrays, which no run read. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 3;
+constexpr uint32_t kSchedCacheVersion = 4;
+
+namespace {
+
+/**
+ * Whether a restored schedule can replay against the programmed
+ * (@p ld, @p table) pair: one path per table entry, an operand staging
+ * length equal to the one compileSchedule would choose, every row
+ * record inside the matrix and inside its path's block row, and
+ * consecutive GEMV rows wherever contiguousRows says so.  The cache
+ * loader has already checked what the schedule alone determines.
+ */
+bool
+fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
+            const ConfigTable &table)
+{
+    const Index omega = ld.omega();
+    const bool spmv = table.kernel() == KernelType::SpMV;
+    const Index operandLen =
+        spmv ? ld.cols() : std::max(ld.rows(), ld.cols());
+    if (s.kernel != table.kernel() || s.omega != omega ||
+        s.pathCount != table.entries().size() ||
+        s.paddedOperand != size_t((operandLen + omega - 1) / omega) * omega)
+        return false;
+    for (size_t i = 0; i < s.pathCount; ++i) {
+        const uint64_t r0 = uint64_t(s.blockRow[i]) * omega;
+        const bool consecutive =
+            s.contiguousRows && s.dp[i] != DataPathType::DSymgs;
+        for (size_t rr = s.rowBegin[i]; rr < s.rowBegin[i + 1]; ++rr) {
+            // Unsigned: a row below r0 wraps far past omega.
+            const uint64_t r = s.rowIndex[rr];
+            if (r >= ld.rows() || r - r0 >= omega ||
+                (consecutive && rr > s.rowBegin[i] &&
+                 r != uint64_t(s.rowIndex[rr - 1]) + 1))
+                return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
 
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
@@ -70,7 +111,7 @@ Engine::program(const LocallyDenseMatrix *ld, const ConfigTable *table)
 }
 
 const ExecSchedule *
-Engine::scheduleFor()
+Engine::prepareSchedule()
 {
     ALR_ASSERT(_ld && _table, "engine not programmed");
     if (_table->kernel() != KernelType::SpMV &&
@@ -125,11 +166,13 @@ Engine::scheduleFor()
         if (r.entryCount != slot.entryCount ||
             r.blockCount != slot.blockCount ||
             r.streamLen != slot.streamLen || r.kernel != slot.kernel ||
-            r.omega != slot.omega) {
-            // A matching hash over different shapes is either a
+            r.omega != slot.omega ||
+            !fitsProgram(*r.sched, *_ld, *_table)) {
+            // A matching hash over a different shape, or a schedule
+            // that does not fit the programmed matrix, is either a
             // collision or a corrupted entry that slipped past the
             // parser; either way the compile path is the safe answer.
-            warn("restored schedule hash matched a different shape; "
+            warn("restored schedule does not fit the programmed matrix; "
                  "recompiling");
             continue;
         }
@@ -152,14 +195,6 @@ Engine::scheduleFor()
         _scheduleEvictions += 1.0;
     }
     return _schedules.front().sched.get();
-}
-
-const ExecSchedule *
-Engine::prepareSchedule()
-{
-    if (!_params.useSchedule)
-        return nullptr;
-    return scheduleFor();
 }
 
 void
@@ -263,6 +298,9 @@ Engine::loadScheduleCache(std::istream &in)
             replay::specialize(*slot.sched, _params);
             staged.push_back(std::move(slot));
         }
+        if (body.peek() != std::char_traits<char>::eof())
+            throw std::runtime_error("trailing bytes after the last "
+                                     "schedule");
     } catch (const std::exception &e) {
         warn("schedule cache unusable (%s); will recompile", e.what());
         return false;
@@ -350,39 +388,45 @@ Engine::streamRowsCycles(Index rows_streamed) const
 }
 
 void
-Engine::addTiming(RunTiming *timing, const RunTiming &delta)
+Engine::commitRun(const RunCommit &run, RunTiming *timing)
 {
-    _cycles += double(delta.cycles);
-    _seqCycles += double(delta.seqCycles);
-    _parCycles += double(delta.parCycles);
+    if (run.parFlops != 0.0)
+        _parFlops += run.parFlops;
+    if (run.seqFlops != 0.0)
+        _seqFlops += run.seqFlops;
+    if (run.usefulBytes != 0.0)
+        _usefulBytes += run.usefulBytes;
+
+    // Timeline tail: the optional run-level data-path span, the memory
+    // stream-front span, the final tree drain, and the cache/link
+    // occupancy counters.
+    const RunTiming &t = run.timing;
+    if (timeline::enabled()) {
+        if (run.name)
+            timeline::span(run.name, "datapath", timeline::kTidDataPath,
+                           run.base, t.cycles);
+        if (t.parCycles > 0)
+            timeline::span("stream", "memory", timeline::kTidMemory,
+                           run.base, t.parCycles);
+        uint64_t drain = uint64_t(_params.drainCycles());
+        if (t.cycles >= drain && drain > 0)
+            timeline::span("drain", "fcu", timeline::kTidFcu,
+                           run.base + t.cycles - drain, drain);
+        timeline::counter("cache_lines", run.base + t.cycles,
+                          double(_rcu.cache().occupancy()));
+        timeline::counter("link_depth", run.base + t.cycles,
+                          double(_rcu.linkStack().depth()));
+    }
+
+    _cycles += double(t.cycles);
+    _seqCycles += double(t.seqCycles);
+    _parCycles += double(t.parCycles);
     ++_runs;
-    _runCycles.sample(double(delta.cycles));
+    _runCycles.sample(double(t.cycles));
     if (_snapshotter)
         _snapshotter->maybeSample(totalCycles());
     if (timing)
-        *timing = delta;
-}
-
-void
-Engine::emitTimelineTail(uint64_t base, const RunTiming &t,
-                         const char *run_name)
-{
-    if (!timeline::enabled())
-        return;
-    if (run_name)
-        timeline::span(run_name, "datapath", timeline::kTidDataPath, base,
-                       t.cycles);
-    if (t.parCycles > 0)
-        timeline::span("stream", "memory", timeline::kTidMemory, base,
-                       t.parCycles);
-    uint64_t drain = uint64_t(_params.drainCycles());
-    if (t.cycles >= drain && drain > 0)
-        timeline::span("drain", "fcu", timeline::kTidFcu,
-                       base + t.cycles - drain, drain);
-    timeline::counter("cache_lines", base + t.cycles,
-                      double(_rcu.cache().occupancy()));
-    timeline::counter("link_depth", base + t.cycles,
-                      double(_rcu.linkStack().depth()));
+        *timing = t;
 }
 
 DenseVector
@@ -393,153 +437,8 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
                "table was converted for %s", toString(_table->kernel()));
     ALR_ASSERT(x.size() == _ld->cols(), "operand length mismatch");
 
-    if (_params.useSchedule)
-        return runSpmvScheduled(*scheduleFor(), x, timing);
 
-    timeline::ScopedHostSpan hostSpan("spmv", "run");
-    const bool tlOn = timeline::enabled();
-    const uint64_t tlBase = totalCycles();
-    int64_t segStart = -1;
-    DataPathType segDp{};
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-
-    const Index omega = _params.omega;
-    DenseVector y(_ld->rows(), 0.0);
-    RunTiming t;
-    bool filled = false;
-    int64_t curRow = -1;
-    double parFlops = 0.0, usefulBytes = 0.0;
-    FcuOpCounts fcuOps;
-
-    std::vector<Value> rowVals(omega), xChunk(omega);
-    for (const ConfigEntry &e : _table->entries()) {
-        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        if (tlOn && segStart >= 0 && e.dp != segDp) {
-            timeline::span(toString(segDp), "datapath",
-                           timeline::kTidDataPath, tlBase + segStart,
-                           t.cycles - uint64_t(segStart));
-            segStart = -1;
-        }
-        uint64_t hidden = 0;
-        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
-        if (cfg) {
-            if (tlOn)
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + t.cycles, cfg);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
-                     cfg - hidden);
-            t.cycles += cfg;
-            filled = false;
-        }
-        if (!filled) {
-            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
-            if (tlOn)
-                timeline::span("fill", "fcu", timeline::kTidFcu,
-                               tlBase + t.cycles, fill);
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
-            t.cycles += fill;
-            filled = true;
-        }
-        if (tlOn && segStart < 0) {
-            segStart = int64_t(t.cycles);
-            segDp = e.dp;
-        }
-        if (int64_t(blk.blockRow) != curRow) {
-            if (curRow >= 0) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(CacheVec::Out,
-                                               Index(curRow), &wMiss);
-                if (wMiss)
-                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
-                             lineBytes);
-            }
-            curRow = blk.blockRow;
-        }
-
-        bool xMiss = false;
-        uint64_t xRead =
-            _rcu.cache().read(CacheVec::Xt, blk.blockCol, false, &xMiss);
-        prof.add(e.dp, blk.blockRow, Cause::CacheMiss, xRead,
-                 xMiss ? lineBytes : 0);
-        t.cycles += xRead;
-
-        Index c0 = blk.blockCol * omega;
-        for (Index lc = 0; lc < omega; ++lc) {
-            Index c = c0 + lc;
-            xChunk[lc] = c < _ld->cols() ? x[c] : 0.0;
-        }
-        Index occupied = 0;
-        for (Index lr = 0; lr < omega; ++lr) {
-            Index r = blk.blockRow * omega + lr;
-            if (r >= _ld->rows())
-                break;
-            Index useful = 0;
-            for (Index lc = 0; lc < omega; ++lc) {
-                rowVals[lc] = _ld->blockValue(blk, lr, lc);
-                if (rowVals[lc] != 0.0)
-                    ++useful;
-            }
-            if (useful == 0 && _params.skipEmptyBlockRows)
-                continue;
-            ++occupied;
-            y[r] += _fcu.vectorReduce(rowVals, xChunk, VecOp::Mul,
-                                      ReduceOp::Sum, {}, &fcuOps);
-            parFlops += 2.0 * useful;
-            usefulBytes += double(useful) * sizeof(Value);
-        }
-        uint64_t bc, streamedBytes;
-        if (_params.skipEmptyBlockRows) {
-            streamedBytes = uint64_t(occupied) * omega * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamRowsCycles(occupied);
-        } else {
-            streamedBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk);
-        }
-        if (prof.on()) {
-            uint64_t memC = _memory.streamCycles(streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
-                     streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - memC);
-        }
-        t.cycles += bc;
-        t.parCycles += bc;
-    }
-    if (curRow >= 0) {
-        bool wMiss = false;
-        t.cycles +=
-            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-        if (wMiss)
-            prof.add(DataPathType::Gemv, curRow, Cause::CacheMiss, 0,
-                     lineBytes);
-    }
-    if (tlOn && segStart >= 0)
-        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
-                       tlBase + segStart, t.cycles - uint64_t(segStart));
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
-    _fcu.noteOps(fcuOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    ALR_TRACE("spmv: %zu paths, %llu cycles",
-              _table->entries().size(),
-              (unsigned long long)t.cycles);
-    emitTimelineTail(tlBase, t, nullptr);
-    addTiming(timing, t);
-    return y;
-}
-
-DenseVector
-Engine::runSpmvScheduled(const ExecSchedule &sched, const DenseVector &x,
-                         RunTiming *timing)
-{
-    const ExecSchedule &S = sched;
+    const ExecSchedule &S = *prepareSchedule();
     DenseVector y(_ld->rows(), 0.0);
 
     timeline::ScopedHostSpan hostSpan("spmv.sched", "run");
@@ -646,10 +545,6 @@ Engine::runSpmvScheduled(const ExecSchedule &sched, const DenseVector &x,
         _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.totalStreamBytes);
         _fcu.noteOps(S.fcuOps);
-        if (S.parFlops != 0.0)
-            _parFlops += S.parFlops;
-        if (S.usefulBytes != 0.0)
-            _usefulBytes += S.usefulBytes;
     }
     if (tlOn && segStart >= 0)
         timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
@@ -659,8 +554,9 @@ Engine::runSpmvScheduled(const ExecSchedule &sched, const DenseVector &x,
              uint64_t(_params.drainCycles()));
     ALR_TRACE("spmv(sched): %zu paths, %llu cycles", S.pathCount,
               (unsigned long long)t.cycles);
-    emitTimelineTail(tlBase, t, nullptr);
-    addTiming(timing, t);
+    commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops,
+               .usefulBytes = S.usefulBytes},
+              timing);
     return y;
 }
 
@@ -674,141 +570,9 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     for (const DenseVector &x : xs)
         ALR_ASSERT(x.size() == _ld->cols(), "operand length mismatch");
 
-    if (_params.useSchedule)
-        return runSpmmScheduled(*scheduleFor(), xs, timing);
 
-    timeline::ScopedHostSpan hostSpan("spmm", "run");
-    const uint64_t tlBase = totalCycles();
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-
-    const Index omega = _params.omega;
     const size_t k = xs.size();
-    std::vector<DenseVector> ys(k, DenseVector(_ld->rows(), 0.0));
-    RunTiming t;
-    bool filled = false;
-    int64_t curRow = -1;
-    double parFlops = 0.0, usefulBytes = 0.0;
-    FcuOpCounts fcuOps;
-
-    std::vector<Value> rowVals(omega);
-    std::vector<DenseVector> chunks(k, DenseVector(omega, 0.0));
-    for (const ConfigEntry &e : _table->entries()) {
-        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        uint64_t hidden = 0;
-        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
-        if (cfg) {
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
-                     cfg - hidden);
-            t.cycles += cfg;
-            filled = false;
-        }
-        if (!filled) {
-            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
-            t.cycles += fill;
-            filled = true;
-        }
-        if (int64_t(blk.blockRow) != curRow) {
-            if (curRow >= 0) {
-                for (size_t j = 0; j < k; ++j) {
-                    bool wMiss = false;
-                    t.cycles += _rcu.cache().write(CacheVec::Out,
-                                                   Index(curRow), &wMiss);
-                    if (wMiss)
-                        prof.add(e.dp, curRow, Cause::CacheMiss, 0,
-                                 lineBytes);
-                }
-            }
-            curRow = blk.blockRow;
-        }
-
-        // One chunk read per RHS (distinct cache lines).
-        for (size_t j = 0; j < k; ++j) {
-            bool xMiss = false;
-            uint64_t xRead = _rcu.cache().read(CacheVec::Xt,
-                                               blk.blockCol, false,
-                                               &xMiss);
-            prof.add(e.dp, blk.blockRow, Cause::CacheMiss, xRead,
-                     xMiss ? lineBytes : 0);
-            t.cycles += xRead;
-        }
-
-        Index c0 = blk.blockCol * omega;
-        for (size_t j = 0; j < k; ++j) {
-            for (Index lc = 0; lc < omega; ++lc) {
-                Index c = c0 + lc;
-                chunks[j][lc] = c < _ld->cols() ? xs[j][c] : 0.0;
-            }
-        }
-        Index occupied = 0;
-        for (Index lr = 0; lr < omega; ++lr) {
-            Index r = blk.blockRow * omega + lr;
-            if (r >= _ld->rows())
-                break;
-            Index useful = 0;
-            for (Index lc = 0; lc < omega; ++lc) {
-                rowVals[lc] = _ld->blockValue(blk, lr, lc);
-                if (rowVals[lc] != 0.0)
-                    ++useful;
-            }
-            if (useful == 0 && _params.skipEmptyBlockRows)
-                continue;
-            ++occupied;
-            for (size_t j = 0; j < k; ++j) {
-                ys[j][r] += _fcu.vectorReduce(rowVals, chunks[j],
-                                              VecOp::Mul, ReduceOp::Sum,
-                                              {}, &fcuOps);
-                parFlops += 2.0 * useful;
-            }
-            // The payload is useful once; the reuse is the win.
-            usefulBytes += double(useful) * sizeof(Value);
-        }
-        // The block streams once; its rows issue once per RHS.
-        Index streamedRows =
-            _params.skipEmptyBlockRows ? occupied : omega;
-        uint64_t streamedBytes =
-            uint64_t(streamedRows) * omega * sizeof(Value);
-        _memory.recordStream(streamedBytes);
-        uint64_t mem = _memory.streamCycles(streamedBytes);
-        uint64_t issue = uint64_t(streamedRows) * k;
-        uint64_t bc = std::max(mem, issue);
-        prof.add(e.dp, blk.blockRow, Cause::Stream, mem, streamedBytes);
-        prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - mem);
-        t.cycles += bc;
-        t.parCycles += bc;
-    }
-    if (curRow >= 0) {
-        for (size_t j = 0; j < k; ++j) {
-            bool wMiss = false;
-            t.cycles += _rcu.cache().write(CacheVec::Out, Index(curRow),
-                                           &wMiss);
-            if (wMiss)
-                prof.add(DataPathType::Gemv, curRow, Cause::CacheMiss, 0,
-                         lineBytes);
-        }
-    }
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
-    _fcu.noteOps(fcuOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    emitTimelineTail(tlBase, t, "spmm");
-    addTiming(timing, t);
-    return ys;
-}
-
-std::vector<DenseVector>
-Engine::runSpmmScheduled(const ExecSchedule &sched,
-                         const std::vector<DenseVector> &xs,
-                         RunTiming *timing)
-{
-    const size_t k = xs.size();
-    const ExecSchedule &S = sched;
+    const ExecSchedule &S = *prepareSchedule();
     std::vector<DenseVector> ys(k, DenseVector(_ld->rows(), 0.0));
 
     timeline::ScopedHostSpan hostSpan("spmm.sched", "run");
@@ -912,16 +676,13 @@ Engine::runSpmmScheduled(const ExecSchedule &sched,
                            S.fcuOps.mul * double(k),
                            S.fcuOps.add * double(k)};
         _fcu.noteOps(scaled);
-        if (S.parFlops != 0.0)
-            _parFlops += S.parFlops * double(k);
-        if (S.usefulBytes != 0.0)
-            _usefulBytes += S.usefulBytes;
     }
     t.cycles += uint64_t(_params.drainCycles());
     prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
              uint64_t(_params.drainCycles()));
-    emitTimelineTail(tlBase, t, "spmm");
-    addTiming(timing, t);
+    commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops * double(k),
+               .usefulBytes = S.usefulBytes, .name = "spmm"},
+              timing);
     return ys;
 }
 
@@ -938,261 +699,11 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     ALR_ASSERT(b.size() == _ld->rows() && x.size() == _ld->rows(),
                "operand length mismatch");
 
-    if (_params.useSchedule) {
-        runSymgsScheduled(*scheduleFor(), b, x, timing);
-        return;
-    }
 
-    timeline::ScopedHostSpan hostSpan("symgs", "run");
-    const bool tlOn = timeline::enabled();
-    const uint64_t tlBase = totalCycles();
-    int64_t segStart = -1;
-    DataPathType segDp{};
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-
-    const Index omega = _params.omega;
-    const DenseVector &diag = _ld->diagonal();
-    bool backward = _table->direction() == GsSweep::Backward;
-    RunTiming t;
-    bool filled = false;
-    double parFlops = 0.0, seqFlops = 0.0, usefulBytes = 0.0;
-    double peOps = 0.0;
-    FcuOpCounts fcuOps;
-
-    std::vector<Value> rowVals(omega), xChunk(omega), partials(omega);
-
-    /**
-     * Timing: two overlapping timelines.  The memory stream never
-     * stalls ("uninterrupted streaming"): GEMV blocks of later block
-     * rows stream and pipeline while a D-SymGS chain drains, their
-     * partials queueing on the link stack.  The serialized chain
-     * advances at the recurrence critical path -- the stale lanes of
-     * each row's dot product are precomputed in the pipelined tree, so
-     * one step is multiply (ALU) + subtract + divide (PEs) before
-     * x_j^t rotates into the next row's operands (Fig 10).  The sweep
-     * finishes when the slower timeline does.
-     */
-    uint64_t stream_t = 0; // streaming/pipelined front
-    uint64_t dep_t = 0;    // completion of the dependence chain
-    int stepLat =
-        _params.aluLatency + 2 * _params.peLatency;
-
-    for (const ConfigEntry &e : _table->entries()) {
-        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        if (tlOn && segStart >= 0 && e.dp != segDp) {
-            timeline::span(toString(segDp), "datapath",
-                           timeline::kTidDataPath, tlBase + segStart,
-                           stream_t - uint64_t(segStart));
-            segStart = -1;
-        }
-        uint64_t hidden = 0;
-        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
-        if (cfg) {
-            if (tlOn)
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + stream_t, cfg);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
-                     cfg - hidden);
-            stream_t += cfg;
-            filled = false;
-        }
-
-        if (e.dp == DataPathType::Gemv) {
-            if (!filled) {
-                uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
-                if (tlOn)
-                    timeline::span("fill", "fcu", timeline::kTidFcu,
-                                   tlBase + stream_t, fill);
-                prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
-                stream_t += fill;
-                filled = true;
-            }
-            if (tlOn && segStart < 0) {
-                segStart = int64_t(stream_t);
-                segDp = e.dp;
-            }
-            CacheVec vec = e.op == OperandPort::Port1 ? CacheVec::Xt
-                                                      : CacheVec::Xprev;
-            bool xMiss = false;
-            uint64_t xRead =
-                _rcu.cache().read(vec, blk.blockCol, false, &xMiss);
-            prof.add(e.dp, blk.blockRow, Cause::CacheMiss, xRead,
-                     xMiss ? lineBytes : 0);
-            stream_t += xRead;
-
-            Index c0 = blk.blockCol * omega;
-            for (Index lc = 0; lc < omega; ++lc) {
-                Index c = c0 + lc;
-                xChunk[lc] = c < _ld->cols() ? x[c] : 0.0;
-            }
-            Index occupied = 0;
-            for (Index lr = 0; lr < omega; ++lr) {
-                Index r = blk.blockRow * omega + lr;
-                if (r >= _ld->rows()) {
-                    partials[lr] = 0.0;
-                    continue;
-                }
-                Index useful = 0;
-                for (Index lc = 0; lc < omega; ++lc) {
-                    rowVals[lc] = _ld->blockValue(blk, lr, lc);
-                    if (rowVals[lc] != 0.0)
-                        ++useful;
-                }
-                if (useful == 0 && _params.skipEmptyBlockRows) {
-                    partials[lr] = 0.0;
-                    continue;
-                }
-                ++occupied;
-                partials[lr] = _fcu.vectorReduce(rowVals, xChunk,
-                                                 VecOp::Mul, ReduceOp::Sum,
-                                                 {}, &fcuOps);
-                parFlops += 2.0 * useful;
-                usefulBytes += double(useful) * sizeof(Value);
-            }
-            uint64_t bc, streamedBytes;
-            if (_params.skipEmptyBlockRows) {
-                streamedBytes = uint64_t(occupied) * omega *
-                                sizeof(Value);
-                _memory.recordStream(streamedBytes);
-                bc = streamRowsCycles(occupied);
-            } else {
-                streamedBytes = uint64_t(blk.size) * sizeof(Value);
-                _memory.recordStream(streamedBytes);
-                bc = streamBlockCycles(blk);
-            }
-            if (prof.on()) {
-                uint64_t memC = _memory.streamCycles(streamedBytes);
-                prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
-                         streamedBytes);
-                prof.add(e.dp, blk.blockRow, Cause::FcuCompute,
-                         bc - memC);
-            }
-            stream_t += bc;
-            _rcu.linkStack().push(partials);
-            if (tlOn)
-                timeline::counter("link_depth", tlBase + stream_t,
-                                  double(_rcu.linkStack().depth()));
-        } else {
-            ALR_ASSERT(e.dp == DataPathType::DSymgs,
-                       "unexpected data path in SymGS table");
-            if (tlOn && segStart < 0) {
-                segStart = int64_t(stream_t);
-                segDp = e.dp;
-            }
-            // The diagonal block runs serialized: each row's result
-            // rotates into the next row's operands (Fig 10).
-            Index br = blk.blockRow;
-            Index r0 = br * omega;
-            uint64_t blkBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(blkBytes);
-            uint64_t bc = streamBlockCycles(blk);
-            stream_t += bc;
-            Index validRows = std::min<Index>(omega, _ld->rows() - r0);
-            // b arrives through its FIFO, streamed once per sweep.
-            _memory.recordStream(uint64_t(validRows) * sizeof(Value));
-            usefulBytes += double(validRows) * sizeof(Value);
-            if (prof.on()) {
-                uint64_t memC = _memory.streamCycles(blkBytes);
-                prof.add(e.dp, br, Cause::Stream, memC,
-                         blkBytes + uint64_t(validRows) * sizeof(Value));
-                prof.add(e.dp, br, Cause::FcuCompute, bc - memC);
-            }
-
-            // The chain starts once this block row's partials are
-            // through the tree and the previous chain link finished.
-            // The diagonal read is on the dependence timeline, so its
-            // latency lands in DSymgsWait; only its miss bytes are
-            // attributed here.
-            bool dMiss = false;
-            uint64_t diag_read = _rcu.cache().read(CacheVec::Diag, br,
-                                                   true, &dMiss);
-            if (dMiss)
-                prof.add(e.dp, br, Cause::CacheMiss, 0, lineBytes);
-            uint64_t dep_in = dep_t;
-            uint64_t start =
-                std::max(stream_t + uint64_t(_params.pipelineDepth()),
-                         dep_t) +
-                diag_read;
-            uint64_t chain = 0;
-
-            DenseVector acc = _rcu.linkStack().popAccumulate(omega);
-            for (Index step = 0; step < omega; ++step) {
-                Index lr = backward ? omega - 1 - step : step;
-                Index r = r0 + lr;
-                if (r >= _ld->rows())
-                    continue;
-                Index useful = 0;
-                for (Index lc = 0; lc < omega; ++lc) {
-                    if (lc == lr) {
-                        rowVals[lc] = 0.0;
-                        xChunk[lc] = 0.0;
-                        continue;
-                    }
-                    Index c = r0 + lc;
-                    rowVals[lc] = _ld->blockValue(blk, lr, lc);
-                    xChunk[lc] = c < _ld->rows() ? x[c] : 0.0;
-                    if (rowVals[lc] != 0.0)
-                        ++useful;
-                }
-                Value sum = acc[lr] +
-                            _fcu.vectorReduce(rowVals, xChunk, VecOp::Mul,
-                                              ReduceOp::Sum, {}, &fcuOps);
-                peOps += 2.0; // subtract + divide
-                x[r] = (b[r] - sum) / diag[r];
-                chain += uint64_t(stepLat);
-                seqFlops += 2.0 * useful + 2.0;
-                usefulBytes += double(useful + 2) * sizeof(Value);
-            }
-            bool xwMiss = false;
-            uint64_t xtWrite = _rcu.cache().write(CacheVec::Xt, br,
-                                                  &xwMiss);
-            if (xwMiss)
-                prof.add(e.dp, br, Cause::CacheMiss, 0, lineBytes);
-            dep_t = start + chain + xtWrite;
-            prof.chain(br, stream_t, dep_in, start, chain, dep_t);
-            t.seqCycles += chain;
-            filled = false; // tree was used in single-shot mode
-            if (tlOn) {
-                timeline::span("d-symgs chain", "datapath",
-                               timeline::kTidChain, tlBase + start, chain);
-                timeline::counter("link_depth", tlBase + start, 0.0);
-            }
-        }
-    }
-    if (tlOn && segStart >= 0)
-        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
-                       tlBase + segStart, stream_t - uint64_t(segStart));
-    t.parCycles = stream_t;
-    t.cycles = std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
-    prof.add(DataPathType::DSymgs, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
-    prof.commitSymgs(stream_t, dep_t,
-                     uint64_t(_params.pipelineDepth()));
-    _fcu.noteOps(fcuOps);
-    _rcu.notePeOps(peOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (seqFlops != 0.0)
-        _seqFlops += seqFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    ALR_TRACE("symgs(%s): stream %llu cycles, chain %llu cycles",
-              backward ? "bwd" : "fwd", (unsigned long long)stream_t,
-              (unsigned long long)dep_t);
-    emitTimelineTail(tlBase, t, nullptr);
-    addTiming(timing, t);
-}
-
-void
-Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
-                          DenseVector &x, RunTiming *timing)
-{
     const Index omega = _params.omega;
     const Index rows = _ld->rows();
     const DenseVector &diag = _ld->diagonal();
-    const ExecSchedule &S = sched;
+    const ExecSchedule &S = *prepareSchedule();
     RunTiming t;
 
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
@@ -1349,12 +860,6 @@ Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
         _memory.recordStream(S.totalStreamBytes);
         _fcu.noteOps(S.fcuOps);
         _rcu.notePeOps(S.peOps);
-        if (S.parFlops != 0.0)
-            _parFlops += S.parFlops;
-        if (S.seqFlops != 0.0)
-            _seqFlops += S.seqFlops;
-        if (S.usefulBytes != 0.0)
-            _usefulBytes += S.usefulBytes;
     }
     t.parCycles = stream_t;
     t.cycles = std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
@@ -1364,8 +869,9 @@ Engine::runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
                      uint64_t(_params.pipelineDepth()));
     ALR_TRACE("symgs(sched): stream %llu cycles, chain %llu cycles",
               (unsigned long long)stream_t, (unsigned long long)dep_t);
-    emitTimelineTail(tlBase, t, nullptr);
-    addTiming(timing, t);
+    commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops,
+               .seqFlops = S.seqFlops, .usefulBytes = S.usefulBytes},
+              timing);
 }
 
 DenseVector
@@ -1540,13 +1046,10 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
     prof.add(drainDp, -1, Cause::TreeDrain,
              uint64_t(_params.drainCycles()));
     _fcu.noteOps(fcuOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    emitTimelineTail(tlBase, t,
-                     zero_addend ? "d-cc" : (hops ? "d-bfs" : "d-sssp"));
-    addTiming(timing, t);
+    commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
+               .usefulBytes = usefulBytes,
+               .name = zero_addend ? "d-cc" : (hops ? "d-bfs" : "d-sssp")},
+              timing);
 
     DenseVector next(dist.size());
     for (size_t v = 0; v < dist.size(); ++v)
@@ -1681,12 +1184,9 @@ Engine::runPrRound(const DenseVector &rank,
              uint64_t(_params.drainCycles()));
     _fcu.noteOps(fcuOps);
     _rcu.notePeOps(peOps);
-    if (parFlops != 0.0)
-        _parFlops += parFlops;
-    if (usefulBytes != 0.0)
-        _usefulBytes += usefulBytes;
-    emitTimelineTail(tlBase, t, "d-pr");
-    addTiming(timing, t);
+    commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
+               .usefulBytes = usefulBytes, .name = "d-pr"},
+              timing);
     return sums;
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * The Alrescha execution engine: walks a configuration table against a
- * locally-dense matrix stream, computing real results (verified against
- * the reference kernels) while accounting cycles the way the paper's
- * microarchitecture spends them:
+ * The Alrescha execution engine: runs a configuration table against a
+ * locally-dense matrix stream -- SpMV, SpMM and SymGS by replaying the
+ * table's compiled ExecSchedule, graph rounds by walking the table --
+ * computing real results (verified against the reference kernels)
+ * while accounting cycles the way the paper's microarchitecture spends
+ * them:
  *
  * - GEMV-class data paths (GEMV, D-BFS, D-SSSP, D-PR) are fully
  *   pipelined: one block row per cycle after the tree fills, bounded by
@@ -49,6 +51,19 @@ struct RunTiming
     uint64_t parCycles = 0;
 };
 
+/** What a finished run adds to its engine (Engine::commitRun). */
+struct RunCommit
+{
+    /** The engine's totalCycles() when the run started. */
+    uint64_t base = 0;
+    RunTiming timing;
+    double parFlops = 0.0;
+    double seqFlops = 0.0;
+    double usefulBytes = 0.0;
+    /** Run-level data-path span on the timeline, or nullptr. */
+    const char *name = nullptr;
+};
+
 class Engine
 {
   public:
@@ -63,8 +78,9 @@ class Engine
     /**
      * Compile (or fetch from the cache) the execution schedule for the
      * programmed pair, so the first run after programming is already
-     * cheap.  Returns nullptr when the table kernel is not schedulable
-     * (graph rounds) or scheduling is disabled.
+     * cheap.  SpMV, SpMM and SymGS runs replay it.  Returns nullptr
+     * when the table kernel is not schedulable (graph rounds walk the
+     * table).
      */
     const ExecSchedule *prepareSchedule();
 
@@ -86,8 +102,8 @@ class Engine
     void invalidateSchedules();
 
     /** Schedule compilations since construction (cache diagnostics;
-     *  deliberately not a registered stat so stat dumps stay identical
-     *  to the interpreter's). */
+     *  deliberately not a registered stat, so a stat dump does not
+     *  depend on how warm the cache was). */
     uint64_t scheduleCompiles() const { return _scheduleCompiles; }
 
     /** Schedule-cache hits since construction: generation matches plus
@@ -203,6 +219,16 @@ class Engine
                            const std::vector<Index> &outdeg,
                            RunTiming *timing = nullptr);
 
+    /**
+     * Commit a finished run: add its useful FLOPs and bytes, emit its
+     * timeline tail (the run-level span, the memory stream front, the
+     * final tree drain, and the cache and link occupancy counters),
+     * count it, and sample the snapshotter.  @p timing, when given,
+     * receives the run's timing.  Every run ends here, including the
+     * test-only reference engine's (tests/reference).
+     */
+    void commitRun(const RunCommit &run, RunTiming *timing = nullptr);
+
     /** Cumulative cycle count across runs since the last reset. */
     uint64_t totalCycles() const { return uint64_t(_cycles.value()); }
     uint64_t seqCycles() const { return uint64_t(_seqCycles.value()); }
@@ -263,35 +289,11 @@ class Engine
     uint64_t streamBlockCycles(const LdBlockInfo &blk) const;
     uint64_t streamRowsCycles(Index rows_streamed) const;
 
-    void addTiming(RunTiming *timing, const RunTiming &delta);
-
-    /**
-     * Timeline: emit the per-run tail events (optional run-level data
-     * path span, the memory stream-front span, the final tree drain,
-     * and the cache/link occupancy counters).  @p base is the engine's
-     * cumulative cycle count when the run started.  No-op when the
-     * recorder is disabled.
-     */
-    void emitTimelineTail(uint64_t base, const RunTiming &t,
-                          const char *run_name);
-
-    /** Cached-schedule lookup for the programmed pair (nullptr when the
-     *  kernel is not schedulable). */
-    const ExecSchedule *scheduleFor();
-
     /** Pool for the scheduled functional pass (nullptr = run inline). */
     ThreadPool *enginePool();
 
     /** Stage @p x into the aligned, chunk-padded gather-plan buffer. */
     Value *stageOperand(const ExecSchedule &S, const DenseVector &x);
-
-    DenseVector runSpmvScheduled(const ExecSchedule &sched,
-                                 const DenseVector &x, RunTiming *timing);
-    std::vector<DenseVector>
-    runSpmmScheduled(const ExecSchedule &sched,
-                     const std::vector<DenseVector> &xs, RunTiming *timing);
-    void runSymgsScheduled(const ExecSchedule &sched, const DenseVector &b,
-                           DenseVector &x, RunTiming *timing);
 
     AccelParams _params;
     MemoryModel _memory;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Cycle-accounting profiler: attributes every modeled cycle and byte to
- * a (data-path kind x block-row x cause) bucket, emitted by all three
- * engines (interpreter, scheduled scalar, SIMD replay) from their
+ * a (data-path kind x block-row x cause) bucket, emitted identically
+ * by the scheduled scalar and SIMD replays and by the test-only
+ * reference engine (the table interpreter, tests/reference) from their
  * timing walks.
  *
  * The contract mirrors timeline.*: recording is disabled by default and

@@ -24,9 +24,9 @@
  *    runtime-ω generic arms instead.
  *
  * Every arm reduces in the canonical pairwise tree order (reduce.hh),
- * so the interpreter, the scheduled scalar path, and every dispatched
- * ISA produce bit-identical doubles; which arm runs is purely a
- * wall-time choice.
+ * so the reference engine (the table interpreter, tests/reference),
+ * the scheduled scalar path, and every dispatched ISA produce
+ * bit-identical doubles; which arm runs is purely a wall-time choice.
  */
 
 #ifndef ALR_ALRESCHA_SIM_REPLAY_HH

@@ -59,10 +59,9 @@ ExecSchedule::bytes() const
            vecBytes(fillCycles) + vecBytes(writeOutRow) +
            vecBytes(streamCycles) + vecBytes(memCycles) +
            vecBytes(streamBytes) + vecBytes(streamedRows) +
-           vecBytes(spmmMemCycles) + vecBytes(xValid) + vecBytes(xOff) +
-           vecBytes(validRows) + vecBytes(chainCycles) +
-           vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(rowUseful) +
-           vecBytes(values) + vecBytes(groupBegin);
+           vecBytes(spmmMemCycles) + vecBytes(xOff) +
+           vecBytes(chainCycles) + vecBytes(rowBegin) +
+           vecBytes(rowIndex) + vecBytes(values) + vecBytes(groupBegin);
 }
 
 ExecSchedule
@@ -107,9 +106,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     s.streamBytes.resize(P, 0);
     s.streamedRows.resize(P, 0);
     s.spmmMemCycles.resize(P, 0);
-    s.xValid.resize(P, 0);
     s.xOff.resize(P, 0);
-    s.validRows.resize(P, 0);
     s.chainCycles.resize(P, 0);
     s.rowBegin.resize(P + 1, 0);
 
@@ -162,10 +159,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                                       ? CacheVec::Xt
                                       : CacheVec::Xprev;
             }
-            Index c0 = blk.blockCol * omega;
-            s.xValid[i] =
-                Index(std::min<int64_t>(omega, int64_t(cols) - c0));
-            s.xOff[i] = c0;
+            s.xOff[i] = blk.blockCol * omega;
         } else {
             // D-SymGS: the serialized diagonal chain.  Everything but
             // the cache traffic and the x recurrence is static.
@@ -173,7 +167,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             s.xOff[i] = r0;
             Index validRows = Index(
                 std::min<int64_t>(omega, int64_t(rows) - int64_t(r0)));
-            s.validRows[i] = validRows;
             uint64_t blkBytes = uint64_t(blk.size) * sizeof(Value);
             s.streamCycles[i] =
                 std::max<uint64_t>(omega, mem.streamCycles(blkBytes));
@@ -245,7 +238,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         s.rowBegin[i + 1] += s.rowBegin[i];
     const size_t records = s.rowBegin[P];
     s.rowIndex.resize(records);
-    s.rowUseful.resize(records);
     s.values.resize(records * omega);
 
     // Pass 4, parallel: gather each path's rows into its own slots,
@@ -294,7 +286,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                         s.rowIndex[slot - 1] + 1 != r)
                         acc.contiguous = false;
                     s.rowIndex[slot] = r;
-                    s.rowUseful[slot] = useful;
                     ++slot;
                     acc.parFlops += 2.0 * useful;
                     acc.usefulBytes += double(useful) * sizeof(Value);
@@ -322,7 +313,8 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                 s.spmmMemCycles[i] = mem.streamCycles(spmmBytes);
                 acc.spmmBytes += spmmBytes;
             } else {
-                acc.usefulBytes += double(s.validRows[i]) * sizeof(Value);
+                // The b operand: one useful double per chain record.
+                acc.usefulBytes += double(end - s.rowBegin[i]) * sizeof(Value);
                 // Chain steps in execution order (reversed for backward
                 // sweeps); the diagonal lane is pre-zeroed like the
                 // interpreter's operand rotation.
@@ -338,7 +330,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                         useful += dst[lc] != 0.0;
                     }
                     s.rowIndex[slot] = r;
-                    s.rowUseful[slot] = useful;
                     ++slot;
                     acc.rowOps += double(omega);
                     acc.peOps += 2.0;

@@ -22,15 +22,16 @@
  *    pure bandwidth function of the static byte count);
  *  - per-run totals of every accumulated stat (flops, useful bytes,
  *    FCU/RCU op counts): all are integer-valued doubles, so adding the
- *    precomputed total once is bit-identical to the interpreter's
- *    per-element accumulation in any order.
+ *    precomputed total once is bit-identical to the table
+ *    interpreter's per-element accumulation in any order.
  *
  * What is NOT precomputed (runtime state the timing model carries
  * across runs): local-cache hits and misses -- the scheduled timing
- * walk replays the exact same CacheModel access sequence as the
+ * walk replays the exact same CacheModel access sequence as the table
  * interpreter -- and the link-stack contents, which the scheduled
  * D-SymGS drives through the real LinkStack.  That is why cycle counts
- * and every registered stat match the interpreter bit for bit.
+ * and every registered stat match the interpreter, which the tests
+ * keep as the reference engine (tests/reference), bit for bit.
  */
 
 #ifndef ALR_ALRESCHA_SIM_SCHEDULE_HH
@@ -87,8 +88,6 @@ struct ExecSchedule
     std::vector<Index> streamedRows;
     /** SpMM memory-side stream cycles (streamedRows * omega doubles). */
     std::vector<uint64_t> spmmMemCycles;
-    /** Valid lanes of the operand-chunk gather (bounds hoisted). */
-    std::vector<Index> xValid;
     /**
      * Gather plan: element offset of path i's operand chunk inside the
      * chunk-padded operand staging buffer (blockCol * omega, hoisted).
@@ -96,16 +95,13 @@ struct ExecSchedule
      * full-width, in-bounds load -- no per-lane tail handling.
      */
     std::vector<uint32_t> xOff;
-    /** D-SymGS diagonal paths: rows below the matrix edge. */
-    std::vector<Index> validRows;
     /** D-SymGS diagonal paths: serialized chain cycles. */
     std::vector<uint64_t> chainCycles;
     /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]). */
     std::vector<size_t> rowBegin;
 
     // ---- row records (one per occupied row / diagonal chain step) ----
-    std::vector<Index> rowIndex;  ///< global output row
-    std::vector<Index> rowUseful; ///< non-zero lanes (diagnostics)
+    std::vector<Index> rowIndex; ///< global output row
     /** Gathered block values, omega per record, in lane order; the
      *  diagonal lane of D-SymGS chain records is pre-zeroed exactly as
      *  the interpreter zeroes it.  64-byte-aligned so the ω-specialized
@@ -169,8 +165,8 @@ struct ExecSchedule
 /**
  * Lower @p table against @p ld into an ExecSchedule.  Pure: touches no
  * engine state and no stats.  Only SpMV and SymGS tables are
- * schedulable (graph rounds stay on the interpreter: their control flow
- * depends on the frontier operand, which changes every round).
+ * schedulable (graph rounds walk the table: their control flow depends
+ * on the frontier operand, which changes every round).
  *
  * The payload passes run on @p pool (nullptr = the process-wide pool;
  * the engine passes its host pool, the one encode and convert use) and

@@ -1,5 +1,6 @@
 #include "alrescha/sim/schedule_io.hh"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -37,14 +38,11 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writeVec(out, s.streamBytes);
     bio::writeVec(out, s.streamedRows);
     bio::writeVec(out, s.spmmMemCycles);
-    bio::writeVec(out, s.xValid);
     bio::writeVec(out, s.xOff);
-    bio::writeVec(out, s.validRows);
     bio::writeVec(out, s.chainCycles);
     bio::writeVec(out, s.rowBegin);
 
     bio::writeVec(out, s.rowIndex);
-    bio::writeVec(out, s.rowUseful);
     bio::writeVec(out, s.values);
 
     bio::writeVec(out, s.groupBegin);
@@ -95,14 +93,11 @@ deserializeSchedule(std::istream &in)
     bio::readVecInto(in, s.streamBytes);
     bio::readVecInto(in, s.streamedRows);
     bio::readVecInto(in, s.spmmMemCycles);
-    bio::readVecInto(in, s.xValid);
     bio::readVecInto(in, s.xOff);
-    bio::readVecInto(in, s.validRows);
     bio::readVecInto(in, s.chainCycles);
     bio::readVecInto(in, s.rowBegin);
 
     bio::readVecInto(in, s.rowIndex);
-    bio::readVecInto(in, s.rowUseful);
     bio::readVecInto(in, s.values);
 
     bio::readVecInto(in, s.groupBegin);
@@ -128,28 +123,40 @@ deserializeSchedule(std::istream &in)
     s.spmmStreamBytes = bio::readPod<uint64_t>(in);
     s.paddedOperand = size_t(bio::readPod<uint64_t>(in));
 
-    // Structural sanity: every per-path vector must cover pathCount and
-    // the row ranges must stay inside the row records.  A file that
-    // parses but violates these is corrupt; throwing here turns it into
-    // the same warn-and-recompile path as a truncated one.
+    // Structural sanity: the checksum only proves the bytes are the
+    // ones some writer hashed, so everything replay indexes with must
+    // be in range on its own.  Every per-path vector covers pathCount,
+    // the row and group ranges are monotone and end at the record and
+    // path counts, and every operand chunk lies inside the staged
+    // operand.  A file that parses but violates these is corrupt;
+    // throwing here turns it into the same warn-and-recompile path as a
+    // truncated one.  (What depends on the live matrix is checked when
+    // a cache miss claims the schedule.)
     auto check = [&](bool ok) {
         if (!ok)
             throw std::runtime_error("inconsistent schedule in cache");
     };
-    check(s.dp.size() == s.pathCount);
-    check(s.blockRow.size() == s.pathCount);
-    check(s.blockCol.size() == s.pathCount);
-    check(s.operandVec.size() == s.pathCount);
-    check(s.cfgCycles.size() == s.pathCount);
-    check(s.fillCycles.size() == s.pathCount);
-    check(s.writeOutRow.size() == s.pathCount);
-    check(s.streamCycles.size() == s.pathCount);
-    check(s.rowBegin.size() == s.pathCount + (s.pathCount ? 1 : 0));
-    if (!s.rowBegin.empty())
-        check(s.rowBegin.back() == s.rowIndex.size());
+    const size_t P = s.pathCount;
+    check(s.omega > 0);
+    for (size_t n : {s.dp.size(), s.blockRow.size(), s.blockCol.size(),
+                     s.operandVec.size(), s.cfgCycles.size(),
+                     s.fillCycles.size(), s.writeOutRow.size(),
+                     s.streamCycles.size(), s.memCycles.size(),
+                     s.streamBytes.size(), s.streamedRows.size(),
+                     s.spmmMemCycles.size(), s.xOff.size(),
+                     s.chainCycles.size()})
+        check(n == P);
+    auto monotone = [](const std::vector<size_t> &v, size_t last) {
+        return !v.empty() && v.front() == 0 && v.back() == last &&
+               std::is_sorted(v.begin(), v.end());
+    };
+    check(s.rowBegin.size() == P + 1);
+    check(monotone(s.rowBegin, s.rowIndex.size()));
+    check(monotone(s.groupBegin, P));
     check(s.values.size() == s.rowIndex.size() * size_t(s.omega));
-    for (DataPathType dp : s.dp) {
-        check(dp <= DataPathType::DPr);
+    for (size_t i = 0; i < P; ++i) {
+        check(s.dp[i] <= DataPathType::DPr);
+        check(size_t(s.xOff[i]) + s.omega <= s.paddedOperand);
     }
     return s;
 }

@@ -19,6 +19,7 @@
 #include "alrescha/sim/profile.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
@@ -27,9 +28,11 @@ namespace {
 
 /** Run one kernel under the recorder and return the full sim report
  *  document (stats + utilization + embedded profile), exactly like the
- *  --ab harness builds its two sides. */
+ *  --ab harness builds its two sides.  @p reference runs the kernel
+ *  through the reference engine instead of the scheduled one. */
 json::Value
-simDoc(const std::string &kernel, const AccelParams &params)
+simDoc(const std::string &kernel, const AccelParams &params,
+       bool reference = false)
 {
     profile::reset();
     profile::setEnabled(true);
@@ -38,10 +41,17 @@ simDoc(const std::string &kernel, const AccelParams &params)
     if (kernel == "symgs") {
         acc.loadPde(a);
         DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
-        acc.symgsSweep(b, x, GsSweep::Symmetric);
+        if (reference)
+            referenceSymgsSweep(acc, b, x, GsSweep::Symmetric);
+        else
+            acc.symgsSweep(b, x, GsSweep::Symmetric);
     } else {
         acc.loadSpmvOnly(a);
-        acc.spmv(DenseVector(a.cols(), 1.0));
+        DenseVector x(a.cols(), 1.0);
+        if (reference)
+            referenceSpmv(acc, x);
+        else
+            acc.spmv(x);
     }
     SimReportOptions opt;
     opt.kernel = kernel;
@@ -69,24 +79,19 @@ diffOk(const json::Value &oldDoc, const json::Value &newDoc)
 }
 
 AccelParams
-engineMode(bool use_schedule, bool simd)
+simdMode(bool simd)
 {
     AccelParams p;
-    p.useSchedule = use_schedule;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
 }
 
 TEST(Diff, SelfDiffEmptyAcrossKernelsAndEngines)
 {
-    const AccelParams modes[] = {
-        engineMode(false, false), // interpreter
-        engineMode(true, false),  // scheduled scalar
-        engineMode(true, true),   // SIMD replay
-    };
     for (const char *kernel : {"spmv", "symgs"}) {
-        for (const AccelParams &p : modes) {
-            json::Value doc = simDoc(kernel, p);
+        // The reference engine, scheduled scalar, and SIMD replay.
+        for (int mode = 0; mode < 3; ++mode) {
+            json::Value doc = simDoc(kernel, simdMode(mode == 2), mode == 0);
             diff::Document d = diffOk(doc, doc);
             EXPECT_TRUE(d.empty()) << kernel;
             EXPECT_TRUE(d.conserved) << kernel;
@@ -99,11 +104,11 @@ TEST(Diff, SelfDiffEmptyAcrossKernelsAndEngines)
 
 TEST(Diff, EngineModesAreBitIdentical)
 {
-    // The interpreter, the scheduled scalar walk, and the SIMD replay
-    // are one timing model: their full sim documents must diff empty
-    // (the "version" provenance may differ, nothing else).
-    json::Value interp = simDoc("spmv", engineMode(false, false));
-    json::Value simd = simDoc("spmv", engineMode(true, true));
+    // The reference engine, the scheduled scalar walk, and the SIMD
+    // replay are one timing model: their full sim documents must diff
+    // empty (the "version" provenance may differ, nothing else).
+    json::Value interp = simDoc("spmv", simdMode(false), true);
+    json::Value simd = simDoc("spmv", simdMode(true));
     diff::Document d = diffOk(interp, simd);
     EXPECT_EQ(d.totalCycleDelta, 0);
     EXPECT_EQ(d.totalByteDelta, 0);

@@ -16,6 +16,7 @@
 #include "kernels/graph.hh"
 #include "kernels/spmv.hh"
 #include "kernels/symgs.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
@@ -174,15 +175,13 @@ TEST(Trace, CapturesEngineEvents)
 
     Rng rng(8);
     CsrMatrix a = gen::banded(32, 4, 0.8, rng);
-    // Per-path events (each rcu reconfigure) come from the interpreter;
-    // the scheduled path precomputes those transitions.
-    AccelParams params;
-    params.useSchedule = false;
-    Accelerator acc(params);
+    // Per-path events (each rcu reconfigure) come from the reference
+    // engine; the scheduled path precomputes those transitions.
+    Accelerator acc;
     acc.loadPde(a);
     DenseVector b(32, 1.0), x(32, 0.0);
-    acc.symgsSweep(b, x, GsSweep::Forward);
-    acc.spmv(x);
+    referenceSymgsSweep(acc, b, x, GsSweep::Forward);
+    referenceSpmv(acc, x);
     trace::setSink(nullptr);
 
     std::string log = os.str();
@@ -201,7 +200,7 @@ TEST(Trace, CapturesScheduledRunSummaries)
 
     Rng rng(8);
     CsrMatrix a = gen::banded(32, 4, 0.8, rng);
-    Accelerator acc; // useSchedule defaults to true
+    Accelerator acc;
     acc.loadPde(a);
     DenseVector b(32, 1.0), x(32, 0.0);
     acc.symgsSweep(b, x, GsSweep::Forward);

@@ -22,6 +22,7 @@
 #include "common/timeline.hh"
 #include "common/trace.hh"
 #include "datasets/suites.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
@@ -409,16 +410,18 @@ TEST(ReconfigHidden, HandComputedFractionWithSlowSwitch)
     params.configCycles = 20;
     ASSERT_EQ(params.drainCycles(), 12);
 
-    for (bool useSchedule : {false, true}) {
-        params.useSchedule = useSchedule;
+    for (bool reference : {true, false}) {
         Accelerator acc(params);
         acc.loadPde(gen::stencil2d(16, 16, 5));
         DenseVector b(256, 1.0), x(256, 0.0);
-        acc.symgsSweep(b, x, GsSweep::Symmetric);
+        if (reference)
+            referenceSymgsSweep(acc, b, x, GsSweep::Symmetric);
+        else
+            acc.symgsSweep(b, x, GsSweep::Symmetric);
         // The sweep must actually switch paths for the test to bite.
         ASSERT_GT(acc.engine().rcu().reconfigurations(), 1.0);
         EXPECT_DOUBLE_EQ(acc.engine().rcu().reconfigHiddenFraction(), 0.6)
-            << "useSchedule=" << useSchedule;
+            << (reference ? "reference" : "scheduled");
         EXPECT_DOUBLE_EQ(
             acc.engine().statGroup().lookup("rcu.reconfig_hidden_frac"),
             0.6);

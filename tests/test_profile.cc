@@ -3,9 +3,10 @@
  * Cycle-accounting profiler tests: the conservation invariant
  * (attributed cycles sum exactly to the engine's modeled cycles,
  * attributed bytes to the memory model's total traffic), bucket
- * agreement across the interpreter / scheduled scalar / SIMD replay
- * engines, a hand-computed attribution on a two-block-row matrix, the
- * D-SymGS critical-path extractor, the export formats, and the
+ * agreement across the reference engine (the table interpreter) and
+ * the scheduled scalar / SIMD replay engines, a hand-computed
+ * attribution on a two-block-row matrix, the D-SymGS critical-path
+ * extractor, the export formats, and the
  * zero-perturbation contract (recorder off => results, cycles, and
  * stat dumps bit-identical).
  */
@@ -21,6 +22,7 @@
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/profile.hh"
 #include "common/random.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
@@ -42,32 +44,61 @@ struct ProfileGuard
     }
 };
 
+/** The engine a run goes through. */
+enum class Mode { Reference, Scalar, Simd };
+
+const char *
+toString(Mode mode)
+{
+    return mode == Mode::Reference ? "reference"
+           : mode == Mode::Scalar  ? "scheduled"
+                                   : "simd";
+}
+
 AccelParams
-makeParams(Index omega, bool use_schedule, bool simd)
+makeParams(Index omega, Mode mode)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = use_schedule;
-    p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
+    p.simdMode = mode == Mode::Simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
+}
+
+/** SpMV with x = 1 on an SpMV-loaded @p acc through @p mode. */
+DenseVector
+runSpmv(Accelerator &acc, Mode mode)
+{
+    DenseVector x(acc.matrix().cols(), 1.0);
+    return mode == Mode::Reference ? referenceSpmv(acc, x) : acc.spmv(x);
+}
+
+/** One symmetric sweep with b = 1 from x = 0 through @p mode. */
+DenseVector
+runSymgs(Accelerator &acc, Mode mode)
+{
+    DenseVector b(acc.matrix().rows(), 1.0), x(b.size(), 0.0);
+    if (mode == Mode::Reference)
+        referenceSymgsSweep(acc, b, x, GsSweep::Symmetric);
+    else
+        acc.symgsSweep(b, x, GsSweep::Symmetric);
+    return x;
 }
 
 /** Run one kernel under the recorder and return (snapshot, cycles,
  *  memory bytes).  The recorder is reset before the run. */
 profile::Snapshot
-runProfiled(const CsrMatrix &a, const std::string &kernel,
-            const AccelParams &params, uint64_t *cycles_out = nullptr,
+runProfiled(const CsrMatrix &a, const std::string &kernel, Index omega,
+            Mode mode, uint64_t *cycles_out = nullptr,
             double *bytes_out = nullptr)
 {
     profile::reset();
-    Accelerator acc(params);
+    Accelerator acc(makeParams(omega, mode));
     if (kernel == "spmv") {
         acc.loadSpmvOnly(a);
-        acc.spmv(DenseVector(a.cols(), 1.0));
+        runSpmv(acc, mode);
     } else {
         acc.loadPde(a);
-        DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
-        acc.symgsSweep(b, x, GsSweep::Symmetric);
+        runSymgs(acc, mode);
     }
     if (cycles_out)
         *cycles_out = acc.engine().totalCycles();
@@ -112,34 +143,25 @@ TEST(ProfileConservation, ExactAcrossKernelsEnginesAndOmegas)
 
     for (const char *kernel : {"spmv", "symgs"}) {
         for (Index omega : {Index(4), Index(8)}) {
-            for (bool sched : {false, true}) {
-                for (bool simd : {false, true}) {
-                    if (!sched && simd)
-                        continue; // simd only applies when scheduled
-                    uint64_t cycles = 0;
-                    double bytes = 0.0;
-                    profile::Snapshot snap =
-                        runProfiled(a, kernel,
-                                    makeParams(omega, sched, simd),
-                                    &cycles, &bytes);
-                    std::string what =
-                        std::string(kernel) + " omega " +
-                        std::to_string(omega) +
-                        (sched ? (simd ? " simd" : " scheduled")
-                               : " interpreter");
-                    EXPECT_EQ(snap.attributedCycles, cycles) << what;
-                    EXPECT_EQ(double(snap.attributedBytes), bytes)
-                        << what;
-                    EXPECT_GT(snap.buckets.size(), 0u) << what;
-                }
+            for (Mode mode : {Mode::Reference, Mode::Scalar, Mode::Simd}) {
+                uint64_t cycles = 0;
+                double bytes = 0.0;
+                profile::Snapshot snap =
+                    runProfiled(a, kernel, omega, mode, &cycles, &bytes);
+                std::string what = std::string(kernel) + " omega " +
+                                   std::to_string(omega) + " " +
+                                   toString(mode);
+                EXPECT_EQ(snap.attributedCycles, cycles) << what;
+                EXPECT_EQ(double(snap.attributedBytes), bytes) << what;
+                EXPECT_GT(snap.buckets.size(), 0u) << what;
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Engine agreement: the interpreter, the scheduled scalar walk, and the
-// SIMD replay attribute every bucket identically.
+// Engine agreement: the reference engine, the scheduled scalar walk,
+// and the SIMD replay attribute every bucket identically.
 
 TEST(ProfileAgreement, InterpreterScheduledSimdIdentical)
 {
@@ -149,15 +171,13 @@ TEST(ProfileAgreement, InterpreterScheduledSimdIdentical)
 
     for (const char *kernel : {"spmv", "symgs"}) {
         for (Index omega : {Index(4), Index(8)}) {
-            AccelParams interp = makeParams(omega, false, false);
-            AccelParams sched = makeParams(omega, true, false);
-            AccelParams simd = makeParams(omega, true, true);
-            profile::Snapshot si = runProfiled(a, kernel, interp);
-            profile::Snapshot ss = runProfiled(a, kernel, sched);
-            profile::Snapshot sv = runProfiled(a, kernel, simd);
+            profile::Snapshot si =
+                runProfiled(a, kernel, omega, Mode::Reference);
+            profile::Snapshot ss = runProfiled(a, kernel, omega, Mode::Scalar);
+            profile::Snapshot sv = runProfiled(a, kernel, omega, Mode::Simd);
             std::string what = std::string(kernel) + " omega " +
                                std::to_string(omega);
-            expectSameBuckets(si, ss, what + " interp-vs-scheduled");
+            expectSameBuckets(si, ss, what + " reference-vs-scheduled");
             expectSameBuckets(ss, sv, what + " scalar-vs-simd");
         }
     }
@@ -185,12 +205,12 @@ TEST(ProfileHandComputed, DenseTwoBlockRowSpmvAtOmega2)
             coo.add(r, c, 1.0 + double(r) * 4.0 + double(c));
     CsrMatrix a = CsrMatrix::fromCoo(coo);
 
-    for (bool sched : {false, true}) {
+    for (Mode mode : {Mode::Reference, Mode::Scalar}) {
         uint64_t cycles = 0;
         double bytes = 0.0;
-        profile::Snapshot snap = runProfiled(
-            a, "spmv", makeParams(2, sched, false), &cycles, &bytes);
-        const char *what = sched ? "scheduled" : "interpreter";
+        profile::Snapshot snap =
+            runProfiled(a, "spmv", 2, mode, &cycles, &bytes);
+        const char *what = toString(mode);
 
         EXPECT_EQ(cycles, 30u) << what;
         EXPECT_EQ(snap.attributedCycles, 30u) << what;
@@ -244,7 +264,7 @@ TEST(ProfileCriticalPath, BlockDiagonalSweepIsDependenceBound)
 
     uint64_t cycles = 0;
     profile::Snapshot snap =
-        runProfiled(a, "symgs", makeParams(8, true, true), &cycles);
+        runProfiled(a, "symgs", 8, Mode::Simd, &cycles);
 
     ASSERT_FALSE(snap.critical.empty());
     uint64_t chains = 0, wait_rows = 0;
@@ -281,16 +301,15 @@ TEST(ProfileZeroPerturbation, RecorderOffIsBitIdentical)
     Rng rng(17);
     CsrMatrix a = gen::blockStructured(96, 8, 4, 0.7, rng);
 
-    for (bool sched : {false, true}) {
-        AccelParams params = makeParams(8, sched, true);
+    for (Mode mode : {Mode::Reference, Mode::Simd}) {
+        AccelParams params = makeParams(8, mode);
 
         profile::setEnabled(false);
         profile::reset();
         Accelerator off(params);
         off.loadPde(a);
-        DenseVector b(a.rows(), 1.0), x_off(a.rows(), 0.0);
-        off.symgsSweep(b, x_off, GsSweep::Symmetric);
-        DenseVector y_off = off.spmv(DenseVector(a.cols(), 1.0));
+        DenseVector x_off = runSymgs(off, mode);
+        DenseVector y_off = runSpmv(off, mode);
         std::ostringstream dump_off;
         off.engine().statGroup().dump(dump_off);
         EXPECT_EQ(profile::snapshot().buckets.size(), 0u);
@@ -298,9 +317,8 @@ TEST(ProfileZeroPerturbation, RecorderOffIsBitIdentical)
         ProfileGuard guard;
         Accelerator on(params);
         on.loadPde(a);
-        DenseVector x_on(a.rows(), 0.0);
-        on.symgsSweep(b, x_on, GsSweep::Symmetric);
-        DenseVector y_on = on.spmv(DenseVector(a.cols(), 1.0));
+        DenseVector x_on = runSymgs(on, mode);
+        DenseVector y_on = runSpmv(on, mode);
         std::ostringstream dump_on;
         on.engine().statGroup().dump(dump_on);
         EXPECT_GT(profile::snapshot().buckets.size(), 0u);
@@ -326,7 +344,7 @@ TEST(ProfileExport, JsonCsvAndFoldedAreConsistent)
     CsrMatrix a = gen::blockStructured(64, 8, 3, 0.8, rng);
     uint64_t cycles = 0;
     profile::Snapshot snap =
-        runProfiled(a, "symgs", makeParams(8, true, true), &cycles);
+        runProfiled(a, "symgs", 8, Mode::Simd, &cycles);
 
     std::ostringstream js;
     profile::exportJson(js, {"symgs", 8, cycles, ""});

@@ -1,9 +1,9 @@
 /**
  * @file
- * Runtime replay dispatch and constant-folded specialization (ISSUE 7):
+ * Runtime replay dispatch and constant-folded specialization:
  *
  *  - every --simd mode the machine runs must replay bit-identically to
- *    the interpreter (results, cycles, the whole stat dump);
+ *    the reference engine (results, cycles, the whole stat dump);
  *  - irregular shapes (omega not in {2,4,8}, empty schedules, a single
  *    block row) must take the Generic fallback under every mode;
  *  - forcing an unavailable ISA (params or ALR_SIMD_FORCE) must fall
@@ -20,7 +20,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "alrescha/sim/replay_isa.hh"
 #include "alrescha/sim/schedule.hh"
 #include "common/random.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
@@ -36,20 +36,11 @@ using namespace alr;
 
 namespace {
 
-std::string
-statDump(Engine &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
-
 AccelParams
-makeParams(Index omega, bool use_schedule, SimdMode mode)
+makeParams(Index omega, SimdMode mode)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = use_schedule;
     p.engineThreads = 1;
     p.simdMode = mode;
     return p;
@@ -75,7 +66,7 @@ runnableModes()
 }
 
 /**
- * Run SpMV, SpMM, and a SymGS sweep through an interpreter engine and
+ * Run SpMV, SpMM, and a SymGS sweep through the reference engine and
  * a scheduled engine at @p mode; every result, cycle count, and the
  * serialized stat dumps must agree exactly.
  */
@@ -90,8 +81,9 @@ expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
     ConfigTable symgs = ConfigTable::convert(KernelType::SymGS, ld, true,
                                              GsSweep::Forward);
 
-    Engine ref(makeParams(omega, false, SimdMode::Scalar));
-    Engine sch(makeParams(omega, true, mode));
+    Engine refEngine(makeParams(omega, SimdMode::Scalar));
+    ReferenceEngine ref(refEngine);
+    Engine sch(makeParams(omega, mode));
 
     DenseVector x(a.cols());
     for (size_t i = 0; i < x.size(); ++i)
@@ -123,7 +115,7 @@ expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
         ASSERT_EQ(xr, xv) << "symgs sweep " << run;
         EXPECT_EQ(tr.cycles, ts.cycles) << "symgs sweep " << run;
     }
-    EXPECT_EQ(statDump(ref), statDump(sch));
+    EXPECT_EQ(statDump(refEngine), statDump(sch));
 }
 
 } // namespace
@@ -162,7 +154,7 @@ TEST(ReplayDispatch, EmptyScheduleEveryMode)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
     for (SimdMode mode : kAllModes) {
-        Engine e(makeParams(8, true, mode));
+        Engine e(makeParams(8, mode));
         e.program(&ld, &table);
         DenseVector x(16, 3.0);
         EXPECT_EQ(e.runSpmv(x), DenseVector(16, 0.0))
@@ -250,7 +242,7 @@ TEST(ReplaySpecialize, StampsSpecializedEntryPoints)
     LocallyDenseMatrix ld =
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
-    AccelParams p = makeParams(8, true, SimdMode::Auto);
+    AccelParams p = makeParams(8, SimdMode::Auto);
     ExecSchedule s = compileSchedule(ld, table, p);
     const replay::detail::KernelTable *t = replay::select(p.simdMode);
 
@@ -288,7 +280,7 @@ TEST(ReplaySpecialize, DetectsContiguousRows)
     LocallyDenseMatrix ldd =
         LocallyDenseMatrix::encode(ad, 8, LdLayout::Plain);
     ConfigTable td = ConfigTable::convert(KernelType::SpMV, ldd);
-    AccelParams p = makeParams(8, true, SimdMode::Auto);
+    AccelParams p = makeParams(8, SimdMode::Auto);
     EXPECT_TRUE(compileSchedule(ldd, td, p).contiguousRows);
 
     // A block that skips a row: rows 0 and 2 occupied, row 1 empty --
@@ -306,8 +298,9 @@ TEST(ReplaySpecialize, DetectsContiguousRows)
     ExecSchedule sg = compileSchedule(ldg, tg, p);
     EXPECT_FALSE(sg.contiguousRows);
 
-    Engine ref(makeParams(8, false, SimdMode::Scalar));
-    Engine sch(makeParams(8, true, SimdMode::Auto));
+    Engine refEngine(makeParams(8, SimdMode::Scalar));
+    ReferenceEngine ref(refEngine);
+    Engine sch(makeParams(8, SimdMode::Auto));
     ref.program(&ldg, &tg);
     sch.program(&ldg, &tg);
     DenseVector x(16);
@@ -328,7 +321,7 @@ TEST(ReplayContract, NoFusedMultiplyAddInReductions)
     // compiler contracted the product into the tree add as an FMA the
     // unrounded 1 - 2^-60 would survive into the add and y[0] would be
     // about -2^-60, not 0.0.  This must hold in every replay mode and
-    // the interpreter -- -ffp-contract=off is project-wide.
+    // the reference engine -- -ffp-contract=off is project-wide.
     const Value eps = std::ldexp(1.0, -30); // 2^-30
     CooMatrix coo(2, 2);
     coo.add(0, 0, 1.0 + eps);
@@ -336,21 +329,19 @@ TEST(ReplayContract, NoFusedMultiplyAddInReductions)
     coo.add(1, 1, 1.0);
     CsrMatrix a = CsrMatrix::fromCoo(coo);
     DenseVector x = {1.0 - eps, 1.0};
+    LocallyDenseMatrix ld = LocallyDenseMatrix::encode(a, 2, LdLayout::Plain);
+    ConfigTable t = ConfigTable::convert(KernelType::SpMV, ld);
 
+    const DenseVector exact = {0.0, 1.0};
     for (SimdMode mode : kAllModes) {
-        for (bool use_schedule : {false, true}) {
-            Engine e(makeParams(2, use_schedule, mode));
-            LocallyDenseMatrix ld =
-                LocallyDenseMatrix::encode(a, 2, LdLayout::Plain);
-            ConfigTable t = ConfigTable::convert(KernelType::SpMV, ld);
-            e.program(&ld, &t);
-            DenseVector y = e.runSpmv(x);
-            EXPECT_EQ(y[0], 0.0)
-                << replay::toString(mode)
-                << (use_schedule ? " scheduled" : " interpreter");
-            EXPECT_EQ(y[1], 1.0);
-        }
+        Engine e(makeParams(2, mode));
+        e.program(&ld, &t);
+        EXPECT_EQ(e.runSpmv(x), exact) << replay::toString(mode);
     }
+    Engine refEngine(makeParams(2, SimdMode::Scalar));
+    ReferenceEngine ref(refEngine);
+    ref.program(&ld, &t);
+    EXPECT_EQ(ref.runSpmv(x), exact) << "reference";
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 /**
  * @file
- * Schedule-compiler equivalence properties (ISSUE 2): for every
- * schedulable kernel the compiled ExecSchedule must reproduce the
- * interpreter bit for bit -- results, cycle counts, and the entire
- * serialized stat dump -- across omegas, matrices, repeated runs
+ * Schedule-compiler equivalence properties: for every schedulable
+ * kernel the engine's compiled ExecSchedule must reproduce the
+ * reference engine (the table interpreter, tests/reference) bit for
+ * bit -- results, cycle counts, the entire serialized stat dump, and
+ * the modeled timeline -- across omegas, matrices, repeated runs
  * (cross-run cache and switch state), and functional-pass thread
  * counts.  Plus unit tests for the payload-position LUT and the
  * schedule cache (reuse, invalidation, eviction).
@@ -12,12 +13,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <sstream>
+#include <functional>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/replay.hh"
 #include "alrescha/sim/schedule.hh"
 #include "common/random.hh"
+#include "common/timeline.hh"
+#include "datasets/suites.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
@@ -25,21 +29,11 @@ using namespace alr;
 
 namespace {
 
-/** The full serialized stat listing of an engine. */
-std::string
-statDump(Engine &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
-
 AccelParams
-makeParams(Index omega, bool use_schedule, int threads, bool simd = true)
+makeParams(Index omega, int threads, bool simd = true)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = use_schedule;
     p.engineThreads = threads;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     return p;
@@ -75,8 +69,9 @@ TEST_P(ScheduleEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    Engine refEngine(makeParams(c.omega, 1));
+    ReferenceEngine ref(refEngine);
+    Engine sch(makeParams(c.omega, c.threads));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -92,7 +87,7 @@ TEST_P(ScheduleEquivalence, SpmvBitIdentical)
         ASSERT_EQ(yr, ys) << "run " << run;
         expectTimingEq(tr, ts, "spmv timing");
     }
-    EXPECT_EQ(statDump(ref), statDump(sch));
+    EXPECT_EQ(statDump(refEngine), statDump(sch));
 }
 
 TEST_P(ScheduleEquivalence, SpmmBitIdentical)
@@ -104,8 +99,9 @@ TEST_P(ScheduleEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    Engine refEngine(makeParams(c.omega, 1));
+    ReferenceEngine ref(refEngine);
+    Engine sch(makeParams(c.omega, c.threads));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -121,7 +117,7 @@ TEST_P(ScheduleEquivalence, SpmmBitIdentical)
         ASSERT_EQ(yr, ys) << "run " << run;
         expectTimingEq(tr, ts, "spmm timing");
     }
-    EXPECT_EQ(statDump(ref), statDump(sch));
+    EXPECT_EQ(statDump(refEngine), statDump(sch));
 }
 
 TEST_P(ScheduleEquivalence, SymgsBitIdentical)
@@ -136,8 +132,9 @@ TEST_P(ScheduleEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    Engine refEngine(makeParams(c.omega, 1));
+    ReferenceEngine ref(refEngine);
+    Engine sch(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -153,14 +150,14 @@ TEST_P(ScheduleEquivalence, SymgsBitIdentical)
         ASSERT_EQ(xr, xs) << "sweep " << run;
         expectTimingEq(tr, ts, "symgs timing");
     }
-    EXPECT_EQ(statDump(ref), statDump(sch));
+    EXPECT_EQ(statDump(refEngine), statDump(sch));
 }
 
 TEST_P(ScheduleEquivalence, MixedKernelsShareState)
 {
     // Interleave SpMV-layout and SymGS runs through one engine pair:
     // the schedule path must leave cache, link-stack, and switch state
-    // exactly where the interpreter would.
+    // exactly where the reference engine does.
     const Case c = GetParam();
     Rng rng(c.seed + 300);
     CsrMatrix a = gen::stencil2d(9, 9);
@@ -170,8 +167,9 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    Engine ref(makeParams(c.omega, false, 1));
-    Engine sch(makeParams(c.omega, true, c.threads));
+    Engine refEngine(makeParams(c.omega, 1));
+    ReferenceEngine ref(refEngine);
+    Engine sch(makeParams(c.omega, c.threads));
 
     DenseVector b(a.rows(), 0.5);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -191,7 +189,7 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
         ASSERT_EQ(xr, xs);
         expectTimingEq(tr, ts, "mixed symgs timing");
     }
-    EXPECT_EQ(statDump(ref), statDump(sch));
+    EXPECT_EQ(statDump(refEngine), statDump(sch));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -208,16 +206,14 @@ TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
     Rng rng(42);
     CsrMatrix a = gen::stencil2d(12, 12);
 
-    AccelParams pr = makeParams(8, false, 1);
-    AccelParams ps = makeParams(8, true, 1);
-    Accelerator ref(pr), sch(ps);
+    Accelerator ref(makeParams(8, 1)), sch(makeParams(8, 1));
     ref.loadPde(a);
     sch.loadPde(a);
 
     DenseVector b(a.rows(), 1.0);
     PcgOptions opts;
     opts.maxIterations = 25;
-    PcgResult r = ref.pcg(b, opts);
+    PcgResult r = referencePcg(ref, b, opts);
     PcgResult s = sch.pcg(b, opts);
 
     EXPECT_EQ(r.x, s.x);
@@ -226,6 +222,112 @@ TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
     EXPECT_EQ(r.history, s.history);
     EXPECT_EQ(ref.report().cycles, sch.report().cycles);
     EXPECT_EQ(statDump(ref.engine()), statDump(sch.engine()));
+}
+
+// ---------------------------------------------------------------------
+// Timeline equivalence: the reference engine and the scheduled engine
+// emit the same modeled-plane (pid 1) events, in the same order --
+// spans, reconfigurations, fills, chains, and counters.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The modeled-plane events @p run records. */
+std::vector<timeline::Event>
+modeledEvents(const std::function<void()> &run)
+{
+    timeline::reset();
+    timeline::setEnabled(true);
+    run();
+    timeline::setEnabled(false);
+    EXPECT_EQ(timeline::dropped(), 0u);
+    std::vector<timeline::Event> out;
+    for (const timeline::Event &ev : timeline::events())
+        if (ev.pid == timeline::kPidModeled)
+            out.push_back(ev);
+    timeline::reset();
+    return out;
+}
+
+void
+expectSameEvents(const std::vector<timeline::Event> &ref,
+                 const std::vector<timeline::Event> &sch)
+{
+    ASSERT_EQ(ref.size(), sch.size());
+    ASSERT_GT(ref.size(), 0u);
+    for (size_t i = 0; i < ref.size(); ++i) {
+        const timeline::Event &r = ref[i], &s = sch[i];
+        ASSERT_STREQ(r.name, s.name) << "event " << i;
+        EXPECT_STREQ(r.cat, s.cat) << "event " << i;
+        EXPECT_EQ(r.kind, s.kind) << "event " << i << " " << r.name;
+        EXPECT_EQ(r.tid, s.tid) << "event " << i << " " << r.name;
+        EXPECT_EQ(r.ts, s.ts) << "event " << i << " " << r.name;
+        EXPECT_EQ(r.dur, s.dur) << "event " << i << " " << r.name;
+        EXPECT_EQ(r.value, s.value) << "event " << i << " " << r.name;
+    }
+}
+
+/** A stencil large enough to switch data paths and fill the cache. */
+struct TimelineProblem
+{
+    CsrMatrix a = gen::stencil2d(40, 40);
+    LocallyDenseMatrix ld = LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    DenseVector x = DenseVector(a.rows(), 1.0);
+};
+
+/**
+ * Program a fresh reference engine and a fresh scheduled engine with
+ * @p table and record the modeled events of @p runs on each: they
+ * must match event for event.  Repeated runs start from the cache
+ * lines and data path the earlier ones left.
+ */
+template <typename Runs>
+void
+expectSameTimeline(const TimelineProblem &p, const ConfigTable &table,
+                   Runs runs)
+{
+    Engine refEngine(makeParams(8, 1)), sch(makeParams(8, 1));
+    ReferenceEngine ref(refEngine);
+    ref.program(&p.ld, &table);
+    sch.program(&p.ld, &table);
+    expectSameEvents(modeledEvents([&] { runs(ref); }),
+                     modeledEvents([&] { runs(sch); }));
+}
+
+} // namespace
+
+TEST(TimelineEquivalence, Spmv)
+{
+    TimelineProblem p;
+    ConfigTable spmv = ConfigTable::convert(KernelType::SpMV, p.ld);
+    expectSameTimeline(p, spmv, [&](auto &e) {
+        for (int run = 0; run < 3; ++run)
+            e.runSpmv(p.x);
+    });
+}
+
+TEST(TimelineEquivalence, Spmm)
+{
+    TimelineProblem p;
+    ConfigTable spmv = ConfigTable::convert(KernelType::SpMV, p.ld);
+    expectSameTimeline(p, spmv, [&](auto &e) {
+        for (int run = 0; run < 2; ++run)
+            e.runSpmm(std::vector<DenseVector>(3, p.x));
+    });
+}
+
+TEST(TimelineEquivalence, SymgsBothSweeps)
+{
+    TimelineProblem p;
+    for (GsSweep dir : {GsSweep::Forward, GsSweep::Backward}) {
+        ConfigTable table =
+            ConfigTable::convert(KernelType::SymGS, p.ld, true, dir);
+        expectSameTimeline(p, table, [&](auto &e) {
+            DenseVector x(p.a.rows(), 0.0);
+            for (int run = 0; run < 2; ++run)
+                e.runSymgsSweep(p.x, x);
+        });
+    }
 }
 
 TEST(PayloadLut, MatchesPayloadPosition)
@@ -289,7 +391,7 @@ TEST(ScheduleCache, CompiledOnceAcrossRuns)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     e.program(&ld, &table);
     EXPECT_EQ(e.scheduleCompiles(), 0u);
     DenseVector x(a.cols(), 1.0);
@@ -314,7 +416,7 @@ TEST(ScheduleCache, DistinctTablesGetDistinctSchedules)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
     for (int i = 0; i < 3; ++i) {
         e.program(&ld, &fwd);
@@ -331,7 +433,7 @@ TEST(ScheduleCache, InvalidatedOnReload)
 {
     Rng rng(9);
     CsrMatrix a = gen::stencil2d(8, 8);
-    Accelerator acc(makeParams(8, true, 1));
+    Accelerator acc(makeParams(8, 1));
     acc.loadPde(a);
     DenseVector x(a.cols(), 1.0);
     acc.spmv(x);
@@ -357,7 +459,7 @@ TEST(ScheduleCache, EvictsBeyondCapacity)
     for (int i = 0; i < 10; ++i)
         tables.push_back(ConfigTable::convert(KernelType::SpMV, ld));
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     DenseVector x(a.cols(), 1.0);
     for (auto &t : tables) {
         e.program(&ld, &t);
@@ -395,7 +497,7 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine e(makeParams(8, true, 1));
+    Engine e(makeParams(8, 1));
     e.program(&ld, &table);
     DenseVector x(a.cols(), 1.0);
     DenseVector y1 = e.runSpmv(x);
@@ -410,7 +512,7 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
         << "stale schedule served for a rebuilt matrix/table pair";
 
     // The result must be the doubled matrix's, not the cached one's.
-    Engine fresh(makeParams(8, true, 1));
+    Engine fresh(makeParams(8, 1));
     LocallyDenseMatrix ld2 =
         LocallyDenseMatrix::encode(a2, 8, LdLayout::Plain);
     ConfigTable table2 = ConfigTable::convert(KernelType::SpMV, ld2);
@@ -421,27 +523,28 @@ TEST(ScheduleCache, ReassignedObjectsDoNotAliasStaleSchedules)
 }
 
 // ---------------------------------------------------------------------
-// SIMD replay equivalence (ISSUE 3): the ω-specialized SIMD kernels,
-// the scheduled scalar kernels, and the interpreter must agree bit for
-// bit -- results, cycles, and the whole stat dump.  On portable builds
-// SimdMode::Auto resolves to the scalar table, so these tests still
-// pin scalar/scalar/interpreter equality there.
+// SIMD replay equivalence: the ω-specialized SIMD kernels, the
+// scheduled scalar kernels, and the reference engine must agree bit
+// for bit -- results, cycles, and the whole stat dump.  On portable
+// builds SimdMode::Auto resolves to the scalar table, so these tests
+// still pin scalar/scalar/reference equality there.
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Three engines programmed alike: interpreter, scheduled scalar,
- *  scheduled SIMD. */
+/** Three engines programmed alike: the reference engine, scheduled
+ *  scalar, scheduled SIMD. */
 struct EngineTriple
 {
-    Engine interp;
+    Engine refEngine;
+    ReferenceEngine interp;
     Engine scalar;
     Engine simd;
 
     EngineTriple(Index omega, int threads)
-        : interp(makeParams(omega, false, 1)),
-          scalar(makeParams(omega, true, threads, false)),
-          simd(makeParams(omega, true, threads, true))
+        : refEngine(makeParams(omega, 1)), interp(refEngine),
+          scalar(makeParams(omega, threads, false)),
+          simd(makeParams(omega, threads, true))
     {
     }
 
@@ -487,8 +590,8 @@ TEST_P(SimdReplayEquivalence, SpmvRectangularNonMultipleOfOmega)
         expectTimingEq(ti, tc, "scalar spmv timing");
         expectTimingEq(ti, tv, "simd spmv timing");
     }
-    EXPECT_EQ(statDump(e.interp), statDump(e.scalar));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.scalar));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.simd));
 }
 
 TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
@@ -520,8 +623,8 @@ TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
         expectTimingEq(ti, tc, "scalar spmm timing");
         expectTimingEq(ti, tv, "simd spmm timing");
     }
-    EXPECT_EQ(statDump(e.interp), statDump(e.scalar));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.scalar));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.simd));
 }
 
 TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
@@ -552,8 +655,8 @@ TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
         expectTimingEq(ti, tc, "scalar symgs timing");
         expectTimingEq(ti, tv, "simd symgs timing");
     }
-    EXPECT_EQ(statDump(e.interp), statDump(e.scalar));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.scalar));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.simd));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -564,6 +667,35 @@ INSTANTIATE_TEST_SUITE_P(
         return "w" + std::to_string(info.param.omega) + "_t" +
                std::to_string(info.param.threads);
     });
+
+TEST(SimdReplayEquivalence, SpmvOnLargestFig18Datasets)
+{
+    // The three largest fig18 datasets by nnz, each through the
+    // reference engine and the scheduled scalar and auto-SIMD engines.
+    const std::vector<Dataset> suite = scientificSuite();
+    for (const char *name :
+         {"acoustic-blocks", "cfd-band", "structural-band"}) {
+        SCOPED_TRACE(name);
+        const CsrMatrix &a = findDataset(suite, name).matrix;
+        LocallyDenseMatrix ld =
+            LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
+        ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
+        EngineTriple e(8, 1);
+        e.program(&ld, &table);
+
+        DenseVector x(a.cols());
+        for (size_t i = 0; i < x.size(); ++i)
+            x[i] = Value(i % 23) - 11.0;
+        RunTiming ti, tc, tv;
+        DenseVector yi = e.interp.runSpmv(x, &ti);
+        ASSERT_EQ(yi, e.scalar.runSpmv(x, &tc));
+        ASSERT_EQ(yi, e.simd.runSpmv(x, &tv));
+        expectTimingEq(ti, tc, "scalar spmv timing");
+        expectTimingEq(ti, tv, "simd spmv timing");
+        EXPECT_EQ(statDump(e.refEngine), statDump(e.scalar));
+        EXPECT_EQ(statDump(e.refEngine), statDump(e.simd));
+    }
+}
 
 TEST(SimdReplay, EmptyMatrix)
 {
@@ -583,7 +715,7 @@ TEST(SimdReplay, EmptyMatrix)
 
     std::vector<DenseVector> xs(2, x);
     EXPECT_EQ(e.interp.runSpmm(xs), e.simd.runSpmm(xs));
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.simd));
 }
 
 TEST(SimdReplay, SingleBlockRowSmallerThanOmega)
@@ -609,7 +741,7 @@ TEST(SimdReplay, SingleBlockRowSmallerThanOmega)
     e.interp.runSymgsSweep(b, xi);
     e.simd.runSymgsSweep(b, xv);
     EXPECT_EQ(xi, xv);
-    EXPECT_EQ(statDump(e.interp), statDump(e.simd));
+    EXPECT_EQ(statDump(e.refEngine), statDump(e.simd));
 }
 
 TEST(SimdReplay, GatherPlanInvariants)
@@ -621,7 +753,7 @@ TEST(SimdReplay, GatherPlanInvariants)
             LocallyDenseMatrix::encode(a, omega, LdLayout::Plain);
         ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
         ExecSchedule s =
-            compileSchedule(ld, table, makeParams(omega, true, 1));
+            compileSchedule(ld, table, makeParams(omega, 1));
 
         // Value records are loadable at full vector width.
         EXPECT_EQ(reinterpret_cast<uintptr_t>(s.values.data()) % 64, 0u);
@@ -663,7 +795,7 @@ TEST(ScheduleCompile, RecordsMatchMatrixShape)
     LocallyDenseMatrix ld =
         LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
-    AccelParams p = makeParams(8, true, 1);
+    AccelParams p = makeParams(8, 1);
     ExecSchedule s = compileSchedule(ld, table, p);
 
     EXPECT_EQ(s.pathCount, table.entries().size());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,26 +23,18 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
 
 namespace {
 
-std::string
-statDump(Engine &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
-
 AccelParams
 makeParams(Index omega = 8)
 {
     AccelParams p;
     p.omega = omega;
-    p.useSchedule = true;
     return p;
 }
 
@@ -62,6 +55,120 @@ struct Problem
     {
     }
 };
+
+// A cache file is a 32-byte header -- magic and version (u32), then the
+// params fingerprint, body length and body checksum (u64) -- and a
+// body.  The helpers below splice legacy or malformed bodies and
+// re-frame them under a valid checksum, as any writer could.
+constexpr size_t kCacheHeader = 4 + 4 + 3 * 8;
+
+/** @p file's header around @p body -- restamped @p version when that
+ *  is given -- with the body's length and checksum. */
+std::string
+reframe(const std::string &file, const std::string &body,
+        uint32_t version = 0)
+{
+    std::ostringstream out;
+    out.write(file.data(), version ? 4 : 8); // magic, version
+    if (version)
+        bio::writePod<uint32_t>(out, version);
+    out.write(file.data() + 8, 8); // params fingerprint
+    bio::writePod<uint64_t>(out, uint64_t(body.size()));
+    bio::writePod<uint64_t>(out, hash::ofBytes(body.data(), body.size()));
+    out << body;
+    return out.str();
+}
+
+/** The serialized per-path and row vectors of a schedule, in order. */
+enum ScheduleVec
+{
+    kDp, kBlockRow, kBlockCol, kOperandVec, kCfgCycles, kFillCycles,
+    kWriteOutRow, kStreamCycles, kMemCycles, kStreamBytes, kStreamedRows,
+    kSpmmMemCycles, kXOff, kChainCycles, kRowBegin, kRowIndex, kValues,
+    kGroupBegin, kScheduleVecs
+};
+
+/** Offset, in a cache body holding one schedule, of the length prefix
+ *  of vector @p vec. */
+size_t
+vectorAt(const std::string &body, ScheduleVec vec)
+{
+    const size_t elem[kScheduleVecs] = {
+        sizeof(DataPathType), sizeof(Index),    sizeof(Index),
+        sizeof(CacheVec),     sizeof(uint32_t), sizeof(uint32_t),
+        sizeof(int64_t),      sizeof(uint64_t), sizeof(uint64_t),
+        sizeof(uint64_t),     sizeof(Index),    sizeof(uint64_t),
+        sizeof(uint32_t),     sizeof(uint64_t), sizeof(size_t),
+        sizeof(Index),        sizeof(Value),    sizeof(size_t)};
+    // Slot count (u32); slot keys (five u64, kernel u8, omega u32);
+    // schedule tag (u32), kernel (u8), omega (u32), path count (u64).
+    size_t at = 4 + (5 * 8 + 1 + 4) + (4 + 1 + 4 + 8);
+    for (int k = 0; k < vec; ++k) {
+        uint64_t n = 0;
+        std::memcpy(&n, body.data() + at, sizeof(n));
+        at += sizeof(n) + n * elem[k];
+    }
+    return at;
+}
+
+/** A length-prefixed vector, serialized. */
+template <typename T>
+std::string
+vecBytes(const std::vector<T> &v)
+{
+    std::ostringstream out;
+    bio::writeVec(out, v);
+    return out.str();
+}
+
+/**
+ * Load @p file, which the current format version frames with a valid
+ * checksum around a body replay cannot run safely, into an engine for
+ * Problem(@p seed).  The loader must warn and restore nothing -- or,
+ * when only the live matrix shows the defect (@p claim_rejects), the
+ * cache miss must warn and refuse the restored schedule.  Either way
+ * the engine compiles and replays bit-identically to a cold engine.
+ */
+void
+expectRecompiled(const std::string &file, uint64_t seed,
+                 bool claim_rejects = false)
+{
+    std::stringstream in(file);
+    Engine warm(makeParams());
+    Problem same(seed), fresh(seed);
+    Engine cold(makeParams());
+    DenseVector x(same.a.cols());
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = Value(i % 7) - 3.0;
+
+    setLogCapture(true);
+    EXPECT_EQ(warm.loadScheduleCache(in), claim_rejects);
+    EXPECT_EQ(warm.restoredSchedules(), claim_rejects ? 1u : 0u);
+    warm.program(&same.ld, &same.table);
+    cold.program(&fresh.ld, &fresh.table);
+    for (int run = 0; run < 2; ++run)
+        EXPECT_EQ(warm.runSpmv(x), cold.runSpmv(x));
+    std::string log = setLogCapture(false);
+    EXPECT_NE(log.find(claim_rejects ? "recompiling"
+                                     : "schedule cache unusable"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(warm.scheduleCompiles(), 1u);
+    EXPECT_EQ(statDump(warm), statDump(cold));
+}
+
+/** A saved one-schedule cache for Problem(@p seed). */
+std::string
+savedCache(uint64_t seed)
+{
+    Problem p(seed);
+    Engine e(makeParams());
+    e.program(&p.ld, &p.table);
+    e.prepareSchedule();
+    std::stringstream out;
+    EXPECT_TRUE(e.saveScheduleCache(out));
+    return out.str();
+}
 
 } // namespace
 
@@ -229,13 +336,7 @@ TEST(ScheduleCachePersistence, FileRoundTripAndMissingFile)
 
 TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
 {
-    Problem p(41);
-    Engine e(makeParams());
-    e.program(&p.ld, &p.table);
-    e.prepareSchedule();
-    std::stringstream good;
-    ASSERT_TRUE(e.saveScheduleCache(good));
-    const std::string bytes = good.str();
+    const std::string bytes = savedCache(41);
 
     auto loadFails = [&](std::string mutated) {
         std::stringstream ss(std::move(mutated));
@@ -270,17 +371,7 @@ TEST(ScheduleCachePersistence, CorruptionFallsBackToRecompile)
 
     // After any failed load the engine recompiles and still computes
     // the right answer.
-    Engine fresh(makeParams());
-    std::stringstream trunc(bytes.substr(0, bytes.size() / 2));
-    EXPECT_FALSE(fresh.loadScheduleCache(trunc));
-    Problem same(41);
-    fresh.program(&same.ld, &same.table);
-    DenseVector x(p.a.cols(), 1.0);
-    Engine ref(makeParams());
-    Problem refp(41);
-    ref.program(&refp.ld, &refp.table);
-    EXPECT_EQ(fresh.runSpmv(x), ref.runSpmv(x));
-    EXPECT_EQ(fresh.scheduleCompiles(), 1u);
+    expectRecompiled(bytes.substr(0, bytes.size() / 2), 41);
 }
 
 TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
@@ -288,48 +379,49 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     // Every older format must be rejected and recompiled.  Version 1
     // keyed schedules on byte-wise FNV-1a digests; versions 1 and 2
     // also wrote each schedule's timing-partition and D-SymGS level
-    // boundaries right after the parallelSafe flag.  The legacy file
-    // built here carries both vectors under a valid checksum, so only
-    // the version check stops the loader from misparsing it.
+    // boundaries right after the parallelSafe flag; versions 1 to 3
+    // also wrote xValid, validRows and rowUseful.  The legacy files
+    // built here carry exactly those layouts under a valid checksum,
+    // so only the version check stops the loader from misparsing them.
     Problem p(45);
-    Engine e(makeParams());
-    e.program(&p.ld, &p.table);
-    e.prepareSchedule();
-    std::stringstream good;
-    ASSERT_TRUE(e.saveScheduleCache(good));
-    const std::string file = good.str();
-
-    // Header: magic and version (u32), then the params fingerprint,
-    // body length and body checksum (u64).  The body holds one
-    // schedule, whose record ends with the fields that follow the
-    // boundary vectors: contiguousRows (u8), finalOutRow (i64),
-    // lastDp (u8), ten doubles and three u64.
-    const size_t header = 4 + 4 + 3 * 8;
-    const size_t tail = 1 + 8 + 1 + 10 * 8 + 3 * 8;
-    std::string body = file.substr(header);
+    const std::string file = savedCache(45);
+    const std::string body = file.substr(kCacheHeader);
     ExecSchedule s = compileSchedule(p.ld, p.table, makeParams());
-    ASSERT_EQ(body[body.size() - tail - 1], char(s.parallelSafe));
+
+    // Version 3: the three arrays, with the values the version-3
+    // compiler gave them, in front of xOff, chainCycles and values.
+    std::vector<Index> xValid(s.pathCount), validRows(s.pathCount, 0);
+    std::vector<Index> rowUseful(s.rowIndex.size());
+    for (size_t i = 0; i < s.pathCount; ++i)
+        xValid[i] = std::min<Index>(s.omega,
+                                    p.a.cols() - s.blockCol[i] * s.omega);
+    for (size_t rr = 0; rr < rowUseful.size(); ++rr)
+        rowUseful[rr] = Index(std::count_if(
+            s.values.begin() + std::ptrdiff_t(rr * s.omega),
+            s.values.begin() + std::ptrdiff_t((rr + 1) * s.omega),
+            [](Value v) { return v != 0.0; }));
+    std::string v3 = body;
+    v3.insert(vectorAt(body, kValues), vecBytes(rowUseful));
+    v3.insert(vectorAt(body, kChainCycles), vecBytes(validRows));
+    v3.insert(vectorAt(body, kXOff), vecBytes(xValid));
+
+    // Versions 1 and 2: the boundary vectors too.  The schedule record
+    // ends with the fields that follow them: contiguousRows (u8),
+    // finalOutRow (i64), lastDp (u8), ten doubles and three u64.
+    const size_t tail = 1 + 8 + 1 + 10 * 8 + 3 * 8;
+    ASSERT_EQ(v3[v3.size() - tail - 1], char(s.parallelSafe));
     uint64_t padded = 0;
-    std::memcpy(&padded, body.data() + body.size() - 8, 8);
+    std::memcpy(&padded, v3.data() + v3.size() - 8, 8);
     ASSERT_EQ(padded, s.paddedOperand);
-    std::ostringstream bounds;
-    bio::writeVec(bounds, std::vector<size_t>{0, s.pathCount / 2,
-                                              s.pathCount});
-    bio::writeVec(bounds, std::vector<size_t>{}); // no levels in SpMV
-    body.insert(body.size() - tail, bounds.str());
+    std::string v2 = v3;
+    v2.insert(v2.size() - tail,
+              vecBytes(std::vector<size_t>{0, s.pathCount / 2,
+                                           s.pathCount}) +
+                  vecBytes(std::vector<size_t>{})); // no levels in SpMV
 
-    for (uint32_t version : {1u, 2u}) {
+    for (uint32_t version : {1u, 2u, 3u}) {
         SCOPED_TRACE("version " + std::to_string(version));
-        std::ostringstream legacy;
-        legacy.write(file.data(), 4); // magic
-        bio::writePod<uint32_t>(legacy, version);
-        legacy.write(file.data() + 8, 8); // params fingerprint
-        bio::writePod<uint64_t>(legacy, uint64_t(body.size()));
-        bio::writePod<uint64_t>(legacy,
-                                hash::ofBytes(body.data(), body.size()));
-        legacy << body;
-
-        std::stringstream old(legacy.str());
+        std::stringstream old(reframe(file, version < 3 ? v2 : v3, version));
         Engine warm(makeParams());
         setLogCapture(true);
         EXPECT_FALSE(warm.loadScheduleCache(old));
@@ -343,14 +435,56 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     }
 }
 
+TEST(ScheduleCachePersistence, OperandOffsetOutsideTheStagedOperand)
+{
+    // Every xOff at 2^30: a chunk load a gigabyte past the staged
+    // operand.
+    const std::string file = savedCache(46);
+    std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kXOff);
+    uint64_t n = 0;
+    std::memcpy(&n, body.data() + at, sizeof(n));
+    ASSERT_GT(n, 0u);
+    const uint32_t far = uint32_t(1) << 30;
+    for (uint64_t i = 0; i < n; ++i)
+        std::memcpy(body.data() + at + 8 + i * sizeof(far), &far,
+                    sizeof(far));
+    expectRecompiled(reframe(file, body), 46);
+}
+
+TEST(ScheduleCachePersistence, PerPathArrayShorterThanThePaths)
+{
+    // memCycles cut to a single entry: every run would read past it.
+    const std::string file = savedCache(47);
+    std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kMemCycles);
+    const size_t end = vectorAt(body, kStreamBytes);
+    body.replace(at, end - at, vecBytes(std::vector<uint64_t>{1}));
+    expectRecompiled(reframe(file, body), 47);
+}
+
+TEST(ScheduleCachePersistence, RowRecordOutsideTheLiveMatrix)
+{
+    // The last row record at 2^30: the schedule is consistent on its
+    // own, but the matrix it is claimed for has no such row.
+    const std::string file = savedCache(49);
+    std::string body = file.substr(kCacheHeader);
+    const size_t end = vectorAt(body, kValues);
+    const Index far = Index(1) << 30;
+    std::memcpy(body.data() + end - sizeof(far), &far, sizeof(far));
+    expectRecompiled(reframe(file, body), 49, true);
+}
+
+TEST(ScheduleCachePersistence, BytesAfterTheLastSchedule)
+{
+    const std::string file = savedCache(48);
+    std::string body = file.substr(kCacheHeader) + std::string(8, '\0');
+    expectRecompiled(reframe(file, body), 48);
+}
+
 TEST(ScheduleCachePersistence, ParamsFingerprintMismatchRejected)
 {
-    Problem p(51);
-    Engine e(makeParams(8));
-    e.program(&p.ld, &p.table);
-    e.prepareSchedule();
-    std::stringstream ss;
-    ASSERT_TRUE(e.saveScheduleCache(ss));
+    std::stringstream ss(savedCache(51));
 
     // A different omega reshapes every schedule: the fingerprint gate
     // rejects the whole file and the engine recompiles.

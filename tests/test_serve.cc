@@ -21,19 +21,12 @@
 #include "common/random.hh"
 #include "common/request_queue.hh"
 #include "common/timeline.hh"
+#include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
 
 using namespace alr;
 
 namespace {
-
-std::string
-statDump(Engine &e)
-{
-    std::ostringstream os;
-    e.statGroup().dump(os);
-    return os.str();
-}
 
 /** Three small PDE matrices with distinct structure. */
 std::vector<CsrMatrix>

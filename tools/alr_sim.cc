@@ -20,7 +20,7 @@
  * diff (per-bucket cycle deltas, stat deltas, energy deltas):
  *
  *   alr_sim --gen stencil3d:24 --kernel pcg --ab "--omega 16"
- *   alr_sim --gen banded:4096 --kernel spmv --ab "--no-schedule" --json
+ *   alr_sim --gen banded:4096 --kernel spmv --ab "--simd scalar" --json
  *   alr_sim --gen stencil2d:64 --kernel spmv --ab "--rcm" \
  *           --fail-on 'cycles>0.1%'
  */
@@ -79,7 +79,6 @@ struct Options
     Index omega = 8;
     Index source = 0;
     bool rcm = false;
-    bool noSchedule = false;
     SimdMode simdMode = SimdMode::Auto;
     bool dumpStats = false;
     bool json = false;
@@ -108,7 +107,7 @@ usage()
         "               [--profile-folded F.folded]\n"
         "               [--iters N] [--threads N] [--engine-threads N]\n"
         "               [--schedule-cache N]\n"
-        "               [--save F.alr] [--trace F.log] [--no-schedule]\n"
+        "               [--save F.alr] [--trace F.log]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULE]\n"
         "               [--version]\n"
         "  SPEC: stencil2d:N | stencil3d:N | banded:N | rmat:SCALE |\n"
@@ -121,13 +120,10 @@ usage()
         "  --profile F       cycle-accounting profile (JSON)\n"
         "  --profile-csv F   per-block-row cause heatmap (CSV)\n"
         "  --profile-folded  flamegraph.pl-compatible folded stacks\n"
-        "  --no-schedule     interpreter engine (no compiled schedules)\n"
         "  --simd MODE       replay kernel ISA: auto (default; widest\n"
         "                    the CPU runs), scalar, sse2, avx2, avx512,\n"
         "                    neon; forced modes fall back down the chain\n"
         "                    with a warning when unavailable\n"
-        "                    (--no-simd is kept as an alias for\n"
-        "                    --simd scalar)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"
         "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"
@@ -135,7 +131,7 @@ usage()
         "                    same process) and print the attributed\n"
         "                    cycle/stat/energy diff; engine and kernel\n"
         "                    knobs only (--omega, --simd, --rcm,\n"
-        "                    --no-schedule, ...), no file I/O flags\n"
+        "                    --iters, ...), no file I/O flags\n"
         "  --fail-on RULE    with --ab: exit 1 when the diff exceeds\n"
         "                    METRIC>NUM[%%], e.g. 'cycles>0.1%%'\n"
         "  --version         print build provenance and exit\n");
@@ -242,17 +238,10 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
                 parseInteger("--schedule-cache", next(), 1, kMaxCount));
         } else if (arg == "--simd") {
             std::string mode = next();
-            if (!replay::parseSimdMode(mode.c_str(), &opt.simdMode)) {
-                std::fprintf(stderr, "alr_sim: unknown --simd mode '%s'\n",
-                             mode.c_str());
-                usage();
-            }
-        } else if (arg == "--no-simd") {
-            opt.simdMode = SimdMode::Scalar;
+            if (!replay::parseSimdMode(mode.c_str(), &opt.simdMode))
+                fatal("unknown --simd mode '%s'", mode.c_str());
         } else if (arg == "--rcm") {
             opt.rcm = true;
-        } else if (arg == "--no-schedule") {
-            opt.noSchedule = true;
         } else if (arg == "--stats") {
             opt.dumpStats = true;
         } else if (arg == "--json") {
@@ -326,10 +315,6 @@ paramsFrom(const Options &opt)
 {
     AccelParams params;
     params.omega = opt.omega;
-    // --no-schedule pins the engine to the per-iteration interpreter
-    // (the two modes are bit-identical; this exposes the slow path for
-    // debugging and for timing the schedule compiler's benefit).
-    params.useSchedule = !opt.noSchedule;
     // Functional-replay knobs: both are bit-identical to the defaults,
     // exposed for timing the host-side replay cost in isolation.
     if (opt.engineThreads > 0)

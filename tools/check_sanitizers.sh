@@ -4,8 +4,12 @@
 #   1. ASan + UBSan build, full ctest suite.
 #   2. TSan build, the suites that run on thread pools (thread pool,
 #      parallel encode/convert/compile determinism, multi-engine
-#      scale-out, scheduled replay, profiles, concurrent serving) with
-#      a high thread count to provoke races.
+#      scale-out, profiles, concurrent serving) and every equivalence
+#      suite (scheduled replay against the reference engine, serving)
+#      with a high thread count to provoke races.
+#
+# Both builds compile the whole tree, the test-only reference engine
+# (tests/reference) included.
 #
 # Usage: tools/check_sanitizers.sh [build-dir-prefix]
 # Exits non-zero on any build failure, test failure, or sanitizer report.
@@ -54,6 +58,6 @@ done
 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "-fsanitize=thread" \
     "TSan" \
-    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|ScheduleEquivalence|Profile|ServeConcurrency|ServeEquivalence'
+    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|ServeConcurrency'
 
 echo "== sanitizers: all passes clean =="
