@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction harnesses: markdown table
- * printing, geometric means, and the standard Alrescha measurement
- * wrappers used by several benches.
+ * printing, geometric means, the BENCH_*.json document helpers (built
+ * as json::Value, written through json::Writer), and the standard
+ * Alrescha measurement wrappers used by several benches.
  */
 
 #ifndef ALR_BENCH_BENCH_UTIL_HH
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "alrescha/accelerator.hh"
+#include "common/json.hh"
 #include "common/version.hh"
 #include "datasets/suites.hh"
 
@@ -107,187 +109,52 @@ wallMsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-inline std::string
-jsonEscape(const std::string &s)
+/** The root object of a BENCH_*.json artifact.  It is stamped with
+ *  the repo-wide schema_version first, so no bench can forget it. */
+inline json::Value
+benchDocument(const char *bench)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    json::Value root = json::Value::object();
+    root.set("schema_version", version::kJsonSchemaVersion)
+        .set("bench", bench);
+    return root;
 }
-
-/** Shortest round-trippable representation of a finite double. */
-inline std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-/**
- * Minimal insertion-ordered JSON builder for the machine-readable bench
- * result files (BENCH_*.json).  Members serialize in the order they were
- * added; nested objects/arrays nest via raw().  Not a parser, not
- * general purpose -- just enough structure for the CI perf-smoke job to
- * json.load the output.
- */
-class JsonObject
-{
-  public:
-    JsonObject &raw(const std::string &key, std::string json)
-    {
-        _members.emplace_back(key, std::move(json));
-        return *this;
-    }
-
-    JsonObject &add(const std::string &key, const std::string &v)
-    {
-        return raw(key, "\"" + jsonEscape(v) + "\"");
-    }
-    JsonObject &add(const std::string &key, const char *v)
-    {
-        return add(key, std::string(v));
-    }
-    JsonObject &add(const std::string &key, double v)
-    {
-        return raw(key, jsonNumber(v));
-    }
-    JsonObject &add(const std::string &key, uint64_t v)
-    {
-        return raw(key, std::to_string(v));
-    }
-    JsonObject &add(const std::string &key, int v)
-    {
-        return raw(key, std::to_string(v));
-    }
-
-    bool has(const std::string &key) const
-    {
-        for (const auto &[k, v] : _members)
-            if (k == key)
-                return true;
-        return false;
-    }
-
-    /** Insert a member at the front (schema_version stamping). */
-    JsonObject &prepend(const std::string &key, int v)
-    {
-        _members.emplace(_members.begin(), key, std::to_string(v));
-        return *this;
-    }
-
-    std::string
-    dump(int indent = 0) const
-    {
-        std::string pad(size_t(indent) + 2, ' ');
-        std::string out = "{";
-        for (size_t i = 0; i < _members.size(); ++i) {
-            out += i ? ",\n" : "\n";
-            out += pad + "\"" + jsonEscape(_members[i].first) +
-                   "\": " + _members[i].second;
-        }
-        out += "\n" + std::string(size_t(indent), ' ') + "}";
-        return out;
-    }
-
-  private:
-    std::vector<std::pair<std::string, std::string>> _members;
-};
-
-/** Array counterpart: holds pre-serialized element values. */
-class JsonArray
-{
-  public:
-    JsonArray &raw(std::string json)
-    {
-        _elems.push_back(std::move(json));
-        return *this;
-    }
-    JsonArray &add(const JsonObject &obj, int indent = 0)
-    {
-        return raw(obj.dump(indent + 2));
-    }
-
-    std::string
-    dump(int indent = 0) const
-    {
-        if (_elems.empty())
-            return "[]";
-        std::string pad(size_t(indent) + 2, ' ');
-        std::string out = "[";
-        for (size_t i = 0; i < _elems.size(); ++i) {
-            out += i ? ",\n" : "\n";
-            out += pad + _elems[i];
-        }
-        out += "\n" + std::string(size_t(indent), ' ') + "]";
-        return out;
-    }
-
-  private:
-    std::vector<std::string> _elems;
-};
 
 /** Write @p root to @p path (with trailing newline); prints the path so
- *  bench logs show where the machine-readable copy landed.  Every BENCH
- *  artifact is stamped with the repo-wide schema_version (prepended
- *  here so individual benches cannot forget it). */
+ *  bench logs show where the machine-readable copy landed. */
 inline bool
-writeJsonFile(const std::string &path, const JsonObject &root)
+writeJsonFile(const std::string &path, const json::Value &root)
 {
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
         return false;
     }
-    if (root.has("schema_version")) {
-        out << root.dump() << "\n";
-    } else {
-        JsonObject stamped = root;
-        stamped.prepend("schema_version", version::kJsonSchemaVersion);
-        out << stamped.dump() << "\n";
-    }
+    json::dump(out, root);
+    out << "\n";
     std::printf("wrote %s\n", path.c_str());
     return bool(out);
 }
 
 /**
  * Modeled-counter sub-object for BENCH_*.json rows: deterministic
- * functions of the simulated configuration, so the regression guard
- * (tools/bench_compare.py) diffs them exactly, like cycles and
- * bytes_streamed.
+ * functions of the simulated configuration, so alr_diff's `stats` rule
+ * gates every field exactly, like cycles and bytes_streamed.
  */
-inline JsonObject
+inline json::Value
 modeledStats(const Accelerator &acc)
 {
     const Engine &e = acc.engine();
-    JsonObject s;
-    s.add("alu_ops", e.fcu().aluOps())
-        .add("reduce_ops", e.fcu().reduceOps())
-        .add("cache_hits", e.rcu().cache().hits())
-        .add("cache_misses", e.rcu().cache().misses())
-        .add("reconfigurations", e.rcu().reconfigurations())
-        .add("reconfig_stall_cycles", e.rcu().reconfigStallCycles())
-        .add("reconfig_hidden_frac", e.rcu().reconfigHiddenFraction())
-        .add("seq_flops", e.seqFlops())
-        .add("par_flops", e.parFlops());
+    json::Value s = json::Value::object();
+    s.set("alu_ops", e.fcu().aluOps())
+        .set("reduce_ops", e.fcu().reduceOps())
+        .set("cache_hits", e.rcu().cache().hits())
+        .set("cache_misses", e.rcu().cache().misses())
+        .set("reconfigurations", e.rcu().reconfigurations())
+        .set("reconfig_stall_cycles", e.rcu().reconfigStallCycles())
+        .set("reconfig_hidden_frac", e.rcu().reconfigHiddenFraction())
+        .set("seq_flops", e.seqFlops())
+        .set("par_flops", e.parFlops());
     return s;
 }
 

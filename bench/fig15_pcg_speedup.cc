@@ -31,7 +31,7 @@ main()
     Table table({"dataset", "Alrescha x", "Memristive x", "Alr BW util",
                  "Mem BW util"});
     std::vector<double> alr_speedups, mem_speedups;
-    JsonArray json_rows;
+    json::Value json_rows = json::Value::array();
 
     for (const Dataset &d : scientificSuite()) {
         auto start = std::chrono::steady_clock::now();
@@ -48,31 +48,30 @@ main()
         table.addRow({d.name, fmt(alr_x, 1), fmt(mem_x, 1),
                       fmt(acc.report().bandwidthUtilization, 2),
                       fmt(mem.bandwidthUtilization(d.matrix), 2)});
-        JsonObject row;
-        row.add("name", d.name)
-            .add("suite", "scientific")
-            .add("wall_ms", wall_ms)
-            .add("cycles", acc.engine().totalCycles())
-            .add("bytes_streamed", acc.engine().memory().bytesStreamed())
-            .add("alrescha_speedup", alr_x)
-            .add("memristive_speedup", mem_x)
-            .add("alrescha_bw_utilization",
+        json::Value row = json::Value::object();
+        row.set("name", d.name)
+            .set("suite", "scientific")
+            .set("wall_ms", wall_ms)
+            .set("cycles", acc.engine().totalCycles())
+            .set("bytes_streamed", acc.engine().memory().bytesStreamed())
+            .set("alrescha_speedup", alr_x)
+            .set("memristive_speedup", mem_x)
+            .set("alrescha_bw_utilization",
                  acc.report().bandwidthUtilization)
-            .raw("stats", modeledStats(acc).dump(6));
-        json_rows.add(row, 2);
+            .set("stats", modeledStats(acc));
+        json_rows.append(std::move(row));
     }
     table.addRow({"geo-mean", fmt(geoMean(alr_speedups), 1),
                   fmt(geoMean(mem_speedups), 1), "", ""});
     table.print();
 
-    JsonObject geo;
-    geo.add("alrescha", geoMean(alr_speedups))
-        .add("memristive", geoMean(mem_speedups));
-    JsonObject root;
-    root.add("bench", "fig15_pcg_speedup")
-        .add("kernel", "pcg_iteration")
-        .raw("datasets", json_rows.dump(2))
-        .raw("geo_mean_speedup", geo.dump(2));
+    json::Value geo = json::Value::object();
+    geo.set("alrescha", geoMean(alr_speedups))
+        .set("memristive", geoMean(mem_speedups));
+    json::Value root = benchDocument("fig15_pcg_speedup");
+    root.set("kernel", "pcg_iteration")
+        .set("datasets", std::move(json_rows))
+        .set("geo_mean_speedup", std::move(geo));
     writeJsonFile("BENCH_pcg.json", root);
 
     std::printf("\npaper: Alrescha averages 15.6x over the GPU and about\n"

@@ -31,7 +31,7 @@ main()
     GpuModel gpu;
     Accelerator acc;
     Table table({"dataset", "GPU seq %", "Alrescha seq %"});
-    JsonArray json_rows;
+    json::Value json_rows = json::Value::array();
 
     double gpuSum = 0.0, alrSum = 0.0;
     auto suite = scientificSuite();
@@ -52,30 +52,29 @@ main()
         table.addRow({d.name, fmt(100.0 * gpuFrac, 1),
                       fmt(100.0 * alrFrac, 1)});
 
-        JsonObject row;
-        row.add("name", d.name)
-            .add("suite", "scientific")
-            .add("wall_ms", wall_ms)
-            .add("cycles", acc.engine().totalCycles())
-            .add("bytes_streamed", acc.engine().memory().bytesStreamed())
-            .add("gpu_seq_pct", 100.0 * gpuFrac)
-            .add("alrescha_seq_pct", 100.0 * alrFrac)
-            .raw("stats", modeledStats(acc).dump(6));
-        json_rows.add(row, 2);
+        json::Value row = json::Value::object();
+        row.set("name", d.name)
+            .set("suite", "scientific")
+            .set("wall_ms", wall_ms)
+            .set("cycles", acc.engine().totalCycles())
+            .set("bytes_streamed", acc.engine().memory().bytesStreamed())
+            .set("gpu_seq_pct", 100.0 * gpuFrac)
+            .set("alrescha_seq_pct", 100.0 * alrFrac)
+            .set("stats", modeledStats(acc));
+        json_rows.append(std::move(row));
     }
     double n = double(suite.size());
     table.addRow({"average", fmt(100.0 * gpuSum / n, 1),
                   fmt(100.0 * alrSum / n, 1)});
     table.print();
 
-    JsonObject avg;
-    avg.add("gpu_seq_pct", 100.0 * gpuSum / n)
-        .add("alrescha_seq_pct", 100.0 * alrSum / n);
-    JsonObject root;
-    root.add("bench", "fig16_sequential_fraction")
-        .add("kernel", "symgs")
-        .raw("datasets", json_rows.dump(2))
-        .raw("average", avg.dump(2));
+    json::Value avg = json::Value::object();
+    avg.set("gpu_seq_pct", 100.0 * gpuSum / n)
+        .set("alrescha_seq_pct", 100.0 * alrSum / n);
+    json::Value root = benchDocument("fig16_sequential_fraction");
+    root.set("kernel", "symgs")
+        .set("datasets", std::move(json_rows))
+        .set("average", std::move(avg));
     writeJsonFile("BENCH_symgs.json", root);
 
     std::printf("\npaper: the GPU implementation still averages 60.9%%\n"

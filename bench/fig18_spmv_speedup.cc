@@ -26,12 +26,12 @@ struct Measurement
     double wall_ms = 0.0;
     uint64_t cycles = 0;
     double bytes = 0.0;
-    std::string statsJson;
+    json::Value stats;
 };
 
 void
 runSuite(const std::vector<Dataset> &suite, const char *label,
-         std::vector<double> &alr_speedups, JsonArray &json_rows)
+         std::vector<double> &alr_speedups, json::Value &json_rows)
 {
     std::printf("-- %s datasets --\n", label);
     Table table({"dataset", "Alrescha x", "OuterSPACE x",
@@ -56,7 +56,7 @@ runSuite(const std::vector<Dataset> &suite, const char *label,
                    wallMsSince(start),
                    acc.engine().totalCycles(),
                    acc.engine().memory().bytesStreamed(),
-                   modeledStats(acc).dump(6)};
+                   modeledStats(acc)};
     });
 
     std::vector<double> os_speedups;
@@ -67,17 +67,17 @@ runSuite(const std::vector<Dataset> &suite, const char *label,
         table.addRow({suite[i].name, fmt(m.alr_speedup, 1),
                       fmt(m.os_speedup, 1), fmt(m.alr_cache_pct, 1),
                       fmt(m.os_cache_pct, 1)});
-        JsonObject row;
-        row.add("name", suite[i].name)
-            .add("suite", label)
-            .add("wall_ms", m.wall_ms)
-            .add("cycles", m.cycles)
-            .add("bytes_streamed", m.bytes)
-            .add("alrescha_speedup", m.alr_speedup)
-            .add("outerspace_speedup", m.os_speedup)
-            .add("alrescha_cache_time_pct", m.alr_cache_pct)
-            .raw("stats", m.statsJson);
-        json_rows.add(row, 2);
+        json::Value row = json::Value::object();
+        row.set("name", suite[i].name)
+            .set("suite", label)
+            .set("wall_ms", m.wall_ms)
+            .set("cycles", m.cycles)
+            .set("bytes_streamed", m.bytes)
+            .set("alrescha_speedup", m.alr_speedup)
+            .set("outerspace_speedup", m.os_speedup)
+            .set("alrescha_cache_time_pct", m.alr_cache_pct)
+            .set("stats", m.stats);
+        json_rows.append(std::move(row));
     }
     table.addRow({"geo-mean", fmt(geoMean(alr_speedups), 1),
                   fmt(geoMean(os_speedups), 1), "", ""});
@@ -94,17 +94,16 @@ main()
                 "OuterSPACE ==\n\n");
 
     std::vector<double> sci, graph;
-    JsonArray json_rows;
+    json::Value json_rows = json::Value::array();
     runSuite(scientificSuite(), "scientific", sci, json_rows);
     runSuite(graphSuite(), "graph", graph, json_rows);
 
-    JsonObject geo;
-    geo.add("scientific", geoMean(sci)).add("graph", geoMean(graph));
-    JsonObject root;
-    root.add("bench", "fig18_spmv_speedup")
-        .add("kernel", "spmv")
-        .raw("datasets", json_rows.dump(2))
-        .raw("geo_mean_speedup", geo.dump(2));
+    json::Value geo = json::Value::object();
+    geo.set("scientific", geoMean(sci)).set("graph", geoMean(graph));
+    json::Value root = benchDocument("fig18_spmv_speedup");
+    root.set("kernel", "spmv")
+        .set("datasets", std::move(json_rows))
+        .set("geo_mean_speedup", std::move(geo));
     writeJsonFile("BENCH_spmv.json", root);
 
     std::printf("paper: Alrescha averages 6.9x (scientific) and 13.6x\n"

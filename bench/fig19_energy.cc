@@ -23,23 +23,23 @@ using namespace alr::bench;
 namespace {
 
 /** The per-component breakdown as a BENCH row sub-object (joules). */
-JsonObject
+json::Value
 energyJson(const EnergyBreakdown &e)
 {
-    JsonObject out;
-    out.add("dram", e.dram)
-        .add("sram", e.sram)
-        .add("compute", e.compute)
-        .add("reconfig", e.reconfig)
-        .add("static", e.staticEnergy)
-        .add("total", e.total());
+    json::Value out = json::Value::object();
+    out.set("dram", e.dram)
+        .set("sram", e.sram)
+        .set("compute", e.compute)
+        .set("reconfig", e.reconfig)
+        .set("static", e.staticEnergy)
+        .set("total", e.total());
     return out;
 }
 
 void
 runSuite(const std::vector<Dataset> &suite, const char *label,
          std::vector<double> &vsCpu, std::vector<double> &vsGpu,
-         JsonArray &jsonRows)
+         json::Value &jsonRows)
 {
     CpuModel cpu;
     GpuModel gpu;
@@ -63,20 +63,20 @@ runSuite(const std::vector<Dataset> &suite, const char *label,
                       fmt(cpu_e * 1e6, 1), fmt(gpu_e / alr_e, 1),
                       fmt(cpu_e / alr_e, 1)});
 
-        JsonObject row;
-        row.add("name", d.name)
-            .add("suite", label)
-            .add("wall_ms", wall_ms)
-            .add("cycles", acc.engine().totalCycles())
-            .add("bytes_streamed", acc.engine().memory().bytesStreamed())
-            .add("alrescha_uj", alr_e * 1e6)
-            .add("gpu_uj", gpu_e * 1e6)
-            .add("cpu_uj", cpu_e * 1e6)
-            .add("vs_gpu", gpu_e / alr_e)
-            .add("vs_cpu", cpu_e / alr_e)
-            .raw("energy", energyJson(r.energy).dump(6))
-            .raw("stats", modeledStats(acc).dump(6));
-        jsonRows.add(row, 2);
+        json::Value row = json::Value::object();
+        row.set("name", d.name)
+            .set("suite", label)
+            .set("wall_ms", wall_ms)
+            .set("cycles", acc.engine().totalCycles())
+            .set("bytes_streamed", acc.engine().memory().bytesStreamed())
+            .set("alrescha_uj", alr_e * 1e6)
+            .set("gpu_uj", gpu_e * 1e6)
+            .set("cpu_uj", cpu_e * 1e6)
+            .set("vs_gpu", gpu_e / alr_e)
+            .set("vs_cpu", cpu_e / alr_e)
+            .set("energy", energyJson(r.energy))
+            .set("stats", modeledStats(acc));
+        jsonRows.append(std::move(row));
     }
     table.print();
     std::printf("\n");
@@ -91,7 +91,7 @@ main()
                 "and GPU (SpMV) ==\n\n");
 
     std::vector<double> vsCpu, vsGpu;
-    JsonArray jsonRows;
+    json::Value jsonRows = json::Value::array();
     runSuite(scientificSuite(), "scientific", vsCpu, vsGpu, jsonRows);
     runSuite(graphSuite(), "graph", vsCpu, vsGpu, jsonRows);
 
@@ -99,12 +99,11 @@ main()
                 fmt(geoMean(vsGpu), 1).c_str(),
                 fmt(geoMean(vsCpu), 1).c_str());
 
-    JsonObject root;
-    root.add("bench", "fig19_energy")
-        .add("kernel", "spmv")
-        .raw("datasets", jsonRows.dump(2))
-        .add("geo_mean_vs_gpu", geoMean(vsGpu))
-        .add("geo_mean_vs_cpu", geoMean(vsCpu));
+    json::Value root = benchDocument("fig19_energy");
+    root.set("kernel", "spmv")
+        .set("datasets", std::move(jsonRows))
+        .set("geo_mean_vs_gpu", geoMean(vsGpu))
+        .set("geo_mean_vs_cpu", geoMean(vsCpu));
     writeJsonFile("BENCH_energy.json", root);
 
     std::printf("\npaper: 14x less energy than the GPU and 74x less than\n"

@@ -5,7 +5,9 @@
  * the req/s ratio isolates coalescing), plus a mixed-op pass for
  * coverage.  Emits BENCH_serve.json: modeled counters are exact
  * regression anchors; wall-clock req/s and latency percentiles are
- * informational.
+ * informational.  Exits 1 when observability perturbs the modeled
+ * results or costs over 25% wall time, or when batching changes a
+ * checksum, saves no work items or cycles, or is not faster.
  */
 
 #include <cstdio>
@@ -104,7 +106,7 @@ runObservedPass(const std::vector<Dataset> &suite, const TraceParams &tp,
     return p;
 }
 
-JsonObject
+json::Value
 rowOf(const char *name, const Pass &p)
 {
     double checksum = 0.0, reqCycles = 0.0;
@@ -113,40 +115,40 @@ rowOf(const char *name, const Pass &p)
     for (double c : p.res.modeledCycles)
         reqCycles += c;
 
-    JsonObject stats;
-    stats.add("completed", p.res.completed)
-        .add("work_items", p.res.workItems)
-        .add("schedule_compiles", p.compiles)
-        .add("schedule_evictions", p.evictions)
-        .add("checksum_sum", checksum)
-        .add("request_cycles", reqCycles);
+    json::Value stats = json::Value::object();
+    stats.set("completed", p.res.completed)
+        .set("work_items", p.res.workItems)
+        .set("schedule_compiles", p.compiles)
+        .set("schedule_evictions", p.evictions)
+        .set("checksum_sum", checksum)
+        .set("request_cycles", reqCycles);
 
-    JsonObject row;
-    row.add("name", name)
-        .add("suite", "serve")
-        .add("wall_ms", p.res.wallMs)
-        .add("cycles", p.cycles)
-        .add("bytes_streamed", p.bytes)
-        .add("requests_per_sec", p.res.requestsPerSec)
-        .add("latency_p50_ns", p.res.latencyNs.percentile(50))
-        .add("latency_p95_ns", p.res.latencyNs.percentile(95))
-        .add("latency_p99_ns", p.res.latencyNs.percentile(99))
-        .raw("stats", stats.dump(6));
+    json::Value row = json::Value::object();
+    row.set("name", name)
+        .set("suite", "serve")
+        .set("wall_ms", p.res.wallMs)
+        .set("cycles", p.cycles)
+        .set("bytes_streamed", p.bytes)
+        .set("requests_per_sec", p.res.requestsPerSec)
+        .set("latency_p50_ns", p.res.latencyNs.percentile(50))
+        .set("latency_p95_ns", p.res.latencyNs.percentile(95))
+        .set("latency_p99_ns", p.res.latencyNs.percentile(99))
+        .set("stats", std::move(stats));
     return row;
 }
 
-std::string
+json::Value
 histogramJson(const stats::Distribution &d)
 {
     // Batch sizes are small integers; report the occupied log2 buckets
     // as "upper_edge: count" pairs.
-    JsonObject h;
+    json::Value h = json::Value::object();
     for (size_t b = 0; b < stats::Distribution::kBuckets; ++b) {
         if (!d.buckets()[b])
             continue;
-        h.add(std::to_string(1ull << b), d.buckets()[b]);
+        h.set(std::to_string(1ull << b), d.buckets()[b]);
     }
-    return h.dump(2);
+    return h;
 }
 
 } // namespace
@@ -234,19 +236,40 @@ main()
         return 1;
     }
 
-    JsonArray rows;
-    rows.add(rowOf("spmv_batch_off", off), 2);
-    rows.add(rowOf("spmv_batch_on", on), 2);
-    rows.add(rowOf("mixed", mixed), 2);
-    rows.add(rowOf("spmv_batch_on_observed", obs), 2);
+    // Batching gate (hard): coalescing must return every request's
+    // checksum unchanged, in fewer work items and modeled cycles, and
+    // the single-thread drain must be faster on the wall clock.
+    if (on.res.checksums != off.res.checksums) {
+        std::printf("ERROR: batching changed request checksums\n");
+        return 1;
+    }
+    if (on.res.workItems >= off.res.workItems || on.cycles >= off.cycles) {
+        std::printf("ERROR: batching saved no work items or cycles "
+                    "(%llu -> %llu items, %llu -> %llu cycles)\n",
+                    (unsigned long long)off.res.workItems,
+                    (unsigned long long)on.res.workItems,
+                    (unsigned long long)off.cycles,
+                    (unsigned long long)on.cycles);
+        return 1;
+    }
+    if (!(speedup > 1.0)) {
+        std::printf("ERROR: batching speedup %.2fx is not above 1x\n",
+                    speedup);
+        return 1;
+    }
 
-    JsonObject root;
-    root.add("bench", "serve_throughput")
-        .add("fleet", kFleet)
-        .raw("datasets", rows.dump(2))
-        .add("batch_speedup_wall", speedup)
-        .add("observability_overhead_wall", overhead)
-        .raw("batch_size_histogram", histogramJson(on.res.batchSize));
+    json::Value rows = json::Value::array();
+    rows.append(rowOf("spmv_batch_off", off));
+    rows.append(rowOf("spmv_batch_on", on));
+    rows.append(rowOf("mixed", mixed));
+    rows.append(rowOf("spmv_batch_on_observed", obs));
+
+    json::Value root = benchDocument("serve_throughput");
+    root.set("fleet", kFleet)
+        .set("datasets", std::move(rows))
+        .set("batch_speedup_wall", speedup)
+        .set("observability_overhead_wall", overhead)
+        .set("batch_size_histogram", histogramJson(on.res.batchSize));
     writeJsonFile("BENCH_serve.json", root);
 
     std::printf("\nCoalescing same-matrix SpMVs streams the matrix once\n"

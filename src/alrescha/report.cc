@@ -1,125 +1,75 @@
 #include "alrescha/report.hh"
 
-#include <cstdio>
-#include <sstream>
-
 #include "alrescha/sim/profile.hh"
 #include "alrescha/sim/replay.hh"
+#include "common/json.hh"
 #include "common/version.hh"
 
 namespace alr {
-
-namespace {
-
-/** snprintf into an ostream (keeps the historical printf formats). */
-void
-jnum(std::ostream &os, const char *fmt, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    os << buf;
-}
-
-} // namespace
-
-void
-writeUtilizationJson(std::ostream &os, const UtilizationReport &u,
-                     const char *pad)
-{
-    os << "{\n";
-    os << pad << "  \"cycles\": " << u.cycles << ",\n";
-    os << pad << "  \"alu_occupancy\": ";
-    jnum(os, "%.6f", u.aluOccupancy);
-    os << ",\n" << pad << "  \"tree_occupancy\": ";
-    jnum(os, "%.6f", u.treeOccupancy);
-    os << ",\n" << pad << "  \"bandwidth_utilization\": ";
-    jnum(os, "%.6f", u.bandwidthUtilization);
-    os << ",\n" << pad << "  \"cache_hit_rate\": ";
-    jnum(os, "%.6f", u.cacheHitRate);
-    os << ",\n" << pad << "  \"cache_time_fraction\": ";
-    jnum(os, "%.6f", u.cacheTimeFraction);
-    os << ",\n" << pad << "  \"sequential_op_fraction\": ";
-    jnum(os, "%.6f", u.sequentialOpFraction);
-    os << ",\n" << pad << "  \"sequential_cycle_fraction\": ";
-    jnum(os, "%.6f", u.sequentialCycleFraction);
-    os << ",\n" << pad << "  \"reconfig_hidden_frac\": ";
-    jnum(os, "%.6f", u.reconfigHiddenFraction);
-    os << ",\n" << pad << "  \"flops\": ";
-    jnum(os, "%.0f", u.flops);
-    os << ",\n" << pad << "  \"dram_bytes\": ";
-    jnum(os, "%.0f", u.dramBytes);
-    os << ",\n" << pad << "  \"arithmetic_intensity\": ";
-    jnum(os, "%.9g", u.arithmeticIntensity);
-    os << ",\n" << pad << "  \"achieved_gflops\": ";
-    jnum(os, "%.9g", u.achievedGflops);
-    os << ",\n" << pad << "  \"peak_gflops\": ";
-    jnum(os, "%.9g", u.peakGflops);
-    os << ",\n" << pad << "  \"attainable_gflops\": ";
-    jnum(os, "%.9g", u.attainableGflops);
-    os << "\n" << pad << "}";
-}
 
 void
 writeSimReportJson(std::ostream &os, const Accelerator &acc,
                    const SimReportOptions &opt)
 {
     AccelReport r = acc.report();
-    os << "{\n";
-    os << "  \"schema_version\": " << version::kJsonSchemaVersion
-       << ",\n";
-    os << "  \"kernel\": \"" << opt.kernel << "\",\n";
-    os << "  \"omega\": " << opt.omega << ",\n";
-    os << "  \"cycles\": " << r.cycles << ",\n";
-    os << "  \"seconds\": ";
-    jnum(os, "%.9g", r.seconds);
-    os << ",\n  \"dram_bytes\": ";
-    jnum(os, "%.0f", r.bytesFromMemory);
-    os << ",\n  \"bandwidth_utilization\": ";
-    jnum(os, "%.6f", r.bandwidthUtilization);
-    os << ",\n  \"sequential_op_fraction\": ";
-    jnum(os, "%.6f", r.sequentialOpFraction);
-    os << ",\n  \"reconfigurations\": ";
-    jnum(os, "%.0f", r.reconfigurations);
-    os << ",\n  \"energy_joules\": ";
-    jnum(os, "%.9g", r.energyJoules);
-    os << ",\n  \"energy_breakdown\": {\"dram\": ";
-    jnum(os, "%.9g", r.energy.dram);
-    os << ", \"sram\": ";
-    jnum(os, "%.9g", r.energy.sram);
-    os << ", \"compute\": ";
-    jnum(os, "%.9g", r.energy.compute);
-    os << ", \"reconfig\": ";
-    jnum(os, "%.9g", r.energy.reconfig);
-    os << ", \"static\": ";
-    jnum(os, "%.9g", r.energy.staticEnergy);
-    os << "}";
-    os << ",\n  \"version\": ";
-    replay::writeVersionJson(os, opt.simdMode);
+    json::Writer w(os);
+    w.beginObject()
+        .member("schema_version", version::kJsonSchemaVersion)
+        .member("kernel", opt.kernel)
+        .member("omega", opt.omega)
+        .member("cycles", r.cycles)
+        .member("seconds", r.seconds)
+        .member("dram_bytes", r.bytesFromMemory)
+        .member("bandwidth_utilization", r.bandwidthUtilization)
+        .member("sequential_op_fraction", r.sequentialOpFraction)
+        .member("reconfigurations", r.reconfigurations)
+        .member("energy_joules", r.energyJoules)
+        .key("energy_breakdown")
+        .beginObject(true)
+        .member("dram", r.energy.dram)
+        .member("sram", r.energy.sram)
+        .member("compute", r.energy.compute)
+        .member("reconfig", r.energy.reconfig)
+        .member("static", r.energy.staticEnergy)
+        .end()
+        .key("version");
+    replay::writeVersionJson(w, opt.simdMode);
     if (profile::enabled()) {
-        // Embed the profile document verbatim; it is self-contained
-        // JSON, so nesting it keeps the output one valid document.
-        std::ostringstream ps;
-        profile::exportJson(ps, {opt.kernel, opt.omega,
-                                 acc.engine().totalCycles(),
-                                 replay::selectedName(opt.simdMode)});
-        std::string doc = ps.str();
-        while (!doc.empty() && doc.back() == '\n')
-            doc.pop_back();
-        os << ",\n  \"profile\": " << doc;
+        w.key("profile");
+        profile::exportJson(w, {opt.kernel, opt.omega,
+                                acc.engine().totalCycles(), opt.simdMode});
     }
     if (opt.utilization) {
-        os << ",\n  \"utilization\": ";
-        writeUtilizationJson(os, acc.utilization(), "  ");
+        UtilizationReport u = acc.utilization();
+        w.key("utilization")
+            .beginObject()
+            .member("cycles", u.cycles)
+            .member("alu_occupancy", u.aluOccupancy)
+            .member("tree_occupancy", u.treeOccupancy)
+            .member("bandwidth_utilization", u.bandwidthUtilization)
+            .member("cache_hit_rate", u.cacheHitRate)
+            .member("cache_time_fraction", u.cacheTimeFraction)
+            .member("sequential_op_fraction", u.sequentialOpFraction)
+            .member("sequential_cycle_fraction", u.sequentialCycleFraction)
+            .member("reconfig_hidden_frac", u.reconfigHiddenFraction)
+            .member("flops", u.flops)
+            .member("dram_bytes", u.dramBytes)
+            .member("arithmetic_intensity", u.arithmeticIntensity)
+            .member("achieved_gflops", u.achievedGflops)
+            .member("peak_gflops", u.peakGflops)
+            .member("attainable_gflops", u.attainableGflops)
+            .end();
     }
     if (opt.stats) {
-        os << ",\n  \"stats\": ";
-        acc.engine().statGroup().dumpJson(os, 2);
+        w.key("stats");
+        acc.engine().statGroup().dumpJson(w);
     }
     if (opt.snapshots) {
-        os << ",\n  \"snapshots\": ";
-        opt.snapshots->dumpJson(os);
+        w.key("snapshots");
+        opt.snapshots->dumpJson(w);
     }
-    os << "\n}\n";
+    w.end();
+    os << '\n';
 }
 
 } // namespace alr

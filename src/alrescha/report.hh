@@ -6,7 +6,9 @@
  * produced in-process: the CLI prints it to stdout, the --ab harness
  * captures baseline and variant runs to strings and diffs them, and
  * tests round-trip it through the common/json reader.  One emitter,
- * one schema (validated against tools/alr_diff's Sim classifier).
+ * one schema (validated against tools/alr_diff's Sim classifier),
+ * written through json::Writer: every number at full precision, the
+ * profile, stat tree and snapshots nested through the same writer.
  */
 
 #ifndef ALR_ALRESCHA_REPORT_HH
@@ -41,10 +43,6 @@ struct SimReportOptions
  */
 void writeSimReportJson(std::ostream &os, const Accelerator &acc,
                         const SimReportOptions &opt);
-
-/** The --report utilization block alone (shared with tests). */
-void writeUtilizationJson(std::ostream &os, const UtilizationReport &u,
-                          const char *pad);
 
 } // namespace alr
 

@@ -13,28 +13,30 @@ namespace alr::diff {
 namespace {
 
 /**
- * Flatten every numeric leaf of @p v into @p out as dotted-path ->
- * value.  Strings/bools/nulls are skipped (they diff as provenance or
- * not at all); array elements path as ".N" (emitters order them
- * deterministically).
+ * Flatten every numeric leaf of @p v (nothing when null, i.e. absent)
+ * into @p out as dotted-path -> value.  Strings/bools/nulls are
+ * skipped (they diff as provenance or not at all); array elements path
+ * as ".N" (emitters order them deterministically).
  */
 void
-walkNumeric(const std::string &prefix, const json::Value &v,
+walkNumeric(const std::string &prefix, const json::Value *v,
             std::map<std::string, double> &out)
 {
-    if (v.isNumber()) {
-        out[prefix] = v.asDouble();
+    if (!v)
+        return;
+    if (v->isNumber()) {
+        out[prefix] = v->asDouble();
         return;
     }
-    if (v.isObject()) {
-        for (const auto &[k, m] : v.members())
-            walkNumeric(prefix.empty() ? k : prefix + "." + k, m, out);
+    if (v->isObject()) {
+        for (const auto &[k, m] : v->members())
+            walkNumeric(prefix.empty() ? k : prefix + "." + k, &m, out);
         return;
     }
-    if (v.isArray()) {
-        for (size_t i = 0; i < v.elements().size(); ++i)
+    if (v->isArray()) {
+        for (size_t i = 0; i < v->elements().size(); ++i)
             walkNumeric(prefix + "." + std::to_string(i),
-                        v.elements()[i], out);
+                        &v->elements()[i], out);
     }
 }
 
@@ -46,11 +48,12 @@ walkNumeric(const std::string &prefix, const json::Value &v,
  * keep their member suffix.
  */
 void
-walkStatsTree(const std::string &prefix, const json::Value &v,
+walkStatsTree(const std::string &prefix, const json::Value *tree,
               std::map<std::string, double> &out)
 {
-    if (!v.isObject())
+    if (!tree || !tree->isObject())
         return;
+    const json::Value &v = *tree;
     std::string group = v.stringAt("group");
     std::string base =
         prefix.empty() ? group
@@ -71,7 +74,7 @@ walkStatsTree(const std::string &prefix, const json::Value &v,
     }
     if (const json::Value *kids = v.find("children"); kids && kids->isArray())
         for (const json::Value &child : kids->elements())
-            walkStatsTree(base, child, out);
+            walkStatsTree(base, &child, out);
 }
 
 /** Emit ValueDeltas for every path whose value changed; absent side
@@ -222,14 +225,10 @@ diffProfileDocs(const json::Value &o, const json::Value &n, Document *d)
         d->conserved = false;
 
     std::map<std::string, double> om, nm;
-    for (const char *k : {"attributed_cycles", "runs"}) {
-        om[k] = o.numberAt(k);
-        nm[k] = n.numberAt(k);
+    for (const char *k : {"attributed_cycles", "runs", "critical_path"}) {
+        walkNumeric(k, o.find(k), om);
+        walkNumeric(k, n.find(k), nm);
     }
-    if (const json::Value *c = o.find("critical_path"))
-        walkNumeric("critical_path", *c, om);
-    if (const json::Value *c = n.find("critical_path"))
-        walkNumeric("critical_path", *c, nm);
     diffMaps(om, nm, &row.stats);
 
     if (row.changed())
@@ -251,33 +250,27 @@ diffSimDocs(const json::Value &o, const json::Value &n, Document *d)
     // Energy components: exact alignment of the breakdown sub-object.
     {
         std::map<std::string, double> om, nm;
-        if (const json::Value *e = o.find("energy_breakdown"))
-            walkNumeric("", *e, om);
-        if (const json::Value *e = n.find("energy_breakdown"))
-            walkNumeric("", *e, nm);
+        walkNumeric("", o.find("energy_breakdown"), om);
+        walkNumeric("", n.find("energy_breakdown"), nm);
         diffMaps(om, nm, &row.energy);
     }
 
-    // Scalar report fields + utilization + the full stat tree.
+    // The full stat tree, and the report fields derived from it.
+    {
+        std::map<std::string, double> om, nm;
+        walkStatsTree("", o.find("stats"), om);
+        walkStatsTree("", n.find("stats"), nm);
+        diffMaps(om, nm, &row.stats);
+    }
     {
         std::map<std::string, double> om, nm;
         for (const char *k :
-             {"seconds", "bandwidth_utilization",
-              "sequential_op_fraction", "reconfigurations"}) {
-            if (o.find(k))
-                om[k] = o.numberAt(k);
-            if (n.find(k))
-                nm[k] = n.numberAt(k);
+             {"seconds", "bandwidth_utilization", "sequential_op_fraction",
+              "reconfigurations", "utilization"}) {
+            walkNumeric(k, o.find(k), om);
+            walkNumeric(k, n.find(k), nm);
         }
-        if (const json::Value *u = o.find("utilization"))
-            walkNumeric("utilization", *u, om);
-        if (const json::Value *u = n.find("utilization"))
-            walkNumeric("utilization", *u, nm);
-        if (const json::Value *s = o.find("stats"))
-            walkStatsTree("", *s, om);
-        if (const json::Value *s = n.find("stats"))
-            walkStatsTree("", *s, nm);
-        diffMaps(om, nm, &row.stats);
+        diffMaps(om, nm, &row.ungated);
     }
 
     // Embedded profile: bucket-level attribution + conservation
@@ -292,29 +285,54 @@ diffSimDocs(const json::Value &o, const json::Value &n, Document *d)
         d->rows.push_back(std::move(row));
 }
 
-void
-diffBenchDocs(const json::Value &o, const json::Value &n, Document *d)
+bool
+diffBenchDocs(const json::Value &o, const json::Value &n, Document *d,
+              std::string *err)
 {
-    auto rowsOf = [](const json::Value &doc) {
-        std::map<std::string, const json::Value *> out;
+    // Rows align by name, so a repeated name makes a document
+    // ambiguous: refuse it rather than silently diff one copy.
+    auto rowsOf = [&](const json::Value &doc, const char *side,
+                      std::map<std::string, const json::Value *> &out) {
         if (const json::Value *a = doc.find("datasets");
             a && a->isArray())
             for (const json::Value &r : a->elements())
-                out.emplace(r.stringAt("name"), &r);
-        return out;
+                if (!out.emplace(r.stringAt("name"), &r).second) {
+                    *err = std::string(side) + " document repeats row \"" +
+                           r.stringAt("name") + "\"";
+                    return false;
+                }
+        if (out.empty())
+            d->violations.push_back(std::string("the ") + side +
+                                    " document has no dataset rows");
+        return true;
     };
-    std::map<std::string, const json::Value *> om = rowsOf(o);
-    std::map<std::string, const json::Value *> nm = rowsOf(n);
+    std::map<std::string, const json::Value *> om, nm;
+    if (!rowsOf(o, "old", om) || !rowsOf(n, "new", nm))
+        return false;
 
-    auto benchRow = [](const std::string &name, const json::Value *ov,
-                       const json::Value *nv) {
+    for (const auto &[k, m] : o.members())
+        if (!n.find(k))
+            d->violations.push_back("top-level key \"" + k +
+                                    "\" is missing from the new document");
+
+    // One aligned row.  A row on both sides must also keep its suite,
+    // each stats/energy leaf must be a number on both sides or on
+    // neither (the value diff reads an absent leaf as 0 and skips a
+    // null one), and its wall_ms -- host wall time, a sanity bound,
+    // never a speed gate -- must stay positive and within
+    // kWallTolerance of the old.
+    auto benchRow = [&](const std::string &name, const json::Value *ov,
+                        const json::Value *nv) {
         RowDiff row;
         row.name = name;
         row.onlyOld = nv == nullptr;
         row.onlyNew = ov == nullptr;
-        std::map<std::string, double> of, nf;
+        struct Flat
+        {
+            std::map<std::string, double> stats, energy, ungated;
+        } of, nf;
         auto side = [](const json::Value *v, RowDiff *r, bool isNew,
-                       std::map<std::string, double> &flat) {
+                       Flat &flat) {
             if (!v)
                 return;
             (isNew ? r->newCycles : r->oldCycles) = v->intAt("cycles");
@@ -324,29 +342,56 @@ diffBenchDocs(const json::Value &o, const json::Value &n, Document *d)
             if (const json::Value *e = v->find("energy"))
                 joules = e->numberAt("total");
             (isNew ? r->newEnergy : r->oldEnergy) = joules;
-            // Every other numeric member diffs as a named value.
-            // wall_ms is host wall clock -- nondeterministic, never a
-            // modeled regression -- so it is excluded by design.
+            // Every other numeric member diffs as a named value: the
+            // "stats" and "energy" objects under their rules, the rest
+            // (ratios, wall-derived rates) ungated.  wall_ms is checked
+            // below instead.
             for (const auto &[k, m] : v->members()) {
                 if (k == "cycles" || k == "bytes_streamed" ||
-                    k == "wall_ms" || k == "name" || k == "suite")
+                    k == "wall_ms")
                     continue;
-                if (k == "energy") {
-                    walkNumeric("energy", m, flat);
-                    continue;
-                }
-                walkNumeric(k, m, flat);
+                walkNumeric(k, &m,
+                            k == "stats"    ? flat.stats
+                            : k == "energy" ? flat.energy
+                                            : flat.ungated);
             }
         };
         side(ov, &row, false, of);
         side(nv, &row, true, nf);
-        std::vector<ValueDelta> all;
-        diffMaps(of, nf, &all);
-        for (ValueDelta &vd : all) {
-            if (vd.path.rfind("energy.", 0) == 0)
-                row.energy.push_back(vd);
-            else
-                row.stats.push_back(vd);
+        diffMaps(of.stats, nf.stats, &row.stats);
+        diffMaps(of.energy, nf.energy, &row.energy);
+        diffMaps(of.ungated, nf.ungated, &row.ungated);
+        if (!ov || !nv)
+            return row;
+
+        auto violation = [&](const std::string &what) {
+            d->violations.push_back(name + ": " + what);
+        };
+        if (ov->stringAt("suite") != nv->stringAt("suite"))
+            violation("suite \"" + ov->stringAt("suite") + "\" -> \"" +
+                      nv->stringAt("suite") + "\"");
+        auto oneSided = [&](const std::map<std::string, double> &a,
+                            const std::map<std::string, double> &b,
+                            const char *side) {
+            for (const auto &[path, v] : a)
+                if (!b.count(path))
+                    violation(path + " is a number in the " + side +
+                              " row only");
+        };
+        oneSided(of.stats, nf.stats, "old");
+        oneSided(nf.stats, of.stats, "new");
+        oneSided(of.energy, nf.energy, "old");
+        oneSided(nf.energy, of.energy, "new");
+
+        double ow = ov->numberAt("wall_ms"), nw = nv->numberAt("wall_ms");
+        if (!(ow > 0.0 && nw > 0.0) || nw > ow * kWallTolerance ||
+            nw < ow / kWallTolerance) {
+            char buf[160];
+            std::snprintf(buf, sizeof(buf),
+                          "wall_ms %g -> %g is not positive or not "
+                          "within %gx of the old",
+                          ow, nw, kWallTolerance);
+            violation(buf);
         }
         return row;
     };
@@ -366,7 +411,8 @@ diffBenchDocs(const json::Value &o, const json::Value &n, Document *d)
             d->rows.push_back(std::move(row));
     }
 
-    // Root-level aggregates (geo_mean_speedup and friends).
+    // Root-level aggregates (geo_mean_speedup and friends), derived
+    // from the rows or from the host clock.
     std::map<std::string, double> orf, nrf;
     for (const auto &[k, m] : o.members())
         if (m.isNumber() && k != "schema_version")
@@ -376,9 +422,10 @@ diffBenchDocs(const json::Value &o, const json::Value &n, Document *d)
             nrf[k] = m.asDouble();
     RowDiff root;
     root.name = "(root)";
-    diffMaps(orf, nrf, &root.stats);
+    diffMaps(orf, nrf, &root.ungated);
     if (root.changed())
         d->rows.push_back(std::move(root));
+    return true;
 }
 
 void
@@ -410,7 +457,7 @@ diffMetricsDocs(const json::Value &o, const json::Value &n, Document *d)
                 if (k == "name" || k == "labels" || k == "type" ||
                     k == "help")
                     continue;
-                walkNumeric(key + "." + k, v, out);
+                walkNumeric(key + "." + k, &v, out);
             }
         }
     };
@@ -524,7 +571,8 @@ diff(const json::Value &oldDoc, const json::Value &newDoc, Document *out,
           diffSimDocs(oldDoc, newDoc, out);
           break;
       case ArtifactKind::Bench:
-          diffBenchDocs(oldDoc, newDoc, out);
+          if (!diffBenchDocs(oldDoc, newDoc, out, err))
+              return false;
           break;
       case ArtifactKind::Metrics:
           diffMetricsDocs(oldDoc, newDoc, out);
@@ -546,6 +594,8 @@ writeText(std::ostream &os, const Document &d, size_t topK)
 {
     os << "artifact: " << toString(d.kind) << " (schema "
        << d.newSchema << ")\n";
+    for (const std::string &v : d.violations)
+        os << "violation: " << v << "\n";
     if (d.empty()) {
         os << "no differences\n";
         return;
@@ -646,13 +696,17 @@ writeText(std::ostream &os, const Document &d, size_t topK)
                    << e.newValue << " (" << fmtDelta(e.delta())
                    << fmtPct(e.delta(), e.oldValue) << ")\n";
         }
-        if (!r->stats.empty()) {
-            size_t shown = std::min(topK, r->stats.size());
-            os << "  changed values (" << r->stats.size() << "):\n";
+        for (const auto *list : {&r->stats, &r->ungated}) {
+            if (list->empty())
+                continue;
+            size_t shown = std::min(topK, list->size());
+            os << "  changed values"
+               << (list == &r->ungated ? ", not gated (" : " (")
+               << list->size() << "):\n";
             // Rank by |relative change| when a base exists, else
             // magnitude, so the interesting movers surface first.
             std::vector<const ValueDelta *> vs;
-            for (const ValueDelta &v : r->stats)
+            for (const ValueDelta &v : *list)
                 vs.push_back(&v);
             std::sort(vs.begin(), vs.end(),
                       [](const ValueDelta *a, const ValueDelta *b) {
@@ -664,9 +718,8 @@ writeText(std::ostream &os, const Document &d, size_t topK)
                    << " -> " << vs[i]->newValue << " ("
                    << fmtDelta(vs[i]->delta())
                    << fmtPct(vs[i]->delta(), vs[i]->oldValue) << ")\n";
-            if (shown < r->stats.size())
-                os << "    ... " << r->stats.size() - shown
-                   << " more\n";
+            if (shown < list->size())
+                os << "    ... " << list->size() - shown << " more\n";
         }
     }
 }
@@ -674,89 +727,83 @@ writeText(std::ostream &os, const Document &d, size_t topK)
 void
 writeJson(std::ostream &os, const Document &d)
 {
-    using json::Value;
-    Value root = Value::object();
-    root.set("schema_version",
-             Value(int64_t(version::kJsonSchemaVersion)));
-    root.set("artifact_kind", Value(std::string(toString(d.kind))));
-    root.set("artifact_schema", Value(d.newSchema));
-    root.set("empty", Value(d.empty()));
-    root.set("conserved", Value(d.conserved));
-
-    Value totals = Value::object();
-    totals.set("cycles", Value(d.totalCycleDelta));
-    totals.set("bytes", Value(d.totalByteDelta));
-    totals.set("energy_joules", Value(d.totalEnergyDelta));
-    root.set("totals", std::move(totals));
-
-    Value prov = Value::array();
-    for (const ProvenanceDelta &p : d.provenance) {
-        Value e = Value::object();
-        e.set("key", Value(p.key));
-        e.set("old", Value(p.oldText));
-        e.set("new", Value(p.newText));
-        prov.append(std::move(e));
-    }
-    root.set("provenance", std::move(prov));
-
-    Value rows = Value::array();
+    json::Writer w(os);
+    auto triple = [&](const char *key, auto o, auto n) {
+        w.key(key)
+            .beginObject()
+            .member("old", o)
+            .member("new", n)
+            .member("delta", n - o)
+            .end();
+    };
+    auto valueList = [&](const char *key, const std::vector<ValueDelta> &vs) {
+        w.key(key).beginArray();
+        for (const ValueDelta &v : vs)
+            w.beginObject()
+                .member("path", v.path)
+                .member("old", v.oldValue)
+                .member("new", v.newValue)
+                .member("delta", v.delta())
+                .end();
+        w.end();
+    };
+    w.beginObject()
+        .member("schema_version", version::kJsonSchemaVersion)
+        .member("artifact_kind", toString(d.kind))
+        .member("artifact_schema", d.newSchema)
+        .member("empty", d.empty())
+        .member("conserved", d.conserved)
+        .key("totals")
+        .beginObject()
+        .member("cycles", d.totalCycleDelta)
+        .member("bytes", d.totalByteDelta)
+        .member("energy_joules", d.totalEnergyDelta)
+        .end()
+        .key("provenance")
+        .beginArray();
+    for (const ProvenanceDelta &p : d.provenance)
+        w.beginObject()
+            .member("key", p.key)
+            .member("old", p.oldText)
+            .member("new", p.newText)
+            .end();
+    w.end().key("violations").beginArray();
+    for (const std::string &v : d.violations)
+        w.value(v);
+    w.end().key("rows").beginArray();
     for (const RowDiff &r : d.rows) {
-        Value row = Value::object();
-        row.set("name", Value(r.name));
+        w.beginObject().member("name", r.name);
         if (r.onlyOld)
-            row.set("only_old", Value(true));
+            w.member("only_old", true);
         if (r.onlyNew)
-            row.set("only_new", Value(true));
-        auto triple = [](int64_t o, int64_t n) {
-            Value t = Value::object();
-            t.set("old", Value(o));
-            t.set("new", Value(n));
-            t.set("delta", Value(n - o));
-            return t;
-        };
-        row.set("cycles", triple(r.oldCycles, r.newCycles));
-        row.set("bytes", triple(r.oldBytes, r.newBytes));
-        if (r.oldEnergy != 0.0 || r.newEnergy != 0.0) {
-            Value t = Value::object();
-            t.set("old", Value(r.oldEnergy));
-            t.set("new", Value(r.newEnergy));
-            t.set("delta", Value(r.energyDelta()));
-            row.set("energy_joules", std::move(t));
-        }
+            w.member("only_new", true);
+        triple("cycles", r.oldCycles, r.newCycles);
+        triple("bytes", r.oldBytes, r.newBytes);
+        if (r.oldEnergy != 0.0 || r.newEnergy != 0.0)
+            triple("energy_joules", r.oldEnergy, r.newEnergy);
         if (!r.buckets.empty()) {
-            Value buckets = Value::array();
+            w.key("buckets").beginArray();
             for (const BucketDelta &b : r.buckets) {
-                Value e = Value::object();
-                e.set("dp", Value(b.dp));
-                e.set("block_row", Value(b.blockRow));
-                e.set("cause", Value(b.cause));
-                e.set("cycles", triple(b.oldCycles, b.newCycles));
-                e.set("bytes", triple(b.oldBytes, b.newBytes));
-                buckets.append(std::move(e));
+                w.beginObject()
+                    .member("dp", b.dp)
+                    .member("block_row", b.blockRow)
+                    .member("cause", b.cause);
+                triple("cycles", b.oldCycles, b.newCycles);
+                triple("bytes", b.oldBytes, b.newBytes);
+                w.end();
             }
-            row.set("buckets", std::move(buckets));
+            w.end();
         }
-        auto valueList = [](const std::vector<ValueDelta> &vs) {
-            Value arr = Value::array();
-            for (const ValueDelta &v : vs) {
-                Value e = Value::object();
-                e.set("path", Value(v.path));
-                e.set("old", Value(v.oldValue));
-                e.set("new", Value(v.newValue));
-                e.set("delta", Value(v.delta()));
-                arr.append(std::move(e));
-            }
-            return arr;
-        };
         if (!r.energy.empty())
-            row.set("energy_components", valueList(r.energy));
+            valueList("energy_components", r.energy);
         if (!r.stats.empty())
-            row.set("values", valueList(r.stats));
-        rows.append(std::move(row));
+            valueList("values", r.stats);
+        if (!r.ungated.empty())
+            valueList("ungated_values", r.ungated);
+        w.end();
     }
-    root.set("rows", std::move(rows));
-    json::dump(os, root);
-    os << "\n";
+    w.end().end();
+    os << '\n';
 }
 
 void
@@ -804,9 +851,11 @@ parseFailRule(const std::string &spec, FailRule *out, std::string *err)
         out->metric = FailRule::Metric::Bytes;
     else if (metric == "energy")
         out->metric = FailRule::Metric::Energy;
+    else if (metric == "stats")
+        out->metric = FailRule::Metric::Stats;
     else {
         *err = "bad --fail-on metric '" + metric +
-               "': one of cycles, bytes, energy";
+               "': one of cycles, bytes, energy, stats";
         return false;
     }
     out->relative = false;
@@ -825,42 +874,85 @@ parseFailRule(const std::string &spec, FailRule *out, std::string *err)
 }
 
 bool
+parseFailRules(const std::string &spec, std::vector<FailRule> *out,
+               std::string *err)
+{
+    out->clear();
+    size_t start = 0;
+    while (true) {
+        size_t comma = spec.find(',', start);
+        FailRule rule;
+        if (!parseFailRule(spec.substr(start, comma - start), &rule, err))
+            return false;
+        out->push_back(rule);
+        if (comma == std::string::npos)
+            return true;
+        start = comma + 1;
+    }
+}
+
+bool
 exceeds(const Document &d, const FailRule &rule)
 {
+    if (!d.violations.empty())
+        return true;
+    auto trips = [&](double delta, double base) {
+        return ruleValue(rule, delta, base);
+    };
     for (const RowDiff &r : d.rows) {
         if (r.onlyOld || r.onlyNew)
             return true; // appearing/vanishing rows always gate
-        double delta = 0.0, base = 0.0;
         switch (rule.metric) {
           case FailRule::Metric::Cycles:
-              delta = double(r.cycleDelta());
-              base = double(r.oldCycles);
+              if (trips(double(r.cycleDelta()), double(r.oldCycles)))
+                  return true;
+              for (const BucketDelta &b : r.buckets)
+                  if (trips(double(b.cycleDelta()), double(b.oldCycles)))
+                      return true;
               break;
           case FailRule::Metric::Bytes:
-              delta = double(r.byteDelta());
-              base = double(r.oldBytes);
+              if (trips(double(r.byteDelta()), double(r.oldBytes)))
+                  return true;
+              for (const BucketDelta &b : r.buckets)
+                  if (trips(double(b.byteDelta()), double(b.oldBytes)))
+                      return true;
               break;
           case FailRule::Metric::Energy:
-              delta = r.energyDelta();
-              base = r.oldEnergy;
+              if (trips(r.energyDelta(), r.oldEnergy))
+                  return true;
+              for (const ValueDelta &v : r.energy)
+                  if (trips(v.delta(), v.oldValue))
+                      return true;
+              break;
+          case FailRule::Metric::Stats:
+              for (const ValueDelta &v : r.stats)
+                  if (trips(v.delta(), v.oldValue))
+                      return true;
               break;
         }
-        if (ruleValue(rule, delta, base))
-            return true;
     }
     return false;
 }
 
 std::string
+gate(const Document &d, const std::vector<FailRule> &rules)
+{
+    for (const FailRule &rule : rules)
+        if (exceeds(d, rule))
+            return d.violations.empty() ? "diff exceeds " + describe(rule)
+                                        : d.violations.front();
+    return {};
+}
+
+std::string
 describe(const FailRule &rule)
 {
-    const char *metric =
-        rule.metric == FailRule::Metric::Cycles  ? "cycles"
-        : rule.metric == FailRule::Metric::Bytes ? "bytes"
-                                                 : "energy";
+    static const char *const kMetric[] = {"cycles", "bytes", "energy",
+                                          "stats"};
     char buf[96];
-    std::snprintf(buf, sizeof(buf), "|%s delta| > %g%s per row", metric,
-                  rule.threshold, rule.relative ? "%" : "");
+    std::snprintf(buf, sizeof(buf), "|%s delta| > %g%s",
+                  kMetric[size_t(rule.metric)], rule.threshold,
+                  rule.relative ? "%" : "");
     return buf;
 }
 

@@ -24,7 +24,10 @@
  *    empty diff is structurally empty, not a list of zeros.
  *
  * Used by tools/alr_diff (file vs file) and `alr_sim --ab` (two
- * in-process runs on the same matrix).
+ * in-process runs on the same matrix).  With a --fail-on rule list it
+ * is also the one gate of the committed BENCH_*.json baselines: exact
+ * cycles, bytes, energy and stats, plus the contract checks a Bench
+ * comparison always applies (see Document::violations).
  */
 
 #ifndef ALR_ALRESCHA_SIM_DIFF_HH
@@ -102,6 +105,10 @@ struct RowDiff
     std::vector<BucketDelta> buckets; ///< changed profile buckets
     std::vector<ValueDelta> stats;    ///< changed stat/metric leaves
     std::vector<ValueDelta> energy;   ///< changed energy components
+    /** Changed leaves that are reported but never gated: values
+     *  derived from the gated ones (a Sim report's seconds and
+     *  utilization, a Bench row's ratios) or from the host clock. */
+    std::vector<ValueDelta> ungated;
 
     int64_t cycleDelta() const { return newCycles - oldCycles; }
     int64_t byteDelta() const { return newBytes - oldBytes; }
@@ -111,7 +118,8 @@ struct RowDiff
     {
         return onlyOld || onlyNew || cycleDelta() != 0 ||
                byteDelta() != 0 || energyDelta() != 0.0 ||
-               !buckets.empty() || !stats.empty() || !energy.empty();
+               !buckets.empty() || !stats.empty() || !energy.empty() ||
+               !ungated.empty();
     }
 };
 
@@ -131,6 +139,16 @@ struct Document
     /** Bucket cycle deltas summed exactly to the total cycle delta on
      *  every row that carried buckets (true when no buckets). */
     bool conserved = true;
+
+    /**
+     * Bench contract failures, which trip every --fail-on rule: a
+     * document without rows, a top-level key of the old document
+     * missing from the new one, and per row a changed suite, a stats
+     * or energy leaf that is a number on one side only, or a wall_ms
+     * that is non-positive or outside kWallTolerance of the old.  They
+     * are not differences, so empty() ignores them.
+     */
+    std::vector<std::string> violations;
 
     /** True iff nothing changed (provenance differences included). */
     bool empty() const
@@ -166,24 +184,45 @@ void writeJson(std::ostream &os, const Document &d);
 void writeFolded(std::ostream &pos, std::ostream &neg,
                  const Document &d);
 
-/** A '--fail-on' threshold: METRIC '>' NUMBER ['%'].  Relative rules
- *  compare |delta| against pct of the old total; absolute rules
- *  against the raw |delta|.  Rows present on only one side always
- *  trip the rule. */
+/** A Bench row's wall_ms may move by this factor either way: host
+ *  wall time is checked for sanity, never for speed. */
+constexpr double kWallTolerance = 25.0;
+
+/**
+ * A '--fail-on' threshold: METRIC '>' NUMBER ['%'].  Each rule applies
+ * to a row's total and to its parts: cycles and bytes to the profile
+ * buckets too, energy to every energy component, stats to every
+ * RowDiff::stats leaf -- a Sim report's stat tree, a Bench row's
+ * "stats" object, a profile's attributed cycles, run count and
+ * critical path, every metric of a snapshot.  RowDiff::ungated never
+ * trips a rule.  Relative rules compare |delta| against pct of the old
+ * value of the same total or part; absolute rules against the raw
+ * |delta|.  Rows present on only one side and Document::violations
+ * always trip the rule.
+ */
 struct FailRule
 {
-    enum class Metric : uint8_t { Cycles, Bytes, Energy };
+    enum class Metric : uint8_t { Cycles, Bytes, Energy, Stats };
     Metric metric = Metric::Cycles;
     double threshold = 0.0;
     bool relative = false;
 };
 
-/** Parse "cycles>0.1%", "bytes>1024", "energy>0" ... */
+/** Parse "cycles>0.1%", "bytes>1024", "energy>0", "stats>0" ... */
 bool parseFailRule(const std::string &spec, FailRule *out,
                    std::string *err);
 
+/** Parse a comma-separated rule list, "cycles>0,bytes>0,stats>0";
+ *  an empty item is an error. */
+bool parseFailRules(const std::string &spec, std::vector<FailRule> *out,
+                    std::string *err);
+
 /** True when @p d exceeds the rule (CI gate should fail). */
 bool exceeds(const Document &d, const FailRule &rule);
+
+/** Apply a rule list: empty when @p d passes every rule, else why it
+ *  fails (the first violation, or the first rule exceeded). */
+std::string gate(const Document &d, const std::vector<FailRule> &rules);
 
 /** Human-readable restatement of the rule for gate messages. */
 std::string describe(const FailRule &rule);

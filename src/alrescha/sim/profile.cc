@@ -262,54 +262,56 @@ attributedCycles()
 }
 
 void
-exportJson(std::ostream &os, const ExportMeta &meta)
+exportJson(json::Writer &w, const ExportMeta &meta)
 {
     Snapshot snap = snapshot();
-    os << "{\n";
-    os << "  \"schema_version\": " << version::kJsonSchemaVersion
-       << ",\n";
-    os << "  \"version\": {\"git\": \"" << version::gitDescribe()
-       << "\", \"simd_build\": \"" << version::simdBuild()
-       << "\", \"simd_runtime\": \""
-       << (meta.simdRuntime.empty() ? replay::isaName()
-                                    : meta.simdRuntime.c_str())
-       << "\", \"omega_specializations\": \""
-       << replay::omegaSpecializations() << "\"},\n";
-    os << "  \"kernel\": \"" << meta.kernel << "\",\n";
-    os << "  \"omega\": " << meta.omega << ",\n";
-    os << "  \"total_cycles\": " << meta.totalCycles << ",\n";
-    os << "  \"attributed_cycles\": " << snap.attributedCycles << ",\n";
-    os << "  \"attributed_bytes\": " << snap.attributedBytes << ",\n";
-    os << "  \"runs\": " << snap.runs << ",\n";
-    os << "  \"buckets\": [";
-    for (size_t i = 0; i < snap.buckets.size(); ++i) {
-        const BucketRow &r = snap.buckets[i];
-        os << (i ? ",\n    " : "\n    ");
-        os << "{\"dp\": \"" << toString(r.dp) << "\", \"block_row\": "
-           << r.blockRow << ", \"cause\": \"" << toString(r.cause)
-           << "\", \"cycles\": " << r.cycles << ", \"bytes\": "
-           << r.bytes << "}";
-    }
-    os << (snap.buckets.empty() ? "]" : "\n  ]") << ",\n";
-    os << "  \"critical_path\": {\n";
-    os << "    \"longest_chain_cycles\": " << snap.longestChainCycles
-       << ",\n";
-    os << "    \"longest_chain_rows\": [" << snap.longestChainFirstRow
-       << ", " << snap.longestChainLastRow << "],\n";
-    os << "    \"per_block_row\": [";
-    for (size_t i = 0; i < snap.critical.size(); ++i) {
-        const CriticalRow &r = snap.critical[i];
-        os << (i ? ",\n      " : "\n      ");
-        os << "{\"block_row\": " << r.blockRow << ", \"chains\": "
-           << r.chains << ", \"chain_cycles\": " << r.chainCycles
-           << ", \"wait_cycles\": " << r.waitCycles
-           << ", \"start_stall_cycles\": " << r.startStallCycles
-           << ", \"slack_cycles\": " << r.slackCycles
-           << ", \"dep_bound_chains\": " << r.depBoundChains << "}";
-    }
-    os << (snap.critical.empty() ? "]" : "\n    ]") << "\n";
-    os << "  }\n";
-    os << "}\n";
+    w.beginObject().member("schema_version", version::kJsonSchemaVersion);
+    w.key("version");
+    replay::writeVersionJson(w, meta.simdMode);
+    w.member("kernel", meta.kernel)
+        .member("omega", meta.omega)
+        .member("total_cycles", meta.totalCycles)
+        .member("attributed_cycles", snap.attributedCycles)
+        .member("attributed_bytes", snap.attributedBytes)
+        .member("runs", snap.runs)
+        .key("buckets")
+        .beginArray();
+    for (const BucketRow &r : snap.buckets)
+        w.beginObject(true)
+            .member("dp", toString(r.dp))
+            .member("block_row", r.blockRow)
+            .member("cause", toString(r.cause))
+            .member("cycles", r.cycles)
+            .member("bytes", r.bytes)
+            .end();
+    w.end().key("critical_path").beginObject();
+    w.member("longest_chain_cycles", snap.longestChainCycles)
+        .key("longest_chain_rows")
+        .beginArray(true)
+        .value(snap.longestChainFirstRow)
+        .value(snap.longestChainLastRow)
+        .end()
+        .key("per_block_row")
+        .beginArray();
+    for (const CriticalRow &r : snap.critical)
+        w.beginObject(true)
+            .member("block_row", r.blockRow)
+            .member("chains", r.chains)
+            .member("chain_cycles", r.chainCycles)
+            .member("wait_cycles", r.waitCycles)
+            .member("start_stall_cycles", r.startStallCycles)
+            .member("slack_cycles", r.slackCycles)
+            .member("dep_bound_chains", r.depBoundChains)
+            .end();
+    w.end().end().end();
+}
+
+void
+exportJson(std::ostream &os, const ExportMeta &meta)
+{
+    json::Writer w(os);
+    exportJson(w, meta);
+    os << '\n';
 }
 
 void

@@ -58,6 +58,8 @@
 #include <vector>
 
 #include "alrescha/config_table.hh"
+#include "alrescha/params.hh"
+#include "common/json.hh"
 
 namespace alr::profile {
 
@@ -219,16 +221,19 @@ struct ExportMeta
     Index omega = 0;
     /** The engine's cumulative modeled cycles (conservation anchor). */
     uint64_t totalCycles = 0;
-    /** Runtime-selected replay ISA; empty = resolve --simd auto here. */
-    std::string simdRuntime;
+    /** The --simd request; the version block names the ISA it
+     *  resolves to on this machine. */
+    SimdMode simdMode = SimdMode::Auto;
 };
 
 /**
- * Export the recorded profile as one JSON document: build provenance
- * (git describe, SIMD mode), the meta block, the sorted buckets, and
- * the critical-path section.  Schema validated by
+ * Export the recorded profile as @p w's next value, one JSON object:
+ * build provenance (git describe, SIMD mode), the meta block, the
+ * sorted buckets, and the critical-path section.  Schema validated by
  * tools/check_profile.py.
  */
+void exportJson(json::Writer &w, const ExportMeta &meta);
+/** The same object as a standalone document (alr_sim --profile). */
 void exportJson(std::ostream &os, const ExportMeta &meta);
 
 /**

@@ -28,9 +28,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ostream>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/version.hh"
 
 #include "alrescha/sim/reduce.hh"
@@ -348,12 +348,14 @@ selectedName(SimdMode mode)
 }
 
 void
-writeVersionJson(std::ostream &os, SimdMode mode)
+writeVersionJson(json::Writer &w, SimdMode mode)
 {
-    os << "{\"git\": \"" << version::gitDescribe() << "\", \"simd_build\": \""
-       << version::simdBuild() << "\", \"simd_runtime\": \""
-       << selectedName(mode) << "\", \"omega_specializations\": \""
-       << omegaSpecializations() << "\"}";
+    w.beginObject(true)
+        .member("git", version::gitDescribe())
+        .member("simd_build", version::simdBuild())
+        .member("simd_runtime", selectedName(mode))
+        .member("omega_specializations", omegaSpecializations())
+        .end();
 }
 
 void

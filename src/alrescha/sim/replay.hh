@@ -32,12 +32,14 @@
 #ifndef ALR_ALRESCHA_SIM_REPLAY_HH
 #define ALR_ALRESCHA_SIM_REPLAY_HH
 
-#include <iosfwd>
-
 #include "alrescha/params.hh"
 #include "alrescha/sim/replay_fns.hh"
 
 namespace alr {
+namespace json {
+class Writer;
+}
+
 namespace replay {
 
 namespace detail {
@@ -68,13 +70,13 @@ const char *omegaSpecializations();
 const char *toString(SimdMode mode);
 
 /**
- * The shared "version" provenance block every CLI driver embeds in its
- * --json document: {"git", "simd_build", "simd_runtime",
- * "omega_specializations"}.  simd_runtime reflects what @p mode
- * resolves to on this machine, so reports stay honest about which arm
- * actually ran.
+ * The shared "version" provenance block every JSON artifact embeds
+ * (the --json reports, the profile), as @p w's next value:
+ * {"git", "simd_build", "simd_runtime", "omega_specializations"}.
+ * simd_runtime reflects what @p mode resolves to on this machine, so
+ * reports stay honest about which arm actually ran.
  */
-void writeVersionJson(std::ostream &os, SimdMode mode);
+void writeVersionJson(json::Writer &w, SimdMode mode);
 
 /** Parse a --simd= / ALR_SIMD_FORCE spelling ("auto", "scalar",
  *  "sse2", "avx2", "avx512", "neon"); false on unknown input. */

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -322,46 +323,6 @@ struct Parser
     }
 };
 
-void
-dumpString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          default:
-              if (c < 0x20) {
-                  char buf[8];
-                  std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                  os << buf;
-              } else {
-                  os << char(c);
-              }
-        }
-    }
-    os << '"';
-}
-
-void
-dumpNumber(std::ostream &os, double d)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    os << buf;
-    // A double that prints integral would parse back as Int; the ".0"
-    // suffix keeps the kind stable across a round trip.
-    for (const char *p = buf; *p; ++p)
-        if (*p == '.' || *p == 'e' || *p == 'E' || *p == 'n')
-            return;
-    os << ".0";
-}
-
 } // namespace
 
 const char *
@@ -408,11 +369,12 @@ Value::find(std::string_view key) const
     return nullptr;
 }
 
-void
+Value &
 Value::set(std::string key, Value v)
 {
     assert(_kind == Kind::Object);
     _objMembers.emplace_back(std::move(key), std::move(v));
+    return *this;
 }
 
 int64_t
@@ -498,67 +460,141 @@ parseFile(const std::string &path)
     return out;
 }
 
-void
-dump(std::ostream &os, const Value &v, int indent)
+Writer &
+Writer::open(char bracket, char close, bool inlined)
 {
-    std::string pad(size_t(indent), ' ');
-    std::string pad2(size_t(indent) + 2, ' ');
+    separate();
+    _os << bracket;
+    _open.push_back(
+        {close, inlined || (!_open.empty() && _open.back().inlined), true});
+    return *this;
+}
+
+Writer &
+Writer::end()
+{
+    assert(!_open.empty() && !_afterKey);
+    Open c = _open.back();
+    _open.pop_back();
+    if (!c.empty && !c.inlined)
+        _os << '\n' << std::string(2 * _open.size(), ' ');
+    _os << c.close;
+    return *this;
+}
+
+void
+Writer::separate()
+{
+    if (_afterKey) {
+        _afterKey = false;
+        return;
+    }
+    if (_open.empty())
+        return;
+    Open &c = _open.back();
+    if (!c.empty)
+        _os << ',';
+    if (!c.inlined)
+        _os << '\n' << std::string(2 * _open.size(), ' ');
+    else if (!c.empty)
+        _os << ' ';
+    c.empty = false;
+}
+
+Writer &
+Writer::key(std::string_view k)
+{
+    assert(!_open.empty() && _open.back().close == '}' && !_afterKey);
+    value(k);
+    _os << ": ";
+    _afterKey = true;
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    separate();
+    _os << '"';
+    for (unsigned char c : s) {
+        switch (c) {
+          case '"': _os << "\\\""; break;
+          case '\\': _os << "\\\\"; break;
+          case '\n': _os << "\\n"; break;
+          case '\t': _os << "\\t"; break;
+          case '\r': _os << "\\r"; break;
+          case '\b': _os << "\\b"; break;
+          case '\f': _os << "\\f"; break;
+          default:
+              if (c < 0x20) {
+                  char buf[8];
+                  std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                  _os << buf;
+              } else {
+                  _os << char(c);
+              }
+        }
+    }
+    _os << '"';
+    return *this;
+}
+
+Writer &
+Writer::value(double d)
+{
+    separate();
+    if (!std::isfinite(d)) {
+        _os << "null";
+        return *this;
+    }
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    _os << buf;
+    // A double that prints integral would parse back as Int; the ".0"
+    // suffix keeps the kind stable across a round trip.
+    if (!std::strpbrk(buf, ".eE"))
+        _os << ".0";
+    return *this;
+}
+
+void
+Writer::write(const Value &v)
+{
     switch (v.kind()) {
       case Kind::Null:
-          os << "null";
+          separate();
+          _os << "null";
           break;
-      case Kind::Bool:
-          os << (v.asBool() ? "true" : "false");
+      case Kind::Bool:   value(v.asBool()); break;
+      case Kind::Int:    value(v.asInt()); break;
+      case Kind::Double: value(v.asDouble()); break;
+      case Kind::String: value(v.asString()); break;
+      case Kind::Array:
+          beginArray();
+          for (const Value &e : v.elements())
+              write(e);
+          end();
           break;
-      case Kind::Int:
-          os << v.asInt();
+      case Kind::Object:
+          beginObject();
+          for (const auto &[k, m] : v.members())
+              key(k).write(m);
+          end();
           break;
-      case Kind::Double:
-          dumpNumber(os, v.asDouble());
-          break;
-      case Kind::String:
-          dumpString(os, v.asString());
-          break;
-      case Kind::Array: {
-          if (v.elements().empty()) {
-              os << "[]";
-              break;
-          }
-          os << "[";
-          bool first = true;
-          for (const Value &e : v.elements()) {
-              os << (first ? "\n" : ",\n") << pad2;
-              dump(os, e, indent + 2);
-              first = false;
-          }
-          os << "\n" << pad << "]";
-          break;
-      }
-      case Kind::Object: {
-          if (v.members().empty()) {
-              os << "{}";
-              break;
-          }
-          os << "{";
-          bool first = true;
-          for (const auto &[k, m] : v.members()) {
-              os << (first ? "\n" : ",\n") << pad2;
-              dumpString(os, k);
-              os << ": ";
-              dump(os, m, indent + 2);
-              first = false;
-          }
-          os << "\n" << pad << "}";
-          break;
-      }
     }
+}
+
+void
+dump(std::ostream &os, const Value &v)
+{
+    Writer(os).write(v);
 }
 
 std::string
 dump(const Value &v)
 {
     std::ostringstream os;
-    dump(os, v, 0);
+    dump(os, v);
     return os.str();
 }
 

@@ -1,12 +1,16 @@
 /**
  * @file
- * Strict JSON reader and writer for the observability artifacts.
+ * The JSON reader and the one JSON writer of the observability
+ * artifacts.
  *
- * Every tool in this repo emits JSON (alr_sim --json, --profile, the
- * metrics snapshots, BENCH_*.json); this is the matching *reader*, so
- * cross-run tooling (alr_diff, the in-process A/B harness) can consume
- * those artifacts without shelling out to python.  It is a DOM parser
- * tuned for correctness, not speed:
+ * Every JSON document the repo emits -- alr_sim --json reports,
+ * --profile, the timeline, metrics snapshots, alr_serve --json, diff
+ * documents, BENCH_*.json -- is written through json::Writer, the only
+ * code that escapes strings, formats numbers and lays out separators.
+ * The reader is a strict DOM parser for the same artifacts, so
+ * cross-run tooling (alr_diff, the in-process A/B harness) consumes
+ * them without shelling out to python.  It is tuned for correctness,
+ * not speed:
  *
  * - **Strict**: rejects everything RFC 8259 rejects -- trailing
  *   content, bad escapes, lone surrogates, raw control characters,
@@ -14,14 +18,12 @@
  *   non-finite results -- plus duplicate object keys, which the RFC
  *   merely frowns at but which always indicate a corrupt artifact
  *   here.  Errors carry the byte offset.
- * - **Round-trippable**: parse(dump(x)) == x for every value this
- *   repo emits.  Objects preserve insertion order; integers that fit
- *   int64 stay integers; other numbers are doubles printed with 17
- *   significant digits (exact double round trip).
- *
- * Not a general-purpose serialization layer: the writers in
- * bench_util.hh / the stats package remain the emitting side; this is
- * the consuming side.
+ * - **Round-trippable**: parse() reads back everything Writer writes.
+ *   Objects preserve insertion order; integers are written as integer
+ *   literals and parse back as Int when they fit int64; doubles are
+ *   printed with 17 significant digits (exact double round trip) and
+ *   keep a ".0" when they would otherwise read back integral;
+ *   non-finite doubles, which JSON cannot spell, are written as null.
  */
 
 #ifndef ALR_COMMON_JSON_HH
@@ -31,6 +33,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace alr::json {
@@ -55,18 +58,32 @@ const char *toString(Kind k);
  * A parsed JSON value.  Plain tagged value type: copyable, movable,
  * equality-comparable (numeric equality across Int/Double so a double
  * that prints integral still compares equal after a round trip).
+ * Numbers, strings and bools convert implicitly, so documents build as
+ * `row.set("cycles", n).set("name", s)`.  Only an actual bool becomes
+ * a Bool (a stray pointer does not compile), and an unsigned value
+ * above INT64_MAX becomes a Double, as the parser reads it back.
  */
 class Value
 {
   public:
     Value() = default;
-    explicit Value(bool b) : _kind(Kind::Bool), _bool(b) {}
-    explicit Value(int64_t i) : _kind(Kind::Int), _int(i) {}
-    explicit Value(double d) : _kind(Kind::Double), _double(d) {}
-    explicit Value(std::string s)
-        : _kind(Kind::String), _string(std::move(s))
+    template <typename T,
+              std::enable_if_t<std::is_same_v<T, bool>, int> = 0>
+    Value(T b) : _kind(Kind::Bool), _bool(b)
     {
     }
+    template <typename T,
+              std::enable_if_t<std::is_integral_v<T> &&
+                                   !std::is_same_v<T, bool>,
+                               int> = 0>
+    Value(T i) : _kind(Kind::Int), _int(int64_t(i))
+    {
+        if (std::is_unsigned_v<T> && uint64_t(i) > uint64_t(INT64_MAX))
+            *this = Value(double(i));
+    }
+    Value(double d) : _kind(Kind::Double), _double(d) {}
+    Value(std::string s) : _kind(Kind::String), _string(std::move(s)) {}
+    Value(const char *s) : Value(std::string(s)) {}
 
     static Value array() { Value v; v._kind = Kind::Array; return v; }
     static Value object() { Value v; v._kind = Kind::Object; return v; }
@@ -104,7 +121,7 @@ class Value
     const Value *find(std::string_view key) const;
 
     /** Append a member (no duplicate check; the parser enforces). */
-    void set(std::string key, Value v);
+    Value &set(std::string key, Value v);
 
     /** Convenience typed lookups with defaults. */
     int64_t intAt(std::string_view key, int64_t def = 0) const;
@@ -144,11 +161,77 @@ Parsed parse(std::string_view text);
 Parsed parseFile(const std::string &path);
 
 /**
- * Serialize with 2-space indentation.  dump() and parse() are inverse:
- * parse(dump(v)) == v, and doubles keep their exact bit pattern
- * (printed %.17g, suffixed ".0" when they would read back integral).
+ * Streaming JSON writer: the only code that escapes strings, formats
+ * numbers and lays out separators.  It streams rather than building a
+ * DOM, so a 2^18-event timeline is written without a copy.  A
+ * multi-line container puts each element on its own line, indented two
+ * spaces per level; an inline one keeps itself and everything nested
+ * in it on one line ("{"a": 1, "b": [2, 3]}").  Numbers are written as
+ * the file comment says.  The caller ending a document writes its
+ * trailing newline.
  */
-void dump(std::ostream &os, const Value &v, int indent = 0);
+class Writer
+{
+  public:
+    explicit Writer(std::ostream &os) : _os(os) {}
+
+    Writer &beginObject(bool inlined = false)
+    {
+        return open('{', '}', inlined);
+    }
+    Writer &beginArray(bool inlined = false)
+    {
+        return open('[', ']', inlined);
+    }
+    /** Close the innermost open object or array. */
+    Writer &end();
+    /** The next member's key; its value follows. */
+    Writer &key(std::string_view k);
+
+    Writer &value(std::string_view s);
+    Writer &value(double d);
+    /** An integer literal, or true/false for an actual bool; a pointer
+     *  does not compile, so a string literal picks the string_view. */
+    template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+    Writer &value(T i)
+    {
+        separate();
+        if constexpr (std::is_same_v<T, bool>)
+            _os << (i ? "true" : "false");
+        else if constexpr (std::is_signed_v<T>)
+            _os << int64_t(i);
+        else
+            _os << uint64_t(i);
+        return *this;
+    }
+    template <typename T>
+    Writer &member(std::string_view k, const T &v)
+    {
+        return key(k).value(v);
+    }
+    /** A whole DOM value, every container multi-line (json::dump). */
+    void write(const Value &v);
+
+  private:
+    struct Open
+    {
+        char close;
+        bool inlined;
+        bool empty;
+    };
+
+    Writer &open(char bracket, char close, bool inlined);
+    /** Separator and indentation before the next key or value. */
+    void separate();
+
+    std::ostream &_os;
+    std::vector<Open> _open;
+    bool _afterKey = false;
+};
+
+/** Serialize with 2-space indentation (every container multi-line):
+ *  parse(dump(v)) == v, and doubles keep their exact bit pattern. */
+void dump(std::ostream &os, const Value &v);
 std::string dump(const Value &v);
 
 } // namespace alr::json

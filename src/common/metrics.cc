@@ -1,5 +1,6 @@
 #include "common/metrics.hh"
 
+#include "common/json.hh"
 #include "common/version.hh"
 
 #include <algorithm>
@@ -14,49 +15,6 @@
 namespace alr::metrics {
 
 namespace {
-
-/** JSON string escaping (metric names, help text, label values). */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld", (long long)v);
-        os << buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        os << buf;
-    }
-}
 
 /** Prometheus label-value escaping: backslash, quote, newline. */
 void
@@ -299,68 +257,53 @@ Registry::sorted() const
 void
 Registry::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"schema_version\": " << version::kJsonSchemaVersion
-       << ",\n  \"snapshot\": " << _snapshots.load()
-       << ",\n  \"metrics\": [";
-    bool first = true;
+    json::Writer w(os);
+    w.beginObject()
+        .member("schema_version", version::kJsonSchemaVersion)
+        .member("snapshot", _snapshots.load())
+        .key("metrics")
+        .beginArray();
     for (const Metric *m : sorted()) {
-        os << (first ? "\n" : ",\n") << "    {\"name\": ";
-        jsonString(os, m->name);
-        os << ", \"type\": \"" << toString(m->kind) << "\", \"help\": ";
-        jsonString(os, m->help);
-        os << ", \"labels\": {";
-        bool lfirst = true;
-        for (const auto &[k, v] : m->labels) {
-            if (!lfirst)
-                os << ", ";
-            jsonString(os, k);
-            os << ": ";
-            jsonString(os, v);
-            lfirst = false;
-        }
-        os << "}";
+        w.beginObject(true)
+            .member("name", m->name)
+            .member("type", toString(m->kind))
+            .member("help", m->help)
+            .key("labels")
+            .beginObject();
+        for (const auto &[k, v] : m->labels)
+            w.member(k, v);
+        w.end();
         if (m->kind == MetricKind::Histogram) {
             stats::Distribution d = m->histogram->distribution();
             std::vector<double> win = m->histogram->window();
-            os << ", \"count\": " << d.count() << ", \"sum\": ";
-            jsonNumber(os, d.sum());
-            os << ", \"min\": ";
-            jsonNumber(os, d.min());
-            os << ", \"max\": ";
-            jsonNumber(os, d.max());
-            os << ", \"mean\": ";
-            jsonNumber(os, d.mean());
-            os << ", \"window\": {\"count\": " << win.size();
-            for (double p : {50.0, 95.0, 99.0, 99.9}) {
-                char key[16];
-                std::snprintf(key, sizeof(key), "p%g", p);
-                os << ", \"" << key << "\": ";
-                jsonNumber(os, exactPercentile(win, p));
-            }
-            os << "}, \"buckets\": {";
-            bool bfirst = true;
-            for (size_t b = 0; b < stats::Distribution::kBuckets; ++b) {
-                if (!d.buckets()[b])
-                    continue;
-                if (!bfirst)
-                    os << ", ";
-                os << '"';
-                jsonNumber(os, bucketUpperEdge(b));
-                os << "\": " << d.buckets()[b];
-                bfirst = false;
-            }
-            os << "}";
+            w.member("count", d.count())
+                .member("sum", d.sum())
+                .member("min", d.min())
+                .member("max", d.max())
+                .member("mean", d.mean())
+                .key("window")
+                .beginObject()
+                .member("count", win.size());
+            const std::pair<const char *, double> kWindow[] = {
+                {"p50", 50.0}, {"p95", 95.0}, {"p99", 99.0}, {"p99.9", 99.9}};
+            for (auto [key, p] : kWindow)
+                w.member(key, exactPercentile(win, p));
+            w.end().key("buckets").beginObject();
+            // Keyed by the bucket's upper edge, 2^b.
+            for (size_t b = 0; b < stats::Distribution::kBuckets; ++b)
+                if (d.buckets()[b])
+                    w.member(std::to_string(uint64_t(1) << b),
+                             d.buckets()[b]);
+            w.end();
         } else {
-            double v = m->kind == MetricKind::Counter
-                           ? m->counter->value()
-                           : m->gauge->value();
-            os << ", \"value\": ";
-            jsonNumber(os, v);
+            w.member("value", m->kind == MetricKind::Counter
+                                  ? m->counter->value()
+                                  : m->gauge->value());
         }
-        os << "}";
-        first = false;
+        w.end();
     }
-    os << "\n  ]\n}\n";
+    w.end().end();
+    os << '\n';
 }
 
 void

@@ -10,62 +10,6 @@
 
 namespace alr::stats {
 
-namespace {
-
-/** JSON string escaping for stat names and descriptions. */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-/** Integers print without a fraction; everything else round-trips. */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null"; // JSON has no inf/nan
-        return;
-    }
-    if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        os << buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        os << buf;
-    }
-}
-
-void
-pad(std::ostream &os, int indent)
-{
-    for (int i = 0; i < indent; ++i)
-        os << ' ';
-}
-
-} // namespace
-
 void
 Distribution::sample(double v)
 {
@@ -302,70 +246,35 @@ StatGroup::dump(std::ostream &os) const
 }
 
 void
-StatGroup::dumpJson(std::ostream &os, int indent) const
+StatGroup::dumpJson(json::Writer &w) const
 {
-    pad(os, indent);
-    os << "{\n";
-    pad(os, indent + 2);
-    os << "\"group\": ";
-    jsonString(os, _name);
-    os << ",\n";
-    pad(os, indent + 2);
-    os << "\"stats\": {";
-    bool first = true;
+    w.beginObject().member("group", _name).key("stats").beginObject();
     for (const auto &[name, e] : _entries) {
-        os << (first ? "\n" : ",\n");
-        first = false;
-        pad(os, indent + 4);
-        jsonString(os, name);
-        os << ": {\"value\": ";
-        jsonNumber(os, evaluate(e));
-        os << ", \"desc\": ";
-        jsonString(os, e.desc);
-        os << ", \"kind\": ";
+        w.key(name)
+            .beginObject(true)
+            .member("value", evaluate(e))
+            .member("desc", e.desc);
         if (e.scalar) {
-            os << "\"scalar\"";
+            w.member("kind", "scalar");
         } else if (e.dist) {
-            os << "\"distribution\""
-               << ", \"count\": ";
-            jsonNumber(os, double(e.dist->count()));
-            os << ", \"min\": ";
-            jsonNumber(os, e.dist->min());
-            os << ", \"max\": ";
-            jsonNumber(os, e.dist->max());
-            os << ", \"mean\": ";
-            jsonNumber(os, e.dist->mean());
-            os << ", \"variance\": ";
-            jsonNumber(os, e.dist->variance());
-            os << ", \"p50\": ";
-            jsonNumber(os, e.dist->percentile(50));
-            os << ", \"p90\": ";
-            jsonNumber(os, e.dist->percentile(90));
-            os << ", \"p99\": ";
-            jsonNumber(os, e.dist->percentile(99));
+            w.member("kind", "distribution")
+                .member("count", e.dist->count())
+                .member("min", e.dist->min())
+                .member("max", e.dist->max())
+                .member("mean", e.dist->mean())
+                .member("variance", e.dist->variance())
+                .member("p50", e.dist->percentile(50))
+                .member("p90", e.dist->percentile(90))
+                .member("p99", e.dist->percentile(99));
         } else {
-            os << "\"formula\"";
+            w.member("kind", "formula");
         }
-        os << "}";
+        w.end();
     }
-    if (!first) {
-        os << "\n";
-        pad(os, indent + 2);
-    }
-    os << "},\n";
-    pad(os, indent + 2);
-    os << "\"children\": [";
-    for (size_t i = 0; i < _children.size(); ++i) {
-        os << (i ? ",\n" : "\n");
-        _children[i]->dumpJson(os, indent + 4);
-    }
-    if (!_children.empty()) {
-        os << "\n";
-        pad(os, indent + 2);
-    }
-    os << "]\n";
-    pad(os, indent);
-    os << "}";
+    w.end().key("children").beginArray();
+    for (const StatGroup *c : _children)
+        c->dumpJson(w);
+    w.end().end();
 }
 
 std::vector<std::string>
@@ -409,28 +318,21 @@ StatSnapshotter::maybeSample(uint64_t now_cycles)
 }
 
 void
-StatSnapshotter::dumpJson(std::ostream &os) const
+StatSnapshotter::dumpJson(json::Writer &w) const
 {
-    os << "{\n  \"interval\": ";
-    jsonNumber(os, double(_interval));
-    os << ",\n  \"columns\": [";
-    for (size_t i = 0; i < _names.size(); ++i) {
-        os << (i ? ", " : "");
-        jsonString(os, _names[i]);
+    w.beginObject().member("interval", _interval);
+    w.key("columns").beginArray(true);
+    for (const std::string &name : _names)
+        w.value(name);
+    w.end().key("rows").beginArray();
+    for (const Row &row : _rows) {
+        w.beginObject(true).member("cycle", row.cycle).key("values")
+            .beginArray();
+        for (double v : row.values)
+            w.value(v);
+        w.end().end();
     }
-    os << "],\n  \"rows\": [";
-    for (size_t r = 0; r < _rows.size(); ++r) {
-        os << (r ? ",\n" : "\n");
-        os << "    {\"cycle\": ";
-        jsonNumber(os, double(_rows[r].cycle));
-        os << ", \"values\": [";
-        for (size_t i = 0; i < _rows[r].values.size(); ++i) {
-            os << (i ? ", " : "");
-            jsonNumber(os, _rows[r].values[i]);
-        }
-        os << "]}";
-    }
-    os << (_rows.empty() ? "]" : "\n  ]") << "\n}\n";
+    w.end().end();
 }
 
 void

@@ -35,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+
 namespace alr::stats {
 
 /**
@@ -179,12 +181,12 @@ class StatGroup
     void dump(std::ostream &os) const;
 
     /**
-     * Render the group as a JSON object with the stable schema
-     * {"group", "stats": {name: {"value", "desc", "kind"}}, "children"}.
-     * Distribution entries additionally carry count/min/max/mean/
-     * variance/p50/p90/p99; "value" is the mean.
+     * Write the group as @p w's next value, a JSON object with the
+     * stable schema {"group", "stats": {name: {"value", "desc",
+     * "kind"}}, "children"}.  Distribution entries additionally carry
+     * count/min/max/mean/variance/p50/p90/p99; "value" is the mean.
      */
-    void dumpJson(std::ostream &os, int indent = 0) const;
+    void dumpJson(json::Writer &w) const;
 
     const std::string &name() const { return _name; }
 
@@ -239,8 +241,9 @@ class StatSnapshotter
     uint64_t interval() const { return _interval; }
     const std::vector<std::string> &names() const { return _names; }
 
-    /** {"interval": N, "columns": [...], "rows": [{"cycle", "values"}]} */
-    void dumpJson(std::ostream &os) const;
+    /** {"interval": N, "columns": [...], "rows": [{"cycle", "values"}]}
+     *  as @p w's next value. */
+    void dumpJson(json::Writer &w) const;
     /** Header "cycle,<columns...>" then one CSV line per row. */
     void dumpCsv(std::ostream &os) const;
 

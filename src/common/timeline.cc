@@ -1,9 +1,9 @@
 #include "common/timeline.hh"
 
+#include "common/json.hh"
 #include "common/version.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
@@ -173,92 +173,59 @@ setTrackName(uint32_t pid, uint32_t tid, const std::string &name)
     t.names[{pid, tid}] = name;
 }
 
-namespace {
-
-void
-jsonEscapeTo(std::ostream &os, const char *s)
-{
-    for (; s && *s; ++s) {
-        char c = *s;
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else if (static_cast<unsigned char>(c) >= 0x20)
-            os << c;
-    }
-}
-
-void
-metaEvent(std::ostream &os, uint32_t pid, int tid, const char *key,
-          const char *value, bool &first)
-{
-    os << (first ? "\n" : ",\n") << "    {\"ph\": \"M\", \"pid\": " << pid;
-    if (tid >= 0)
-        os << ", \"tid\": " << tid;
-    os << ", \"name\": \"" << key << "\", \"args\": {\"name\": \"";
-    jsonEscapeTo(os, value);
-    os << "\"}}";
-    first = false;
-}
-
-} // namespace
-
 void
 exportChromeTrace(std::ostream &os)
 {
-    os << "{\"schema_version\": " << version::kJsonSchemaVersion
-       << ", \"traceEvents\": [";
-    bool first = true;
-    metaEvent(os, kPidModeled, -1, "process_name", "modeled (1us = 1 cycle)",
-              first);
-    metaEvent(os, kPidModeled, int(kTidDataPath), "thread_name", "data path",
-              first);
-    metaEvent(os, kPidModeled, int(kTidMemory), "thread_name", "memory",
-              first);
-    metaEvent(os, kPidModeled, int(kTidFcu), "thread_name", "fcu", first);
-    metaEvent(os, kPidModeled, int(kTidRcu), "thread_name", "rcu", first);
-    metaEvent(os, kPidModeled, int(kTidCounters), "thread_name", "counters",
-              first);
-    metaEvent(os, kPidModeled, int(kTidChain), "thread_name",
-              "d-symgs chain", first);
-    metaEvent(os, kPidHost, -1, "process_name", "host (wall clock)", first);
-    metaEvent(os, kPidServe, -1, "process_name",
-              "serve (request plane, wall clock)", first);
-    metaEvent(os, kPidServe, int(kTidServeCounters), "thread_name",
-              "serve counters", first);
+    json::Writer w(os);
+    w.beginObject()
+        .member("schema_version", version::kJsonSchemaVersion)
+        .key("traceEvents")
+        .beginArray();
+    auto meta = [&](uint32_t pid, int tid, const char *key,
+                    const std::string &value) {
+        w.beginObject(true).member("ph", "M").member("pid", pid);
+        if (tid >= 0)
+            w.member("tid", tid);
+        w.member("name", key).key("args").beginObject();
+        w.member("name", value).end().end();
+    };
+    meta(kPidModeled, -1, "process_name", "modeled (1us = 1 cycle)");
+    meta(kPidModeled, int(kTidDataPath), "thread_name", "data path");
+    meta(kPidModeled, int(kTidMemory), "thread_name", "memory");
+    meta(kPidModeled, int(kTidFcu), "thread_name", "fcu");
+    meta(kPidModeled, int(kTidRcu), "thread_name", "rcu");
+    meta(kPidModeled, int(kTidCounters), "thread_name", "counters");
+    meta(kPidModeled, int(kTidChain), "thread_name", "d-symgs chain");
+    meta(kPidHost, -1, "process_name", "host (wall clock)");
+    meta(kPidServe, -1, "process_name", "serve (request plane, wall clock)");
+    meta(kPidServe, int(kTidServeCounters), "thread_name", "serve counters");
     {
         TrackNames &t = trackNames();
         std::lock_guard<std::mutex> lock(t.mutex);
         for (const auto &[key, name] : t.names)
-            metaEvent(os, key.first, int(key.second), "thread_name",
-                      name.c_str(), first);
+            meta(key.first, int(key.second), "thread_name", name);
     }
 
     for (const Event &ev : events()) {
-        os << ",\n    {\"ph\": \"";
-        switch (ev.kind) {
-          case Event::Kind::Span: os << "X"; break;
-          case Event::Kind::Counter: os << "C"; break;
-          case Event::Kind::Instant: os << "i"; break;
-        }
-        os << "\", \"pid\": " << ev.pid << ", \"tid\": " << ev.tid
-           << ", \"ts\": " << ev.ts;
+        const char *ph = ev.kind == Event::Kind::Span      ? "X"
+                         : ev.kind == Event::Kind::Counter ? "C"
+                                                           : "i";
+        w.beginObject(true)
+            .member("ph", ph)
+            .member("pid", ev.pid)
+            .member("tid", ev.tid)
+            .member("ts", ev.ts);
         if (ev.kind == Event::Kind::Span)
-            os << ", \"dur\": " << ev.dur;
-        os << ", \"name\": \"";
-        jsonEscapeTo(os, ev.name);
-        os << "\", \"cat\": \"";
-        jsonEscapeTo(os, ev.cat ? ev.cat : "event");
-        os << "\"";
-        if (ev.kind == Event::Kind::Counter) {
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.17g", ev.value);
-            os << ", \"args\": {\"value\": " << buf << "}";
-        } else if (ev.kind == Event::Kind::Instant) {
-            os << ", \"s\": \"t\"";
-        }
-        os << "}";
+            w.member("dur", ev.dur);
+        w.member("name", ev.name).member("cat", ev.cat ? ev.cat : "event");
+        if (ev.kind == Event::Kind::Counter)
+            w.key("args").beginObject().member("value", ev.value).end();
+        else if (ev.kind == Event::Kind::Instant)
+            w.member("s", "t");
+        w.end();
     }
-    os << "\n], \"displayTimeUnit\": \"ns\"}\n";
+    w.end().member("displayTimeUnit", "ns").end();
+    os << '\n';
 }
 
 } // namespace alr::timeline

@@ -4,14 +4,16 @@
  * empty; bucket deltas conserve the total cycle delta exactly) across
  * kernels and engine modes, a real config perturbation (cache line
  * width) attributed to the cache buckets, bench-row alignment with
- * missing rows, metrics diffs, schema/kind refusal, and the --fail-on
- * rule grammar.
+ * missing rows, metrics diffs, schema/kind refusal, the --fail-on
+ * rule grammar, and the BENCH gate: one drift at a time spliced into
+ * a copy of a committed BENCH_*.json baseline.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/report.hh"
@@ -372,6 +374,239 @@ TEST(Diff, FailRuleThresholds)
     // Bytes did not move.
     ASSERT_TRUE(diff::parseFailRule("bytes>0", &r, &err));
     EXPECT_FALSE(diff::exceeds(d, r));
+}
+
+// ---------------------------------------------------------------------
+// The BENCH gate: alr_diff --fail-on 'cycles>0,bytes>0,energy>0,stats>0'
+
+const char *const kGate = "cycles>0,bytes>0,energy>0,stats>0";
+
+json::Value
+committedBench(const char *file)
+{
+    json::Parsed p =
+        json::parseFile(std::string(ALR_SOURCE_DIR) + "/" + file);
+    EXPECT_TRUE(p.ok) << p.error;
+    return p.value;
+}
+
+/** @p obj with member @p key set to @p v (dropped when v is null). */
+json::Value
+withMember(const json::Value &obj, const std::string &key,
+           const json::Value *v)
+{
+    json::Value out = json::Value::object();
+    for (const auto &[k, m] : obj.members())
+        if (k != key)
+            out.set(k, m);
+        else if (v)
+            out.set(k, *v);
+    if (v && !obj.find(key))
+        out.set(key, *v);
+    return out;
+}
+
+/** @p doc with its first dataset row replaced by edit(row). */
+template <typename Edit>
+json::Value
+withFirstRow(const json::Value &doc, Edit edit)
+{
+    json::Value rows = *doc.find("datasets");
+    rows.elements()[0] = edit(rows.elements()[0]);
+    return withMember(doc, "datasets", &rows);
+}
+
+/** @p doc with leaf @p key of its first row's @p sub object set to @p v
+ *  (dropped when v is null). */
+json::Value
+withFirstRowLeaf(const json::Value &doc, const char *sub, const char *key,
+                 const json::Value *v)
+{
+    return withFirstRow(doc, [&](const json::Value &row) {
+        json::Value s = withMember(*row.find(sub), key, v);
+        return withMember(row, sub, &s);
+    });
+}
+
+/** Leaf @p key of the first row's @p sub object of @p doc. */
+double
+firstRowLeaf(const json::Value &doc, const char *sub, const char *key)
+{
+    return doc.find("datasets")->elements()[0].find(sub)->numberAt(key);
+}
+
+/** The gate's verdict: empty when @p drifted passes against @p base. */
+std::string
+gateOf(const json::Value &base, const json::Value &drifted)
+{
+    std::vector<diff::FailRule> rules;
+    std::string err;
+    EXPECT_TRUE(diff::parseFailRules(kGate, &rules, &err)) << err;
+    return diff::gate(diffOk(base, drifted), rules);
+}
+
+TEST(DiffGate, RuleListGrammar)
+{
+    std::vector<diff::FailRule> rules;
+    std::string err;
+    ASSERT_TRUE(diff::parseFailRules(kGate, &rules, &err)) << err;
+    ASSERT_EQ(rules.size(), 4u);
+    EXPECT_EQ(rules[3].metric, diff::FailRule::Metric::Stats);
+    ASSERT_TRUE(diff::parseFailRules("stats>1%", &rules, &err)) << err;
+    ASSERT_EQ(rules.size(), 1u);
+    EXPECT_TRUE(rules[0].relative);
+
+    EXPECT_FALSE(diff::parseFailRules("cycles>0,", &rules, &err));
+    EXPECT_FALSE(diff::parseFailRules(",cycles>0", &rules, &err));
+    EXPECT_FALSE(diff::parseFailRules("cycles>0,,bytes>0", &rules, &err));
+    EXPECT_FALSE(diff::parseFailRules("", &rules, &err));
+}
+
+TEST(DiffGate, CommittedBaselinesPassAgainstThemselves)
+{
+    for (const char *file :
+         {"BENCH_spmv.json", "BENCH_pcg.json", "BENCH_symgs.json",
+          "BENCH_serve.json", "BENCH_energy.json"}) {
+        json::Value doc = committedBench(file);
+        EXPECT_EQ(gateOf(doc, doc), "") << file;
+    }
+}
+
+TEST(DiffGate, StatsLeafDriftTrips)
+{
+    json::Value base = committedBench("BENCH_spmv.json");
+    json::Value bumped(firstRowLeaf(base, "stats", "alu_ops") + 1.0);
+    EXPECT_NE(gateOf(base, withFirstRowLeaf(base, "stats", "alu_ops",
+                                            &bumped)),
+              "");
+}
+
+TEST(DiffGate, EnergyComponentDriftTrips)
+{
+    // The row total stays put: only the component rule can see it.
+    json::Value base = committedBench("BENCH_energy.json");
+    json::Value scaled(firstRowLeaf(base, "energy", "dram") * (1.0 + 1e-7));
+    EXPECT_NE(gateOf(base, withFirstRowLeaf(base, "energy", "dram",
+                                            &scaled)),
+              "");
+}
+
+TEST(DiffGate, MissingTopLevelKeyTrips)
+{
+    json::Value base = committedBench("BENCH_serve.json");
+    json::Value drifted = withMember(base, "batch_size_histogram", nullptr);
+    EXPECT_NE(gateOf(base, drifted), "");
+}
+
+TEST(DiffGate, RowShapeDriftTrips)
+{
+    // Every BENCH_serve row has stats.schedule_evictions == 0, so a
+    // value diff (absent leaf = 0, nulls skipped) sees none of these.
+    json::Value base = committedBench("BENCH_serve.json");
+    const json::Value null, zero(0), suite("other"), *drop = nullptr;
+    for (auto [key, v] : {std::pair{"schedule_evictions", drop},
+                          {"schedule_evictions", &null},
+                          {"schedule_restores", &zero}})
+        EXPECT_NE(gateOf(base, withFirstRowLeaf(base, "stats", key, v)), "")
+            << key;
+    // Likewise a new energy component that reads 0.
+    json::Value energy = committedBench("BENCH_energy.json");
+    EXPECT_NE(gateOf(energy, withFirstRowLeaf(energy, "energy", "leakage",
+                                              &zero)),
+              "");
+    // Rows align by name; a row that moves to another suite is drift.
+    EXPECT_NE(gateOf(base, withFirstRow(base, [&](const json::Value &row) {
+                  return withMember(row, "suite", &suite);
+              })),
+              "");
+}
+
+TEST(DiffGate, DocumentWithoutRowsTrips)
+{
+    json::Value base = committedBench("BENCH_spmv.json");
+    json::Value none = json::Value::array();
+    json::Value empty = withMember(base, "datasets", &none);
+    EXPECT_NE(gateOf(empty, empty), "");
+}
+
+TEST(DiffGate, RepeatedRowIsMalformed)
+{
+    json::Value base = committedBench("BENCH_pcg.json");
+    json::Value rows = *base.find("datasets");
+    json::Value copy = rows.elements()[0];
+    json::Value cycles(copy.intAt("cycles") + 12345);
+    rows.append(withMember(copy, "cycles", &cycles));
+    json::Value drifted = withMember(base, "datasets", &rows);
+
+    diff::Document d;
+    std::string err;
+    EXPECT_FALSE(diff::diff(base, drifted, &d, &err));
+    EXPECT_NE(err.find("repeats row"), std::string::npos) << err;
+}
+
+TEST(DiffGate, WallTimeOutsideToleranceTrips)
+{
+    json::Value base = committedBench("BENCH_symgs.json");
+    double wall = base.find("datasets")->elements()[0].numberAt("wall_ms");
+    auto withWall = [&](double ms) {
+        return withFirstRow(base, [&](const json::Value &row) {
+            json::Value v(ms);
+            return withMember(row, "wall_ms", &v);
+        });
+    };
+    EXPECT_NE(gateOf(base, withWall(0.0)), "");
+    EXPECT_NE(gateOf(base, withWall(30.0 * wall)), "");
+    EXPECT_NE(gateOf(base, withWall(wall / 30.0)), "");
+    // Host noise inside the bound is not a regression.
+    EXPECT_EQ(gateOf(base, withWall(20.0 * wall)), "");
+}
+
+TEST(DiffGate, ProfileBucketMoveTrips)
+{
+    // Move cycles and bytes from one profile bucket to another: the
+    // totals and conservation hold, only the bucket rules can see it.
+    json::Value base = simDoc("spmv", AccelParams{});
+    json::Value buckets = *base.find("profile")->find("buckets");
+    std::vector<json::Value> &b = buckets.elements();
+    ASSERT_GE(b.size(), 2u);
+    for (const char *field : {"cycles", "bytes"}) {
+        json::Value from(b[0].intAt(field) - 1), to(b[1].intAt(field) + 1);
+        b[0] = withMember(b[0], field, &from);
+        b[1] = withMember(b[1], field, &to);
+    }
+    json::Value profile =
+        withMember(*base.find("profile"), "buckets", &buckets);
+    json::Value moved = withMember(base, "profile", &profile);
+
+    diff::Document d = diffOk(base, moved);
+    EXPECT_TRUE(d.conserved);
+    EXPECT_EQ(d.totalCycleDelta, 0);
+    for (const char *spec : {"cycles>0", "bytes>0"}) {
+        std::vector<diff::FailRule> rules;
+        std::string err;
+        ASSERT_TRUE(diff::parseFailRules(spec, &rules, &err)) << err;
+        EXPECT_NE(diff::gate(d, rules), "") << spec;
+    }
+}
+
+TEST(DiffGate, WallDerivedServeFieldsDoNotTrip)
+{
+    json::Value base = committedBench("BENCH_serve.json");
+    json::Value rows = *base.find("datasets");
+    for (json::Value &row : rows.elements())
+        for (const char *field : {"requests_per_sec", "latency_p50_ns",
+                                  "latency_p95_ns", "latency_p99_ns"}) {
+            json::Value v(3.0 * row.numberAt(field));
+            row = withMember(row, field, &v);
+        }
+    json::Value drifted = withMember(base, "datasets", &rows);
+    for (const char *field :
+         {"batch_speedup_wall", "observability_overhead_wall"}) {
+        json::Value v(2.0 * drifted.numberAt(field));
+        drifted = withMember(drifted, field, &v);
+    }
+    EXPECT_FALSE(diffOk(base, drifted).empty());
+    EXPECT_EQ(gateOf(base, drifted), "");
 }
 
 } // namespace

@@ -14,12 +14,15 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/report.hh"
 #include "alrescha/sim/profile.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "common/stats.hh"
+#include "common/timeline.hh"
 #include "common/version.hh"
 #include "sparse/generators.hh"
 
@@ -291,6 +294,108 @@ TEST(JsonRoundTrip, MetricsDocument)
     expectRoundTrip(os.str());
 }
 
+TEST(JsonRoundTrip, NonFiniteDumpsAsNull)
+{
+    // JSON cannot spell NaN or infinity; the writer emits null, which
+    // parses back instead of failing as "invalid literal".
+    for (double d : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+        json::Value arr = json::Value::array();
+        arr.append(json::Value(d));
+        json::Parsed p = json::parse(json::dump(arr));
+        ASSERT_TRUE(p.ok) << json::dump(arr) << ": " << p.error;
+        EXPECT_TRUE(p.value.elements()[0].isNull());
+    }
+}
+
+TEST(JsonRoundTrip, EmittedStringsReadBackUnchanged)
+{
+    // A quote, a backslash, a newline, a raw control byte and UTF-8.
+    const std::string tricky = "q\"b\\s\nl\x01" "c \xc3\xa9\xe2\x82\xac";
+
+    stats::StatGroup group("g");
+    stats::Scalar scalar;
+    group.registerScalar("x", &scalar, tricky);
+    std::ostringstream statsOs;
+    json::Writer w(statsOs);
+    group.dumpJson(w);
+    json::Value statsDoc = parseOk(statsOs.str());
+    const json::Value *x = statsDoc.find("stats")->find("x");
+    ASSERT_NE(x, nullptr);
+    EXPECT_EQ(x->stringAt("desc"), tricky);
+
+    metrics::Registry reg;
+    reg.counter("c", "help", {{"k", tricky}}).add(1.0);
+    std::ostringstream metricsOs;
+    reg.writeJson(metricsOs);
+    json::Value metricsDoc = parseOk(metricsOs.str());
+    const json::Value &metric = metricsDoc.find("metrics")->elements()[0];
+    EXPECT_EQ(metric.find("labels")->stringAt("k"), tricky);
+
+    timeline::setTrackName(timeline::kPidServe, 999, tricky);
+    std::ostringstream traceOs;
+    timeline::exportChromeTrace(traceOs);
+    json::Value traceDoc = parseOk(traceOs.str());
+    bool found = false;
+    for (const json::Value &ev : traceDoc.find("traceEvents")->elements())
+        found = found || (ev.intAt("tid") == 999 &&
+                          ev.find("args")->stringAt("name") == tricky);
+    EXPECT_TRUE(found) << "track name did not read back unchanged";
+}
+
+TEST(JsonRoundTrip, SimReportNumbersAreExact)
+{
+    CsrMatrix a = gen::stencil3d(10, 10, 10);
+    Accelerator acc;
+    acc.loadPde(a);
+    DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
+    acc.symgsSweep(b, x, GsSweep::Symmetric);
+
+    SimReportOptions opt;
+    opt.utilization = true;
+    std::ostringstream os;
+    writeSimReportJson(os, acc, opt);
+    json::Value doc = parseOk(os.str());
+
+    // Every field reads back bit-equal: no emitter rounds.
+    UtilizationReport u = acc.utilization();
+    const json::Value &util = *doc.find("utilization");
+    EXPECT_EQ(util.intAt("cycles"), int64_t(u.cycles));
+    const std::pair<const char *, double> utilFields[] = {
+        {"alu_occupancy", u.aluOccupancy},
+        {"tree_occupancy", u.treeOccupancy},
+        {"bandwidth_utilization", u.bandwidthUtilization},
+        {"cache_hit_rate", u.cacheHitRate},
+        {"cache_time_fraction", u.cacheTimeFraction},
+        {"sequential_op_fraction", u.sequentialOpFraction},
+        {"sequential_cycle_fraction", u.sequentialCycleFraction},
+        {"reconfig_hidden_frac", u.reconfigHiddenFraction},
+        {"flops", u.flops},
+        {"dram_bytes", u.dramBytes},
+        {"arithmetic_intensity", u.arithmeticIntensity},
+        {"achieved_gflops", u.achievedGflops},
+        {"peak_gflops", u.peakGflops},
+        {"attainable_gflops", u.attainableGflops},
+    };
+    for (const auto &[name, value] : utilFields)
+        EXPECT_EQ(util.numberAt(name, -1.0), value) << name;
+
+    AccelReport r = acc.report();
+    const json::Value &energy = *doc.find("energy_breakdown");
+    const std::pair<const char *, double> energyFields[] = {
+        {"dram", r.energy.dram},
+        {"sram", r.energy.sram},
+        {"compute", r.energy.compute},
+        {"reconfig", r.energy.reconfig},
+        {"static", r.energy.staticEnergy},
+    };
+    for (const auto &[name, value] : energyFields)
+        EXPECT_EQ(energy.numberAt(name, -1.0), value) << name;
+    EXPECT_EQ(doc.numberAt("seconds"), r.seconds);
+    EXPECT_EQ(doc.numberAt("energy_joules"), r.energyJoules);
+}
+
 TEST(JsonValue, BuilderApi)
 {
     json::Value obj = json::Value::object();
@@ -307,6 +412,24 @@ TEST(JsonValue, BuilderApi)
     EXPECT_EQ(again.intAt("n"), 5);
     EXPECT_EQ(again.stringAt("name"), "x");
     EXPECT_DOUBLE_EQ(again.numberAt("n"), 5.0);
+}
+
+TEST(JsonValue, ImplicitConversionsKeepKind)
+{
+    // A bool stays a Bool, not the double 1.0; a pointer converts to
+    // nothing; an unsigned value past INT64_MAX keeps its magnitude, as
+    // the parser reads back the literal the Writer writes for it.
+    static_assert(!std::is_convertible_v<int *, json::Value>);
+    json::Value obj = json::Value::object();
+    obj.set("flag", true).set("n", 7u).set("big", UINT64_MAX);
+    EXPECT_TRUE(obj.find("flag")->isBool());
+    EXPECT_TRUE(obj.find("n")->isInt());
+    EXPECT_EQ(parseOk(json::dump(obj)), obj);
+
+    std::ostringstream os;
+    json::Writer(os).beginArray(true).value(true).value(UINT64_MAX).end();
+    EXPECT_EQ(os.str(), "[true, 18446744073709551615]");
+    EXPECT_EQ(parseOk(os.str()).elements()[1], *obj.find("big"));
 }
 
 } // namespace

@@ -319,7 +319,8 @@ TEST(StatGroupJson, SchemaIsValidAndNamesRoundTrip)
     root.addChild(&child);
 
     std::ostringstream os;
-    root.dumpJson(os);
+    json::Writer w(os);
+    root.dumpJson(w);
     std::string doc = os.str();
     EXPECT_TRUE(jsonValid(doc)) << doc;
     EXPECT_NE(doc.find("\"group\": \"root\""), std::string::npos);
@@ -344,7 +345,8 @@ TEST(StatGroupJson, EngineGroupExportsValidJson)
     acc.spmv(DenseVector(256, 1.0));
 
     std::ostringstream os;
-    acc.engine().statGroup().dumpJson(os);
+    json::Writer w(os);
+    acc.engine().statGroup().dumpJson(w);
     EXPECT_TRUE(jsonValid(os.str()));
     // Component groups surface as children with their stats intact.
     EXPECT_TRUE(acc.engine().statGroup().has("mem.bytes_streamed"));
@@ -376,7 +378,8 @@ TEST(StatSnapshotter, SamplesOnIntervalBoundaries)
     EXPECT_EQ(snap.names()[0], "x");
 
     std::ostringstream js;
-    snap.dumpJson(js);
+    json::Writer w(js);
+    snap.dumpJson(w);
     EXPECT_TRUE(jsonValid(js.str())) << js.str();
     EXPECT_NE(js.str().find("\"interval\": 100"), std::string::npos);
 

@@ -347,7 +347,7 @@ TEST(ProfileExport, JsonCsvAndFoldedAreConsistent)
         runProfiled(a, "symgs", 8, Mode::Simd, &cycles);
 
     std::ostringstream js;
-    profile::exportJson(js, {"symgs", 8, cycles, ""});
+    profile::exportJson(js, {"symgs", 8, cycles});
     const std::string doc = js.str();
     EXPECT_NE(doc.find("\"kernel\": \"symgs\""), std::string::npos);
     EXPECT_NE(doc.find("\"total_cycles\": " + std::to_string(cycles)),

@@ -11,12 +11,20 @@
  *
  *   alr_diff old_profile.json new_profile.json
  *   alr_diff BENCH_spmv.json build-rel/BENCH_spmv.json \
- *            --fail-on 'cycles>0' --json diff.json --folded diff.folded
+ *            --fail-on 'cycles>0,bytes>0,energy>0,stats>0' \
+ *            --json diff.json --folded diff.folded
+ *
+ * With that rule list it is the one gate of the committed BENCH_*.json
+ * baselines: exact cycles, bytes_streamed, energy components and
+ * "stats" counters per row, no missing or new rows or counter fields,
+ * no missing top-level keys, no row changing its suite, and every
+ * row's wall_ms positive and within 25x of the baseline.
  *
  * Exit codes (CI contract):
  *   0  within threshold (or no --fail-on and diff computed)
  *   1  --fail-on rule exceeded
- *   2  usage / unreadable / unparseable / incomparable artifacts
+ *   2  usage / unreadable / unparseable / incomparable / malformed
+ *      artifacts (a BENCH document that repeats a row name)
  *   3  conservation violated (bucket deltas do not sum to the total
  *      cycle delta -- an emitter bug, always worth failing loudly)
  *
@@ -25,12 +33,13 @@
  * render with the stock tooling as a differential flamegraph pair.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "alrescha/sim/diff.hh"
 #include "common/json.hh"
@@ -52,9 +61,10 @@ usage()
         "                stdout, replacing the text report)\n"
         "  --folded F    differential flamegraph stacks to F.pos\n"
         "                (regressions) and F.neg (improvements)\n"
-        "  --fail-on R   exit 1 when the diff exceeds METRIC>NUM[%%]\n"
-        "                (metric: cycles|bytes|energy; %% is relative\n"
-        "                to the old per-row value), e.g. 'cycles>0.1%%'\n"
+        "  --fail-on R   exit 1 when the diff exceeds any rule of the\n"
+        "                comma list R of METRIC>NUM[%%] (metric:\n"
+        "                cycles|bytes|energy|stats; %% is relative to\n"
+        "                the old value), e.g. 'cycles>0,stats>0.1%%'\n"
         "  --top N       rows shown per ranked table (default 20)\n");
     std::exit(2);
 }
@@ -64,7 +74,8 @@ usage()
 int
 main(int argc, char **argv)
 {
-    std::string oldPath, newPath, jsonPath, foldedPath, failOn;
+    std::string oldPath, newPath, jsonPath, foldedPath, err;
+    std::vector<diff::FailRule> rules;
     long topK = 20;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -77,11 +88,18 @@ main(int argc, char **argv)
             jsonPath = next();
         else if (arg == "--folded")
             foldedPath = next();
-        else if (arg == "--fail-on")
-            failOn = next();
-        else if (arg == "--top") {
-            topK = std::atol(next().c_str());
-            if (topK <= 0)
+        else if (arg == "--fail-on") {
+            if (!diff::parseFailRules(next(), &rules, &err)) {
+                std::fprintf(stderr, "alr_diff: %s\n", err.c_str());
+                return 2;
+            }
+        } else if (arg == "--top") {
+            std::string text = next();
+            char *end = nullptr;
+            errno = 0;
+            topK = std::strtol(text.c_str(), &end, 10);
+            if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+                topK <= 0)
                 usage();
         } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
             usage();
@@ -95,13 +113,6 @@ main(int argc, char **argv)
     }
     if (oldPath.empty() || newPath.empty())
         usage();
-
-    diff::FailRule rule;
-    std::string err;
-    if (!failOn.empty() && !diff::parseFailRule(failOn, &rule, &err)) {
-        std::fprintf(stderr, "alr_diff: %s\n", err.c_str());
-        return 2;
-    }
 
     json::Parsed oldDoc = json::parseFile(oldPath);
     if (!oldDoc) {
@@ -156,9 +167,8 @@ main(int argc, char **argv)
                      "do not sum to the total cycle delta\n");
         return 3;
     }
-    if (!failOn.empty() && diff::exceeds(d, rule)) {
-        std::fprintf(stderr, "alr_diff: diff exceeds %s\n",
-                     diff::describe(rule).c_str());
+    if (std::string why = diff::gate(d, rules); !why.empty()) {
+        std::fprintf(stderr, "alr_diff: %s\n", why.c_str());
         return 1;
     }
     return 0;

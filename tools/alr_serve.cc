@@ -43,6 +43,7 @@
 
 #include "alrescha/serve.hh"
 #include "alrescha/sim/replay.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/timeline.hh"
@@ -186,14 +187,6 @@ parse(int argc, char **argv)
     return opt;
 }
 
-void
-jnum(std::ostream &os, const char *fmt, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    os << buf;
-}
-
 } // namespace
 
 int
@@ -287,76 +280,73 @@ main(int argc, char **argv)
         evictions += fleet.at(i).engine().scheduleEvictions();
 
     if (opt.json) {
-        std::ostream &os = std::cout;
-        os << "{\n";
-        os << "  \"schema_version\": " << version::kJsonSchemaVersion
-           << ",\n";
-        os << "  \"fleet\": " << fleet.size() << ",\n";
-        os << "  \"requests\": " << trace.size() << ",\n";
-        os << "  \"completed\": " << res.completed << ",\n";
-        os << "  \"work_items\": " << res.workItems << ",\n";
-        os << "  \"batch_window\": " << opt.cfg.batchWindow << ",\n";
-        os << "  \"threads\": " << opt.cfg.threads << ",\n";
-        os << "  \"schedules_restored\": " << restored << ",\n";
-        os << "  \"schedule_compiles_warm\": " << warmCompiles << ",\n";
-        os << "  \"schedule_compiles_total\": " << fleet.scheduleCompiles()
-           << ",\n";
-        os << "  \"schedule_evictions\": " << evictions << ",\n";
-        os << "  \"modeled_cycles\": " << fleet.totalCycles() << ",\n";
-        os << "  \"wall_ms\": ";
-        jnum(os, "%.3f", res.wallMs);
-        os << ",\n  \"requests_per_sec\": ";
-        jnum(os, "%.1f", res.requestsPerSec);
-        os << ",\n  \"latency_ns\": {\"p50\": ";
-        jnum(os, "%.0f", res.latencyNs.percentile(50));
-        os << ", \"p95\": ";
-        jnum(os, "%.0f", res.latencyNs.percentile(95));
-        os << ", \"p99\": ";
-        jnum(os, "%.0f", res.latencyNs.percentile(99));
-        os << "}";
+        json::Writer w(std::cout);
+        w.beginObject()
+            .member("schema_version", version::kJsonSchemaVersion)
+            .member("fleet", fleet.size())
+            .member("requests", trace.size())
+            .member("completed", res.completed)
+            .member("work_items", res.workItems)
+            .member("batch_window", opt.cfg.batchWindow)
+            .member("threads", opt.cfg.threads)
+            .member("schedules_restored", restored)
+            .member("schedule_compiles_warm", warmCompiles)
+            .member("schedule_compiles_total", fleet.scheduleCompiles())
+            .member("schedule_evictions", evictions)
+            .member("modeled_cycles", fleet.totalCycles())
+            .member("wall_ms", res.wallMs)
+            .member("requests_per_sec", res.requestsPerSec)
+            .key("latency_ns")
+            .beginObject(true)
+            .member("p50", res.latencyNs.percentile(50))
+            .member("p95", res.latencyNs.percentile(95))
+            .member("p99", res.latencyNs.percentile(99))
+            .end();
         auto sloBucket = [&](const SloBucket &b) {
-            os << "{\"name\": \"" << b.name
-               << "\", \"requests\": " << b.requests
-               << ", \"good\": " << b.good << ", \"bad\": " << b.bad
-               << ", \"latency_us\": {\"p50\": ";
-            jnum(os, "%.3f", b.p50);
-            os << ", \"p95\": ";
-            jnum(os, "%.3f", b.p95);
-            os << ", \"p99\": ";
-            jnum(os, "%.3f", b.p99);
-            os << ", \"p99.9\": ";
-            jnum(os, "%.3f", b.p999);
-            os << "}}";
+            w.beginObject(true)
+                .member("name", b.name)
+                .member("requests", b.requests)
+                .member("good", b.good)
+                .member("bad", b.bad)
+                .key("latency_us")
+                .beginObject()
+                .member("p50", b.p50)
+                .member("p95", b.p95)
+                .member("p99", b.p99)
+                .member("p99.9", b.p999)
+                .end()
+                .end();
         };
         // Exact-sample percentiles (not the log2-bucketed latency_ns
         // block above) plus SLO accounting, overall and per matrix.
-        os << ",\n  \"slo\": {\"target_us\": ";
-        jnum(os, "%.3f", slo.sloUs);
-        os << ", \"objective\": ";
-        jnum(os, "%.6g", slo.objective);
-        os << ", \"bad_fraction\": ";
-        jnum(os, "%.9g", slo.badFraction());
-        os << ", \"burn_rate\": ";
-        jnum(os, "%.9g", slo.burnRate());
-        os << ",\n    \"total\": ";
+        w.key("slo")
+            .beginObject()
+            .member("target_us", slo.sloUs)
+            .member("objective", slo.objective)
+            .member("bad_fraction", slo.badFraction())
+            .member("burn_rate", slo.burnRate())
+            .key("total");
         sloBucket(slo.total);
-        os << ",\n    \"per_matrix\": [";
-        for (size_t i = 0; i < slo.perMatrix.size(); ++i) {
-            os << (i ? ",\n      " : "\n      ");
-            sloBucket(slo.perMatrix[i]);
-        }
-        os << "\n    ]}";
-        os << ",\n  \"queue\": {\"high_water\": " << res.queueHighWater
-           << ", \"blocked_pushes\": " << res.queueBlockedPushes
-           << ", \"rejects\": " << res.queueRejects << "}";
-        os << ",\n  \"batch_size\": {\"batches\": "
-           << res.batchSize.count() << ", \"mean\": ";
-        jnum(os, "%.3f", res.batchSize.mean());
-        os << ", \"max\": ";
-        jnum(os, "%.0f", res.batchSize.max());
-        os << "},\n  \"version\": ";
-        replay::writeVersionJson(os, params.simdMode);
-        os << "\n}\n";
+        w.key("per_matrix").beginArray();
+        for (const SloBucket &b : slo.perMatrix)
+            sloBucket(b);
+        w.end().end();
+        w.key("queue")
+            .beginObject(true)
+            .member("high_water", res.queueHighWater)
+            .member("blocked_pushes", res.queueBlockedPushes)
+            .member("rejects", res.queueRejects)
+            .end()
+            .key("batch_size")
+            .beginObject(true)
+            .member("batches", res.batchSize.count())
+            .member("mean", res.batchSize.mean())
+            .member("max", res.batchSize.max())
+            .end()
+            .key("version");
+        replay::writeVersionJson(w, params.simdMode);
+        w.end();
+        std::cout << '\n';
         std::cout.flush();
     } else {
         std::printf("fleet: %zu matrices (scale %u, omega %u)\n",

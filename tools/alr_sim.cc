@@ -90,7 +90,7 @@ struct Options
     int scheduleCache = 0;
     bool ab = false;          ///< --ab given (possibly empty overrides)
     std::string abOverrides;  ///< variant flag string
-    std::string failOn;       ///< --fail-on threshold (A/B gate)
+    std::string failOn;       ///< --fail-on rule list (A/B gate)
 };
 
 void
@@ -108,7 +108,7 @@ usage()
         "               [--iters N] [--threads N] [--engine-threads N]\n"
         "               [--schedule-cache N]\n"
         "               [--save F.alr] [--trace F.log]\n"
-        "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULE]\n"
+        "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULES]\n"
         "               [--version]\n"
         "  SPEC: stencil2d:N | stencil3d:N | banded:N | rmat:SCALE |\n"
         "        roadgrid:N | powerlaw:N\n"
@@ -132,8 +132,11 @@ usage()
         "                    cycle/stat/energy diff; engine and kernel\n"
         "                    knobs only (--omega, --simd, --rcm,\n"
         "                    --iters, ...), no file I/O flags\n"
-        "  --fail-on RULE    with --ab: exit 1 when the diff exceeds\n"
-        "                    METRIC>NUM[%%], e.g. 'cycles>0.1%%'\n"
+        "  --fail-on RULES   with --ab: exit 1 when the diff exceeds\n"
+        "                    any rule of the comma list, as in\n"
+        "                    alr_diff: METRIC>NUM[%%] with METRIC one\n"
+        "                    of cycles, bytes, energy, stats, e.g.\n"
+        "                    'cycles>0,stats>0.1%%'\n"
         "  --version         print build provenance and exit\n");
     std::exit(2);
 }
@@ -622,12 +625,11 @@ runAb(const Options &baseline)
         return 3;
     }
     if (!baseline.failOn.empty()) {
-        diff::FailRule rule;
-        if (!diff::parseFailRule(baseline.failOn, &rule, &err))
+        std::vector<diff::FailRule> rules;
+        if (!diff::parseFailRules(baseline.failOn, &rules, &err))
             fatal("%s", err.c_str());
-        if (diff::exceeds(d, rule)) {
-            std::fprintf(stderr, "alr_sim: A/B diff exceeds %s\n",
-                         diff::describe(rule).c_str());
+        if (std::string why = diff::gate(d, rules); !why.empty()) {
+            std::fprintf(stderr, "alr_sim: A/B %s\n", why.c_str());
             return 1;
         }
     }
@@ -770,8 +772,7 @@ main(int argc, char **argv)
 
     if (profiling) {
         profile::ExportMeta meta{opt.kernel, opt.omega,
-                                 acc.engine().totalCycles(),
-                                 replay::selectedName(opt.simdMode)};
+                                 acc.engine().totalCycles(), opt.simdMode};
         auto writeTo = [&](const std::string &path, auto emit,
                            const char *what) {
             if (path.empty())
