@@ -109,10 +109,11 @@ runObservedPass(const std::vector<Dataset> &suite, const TraceParams &tp,
 json::Value
 rowOf(const char *name, const Pass &p)
 {
-    double checksum = 0.0, reqCycles = 0.0;
+    double checksum = 0.0;
     for (double c : p.res.checksums)
         checksum += c;
-    for (double c : p.res.modeledCycles)
+    uint64_t reqCycles = 0;
+    for (uint64_t c : p.res.modeledCycles)
         reqCycles += c;
 
     json::Value stats = json::Value::object();

@@ -24,7 +24,8 @@ Accelerator::requireLoaded() const
 void
 Accelerator::loadPde(const CsrMatrix &a)
 {
-    ALR_ASSERT(a.rows() == a.cols(), "PDE systems are square");
+    if (a.rows() != a.cols())
+        fatal("PDE systems are square");
     // The previous matrix/tables are about to be destroyed; schedules
     // are keyed on their identity, so drop them before the addresses
     // can be recycled.
@@ -65,7 +66,8 @@ Accelerator::loadSpmvOnly(const CsrMatrix &a)
 void
 Accelerator::loadGraph(const CsrMatrix &adj)
 {
-    ALR_ASSERT(adj.rows() == adj.cols(), "adjacency must be square");
+    if (adj.rows() != adj.cols())
+        fatal("adjacency must be square");
     _engine.invalidateSchedules();
     _outDegrees = outDegrees(adj);
     CsrMatrix adjT = adj.transposed();
@@ -201,7 +203,8 @@ Accelerator::bfs(Index source)
 {
     requireLoaded();
     ALR_ASSERT(_bfsTable != nullptr, "BFS table not built; use loadGraph");
-    ALR_ASSERT(source < _ld->rows(), "source out of range");
+    if (source >= _ld->rows())
+        fatal("source out of range");
     DenseVector init(_ld->rows(), kInf);
     init[source] = 0.0;
     return relaxToFixpoint(*_bfsTable, std::move(init), false);
@@ -213,7 +216,8 @@ Accelerator::sssp(Index source)
     requireLoaded();
     ALR_ASSERT(_ssspTable != nullptr,
                "SSSP table not built; use loadGraph");
-    ALR_ASSERT(source < _ld->rows(), "source out of range");
+    if (source >= _ld->rows())
+        fatal("source out of range");
     DenseVector init(_ld->rows(), kInf);
     init[source] = 0.0;
     return relaxToFixpoint(*_ssspTable, std::move(init), false);

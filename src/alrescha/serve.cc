@@ -277,7 +277,7 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
 {
     ServeResult res;
     res.checksums.assign(trace.size(), 0.0);
-    res.modeledCycles.assign(trace.size(), 0.0);
+    res.modeledCycles.assign(trace.size(), 0);
     res.latencyUs.assign(trace.size(), 0.0);
     res.queueWaitUs.assign(trace.size(), 0.0);
     if (cfg.keepResults)
@@ -397,11 +397,12 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
         }
 
         // Batched latency attribution: the batch's modeled cycles
-        // divide evenly across its coalesced requests
+        // split across its coalesced requests in exact integers, the
+        // remainder one cycle each to the first requests
         // (docs/MODELING.md); wall latency is shared, not divided.
-        double perReq = double(delta) / double(k);
-        for (uint32_t id : item.requestIds)
-            res.modeledCycles[id] = perReq;
+        for (size_t j = 0; j < k; ++j)
+            res.modeledCycles[item.requestIds[j]] =
+                delta / k + (j < delta % k ? 1 : 0);
         if (item.op == ServeOp::Spmv)
             tally.batchSize.sample(double(k));
         tally.completed += k;

@@ -4,8 +4,8 @@
  * matrices, schedules compiled once (or restored from a persisted
  * cache -- zero compiles on a warm start), draining a concurrent
  * request stream of mixed SpMV/SymGS/PCG ops through a bounded
- * admission queue, with same-matrix SpMV requests coalesced into
- * register-blocked SpMM batches.
+ * admission queue, with same-matrix SpMV requests coalesced into SpMM
+ * batches.
  *
  * Determinism contract (the equivalence suite pins all of it):
  *  - the batching plan is a pure function of (trace, batchWindow) --
@@ -207,9 +207,11 @@ struct ServeResult
     /** Per-request result checksum (sum of the output vector),
      *  indexed by request id. */
     std::vector<double> checksums;
-    /** Per-request modeled cycles: the run's cycles, divided evenly
-     *  across a batch's coalesced requests (docs/MODELING.md). */
-    std::vector<double> modeledCycles;
+    /** Per-request modeled cycles: the run's cycles split across a
+     *  batch's coalesced requests as an integer quotient, plus one for
+     *  each of the first (cycles mod k) of them, so they sum exactly to
+     *  the run's cycles (docs/MODELING.md). */
+    std::vector<uint64_t> modeledCycles;
     /** Full result vectors, keepResults only (indexed by id). */
     std::vector<DenseVector> results;
     /** Exact wall-clock admission-to-completion latency per request,

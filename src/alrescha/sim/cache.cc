@@ -11,64 +11,96 @@ CacheModel::CacheModel(const AccelParams &params, MemoryModel *memory)
     uint32_t nlines =
         std::max<uint32_t>(1, params.cacheBytes / params.cacheLineBytes);
     _lines.assign(nlines, Line{});
+    _fillCycles = _memory->randomAccessCycles();
+    _lineStreamCycles = _memory->streamCycles(_params.cacheLineBytes);
 }
 
-uint64_t
+bool
 CacheModel::touch(CacheVec vec, Index chunk)
 {
     // Direct-mapped: hash (vec, chunk) onto a line (lineIndex()).
-    size_t idx = lineIndex(vec, chunk);
-    Line &line = _lines[idx];
+    Line &line = _lines[lineIndex(vec, chunk)];
     if (line.valid && line.vec == vec && line.chunk == chunk) {
-        ++_hits;
-        return 0;
+        ++_pending.hits;
+        return true;
     }
-    ++_misses;
-    line.valid = true;
-    line.vec = vec;
-    line.chunk = chunk;
-    return _memory->recordRandomAccess();
+    ++_pending.misses;
+    line = Line{true, vec, chunk};
+    return false;
 }
 
 uint64_t
 CacheModel::read(CacheVec vec, Index chunk, bool on_critical_path,
                  bool *was_miss)
 {
-    ++_reads;
     // Port occupancy: the SRAM is pipelined, accepting one access per
-    // cycle; cacheLatency is the (hidden or exposed) access latency.
-    _busyCycles += 1.0;
-    uint64_t fill = touch(vec, chunk);
+    // cycle (busy cycles are counted per access); cacheLatency is the
+    // (hidden or exposed) access latency.
+    ++_pending.reads;
+    bool hit = touch(vec, chunk);
     if (was_miss)
-        *was_miss = fill > 0;
+        *was_miss = !hit;
     if (!on_critical_path) {
         // Prefetched: the miss costs bandwidth (the line fill shares
         // the pipe with the block stream), never latency.
-        return fill > 0 ? _memory->streamCycles(_params.cacheLineBytes)
-                        : 0;
+        return hit ? 0 : _lineStreamCycles;
     }
-    if (fill > 0)
-        return fill + uint64_t(_params.cacheLatency);
-    return uint64_t(_params.cacheLatency);
+    return (hit ? 0 : _fillCycles) + uint64_t(_params.cacheLatency);
 }
 
 uint64_t
 CacheModel::write(CacheVec vec, Index chunk, bool *was_miss)
 {
-    ++_writes;
-    _busyCycles += 1.0;
+    ++_pending.writes;
     // Writes are buffered; allocation happens off the critical path.
-    uint64_t fill = touch(vec, chunk);
+    bool hit = touch(vec, chunk);
     if (was_miss)
-        *was_miss = fill > 0;
+        *was_miss = !hit;
     return 0;
+}
+
+void
+CacheModel::setLines(const std::vector<Line> &lines)
+{
+    ALR_ASSERT(lines.size() == _lines.size(), "cache line count mismatch");
+    _lines = lines;
+}
+
+void
+CacheModel::addPending(const Counts &counts)
+{
+    _pending.reads += counts.reads;
+    _pending.writes += counts.writes;
+    _pending.hits += counts.hits;
+    _pending.misses += counts.misses;
+}
+
+void
+CacheModel::flush()
+{
+    // Every count is an integer far below 2^53, so one add per run is
+    // bit-identical to one per access.
+    if (_pending.reads != 0)
+        _reads += double(_pending.reads);
+    if (_pending.writes != 0)
+        _writes += double(_pending.writes);
+    if (_pending.hits != 0)
+        _hits += double(_pending.hits);
+    if (_pending.misses != 0)
+        _misses += double(_pending.misses);
+    if (_pending.reads + _pending.writes != 0)
+        _busyCycles += double(_pending.reads + _pending.writes);
+    _memory->recordRandomAccesses(_pending.misses);
+    _pending = Counts{};
 }
 
 void
 CacheModel::reset()
 {
-    for (Line &line : _lines)
-        line.valid = false;
+    // Fully cleared lines, so a reset cache keys the timing memo like a
+    // fresh one.
+    _lines.assign(_lines.size(), Line{});
+    _pending = Counts{};
     _reads.reset();
     _writes.reset();
     _hits.reset();

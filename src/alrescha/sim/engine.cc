@@ -71,6 +71,40 @@ fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
 
 } // namespace
 
+bool
+TimingMemo::replay(Rcu &rcu, RunTiming &timing)
+{
+    rcu.flush();
+    const std::vector<CacheModel::Line> &lines = rcu.cache().lines();
+    for (size_t i = 0; i < _entries.size(); ++i) {
+        const Entry &e = _entries[i];
+        if (e.configured != rcu.configured() || e.lines != lines)
+            continue;
+        rcu.cache().setLines(e.exitLines);
+        rcu.addPending(e.counts);
+        timing = e.timing;
+        if (i != 0)
+            std::rotate(_entries.begin(), _entries.begin() + i,
+                        _entries.begin() + i + 1);
+        return true;
+    }
+    _walk.lines = lines;
+    _walk.configured = rcu.configured();
+    return false;
+}
+
+void
+TimingMemo::record(const Rcu &rcu, const RunTiming &timing)
+{
+    _walk.timing = timing;
+    _walk.exitLines = rcu.cache().lines();
+    _walk.counts = rcu.pending();
+    _entries.insert(_entries.begin(), std::move(_walk));
+    if (_entries.size() > kCapacity)
+        _entries.pop_back();
+    _walk = Entry{};
+}
+
 Engine::Engine(const AccelParams &params)
     : _params(params), _memory(params), _fcu(params),
       _rcu(params, &_memory), _stats("alrescha")
@@ -113,10 +147,16 @@ Engine::program(const LocallyDenseMatrix *ld, const ConfigTable *table)
 const ExecSchedule *
 Engine::prepareSchedule()
 {
+    return prepare().sched;
+}
+
+Engine::Prepared
+Engine::prepare()
+{
     ALR_ASSERT(_ld && _table, "engine not programmed");
     if (_table->kernel() != KernelType::SpMV &&
         _table->kernel() != KernelType::SymGS)
-        return nullptr;
+        return {};
     std::lock_guard<std::mutex> lock(_scheduleMutex);
     for (size_t i = 0; i < _schedules.size(); ++i) {
         ScheduleSlot &slot = _schedules[i];
@@ -137,7 +177,8 @@ Engine::prepareSchedule()
             std::rotate(_schedules.begin(), _schedules.begin() + i,
                         _schedules.begin() + i + 1);
         ++_scheduleHits;
-        return _schedules.front().sched.get();
+        return {_schedules.front().sched.get(),
+                _schedules.front().memo.get()};
     }
 
     // Generation miss: content hashes (computed only here, never on
@@ -186,6 +227,7 @@ Engine::prepareSchedule()
             compileSchedule(*_ld, *_table, _params, &hostPool()));
         ++_scheduleCompiles;
     }
+    slot.memo = std::make_unique<TimingMemo>();
     _schedules.insert(_schedules.begin(), std::move(slot));
     size_t capacity = _params.scheduleCacheCapacity < 1
                           ? 1
@@ -194,7 +236,7 @@ Engine::prepareSchedule()
         _schedules.pop_back();
         _scheduleEvictions += 1.0;
     }
-    return _schedules.front().sched.get();
+    return {_schedules.front().sched.get(), _schedules.front().memo.get()};
 }
 
 void
@@ -390,6 +432,7 @@ Engine::streamRowsCycles(Index rows_streamed) const
 void
 Engine::commitRun(const RunCommit &run, RunTiming *timing)
 {
+    _rcu.flush();
     if (run.parFlops != 0.0)
         _parFlops += run.parFlops;
     if (run.seqFlops != 0.0)
@@ -401,7 +444,7 @@ Engine::commitRun(const RunCommit &run, RunTiming *timing)
     // stream-front span, the final tree drain, and the cache/link
     // occupancy counters.
     const RunTiming &t = run.timing;
-    if (timeline::enabled()) {
+    if (timeline::recording(timeline::kPidModeled)) {
         if (run.name)
             timeline::span(run.name, "datapath", timeline::kTidDataPath,
                            run.base, t.cycles);
@@ -437,12 +480,12 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
                "table was converted for %s", toString(_table->kernel()));
     ALR_ASSERT(x.size() == _ld->cols(), "operand length mismatch");
 
-
-    const ExecSchedule &S = *prepareSchedule();
+    const auto [sched, memo] = prepare();
+    const ExecSchedule &S = *sched;
     DenseVector y(_ld->rows(), 0.0);
 
     timeline::ScopedHostSpan hostSpan("spmv.sched", "run");
-    const bool tlOn = timeline::enabled();
+    const bool tlOn = timeline::recording(timeline::kPidModeled);
     const uint64_t tlBase = totalCycles();
     profile::RunScope prof;
     const uint64_t lineBytes = _params.cacheLineBytes;
@@ -469,12 +512,14 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
         S.fns.spmv(S, xpad, y.data(), 0, S.pathCount);
     }
 
-    // Timing walk: replays the interpreter's exact cache access
-    // sequence (the cache is stateful across runs), serially.
+    // Timing: replay the memo, or walk the interpreter's exact cache
+    // access sequence (the cache is stateful across runs), serially.
     RunTiming t;
+    const bool memoized = !prof.on() && !tlOn;
+    const bool walk = !(memoized && memo->replay(_rcu, t));
     int64_t segStart = -1;
     DataPathType segDp{};
-    if (S.pathCount > 0) {
+    if (walk && S.pathCount > 0) {
         uint64_t hidden0 = 0;
         uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
         if (tlOn && cfg0)
@@ -541,17 +586,25 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
                 prof.add(S.lastDp, S.finalOutRow, Cause::CacheMiss, 0,
                          lineBytes);
         }
+    }
+    if (tlOn && segStart >= 0)
+        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
+                       tlBase + segStart, t.cycles - uint64_t(segStart));
+    if (walk) {
+        t.cycles += uint64_t(_params.drainCycles());
+        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
+                 uint64_t(_params.drainCycles()));
+        if (memoized)
+            memo->record(_rcu, t);
+    } else {
+        ++_timingMemoHits;
+    }
+    if (S.pathCount > 0) {
         _rcu.setConfigured(S.lastDp);
         _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.totalStreamBytes);
         _fcu.noteOps(S.fcuOps);
     }
-    if (tlOn && segStart >= 0)
-        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
-                       tlBase + segStart, t.cycles - uint64_t(segStart));
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
     ALR_TRACE("spmv(sched): %zu paths, %llu cycles", S.pathCount,
               (unsigned long long)t.cycles);
     commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops,
@@ -570,47 +623,69 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     for (const DenseVector &x : xs)
         ALR_ASSERT(x.size() == _ld->cols(), "operand length mismatch");
 
-
     const size_t k = xs.size();
-    const ExecSchedule &S = *prepareSchedule();
-    std::vector<DenseVector> ys(k, DenseVector(_ld->rows(), 0.0));
+    const auto [sched, memo] = prepare();
+    const ExecSchedule &S = *sched;
+    const size_t rows = _ld->rows();
 
     timeline::ScopedHostSpan hostSpan("spmm.sched", "run");
     const uint64_t tlBase = totalCycles();
 
-    // Functional pass (see runSpmvScheduled): the block streams once,
-    // its rows issue once per right-hand side.  All k operands stage
-    // into one aligned buffer at a 64-byte-rounded stride so every
-    // per-RHS chunk load is a full-width aligned load.
-    const size_t stride = (S.paddedOperand + 7) & ~size_t(7);
-    _xpadMulti.resize(stride * k);
-    std::vector<const Value *> xp(k);
-    std::vector<Value *> yp(k);
-    for (size_t j = 0; j < k; ++j) {
-        Value *dst = _xpadMulti.data() + j * stride;
-        std::copy(xs[j].begin(), xs[j].end(), dst);
-        std::fill(dst + xs[j].size(), dst + stride, 0.0);
-        xp[j] = dst;
-        yp[j] = ys[j].data();
-    }
+    // Functional pass (see runSpmv): the block streams once, its rows
+    // issue once per right-hand side.  The operands stage interleaved,
+    // replay::kSpmmMaxRhs at a time (replay::SpmmFn), so the replay
+    // kernels carry the right-hand sides across the vector lanes, and
+    // the results come back interleaved the same way.
+    std::vector<DenseVector> ys(k, DenseVector(rows));
     size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
     ThreadPool *pool = enginePool();
-    if (pool && S.parallelSafe && groups > 1) {
-        pool->parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
-            timeline::ScopedHostSpan chunkSpan("spmm.groups", "worker");
-            S.fns.spmm(S, xp.data(), yp.data(), k, S.groupBegin[gb],
-                       S.groupBegin[ge]);
-        });
-    } else {
-        S.fns.spmm(S, xp.data(), yp.data(), k, 0, S.pathCount);
+    for (size_t j0 = 0; j0 < k; j0 += replay::kSpmmMaxRhs) {
+        const size_t kb = std::min(k - j0, replay::kSpmmMaxRhs);
+        const size_t stride = replay::spmmStride(kb);
+        _xpadMulti.assign(S.paddedOperand * stride, 0.0);
+        for (size_t c = 0; c < xs[0].size(); ++c)
+            for (size_t j = 0; j < kb; ++j)
+                _xpadMulti[c * stride + j] = xs[j0 + j][c];
+        _ypadMulti.assign(rows * stride, 0.0);
+        const Value *xt = _xpadMulti.data();
+        Value *yt = _ypadMulti.data();
+        if (pool && S.parallelSafe && groups > 1) {
+            pool->parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
+                timeline::ScopedHostSpan chunkSpan("spmm.groups", "worker");
+                S.fns.spmm(S, xt, yt, kb, S.groupBegin[gb],
+                           S.groupBegin[ge]);
+            });
+        } else {
+            S.fns.spmm(S, xt, yt, kb, 0, S.pathCount);
+        }
+        for (size_t r = 0; r < rows; ++r)
+            for (size_t j = 0; j < kb; ++j)
+                ys[j0 + j][r] = yt[r * stride + j];
     }
 
+    // Timing.  Each chunk access issues once per right-hand side, k
+    // times in a row: the first may miss, and the other k - 1 hit the
+    // line it left, charging no cycles.  So an SpMM makes its SpMV's
+    // cache accesses and switches, in the same order and at the same
+    // cycles, from any entry state, and only its stream terms, which
+    // depend on k alone, differ.  It therefore shares the SpMV's memo
+    // entries, which hold SpMV timings: a run takes the SpMV timing
+    // (replayed, or walked with the stream terms left out) and adds
+    // its own stream terms.
     RunTiming t;
     profile::RunScope prof;
+    const bool memoized =
+        !prof.on() && !timeline::recording(timeline::kPidModeled);
+    const bool walk = !(memoized && memo->replay(_rcu, t));
+    auto rowStream = [&](size_t i) {
+        return std::max(S.spmmMemCycles[i], uint64_t(S.streamedRows[i]) * k);
+    };
+    uint64_t stream = 0;
+    uint64_t spmvStream = 0;
     const uint64_t lineBytes = _params.cacheLineBytes;
     const uint64_t cfgExposed = uint64_t(
         std::max(0, _params.configCycles - _params.drainCycles()));
-    if (S.pathCount > 0) {
+    if (walk && S.pathCount > 0) {
         uint64_t hidden0 = 0;
         uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
         prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
@@ -629,45 +704,61 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
                      S.fillCycles[i]);
             t.cycles += S.fillCycles[i];
             if (S.writeOutRow[i] >= 0) {
-                for (size_t j = 0; j < k; ++j) {
-                    bool wMiss = false;
-                    t.cycles += _rcu.cache().write(
-                        CacheVec::Out, Index(S.writeOutRow[i]), &wMiss);
-                    if (wMiss)
-                        prof.add(S.dp[i], S.writeOutRow[i],
-                                 Cause::CacheMiss, 0, lineBytes);
-                }
+                bool wMiss = false;
+                t.cycles += _rcu.cache().write(
+                    CacheVec::Out, Index(S.writeOutRow[i]), &wMiss);
+                if (wMiss)
+                    prof.add(S.dp[i], S.writeOutRow[i], Cause::CacheMiss,
+                             0, lineBytes);
             }
-            for (size_t j = 0; j < k; ++j) {
-                bool xMiss = false;
-                uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                                   S.blockCol[i], false,
-                                                   &xMiss);
-                prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
-                         xMiss ? lineBytes : 0);
-                t.cycles += xRead;
-            }
-            uint64_t bc = std::max(S.spmmMemCycles[i],
-                                   uint64_t(S.streamedRows[i]) * k);
+            bool xMiss = false;
+            uint64_t xRead = _rcu.cache().read(S.operandVec[i],
+                                               S.blockCol[i], false, &xMiss);
+            prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
+                     xMiss ? lineBytes : 0);
+            t.cycles += xRead;
+            uint64_t bc = rowStream(i);
             prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
                      S.spmmMemCycles[i],
                      uint64_t(S.streamedRows[i]) * S.omega *
                          sizeof(Value));
             prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
                      bc - S.spmmMemCycles[i]);
-            t.cycles += bc;
-            t.parCycles += bc;
+            stream += bc;
+            spmvStream += S.streamCycles[i];
         }
         if (S.finalOutRow >= 0) {
-            for (size_t j = 0; j < k; ++j) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(
-                    CacheVec::Out, Index(S.finalOutRow), &wMiss);
-                if (wMiss)
-                    prof.add(DataPathType::Gemv, S.finalOutRow,
-                             Cause::CacheMiss, 0, lineBytes);
-            }
+            bool wMiss = false;
+            t.cycles += _rcu.cache().write(CacheVec::Out,
+                                           Index(S.finalOutRow), &wMiss);
+            if (wMiss)
+                prof.add(DataPathType::Gemv, S.finalOutRow,
+                         Cause::CacheMiss, 0, lineBytes);
         }
+    }
+    if (walk) {
+        t.cycles += uint64_t(_params.drainCycles());
+        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
+                 uint64_t(_params.drainCycles()));
+        if (memoized)
+            memo->record(_rcu, {.cycles = t.cycles + spmvStream,
+                                .parCycles = spmvStream});
+    } else {
+        ++_timingMemoHits;
+        t.cycles -= t.parCycles;
+        for (size_t i = 0; i < S.pathCount; ++i)
+            stream += rowStream(i);
+    }
+    t.cycles += stream;
+    t.parCycles = stream;
+    // The k - 1 repeats of every access this run made or replayed
+    // (TimingMemo::replay flushed what came before; without the memo,
+    // nothing is pending between runs).
+    const CacheModel::Counts once = _rcu.cache().pending();
+    _rcu.cache().addPending({.reads = (k - 1) * once.reads,
+                             .writes = (k - 1) * once.writes,
+                             .hits = (k - 1) * (once.reads + once.writes)});
+    if (S.pathCount > 0) {
         _rcu.setConfigured(S.lastDp);
         _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.spmmStreamBytes);
@@ -677,9 +768,6 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
                            S.fcuOps.add * double(k)};
         _fcu.noteOps(scaled);
     }
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
     commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops * double(k),
                .usefulBytes = S.usefulBytes, .name = "spmm"},
               timing);
@@ -699,15 +787,14 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     ALR_ASSERT(b.size() == _ld->rows() && x.size() == _ld->rows(),
                "operand length mismatch");
 
-
     const Index omega = _params.omega;
     const Index rows = _ld->rows();
     const DenseVector &diag = _ld->diagonal();
-    const ExecSchedule &S = *prepareSchedule();
-    RunTiming t;
+    const auto [sched, memo] = prepare();
+    const ExecSchedule &S = *sched;
 
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
-    const bool tlOn = timeline::enabled();
+    const bool tlOn = timeline::recording(timeline::kPidModeled);
     const uint64_t tlBase = totalCycles();
     int64_t segStart = -1;
     DataPathType segDp{};
@@ -716,21 +803,27 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     const uint64_t cfgExposed = uint64_t(
         std::max(0, _params.configCycles - _params.drainCycles()));
 
-    // Fused functional + timing pass: the sweep is inherently
+    // One pass, functional and timing: the sweep is inherently
     // sequential (each diagonal chain updates x for the GEMV gathers
-    // that follow), so one walk replays the interpreter's exact cache
-    // and link-stack sequence while reading precompiled values.  The
-    // iterate stages into the padded aligned buffer once and is the
-    // working vector for the whole sweep (the GEMV majority of the
-    // paths then runs through the ω-wide replay kernels); the diagonal
-    // chains stay scalar -- they are the serialized recurrence.
+    // that follow).  The iterate stages into the padded aligned buffer
+    // once and is the working vector for the whole sweep (the GEMV
+    // majority of the paths then runs through the ω-wide replay
+    // kernels, writing their partials straight into the link stack);
+    // the diagonal chains stay scalar -- they are the serialized
+    // recurrence.  Each path's timing half -- the interpreter's exact
+    // cache and switch sequence -- runs only when the memo cannot
+    // replay the run.
+    RunTiming t;
+    const bool memoized = !prof.on() && !tlOn;
+    const bool walk = !(memoized && memo->replay(_rcu, t));
     uint64_t stream_t = 0; // streaming/pipelined front
     uint64_t dep_t = 0;    // completion of the dependence chain
 
     Value *xw = stageOperand(S, x);
-    std::vector<Value> partials(omega);
+    LinkStack &links = _rcu.linkStack();
+    std::vector<Value> acc(omega);
     std::vector<Value> lanes(fcutree::ceilPow2(omega));
-    if (S.pathCount > 0) {
+    if (walk && S.pathCount > 0) {
         uint64_t hidden0 = 0;
         uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
         if (tlOn && cfg0)
@@ -740,119 +833,126 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
                  cfg0 - hidden0);
         stream_t += cfg0;
-        for (size_t i = 0; i < S.pathCount; ++i) {
-            if (tlOn && segStart >= 0 && S.dp[i] != segDp) {
-                timeline::span(toString(segDp), "datapath",
-                               timeline::kTidDataPath, tlBase + segStart,
-                               stream_t - uint64_t(segStart));
-                segStart = -1;
-            }
-            if (tlOn && S.cfgCycles[i])
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + stream_t, S.cfgCycles[i]);
-            if (S.cfgCycles[i]) {
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigHidden,
-                         S.cfgCycles[i] - cfgExposed);
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigExposed,
-                         cfgExposed);
-            }
-            stream_t += S.cfgCycles[i];
-            if (S.dp[i] == DataPathType::Gemv) {
-                if (tlOn && S.fillCycles[i])
-                    timeline::span("fill", "fcu", timeline::kTidFcu,
-                                   tlBase + stream_t, S.fillCycles[i]);
-                prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                         S.fillCycles[i]);
-                stream_t += S.fillCycles[i];
-                if (tlOn && segStart < 0) {
-                    segStart = int64_t(stream_t);
-                    segDp = S.dp[i];
-                }
-                bool xMiss = false;
-                uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                                   S.blockCol[i], false,
-                                                   &xMiss);
-                prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
-                         xMiss ? lineBytes : 0);
-                stream_t += xRead;
-                std::fill(partials.begin(), partials.end(), 0.0);
-                S.fns.symgs(S, i, xw, partials.data());
-                prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
-                         S.memCycles[i], S.streamBytes[i]);
-                prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                         S.streamCycles[i] - S.memCycles[i]);
-                stream_t += S.streamCycles[i];
-                _rcu.linkStack().push(partials);
-                if (tlOn)
-                    timeline::counter(
-                        "link_depth", tlBase + stream_t,
-                        double(_rcu.linkStack().depth()));
-            } else {
-                if (tlOn && segStart < 0) {
-                    segStart = int64_t(stream_t);
-                    segDp = S.dp[i];
-                }
-                Index br = S.blockRow[i];
-                Index r0 = br * omega;
-                prof.add(S.dp[i], br, Cause::Stream, S.memCycles[i],
-                         S.streamBytes[i]);
-                prof.add(S.dp[i], br, Cause::FcuCompute,
-                         S.streamCycles[i] - S.memCycles[i]);
-                stream_t += S.streamCycles[i];
-
-                bool dMiss = false;
-                uint64_t diag_read =
-                    _rcu.cache().read(CacheVec::Diag, br, true, &dMiss);
-                if (dMiss)
-                    prof.add(S.dp[i], br, Cause::CacheMiss, 0,
-                             lineBytes);
-                uint64_t dep_in = dep_t;
-                uint64_t start =
-                    std::max(stream_t +
-                                 uint64_t(_params.pipelineDepth()),
-                             dep_t) +
-                    diag_read;
-
-                DenseVector acc = _rcu.linkStack().popAccumulate(omega);
-                for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1];
-                     ++rr) {
-                    Index r = S.rowIndex[rr];
-                    Index lr = r - r0;
-                    const Value *v = &S.values[rr * omega];
-                    // The diagonal lane stays explicitly masked (the
-                    // interpreter zeroes value *and* operand there;
-                    // the padded buffer covers the matrix-edge lanes).
-                    for (Index lc = 0; lc < omega; ++lc)
-                        lanes[lc] =
-                            v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
-                    Value dot = fcutree::sumTree(lanes.data(), omega);
-                    Value sum = acc[lr] + dot;
-                    xw[r] = (b[r] - sum) / diag[r];
-                }
-                bool xwMiss = false;
-                uint64_t xtWrite =
-                    _rcu.cache().write(CacheVec::Xt, br, &xwMiss);
-                if (xwMiss)
-                    prof.add(S.dp[i], br, Cause::CacheMiss, 0,
-                             lineBytes);
-                dep_t = start + S.chainCycles[i] + xtWrite;
-                prof.chain(br, stream_t, dep_in, start, S.chainCycles[i],
-                           dep_t);
-                t.seqCycles += S.chainCycles[i];
-                if (tlOn) {
-                    timeline::span("d-symgs chain", "datapath",
-                                   timeline::kTidChain, tlBase + start,
-                                   S.chainCycles[i]);
-                    timeline::counter("link_depth", tlBase + start, 0.0);
-                }
+    }
+    for (size_t i = 0; i < S.pathCount; ++i) {
+        const Index br = S.blockRow[i];
+        if (S.dp[i] == DataPathType::Gemv) {
+            S.fns.symgs(S, i, xw, links.push(omega));
+        } else {
+            const Index r0 = br * omega;
+            links.popAccumulate(acc.data(), omega);
+            for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr) {
+                Index r = S.rowIndex[rr];
+                Index lr = r - r0;
+                const Value *v = &S.values[rr * omega];
+                // The diagonal lane stays explicitly masked (the
+                // interpreter zeroes value *and* operand there; the
+                // padded buffer covers the matrix-edge lanes).
+                for (Index lc = 0; lc < omega; ++lc)
+                    lanes[lc] = v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
+                Value dot = fcutree::sumTree(lanes.data(), omega);
+                Value sum = acc[lr] + dot;
+                xw[r] = (b[r] - sum) / diag[r];
             }
         }
-        if (tlOn && segStart >= 0) {
+        if (!walk)
+            continue;
+
+        if (tlOn && segStart >= 0 && S.dp[i] != segDp) {
             timeline::span(toString(segDp), "datapath",
                            timeline::kTidDataPath, tlBase + segStart,
                            stream_t - uint64_t(segStart));
             segStart = -1;
         }
+        if (tlOn && S.cfgCycles[i])
+            timeline::span("reconfig", "rcu", timeline::kTidRcu,
+                           tlBase + stream_t, S.cfgCycles[i]);
+        if (S.cfgCycles[i]) {
+            prof.add(S.dp[i], br, Cause::ReconfigHidden,
+                     S.cfgCycles[i] - cfgExposed);
+            prof.add(S.dp[i], br, Cause::ReconfigExposed, cfgExposed);
+        }
+        stream_t += S.cfgCycles[i];
+        if (S.dp[i] == DataPathType::Gemv) {
+            if (tlOn && S.fillCycles[i])
+                timeline::span("fill", "fcu", timeline::kTidFcu,
+                               tlBase + stream_t, S.fillCycles[i]);
+            prof.add(S.dp[i], br, Cause::FcuCompute, S.fillCycles[i]);
+            stream_t += S.fillCycles[i];
+            if (tlOn && segStart < 0) {
+                segStart = int64_t(stream_t);
+                segDp = S.dp[i];
+            }
+            bool xMiss = false;
+            uint64_t xRead = _rcu.cache().read(S.operandVec[i],
+                                               S.blockCol[i], false,
+                                               &xMiss);
+            prof.add(S.dp[i], br, Cause::CacheMiss, xRead,
+                     xMiss ? lineBytes : 0);
+            stream_t += xRead;
+            prof.add(S.dp[i], br, Cause::Stream, S.memCycles[i],
+                     S.streamBytes[i]);
+            prof.add(S.dp[i], br, Cause::FcuCompute,
+                     S.streamCycles[i] - S.memCycles[i]);
+            stream_t += S.streamCycles[i];
+            if (tlOn)
+                timeline::counter("link_depth", tlBase + stream_t,
+                                  double(links.depth()));
+        } else {
+            if (tlOn && segStart < 0) {
+                segStart = int64_t(stream_t);
+                segDp = S.dp[i];
+            }
+            prof.add(S.dp[i], br, Cause::Stream, S.memCycles[i],
+                     S.streamBytes[i]);
+            prof.add(S.dp[i], br, Cause::FcuCompute,
+                     S.streamCycles[i] - S.memCycles[i]);
+            stream_t += S.streamCycles[i];
+
+            bool dMiss = false;
+            uint64_t diag_read =
+                _rcu.cache().read(CacheVec::Diag, br, true, &dMiss);
+            if (dMiss)
+                prof.add(S.dp[i], br, Cause::CacheMiss, 0, lineBytes);
+            uint64_t dep_in = dep_t;
+            uint64_t start =
+                std::max(stream_t + uint64_t(_params.pipelineDepth()),
+                         dep_t) +
+                diag_read;
+            bool xwMiss = false;
+            uint64_t xtWrite =
+                _rcu.cache().write(CacheVec::Xt, br, &xwMiss);
+            if (xwMiss)
+                prof.add(S.dp[i], br, Cause::CacheMiss, 0, lineBytes);
+            dep_t = start + S.chainCycles[i] + xtWrite;
+            prof.chain(br, stream_t, dep_in, start, S.chainCycles[i],
+                       dep_t);
+            t.seqCycles += S.chainCycles[i];
+            if (tlOn) {
+                timeline::span("d-symgs chain", "datapath",
+                               timeline::kTidChain, tlBase + start,
+                               S.chainCycles[i]);
+                timeline::counter("link_depth", tlBase + start, 0.0);
+            }
+        }
+    }
+    if (tlOn && segStart >= 0)
+        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
+                       tlBase + segStart, stream_t - uint64_t(segStart));
+    if (walk) {
+        t.parCycles = stream_t;
+        t.cycles =
+            std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
+        prof.add(DataPathType::DSymgs, -1, Cause::TreeDrain,
+                 uint64_t(_params.drainCycles()));
+        prof.commitSymgs(stream_t, dep_t,
+                         uint64_t(_params.pipelineDepth()));
+        if (memoized)
+            memo->record(_rcu, t);
+    } else {
+        ++_timingMemoHits;
+    }
+    if (S.pathCount > 0) {
         std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
                   x.begin());
         _rcu.setConfigured(S.lastDp);
@@ -861,14 +961,9 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         _fcu.noteOps(S.fcuOps);
         _rcu.notePeOps(S.peOps);
     }
-    t.parCycles = stream_t;
-    t.cycles = std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
-    prof.add(DataPathType::DSymgs, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
-    prof.commitSymgs(stream_t, dep_t,
-                     uint64_t(_params.pipelineDepth()));
-    ALR_TRACE("symgs(sched): stream %llu cycles, chain %llu cycles",
-              (unsigned long long)stream_t, (unsigned long long)dep_t);
+    ALR_TRACE("symgs(sched): stream %llu cycles, %llu cycles in all",
+              (unsigned long long)t.parCycles,
+              (unsigned long long)t.cycles);
     commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops,
                .seqFlops = S.seqFlops, .usefulBytes = S.usefulBytes},
               timing);

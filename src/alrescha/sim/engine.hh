@@ -17,6 +17,15 @@
  *   reprogrammed; only configuration time beyond the drain stalls.
  * - Vector chunks come from the RCU local cache; misses stall for the
  *   DRAM fill.  Matrix payload always streams sequentially.
+ *
+ * A run's modeled timing is a pure function of its schedule, the local
+ * cache's lines and the RCU's configured data path (an SpMM adds stream
+ * terms that depend only on its right-hand-side count); operand values
+ * never enter it, because the configuration table fixes every access
+ * ahead of the data (§4.5).  So each cached schedule keeps a small
+ * TimingMemo: the first run from an entry state walks and records what
+ * the walk did, and a later run from the same state runs only its
+ * functional pass and replays the record.
  */
 
 #ifndef ALR_ALRESCHA_SIM_ENGINE_HH
@@ -25,6 +34,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,6 +72,54 @@ struct RunCommit
     double usefulBytes = 0.0;
     /** Run-level data-path span on the timeline, or nullptr. */
     const char *name = nullptr;
+};
+
+/**
+ * The timing memo of one cached schedule.  Its key is what the timing
+ * walk reads on entry -- the local cache's line array and the RCU's
+ * configured data path (or none) -- and an entry holds what the walk
+ * leaves: the run's RunTiming, the exit line array and the integer
+ * counts of every cache and switch event (WalkCounts).  A hit
+ * therefore reproduces every modeled number and stat of a walk bit for
+ * bit.  SpMV and SpMM runs share an SpMV schedule's entries, which
+ * hold SpMV timings (Engine::runSpmm adds its k-dependent terms).  At
+ * most kCapacity entries, most recently used first; runs with the
+ * profiler on, or with the timeline recording the modeled plane,
+ * neither read nor write it (they always walk), and it is never
+ * persisted.
+ */
+class TimingMemo
+{
+  public:
+    static constexpr size_t kCapacity = 8;
+
+    /**
+     * Start a run from @p rcu's current state.  Flush @p rcu first, so
+     * what is pending afterwards is this run's alone.  On a hit,
+     * install the entry's exit lines and counts into @p rcu, set
+     * @p timing to its RunTiming and return true: the run skips its
+     * walk.  On a miss, remember the key and return false: the run
+     * walks, then calls record().
+     */
+    bool replay(Rcu &rcu, RunTiming &timing);
+
+    /** Record the walk started by a missed replay(). */
+    void record(const Rcu &rcu, const RunTiming &timing);
+
+  private:
+    struct Entry
+    {
+        std::vector<CacheModel::Line> lines;
+        std::optional<DataPathType> configured;
+
+        RunTiming timing;
+        std::vector<CacheModel::Line> exitLines;
+        WalkCounts counts;
+    };
+
+    std::vector<Entry> _entries;
+    /** The key of the walk in progress. */
+    Entry _walk;
 };
 
 class Engine
@@ -115,6 +173,11 @@ class Engine
         std::lock_guard<std::mutex> lock(_scheduleMutex);
         return _scheduleHits;
     }
+
+    /** Runs that replayed a timing-memo entry instead of walking,
+     *  since construction.  Like scheduleHits, not a registered stat:
+     *  a stat dump never depends on how warm the memo was. */
+    uint64_t timingMemoHits() const { return _timingMemoHits; }
 
     /** Number of schedules currently cached. */
     size_t cachedSchedules() const
@@ -220,9 +283,10 @@ class Engine
                            RunTiming *timing = nullptr);
 
     /**
-     * Commit a finished run: add its useful FLOPs and bytes, emit its
-     * timeline tail (the run-level span, the memory stream front, the
-     * final tree drain, and the cache and link occupancy counters),
+     * Commit a finished run: add its useful FLOPs and bytes and its
+     * counted cache, switch and link-stack events (Rcu::flush), emit
+     * its timeline tail (the run-level span, the memory stream front,
+     * the final tree drain, and the cache and link occupancy counters),
      * count it, and sample the snapshotter.  @p timing, when given,
      * receives the run's timing.  Every run ends here, including the
      * test-only reference engine's (tests/reference).
@@ -282,6 +346,16 @@ class Engine
     }
 
   private:
+    /** A cached schedule and its timing memo; both stay put until the
+     *  schedule is evicted or invalidated. */
+    struct Prepared
+    {
+        const ExecSchedule *sched = nullptr;
+        TimingMemo *memo = nullptr;
+    };
+    /** prepareSchedule, with the schedule's memo. */
+    Prepared prepare();
+
     DenseVector relaxImpl(const DenseVector &dist, bool zero_addend,
                           const std::vector<uint8_t> *active_chunks,
                           RunTiming *timing);
@@ -337,6 +411,8 @@ class Engine
         KernelType kernel = KernelType::SpMV;
         Index omega = 0;
         std::unique_ptr<ExecSchedule> sched;
+        /** Created when the slot enters the MRU cache; never saved. */
+        std::unique_ptr<TimingMemo> memo;
     };
     std::vector<ScheduleSlot> _schedules;
     /** Deserialized schedules not yet claimed by a miss: generations
@@ -345,14 +421,19 @@ class Engine
     mutable std::mutex _scheduleMutex;
     uint64_t _scheduleCompiles = 0;
     uint64_t _scheduleHits = 0;
+    uint64_t _timingMemoHits = 0;
     std::unique_ptr<ThreadPool> _privatePool;
     std::unique_ptr<ThreadPool> _hostPool;
 
     /** Operand staging scratch for the scheduled replay (gather plan):
-     *  one padded vector, and k of them at an aligned stride for SpMM.
-     *  Reused across runs; parallel workers read them only. */
+     *  one padded vector, and for SpMM up to replay::kSpmmMaxRhs of
+     *  them interleaved, with the interleaved results
+     *  (replay::SpmmFn).  Reused across runs;
+     *  parallel workers read the operands and write disjoint result
+     *  rows. */
     AlignedValueVector _xpad;
     AlignedValueVector _xpadMulti;
+    AlignedValueVector _ypadMulti;
 
     stats::Scalar _cycles;
     stats::Scalar _seqCycles;

@@ -1,38 +1,71 @@
 #include "alrescha/sim/link_stack.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace alr {
 
-void
-LinkStack::push(DenseVector partials)
+Value *
+LinkStack::push(Index omega)
 {
-    _stack.push_back(std::move(partials));
-    ++_pushes;
-    _maxDepth.set(std::max(_maxDepth.value(), double(_stack.size())));
+    ALR_ASSERT(_depth == 0 || omega == _width, "link-stack width mismatch");
+    _width = omega;
+    const size_t off = _depth * _width;
+    if (_buf.size() < off + _width)
+        _buf.resize(off + _width);
+    Value *slot = _buf.data() + off;
+    std::fill(slot, slot + _width, 0.0);
+    ++_depth;
+    ++_pendingPushes;
+    _pendingPeak = std::max(_pendingPeak, _depth);
+    return slot;
+}
+
+void
+LinkStack::push(const DenseVector &partials)
+{
+    std::copy(partials.begin(), partials.end(), push(Index(partials.size())));
+}
+
+void
+LinkStack::popAccumulate(Value *acc, Index omega)
+{
+    ALR_ASSERT(_depth == 0 || omega == _width, "link-stack width mismatch");
+    std::fill(acc, acc + omega, 0.0);
+    for (; _depth > 0; --_depth) {
+        const Value *top = _buf.data() + (_depth - 1) * _width;
+        for (Index i = 0; i < omega; ++i)
+            acc[i] += top[i];
+        ++_pendingPops;
+    }
 }
 
 DenseVector
 LinkStack::popAccumulate(Index omega)
 {
-    DenseVector acc(omega, 0.0);
-    while (!_stack.empty()) {
-        const DenseVector &top = _stack.back();
-        ALR_ASSERT(top.size() == omega, "link-stack width mismatch");
-        for (Index i = 0; i < omega; ++i)
-            acc[i] += top[i];
-        _stack.pop_back();
-        ++_pops;
-    }
+    DenseVector acc(omega);
+    popAccumulate(acc.data(), omega);
     return acc;
+}
+
+void
+LinkStack::flush()
+{
+    if (_pendingPushes != 0)
+        _pushes += double(_pendingPushes);
+    if (_pendingPops != 0)
+        _pops += double(_pendingPops);
+    if (double(_pendingPeak) > _maxDepth.value())
+        _maxDepth.set(double(_pendingPeak));
+    _pendingPushes = _pendingPops = 0;
+    _pendingPeak = 0;
 }
 
 void
 LinkStack::reset()
 {
-    _stack.clear();
+    _depth = 0;
+    _pendingPushes = _pendingPops = 0;
+    _pendingPeak = 0;
     _pushes.reset();
     _pops.reset();
     _maxDepth.reset();

@@ -21,9 +21,8 @@ MemoryModel::streamCycles(uint64_t bytes) const
 }
 
 uint64_t
-MemoryModel::recordRandomAccess()
+MemoryModel::randomAccessCycles() const
 {
-    ++_randomAccesses;
     return uint64_t(_params.dramLatency) +
            streamCycles(_params.cacheLineBytes);
 }

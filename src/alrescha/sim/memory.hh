@@ -28,8 +28,17 @@ class MemoryModel
     /** Record @p bytes of sequential payload traffic. */
     void recordStream(uint64_t bytes) { _bytesStreamed += double(bytes); }
 
-    /** Record one random (cache-miss) line fetch; returns its latency. */
-    uint64_t recordRandomAccess();
+    /** Record @p count random (cache-miss) line fetches: the cache
+     *  flushes its counted misses once per run. */
+    void recordRandomAccesses(uint64_t count)
+    {
+        if (count != 0)
+            _randomAccesses += double(count);
+    }
+
+    /** Latency of one random line fetch: DRAM latency plus the line's
+     *  transfer. */
+    uint64_t randomAccessCycles() const;
 
     double bytesStreamed() const { return _bytesStreamed.value(); }
     double randomAccesses() const { return _randomAccesses.value(); }

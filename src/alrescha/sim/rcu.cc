@@ -28,14 +28,13 @@ Rcu::reconfigure(DataPathType dp, uint64_t *hidden_out)
         charged = uint64_t(drain + exposed);
         if (hidden_out)
             *hidden_out = uint64_t(drain);
-        _reconfigStall += double(exposed);
-        _switchConfigCycles += double(_params.configCycles);
-        ++_reconfigs;
+        _pendingStallCycles += uint64_t(exposed);
+        _pendingSwitchConfigCycles += uint64_t(_params.configCycles);
     } else {
         // First configuration: programming phase, charge config time.
         charged = uint64_t(_params.configCycles);
-        ++_reconfigs;
     }
+    ++_pendingReconfigs;
     ALR_TRACE("rcu: reconfigure -> %s (%llu cycles)", toString(dp),
               (unsigned long long)charged);
     _current = dp;
@@ -59,25 +58,56 @@ Rcu::notePeOps(double count)
 void
 Rcu::noteReconfigs(double count, double stall_cycles)
 {
-    if (count != 0.0) {
-        _reconfigs += count;
-        // Batched counts come from the schedule compiler, which only
-        // records switch rewrites (the initial programming config is
-        // replayed live through reconfigure()), so every one of them
-        // charged configCycles against the drain overlap.
-        _switchConfigCycles += count * double(_params.configCycles);
-    }
-    if (stall_cycles != 0.0)
-        _reconfigStall += stall_cycles;
+    // Batched counts come from the schedule compiler, which only
+    // records switch rewrites (the initial programming config is
+    // replayed live through reconfigure()), so every one of them
+    // charged configCycles against the drain overlap.  Both are
+    // integer-valued.
+    _pendingReconfigs += uint64_t(count);
+    _pendingSwitchConfigCycles +=
+        uint64_t(count) * uint64_t(_params.configCycles);
+    _pendingStallCycles += uint64_t(stall_cycles);
+}
+
+WalkCounts
+Rcu::pending() const
+{
+    return {_cache.pending(), _pendingReconfigs, _pendingStallCycles,
+            _pendingSwitchConfigCycles};
+}
+
+void
+Rcu::addPending(const WalkCounts &counts)
+{
+    _cache.addPending(counts.cache);
+    _pendingReconfigs += counts.reconfigs;
+    _pendingStallCycles += counts.reconfigStallCycles;
+    _pendingSwitchConfigCycles += counts.switchConfigCycles;
+}
+
+void
+Rcu::flush()
+{
+    if (_pendingReconfigs != 0)
+        _reconfigs += double(_pendingReconfigs);
+    if (_pendingStallCycles != 0)
+        _reconfigStall += double(_pendingStallCycles);
+    if (_pendingSwitchConfigCycles != 0)
+        _switchConfigCycles += double(_pendingSwitchConfigCycles);
+    _pendingReconfigs = _pendingStallCycles = 0;
+    _pendingSwitchConfigCycles = 0;
+    _cache.flush();
+    _linkStack.flush();
 }
 
 double
 Rcu::reconfigHiddenFraction() const
 {
-    double cfg = _switchConfigCycles.value();
+    double cfg =
+        _switchConfigCycles.value() + double(_pendingSwitchConfigCycles);
     if (cfg <= 0.0)
         return 1.0; // no switch ever happened: vacuously all hidden
-    return (cfg - _reconfigStall.value()) / cfg;
+    return (cfg - reconfigStallCycles()) / cfg;
 }
 
 void
@@ -86,6 +116,8 @@ Rcu::reset()
     _cache.reset();
     _linkStack.reset();
     _current.reset();
+    _pendingReconfigs = _pendingStallCycles = 0;
+    _pendingSwitchConfigCycles = 0;
     _reconfigs.reset();
     _reconfigStall.reset();
     _peOps.reset();

@@ -21,6 +21,23 @@
 
 namespace alr {
 
+/**
+ * The timing events an engine run counts while it walks: the local
+ * cache's accesses plus the configurable switch's reconfigurations,
+ * as plain integers.  They reach the registered stats once per run
+ * (Rcu::flush from Engine::commitRun), and one run's record is what a
+ * timing-memo entry replays: the values are integers, so one add is
+ * bit-identical to the walk's many.
+ */
+struct WalkCounts
+{
+    CacheModel::Counts cache;
+    uint64_t reconfigs = 0;
+    uint64_t reconfigStallCycles = 0;
+    /** Config cycles of switch rewrites (see _switchConfigCycles). */
+    uint64_t switchConfigCycles = 0;
+};
+
 class Rcu
 {
   public:
@@ -66,9 +83,24 @@ class Rcu
      */
     void setConfigured(DataPathType dp) { _current = dp; }
 
-    double reconfigurations() const { return _reconfigs.value(); }
-    double reconfigStallCycles() const { return _reconfigStall.value(); }
+    /** Counts include reconfigurations not yet flushed. */
+    double reconfigurations() const
+    {
+        return _reconfigs.value() + double(_pendingReconfigs);
+    }
+    double reconfigStallCycles() const
+    {
+        return _reconfigStall.value() + double(_pendingStallCycles);
+    }
     double peOps() const { return _peOps.value(); }
+
+    /** Events counted since the last flush, the cache's included. */
+    WalkCounts pending() const;
+    /** Count @p counts as if walked (a timing-memo hit). */
+    void addPending(const WalkCounts &counts);
+    /** Add every pending count -- the switch's, the cache's and the
+     *  link stack's -- to the registered stats and clear it. */
+    void flush();
 
     /**
      * Fraction of switch-rewrite config cycles hidden under the
@@ -90,6 +122,10 @@ class Rcu
     CacheModel _cache;
     LinkStack _linkStack;
     std::optional<DataPathType> _current;
+    /** Switch events since the last flush (see WalkCounts). */
+    uint64_t _pendingReconfigs = 0;
+    uint64_t _pendingStallCycles = 0;
+    uint64_t _pendingSwitchConfigCycles = 0;
 
     stats::StatGroup _stats{"rcu"};
     stats::Scalar _reconfigs;

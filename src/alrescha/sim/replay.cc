@@ -95,22 +95,22 @@ spmvGeneric(const ExecSchedule &S, const Value *xpad, Value *y,
 }
 
 void
-spmmGeneric(const ExecSchedule &S, const Value *const *xpads,
-            Value *const *ys, size_t k, size_t pBegin, size_t pEnd)
+spmmGeneric(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
+            size_t pBegin, size_t pEnd)
 {
     const Index omega = S.omega;
+    const size_t stride = spmmStride(k);
     const Value *vals = S.values.data();
     GenericBuf buf(omega);
     for (size_t i = pBegin; i < pEnd; ++i) {
-        const uint32_t off = S.xOff[i];
+        const Value *x = xt + size_t(S.xOff[i]) * stride;
         for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr) {
             const Value *v = vals + rr * size_t(omega);
-            const Index r = S.rowIndex[rr];
+            Value *y = yt + size_t(S.rowIndex[rr]) * stride;
             for (size_t j = 0; j < k; ++j) {
-                const Value *x = xpads[j] + off;
                 for (Index l = 0; l < omega; ++l)
-                    buf.p[l] = v[l] * x[l];
-                ys[j][r] += fcutree::sumTree(buf.p, omega);
+                    buf.p[l] = v[l] * x[l * stride + j];
+                y[j] += fcutree::sumTree(buf.p, omega);
             }
         }
     }

@@ -29,7 +29,9 @@
  *  - the two-rows-at-once variant (pairDot) first reduces each row to
  *    one vector of partials, then interleaves the remaining levels of
  *    both rows in concatenated halves -- every add is still one
- *    canonical combine of a single row.
+ *    canonical combine of a single row;
+ *  - SpMM puts one right-hand side in each lane instead, so every
+ *    vertical add is one combine of each lane's own tree (spmmLanes).
  *
  * Because each add maps 1:1 onto a canonical-tree combine, any lane
  * count yields bit-identical doubles to the scalar tree -- the ISA is
@@ -84,6 +86,13 @@ loadv(const Value *p)
     Vec<W> v;
     std::memcpy(&v, p, sizeof v);
     return v;
+}
+
+template <int W>
+inline void
+storev(Value *p, Vec<W> v)
+{
+    std::memcpy(p, &v, sizeof v);
 }
 
 /** Even / odd lanes of one vector (half width). */
@@ -235,21 +244,6 @@ pathRows(const ExecSchedule &S, size_t i, const Value *x, Sink &&sink)
     }
 }
 
-/** One row dot against a fresh operand chunk (SpMM inner loop: the
- *  row's value vectors are hoisted, the operand varies per RHS). */
-template <Index Omega>
-inline Value
-rowDotX(const Vec<(kLanes < int(Omega) ? kLanes : int(Omega))> *vv,
-        const Value *x)
-{
-    constexpr int C = kLanes < int(Omega) ? kLanes : int(Omega);
-    constexpr int N = int(Omega) / C;
-    Vec<C> p[N];
-    for (int j = 0; j < N; ++j)
-        p[j] = vv[j] * loadv<C>(x + j * C);
-    return treeAcross<N>(p);
-}
-
 #else // ALR_REPLAY_LANES == 0
 
 // ---------------------------------------------------------------- //
@@ -311,15 +305,25 @@ spmvPathsT(const ExecSchedule &S, const Value *xpad, Value *y,
     }
 }
 
-template <Index Omega, bool Contig>
+/**
+ * SpMM with the right-hand sides across the vector lanes: operands and
+ * results are interleaved (replay_fns.hh), so lane g of p[l] holds
+ * right-hand side j + g's product in row lane l, and the canonical
+ * tree combines whole vectors -- one vertical add per tree combine of
+ * each right-hand side, no shuffles.  G lanes at a time (G = 1 is the
+ * scalar arm); lanes past k compute on staged zeros into result slots
+ * the engine never reads.
+ */
+template <int G, Index Omega, bool Contig>
 void
-spmmPathsT(const ExecSchedule &S, const Value *const *xpads,
-           Value *const *ys, size_t k, size_t pBegin, size_t pEnd)
+spmmLanes(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
+          size_t pBegin, size_t pEnd)
 {
+    const size_t stride = spmmStride(k);
     const Index *rowIndex = S.rowIndex.data();
     const Value *vals = S.values.data();
     for (size_t i = pBegin; i < pEnd; ++i) {
-        const uint32_t off = S.xOff[i];
+        const Value *x = xt + size_t(S.xOff[i]) * stride;
         const size_t rr0 = S.rowBegin[i];
         const size_t re = S.rowBegin[i + 1];
         const Index base = rr0 < re && Contig ? rowIndex[rr0] : 0;
@@ -327,20 +331,50 @@ spmmPathsT(const ExecSchedule &S, const Value *const *xpads,
             const Value *v = vals + rr * size_t(Omega);
             const Index r =
                 Contig ? Index(base + Index(rr - rr0)) : rowIndex[rr];
+            Value *y = yt + size_t(r) * stride;
+            for (size_t j = 0; j < k; j += G) {
 #if ALR_REPLAY_LANES > 0
-            constexpr int C = kLanes < int(Omega) ? kLanes : int(Omega);
-            constexpr int N = int(Omega) / C;
-            Vec<C> vv[N];
-            for (int j = 0; j < N; ++j)
-                vv[j] = loadv<C>(v + j * C);
-            for (size_t j = 0; j < k; ++j)
-                ys[j][r] += rowDotX<Omega>(vv, xpads[j] + off);
+                Vec<G> p[Omega];
+                for (Index l = 0; l < Omega; ++l)
+                    p[l] = v[l] * loadv<G>(x + l * stride + j);
 #else
-            for (size_t j = 0; j < k; ++j)
-                ys[j][r] += dotScalar<Omega>(v, xpads[j] + off);
+                Value p[Omega];
+                for (Index l = 0; l < Omega; ++l)
+                    p[l] = v[l] * x[l * stride + j];
 #endif
+                for (Index w = Omega; w > 1; w >>= 1)
+                    for (Index q = 0; q < w / 2; ++q)
+                        p[q] = p[2 * q] + p[2 * q + 1];
+#if ALR_REPLAY_LANES > 0
+                storev<G>(y + j, loadv<G>(y + j) + p[0]);
+#else
+                y[j] += p[0];
+#endif
+            }
         }
     }
+}
+
+/** SpMM entry: the narrowest lane group that holds the k right-hand
+ *  sides, up to the ISA's width (two groups of 4 on AVX2, say). */
+template <Index Omega, bool Contig>
+void
+spmmPathsT(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
+           size_t pBegin, size_t pEnd)
+{
+#if ALR_REPLAY_LANES > 0
+    if constexpr (kLanes >= 8) {
+        if (k > 4)
+            return spmmLanes<8, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+    }
+    if constexpr (kLanes >= 4) {
+        if (k > 2)
+            return spmmLanes<4, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+    }
+    spmmLanes<2, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+#else
+    spmmLanes<1, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+#endif
 }
 
 template <Index Omega, bool Contig>

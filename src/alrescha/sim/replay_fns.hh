@@ -30,11 +30,27 @@ namespace replay {
 using SpmvFn = void (*)(const ExecSchedule &S, const Value *xpad,
                         Value *y, size_t pBegin, size_t pEnd);
 
-/** Replay SpMM paths [pBegin, pEnd) for @p k right-hand sides (ω×RHS
- *  register blocking over k staged operands / outputs). */
-using SpmmFn = void (*)(const ExecSchedule &S, const Value *const *xpads,
-                        Value *const *ys, size_t k, size_t pBegin,
-                        size_t pEnd);
+/** Right-hand sides one SpMM replay call takes: the widest replay
+ *  vector's lane count. */
+constexpr size_t kSpmmMaxRhs = 8;
+
+/** Row stride of SpMM's interleaved operands and results for k <=
+ *  kSpmmMaxRhs right-hand sides: k rounded up to 2, 4 or 8, so the
+ *  lane groups of every arm (the narrowest of 2, 4 and 8 lanes holding
+ *  k, up to the ISA's width) stay inside a row. */
+constexpr size_t
+spmmStride(size_t k)
+{
+    return k <= 2 ? 2 : k <= 4 ? 4 : 8;
+}
+
+/** Replay SpMM paths [pBegin, pEnd) for @p k <= kSpmmMaxRhs
+ *  right-hand sides, held interleaved: element c of right-hand side j
+ *  at xt[c * spmmStride(k) + j] (ExecSchedule::paddedOperand rows,
+ *  zero past each operand and in the lanes past k), and row r's dot
+ *  for j accumulated into yt[r * spmmStride(k) + j]. */
+using SpmmFn = void (*)(const ExecSchedule &S, const Value *xt, Value *yt,
+                        size_t k, size_t pBegin, size_t pEnd);
 
 /** Replay one SymGS GEMV path: scatter each row record's dot product
  *  to partials[row - blockRow * ω] (assignment; caller pre-zeroes). */

@@ -28,10 +28,14 @@
  * What is NOT precomputed (runtime state the timing model carries
  * across runs): local-cache hits and misses -- the scheduled timing
  * walk replays the exact same CacheModel access sequence as the table
- * interpreter -- and the link-stack contents, which the scheduled
- * D-SymGS drives through the real LinkStack.  That is why cycle counts
- * and every registered stat match the interpreter, which the tests
- * keep as the reference engine (tests/reference), bit for bit.
+ * interpreter -- the first path's reconfiguration, and the link-stack
+ * contents, which the scheduled D-SymGS drives through the real
+ * LinkStack.  That is why cycle counts and every registered stat match
+ * the interpreter, which the tests keep as the reference engine
+ * (tests/reference), bit for bit.  The cache lines and the configured
+ * data path are a run's whole entry state, so the engine memoizes each
+ * walk per schedule (TimingMemo, engine.hh) instead of storing any of
+ * it here: the memo is runtime state, never compiled or persisted.
  */
 
 #ifndef ALR_ALRESCHA_SIM_SCHEDULE_HH

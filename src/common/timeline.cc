@@ -100,6 +100,13 @@ setPidMask(uint32_t mask)
     g_pidMask.store(mask, std::memory_order_relaxed);
 }
 
+bool
+recording(uint32_t pid)
+{
+    return enabled() &&
+           (g_pidMask.load(std::memory_order_relaxed) >> pid & 1u) != 0;
+}
+
 void
 setCapacity(size_t events)
 {

@@ -103,6 +103,15 @@ void setEnabled(bool on);
  */
 void setPidMask(uint32_t mask);
 
+/**
+ * True when events of process @p pid are being recorded: the recorder
+ * is on and the pid mask passes @p pid.  The engine asks this for the
+ * modeled plane: a run whose modeled events are recorded walks its
+ * timing to emit them, while request-plane-only tracing (alr_serve)
+ * leaves the timing memo in use.
+ */
+bool recording(uint32_t pid);
+
 /** Resize the ring buffer (discards recorded events).  Default 1<<18. */
 void setCapacity(size_t events);
 

@@ -9,6 +9,7 @@
 #include "alrescha/accelerator.hh"
 #include "common/random.hh"
 #include "kernels/spmv.hh"
+#include "sparse/coo.hh"
 #include "sparse/generators.hh"
 
 namespace alr {
@@ -93,6 +94,46 @@ TEST(AcceleratorDeath, KernelsBeforeLoadPanic)
 {
     Accelerator acc;
     EXPECT_DEATH(acc.spmv({1.0}), "no matrix loaded");
+}
+
+// Caller errors end in fatal (exit 1), not in an abort: only the
+// load-order checks above are internal invariants.  fatal's exit runs
+// static destructors, among them the thread pool's, which must not
+// join workers a forked child never had: these death tests re-execute
+// the binary ("threadsafe") instead of forking mid-test.
+TEST(AcceleratorDeath, NonSquarePdeExitsCleanly)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    CooMatrix coo(4, 6);
+    coo.add(0, 5, 1.0);
+    CsrMatrix a = CsrMatrix::fromCoo(coo);
+    Accelerator acc;
+    EXPECT_EXIT(acc.loadPde(a), ::testing::ExitedWithCode(1),
+                "PDE systems are square");
+}
+
+TEST(AcceleratorDeath, NonSquareGraphExitsCleanly)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    CooMatrix coo(6, 4);
+    coo.add(5, 0, 1.0);
+    CsrMatrix adj = CsrMatrix::fromCoo(coo);
+    Accelerator acc;
+    EXPECT_EXIT(acc.loadGraph(adj), ::testing::ExitedWithCode(1),
+                "adjacency must be square");
+}
+
+TEST(AcceleratorDeath, GraphSourceOutOfRangeExitsCleanly)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rng rng(7);
+    CsrMatrix g = gen::rmat(6, 4, rng);
+    Accelerator acc;
+    acc.loadGraph(g);
+    EXPECT_EXIT(acc.bfs(g.rows()), ::testing::ExitedWithCode(1),
+                "source out of range");
+    EXPECT_EXIT(acc.sssp(g.rows() + 5), ::testing::ExitedWithCode(1),
+                "source out of range");
 }
 
 TEST(Accelerator, ReloadReplacesMatrix)

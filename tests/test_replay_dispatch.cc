@@ -98,11 +98,15 @@ expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
         ASSERT_EQ(yr, ys) << "spmv run " << run;
         EXPECT_EQ(tr.cycles, ts.cycles) << "spmv run " << run;
     }
-    std::vector<DenseVector> xs(3, x);
-    for (size_t j = 0; j < xs.size(); ++j)
-        for (size_t i = 0; i < xs[j].size(); ++i)
-            xs[j][i] = Value((i * (j + 2)) % 17) - 8.0;
-    ASSERT_EQ(ref.runSpmm(xs), sch.runSpmm(xs));
+    // Every SpMM lane group: 2, 4 and 8 right-hand sides per vector,
+    // partly filled, and several groups per row.
+    for (size_t k : {1, 2, 3, 4, 5, 8, 11}) {
+        std::vector<DenseVector> xs(k, x);
+        for (size_t j = 0; j < xs.size(); ++j)
+            for (size_t i = 0; i < xs[j].size(); ++i)
+                xs[j][i] = Value((i * (j + 2)) % 17) - 8.0;
+        ASSERT_EQ(ref.runSpmm(xs), sch.runSpmm(xs)) << "k " << k;
+    }
 
     ref.program(&ld, &symgs);
     sch.program(&ld, &symgs);

@@ -606,8 +606,8 @@ TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
     EngineTriple e(c.omega, c.threads);
     e.program(&ld, &table);
 
-    // k = 5 right-hand sides: odd count, so the register-blocked SpMM
-    // kernel sees a full set plus a remainder.
+    // k = 5 right-hand sides: the SpMM kernel's lane groups are only
+    // partly filled.
     std::vector<DenseVector> xs(5, DenseVector(a.cols()));
     for (size_t j = 0; j < xs.size(); ++j)
         for (size_t i = 0; i < xs[j].size(); ++i)

@@ -245,6 +245,29 @@ TEST(ServeEquivalence, BatchedResultsBitIdenticalPerRequest)
     EXPECT_LT(f2.totalCycles(), f1.totalCycles());
 }
 
+TEST(ServeEquivalence, BatchedRequestCyclesSumExactly)
+{
+    // The per-request split of each batch's modeled cycles is exact
+    // integer arithmetic: over a drain from fresh engines the requests
+    // sum to the fleet's cycles, with no rounding lost on any batch
+    // whose cycles k does not divide.
+    std::vector<ServeRequest> trace =
+        generateTrace(smallTrace(80), {1, 1, 1});
+    ServeConfig cfg;
+    cfg.batchWindow = 6;
+    cfg.pcgIterations = 4;
+    ServeFleet fleet = makeFleet();
+    ServeResult res = serve(fleet, trace, cfg);
+    ASSERT_LT(res.workItems, trace.size()); // batches formed
+
+    uint64_t sum = 0;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_GT(res.modeledCycles[i], 0u) << "request " << i;
+        sum += uint64_t(res.modeledCycles[i]);
+    }
+    EXPECT_EQ(sum, fleet.totalCycles());
+}
+
 TEST(ServeEquivalence, ThreadCountInvariant)
 {
     std::vector<ServeRequest> trace =

@@ -57,8 +57,8 @@ TEST(MemoryUnit, TrafficAccounting)
     mem.recordStream(1000);
     mem.recordStream(24);
     EXPECT_DOUBLE_EQ(mem.bytesStreamed(), 1024.0);
-    uint64_t penalty = mem.recordRandomAccess();
-    EXPECT_GT(penalty, uint64_t(defaults().dramLatency));
+    mem.recordRandomAccesses(1);
+    EXPECT_GT(mem.randomAccessCycles(), uint64_t(defaults().dramLatency));
     EXPECT_DOUBLE_EQ(mem.totalBytes(),
                      1024.0 + defaults().cacheLineBytes);
     mem.reset();

@@ -4,9 +4,10 @@
 #   1. ASan + UBSan build, full ctest suite.
 #   2. TSan build, the suites that run on thread pools (thread pool,
 #      parallel encode/convert/compile determinism, multi-engine
-#      scale-out, profiles, concurrent serving) and every equivalence
+#      scale-out, profiles, concurrent serving), every equivalence
 #      suite (scheduled replay against the reference engine, serving)
-#      with a high thread count to provoke races.
+#      and the timing-memo suite, with a high thread count to provoke
+#      races.
 #
 # Both builds compile the whole tree, the test-only reference engine
 # (tests/reference) included.
@@ -58,6 +59,6 @@ done
 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "-fsanitize=thread" \
     "TSan" \
-    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|ServeConcurrency'
+    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|ServeConcurrency|TimingMemo'
 
 echo "== sanitizers: all passes clean =="
