@@ -43,6 +43,13 @@ LocallyDenseMatrix::payloadPosition(LdLayout layout, bool diagonal,
     return int64_t(lr) * (omega - 1) + in_row;
 }
 
+Index
+LocallyDenseMatrix::payloadSize(LdLayout layout, bool diagonal, Index omega)
+{
+    return layout == LdLayout::SymGs && diagonal ? omega * (omega - 1)
+                                                 : omega * omega;
+}
+
 namespace {
 
 int64_t
@@ -102,7 +109,7 @@ encodeBlockRow(const CsrMatrix &csr, Index omega, LdLayout layout,
         blk.blockCol = bc;
         blk.offset = chunk.stream.size();
         bool diagBlk = layout == LdLayout::SymGs && bc == br;
-        blk.size = diagBlk ? omega * (omega - 1) : omega * omega;
+        blk.size = LocallyDenseMatrix::payloadSize(layout, bc == br, omega);
         chunk.stream.resize(chunk.stream.size() + blk.size, 0.0);
         for (const Triplet &t : byBlockCol[bc]) {
             if (diagBlk && t.row == t.col)
@@ -340,6 +347,8 @@ LocallyDenseMatrix::deserialize(std::istream &in)
     if (ld._omega == 0 || ld._blockRowPtr.size() != ld._blockRows + 1)
         throw std::runtime_error("inconsistent locally-dense header");
     for (const LdBlockInfo &blk : ld._blocks) {
+        if (blk.size != payloadSize(ld._layout, blk.isDiagonal(), ld._omega))
+            throw std::runtime_error("block payload size breaks its layout");
         if (blk.offset + blk.size > ld._stream.size())
             throw std::runtime_error("block outside payload stream");
     }

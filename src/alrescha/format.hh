@@ -60,7 +60,7 @@ struct LdBlockInfo
     Index blockCol = 0;
     /** Offset of the block payload within stream(). */
     size_t offset = 0;
-    /** Payload length: omega^2, or omega*(omega-1) for SymGs diagonals. */
+    /** Payload length: LocallyDenseMatrix::payloadSize. */
     Index size = 0;
 
     bool isDiagonal() const { return blockRow == blockCol; }
@@ -180,6 +180,15 @@ class LocallyDenseMatrix
     static int64_t payloadPosition(LdLayout layout, bool diagonal,
                                    bool upper, Index omega, Index lr,
                                    Index lc);
+
+    /**
+     * Payload length of one stored block under the format's rules:
+     * omega^2, or omega * (omega - 1) for a SymGs-layout diagonal
+     * block, whose diagonal lives in diagonal().  Every block's
+     * LdBlockInfo::size is this: the encoder writes it and
+     * deserialize() enforces it.
+     */
+    static Index payloadSize(LdLayout layout, bool diagonal, Index omega);
 
   private:
     /** Build the payload-position LUTs from payloadPosition(). */

@@ -217,7 +217,6 @@ checksumOf(const DenseVector &v)
 struct WorkerTally
 {
     uint64_t completed = 0;
-    stats::Distribution latencyNs;
     stats::Distribution batchSize;
 };
 
@@ -438,11 +437,9 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
             const size_t k = qi.work.requestIds.size();
             double waitUs = usBetween(qi.admitted, dequeued);
             double e2eUs = usBetween(qi.admitted, done);
-            double ns = e2eUs * 1e3;
             for (uint32_t id : qi.work.requestIds) {
                 res.queueWaitUs[id] = waitUs;
                 res.latencyUs[id] = e2eUs;
-                tally.latencyNs.sample(ns);
             }
             if (sm.completed != nullptr) {
                 sm.completed->add(double(k));
@@ -457,7 +454,6 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
         }
         std::lock_guard<std::mutex> g(tallyMutex);
         res.completed += tally.completed;
-        res.latencyNs.merge(tally.latencyNs);
         res.batchSize.merge(tally.batchSize);
     };
 

@@ -200,8 +200,6 @@ struct ServeResult
     uint64_t workItems = 0;
     double wallMs = 0.0;
     double requestsPerSec = 0.0;
-    /** Wall-clock admission-to-completion latency per request, ns. */
-    stats::Distribution latencyNs;
     /** Coalesced request count per executed SpMV batch. */
     stats::Distribution batchSize;
     /** Per-request result checksum (sum of the output vector),
@@ -216,8 +214,8 @@ struct ServeResult
     std::vector<DenseVector> results;
     /** Exact wall-clock admission-to-completion latency per request,
      *  microseconds, indexed by id (a batch's requests share their
-     *  batch's wall latency).  Feeds exact SLO percentiles -- unlike
-     *  latencyNs, never bucketed. */
+     *  batch's wall latency).  Every latency percentile is an exact
+     *  one over these samples (metrics::exactPercentile). */
     std::vector<double> latencyUs;
     /** Exact wall-clock admission-to-dequeue wait per request,
      *  microseconds, indexed by id. */

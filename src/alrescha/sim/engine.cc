@@ -26,10 +26,12 @@ using profile::Cause;
  *  cache").  Bump on any layout or key change: version 2 moved every
  *  key and checksum from byte-wise FNV-1a to hash::WordHasher, version
  *  3 dropped the timing-partition and D-SymGS level boundaries from
- *  each schedule, and version 4 dropped the xValid, validRows and
- *  rowUseful arrays, which no run read. */
+ *  each schedule, version 4 dropped the xValid, validRows and
+ *  rowUseful arrays, which no run read, and version 5 dropped every
+ *  precomputed timing term (the timing walk computes them) and
+ *  narrowed the params fingerprint to omega and skipEmptyBlockRows. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 4;
+constexpr uint32_t kSchedCacheVersion = 5;
 
 namespace {
 
@@ -136,7 +138,8 @@ void
 Engine::program(const LocallyDenseMatrix *ld, const ConfigTable *table)
 {
     ALR_ASSERT(ld != nullptr && table != nullptr, "null program");
-    ALR_ASSERT(ld->omega() == table->omega(), "omega mismatch");
+    ALR_ASSERT(ld->omega() == table->omega() && ld->omega() == _params.omega,
+               "omega mismatch");
     ALR_ASSERT(table->entries().empty() ||
                    table->entries().size() <= ld->blocks().size(),
                "table references more blocks than stored");
@@ -410,12 +413,12 @@ Engine::stageOperand(const ExecSchedule &S, const DenseVector &x)
 }
 
 uint64_t
-Engine::streamBlockCycles(const LdBlockInfo &blk) const
+Engine::streamBlockCycles(Index payload) const
 {
     // One block row of omega operands issues per cycle; the memory pipe
     // may be the slower side for wide blocks.
     uint64_t compute = _params.omega;
-    uint64_t mem = _memory.streamCycles(uint64_t(blk.size) * sizeof(Value));
+    uint64_t mem = _memory.streamCycles(uint64_t(payload) * sizeof(Value));
     return std::max(compute, mem);
 }
 
@@ -427,6 +430,24 @@ Engine::streamRowsCycles(Index rows_streamed) const
     uint64_t bytes =
         uint64_t(rows_streamed) * _params.omega * sizeof(Value);
     return std::max<uint64_t>(rows_streamed, _memory.streamCycles(bytes));
+}
+
+std::vector<Engine::StreamTerm>
+Engine::rowStreamTerms() const
+{
+    std::vector<StreamTerm> terms(size_t(_params.omega) + 1);
+    for (Index r = 0; r <= _params.omega; ++r) {
+        const uint64_t bytes = uint64_t(r) * _params.omega * sizeof(Value);
+        terms[r] = {streamRowsCycles(r), _memory.streamCycles(bytes), bytes};
+    }
+    return terms;
+}
+
+Engine::StreamTerm
+Engine::blockStreamTerm(Index payload) const
+{
+    const uint64_t bytes = uint64_t(payload) * sizeof(Value);
+    return {streamBlockCycles(payload), _memory.streamCycles(bytes), bytes};
 }
 
 void
@@ -489,10 +510,6 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     const uint64_t tlBase = totalCycles();
     profile::RunScope prof;
     const uint64_t lineBytes = _params.cacheLineBytes;
-    // Compile-time reconfig charges are drain + exposed; the hidden
-    // share is the drain (see reconfigDelta in schedule.cc).
-    const uint64_t cfgExposed = uint64_t(
-        std::max(0, _params.configCycles - _params.drainCycles()));
 
     // Functional pass: block-row groups touch disjoint output rows, so
     // they may run in parallel; within a group the path order (and thus
@@ -513,84 +530,86 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     }
 
     // Timing: replay the memo, or walk the interpreter's exact cache
-    // access sequence (the cache is stateful across runs), serially.
+    // access sequence (the cache is stateful across runs), serially,
+    // charging every path as the reference engine does.
     RunTiming t;
     const bool memoized = !prof.on() && !tlOn;
     const bool walk = !(memoized && memo->replay(_rcu, t));
-    int64_t segStart = -1;
-    DataPathType segDp{};
-    if (walk && S.pathCount > 0) {
-        uint64_t hidden0 = 0;
-        uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
-        if (tlOn && cfg0)
-            timeline::span("reconfig", "rcu", timeline::kTidRcu, tlBase,
-                           cfg0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
-                 cfg0 - hidden0);
-        t.cycles += cfg0;
+    if (walk) {
+        const std::vector<StreamTerm> rowTerms = rowStreamTerms();
+        const uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
+        int64_t segStart = -1;
+        DataPathType segDp{};
+        bool filled = false;
+        int64_t curRow = -1;
         for (size_t i = 0; i < S.pathCount; ++i) {
-            if (tlOn && segStart >= 0 && S.dp[i] != segDp) {
+            const DataPathType dp = S.dp[i];
+            const Index br = S.blockRow[i];
+            if (tlOn && segStart >= 0 && dp != segDp) {
                 timeline::span(toString(segDp), "datapath",
                                timeline::kTidDataPath, tlBase + segStart,
                                t.cycles - uint64_t(segStart));
                 segStart = -1;
             }
-            if (tlOn && S.cfgCycles[i])
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + t.cycles, S.cfgCycles[i]);
-            if (S.cfgCycles[i]) {
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigHidden,
-                         S.cfgCycles[i] - cfgExposed);
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigExposed,
-                         cfgExposed);
+            uint64_t hidden = 0;
+            const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
+            if (cfg) {
+                if (tlOn)
+                    timeline::span("reconfig", "rcu", timeline::kTidRcu,
+                                   tlBase + t.cycles, cfg);
+                prof.add(dp, br, Cause::ReconfigHidden, hidden);
+                prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
+                t.cycles += cfg;
+                filled = false;
             }
-            t.cycles += S.cfgCycles[i];
-            if (tlOn && S.fillCycles[i])
-                timeline::span("fill", "fcu", timeline::kTidFcu,
-                               tlBase + t.cycles, S.fillCycles[i]);
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     S.fillCycles[i]);
-            t.cycles += S.fillCycles[i];
+            if (!filled) {
+                if (tlOn && fill)
+                    timeline::span("fill", "fcu", timeline::kTidFcu,
+                                   tlBase + t.cycles, fill);
+                prof.add(dp, br, Cause::FcuCompute, fill);
+                t.cycles += fill;
+                filled = true;
+            }
             if (tlOn && segStart < 0) {
                 segStart = int64_t(t.cycles);
-                segDp = S.dp[i];
+                segDp = dp;
             }
-            if (S.writeOutRow[i] >= 0) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(
-                    CacheVec::Out, Index(S.writeOutRow[i]), &wMiss);
-                if (wMiss)
-                    prof.add(S.dp[i], S.writeOutRow[i], Cause::CacheMiss,
-                             0, lineBytes);
+            if (int64_t(br) != curRow) {
+                // Out-chunk write-back on a block-row change.
+                if (curRow >= 0) {
+                    bool wMiss = false;
+                    t.cycles += _rcu.cache().write(CacheVec::Out,
+                                                   Index(curRow), &wMiss);
+                    if (wMiss)
+                        prof.add(dp, curRow, Cause::CacheMiss, 0, lineBytes);
+                }
+                curRow = br;
             }
             bool xMiss = false;
             uint64_t xRead = _rcu.cache().read(S.operandVec[i],
                                                S.blockCol[i], false,
                                                &xMiss);
-            prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
+            prof.add(dp, br, Cause::CacheMiss, xRead,
                      xMiss ? lineBytes : 0);
             t.cycles += xRead;
-            prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
-                     S.memCycles[i], S.streamBytes[i]);
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     S.streamCycles[i] - S.memCycles[i]);
-            t.cycles += S.streamCycles[i];
-            t.parCycles += S.streamCycles[i];
+            const StreamTerm st = gemvStreamTerm(S, i, rowTerms);
+            prof.add(dp, br, Cause::Stream, st.mem, st.bytes);
+            prof.add(dp, br, Cause::FcuCompute, st.cycles - st.mem);
+            t.cycles += st.cycles;
+            t.parCycles += st.cycles;
         }
-        if (S.finalOutRow >= 0) {
+        if (curRow >= 0) {
             bool wMiss = false;
-            t.cycles += _rcu.cache().write(CacheVec::Out,
-                                           Index(S.finalOutRow), &wMiss);
+            t.cycles +=
+                _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
             if (wMiss)
-                prof.add(S.lastDp, S.finalOutRow, Cause::CacheMiss, 0,
+                prof.add(DataPathType::Gemv, curRow, Cause::CacheMiss, 0,
                          lineBytes);
         }
-    }
-    if (tlOn && segStart >= 0)
-        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
-                       tlBase + segStart, t.cycles - uint64_t(segStart));
-    if (walk) {
+        if (tlOn && segStart >= 0)
+            timeline::span(toString(segDp), "datapath",
+                           timeline::kTidDataPath, tlBase + segStart,
+                           t.cycles - uint64_t(segStart));
         t.cycles += uint64_t(_params.drainCycles());
         prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
                  uint64_t(_params.drainCycles()));
@@ -601,7 +620,6 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     }
     if (S.pathCount > 0) {
         _rcu.setConfigured(S.lastDp);
-        _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.totalStreamBytes);
         _fcu.noteOps(S.fcuOps);
     }
@@ -677,66 +695,72 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     const bool memoized =
         !prof.on() && !timeline::recording(timeline::kPidModeled);
     const bool walk = !(memoized && memo->replay(_rcu, t));
-    auto rowStream = [&](size_t i) {
-        return std::max(S.spmmMemCycles[i], uint64_t(S.streamedRows[i]) * k);
+    // The block streams once and its rows issue once per right-hand
+    // side: rows that cross the bus are the occupied ones when empty
+    // rows are skipped, else all omega.
+    const std::vector<StreamTerm> rowTerms = rowStreamTerms();
+    auto spmmRows = [&](size_t i) {
+        return _params.skipEmptyBlockRows ? S.rowBegin[i + 1] - S.rowBegin[i]
+                                          : size_t(S.omega);
+    };
+    auto spmmStream = [&](size_t rowCount) {
+        return std::max(rowTerms[rowCount].mem, uint64_t(rowCount) * k);
     };
     uint64_t stream = 0;
-    uint64_t spmvStream = 0;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    const uint64_t cfgExposed = uint64_t(
-        std::max(0, _params.configCycles - _params.drainCycles()));
-    if (walk && S.pathCount > 0) {
-        uint64_t hidden0 = 0;
-        uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
-                 cfg0 - hidden0);
-        t.cycles += cfg0;
+    if (walk) {
+        const uint64_t lineBytes = _params.cacheLineBytes;
+        const uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
+        uint64_t spmvStream = 0;
+        bool filled = false;
+        int64_t curRow = -1;
         for (size_t i = 0; i < S.pathCount; ++i) {
-            if (S.cfgCycles[i]) {
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigHidden,
-                         S.cfgCycles[i] - cfgExposed);
-                prof.add(S.dp[i], S.blockRow[i], Cause::ReconfigExposed,
-                         cfgExposed);
+            const DataPathType dp = S.dp[i];
+            const Index br = S.blockRow[i];
+            uint64_t hidden = 0;
+            const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
+            if (cfg) {
+                prof.add(dp, br, Cause::ReconfigHidden, hidden);
+                prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
+                t.cycles += cfg;
+                filled = false;
             }
-            t.cycles += S.cfgCycles[i];
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     S.fillCycles[i]);
-            t.cycles += S.fillCycles[i];
-            if (S.writeOutRow[i] >= 0) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(
-                    CacheVec::Out, Index(S.writeOutRow[i]), &wMiss);
-                if (wMiss)
-                    prof.add(S.dp[i], S.writeOutRow[i], Cause::CacheMiss,
-                             0, lineBytes);
+            if (!filled) {
+                prof.add(dp, br, Cause::FcuCompute, fill);
+                t.cycles += fill;
+                filled = true;
+            }
+            if (int64_t(br) != curRow) {
+                if (curRow >= 0) {
+                    bool wMiss = false;
+                    t.cycles += _rcu.cache().write(CacheVec::Out,
+                                                   Index(curRow), &wMiss);
+                    if (wMiss)
+                        prof.add(dp, curRow, Cause::CacheMiss, 0, lineBytes);
+                }
+                curRow = br;
             }
             bool xMiss = false;
             uint64_t xRead = _rcu.cache().read(S.operandVec[i],
                                                S.blockCol[i], false, &xMiss);
-            prof.add(S.dp[i], S.blockRow[i], Cause::CacheMiss, xRead,
+            prof.add(dp, br, Cause::CacheMiss, xRead,
                      xMiss ? lineBytes : 0);
             t.cycles += xRead;
-            uint64_t bc = rowStream(i);
-            prof.add(S.dp[i], S.blockRow[i], Cause::Stream,
-                     S.spmmMemCycles[i],
-                     uint64_t(S.streamedRows[i]) * S.omega *
-                         sizeof(Value));
-            prof.add(S.dp[i], S.blockRow[i], Cause::FcuCompute,
-                     bc - S.spmmMemCycles[i]);
+            const size_t rowCount = spmmRows(i);
+            const uint64_t bc = spmmStream(rowCount);
+            prof.add(dp, br, Cause::Stream, rowTerms[rowCount].mem,
+                     rowTerms[rowCount].bytes);
+            prof.add(dp, br, Cause::FcuCompute, bc - rowTerms[rowCount].mem);
             stream += bc;
-            spmvStream += S.streamCycles[i];
+            spmvStream += gemvStreamTerm(S, i, rowTerms).cycles;
         }
-        if (S.finalOutRow >= 0) {
+        if (curRow >= 0) {
             bool wMiss = false;
-            t.cycles += _rcu.cache().write(CacheVec::Out,
-                                           Index(S.finalOutRow), &wMiss);
+            t.cycles +=
+                _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
             if (wMiss)
-                prof.add(DataPathType::Gemv, S.finalOutRow,
-                         Cause::CacheMiss, 0, lineBytes);
+                prof.add(DataPathType::Gemv, curRow, Cause::CacheMiss, 0,
+                         lineBytes);
         }
-    }
-    if (walk) {
         t.cycles += uint64_t(_params.drainCycles());
         prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
                  uint64_t(_params.drainCycles()));
@@ -747,7 +771,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
         ++_timingMemoHits;
         t.cycles -= t.parCycles;
         for (size_t i = 0; i < S.pathCount; ++i)
-            stream += rowStream(i);
+            stream += spmmStream(spmmRows(i));
     }
     t.cycles += stream;
     t.parCycles = stream;
@@ -760,7 +784,6 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
                              .hits = (k - 1) * (once.reads + once.writes)});
     if (S.pathCount > 0) {
         _rcu.setConfigured(S.lastDp);
-        _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.spmmStreamBytes);
         FcuOpCounts scaled{S.fcuOps.alu * double(k),
                            S.fcuOps.reduce * double(k),
@@ -800,8 +823,6 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     DataPathType segDp{};
     profile::RunScope prof;
     const uint64_t lineBytes = _params.cacheLineBytes;
-    const uint64_t cfgExposed = uint64_t(
-        std::max(0, _params.configCycles - _params.drainCycles()));
 
     // One pass, functional and timing: the sweep is inherently
     // sequential (each diagonal chain updates x for the GEMV gathers
@@ -823,20 +844,22 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     LinkStack &links = _rcu.linkStack();
     std::vector<Value> acc(omega);
     std::vector<Value> lanes(fcutree::ceilPow2(omega));
-    if (walk && S.pathCount > 0) {
-        uint64_t hidden0 = 0;
-        uint64_t cfg0 = _rcu.reconfigure(S.dp[0], &hidden0);
-        if (tlOn && cfg0)
-            timeline::span("reconfig", "rcu", timeline::kTidRcu, tlBase,
-                           cfg0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigHidden, hidden0);
-        prof.add(S.dp[0], S.blockRow[0], Cause::ReconfigExposed,
-                 cfg0 - hidden0);
-        stream_t += cfg0;
-    }
+    const std::vector<StreamTerm> rowTerms =
+        walk ? rowStreamTerms() : std::vector<StreamTerm>();
+    // Every D-SymGS chain streams one whole diagonal block.
+    const StreamTerm chainTerm =
+        walk ? blockStreamTerm(LocallyDenseMatrix::payloadSize(
+                   _ld->layout(), true, omega))
+             : StreamTerm();
+    const uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
+    // A chain step: multiply (ALU), then subtract and divide (PEs).
+    const uint64_t stepLat =
+        uint64_t(_params.aluLatency + 2 * _params.peLatency);
+    bool filled = false;
     for (size_t i = 0; i < S.pathCount; ++i) {
+        const DataPathType dp = S.dp[i];
         const Index br = S.blockRow[i];
-        if (S.dp[i] == DataPathType::Gemv) {
+        if (dp == DataPathType::Gemv) {
             S.fns.symgs(S, i, xw, links.push(omega));
         } else {
             const Index r0 = br * omega;
@@ -858,62 +881,68 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         if (!walk)
             continue;
 
-        if (tlOn && segStart >= 0 && S.dp[i] != segDp) {
+        if (tlOn && segStart >= 0 && dp != segDp) {
             timeline::span(toString(segDp), "datapath",
                            timeline::kTidDataPath, tlBase + segStart,
                            stream_t - uint64_t(segStart));
             segStart = -1;
         }
-        if (tlOn && S.cfgCycles[i])
-            timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                           tlBase + stream_t, S.cfgCycles[i]);
-        if (S.cfgCycles[i]) {
-            prof.add(S.dp[i], br, Cause::ReconfigHidden,
-                     S.cfgCycles[i] - cfgExposed);
-            prof.add(S.dp[i], br, Cause::ReconfigExposed, cfgExposed);
+        uint64_t hidden = 0;
+        const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
+        if (cfg) {
+            if (tlOn)
+                timeline::span("reconfig", "rcu", timeline::kTidRcu,
+                               tlBase + stream_t, cfg);
+            prof.add(dp, br, Cause::ReconfigHidden, hidden);
+            prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
+            stream_t += cfg;
+            filled = false;
         }
-        stream_t += S.cfgCycles[i];
-        if (S.dp[i] == DataPathType::Gemv) {
-            if (tlOn && S.fillCycles[i])
-                timeline::span("fill", "fcu", timeline::kTidFcu,
-                               tlBase + stream_t, S.fillCycles[i]);
-            prof.add(S.dp[i], br, Cause::FcuCompute, S.fillCycles[i]);
-            stream_t += S.fillCycles[i];
+        const size_t pathRows = S.rowBegin[i + 1] - S.rowBegin[i];
+        if (dp == DataPathType::Gemv) {
+            if (!filled) {
+                if (tlOn && fill)
+                    timeline::span("fill", "fcu", timeline::kTidFcu,
+                                   tlBase + stream_t, fill);
+                prof.add(dp, br, Cause::FcuCompute, fill);
+                stream_t += fill;
+                filled = true;
+            }
             if (tlOn && segStart < 0) {
                 segStart = int64_t(stream_t);
-                segDp = S.dp[i];
+                segDp = dp;
             }
             bool xMiss = false;
             uint64_t xRead = _rcu.cache().read(S.operandVec[i],
                                                S.blockCol[i], false,
                                                &xMiss);
-            prof.add(S.dp[i], br, Cause::CacheMiss, xRead,
+            prof.add(dp, br, Cause::CacheMiss, xRead,
                      xMiss ? lineBytes : 0);
             stream_t += xRead;
-            prof.add(S.dp[i], br, Cause::Stream, S.memCycles[i],
-                     S.streamBytes[i]);
-            prof.add(S.dp[i], br, Cause::FcuCompute,
-                     S.streamCycles[i] - S.memCycles[i]);
-            stream_t += S.streamCycles[i];
+            const StreamTerm st = gemvStreamTerm(S, i, rowTerms);
+            prof.add(dp, br, Cause::Stream, st.mem, st.bytes);
+            prof.add(dp, br, Cause::FcuCompute, st.cycles - st.mem);
+            stream_t += st.cycles;
             if (tlOn)
                 timeline::counter("link_depth", tlBase + stream_t,
                                   double(links.depth()));
         } else {
             if (tlOn && segStart < 0) {
                 segStart = int64_t(stream_t);
-                segDp = S.dp[i];
+                segDp = dp;
             }
-            prof.add(S.dp[i], br, Cause::Stream, S.memCycles[i],
-                     S.streamBytes[i]);
-            prof.add(S.dp[i], br, Cause::FcuCompute,
-                     S.streamCycles[i] - S.memCycles[i]);
-            stream_t += S.streamCycles[i];
+            // The diagonal block streams whole, and b through its FIFO.
+            prof.add(dp, br, Cause::Stream, chainTerm.mem,
+                     chainTerm.bytes + pathRows * sizeof(Value));
+            prof.add(dp, br, Cause::FcuCompute,
+                     chainTerm.cycles - chainTerm.mem);
+            stream_t += chainTerm.cycles;
 
             bool dMiss = false;
             uint64_t diag_read =
                 _rcu.cache().read(CacheVec::Diag, br, true, &dMiss);
             if (dMiss)
-                prof.add(S.dp[i], br, Cause::CacheMiss, 0, lineBytes);
+                prof.add(dp, br, Cause::CacheMiss, 0, lineBytes);
             uint64_t dep_in = dep_t;
             uint64_t start =
                 std::max(stream_t + uint64_t(_params.pipelineDepth()),
@@ -923,15 +952,15 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
             uint64_t xtWrite =
                 _rcu.cache().write(CacheVec::Xt, br, &xwMiss);
             if (xwMiss)
-                prof.add(S.dp[i], br, Cause::CacheMiss, 0, lineBytes);
-            dep_t = start + S.chainCycles[i] + xtWrite;
-            prof.chain(br, stream_t, dep_in, start, S.chainCycles[i],
-                       dep_t);
-            t.seqCycles += S.chainCycles[i];
+                prof.add(dp, br, Cause::CacheMiss, 0, lineBytes);
+            const uint64_t chain = pathRows * stepLat;
+            dep_t = start + chain + xtWrite;
+            prof.chain(br, stream_t, dep_in, start, chain, dep_t);
+            t.seqCycles += chain;
+            filled = false; // the tree ran in single-shot mode
             if (tlOn) {
                 timeline::span("d-symgs chain", "datapath",
-                               timeline::kTidChain, tlBase + start,
-                               S.chainCycles[i]);
+                               timeline::kTidChain, tlBase + start, chain);
                 timeline::counter("link_depth", tlBase + start, 0.0);
             }
         }
@@ -956,7 +985,6 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
                   x.begin());
         _rcu.setConfigured(S.lastDp);
-        _rcu.noteReconfigs(S.reconfigCount, S.reconfigStall);
         _memory.recordStream(S.totalStreamBytes);
         _fcu.noteOps(S.fcuOps);
         _rcu.notePeOps(S.peOps);
@@ -1114,7 +1142,7 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
         } else {
             streamedBytes = uint64_t(blk.size) * sizeof(Value);
             _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk);
+            bc = streamBlockCycles(blk.size);
         }
         if (prof.on()) {
             uint64_t memC = _memory.streamCycles(streamedBytes);
@@ -1256,7 +1284,7 @@ Engine::runPrRound(const DenseVector &rank,
         } else {
             streamedBytes = uint64_t(blk.size) * sizeof(Value);
             _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk);
+            bc = streamBlockCycles(blk.size);
         }
         if (prof.on()) {
             uint64_t memC = _memory.streamCycles(streamedBytes);

@@ -360,8 +360,38 @@ class Engine
                           const std::vector<uint8_t> *active_chunks,
                           RunTiming *timing);
 
-    uint64_t streamBlockCycles(const LdBlockInfo &blk) const;
+    /** Cycles to stream a whole block payload of @p payload values. */
+    uint64_t streamBlockCycles(Index payload) const;
     uint64_t streamRowsCycles(Index rows_streamed) const;
+
+    /** What a path's stream charges: the cycles it holds the stream
+     *  front, their memory-side share (the rest is FCU issue), and the
+     *  payload bytes it moves. */
+    struct StreamTerm
+    {
+        uint64_t cycles = 0;
+        uint64_t mem = 0;
+        uint64_t bytes = 0;
+    };
+    /** The terms of streaming 0..omega block rows, indexed by the row
+     *  count.  They depend on nothing else, so a timing walk computes
+     *  them once instead of dividing per path. */
+    std::vector<StreamTerm> rowStreamTerms() const;
+    /** The term of streaming a whole block payload of @p payload
+     *  values. */
+    StreamTerm blockStreamTerm(Index payload) const;
+    /** The stream term of GEMV path @p i of @p S: its occupied rows'
+     *  entry of @p row_terms when empty rows are skipped, else its
+     *  block's whole payload (LocallyDenseMatrix::payloadSize).
+     *  Inline: the timing walk asks once per path. */
+    StreamTerm gemvStreamTerm(const ExecSchedule &S, size_t i,
+                              const std::vector<StreamTerm> &row_terms) const
+    {
+        if (_params.skipEmptyBlockRows)
+            return row_terms[S.rowBegin[i + 1] - S.rowBegin[i]];
+        return blockStreamTerm(LocallyDenseMatrix::payloadSize(
+            _ld->layout(), S.blockRow[i] == S.blockCol[i], _ld->omega()));
+    }
 
     /** Pool for the scheduled functional pass (nullptr = run inline). */
     ThreadPool *enginePool();

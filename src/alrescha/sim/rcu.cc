@@ -12,13 +12,8 @@ Rcu::Rcu(const AccelParams &params, MemoryModel *memory)
 }
 
 uint64_t
-Rcu::reconfigure(DataPathType dp, uint64_t *hidden_out)
+Rcu::switchTo(DataPathType dp, uint64_t *hidden_out)
 {
-    if (hidden_out)
-        *hidden_out = 0;
-    if (_current && *_current == dp)
-        return 0;
-
     uint64_t charged = 0;
     if (_current) {
         // The tree drains while the switch is rewritten; only config
@@ -53,20 +48,6 @@ Rcu::notePeOps(double count)
 {
     if (count != 0.0)
         _peOps += count;
-}
-
-void
-Rcu::noteReconfigs(double count, double stall_cycles)
-{
-    // Batched counts come from the schedule compiler, which only
-    // records switch rewrites (the initial programming config is
-    // replayed live through reconfigure()), so every one of them
-    // charged configCycles against the drain overlap.  Both are
-    // integer-valued.
-    _pendingReconfigs += uint64_t(count);
-    _pendingSwitchConfigCycles +=
-        uint64_t(count) * uint64_t(_params.configCycles);
-    _pendingStallCycles += uint64_t(stall_cycles);
 }
 
 WalkCounts

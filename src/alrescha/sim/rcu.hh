@@ -54,7 +54,16 @@ class Rcu
      * programming configuration, which has no drain to hide under).
      * Profiler-only; does not affect the model.
      */
-    uint64_t reconfigure(DataPathType dp, uint64_t *hidden_out = nullptr);
+    uint64_t reconfigure(DataPathType dp, uint64_t *hidden_out = nullptr)
+    {
+        // Inline: a timing walk asks once per path, and most paths keep
+        // the configured data path.
+        if (hidden_out)
+            *hidden_out = 0;
+        if (_current == dp)
+            return 0;
+        return switchTo(dp, hidden_out);
+    }
 
     /** Currently configured data path, if any. */
     std::optional<DataPathType> configured() const { return _current; }
@@ -71,15 +80,10 @@ class Rcu
     void notePeOps(double count);
 
     /**
-     * Add a batch of locally counted reconfigurations and their exposed
-     * stall cycles without touching the switch state (schedule path).
-     */
-    void noteReconfigs(double count, double stall_cycles);
-
-    /**
-     * Declare the switch configured for @p dp without charging cycles;
-     * the schedule path uses this after replaying precomputed
-     * reconfiguration charges.
+     * Declare the switch configured for @p dp without charging cycles:
+     * a run replayed from the timing memo leaves the switch where its
+     * walk would have (the memo entry carries the walk's switch
+     * counts).
      */
     void setConfigured(DataPathType dp) { _current = dp; }
 
@@ -118,6 +122,9 @@ class Rcu
     void registerStats(stats::StatGroup &group);
 
   private:
+    /** reconfigure() when @p dp is not configured. */
+    uint64_t switchTo(DataPathType dp, uint64_t *hidden_out);
+
     AccelParams _params;
     CacheModel _cache;
     LinkStack _linkStack;

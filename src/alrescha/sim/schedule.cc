@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "alrescha/sim/memory.hh"
 #include "alrescha/sim/replay.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -11,34 +10,6 @@
 namespace alr {
 
 namespace {
-
-/**
- * Mirror of Rcu::reconfigure for transitions whose predecessor is known
- * at compile time: the drain always overlaps the switch rewrite, so the
- * charge is drain + exposed and the stall stat counts only the exposed
- * part.  (The first path of a run transitions from whatever the switch
- * held after the previous run, so it is replayed at runtime instead.)
- */
-struct ReconfigDelta
-{
-    uint32_t cycles = 0;
-    double count = 0.0;
-    double stall = 0.0;
-};
-
-ReconfigDelta
-reconfigDelta(const AccelParams &params, DataPathType from, DataPathType to)
-{
-    ReconfigDelta d;
-    if (from == to)
-        return d;
-    int drain = params.drainCycles();
-    int exposed = std::max(0, params.configCycles - drain);
-    d.cycles = uint32_t(drain + exposed);
-    d.count = 1.0;
-    d.stall = double(exposed);
-    return d;
-}
 
 /**
  * Paths per chunk of the parallel compile passes.  A constant, not a
@@ -55,12 +26,7 @@ ExecSchedule::bytes() const
         return v.capacity() * sizeof(v[0]);
     };
     return vecBytes(dp) + vecBytes(blockRow) + vecBytes(blockCol) +
-           vecBytes(operandVec) + vecBytes(cfgCycles) +
-           vecBytes(fillCycles) + vecBytes(writeOutRow) +
-           vecBytes(streamCycles) + vecBytes(memCycles) +
-           vecBytes(streamBytes) + vecBytes(streamedRows) +
-           vecBytes(spmmMemCycles) + vecBytes(xOff) +
-           vecBytes(chainCycles) + vecBytes(rowBegin) +
+           vecBytes(operandVec) + vecBytes(xOff) + vecBytes(rowBegin) +
            vecBytes(rowIndex) + vecBytes(values) + vecBytes(groupBegin);
 }
 
@@ -79,10 +45,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     const bool spmv = table.kernel() == KernelType::SpMV;
     const bool backward = table.direction() == GsSweep::Backward;
     const bool skipEmpty = params.skipEmptyBlockRows;
-    const MemoryModel mem(params);
-    const Fcu fcu(params);
-    const int fillSum = fcu.fillLatency(ReduceOp::Sum);
-    const int stepLat = params.aluLatency + 2 * params.peLatency;
     const std::vector<ConfigEntry> &entries = table.entries();
     const std::vector<LdBlockInfo> &blocks = ld.blocks();
     const Value *stream = ld.stream().data();
@@ -98,23 +60,11 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     s.blockRow.resize(P);
     s.blockCol.resize(P);
     s.operandVec.resize(P, CacheVec::Xt);
-    s.cfgCycles.resize(P, 0);
-    s.fillCycles.resize(P, 0);
-    s.writeOutRow.resize(P, -1);
-    s.streamCycles.resize(P, 0);
-    s.memCycles.resize(P, 0);
-    s.streamBytes.resize(P, 0);
-    s.streamedRows.resize(P, 0);
-    s.spmmMemCycles.resize(P, 0);
     s.xOff.resize(P, 0);
-    s.chainCycles.resize(P, 0);
     s.rowBegin.resize(P + 1, 0);
 
-    // Pass 1, serial: the terms that depend on path i-1 (pipeline
-    // fill, reconfiguration, out-chunk write-out) plus each path's
-    // static geometry.  Nothing here reads the payload.
-    bool filled = false;
-    int64_t curRow = -1;
+    // Pass 1, serial: each path's static geometry, and whether block
+    // rows never decrease.  Nothing here reads the payload.
     bool monotonic = true;
     for (size_t i = 0; i < P; ++i) {
         const ConfigEntry &e = entries[i];
@@ -122,60 +72,21 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         s.dp[i] = e.dp;
         s.blockRow[i] = blk.blockRow;
         s.blockCol[i] = blk.blockCol;
-
-        // Reconfiguration: the i-1 -> i transition is a compile-time
-        // fact; the run's first transition is replayed at runtime.
-        bool dpSwitch = i > 0 && e.dp != s.dp[i - 1];
-        if (i > 0) {
-            ReconfigDelta d = reconfigDelta(params, s.dp[i - 1], e.dp);
-            s.cfgCycles[i] = d.cycles;
-            s.reconfigCount += d.count;
-            s.reconfigStall += d.stall;
-        }
-        // The fill flag resets at run start and on every switch -- both
-        // compile-time facts, so the whole fill pattern is static.
-        if (i == 0 || dpSwitch)
-            filled = false;
+        if (i > 0 && blk.blockRow < s.blockRow[i - 1])
+            monotonic = false;
 
         if (spmv || e.dp != DataPathType::DSymgs) {
             ALR_ASSERT(e.dp == DataPathType::Gemv,
                        "unexpected data path in %s table",
                        toString(table.kernel()));
-            if (!filled) {
-                s.fillCycles[i] = uint32_t(fillSum);
-                filled = true;
-            }
-            if (spmv) {
-                // Out-chunk writeback on block-row change.
-                if (int64_t(blk.blockRow) != curRow) {
-                    s.writeOutRow[i] = curRow;
-                    if (curRow >= 0 && int64_t(blk.blockRow) < curRow)
-                        monotonic = false;
-                    curRow = blk.blockRow;
-                }
-                s.operandVec[i] = CacheVec::Xt;
-            } else {
-                s.operandVec[i] = e.op == OperandPort::Port1
-                                      ? CacheVec::Xt
-                                      : CacheVec::Xprev;
-            }
+            s.operandVec[i] = spmv || e.op == OperandPort::Port1
+                                  ? CacheVec::Xt
+                                  : CacheVec::Xprev;
             s.xOff[i] = blk.blockCol * omega;
         } else {
-            // D-SymGS: the serialized diagonal chain.  Everything but
-            // the cache traffic and the x recurrence is static.
-            Index r0 = blk.blockRow * omega;
-            s.xOff[i] = r0;
-            Index validRows = Index(
-                std::min<int64_t>(omega, int64_t(rows) - int64_t(r0)));
-            uint64_t blkBytes = uint64_t(blk.size) * sizeof(Value);
-            s.streamCycles[i] =
-                std::max<uint64_t>(omega, mem.streamCycles(blkBytes));
-            s.memCycles[i] = mem.streamCycles(blkBytes);
-            // Block payload plus the b operand through its FIFO.
-            s.streamBytes[i] =
-                blkBytes + uint64_t(validRows) * sizeof(Value);
-            s.chainCycles[i] = uint64_t(validRows) * uint64_t(stepLat);
-            filled = false; // tree was used in single-shot mode
+            // D-SymGS: the serialized diagonal chain gathers the block
+            // row's own chunk.
+            s.xOff[i] = blk.blockRow * omega;
         }
     }
 
@@ -292,28 +203,21 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                     acc.rowOps += double(omega);
                 }
 
-                Index occupied = Index(end - s.rowBegin[i]);
-                uint64_t bytes, bc;
-                if (skipEmpty) {
-                    bytes = uint64_t(occupied) * omega * sizeof(Value);
-                    bc = std::max<uint64_t>(occupied,
-                                            mem.streamCycles(bytes));
-                } else {
-                    bytes = uint64_t(blk.size) * sizeof(Value);
-                    bc = std::max<uint64_t>(omega, mem.streamCycles(bytes));
-                }
-                s.streamCycles[i] = bc;
-                s.memCycles[i] = mem.streamCycles(bytes);
-                s.streamBytes[i] = bytes;
-
-                Index streamedRows = skipEmpty ? occupied : omega;
-                uint64_t spmmBytes =
+                // The stream stats: a skipping run streams the occupied
+                // rows, any other the whole block payload; SpMM streams
+                // row-granular either way.
+                const Index occupied = Index(end - s.rowBegin[i]);
+                const Index streamedRows = skipEmpty ? occupied : omega;
+                acc.streamBytes +=
+                    skipEmpty ? uint64_t(occupied) * omega * sizeof(Value)
+                              : uint64_t(blk.size) * sizeof(Value);
+                acc.spmmBytes +=
                     uint64_t(streamedRows) * omega * sizeof(Value);
-                s.streamedRows[i] = streamedRows;
-                s.spmmMemCycles[i] = mem.streamCycles(spmmBytes);
-                acc.spmmBytes += spmmBytes;
             } else {
-                // The b operand: one useful double per chain record.
+                // The block payload, plus the b operand through its
+                // FIFO: one useful double per chain record.
+                acc.streamBytes += (uint64_t(blk.size) + end - s.rowBegin[i]) *
+                                   sizeof(Value);
                 acc.usefulBytes += double(end - s.rowBegin[i]) * sizeof(Value);
                 // Chain steps in execution order (reversed for backward
                 // sweeps); the diagonal lane is pre-zeroed like the
@@ -338,7 +242,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                 }
             }
             ALR_ASSERT(slot == end, "row count pass disagrees");
-            acc.streamBytes += s.streamBytes[i];
         }
     });
     s.contiguousRows = true;
@@ -360,7 +263,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     Index operandLen = spmv ? cols : std::max(rows, cols);
     s.paddedOperand =
         size_t((operandLen + omega - 1) / omega) * omega;
-    s.finalOutRow = spmv ? curRow : -1;
     if (P > 0)
         s.lastDp = s.dp[P - 1];
 

@@ -7,35 +7,29 @@
  * the paper's own offline conversion (Algorithm 1), which exists
  * precisely so the hardware streams with no runtime metadata decode.
  *
- * What is precomputed (everything that is invariant across runs):
- *  - per-path block geometry, operand cache vector, and the resolved
- *    block values, gathered once through the payload-position LUTs into
- *    a struct-of-arrays of omega-wide row records;
- *  - per-path reconfiguration charges and stat deltas for every path
- *    after the first (transition i-1 -> i is known at compile time; the
- *    first path's charge depends on the RCU switch state left by the
- *    previous run, so it is replayed through Rcu::reconfigure at
- *    runtime);
- *  - the pipeline-fill pattern (the fill flag is reset at run start and
- *    on every data-path switch, both compile-time facts);
- *  - per-path stream bytes and stream-cycle terms (the memory pipe is a
- *    pure bandwidth function of the static byte count);
+ * What is precomputed (everything that is invariant across runs and
+ * that the functional replay or the cache-access sequence reads):
+ *  - per-path data path, block geometry, operand cache vector and
+ *    gather offset, and the resolved block values, gathered once
+ *    through the payload-position LUTs into a struct-of-arrays of
+ *    omega-wide row records (rowBegin gives each path its row count);
+ *  - the configured data path the run leaves behind (lastDp), for a
+ *    run whose walk the engine replays from its timing memo;
  *  - per-run totals of every accumulated stat (flops, useful bytes,
- *    FCU/RCU op counts): all are integer-valued doubles, so adding the
- *    precomputed total once is bit-identical to the table
- *    interpreter's per-element accumulation in any order.
+ *    streamed bytes, FCU/RCU op counts): all are integer-valued
+ *    doubles, so adding the precomputed total once is bit-identical to
+ *    the table interpreter's per-element accumulation in any order.
  *
- * What is NOT precomputed (runtime state the timing model carries
- * across runs): local-cache hits and misses -- the scheduled timing
- * walk replays the exact same CacheModel access sequence as the table
- * interpreter -- the first path's reconfiguration, and the link-stack
- * contents, which the scheduled D-SymGS drives through the real
- * LinkStack.  That is why cycle counts and every registered stat match
- * the interpreter, which the tests keep as the reference engine
- * (tests/reference), bit for bit.  The cache lines and the configured
- * data path are a run's whole entry state, so the engine memoizes each
- * walk per schedule (TimingMemo, engine.hh) instead of storing any of
- * it here: the memo is runtime state, never compiled or persisted.
+ * What is NOT precomputed: every timing term.  The engine's timing
+ * walk charges each path as the reference engine (tests/reference)
+ * does -- the switch through Rcu::reconfigure, the pipeline fill, the
+ * out-chunk write-back, the local-cache hits and misses, and the
+ * stream and chain terms from the path's row count -- so each timing
+ * rule has one copy, and no schedule depends on a latency or a
+ * bandwidth (only omega and skipEmptyBlockRows shape one).  The cache
+ * lines and the configured data path are a run's whole entry state,
+ * so the engine memoizes each walk per schedule (TimingMemo,
+ * engine.hh): the memo is runtime state, never compiled or persisted.
  */
 
 #ifndef ALR_ALRESCHA_SIM_SCHEDULE_HH
@@ -72,26 +66,6 @@ struct ExecSchedule
     std::vector<Index> blockCol;
     /** Operand vector of the streaming chunk read (Xt/Xprev). */
     std::vector<CacheVec> operandVec;
-    /** Reconfiguration cycles charged at path i > 0 ([0] is 0: the
-     *  first path replays through Rcu::reconfigure at runtime). */
-    std::vector<uint32_t> cfgCycles;
-    /** Pipeline-fill cycles charged at this path (0 when warm). */
-    std::vector<uint32_t> fillCycles;
-    /** Block row flushed to the Out vector before this path, or -1. */
-    std::vector<int64_t> writeOutRow;
-    /** Stream-cycle term of this path (SpMV bc / SymGS stream term). */
-    std::vector<uint64_t> streamCycles;
-    /** Memory-side component of streamCycles (pure bandwidth term);
-     *  streamCycles - memCycles is the issue-bound excess.  Profiler
-     *  stream/compute split; unused by the timing walk itself. */
-    std::vector<uint64_t> memCycles;
-    /** Payload bytes this path streams (diag paths include the b
-     *  operand); profiler byte attribution. */
-    std::vector<uint64_t> streamBytes;
-    /** Rows that cross the bus (SpMM issue term basis). */
-    std::vector<Index> streamedRows;
-    /** SpMM memory-side stream cycles (streamedRows * omega doubles). */
-    std::vector<uint64_t> spmmMemCycles;
     /**
      * Gather plan: element offset of path i's operand chunk inside the
      * chunk-padded operand staging buffer (blockCol * omega, hoisted).
@@ -99,9 +73,10 @@ struct ExecSchedule
      * full-width, in-bounds load -- no per-lane tail handling.
      */
     std::vector<uint32_t> xOff;
-    /** D-SymGS diagonal paths: serialized chain cycles. */
-    std::vector<uint64_t> chainCycles;
-    /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]). */
+    /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]).  Its
+     *  length -- the occupied rows a GEMV path streams when empty rows
+     *  are skipped, the steps of a D-SymGS chain -- is what the timing
+     *  walk derives the path's stream and chain terms from. */
     std::vector<size_t> rowBegin;
 
     // ---- row records (one per occupied row / diagonal chain step) ----
@@ -138,12 +113,9 @@ struct ExecSchedule
     bool contiguousRows = false;
 
     // ---- per-run constants ----
-    int64_t finalOutRow = -1;
+    /** Data path of the last path: where a replayed run leaves the
+     *  RCU's switch. */
     DataPathType lastDp = DataPathType::Gemv;
-    /** Reconfigurations (and their exposed stall cycles) at paths > 0;
-     *  flushed once per run via Rcu::noteReconfigs. */
-    double reconfigCount = 0.0;
-    double reconfigStall = 0.0;
     double parFlops = 0.0;
     double seqFlops = 0.0;
     double usefulBytes = 0.0;

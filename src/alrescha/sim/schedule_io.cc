@@ -30,16 +30,7 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writeVec(out, s.blockRow);
     bio::writeVec(out, s.blockCol);
     bio::writeVec(out, s.operandVec);
-    bio::writeVec(out, s.cfgCycles);
-    bio::writeVec(out, s.fillCycles);
-    bio::writeVec(out, s.writeOutRow);
-    bio::writeVec(out, s.streamCycles);
-    bio::writeVec(out, s.memCycles);
-    bio::writeVec(out, s.streamBytes);
-    bio::writeVec(out, s.streamedRows);
-    bio::writeVec(out, s.spmmMemCycles);
     bio::writeVec(out, s.xOff);
-    bio::writeVec(out, s.chainCycles);
     bio::writeVec(out, s.rowBegin);
 
     bio::writeVec(out, s.rowIndex);
@@ -49,10 +40,7 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
     bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
 
-    bio::writePod<int64_t>(out, s.finalOutRow);
     bio::writePod<uint8_t>(out, uint8_t(s.lastDp));
-    bio::writePod<double>(out, s.reconfigCount);
-    bio::writePod<double>(out, s.reconfigStall);
     bio::writePod<double>(out, s.parFlops);
     bio::writePod<double>(out, s.seqFlops);
     bio::writePod<double>(out, s.usefulBytes);
@@ -85,16 +73,7 @@ deserializeSchedule(std::istream &in)
     bio::readVecInto(in, s.blockRow);
     bio::readVecInto(in, s.blockCol);
     bio::readVecInto(in, s.operandVec);
-    bio::readVecInto(in, s.cfgCycles);
-    bio::readVecInto(in, s.fillCycles);
-    bio::readVecInto(in, s.writeOutRow);
-    bio::readVecInto(in, s.streamCycles);
-    bio::readVecInto(in, s.memCycles);
-    bio::readVecInto(in, s.streamBytes);
-    bio::readVecInto(in, s.streamedRows);
-    bio::readVecInto(in, s.spmmMemCycles);
     bio::readVecInto(in, s.xOff);
-    bio::readVecInto(in, s.chainCycles);
     bio::readVecInto(in, s.rowBegin);
 
     bio::readVecInto(in, s.rowIndex);
@@ -104,13 +83,10 @@ deserializeSchedule(std::istream &in)
     s.parallelSafe = bio::readPod<uint8_t>(in) != 0;
     s.contiguousRows = bio::readPod<uint8_t>(in) != 0;
 
-    s.finalOutRow = bio::readPod<int64_t>(in);
     uint8_t lastDp = bio::readPod<uint8_t>(in);
     if (lastDp > uint8_t(DataPathType::DPr))
         throw std::runtime_error("bad data-path tag in cache");
     s.lastDp = DataPathType(lastDp);
-    s.reconfigCount = bio::readPod<double>(in);
-    s.reconfigStall = bio::readPod<double>(in);
     s.parFlops = bio::readPod<double>(in);
     s.seqFlops = bio::readPod<double>(in);
     s.usefulBytes = bio::readPod<double>(in);
@@ -127,11 +103,12 @@ deserializeSchedule(std::istream &in)
     // ones some writer hashed, so everything replay indexes with must
     // be in range on its own.  Every per-path vector covers pathCount,
     // the row and group ranges are monotone and end at the record and
-    // path counts, and every operand chunk lies inside the staged
-    // operand.  A file that parses but violates these is corrupt;
-    // throwing here turns it into the same warn-and-recompile path as a
-    // truncated one.  (What depends on the live matrix is checked when
-    // a cache miss claims the schedule.)
+    // path counts, no path holds more than omega row records, and every
+    // operand chunk lies inside the staged operand.  A file that parses
+    // but violates these is corrupt; throwing here turns it into the
+    // same warn-and-recompile path as a truncated one.  (What depends
+    // on the live matrix is checked when a cache miss claims the
+    // schedule.)
     auto check = [&](bool ok) {
         if (!ok)
             throw std::runtime_error("inconsistent schedule in cache");
@@ -139,12 +116,7 @@ deserializeSchedule(std::istream &in)
     const size_t P = s.pathCount;
     check(s.omega > 0);
     for (size_t n : {s.dp.size(), s.blockRow.size(), s.blockCol.size(),
-                     s.operandVec.size(), s.cfgCycles.size(),
-                     s.fillCycles.size(), s.writeOutRow.size(),
-                     s.streamCycles.size(), s.memCycles.size(),
-                     s.streamBytes.size(), s.streamedRows.size(),
-                     s.spmmMemCycles.size(), s.xOff.size(),
-                     s.chainCycles.size()})
+                     s.operandVec.size(), s.xOff.size()})
         check(n == P);
     auto monotone = [](const std::vector<size_t> &v, size_t last) {
         return !v.empty() && v.front() == 0 && v.back() == last &&
@@ -157,6 +129,9 @@ deserializeSchedule(std::istream &in)
     for (size_t i = 0; i < P; ++i) {
         check(s.dp[i] <= DataPathType::DPr);
         check(size_t(s.xOff[i]) + s.omega <= s.paddedOperand);
+        // The timing walk indexes its per-row-count stream terms with
+        // a path's record count.
+        check(s.rowBegin[i + 1] - s.rowBegin[i] <= size_t(s.omega));
     }
     return s;
 }
@@ -164,24 +139,10 @@ deserializeSchedule(std::istream &in)
 uint64_t
 scheduleParamsFingerprint(const AccelParams &p)
 {
-    // Only the schedule-shaping knobs participate; see the header for
-    // why thread counts and SIMD/specialization modes are excluded.
+    // Only the schedule-shaping knobs participate; see the header.
     hash::WordHasher h;
     h.field(p.omega);
-    h.field(p.clockGhz);
-    h.field(p.memBandwidthGBs);
-    h.field(p.dramLatency);
-    h.field(p.cacheBytes);
-    h.field(p.cacheLineBytes);
-    h.field(p.cacheLatency);
-    h.field(p.aluLatency);
-    h.field(p.reSumLatency);
-    h.field(p.reMinLatency);
-    h.field(p.peLatency);
-    h.field(p.configCycles);
-    h.field(p.reorderDataPaths);
     h.field(p.skipEmptyBlockRows);
-    h.field(p.frontierSkipping);
     return h.digest();
 }
 

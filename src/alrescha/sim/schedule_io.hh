@@ -43,10 +43,14 @@ ExecSchedule deserializeSchedule(std::istream &in);
 
 /**
  * Digest of the AccelParams fields a compiled schedule's contents
- * depend on (block width, latencies, bandwidth, reorder/skip knobs).
- * Thread counts and the SIMD mode are excluded: they only affect the
- * re-stamped entry points, never the serialized state.  A persisted cache whose fingerprint differs from the loading
- * engine's params is stale and is recompiled instead.
+ * depend on: the block width (omega) and whether empty block rows are
+ * skipped.  A schedule holds no timing term, so no latency, bandwidth
+ * or cache geometry enters it; the table-shaping knobs
+ * (reorderDataPaths) reach it through the table's content hash, which
+ * keys each entry; thread counts and the SIMD mode only affect the
+ * re-stamped entry points.  A persisted cache whose fingerprint
+ * differs from the loading engine's params is stale and is recompiled
+ * instead.
  */
 uint64_t scheduleParamsFingerprint(const AccelParams &params);
 

@@ -5,6 +5,7 @@
  * execution from a reloaded image.
  */
 
+#include <cstring>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -120,6 +121,32 @@ TEST(ProgramImage, RejectsTruncatedStream)
     std::string data = ss.str();
     std::stringstream cut(data.substr(0, data.size() / 2));
     EXPECT_THROW(loadProgramImage(cut), std::runtime_error);
+}
+
+TEST(ProgramImage, RejectsBlockSizeOffItsLayout)
+{
+    // A SymGs diagonal block claiming a full omega^2 payload, still
+    // inside the stream: its payload positions, and every stream term
+    // charged for it, assume omega * (omega - 1).
+    Rng rng(8);
+    CsrMatrix a = gen::randomSpd(60, 5, rng);
+    auto ld = LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    size_t k = 0;
+    while (!ld.blocks()[k].isDiagonal())
+        ++k;
+    ASSERT_LT(k + 1, ld.blocks().size());
+    std::stringstream ss;
+    ld.serialize(ss);
+    std::string bytes = ss.str();
+    // Header: rows, cols, omega, block rows, nnz (u32), layout (u8),
+    // block count (u64); block: row, column (u32), offset (u64), size
+    // (u32).
+    const size_t sizeAt = 5 * 4 + 1 + 8 + k * 20 + 4 + 4 + 8;
+    const uint32_t full = 8 * 8;
+    std::memcpy(bytes.data() + sizeAt, &full, sizeof(full));
+    std::stringstream patched(bytes);
+    EXPECT_THROW(LocallyDenseMatrix::deserialize(patched),
+                 std::runtime_error);
 }
 
 TEST(ProgramImage, FileRoundTrip)

@@ -224,6 +224,54 @@ TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
     EXPECT_EQ(statDump(ref.engine()), statDump(sch.engine()));
 }
 
+TEST(ScheduleEquivalence, UnskippedBlockRowsBitIdentical)
+{
+    // With empty block rows streamed too, every path streams its whole
+    // block payload: omega^2, or omega * (omega - 1) for the diagonal
+    // blocks of the SymGs layout, which SpMV, SpMM and the chains read.
+    // At 4 bytes per cycle the memory pipe, not issue, bounds each
+    // block's stream, so a wrong payload size shows in the cycles.
+    for (Index omega : {4u, 8u}) {
+        AccelParams p = makeParams(omega, 2);
+        p.skipEmptyBlockRows = false;
+        p.memBandwidthGBs = 4.0 * p.clockGhz;
+        Rng rng(omega);
+        CsrMatrix a = gen::banded(101, 5, 0.7, rng);
+        LocallyDenseMatrix ld =
+            LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
+        ConfigTable spmv = ConfigTable::convert(KernelType::SpMV, ld);
+        ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                               GsSweep::Forward);
+        ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                               GsSweep::Backward);
+
+        Engine refEngine(p);
+        ReferenceEngine ref(refEngine);
+        Engine sch(p);
+        DenseVector b(a.rows(), 1.0);
+        DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
+        const std::vector<DenseVector> rhs(3, b);
+        for (int run = 0; run < 2; ++run) {
+            ref.program(&ld, &spmv);
+            sch.program(&ld, &spmv);
+            RunTiming tr, ts;
+            ASSERT_EQ(ref.runSpmv(b, &tr), sch.runSpmv(b, &ts));
+            expectTimingEq(tr, ts, "unskipped spmv timing");
+            ASSERT_EQ(ref.runSpmm(rhs, &tr), sch.runSpmm(rhs, &ts));
+            expectTimingEq(tr, ts, "unskipped spmm timing");
+            for (const ConfigTable *t : {&fwd, &bwd}) {
+                ref.program(&ld, t);
+                sch.program(&ld, t);
+                ref.runSymgsSweep(b, xr, &tr);
+                sch.runSymgsSweep(b, xs, &ts);
+                ASSERT_EQ(xr, xs);
+                expectTimingEq(tr, ts, "unskipped symgs timing");
+            }
+        }
+        EXPECT_EQ(statDump(refEngine), statDump(sch)) << "omega " << omega;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Timeline equivalence: the reference engine and the scheduled engine
 // emit the same modeled-plane (pid 1) events, in the same order --

@@ -82,11 +82,13 @@ reframe(const std::string &file, const std::string &body,
 /** The serialized per-path and row vectors of a schedule, in order. */
 enum ScheduleVec
 {
-    kDp, kBlockRow, kBlockCol, kOperandVec, kCfgCycles, kFillCycles,
-    kWriteOutRow, kStreamCycles, kMemCycles, kStreamBytes, kStreamedRows,
-    kSpmmMemCycles, kXOff, kChainCycles, kRowBegin, kRowIndex, kValues,
-    kGroupBegin, kScheduleVecs
+    kDp, kBlockRow, kBlockCol, kOperandVec, kXOff, kRowBegin, kRowIndex,
+    kValues, kGroupBegin, kScheduleVecs
 };
+
+/** Bytes of a cache body in front of its one schedule record: the slot
+ *  count (u32) and the slot's keys (five u64, kernel u8, omega u32). */
+constexpr size_t kSlotKeys = 4 + (5 * 8 + 1 + 4);
 
 /** Offset, in a cache body holding one schedule, of the length prefix
  *  of vector @p vec. */
@@ -94,21 +96,29 @@ size_t
 vectorAt(const std::string &body, ScheduleVec vec)
 {
     const size_t elem[kScheduleVecs] = {
-        sizeof(DataPathType), sizeof(Index),    sizeof(Index),
-        sizeof(CacheVec),     sizeof(uint32_t), sizeof(uint32_t),
-        sizeof(int64_t),      sizeof(uint64_t), sizeof(uint64_t),
-        sizeof(uint64_t),     sizeof(Index),    sizeof(uint64_t),
-        sizeof(uint32_t),     sizeof(uint64_t), sizeof(size_t),
-        sizeof(Index),        sizeof(Value),    sizeof(size_t)};
-    // Slot count (u32); slot keys (five u64, kernel u8, omega u32);
-    // schedule tag (u32), kernel (u8), omega (u32), path count (u64).
-    size_t at = 4 + (5 * 8 + 1 + 4) + (4 + 1 + 4 + 8);
+        sizeof(DataPathType), sizeof(Index),  sizeof(Index),
+        sizeof(CacheVec),     sizeof(uint32_t), sizeof(size_t),
+        sizeof(Index),        sizeof(Value),  sizeof(size_t)};
+    // Schedule tag (u32), kernel (u8), omega (u32), path count (u64).
+    size_t at = kSlotKeys + (4 + 1 + 4 + 8);
     for (int k = 0; k < vec; ++k) {
         uint64_t n = 0;
         std::memcpy(&n, body.data() + at, sizeof(n));
         at += sizeof(n) + n * elem[k];
     }
     return at;
+}
+
+/** The length-prefixed vector of @p T at offset @p at of @p body. */
+template <typename T>
+std::vector<T>
+vecAt(const std::string &body, size_t at)
+{
+    uint64_t n = 0;
+    std::memcpy(&n, body.data() + at, sizeof(n));
+    std::vector<T> v(n);
+    std::memcpy(v.data(), body.data() + at + sizeof(n), n * sizeof(T));
+    return v;
 }
 
 /** A length-prefixed vector, serialized. */
@@ -243,8 +253,10 @@ TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
     EXPECT_EQ(back.rowIndex, s.rowIndex);
     EXPECT_EQ(back.values, s.values);
     EXPECT_EQ(back.rowBegin, s.rowBegin);
-    EXPECT_EQ(back.streamCycles, s.streamCycles);
+    EXPECT_EQ(back.xOff, s.xOff);
+    EXPECT_EQ(back.lastDp, s.lastDp);
     EXPECT_EQ(back.totalStreamBytes, s.totalStreamBytes);
+    EXPECT_EQ(back.spmmStreamBytes, s.spmmStreamBytes);
     EXPECT_EQ(back.parFlops, s.parFlops);
     EXPECT_EQ(back.paddedOperand, s.paddedOperand);
 }
@@ -380,19 +392,53 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     // keyed schedules on byte-wise FNV-1a digests; versions 1 and 2
     // also wrote each schedule's timing-partition and D-SymGS level
     // boundaries right after the parallelSafe flag; versions 1 to 3
-    // also wrote xValid, validRows and rowUseful.  The legacy files
-    // built here carry exactly those layouts under a valid checksum,
-    // so only the version check stops the loader from misparsing them.
+    // also wrote xValid, validRows and rowUseful; versions 1 to 4 also
+    // wrote nine per-path timing arrays, the final out row and the
+    // reconfiguration totals.  The legacy files built here carry
+    // exactly those layouts, with the values those compilers gave them,
+    // under a valid checksum, so only the version check stops the
+    // loader from misparsing them.
     Problem p(45);
+    const AccelParams params = makeParams();
     const std::string file = savedCache(45);
     const std::string body = file.substr(kCacheHeader);
-    ExecSchedule s = compileSchedule(p.ld, p.table, makeParams());
+    ExecSchedule s = compileSchedule(p.ld, p.table, params);
+    const size_t P = s.pathCount;
+    ASSERT_EQ(s.kernel, KernelType::SpMV);
+    ASSERT_TRUE(std::all_of(s.dp.begin(), s.dp.end(), [](DataPathType dp) {
+        return dp == DataPathType::Gemv;
+    }));
 
-    // Version 3: the three arrays, with the values the version-3
-    // compiler gave them, in front of xOff, chainCycles and values.
-    std::vector<Index> xValid(s.pathCount), validRows(s.pathCount, 0);
+    // Version 4's timing terms of an all-GEMV SpMV schedule that skips
+    // empty rows: no switch after the first path, so one pipeline fill;
+    // the out chunk written back on each block-row change; each path
+    // streaming its occupied rows.
+    const MemoryModel mem(params);
+    const uint32_t fill = uint32_t(Fcu(params).fillLatency(ReduceOp::Sum));
+    std::vector<uint32_t> cfgCycles(P, 0), fillCycles(P, 0);
+    std::vector<int64_t> writeOutRow(P, -1);
+    std::vector<uint64_t> streamCycles(P), memCycles(P), streamBytes(P);
+    std::vector<uint64_t> spmmMemCycles(P), chainCycles(P, 0);
+    std::vector<Index> streamedRows(P);
+    int64_t curRow = -1;
+    for (size_t i = 0; i < P; ++i) {
+        const Index occupied = Index(s.rowBegin[i + 1] - s.rowBegin[i]);
+        const uint64_t bytes = uint64_t(occupied) * s.omega * sizeof(Value);
+        if (i == 0)
+            fillCycles[i] = fill;
+        if (int64_t(s.blockRow[i]) != curRow) {
+            writeOutRow[i] = curRow;
+            curRow = s.blockRow[i];
+        }
+        memCycles[i] = spmmMemCycles[i] = mem.streamCycles(bytes);
+        streamCycles[i] = std::max<uint64_t>(occupied, memCycles[i]);
+        streamBytes[i] = bytes;
+        streamedRows[i] = occupied;
+    }
+    // Version 3's arrays, with the values the version-3 compiler gave.
+    std::vector<Index> xValid(P), validRows(P, 0);
     std::vector<Index> rowUseful(s.rowIndex.size());
-    for (size_t i = 0; i < s.pathCount; ++i)
+    for (size_t i = 0; i < P; ++i)
         xValid[i] = std::min<Index>(s.omega,
                                     p.a.cols() - s.blockCol[i] * s.omega);
     for (size_t rr = 0; rr < rowUseful.size(); ++rr)
@@ -400,29 +446,59 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
             s.values.begin() + std::ptrdiff_t(rr * s.omega),
             s.values.begin() + std::ptrdiff_t((rr + 1) * s.omega),
             [](Value v) { return v != 0.0; }));
-    std::string v3 = body;
-    v3.insert(vectorAt(body, kValues), vecBytes(rowUseful));
-    v3.insert(vectorAt(body, kChainCycles), vecBytes(validRows));
-    v3.insert(vectorAt(body, kXOff), vecBytes(xValid));
 
-    // Versions 1 and 2: the boundary vectors too.  The schedule record
-    // ends with the fields that follow them: contiguousRows (u8),
-    // finalOutRow (i64), lastDp (u8), ten doubles and three u64.
-    const size_t tail = 1 + 8 + 1 + 10 * 8 + 3 * 8;
-    ASSERT_EQ(v3[v3.size() - tail - 1], char(s.parallelSafe));
-    uint64_t padded = 0;
-    std::memcpy(&padded, v3.data() + v3.size() - 8, 8);
-    ASSERT_EQ(padded, s.paddedOperand);
-    std::string v2 = v3;
-    v2.insert(v2.size() - tail,
-              vecBytes(std::vector<size_t>{0, s.pathCount / 2,
-                                           s.pathCount}) +
-                  vecBytes(std::vector<size_t>{})); // no levels in SpMV
+    // The saved slot keys, then one schedule record in @p version's
+    // layout.
+    auto legacyBody = [&](uint32_t version) {
+        std::ostringstream out;
+        out << body.substr(0, kSlotKeys);
+        out.write(body.data() + kSlotKeys, 4 + 1 + 4 + 8); // tag .. paths
+        bio::writeVec(out, s.dp);
+        bio::writeVec(out, s.blockRow);
+        bio::writeVec(out, s.blockCol);
+        bio::writeVec(out, s.operandVec);
+        bio::writeVec(out, cfgCycles);
+        bio::writeVec(out, fillCycles);
+        bio::writeVec(out, writeOutRow);
+        bio::writeVec(out, streamCycles);
+        bio::writeVec(out, memCycles);
+        bio::writeVec(out, streamBytes);
+        bio::writeVec(out, streamedRows);
+        bio::writeVec(out, spmmMemCycles);
+        if (version <= 3)
+            bio::writeVec(out, xValid);
+        bio::writeVec(out, s.xOff);
+        if (version <= 3)
+            bio::writeVec(out, validRows);
+        bio::writeVec(out, chainCycles);
+        bio::writeVec(out, s.rowBegin);
+        bio::writeVec(out, s.rowIndex);
+        if (version <= 3)
+            bio::writeVec(out, rowUseful);
+        bio::writeVec(out, s.values);
+        bio::writeVec(out, s.groupBegin);
+        bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
+        if (version <= 2) {
+            bio::writeVec(out, std::vector<size_t>{0, P / 2, P});
+            bio::writeVec(out, std::vector<size_t>{}); // no levels in SpMV
+        }
+        bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
+        bio::writePod<int64_t>(out, curRow); // finalOutRow
+        bio::writePod<uint8_t>(out, uint8_t(s.lastDp));
+        for (double v : {0.0, 0.0, s.parFlops, s.seqFlops, s.usefulBytes,
+                         s.fcuOps.alu, s.fcuOps.reduce, s.fcuOps.mul,
+                         s.fcuOps.add, s.peOps})
+            bio::writePod<double>(out, v); // reconfig count, stall, ...
+        bio::writePod<uint64_t>(out, s.totalStreamBytes);
+        bio::writePod<uint64_t>(out, s.spmmStreamBytes);
+        bio::writePod<uint64_t>(out, uint64_t(s.paddedOperand));
+        return out.str();
+    };
 
-    for (uint32_t version : {1u, 2u, 3u}) {
+    for (uint32_t version : {1u, 2u, 3u, 4u}) {
         SCOPED_TRACE("version " + std::to_string(version));
-        std::stringstream old(reframe(file, version < 3 ? v2 : v3, version));
-        Engine warm(makeParams());
+        std::stringstream old(reframe(file, legacyBody(version), version));
+        Engine warm(params);
         setLogCapture(true);
         EXPECT_FALSE(warm.loadScheduleCache(old));
         std::string log = setLogCapture(false);
@@ -454,13 +530,46 @@ TEST(ScheduleCachePersistence, OperandOffsetOutsideTheStagedOperand)
 
 TEST(ScheduleCachePersistence, PerPathArrayShorterThanThePaths)
 {
-    // memCycles cut to a single entry: every run would read past it.
+    // blockCol cut to a single entry: every walk would read past it.
     const std::string file = savedCache(47);
     std::string body = file.substr(kCacheHeader);
-    const size_t at = vectorAt(body, kMemCycles);
-    const size_t end = vectorAt(body, kStreamBytes);
-    body.replace(at, end - at, vecBytes(std::vector<uint64_t>{1}));
+    const size_t at = vectorAt(body, kBlockCol);
+    const size_t end = vectorAt(body, kOperandVec);
+    body.replace(at, end - at, vecBytes(std::vector<Index>{1}));
     expectRecompiled(reframe(file, body), 47);
+}
+
+TEST(ScheduleCachePersistence, PathWithMoreRecordsThanItsBlockHasRows)
+{
+    // The first path holds omega + 1 records of its first row, and
+    // contiguousRows is cleared so that every record passes the
+    // live-matrix check.  The timing walk indexes its per-row-count
+    // stream terms (omega + 1 of them) with a path's record count.
+    const Index omega = makeParams().omega;
+    const std::string file = savedCache(53);
+    std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kRowBegin);
+    std::vector<size_t> rowBegin = vecAt<size_t>(body, at);
+    std::vector<Index> rowIndex =
+        vecAt<Index>(body, vectorAt(body, kRowIndex));
+    std::vector<Value> values = vecAt<Value>(body, vectorAt(body, kValues));
+    ASSERT_GT(rowBegin.size(), 1u);
+    ASSERT_GT(rowBegin[1], 0u);
+    const size_t extra = size_t(omega) + 1 - rowBegin[1];
+    rowIndex.insert(rowIndex.begin(), extra, rowIndex[0]);
+    const std::vector<Value> first(values.begin(), values.begin() + omega);
+    for (size_t k = 0; k < extra; ++k)
+        values.insert(values.begin(), first.begin(), first.end());
+    for (size_t i = 1; i < rowBegin.size(); ++i)
+        rowBegin[i] += extra;
+    body.replace(at, vectorAt(body, kGroupBegin) - at,
+                 vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(values));
+    // After the group ranges: parallelSafe, then contiguousRows (u8).
+    const size_t groups = vectorAt(body, kGroupBegin);
+    uint64_t n = 0;
+    std::memcpy(&n, body.data() + groups, sizeof(n));
+    body[groups + sizeof(n) + n * sizeof(size_t) + 1] = 0;
+    expectRecompiled(reframe(file, body), 53);
 }
 
 TEST(ScheduleCachePersistence, RowRecordOutsideTheLiveMatrix)
@@ -484,18 +593,100 @@ TEST(ScheduleCachePersistence, BytesAfterTheLastSchedule)
 
 TEST(ScheduleCachePersistence, ParamsFingerprintMismatchRejected)
 {
-    std::stringstream ss(savedCache(51));
-
-    // A different omega reshapes every schedule: the fingerprint gate
+    // A different omega reshapes every schedule, and skipping empty
+    // rows decides which row records exist: the fingerprint gate
     // rejects the whole file and the engine recompiles.
-    AccelParams other = makeParams(8);
-    other.cacheBytes *= 2;
-    Engine warm(other);
-    EXPECT_FALSE(warm.loadScheduleCache(ss));
-    EXPECT_EQ(warm.restoredSchedules(), 0u);
+    AccelParams wider = makeParams(4);
+    AccelParams unskipped = makeParams(8);
+    unskipped.skipEmptyBlockRows = false;
+    for (const AccelParams &other : {wider, unskipped}) {
+        std::stringstream ss(savedCache(51));
+        Engine warm(other);
+        setLogCapture(true);
+        EXPECT_FALSE(warm.loadScheduleCache(ss));
+        std::string log = setLogCapture(false);
+        EXPECT_NE(log.find("different accelerator parameters"),
+                  std::string::npos)
+            << log;
+        EXPECT_EQ(warm.restoredSchedules(), 0u);
+        EXPECT_NE(scheduleParamsFingerprint(makeParams(8)),
+                  scheduleParamsFingerprint(other));
+    }
+}
 
-    EXPECT_NE(scheduleParamsFingerprint(makeParams(8)),
-              scheduleParamsFingerprint(other));
+TEST(ScheduleCachePersistence, TimingParamsDoNotInvalidateTheCache)
+{
+    // A schedule holds no timing term, so a cache saved under the
+    // default parameters restores under other latencies, bandwidth,
+    // clock, cache geometry and switch cost with zero compiles, and
+    // every run then matches a cold engine under those parameters.
+    CsrMatrix a = gen::stencil2d(9, 9);
+    DenseVector x(a.cols()), b(a.rows(), 1.0);
+    for (size_t i = 0; i < x.size(); ++i)
+        x[i] = Value(i % 5) - 2.0;
+    Accelerator saver(makeParams());
+    saver.loadPde(a);
+    DenseVector x0(a.rows(), 0.0);
+    saver.spmv(x);
+    saver.symgsSweep(b, x0, GsSweep::Symmetric);
+    std::stringstream saved;
+    ASSERT_TRUE(saver.engine().saveScheduleCache(saved));
+
+    AccelParams timing = makeParams();
+    timing.clockGhz = 1.75;
+    timing.memBandwidthGBs = 72.0;
+    timing.dramLatency = 120;
+    timing.cacheBytes = 512;
+    timing.cacheLineBytes = 32;
+    timing.cacheLatency = 6;
+    timing.aluLatency = 5;
+    timing.reSumLatency = 2;
+    timing.peLatency = 4;
+    timing.configCycles = 40;
+    ASSERT_EQ(scheduleParamsFingerprint(timing),
+              scheduleParamsFingerprint(makeParams()));
+
+    Accelerator warm(timing), cold(timing);
+    warm.loadPde(a);
+    cold.loadPde(a);
+    ASSERT_TRUE(warm.engine().loadScheduleCache(saved));
+    EXPECT_EQ(warm.engine().restoredSchedules(), 3u);
+
+    std::vector<DenseVector> xs(4, x);
+    for (size_t j = 0; j < xs.size(); ++j)
+        xs[j][j] += 1.0;
+    auto runAll = [&](Accelerator &acc) {
+        Engine &e = acc.engine();
+        std::vector<RunTiming> timings;
+        RunTiming t;
+        e.program(&acc.matrix(), &acc.table(KernelType::SpMV));
+        DenseVector y = e.runSpmv(x, &t);
+        timings.push_back(t);
+        std::vector<DenseVector> ys = e.runSpmm(xs, &t);
+        timings.push_back(t);
+        DenseVector xg(a.rows(), 0.0);
+        for (GsSweep dir : {GsSweep::Forward, GsSweep::Backward}) {
+            e.program(&acc.matrix(), &acc.table(KernelType::SymGS, dir));
+            e.runSymgsSweep(b, xg, &t);
+            timings.push_back(t);
+        }
+        ys.push_back(y);
+        ys.push_back(xg);
+        return std::make_pair(ys, timings);
+    };
+    const auto [warmOut, warmTimes] = runAll(warm);
+    const auto [coldOut, coldTimes] = runAll(cold);
+    EXPECT_EQ(warm.engine().scheduleCompiles(), 0u);
+    EXPECT_EQ(cold.engine().scheduleCompiles(), 3u);
+    EXPECT_EQ(warmOut, coldOut);
+    ASSERT_EQ(warmTimes.size(), coldTimes.size());
+    for (size_t i = 0; i < warmTimes.size(); ++i) {
+        SCOPED_TRACE("run " + std::to_string(i));
+        EXPECT_EQ(warmTimes[i].cycles, coldTimes[i].cycles);
+        EXPECT_EQ(warmTimes[i].seqCycles, coldTimes[i].seqCycles);
+        EXPECT_EQ(warmTimes[i].parCycles, coldTimes[i].parCycles);
+    }
+    EXPECT_EQ(statDump(warm.engine()), statDump(cold.engine()));
 }
 
 TEST(ScheduleCachePersistence, StaleHashRecompilesInsteadOfAliasing)

@@ -298,9 +298,9 @@ main(int argc, char **argv)
             .member("requests_per_sec", res.requestsPerSec)
             .key("latency_ns")
             .beginObject(true)
-            .member("p50", res.latencyNs.percentile(50))
-            .member("p95", res.latencyNs.percentile(95))
-            .member("p99", res.latencyNs.percentile(99))
+            .member("p50", metrics::exactPercentile(res.latencyUs, 50) * 1e3)
+            .member("p95", metrics::exactPercentile(res.latencyUs, 95) * 1e3)
+            .member("p99", metrics::exactPercentile(res.latencyUs, 99) * 1e3)
             .end();
         auto sloBucket = [&](const SloBucket &b) {
             w.beginObject(true)
@@ -317,8 +317,8 @@ main(int argc, char **argv)
                 .end()
                 .end();
         };
-        // Exact-sample percentiles (not the log2-bucketed latency_ns
-        // block above) plus SLO accounting, overall and per matrix.
+        // SLO accounting, overall and per matrix, with its own exact
+        // percentiles in microseconds.
         w.key("slo")
             .beginObject()
             .member("target_us", slo.sloUs)
