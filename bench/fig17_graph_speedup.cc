@@ -8,6 +8,10 @@
  * CPU/GPU/GraphR models are work-efficient traversals too (each edge
  * charged O(1) times for BFS/SSSP, dense rounds for PR), so nobody is
  * handicapped with Bellman-Ford-style dense rounds.
+ *
+ * Writes BENCH_graph.json: one row per dataset and kernel, named
+ * "<dataset>/<kernel>", whose modeled cycles, bytes and stats (the
+ * round count included) alr_diff gates exactly.
  */
 
 #include <cstdio>
@@ -26,6 +30,8 @@ namespace {
 struct KernelRow
 {
     std::string kernel;
+    /** Row-name suffix in BENCH_graph.json. */
+    const char *key;
     std::vector<double> gpu, graphr, alrescha;
 };
 
@@ -41,12 +47,13 @@ main()
     GpuModel gpu;
     GraphRModel graphr;
 
-    KernelRow bfsRow{"BFS", {}, {}, {}};
-    KernelRow ssspRow{"SSSP", {}, {}, {}};
-    KernelRow prRow{"PR", {}, {}, {}};
+    KernelRow bfsRow{"BFS", "bfs", {}, {}, {}};
+    KernelRow ssspRow{"SSSP", "sssp", {}, {}, {}};
+    KernelRow prRow{"PR", "pr", {}, {}, {}};
 
     Table table({"dataset", "kernel", "GPU x", "GraphR x",
                  "Alrescha x"});
+    json::Value json_rows = json::Value::array();
 
     PageRankOptions prOpts;
     prOpts.maxIterations = 30;
@@ -56,55 +63,70 @@ main()
         Accelerator acc;
         acc.loadGraph(d.matrix);
 
-        // BFS.
-        acc.resetStats();
-        GraphResult r = acc.bfs(0);
-        double alr_t = acc.engine().seconds();
-        double cpu_t = cpu.bfsSeconds(d.matrix, r.rounds);
-        double gpu_t = gpu.bfsSeconds(d.matrix, r.rounds);
-        double gr_t = graphr.bfsSeconds(d.matrix, r.rounds);
-        table.addRow({d.name, "BFS", fmt(cpu_t / gpu_t, 1),
-                      fmt(cpu_t / gr_t, 1), fmt(cpu_t / alr_t, 1)});
-        bfsRow.gpu.push_back(cpu_t / gpu_t);
-        bfsRow.graphr.push_back(cpu_t / gr_t);
-        bfsRow.alrescha.push_back(cpu_t / alr_t);
+        // Run one kernel from reset stats, and tabulate it against the
+        // baselines' seconds for the same round count.
+        auto measure = [&](KernelRow &row, auto kernel, auto seconds) {
+            acc.resetStats();
+            auto start = std::chrono::steady_clock::now();
+            GraphResult r = kernel();
+            double wall_ms = wallMsSince(start);
+            double alr_t = acc.engine().seconds();
+            double cpu_t = seconds(cpu, r.rounds);
+            double gpu_t = seconds(gpu, r.rounds);
+            double gr_t = seconds(graphr, r.rounds);
+            table.addRow({d.name, row.kernel, fmt(cpu_t / gpu_t, 1),
+                          fmt(cpu_t / gr_t, 1), fmt(cpu_t / alr_t, 1)});
+            row.gpu.push_back(cpu_t / gpu_t);
+            row.graphr.push_back(cpu_t / gr_t);
+            row.alrescha.push_back(cpu_t / alr_t);
 
-        // SSSP.
-        acc.resetStats();
-        r = acc.sssp(0);
-        alr_t = acc.engine().seconds();
-        cpu_t = cpu.ssspSeconds(d.matrix, r.rounds);
-        gpu_t = gpu.ssspSeconds(d.matrix, r.rounds);
-        gr_t = graphr.ssspSeconds(d.matrix, r.rounds);
-        table.addRow({d.name, "SSSP", fmt(cpu_t / gpu_t, 1),
-                      fmt(cpu_t / gr_t, 1), fmt(cpu_t / alr_t, 1)});
-        ssspRow.gpu.push_back(cpu_t / gpu_t);
-        ssspRow.graphr.push_back(cpu_t / gr_t);
-        ssspRow.alrescha.push_back(cpu_t / alr_t);
-
-        // PageRank.
-        acc.resetStats();
-        r = acc.pagerank(prOpts);
-        alr_t = acc.engine().seconds();
-        cpu_t = cpu.pagerankSeconds(d.matrix, r.rounds);
-        gpu_t = gpu.pagerankSeconds(d.matrix, r.rounds);
-        gr_t = graphr.pagerankSeconds(d.matrix, r.rounds);
-        table.addRow({d.name, "PR", fmt(cpu_t / gpu_t, 1),
-                      fmt(cpu_t / gr_t, 1), fmt(cpu_t / alr_t, 1)});
-        prRow.gpu.push_back(cpu_t / gpu_t);
-        prRow.graphr.push_back(cpu_t / gr_t);
-        prRow.alrescha.push_back(cpu_t / alr_t);
+            json::Value stats = modeledStats(acc);
+            stats.set("rounds", r.rounds);
+            json::Value j = json::Value::object();
+            j.set("name", d.name + "/" + row.key)
+                .set("suite", "graph")
+                .set("wall_ms", wall_ms)
+                .set("cycles", acc.engine().totalCycles())
+                .set("bytes_streamed", acc.engine().memory().bytesStreamed())
+                .set("gpu_speedup", cpu_t / gpu_t)
+                .set("graphr_speedup", cpu_t / gr_t)
+                .set("alrescha_speedup", cpu_t / alr_t)
+                .set("stats", std::move(stats));
+            json_rows.append(std::move(j));
+        };
+        measure(
+            bfsRow, [&] { return acc.bfs(0); },
+            [&](const auto &m, int rounds) {
+                return m.bfsSeconds(d.matrix, rounds);
+            });
+        measure(
+            ssspRow, [&] { return acc.sssp(0); },
+            [&](const auto &m, int rounds) {
+                return m.ssspSeconds(d.matrix, rounds);
+            });
+        measure(
+            prRow, [&] { return acc.pagerank(prOpts); },
+            [&](const auto &m, int rounds) {
+                return m.pagerankSeconds(d.matrix, rounds);
+            });
     }
     table.print();
 
     std::printf("\nGeometric means over the suite:\n");
     Table summary({"kernel", "GPU x", "GraphR x", "Alrescha x"});
+    json::Value geo = json::Value::object();
     for (const KernelRow *row : {&bfsRow, &ssspRow, &prRow}) {
         summary.addRow({row->kernel, fmt(geoMean(row->gpu), 1),
                         fmt(geoMean(row->graphr), 1),
                         fmt(geoMean(row->alrescha), 1)});
+        geo.set(row->key, geoMean(row->alrescha));
     }
     summary.print();
+
+    json::Value root = benchDocument("fig17_graph_speedup");
+    root.set("datasets", std::move(json_rows))
+        .set("geo_mean_speedup", std::move(geo));
+    writeJsonFile("BENCH_graph.json", root);
 
     std::printf("\npaper: Alrescha averages 15.7x (BFS), 7.7x (SSSP),\n"
                 "27.6x (PR) over the CPU, ahead of both the GPU and\n"

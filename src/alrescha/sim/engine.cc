@@ -16,7 +16,6 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "common/timeline.hh"
-#include "common/trace.hh"
 
 namespace alr {
 
@@ -412,33 +411,14 @@ Engine::stageOperand(const ExecSchedule &S, const DenseVector &x)
     return _xpad.data();
 }
 
-uint64_t
-Engine::streamBlockCycles(Index payload) const
-{
-    // One block row of omega operands issues per cycle; the memory pipe
-    // may be the slower side for wide blocks.
-    uint64_t compute = _params.omega;
-    uint64_t mem = _memory.streamCycles(uint64_t(payload) * sizeof(Value));
-    return std::max(compute, mem);
-}
-
-uint64_t
-Engine::streamRowsCycles(Index rows_streamed) const
-{
-    // With row skipping only the occupied block rows cross the bus and
-    // occupy FCU issue slots.
-    uint64_t bytes =
-        uint64_t(rows_streamed) * _params.omega * sizeof(Value);
-    return std::max<uint64_t>(rows_streamed, _memory.streamCycles(bytes));
-}
-
 std::vector<Engine::StreamTerm>
 Engine::rowStreamTerms() const
 {
     std::vector<StreamTerm> terms(size_t(_params.omega) + 1);
     for (Index r = 0; r <= _params.omega; ++r) {
         const uint64_t bytes = uint64_t(r) * _params.omega * sizeof(Value);
-        terms[r] = {streamRowsCycles(r), _memory.streamCycles(bytes), bytes};
+        const uint64_t mem = _memory.streamCycles(bytes);
+        terms[r] = {std::max<uint64_t>(r, mem), mem, bytes};
     }
     return terms;
 }
@@ -447,8 +427,268 @@ Engine::StreamTerm
 Engine::blockStreamTerm(Index payload) const
 {
     const uint64_t bytes = uint64_t(payload) * sizeof(Value);
-    return {streamBlockCycles(payload), _memory.streamCycles(bytes), bytes};
+    const uint64_t mem = _memory.streamCycles(bytes);
+    return {std::max<uint64_t>(_params.omega, mem), mem, bytes};
 }
+
+namespace {
+
+/** @p t with its stream terms (parCycles) swapped for @p stream. */
+RunTiming
+withStream(RunTiming t, uint64_t stream)
+{
+    t.cycles = t.cycles - t.parCycles + stream;
+    t.parCycles = stream;
+    return t;
+}
+
+} // namespace
+
+/**
+ * One run's timing walk.  It owns the run's timing state -- the clock
+ * (the stream front), the fill flag, the block row whose out chunk is
+ * live, the profiler scope and the modeled-plane data-path segment --
+ * and has one method per charge rule, so SpMV, SpMM, SymGS and the
+ * graph rounds charge every path through one copy of each.  A
+ * scheduled run hands it the schedule's timing memo: a hit replays the
+ * recorded walk (walking() is false), a miss walks and record()s.
+ * Runs the profiler or the modeled-plane timeline observes always
+ * walk.  Every method is inline: a walk calls them once or more per
+ * path.
+ */
+class Engine::Walk
+{
+  public:
+    struct Options
+    {
+        /** Draw the modeled-plane data-path, reconfig and fill spans
+         *  (SpMV and SymGS; SpMM and the graph rounds draw none). */
+        bool spans = false;
+        /** A min-relaxation (D-BFS, D-SSSP): the tree fills for min,
+         *  and each out chunk is read to compare with the old
+         *  distances before it is written back (Table 1, phase 3). */
+        bool relaxation = false;
+        /** The data path charged with the drain when no path ran. */
+        DataPathType dp = DataPathType::Gemv;
+    };
+
+    Walk(Engine &engine, TimingMemo *memo, const Options &opts)
+        : _engine(engine), _rcu(engine._rcu), _base(engine.totalCycles()),
+          _fill(uint64_t(engine._fcu.fillLatency(
+              opts.relaxation ? ReduceOp::Min : ReduceOp::Sum))),
+          _drain(uint64_t(engine._params.drainCycles())),
+          _lineBytes(engine._params.cacheLineBytes),
+          _relaxation(opts.relaxation), _dp(opts.dp)
+    {
+        const bool observed = timeline::recording(timeline::kPidModeled);
+        _spans = opts.spans && observed;
+        _memo = (_prof.on() || observed) ? nullptr : memo;
+        if (_memo && _memo->replay(_rcu, _replayed)) {
+            _walking = false;
+            ++engine._timingMemoHits;
+        }
+    }
+
+    /** False when the memo replayed the run: skip the walk. */
+    bool walking() const { return _walking; }
+    /** The replayed timing of a memo hit. */
+    const RunTiming &replayed() const { return _replayed; }
+    /** Whether the run draws modeled-plane spans. */
+    bool spans() const { return _spans; }
+    /** The engine's cycle count when the run started (its timeline
+     *  base, RunCommit::base). */
+    uint64_t base() const { return _base; }
+    /** The stream front. */
+    uint64_t clock() const { return _clock; }
+    profile::RunScope &prof() { return _prof; }
+
+    /**
+     * Start path (@p dp, @p br): end the data-path segment if @p dp
+     * differs, switch to @p dp through Rcu::reconfigure (the drain
+     * hides part of a switch, §4.4), and refill the tree after a
+     * switch.  A D-SymGS chain (@p pipelined false) runs the tree
+     * single-shot: it fills nothing, and the next pipelined path
+     * refills.
+     */
+    void enter(DataPathType dp, Index br, bool pipelined = true)
+    {
+        if (_spans && _segStart >= 0 && dp != _segDp)
+            closeSegment();
+        _dp = dp;
+        _br = br;
+        uint64_t hidden = 0;
+        const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
+        if (cfg) {
+            if (_spans)
+                timeline::span("reconfig", "rcu", timeline::kTidRcu,
+                               _base + _clock, cfg);
+            _prof.add(dp, br, Cause::ReconfigHidden, hidden);
+            _prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
+            _clock += cfg;
+            _filled = false;
+        }
+        if (!pipelined) {
+            _filled = false;
+        } else if (!_filled) {
+            if (_spans && _fill)
+                timeline::span("fill", "fcu", timeline::kTidFcu,
+                               _base + _clock, _fill);
+            _prof.add(dp, br, Cause::FcuCompute, _fill);
+            _clock += _fill;
+            _filled = true;
+        }
+        if (_spans && _segStart < 0) {
+            _segStart = int64_t(_clock);
+            _segDp = dp;
+        }
+    }
+
+    /** Make block row @p br's out chunk live, writing the previous one
+     *  back (read first in a relaxation) on a block-row change. */
+    void outRow(Index br)
+    {
+        if (int64_t(br) == _outRow)
+            return;
+        writeBack();
+        _outRow = br;
+    }
+
+    /** A prefetched operand-chunk read: its contention cycles stall
+     *  the stream front, and a miss fills a line. */
+    void read(CacheVec vec, Index chunk) { fetch(vec, chunk, _br); }
+
+    /** A read on the dependence timeline (a chain's diagonal chunk):
+     *  returns its latency, and a miss's line counts as bytes. */
+    uint64_t dependentRead(CacheVec vec, Index chunk)
+    {
+        bool miss = false;
+        const uint64_t c = _rcu.cache().read(vec, chunk, true, &miss);
+        if (miss)
+            _prof.add(_dp, _br, Cause::CacheMiss, 0, _lineBytes);
+        return c;
+    }
+
+    /** A buffered write of chunk @p chunk, charged to that block row:
+     *  returns its cycles, and a miss allocates a line. */
+    uint64_t write(CacheVec vec, Index chunk)
+    {
+        bool miss = false;
+        const uint64_t c = _rcu.cache().write(vec, chunk, &miss);
+        if (miss)
+            _prof.add(_dp, chunk, Cause::CacheMiss, 0, _lineBytes);
+        return c;
+    }
+
+    /** Stream a path's payload: the memory-side cycles are Stream,
+     *  the issue-bound rest FcuCompute.  @p extra_bytes ride along (a
+     *  chain's b through its FIFO). */
+    void stream(const StreamTerm &st, uint64_t extra_bytes = 0)
+    {
+        _prof.add(_dp, _br, Cause::Stream, st.mem, st.bytes + extra_bytes);
+        _prof.add(_dp, _br, Cause::FcuCompute, st.cycles - st.mem);
+        _clock += st.cycles;
+        _par += st.cycles;
+    }
+
+    /** The GEMV walk of an SpMV table's schedule: each path switches,
+     *  makes its block row's out chunk live, reads its operand chunk
+     *  and streams @p term(i). */
+    template <class Term>
+    void gemvPaths(const ExecSchedule &S, Term term)
+    {
+        for (size_t i = 0; i < S.pathCount; ++i) {
+            enter(S.dp[i], S.blockRow[i]);
+            outRow(S.blockRow[i]);
+            read(S.operandVec[i], S.blockCol[i]);
+            stream(term(i));
+        }
+    }
+
+    /**
+     * End the walk: write the live out chunk back, end the segment and
+     * drain the tree.  The run lasts until the later of the stream
+     * front and @p dep, the dependence timeline's end, plus the drain;
+     * its parCycles are the summed stream terms.
+     */
+    RunTiming end(uint64_t dep = 0)
+    {
+        writeBack();
+        if (_spans && _segStart >= 0)
+            closeSegment();
+        _prof.add(_dp, -1, Cause::TreeDrain, _drain);
+        return {std::max(_clock, dep) + _drain, 0, _par};
+    }
+
+    /** Record @p t as the walk's timing, when the memo keys the run. */
+    void record(const RunTiming &t)
+    {
+        if (_memo)
+            _memo->record(_rcu, t);
+    }
+
+    /** What a walked or replayed scheduled run leaves: the switch on
+     *  @p S's last data path, @p stream_bytes of payload, and the
+     *  schedule's FCU and PE operations, once per right-hand side. */
+    void ranSchedule(const ExecSchedule &S, uint64_t stream_bytes,
+                     double k = 1.0)
+    {
+        if (S.pathCount == 0)
+            return;
+        _rcu.setConfigured(S.lastDp);
+        _engine._memory.recordStream(stream_bytes);
+        _engine._fcu.noteOps({S.fcuOps.alu * k, S.fcuOps.reduce * k,
+                             S.fcuOps.mul * k, S.fcuOps.add * k});
+        _rcu.notePeOps(S.peOps * k);
+    }
+
+  private:
+    void closeSegment()
+    {
+        timeline::span(toString(_segDp), "datapath", timeline::kTidDataPath,
+                       _base + uint64_t(_segStart),
+                       _clock - uint64_t(_segStart));
+        _segStart = -1;
+    }
+
+    void fetch(CacheVec vec, Index chunk, int64_t row)
+    {
+        bool miss = false;
+        const uint64_t c = _rcu.cache().read(vec, chunk, false, &miss);
+        _prof.add(_dp, row, Cause::CacheMiss, c, miss ? _lineBytes : 0);
+        _clock += c;
+    }
+
+    void writeBack()
+    {
+        if (_outRow < 0)
+            return;
+        if (_relaxation)
+            fetch(CacheVec::Out, Index(_outRow), _outRow);
+        _clock += write(CacheVec::Out, Index(_outRow));
+    }
+
+    Engine &_engine;
+    Rcu &_rcu;
+    profile::RunScope _prof;
+    TimingMemo *_memo = nullptr;
+    RunTiming _replayed;
+    bool _walking = true;
+    bool _spans = false;
+    const uint64_t _base;
+    const uint64_t _fill;
+    const uint64_t _drain;
+    const uint64_t _lineBytes;
+    const bool _relaxation;
+
+    uint64_t _clock = 0;
+    uint64_t _par = 0;
+    bool _filled = false;
+    DataPathType _dp;
+    Index _br = 0;
+    int64_t _outRow = -1;
+    int64_t _segStart = -1;
+    DataPathType _segDp{};
+};
 
 void
 Engine::commitRun(const RunCommit &run, RunTiming *timing)
@@ -506,10 +746,6 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     DenseVector y(_ld->rows(), 0.0);
 
     timeline::ScopedHostSpan hostSpan("spmv.sched", "run");
-    const bool tlOn = timeline::recording(timeline::kPidModeled);
-    const uint64_t tlBase = totalCycles();
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
 
     // Functional pass: block-row groups touch disjoint output rows, so
     // they may run in parallel; within a group the path order (and thus
@@ -532,100 +768,18 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     // Timing: replay the memo, or walk the interpreter's exact cache
     // access sequence (the cache is stateful across runs), serially,
     // charging every path as the reference engine does.
-    RunTiming t;
-    const bool memoized = !prof.on() && !tlOn;
-    const bool walk = !(memoized && memo->replay(_rcu, t));
-    if (walk) {
+    Walk w(*this, memo, {.spans = true});
+    RunTiming t = w.replayed();
+    if (w.walking()) {
         const std::vector<StreamTerm> rowTerms = rowStreamTerms();
-        const uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
-        int64_t segStart = -1;
-        DataPathType segDp{};
-        bool filled = false;
-        int64_t curRow = -1;
-        for (size_t i = 0; i < S.pathCount; ++i) {
-            const DataPathType dp = S.dp[i];
-            const Index br = S.blockRow[i];
-            if (tlOn && segStart >= 0 && dp != segDp) {
-                timeline::span(toString(segDp), "datapath",
-                               timeline::kTidDataPath, tlBase + segStart,
-                               t.cycles - uint64_t(segStart));
-                segStart = -1;
-            }
-            uint64_t hidden = 0;
-            const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
-            if (cfg) {
-                if (tlOn)
-                    timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                                   tlBase + t.cycles, cfg);
-                prof.add(dp, br, Cause::ReconfigHidden, hidden);
-                prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
-                t.cycles += cfg;
-                filled = false;
-            }
-            if (!filled) {
-                if (tlOn && fill)
-                    timeline::span("fill", "fcu", timeline::kTidFcu,
-                                   tlBase + t.cycles, fill);
-                prof.add(dp, br, Cause::FcuCompute, fill);
-                t.cycles += fill;
-                filled = true;
-            }
-            if (tlOn && segStart < 0) {
-                segStart = int64_t(t.cycles);
-                segDp = dp;
-            }
-            if (int64_t(br) != curRow) {
-                // Out-chunk write-back on a block-row change.
-                if (curRow >= 0) {
-                    bool wMiss = false;
-                    t.cycles += _rcu.cache().write(CacheVec::Out,
-                                                   Index(curRow), &wMiss);
-                    if (wMiss)
-                        prof.add(dp, curRow, Cause::CacheMiss, 0, lineBytes);
-                }
-                curRow = br;
-            }
-            bool xMiss = false;
-            uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                               S.blockCol[i], false,
-                                               &xMiss);
-            prof.add(dp, br, Cause::CacheMiss, xRead,
-                     xMiss ? lineBytes : 0);
-            t.cycles += xRead;
-            const StreamTerm st = gemvStreamTerm(S, i, rowTerms);
-            prof.add(dp, br, Cause::Stream, st.mem, st.bytes);
-            prof.add(dp, br, Cause::FcuCompute, st.cycles - st.mem);
-            t.cycles += st.cycles;
-            t.parCycles += st.cycles;
-        }
-        if (curRow >= 0) {
-            bool wMiss = false;
-            t.cycles +=
-                _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-            if (wMiss)
-                prof.add(DataPathType::Gemv, curRow, Cause::CacheMiss, 0,
-                         lineBytes);
-        }
-        if (tlOn && segStart >= 0)
-            timeline::span(toString(segDp), "datapath",
-                           timeline::kTidDataPath, tlBase + segStart,
-                           t.cycles - uint64_t(segStart));
-        t.cycles += uint64_t(_params.drainCycles());
-        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        if (memoized)
-            memo->record(_rcu, t);
-    } else {
-        ++_timingMemoHits;
+        w.gemvPaths(S, [&](size_t i) {
+            return gemvStreamTerm(S, i, rowTerms);
+        });
+        t = w.end();
+        w.record(t);
     }
-    if (S.pathCount > 0) {
-        _rcu.setConfigured(S.lastDp);
-        _memory.recordStream(S.totalStreamBytes);
-        _fcu.noteOps(S.fcuOps);
-    }
-    ALR_TRACE("spmv(sched): %zu paths, %llu cycles", S.pathCount,
-              (unsigned long long)t.cycles);
-    commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops,
+    w.ranSchedule(S, S.totalStreamBytes);
+    commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops,
                .usefulBytes = S.usefulBytes},
               timing);
     return y;
@@ -647,7 +801,6 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     const size_t rows = _ld->rows();
 
     timeline::ScopedHostSpan hostSpan("spmm.sched", "run");
-    const uint64_t tlBase = totalCycles();
 
     // Functional pass (see runSpmv): the block streams once, its rows
     // issue once per right-hand side.  The operands stage interleaved,
@@ -686,95 +839,37 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     // line it left, charging no cycles.  So an SpMM makes its SpMV's
     // cache accesses and switches, in the same order and at the same
     // cycles, from any entry state, and only its stream terms, which
-    // depend on k alone, differ.  It therefore shares the SpMV's memo
-    // entries, which hold SpMV timings: a run takes the SpMV timing
-    // (replayed, or walked with the stream terms left out) and adds
-    // its own stream terms.
-    RunTiming t;
-    profile::RunScope prof;
-    const bool memoized =
-        !prof.on() && !timeline::recording(timeline::kPidModeled);
-    const bool walk = !(memoized && memo->replay(_rcu, t));
-    // The block streams once and its rows issue once per right-hand
-    // side: rows that cross the bus are the occupied ones when empty
-    // rows are skipped, else all omega.
+    // depend on k alone, differ: the block streams once and its rows
+    // issue once per right-hand side (the occupied rows when empty
+    // rows are skipped, else all omega).  It therefore walks as the
+    // SpMV does with its own stream terms, and shares the SpMV's memo
+    // entries, which hold SpMV timings: a walk records its timing with
+    // the SpMV stream terms, and a replay swaps in its own.
+    Walk w(*this, memo, {});
     const std::vector<StreamTerm> rowTerms = rowStreamTerms();
-    auto spmmRows = [&](size_t i) {
-        return _params.skipEmptyBlockRows ? S.rowBegin[i + 1] - S.rowBegin[i]
-                                          : size_t(S.omega);
+    auto spmmTerm = [&](size_t i) {
+        const size_t rowCount = _params.skipEmptyBlockRows
+                                    ? S.rowBegin[i + 1] - S.rowBegin[i]
+                                    : size_t(S.omega);
+        StreamTerm st = rowTerms[rowCount];
+        st.cycles = std::max(st.mem, uint64_t(rowCount) * k);
+        return st;
     };
-    auto spmmStream = [&](size_t rowCount) {
-        return std::max(rowTerms[rowCount].mem, uint64_t(rowCount) * k);
-    };
-    uint64_t stream = 0;
-    if (walk) {
-        const uint64_t lineBytes = _params.cacheLineBytes;
-        const uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
+    RunTiming t;
+    if (w.walking()) {
         uint64_t spmvStream = 0;
-        bool filled = false;
-        int64_t curRow = -1;
-        for (size_t i = 0; i < S.pathCount; ++i) {
-            const DataPathType dp = S.dp[i];
-            const Index br = S.blockRow[i];
-            uint64_t hidden = 0;
-            const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
-            if (cfg) {
-                prof.add(dp, br, Cause::ReconfigHidden, hidden);
-                prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
-                t.cycles += cfg;
-                filled = false;
-            }
-            if (!filled) {
-                prof.add(dp, br, Cause::FcuCompute, fill);
-                t.cycles += fill;
-                filled = true;
-            }
-            if (int64_t(br) != curRow) {
-                if (curRow >= 0) {
-                    bool wMiss = false;
-                    t.cycles += _rcu.cache().write(CacheVec::Out,
-                                                   Index(curRow), &wMiss);
-                    if (wMiss)
-                        prof.add(dp, curRow, Cause::CacheMiss, 0, lineBytes);
-                }
-                curRow = br;
-            }
-            bool xMiss = false;
-            uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                               S.blockCol[i], false, &xMiss);
-            prof.add(dp, br, Cause::CacheMiss, xRead,
-                     xMiss ? lineBytes : 0);
-            t.cycles += xRead;
-            const size_t rowCount = spmmRows(i);
-            const uint64_t bc = spmmStream(rowCount);
-            prof.add(dp, br, Cause::Stream, rowTerms[rowCount].mem,
-                     rowTerms[rowCount].bytes);
-            prof.add(dp, br, Cause::FcuCompute, bc - rowTerms[rowCount].mem);
-            stream += bc;
+        w.gemvPaths(S, [&](size_t i) {
             spmvStream += gemvStreamTerm(S, i, rowTerms).cycles;
-        }
-        if (curRow >= 0) {
-            bool wMiss = false;
-            t.cycles +=
-                _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-            if (wMiss)
-                prof.add(DataPathType::Gemv, curRow, Cause::CacheMiss, 0,
-                         lineBytes);
-        }
-        t.cycles += uint64_t(_params.drainCycles());
-        prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        if (memoized)
-            memo->record(_rcu, {.cycles = t.cycles + spmvStream,
-                                .parCycles = spmvStream});
+            return spmmTerm(i);
+        });
+        t = w.end();
+        w.record(withStream(t, spmvStream));
     } else {
-        ++_timingMemoHits;
-        t.cycles -= t.parCycles;
+        uint64_t stream = 0;
         for (size_t i = 0; i < S.pathCount; ++i)
-            stream += spmmStream(spmmRows(i));
+            stream += spmmTerm(i).cycles;
+        t = withStream(w.replayed(), stream);
     }
-    t.cycles += stream;
-    t.parCycles = stream;
     // The k - 1 repeats of every access this run made or replayed
     // (TimingMemo::replay flushed what came before; without the memo,
     // nothing is pending between runs).
@@ -782,16 +877,8 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     _rcu.cache().addPending({.reads = (k - 1) * once.reads,
                              .writes = (k - 1) * once.writes,
                              .hits = (k - 1) * (once.reads + once.writes)});
-    if (S.pathCount > 0) {
-        _rcu.setConfigured(S.lastDp);
-        _memory.recordStream(S.spmmStreamBytes);
-        FcuOpCounts scaled{S.fcuOps.alu * double(k),
-                           S.fcuOps.reduce * double(k),
-                           S.fcuOps.mul * double(k),
-                           S.fcuOps.add * double(k)};
-        _fcu.noteOps(scaled);
-    }
-    commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops * double(k),
+    w.ranSchedule(S, S.spmmStreamBytes, double(k));
+    commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops * double(k),
                .usefulBytes = S.usefulBytes, .name = "spmm"},
               timing);
     return ys;
@@ -817,12 +904,6 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     const ExecSchedule &S = *sched;
 
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
-    const bool tlOn = timeline::recording(timeline::kPidModeled);
-    const uint64_t tlBase = totalCycles();
-    int64_t segStart = -1;
-    DataPathType segDp{};
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
 
     // One pass, functional and timing: the sweep is inherently
     // sequential (each diagonal chain updates x for the GEMV gathers
@@ -833,29 +914,27 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     // the diagonal chains stay scalar -- they are the serialized
     // recurrence.  Each path's timing half -- the interpreter's exact
     // cache and switch sequence -- runs only when the memo cannot
-    // replay the run.
-    RunTiming t;
-    const bool memoized = !prof.on() && !tlOn;
-    const bool walk = !(memoized && memo->replay(_rcu, t));
-    uint64_t stream_t = 0; // streaming/pipelined front
-    uint64_t dep_t = 0;    // completion of the dependence chain
+    // replay the run.  The stream front is the walk's clock; the
+    // chains run on a second, dependence timeline.
+    Walk w(*this, memo, {.spans = true, .dp = DataPathType::DSymgs});
+    uint64_t dep_t = 0; // completion of the dependence chain
+    uint64_t seq = 0;
 
     Value *xw = stageOperand(S, x);
     LinkStack &links = _rcu.linkStack();
     std::vector<Value> acc(omega);
     std::vector<Value> lanes(fcutree::ceilPow2(omega));
     const std::vector<StreamTerm> rowTerms =
-        walk ? rowStreamTerms() : std::vector<StreamTerm>();
+        w.walking() ? rowStreamTerms() : std::vector<StreamTerm>();
     // Every D-SymGS chain streams one whole diagonal block.
     const StreamTerm chainTerm =
-        walk ? blockStreamTerm(LocallyDenseMatrix::payloadSize(
-                   _ld->layout(), true, omega))
-             : StreamTerm();
-    const uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
+        w.walking() ? blockStreamTerm(LocallyDenseMatrix::payloadSize(
+                          _ld->layout(), true, omega))
+                    : StreamTerm();
+    const uint64_t pipeline = uint64_t(_params.pipelineDepth());
     // A chain step: multiply (ALU), then subtract and divide (PEs).
     const uint64_t stepLat =
         uint64_t(_params.aluLatency + 2 * _params.peLatency);
-    bool filled = false;
     for (size_t i = 0; i < S.pathCount; ++i) {
         const DataPathType dp = S.dp[i];
         const Index br = S.blockRow[i];
@@ -878,121 +957,53 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                 xw[r] = (b[r] - sum) / diag[r];
             }
         }
-        if (!walk)
+        if (!w.walking())
             continue;
 
-        if (tlOn && segStart >= 0 && dp != segDp) {
-            timeline::span(toString(segDp), "datapath",
-                           timeline::kTidDataPath, tlBase + segStart,
-                           stream_t - uint64_t(segStart));
-            segStart = -1;
-        }
-        uint64_t hidden = 0;
-        const uint64_t cfg = _rcu.reconfigure(dp, &hidden);
-        if (cfg) {
-            if (tlOn)
-                timeline::span("reconfig", "rcu", timeline::kTidRcu,
-                               tlBase + stream_t, cfg);
-            prof.add(dp, br, Cause::ReconfigHidden, hidden);
-            prof.add(dp, br, Cause::ReconfigExposed, cfg - hidden);
-            stream_t += cfg;
-            filled = false;
-        }
-        const size_t pathRows = S.rowBegin[i + 1] - S.rowBegin[i];
         if (dp == DataPathType::Gemv) {
-            if (!filled) {
-                if (tlOn && fill)
-                    timeline::span("fill", "fcu", timeline::kTidFcu,
-                                   tlBase + stream_t, fill);
-                prof.add(dp, br, Cause::FcuCompute, fill);
-                stream_t += fill;
-                filled = true;
-            }
-            if (tlOn && segStart < 0) {
-                segStart = int64_t(stream_t);
-                segDp = dp;
-            }
-            bool xMiss = false;
-            uint64_t xRead = _rcu.cache().read(S.operandVec[i],
-                                               S.blockCol[i], false,
-                                               &xMiss);
-            prof.add(dp, br, Cause::CacheMiss, xRead,
-                     xMiss ? lineBytes : 0);
-            stream_t += xRead;
-            const StreamTerm st = gemvStreamTerm(S, i, rowTerms);
-            prof.add(dp, br, Cause::Stream, st.mem, st.bytes);
-            prof.add(dp, br, Cause::FcuCompute, st.cycles - st.mem);
-            stream_t += st.cycles;
-            if (tlOn)
-                timeline::counter("link_depth", tlBase + stream_t,
+            w.enter(dp, br);
+            w.read(S.operandVec[i], S.blockCol[i]);
+            w.stream(gemvStreamTerm(S, i, rowTerms));
+            if (w.spans())
+                timeline::counter("link_depth", w.base() + w.clock(),
                                   double(links.depth()));
-        } else {
-            if (tlOn && segStart < 0) {
-                segStart = int64_t(stream_t);
-                segDp = dp;
-            }
-            // The diagonal block streams whole, and b through its FIFO.
-            prof.add(dp, br, Cause::Stream, chainTerm.mem,
-                     chainTerm.bytes + pathRows * sizeof(Value));
-            prof.add(dp, br, Cause::FcuCompute,
-                     chainTerm.cycles - chainTerm.mem);
-            stream_t += chainTerm.cycles;
-
-            bool dMiss = false;
-            uint64_t diag_read =
-                _rcu.cache().read(CacheVec::Diag, br, true, &dMiss);
-            if (dMiss)
-                prof.add(dp, br, Cause::CacheMiss, 0, lineBytes);
-            uint64_t dep_in = dep_t;
-            uint64_t start =
-                std::max(stream_t + uint64_t(_params.pipelineDepth()),
-                         dep_t) +
-                diag_read;
-            bool xwMiss = false;
-            uint64_t xtWrite =
-                _rcu.cache().write(CacheVec::Xt, br, &xwMiss);
-            if (xwMiss)
-                prof.add(dp, br, Cause::CacheMiss, 0, lineBytes);
-            const uint64_t chain = pathRows * stepLat;
-            dep_t = start + chain + xtWrite;
-            prof.chain(br, stream_t, dep_in, start, chain, dep_t);
-            t.seqCycles += chain;
-            filled = false; // the tree ran in single-shot mode
-            if (tlOn) {
-                timeline::span("d-symgs chain", "datapath",
-                               timeline::kTidChain, tlBase + start, chain);
-                timeline::counter("link_depth", tlBase + start, 0.0);
-            }
+            continue;
+        }
+        // The diagonal block streams whole, and b through its FIFO.
+        // The chain starts once the pipeline has filled behind the
+        // stream front, the previous link is done and the diagonal
+        // chunk is read; x^t's chunk writes back after it.
+        const size_t pathRows = S.rowBegin[i + 1] - S.rowBegin[i];
+        w.enter(dp, br, false);
+        w.stream(chainTerm, pathRows * sizeof(Value));
+        const uint64_t diagRead = w.dependentRead(CacheVec::Diag, br);
+        const uint64_t depIn = dep_t;
+        const uint64_t start =
+            std::max(w.clock() + pipeline, dep_t) + diagRead;
+        const uint64_t chain = pathRows * stepLat;
+        dep_t = start + chain + w.write(CacheVec::Xt, br);
+        w.prof().chain(br, w.clock(), depIn, start, chain, dep_t);
+        seq += chain;
+        if (w.spans()) {
+            timeline::span("d-symgs chain", "datapath", timeline::kTidChain,
+                           w.base() + start, chain);
+            timeline::counter("link_depth", w.base() + start, 0.0);
         }
     }
-    if (tlOn && segStart >= 0)
-        timeline::span(toString(segDp), "datapath", timeline::kTidDataPath,
-                       tlBase + segStart, stream_t - uint64_t(segStart));
-    if (walk) {
-        t.parCycles = stream_t;
-        t.cycles =
-            std::max(stream_t, dep_t) + uint64_t(_params.drainCycles());
-        prof.add(DataPathType::DSymgs, -1, Cause::TreeDrain,
-                 uint64_t(_params.drainCycles()));
-        prof.commitSymgs(stream_t, dep_t,
-                         uint64_t(_params.pipelineDepth()));
-        if (memoized)
-            memo->record(_rcu, t);
-    } else {
-        ++_timingMemoHits;
+    RunTiming t = w.replayed();
+    if (w.walking()) {
+        t = w.end(dep_t);
+        t.seqCycles = seq;
+        // The whole stream front is pipelined work.
+        t.parCycles = w.clock();
+        w.prof().commitSymgs(w.clock(), dep_t, pipeline);
+        w.record(t);
     }
-    if (S.pathCount > 0) {
+    if (S.pathCount > 0)
         std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
                   x.begin());
-        _rcu.setConfigured(S.lastDp);
-        _memory.recordStream(S.totalStreamBytes);
-        _fcu.noteOps(S.fcuOps);
-        _rcu.notePeOps(S.peOps);
-    }
-    ALR_TRACE("symgs(sched): stream %llu cycles, %llu cycles in all",
-              (unsigned long long)t.parCycles,
-              (unsigned long long)t.cycles);
-    commitRun({.base = tlBase, .timing = t, .parFlops = S.parFlops,
+    w.ranSchedule(S, S.totalStreamBytes);
+    commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops,
                .seqFlops = S.seqFlops, .usefulBytes = S.usefulBytes},
               timing);
 }
@@ -1041,15 +1052,10 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
     constexpr Value inf = std::numeric_limits<Value>::infinity();
 
     timeline::ScopedHostSpan hostSpan("relax", "run");
-    const uint64_t tlBase = totalCycles();
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    DataPathType drainDp = DataPathType::Gemv;
+    Walk w(*this, nullptr, {.relaxation = true});
+    const std::vector<StreamTerm> rowTerms = rowStreamTerms();
 
     DenseVector cand(_ld->rows(), inf);
-    RunTiming t;
-    bool filled = false;
-    int64_t curRow = -1;
     double parFlops = 0.0, usefulBytes = 0.0;
     FcuOpCounts fcuOps;
 
@@ -1066,47 +1072,9 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
         // any candidate, so the block never leaves memory.
         if (active_chunks && !(*active_chunks)[blk.blockCol])
             continue;
-        drainDp = e.dp;
-        uint64_t hidden = 0;
-        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
-        if (cfg) {
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
-                     cfg - hidden);
-            t.cycles += cfg;
-            filled = false;
-        }
-        if (!filled) {
-            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Min));
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
-            t.cycles += fill;
-            filled = true;
-        }
-        if (int64_t(blk.blockRow) != curRow) {
-            if (curRow >= 0) {
-                // Assign phase: compare with the old distance chunk and
-                // write back (Table 1, phase 3).
-                bool rMiss = false, wMiss = false;
-                uint64_t oRead = _rcu.cache().read(
-                    CacheVec::Out, Index(curRow), false, &rMiss);
-                prof.add(e.dp, curRow, Cause::CacheMiss, oRead,
-                         rMiss ? lineBytes : 0);
-                t.cycles += oRead;
-                t.cycles += _rcu.cache().write(CacheVec::Out,
-                                               Index(curRow), &wMiss);
-                if (wMiss)
-                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
-                             lineBytes);
-            }
-            curRow = blk.blockRow;
-        }
-
-        bool xMiss = false;
-        uint64_t xRead =
-            _rcu.cache().read(CacheVec::Xt, blk.blockCol, false, &xMiss);
-        prof.add(e.dp, blk.blockRow, Cause::CacheMiss, xRead,
-                 xMiss ? lineBytes : 0);
-        t.cycles += xRead;
+        w.enter(e.dp, blk.blockRow);
+        w.outRow(blk.blockRow);
+        w.read(CacheVec::Xt, blk.blockCol);
 
         Index c0 = blk.blockCol * omega;
         Index occupied = 0;
@@ -1117,11 +1085,11 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
             Index useful = 0;
             for (Index lc = 0; lc < omega; ++lc) {
                 Index src = c0 + lc;
-                Value w = _ld->blockValue(blk, lr, lc);
-                bool present = w != 0.0 && src < _ld->cols();
+                Value wgt = _ld->blockValue(blk, lr, lc);
+                bool present = wgt != 0.0 && src < _ld->cols();
                 valid[lc] = present;
                 srcDist[lc] = present ? dist[src] : inf;
-                addend[lc] = zero_addend ? 0.0 : (hops ? 1.0 : w);
+                addend[lc] = zero_addend ? 0.0 : (hops ? 1.0 : wgt);
                 if (present)
                     ++useful;
             }
@@ -1134,42 +1102,14 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
             parFlops += 2.0 * useful;
             usefulBytes += double(useful) * sizeof(Value);
         }
-        uint64_t bc, streamedBytes;
-        if (_params.skipEmptyBlockRows) {
-            streamedBytes = uint64_t(occupied) * omega * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamRowsCycles(occupied);
-        } else {
-            streamedBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk.size);
-        }
-        if (prof.on()) {
-            uint64_t memC = _memory.streamCycles(streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
-                     streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - memC);
-        }
-        t.cycles += bc;
-        t.parCycles += bc;
+        const StreamTerm st = _params.skipEmptyBlockRows
+                                  ? rowTerms[occupied]
+                                  : blockStreamTerm(blk.size);
+        _memory.recordStream(st.bytes);
+        w.stream(st);
     }
-    if (curRow >= 0) {
-        bool rMiss = false, wMiss = false;
-        uint64_t oRead = _rcu.cache().read(CacheVec::Out, Index(curRow),
-                                           false, &rMiss);
-        prof.add(drainDp, curRow, Cause::CacheMiss, oRead,
-                 rMiss ? lineBytes : 0);
-        t.cycles += oRead;
-        t.cycles +=
-            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-        if (wMiss)
-            prof.add(drainDp, curRow, Cause::CacheMiss, 0, lineBytes);
-    }
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(drainDp, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
     _fcu.noteOps(fcuOps);
-    commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
+    commitRun({.base = w.base(), .timing = w.end(), .parFlops = parFlops,
                .usefulBytes = usefulBytes,
                .name = zero_addend ? "d-cc" : (hops ? "d-bfs" : "d-sssp")},
               timing);
@@ -1192,59 +1132,22 @@ Engine::runPrRound(const DenseVector &rank,
                "operand length mismatch");
 
     timeline::ScopedHostSpan hostSpan("pagerank", "run");
-    const uint64_t tlBase = totalCycles();
-    profile::RunScope prof;
-    const uint64_t lineBytes = _params.cacheLineBytes;
-    DataPathType drainDp = DataPathType::Gemv;
+    Walk w(*this, nullptr, {});
+    const std::vector<StreamTerm> rowTerms = rowStreamTerms();
 
     const Index omega = _params.omega;
     DenseVector sums(_ld->rows(), 0.0);
-    RunTiming t;
-    bool filled = false;
-    int64_t curRow = -1;
     double parFlops = 0.0, usefulBytes = 0.0, peOps = 0.0;
     FcuOpCounts fcuOps;
 
     std::vector<Value> contrib(omega), pattern(omega);
     for (const ConfigEntry &e : _table->entries()) {
         const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        drainDp = e.dp;
-        uint64_t hidden = 0;
-        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
-        if (cfg) {
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
-            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
-                     cfg - hidden);
-            t.cycles += cfg;
-            filled = false;
-        }
-        if (!filled) {
-            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
-            t.cycles += fill;
-            filled = true;
-        }
-        if (int64_t(blk.blockRow) != curRow) {
-            if (curRow >= 0) {
-                bool wMiss = false;
-                t.cycles += _rcu.cache().write(CacheVec::Out,
-                                               Index(curRow), &wMiss);
-                if (wMiss)
-                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
-                             lineBytes);
-            }
-            curRow = blk.blockRow;
-        }
-
+        w.enter(e.dp, blk.blockRow);
+        w.outRow(blk.blockRow);
         // rank chunk (port1) and out-degree chunk (port2, Table 1).
-        for (CacheVec vec : {CacheVec::Xt, CacheVec::Aux}) {
-            bool rdMiss = false;
-            uint64_t rd =
-                _rcu.cache().read(vec, blk.blockCol, false, &rdMiss);
-            prof.add(e.dp, blk.blockRow, Cause::CacheMiss, rd,
-                     rdMiss ? lineBytes : 0);
-            t.cycles += rd;
-        }
+        w.read(CacheVec::Xt, blk.blockCol);
+        w.read(CacheVec::Aux, blk.blockCol);
 
         Index c0 = blk.blockCol * omega;
         for (Index lc = 0; lc < omega; ++lc) {
@@ -1276,38 +1179,15 @@ Engine::runPrRound(const DenseVector &rank,
             parFlops += 2.0 * useful;
             usefulBytes += double(useful) * sizeof(Value);
         }
-        uint64_t bc, streamedBytes;
-        if (_params.skipEmptyBlockRows) {
-            streamedBytes = uint64_t(occupied) * omega * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamRowsCycles(occupied);
-        } else {
-            streamedBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk.size);
-        }
-        if (prof.on()) {
-            uint64_t memC = _memory.streamCycles(streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
-                     streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - memC);
-        }
-        t.cycles += bc;
-        t.parCycles += bc;
+        const StreamTerm st = _params.skipEmptyBlockRows
+                                  ? rowTerms[occupied]
+                                  : blockStreamTerm(blk.size);
+        _memory.recordStream(st.bytes);
+        w.stream(st);
     }
-    if (curRow >= 0) {
-        bool wMiss = false;
-        t.cycles +=
-            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
-        if (wMiss)
-            prof.add(drainDp, curRow, Cause::CacheMiss, 0, lineBytes);
-    }
-    t.cycles += uint64_t(_params.drainCycles());
-    prof.add(drainDp, -1, Cause::TreeDrain,
-             uint64_t(_params.drainCycles()));
     _fcu.noteOps(fcuOps);
     _rcu.notePeOps(peOps);
-    commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
+    commitRun({.base = w.base(), .timing = w.end(), .parFlops = parFlops,
                .usefulBytes = usefulBytes, .name = "d-pr"},
               timing);
     return sums;

@@ -5,7 +5,8 @@
  * table's compiled ExecSchedule, graph rounds by walking the table --
  * computing real results (verified against the reference kernels)
  * while accounting cycles the way the paper's microarchitecture spends
- * them:
+ * them.  Every run charges its paths through one timing walker
+ * (Engine::Walk), which holds one copy of each rule:
  *
  * - GEMV-class data paths (GEMV, D-BFS, D-SSSP, D-PR) are fully
  *   pipelined: one block row per cycle after the tree fills, bounded by
@@ -360,9 +361,9 @@ class Engine
                           const std::vector<uint8_t> *active_chunks,
                           RunTiming *timing);
 
-    /** Cycles to stream a whole block payload of @p payload values. */
-    uint64_t streamBlockCycles(Index payload) const;
-    uint64_t streamRowsCycles(Index rows_streamed) const;
+    /** One run's timing walk: the charge rules every run shares
+     *  (engine.cc). */
+    class Walk;
 
     /** What a path's stream charges: the cycles it holds the stream
      *  front, their memory-side share (the rest is FCU issue), and the
@@ -373,12 +374,14 @@ class Engine
         uint64_t mem = 0;
         uint64_t bytes = 0;
     };
-    /** The terms of streaming 0..omega block rows, indexed by the row
-     *  count.  They depend on nothing else, so a timing walk computes
-     *  them once instead of dividing per path. */
+    /** The terms of streaming 0..omega occupied block rows, indexed by
+     *  the row count: only those rows cross the bus and take FCU issue
+     *  slots.  They depend on nothing else, so a walk computes them
+     *  once instead of dividing per path. */
     std::vector<StreamTerm> rowStreamTerms() const;
     /** The term of streaming a whole block payload of @p payload
-     *  values. */
+     *  values: one block row of omega operands issues per cycle, and
+     *  the memory pipe may be the slower side for wide blocks. */
     StreamTerm blockStreamTerm(Index payload) const;
     /** The stream term of GEMV path @p i of @p S: its occupied rows'
      *  entry of @p row_terms when empty rows are skipped, else its

@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 #include <mutex>
+#include <unordered_map>
 
 #include "alrescha/sim/replay.hh"
 #include "common/version.hh"
@@ -11,37 +12,58 @@
 namespace alr::profile {
 
 namespace detail {
+
 std::atomic<bool> g_enabled{false};
+
+void
+BucketTable::grow(std::vector<Bucket> &cells, size_t i)
+{
+    // Doubling keeps a walk's growth amortized; whole block rows keep
+    // the row arithmetic of add() and rows() exact.
+    const size_t need = (i / kCauses + 1) * kCauses;
+    cells.resize(std::max(need, cells.size() * 2));
+}
+
+void
+BucketTable::merge(const BucketTable &other)
+{
+    for (size_t dp = 0; dp < kDataPaths; ++dp) {
+        const std::vector<Bucket> &src = other._cells[dp];
+        std::vector<Bucket> &dst = _cells[dp];
+        if (dst.size() < src.size())
+            dst.resize(src.size());
+        for (size_t i = 0; i < src.size(); ++i) {
+            dst[i].cycles += src[i].cycles;
+            dst[i].bytes += src[i].bytes;
+        }
+    }
+}
+
+std::vector<BucketRow>
+BucketTable::rows() const
+{
+    // Cell order is (dp, block row, cause): the rows come out sorted.
+    std::vector<BucketRow> out;
+    for (size_t dp = 0; dp < kDataPaths; ++dp) {
+        const std::vector<Bucket> &cells = _cells[dp];
+        for (size_t i = 0; i < cells.size(); ++i)
+            if (cells[i].cycles != 0 || cells[i].bytes != 0)
+                out.push_back({DataPathType(dp),
+                               int64_t(i / kCauses) - 1,
+                               Cause(i % kCauses), cells[i].cycles,
+                               cells[i].bytes});
+    }
+    return out;
+}
+
 } // namespace detail
 
 namespace {
 
-/** Bucket key: dp in the top byte, block row (+1 so -1 encodes) in the
- *  middle 48 bits, cause in the low byte. */
-uint64_t
-key(DataPathType dp, int64_t row, Cause cause)
-{
-    return (uint64_t(dp) << 56) |
-           (uint64_t(row + 1) & 0xffffffffffffull) << 8 |
-           uint64_t(cause);
-}
-
-BucketRow
-decode(uint64_t k, const Bucket &b)
-{
-    BucketRow r;
-    r.dp = DataPathType(k >> 56);
-    r.blockRow = int64_t((k >> 8) & 0xffffffffffffull) - 1;
-    r.cause = Cause(k & 0xff);
-    r.cycles = b.cycles;
-    r.bytes = b.bytes;
-    return r;
-}
-
 struct Store
 {
     std::mutex mutex;
-    std::unordered_map<uint64_t, Bucket> buckets;
+    detail::BucketTable buckets;
     std::unordered_map<int64_t, CriticalRow> critical;
     uint64_t runs = 0;
     uint64_t longestChainCycles = 0;
@@ -96,7 +118,7 @@ reset()
 {
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.buckets.clear();
+    s.buckets = {};
     s.critical.clear();
     s.runs = 0;
     s.longestChainCycles = 0;
@@ -107,17 +129,6 @@ reset()
 RunScope::~RunScope()
 {
     commit();
-}
-
-void
-RunScope::add(DataPathType dp, int64_t block_row, Cause cause,
-              uint64_t cycles, uint64_t bytes)
-{
-    if (!_on || (cycles == 0 && bytes == 0))
-        return;
-    Bucket &b = _buckets[key(dp, block_row, cause)];
-    b.cycles += cycles;
-    b.bytes += bytes;
 }
 
 void
@@ -139,11 +150,7 @@ RunScope::commit()
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     ++s.runs;
-    for (const auto &[k, b] : _buckets) {
-        Bucket &g = s.buckets[k];
-        g.cycles += b.cycles;
-        g.bytes += b.bytes;
-    }
+    s.buckets.merge(_buckets);
 }
 
 void
@@ -229,13 +236,11 @@ snapshot()
     Store &s = store();
     Snapshot out;
     std::lock_guard<std::mutex> lock(s.mutex);
-    out.buckets.reserve(s.buckets.size());
-    for (const auto &[k, b] : s.buckets) {
-        out.buckets.push_back(decode(k, b));
+    out.buckets = s.buckets.rows();
+    for (const BucketRow &b : out.buckets) {
         out.attributedCycles += b.cycles;
         out.attributedBytes += b.bytes;
     }
-    std::sort(out.buckets.begin(), out.buckets.end(), rowLess);
     out.critical.reserve(s.critical.size());
     for (const auto &[row, r] : s.critical)
         out.critical.push_back(r);
@@ -256,7 +261,7 @@ attributedCycles()
     Store &s = store();
     std::lock_guard<std::mutex> lock(s.mutex);
     uint64_t total = 0;
-    for (const auto &[k, b] : s.buckets)
+    for (const BucketRow &b : s.buckets.rows())
         total += b.cycles;
     return total;
 }

@@ -50,11 +50,11 @@
 #ifndef ALR_ALRESCHA_SIM_PROFILE_HH
 #define ALR_ALRESCHA_SIM_PROFILE_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "alrescha/config_table.hh"
@@ -127,6 +127,43 @@ struct Snapshot
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
+
+/**
+ * Buckets indexed by (dp, block row, cause), dense: one row of
+ * Cause::kCount cells per block row, from row -1 (run-level charges)
+ * up, per data path.  A run's charges and the recorder's totals both
+ * accumulate here, so a charge costs an index, not a hash; an empty
+ * cell is a bucket nothing was attributed to.
+ */
+class BucketTable
+{
+  public:
+    static constexpr size_t kDataPaths = size_t(DataPathType::DPr) + 1;
+    static constexpr size_t kCauses = size_t(Cause::kCount);
+
+    void add(DataPathType dp, int64_t block_row, Cause cause,
+             uint64_t cycles, uint64_t bytes)
+    {
+        std::vector<Bucket> &cells = _cells[size_t(dp)];
+        const size_t i = size_t(block_row + 1) * kCauses + size_t(cause);
+        if (i >= cells.size())
+            grow(cells, i);
+        cells[i].cycles += cycles;
+        cells[i].bytes += bytes;
+    }
+
+    /** Add every bucket of @p other. */
+    void merge(const BucketTable &other);
+
+    /** The non-empty buckets, sorted (dp, blockRow, cause). */
+    std::vector<BucketRow> rows() const;
+
+  private:
+    /** Extend @p cells by whole block rows to hold cell @p i. */
+    static void grow(std::vector<Bucket> &cells, size_t i);
+
+    std::array<std::vector<Bucket>, kDataPaths> _cells;
+};
 } // namespace detail
 
 /** True when the recorder is capturing (inline fast path). */
@@ -165,9 +202,14 @@ class RunScope
 
     bool on() const { return _on; }
 
-    /** Attribute @p cycles / @p bytes to (dp, block row, cause). */
+    /** Attribute @p cycles / @p bytes to (dp, block row, cause).
+     *  Inline: a timing walk charges several times per path. */
     void add(DataPathType dp, int64_t block_row, Cause cause,
-             uint64_t cycles, uint64_t bytes = 0);
+             uint64_t cycles, uint64_t bytes = 0)
+    {
+        if (_on && (cycles != 0 || bytes != 0))
+            _buckets.add(dp, block_row, cause, cycles, bytes);
+    }
 
     /**
      * Record one D-SymGS diagonal chain for the wait distribution and
@@ -210,7 +252,7 @@ class RunScope
 
     bool _on;
     bool _done = false;
-    std::unordered_map<uint64_t, Bucket> _buckets;
+    detail::BucketTable _buckets;
     std::vector<ChainRec> _chains;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/trace.hh"
-
 namespace alr {
 
 Rcu::Rcu(const AccelParams &params, MemoryModel *memory)
@@ -30,8 +28,6 @@ Rcu::switchTo(DataPathType dp, uint64_t *hidden_out)
         charged = uint64_t(_params.configCycles);
     }
     ++_pendingReconfigs;
-    ALR_TRACE("rcu: reconfigure -> %s (%llu cycles)", toString(dp),
-              (unsigned long long)charged);
     _current = dp;
     return charged;
 }

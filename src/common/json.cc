@@ -423,7 +423,8 @@ Value::operator==(const Value &o) const
 Parsed
 parse(std::string_view text)
 {
-    Parser p{text};
+    Parser p;
+    p.text = text;
     Parsed out;
     if (!p.parseValue(&out.value, 0)) {
         out.error = p.error;

@@ -6,7 +6,6 @@
 #include "alrescha/sim/profile.hh"
 #include "common/logging.hh"
 #include "common/timeline.hh"
-#include "common/trace.hh"
 
 namespace alr {
 
@@ -183,9 +182,6 @@ ReferenceEngine::runSpmv(const DenseVector &x, RunTiming *timing)
     prof.add(DataPathType::Gemv, -1, Cause::TreeDrain,
              uint64_t(_params.drainCycles()));
     _fcu.noteOps(fcuOps);
-    ALR_TRACE("spmv: %zu paths, %llu cycles",
-              _table->entries().size(),
-              (unsigned long long)t.cycles);
     _engine.commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
                        .usefulBytes = usefulBytes},
                       timing);
@@ -567,9 +563,6 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                      uint64_t(_params.pipelineDepth()));
     _fcu.noteOps(fcuOps);
     _rcu.notePeOps(peOps);
-    ALR_TRACE("symgs(%s): stream %llu cycles, chain %llu cycles",
-              backward ? "bwd" : "fwd", (unsigned long long)stream_t,
-              (unsigned long long)dep_t);
     _engine.commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
                        .seqFlops = seqFlops, .usefulBytes = usefulBytes},
                       timing);

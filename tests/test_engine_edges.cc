@@ -6,13 +6,11 @@
  */
 
 #include <cmath>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "alrescha/accelerator.hh"
 #include "common/random.hh"
-#include "common/trace.hh"
 #include "kernels/graph.hh"
 #include "kernels/spmv.hh"
 #include "kernels/symgs.hh"
@@ -165,58 +163,6 @@ TEST(EngineEdge, ReprogrammingBetweenKernelsIsClean)
     gaussSeidelSweep(a, b, xr, GsSweep::Forward);
     for (Index i = 0; i < 40; ++i)
         EXPECT_NEAR(x2[i], xr[i], 1e-12);
-}
-
-TEST(Trace, CapturesEngineEvents)
-{
-    std::ostringstream os;
-    trace::setSink(&os);
-    ASSERT_TRUE(trace::enabled());
-
-    Rng rng(8);
-    CsrMatrix a = gen::banded(32, 4, 0.8, rng);
-    // Per-path events (each rcu reconfigure) come from the reference
-    // engine; the scheduled path precomputes those transitions.
-    Accelerator acc;
-    acc.loadPde(a);
-    DenseVector b(32, 1.0), x(32, 0.0);
-    referenceSymgsSweep(acc, b, x, GsSweep::Forward);
-    referenceSpmv(acc, x);
-    trace::setSink(nullptr);
-
-    std::string log = os.str();
-    EXPECT_NE(log.find("rcu: reconfigure -> GEMV"), std::string::npos);
-    EXPECT_NE(log.find("rcu: reconfigure -> D-SymGS"),
-              std::string::npos);
-    EXPECT_NE(log.find("symgs(fwd):"), std::string::npos);
-    EXPECT_NE(log.find("spmv:"), std::string::npos);
-}
-
-TEST(Trace, CapturesScheduledRunSummaries)
-{
-    std::ostringstream os;
-    trace::setSink(&os);
-    ASSERT_TRUE(trace::enabled());
-
-    Rng rng(8);
-    CsrMatrix a = gen::banded(32, 4, 0.8, rng);
-    Accelerator acc;
-    acc.loadPde(a);
-    DenseVector b(32, 1.0), x(32, 0.0);
-    acc.symgsSweep(b, x, GsSweep::Forward);
-    acc.spmv(x);
-    trace::setSink(nullptr);
-
-    std::string log = os.str();
-    EXPECT_NE(log.find("symgs(sched):"), std::string::npos);
-    EXPECT_NE(log.find("spmv(sched):"), std::string::npos);
-}
-
-TEST(Trace, SilentWhenDisabled)
-{
-    trace::setSink(nullptr);
-    EXPECT_FALSE(trace::enabled());
-    ALR_TRACE("this must not crash %d", 1);
 }
 
 TEST(EngineEdge, BackwardSweepOnPaddedMatrix)

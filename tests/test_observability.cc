@@ -13,14 +13,12 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/multi.hh"
 #include "common/stats.hh"
 #include "common/timeline.hh"
-#include "common/trace.hh"
 #include "datasets/suites.hh"
 #include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
@@ -661,56 +659,4 @@ TEST(Timeline, ParallelEngineWorkersRecordSafely)
         ++hostSpans;
     }
     EXPECT_GE(hostSpans, 4u); // at least one per run
-}
-
-// ---------------------------------------------------------------------
-// Trace sink: long lines and concurrent emitters
-
-TEST(TraceSink, LinesLongerThanTheStackBufferSurviveIntact)
-{
-    std::ostringstream sink;
-    trace::setSink(&sink);
-    std::string payload(5000, 'y');
-    payload[0] = 'A';
-    payload[4999] = 'Z';
-    trace::emit("long: %s", payload.c_str());
-    trace::setSink(nullptr);
-
-    std::string out = sink.str();
-    EXPECT_EQ(out, "long: " + payload + "\n");
-}
-
-TEST(TraceSink, ConcurrentEmittersProduceNoTornLines)
-{
-    std::ostringstream sink;
-    trace::setSink(&sink);
-    constexpr int kThreads = 4;
-    constexpr int kLines = 200;
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([t] {
-            for (int i = 0; i < kLines; ++i)
-                trace::emit("t%d line%d end", t, i);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    trace::setSink(nullptr);
-
-    std::istringstream in(sink.str());
-    std::string line;
-    int count = 0;
-    std::vector<std::vector<bool>> seen(
-        kThreads, std::vector<bool>(kLines, false));
-    while (std::getline(in, line)) {
-        int t = -1, i = -1;
-        ASSERT_EQ(std::sscanf(line.c_str(), "t%d line%d end", &t, &i), 2)
-            << "torn line: '" << line << "'";
-        ASSERT_TRUE(t >= 0 && t < kThreads && i >= 0 && i < kLines)
-            << line;
-        EXPECT_FALSE(seen[size_t(t)][size_t(i)]) << line;
-        seen[size_t(t)][size_t(i)] = true;
-        ++count;
-    }
-    EXPECT_EQ(count, kThreads * kLines);
 }

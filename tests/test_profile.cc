@@ -96,9 +96,21 @@ runProfiled(const CsrMatrix &a, const std::string &kernel, Index omega,
     if (kernel == "spmv") {
         acc.loadSpmvOnly(a);
         runSpmv(acc, mode);
-    } else {
+    } else if (kernel == "symgs") {
         acc.loadPde(a);
         runSymgs(acc, mode);
+    } else {
+        // The graph rounds walk the table on the engine itself: no
+        // reference engine or replay mode applies.
+        acc.loadGraph(a);
+        if (kernel == "bfs")
+            acc.bfs(0);
+        else if (kernel == "sssp")
+            acc.sssp(0);
+        else if (kernel == "pr")
+            acc.pagerank();
+        else
+            acc.connectedComponents();
     }
     if (cycles_out)
         *cycles_out = acc.engine().totalCycles();
@@ -133,7 +145,8 @@ expectSameBuckets(const profile::Snapshot &a, const profile::Snapshot &b,
 
 // ---------------------------------------------------------------------
 // Conservation: buckets sum exactly to the engine's cycles and the
-// memory model's bytes, for every kernel / engine / omega combination.
+// memory model's bytes, for every kernel / engine / omega combination,
+// the graph rounds included.
 
 TEST(ProfileConservation, ExactAcrossKernelsEnginesAndOmegas)
 {
@@ -155,6 +168,21 @@ TEST(ProfileConservation, ExactAcrossKernelsEnginesAndOmegas)
                 EXPECT_EQ(double(snap.attributedBytes), bytes) << what;
                 EXPECT_GT(snap.buckets.size(), 0u) << what;
             }
+        }
+    }
+
+    CsrMatrix g = gen::rmat(8, 8, rng);
+    for (const char *kernel : {"bfs", "sssp", "pr", "cc"}) {
+        for (Index omega : {Index(4), Index(8)}) {
+            uint64_t cycles = 0;
+            double bytes = 0.0;
+            profile::Snapshot snap =
+                runProfiled(g, kernel, omega, Mode::Scalar, &cycles, &bytes);
+            std::string what =
+                std::string(kernel) + " omega " + std::to_string(omega);
+            EXPECT_EQ(snap.attributedCycles, cycles) << what;
+            EXPECT_EQ(double(snap.attributedBytes), bytes) << what;
+            EXPECT_GT(snap.runs, 1u) << what;
         }
     }
 }

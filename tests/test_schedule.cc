@@ -29,13 +29,19 @@ using namespace alr;
 
 namespace {
 
+/** @p bytes_per_cycle, when non-zero, sets the memory bandwidth: at 4
+ *  bytes per cycle the memory pipe, not issue, bounds every block's
+ *  stream, so the walk's stream and payload terms reach the cycles. */
 AccelParams
-makeParams(Index omega, int threads, bool simd = true)
+makeParams(Index omega, int threads, bool simd = true,
+           unsigned bytes_per_cycle = 0)
 {
     AccelParams p;
     p.omega = omega;
     p.engineThreads = threads;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
+    if (bytes_per_cycle != 0)
+        p.memBandwidthGBs = bytes_per_cycle * p.clockGhz;
     return p;
 }
 
@@ -47,12 +53,34 @@ expectTimingEq(const RunTiming &a, const RunTiming &b, const char *what)
     EXPECT_EQ(a.parCycles, b.parCycles) << what;
 }
 
+/** One parameter instance.  threads and bytesPerCycle share one
+ *  32-bit word, so an instance at the default bandwidth (0) prints
+ *  the same parameter bytes, and keeps the same test name, as before
+ *  bytesPerCycle existed. */
 struct Case
 {
     Index omega;
-    int threads;
+    int16_t threads;
+    uint16_t bytesPerCycle;
     uint64_t seed;
 };
+
+AccelParams
+caseParams(const Case &c, int threads, bool simd = true)
+{
+    return makeParams(c.omega, threads, simd, c.bytesPerCycle);
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    const Case &c = info.param;
+    std::string name =
+        "w" + std::to_string(c.omega) + "_t" + std::to_string(c.threads);
+    if (c.bytesPerCycle != 0)
+        name += "_bw" + std::to_string(c.bytesPerCycle);
+    return name;
+}
 
 class ScheduleEquivalence : public ::testing::TestWithParam<Case>
 {
@@ -69,9 +97,9 @@ TEST_P(ScheduleEquivalence, SpmvBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine refEngine(makeParams(c.omega, 1));
+    Engine refEngine(caseParams(c, 1));
     ReferenceEngine ref(refEngine);
-    Engine sch(makeParams(c.omega, c.threads));
+    Engine sch(caseParams(c, c.threads));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -99,9 +127,9 @@ TEST_P(ScheduleEquivalence, SpmmBitIdentical)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    Engine refEngine(makeParams(c.omega, 1));
+    Engine refEngine(caseParams(c, 1));
     ReferenceEngine ref(refEngine);
-    Engine sch(makeParams(c.omega, c.threads));
+    Engine sch(caseParams(c, c.threads));
     ref.program(&ld, &table);
     sch.program(&ld, &table);
 
@@ -132,9 +160,9 @@ TEST_P(ScheduleEquivalence, SymgsBitIdentical)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    Engine refEngine(makeParams(c.omega, 1));
+    Engine refEngine(caseParams(c, 1));
     ReferenceEngine ref(refEngine);
-    Engine sch(makeParams(c.omega, c.threads));
+    Engine sch(caseParams(c, c.threads));
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -167,9 +195,9 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
     ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Forward);
 
-    Engine refEngine(makeParams(c.omega, 1));
+    Engine refEngine(caseParams(c, 1));
     ReferenceEngine ref(refEngine);
-    Engine sch(makeParams(c.omega, c.threads));
+    Engine sch(caseParams(c, c.threads));
 
     DenseVector b(a.rows(), 0.5);
     DenseVector xr(a.rows(), 0.0), xs(a.rows(), 0.0);
@@ -194,12 +222,11 @@ TEST_P(ScheduleEquivalence, MixedKernelsShareState)
 
 INSTANTIATE_TEST_SUITE_P(
     OmegaThreads, ScheduleEquivalence,
-    ::testing::Values(Case{4, 1, 11}, Case{4, 2, 12}, Case{4, 8, 13},
-                      Case{8, 1, 14}, Case{8, 2, 15}, Case{8, 8, 16}),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return "w" + std::to_string(info.param.omega) + "_t" +
-               std::to_string(info.param.threads);
-    });
+    ::testing::Values(Case{4, 1, 0, 11}, Case{4, 2, 0, 12},
+                      Case{4, 8, 0, 13}, Case{8, 1, 0, 14},
+                      Case{8, 2, 0, 15}, Case{8, 8, 0, 16},
+                      Case{4, 2, 4, 17}, Case{8, 2, 4, 18}),
+    caseName);
 
 TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
 {
@@ -232,9 +259,8 @@ TEST(ScheduleEquivalence, UnskippedBlockRowsBitIdentical)
     // At 4 bytes per cycle the memory pipe, not issue, bounds each
     // block's stream, so a wrong payload size shows in the cycles.
     for (Index omega : {4u, 8u}) {
-        AccelParams p = makeParams(omega, 2);
+        AccelParams p = makeParams(omega, 2, true, 4);
         p.skipEmptyBlockRows = false;
-        p.memBandwidthGBs = 4.0 * p.clockGhz;
         Rng rng(omega);
         CsrMatrix a = gen::banded(101, 5, 0.7, rng);
         LocallyDenseMatrix ld =
@@ -589,10 +615,11 @@ struct EngineTriple
     Engine scalar;
     Engine simd;
 
-    EngineTriple(Index omega, int threads)
-        : refEngine(makeParams(omega, 1)), interp(refEngine),
-          scalar(makeParams(omega, threads, false)),
-          simd(makeParams(omega, threads, true))
+    EngineTriple(Index omega, int threads, unsigned bytes_per_cycle = 0)
+        : refEngine(makeParams(omega, 1, true, bytes_per_cycle)),
+          interp(refEngine),
+          scalar(makeParams(omega, threads, false, bytes_per_cycle)),
+          simd(makeParams(omega, threads, true, bytes_per_cycle))
     {
     }
 
@@ -621,7 +648,7 @@ TEST_P(SimdReplayEquivalence, SpmvRectangularNonMultipleOfOmega)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    EngineTriple e(c.omega, c.threads);
+    EngineTriple e(c.omega, c.threads, c.bytesPerCycle);
     e.program(&ld, &table);
 
     DenseVector x(a.cols());
@@ -651,7 +678,7 @@ TEST_P(SimdReplayEquivalence, SpmmRegisterBlocked)
         LocallyDenseMatrix::encode(a, c.omega, LdLayout::Plain);
     ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
 
-    EngineTriple e(c.omega, c.threads);
+    EngineTriple e(c.omega, c.threads, c.bytesPerCycle);
     e.program(&ld, &table);
 
     // k = 5 right-hand sides: the SpMM kernel's lane groups are only
@@ -687,7 +714,7 @@ TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
     ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
                                            GsSweep::Backward);
 
-    EngineTriple e(c.omega, c.threads);
+    EngineTriple e(c.omega, c.threads, c.bytesPerCycle);
 
     DenseVector b(a.rows(), 1.0);
     DenseVector xi(a.rows(), 0.0), xc(a.rows(), 0.0), xv(a.rows(), 0.0);
@@ -709,12 +736,11 @@ TEST_P(SimdReplayEquivalence, SymgsSweepsBothDirections)
 
 INSTANTIATE_TEST_SUITE_P(
     OmegaThreads, SimdReplayEquivalence,
-    ::testing::Values(Case{4, 1, 31}, Case{4, 2, 32}, Case{4, 8, 33},
-                      Case{8, 1, 34}, Case{8, 2, 35}, Case{8, 8, 36}),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return "w" + std::to_string(info.param.omega) + "_t" +
-               std::to_string(info.param.threads);
-    });
+    ::testing::Values(Case{4, 1, 0, 31}, Case{4, 2, 0, 32},
+                      Case{4, 8, 0, 33}, Case{8, 1, 0, 34},
+                      Case{8, 2, 0, 35}, Case{8, 8, 0, 36},
+                      Case{4, 2, 4, 37}, Case{8, 2, 4, 38}),
+    caseName);
 
 TEST(SimdReplayEquivalence, SpmvOnLargestFig18Datasets)
 {

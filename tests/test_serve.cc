@@ -129,8 +129,9 @@ TEST(ServeTrace, ZipfSkewsTowardTheHeadAndMaskForcesSpmv)
     std::vector<uint32_t> counts(mask.size(), 0);
     for (const ServeRequest &r : trace) {
         ++counts[r.matrix];
-        if (!mask[r.matrix])
+        if (!mask[r.matrix]) {
             EXPECT_EQ(r.op, ServeOp::Spmv);
+        }
     }
     // Matrix 0 is the Zipf head: strictly most popular.
     EXPECT_GT(counts[0], counts[1]);
@@ -165,8 +166,9 @@ TEST(ServePlan, CoalescesOnlySameMatrixSpmvWithinWindow)
     std::vector<int> seen(trace.size(), 0);
     for (const ServeWorkItem &item : plan) {
         EXPECT_LE(item.requestIds.size(), size_t(window));
-        if (item.op != ServeOp::Spmv)
+        if (item.op != ServeOp::Spmv) {
             EXPECT_EQ(item.requestIds.size(), 1u);
+        }
         uint32_t anchor = item.requestIds.front();
         for (uint32_t id : item.requestIds) {
             ++seen[id];

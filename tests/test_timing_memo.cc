@@ -168,19 +168,28 @@ TEST(TimingMemo, ProfilerAndTimelineRunsWalkAndMatchMemoizedRuns)
     const Problem p(gen::stencil2d(14, 14));
     Rng rng(5);
     const Problem q(gen::banded(150, 12, 0.7, rng));
-    // abl_cache's sweep: keys of 4 to 1,024 lines.
-    for (uint32_t bytes = 256; bytes <= 64 * 1024; bytes *= 2) {
-        AccelParams params;
-        params.cacheBytes = bytes;
-        const std::string what = std::to_string(bytes) + " B cache";
-        Record memo = runSequence(params, Observer::None, p, q);
-        Record profiled = runSequence(params, Observer::Profiler, p, q);
-        Record traced = runSequence(params, Observer::Timeline, p, q);
-        EXPECT_GT(memo.memoHits, 0u) << what;
-        EXPECT_EQ(profiled.memoHits, 0u) << what;
-        EXPECT_EQ(traced.memoHits, 0u) << what;
-        expectSameRecord(profiled, memo, what + ", profiler");
-        expectSameRecord(traced, memo, what + ", timeline");
+    // abl_cache's sweep: keys of 4 to 1,024 lines.  At the default
+    // bandwidth issue bounds every block's stream; at 4 bytes per
+    // cycle the memory pipe does, so the stream terms a hit swaps in
+    // (SpMM's) reach the cycles too.
+    for (double bytesPerCycle : {0.0, 4.0}) {
+        for (uint32_t bytes = 256; bytes <= 64 * 1024; bytes *= 2) {
+            AccelParams params;
+            params.cacheBytes = bytes;
+            std::string what = std::to_string(bytes) + " B cache";
+            if (bytesPerCycle != 0.0) {
+                params.memBandwidthGBs = bytesPerCycle * params.clockGhz;
+                what += ", 4 B/cycle";
+            }
+            Record memo = runSequence(params, Observer::None, p, q);
+            Record profiled = runSequence(params, Observer::Profiler, p, q);
+            Record traced = runSequence(params, Observer::Timeline, p, q);
+            EXPECT_GT(memo.memoHits, 0u) << what;
+            EXPECT_EQ(profiled.memoHits, 0u) << what;
+            EXPECT_EQ(traced.memoHits, 0u) << what;
+            expectSameRecord(profiled, memo, what + ", profiler");
+            expectSameRecord(traced, memo, what + ", timeline");
+        }
     }
 }
 

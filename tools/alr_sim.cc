@@ -51,7 +51,6 @@
 #include "common/version.hh"
 #include "common/thread_pool.hh"
 #include "common/timeline.hh"
-#include "common/trace.hh"
 #include "common/random.hh"
 #include "kernels/graph.hh"
 #include "sparse/generators.hh"
@@ -70,7 +69,6 @@ struct Options
     std::string imagePath;
     std::string genSpec;
     std::string savePath;
-    std::string tracePath;
     std::string timelinePath;
     std::string profilePath;
     std::string profileCsvPath;
@@ -107,7 +105,7 @@ usage()
         "               [--profile-folded F.folded]\n"
         "               [--iters N] [--threads N] [--engine-threads N]\n"
         "               [--schedule-cache N]\n"
-        "               [--save F.alr] [--trace F.log]\n"
+        "               [--save F.alr]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULES]\n"
         "               [--version]\n"
         "  SPEC: stencil2d:N | stencil3d:N | banded:N | rmat:SCALE |\n"
@@ -200,7 +198,7 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         };
         if (variant &&
             (arg == "--matrix" || arg == "--image" || arg == "--gen" ||
-             arg == "--save" || arg == "--trace" ||
+             arg == "--save" ||
              arg == "--timeline" || arg == "--profile" ||
              arg == "--profile-csv" || arg == "--profile-folded" ||
              arg == "--ab" || arg == "--fail-on" || arg == "--json" ||
@@ -218,8 +216,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
             opt.genSpec = next();
         } else if (arg == "--save") {
             opt.savePath = next();
-        } else if (arg == "--trace") {
-            opt.tracePath = next();
         } else if (arg == "--kernel") {
             opt.kernel = next();
         } else if (arg == "--omega") {
@@ -572,14 +568,14 @@ runAbSide(const CsrMatrix &base, const Options &opt)
 int
 runAb(const Options &baseline)
 {
-    if (!baseline.savePath.empty() || !baseline.tracePath.empty() ||
+    if (!baseline.savePath.empty() ||
         !baseline.timelinePath.empty() ||
         !baseline.profilePath.empty() ||
         !baseline.profileCsvPath.empty() ||
         !baseline.profileFoldedPath.empty() ||
         baseline.statsInterval > 0)
         fatal("--ab cannot be combined with file-output flags "
-              "(--save/--trace/--timeline/--profile*/--stats-interval)");
+              "(--save/--timeline/--profile*/--stats-interval)");
     if (!baseline.imagePath.empty())
         fatal("--ab needs a rebuildable matrix source (--gen or "
               "--matrix), not a pre-built --image");
@@ -651,16 +647,8 @@ main(int argc, char **argv)
     if (opt.ab)
         return runAb(opt);
 
-    std::ofstream traceFile;
-    if (!opt.tracePath.empty()) {
-        traceFile.open(opt.tracePath);
-        if (!traceFile)
-            fatal("cannot create trace file '%s'", opt.tracePath.c_str());
-        trace::setSink(&traceFile);
-    }
-
     // Arm the timeline recorder before any kernel runs so the whole
-    // modeled execution lands in the trace.
+    // modeled execution lands in the timeline.
     if (!opt.timelinePath.empty())
         timeline::setEnabled(true);
 
@@ -808,11 +796,6 @@ main(int argc, char **argv)
                         opt.timelinePath.c_str(),
                         (unsigned long long)timeline::events().size(),
                         (unsigned long long)timeline::dropped());
-    }
-    if (!opt.tracePath.empty()) {
-        trace::setSink(nullptr);
-        if (!opt.json)
-            std::printf("trace written to %s\n", opt.tracePath.c_str());
     }
     return 0;
 }
