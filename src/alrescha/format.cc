@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 
 #include "common/binary_io.hh"
 #include "common/hash.hh"
@@ -60,69 +59,62 @@ payloadPos(LdLayout layout, bool diagonal, bool upper, Index omega,
                                                omega, lr, lc);
 }
 
-/** One block row's encoded blocks, offsets relative to its own stream. */
-struct RowChunk
+/**
+ * The stored block columns of one block row at a time, in stream order:
+ * every block column with an entry, ascending; the SymGs layout always
+ * stores the diagonal block, and stores it last so every block row ends
+ * in a D-SymGS data path.  It keeps a slot per block column of the
+ * matrix, so each encode worker holds one and reuses it.
+ */
+class BlockRowColumns
 {
-    std::vector<LdBlockInfo> blocks;
-    std::vector<Value> stream;
+  public:
+    BlockRowColumns(const CsrMatrix &csr, Index omega, LdLayout layout)
+        : _csr(csr), _omega(omega), _layout(layout),
+          _slot((csr.cols() + omega - 1) / omega, kNone)
+    {
+    }
+
+    /** Load block row @p br and return its block columns. */
+    const std::vector<Index> &load(Index br)
+    {
+        for (Index bc : _cols)
+            _slot[bc] = kNone;
+        _cols.clear();
+        auto mark = [&](Index bc) {
+            if (_slot[bc] == kNone) {
+                _slot[bc] = 0;
+                _cols.push_back(bc);
+            }
+        };
+        const Index rLo = br * _omega;
+        const Index rHi = std::min<Index>(rLo + _omega, _csr.rows());
+        for (Index k = _csr.rowPtr()[rLo]; k < _csr.rowPtr()[rHi]; ++k)
+            mark(_csr.colIdx()[k] / _omega);
+        if (_layout == LdLayout::SymGs)
+            mark(br);
+        std::sort(_cols.begin(), _cols.end());
+        if (_layout == LdLayout::SymGs) {
+            auto diag = std::lower_bound(_cols.begin(), _cols.end(), br);
+            std::rotate(diag, diag + 1, _cols.end());
+        }
+        for (size_t j = 0; j < _cols.size(); ++j)
+            _slot[_cols[j]] = Index(j);
+        return _cols;
+    }
+
+    /** Position of loaded block column @p bc in stream order. */
+    Index slot(Index bc) const { return _slot[bc]; }
+
+  private:
+    static constexpr Index kNone = ~Index(0);
+
+    const CsrMatrix &_csr;
+    const Index _omega;
+    const LdLayout _layout;
+    std::vector<Index> _slot;
+    std::vector<Index> _cols;
 };
-
-RowChunk
-encodeBlockRow(const CsrMatrix &csr, Index omega, LdLayout layout,
-               Index br)
-{
-    const auto &rowPtr = csr.rowPtr();
-    const auto &colIdx = csr.colIdx();
-    const auto &vals = csr.vals();
-
-    // Collect the non-empty blocks of this block row.
-    std::map<Index, std::vector<Triplet>> byBlockCol;
-    Index rLo = br * omega;
-    Index rHi = std::min<Index>(rLo + omega, csr.rows());
-    for (Index r = rLo; r < rHi; ++r) {
-        for (Index k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
-            Index bc = colIdx[k] / omega;
-            byBlockCol[bc].push_back(
-                {r - rLo, colIdx[k] - bc * omega, vals[k]});
-        }
-    }
-    // SymGs layout always materializes the diagonal block so every
-    // block row ends in a D-SymGS data path.
-    if (layout == LdLayout::SymGs)
-        byBlockCol[br];
-
-    // Emit off-diagonal blocks in ascending column order, then the
-    // diagonal block (SymGs layout), or plain ascending order.
-    std::vector<Index> order;
-    for (const auto &[bc, ents] : byBlockCol) {
-        if (layout == LdLayout::SymGs && bc == br)
-            continue;
-        order.push_back(bc);
-    }
-    if (layout == LdLayout::SymGs)
-        order.push_back(br);
-
-    RowChunk chunk;
-    for (Index bc : order) {
-        LdBlockInfo blk;
-        blk.blockRow = br;
-        blk.blockCol = bc;
-        blk.offset = chunk.stream.size();
-        bool diagBlk = layout == LdLayout::SymGs && bc == br;
-        blk.size = LocallyDenseMatrix::payloadSize(layout, bc == br, omega);
-        chunk.stream.resize(chunk.stream.size() + blk.size, 0.0);
-        for (const Triplet &t : byBlockCol[bc]) {
-            if (diagBlk && t.row == t.col)
-                continue; // lives in the separated diagonal
-            int64_t pos = payloadPos(layout, diagBlk, bc > br, omega,
-                                     t.row, t.col);
-            ALR_ASSERT(pos >= 0, "unstorable element");
-            chunk.stream[blk.offset + size_t(pos)] = t.val;
-        }
-        chunk.blocks.push_back(blk);
-    }
-    return chunk;
-}
 
 } // namespace
 
@@ -144,6 +136,7 @@ LocallyDenseMatrix::encode(const CsrMatrix &csr, Index omega,
     ld._nnz = csr.nnz();
     ld._blockRows = (csr.rows() + omega - 1) / omega;
     ld._blockRowPtr.assign(ld._blockRows + 1, 0);
+    ld.buildLuts();
 
     if (layout == LdLayout::SymGs) {
         ld._diag.assign(csr.rows(), 0.0);
@@ -156,38 +149,70 @@ LocallyDenseMatrix::encode(const CsrMatrix &csr, Index omega,
     }
 
     ThreadPool &tp = pool ? *pool : ThreadPool::global();
+    const Index blockRows = ld._blockRows;
 
-    // Block rows are independent: encode each into its own chunk, then
-    // merge in block-row order.  With one thread the chunks are built
-    // and appended in exactly the serial order, so the merged arrays
-    // are bit-for-bit what the historical serial loop produced.
-    std::vector<RowChunk> chunks(ld._blockRows);
-    tp.parallelFor(0, ld._blockRows, [&](size_t br) {
-        chunks[br] = encodeBlockRow(csr, omega, layout, Index(br));
+    // Pass 1: each block row's block count and payload length, then
+    // prefix sums place every block row in the final arrays.
+    std::vector<size_t> streamBase(blockRows + 1, 0);
+    tp.parallelForChunks(0, blockRows, [&](size_t lo, size_t hi) {
+        BlockRowColumns columns(csr, omega, layout);
+        for (size_t br = lo; br < hi; ++br) {
+            const std::vector<Index> &cols = columns.load(Index(br));
+            size_t payload = 0;
+            for (Index bc : cols)
+                payload += payloadSize(layout, bc == br, omega);
+            ld._blockRowPtr[br + 1] = Index(cols.size());
+            streamBase[br + 1] = payload;
+        }
     });
-
-    // Prefix sums give every chunk its slot in the final arrays.
-    std::vector<size_t> blockBase(ld._blockRows + 1, 0);
-    std::vector<size_t> streamBase(ld._blockRows + 1, 0);
-    for (Index br = 0; br < ld._blockRows; ++br) {
-        blockBase[br + 1] = blockBase[br] + chunks[br].blocks.size();
-        streamBase[br + 1] = streamBase[br] + chunks[br].stream.size();
-        ld._blockRowPtr[br + 1] = Index(blockBase[br + 1]);
+    for (Index br = 0; br < blockRows; ++br) {
+        ld._blockRowPtr[br + 1] += ld._blockRowPtr[br];
+        streamBase[br + 1] += streamBase[br];
     }
 
-    ld._blocks.resize(blockBase[ld._blockRows]);
-    ld._stream.resize(streamBase[ld._blockRows]);
-    tp.parallelFor(0, ld._blockRows, [&](size_t br) {
-        RowChunk &chunk = chunks[br];
-        for (size_t i = 0; i < chunk.blocks.size(); ++i) {
-            LdBlockInfo blk = chunk.blocks[i];
-            blk.offset += streamBase[br];
-            ld._blocks[blockBase[br] + i] = blk;
+    // Pass 2: every block row writes its descriptors and its zero-filled
+    // payload straight into its own slots.  Each block row's output is a
+    // pure function of the matrix, so the arrays are byte-identical at
+    // any pool size.  A SymGs diagonal block's diagonal lives in
+    // diagonal(), not in the stream.
+    ld._blocks.resize(ld._blockRowPtr[blockRows]);
+    ld._stream.resize(streamBase[blockRows]);
+    const auto &rowPtr = csr.rowPtr();
+    const auto &colIdx = csr.colIdx();
+    const auto &vals = csr.vals();
+    tp.parallelForChunks(0, blockRows, [&](size_t lo, size_t hi) {
+        BlockRowColumns columns(csr, omega, layout);
+        for (size_t b = lo; b < hi; ++b) {
+            const Index br = Index(b);
+            const std::vector<Index> &cols = columns.load(br);
+            LdBlockInfo *blks = ld._blocks.data() + ld._blockRowPtr[br];
+            size_t offset = streamBase[br];
+            for (size_t j = 0; j < cols.size(); ++j) {
+                blks[j] = {br, cols[j], offset,
+                           payloadSize(layout, cols[j] == br, omega)};
+                offset += blks[j].size;
+            }
+            std::fill(ld._stream.begin() + std::ptrdiff_t(streamBase[br]),
+                      ld._stream.begin() + std::ptrdiff_t(offset), 0.0);
+
+            const Index rLo = br * omega;
+            const Index rHi = std::min<Index>(rLo + omega, csr.rows());
+            for (Index r = rLo; r < rHi; ++r) {
+                for (Index k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
+                    const Index bc = colIdx[k] / omega;
+                    const bool diagBlk = layout == LdLayout::SymGs && bc == br;
+                    const Index lr = r - rLo, lc = colIdx[k] - bc * omega;
+                    if (diagBlk && lr == lc)
+                        continue;
+                    const int32_t pos = ld.payloadLut(diagBlk, bc > br)
+                        [size_t(lr) * omega + lc];
+                    ALR_ASSERT(pos >= 0, "unstorable element");
+                    ld._stream[blks[columns.slot(bc)].offset + size_t(pos)] =
+                        vals[k];
+                }
+            }
         }
-        std::copy(chunk.stream.begin(), chunk.stream.end(),
-                  ld._stream.begin() + std::ptrdiff_t(streamBase[br]));
     });
-    ld.buildLuts();
     return ld;
 }
 

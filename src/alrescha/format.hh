@@ -82,10 +82,11 @@ class LocallyDenseMatrix
     /**
      * Encode @p csr with block width @p omega in the given layout.
      *
-     * Block rows are encoded independently on @p pool (nullptr = the
-     * process-wide pool, sized by ALR_THREADS) and merged in block-row
-     * order, so the result is bit-for-bit identical to a single-thread
-     * encode.
+     * Two parallel passes over block rows on @p pool (nullptr = the
+     * process-wide pool, sized by ALR_THREADS): the first sizes each
+     * block row, and after a prefix sum the second writes its blocks
+     * and payload in place, so the result is bit-for-bit identical to
+     * a single-thread encode (docs/FORMAT.md "Encoder").
      */
     static LocallyDenseMatrix encode(const CsrMatrix &csr, Index omega,
                                      LdLayout layout,

@@ -26,11 +26,13 @@ using profile::Cause;
  *  key and checksum from byte-wise FNV-1a to hash::WordHasher, version
  *  3 dropped the timing-partition and D-SymGS level boundaries from
  *  each schedule, version 4 dropped the xValid, validRows and
- *  rowUseful arrays, which no run read, and version 5 dropped every
+ *  rowUseful arrays, which no run read, version 5 dropped every
  *  precomputed timing term (the timing walk computes them) and
- *  narrowed the params fingerprint to omega and skipEmptyBlockRows. */
+ *  narrowed the params fingerprint to omega and skipEmptyBlockRows,
+ *  and version 6 writes each distinct row store once, ahead of the
+ *  schedules that name it, and dropped the SpMM stream bytes. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 5;
+constexpr uint32_t kSchedCacheVersion = 6;
 
 namespace {
 
@@ -54,16 +56,17 @@ fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
         s.pathCount != table.entries().size() ||
         s.paddedOperand != size_t((operandLen + omega - 1) / omega) * omega)
         return false;
+    const RowStore &R = *s.rows;
     for (size_t i = 0; i < s.pathCount; ++i) {
         const uint64_t r0 = uint64_t(s.blockRow[i]) * omega;
         const bool consecutive =
             s.contiguousRows && s.dp[i] != DataPathType::DSymgs;
-        for (size_t rr = s.rowBegin[i]; rr < s.rowBegin[i + 1]; ++rr) {
+        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
             // Unsigned: a row below r0 wraps far past omega.
-            const uint64_t r = s.rowIndex[rr];
+            const uint64_t r = R.rowIndex[rr];
             if (r >= ld.rows() || r - r0 >= omega ||
-                (consecutive && rr > s.rowBegin[i] &&
-                 r != uint64_t(s.rowIndex[rr - 1]) + 1))
+                (consecutive && rr > R.rowBegin[i] &&
+                 r != uint64_t(R.rowIndex[rr - 1]) + 1))
                 return false;
         }
     }
@@ -225,8 +228,16 @@ Engine::prepare()
         break;
     }
     if (!slot.sched) {
-        slot.sched = std::make_unique<ExecSchedule>(
-            compileSchedule(*_ld, *_table, _params, &hostPool()));
+        // A live schedule of the same matrix whose table has the same
+        // row-store key holds exactly the records this one needs.
+        const uint64_t rowKey = rowStoreKey(*_table, _params);
+        auto sibling = std::find_if(
+            _schedules.begin(), _schedules.end(), [&](const ScheduleSlot &s) {
+                return s.ldGen == slot.ldGen && s.sched->rows->key == rowKey;
+            });
+        slot.sched = std::make_unique<ExecSchedule>(compileSchedule(
+            *_ld, *_table, _params, &hostPool(),
+            sibling != _schedules.end() ? sibling->sched->rows : nullptr));
         ++_scheduleCompiles;
     }
     slot.memo = std::make_unique<TimingMemo>();
@@ -255,10 +266,25 @@ Engine::saveScheduleCache(std::ostream &out) const
     std::lock_guard<std::mutex> lock(_scheduleMutex);
     // Serialize the body first so the header can carry its checksum:
     // structural validation alone cannot catch a flipped byte inside a
-    // serialized double, but the digest catches any corruption.
-    std::ostringstream body;
-    bio::writePod<uint32_t>(body, uint32_t(_schedules.size()));
+    // serialized double, but the digest catches any corruption.  Each
+    // distinct row store is written once, in the order schedules first
+    // name it, and every schedule names its store by that position.
+    std::vector<const RowStore *> stores;
+    std::vector<uint32_t> storeOf;
     for (const ScheduleSlot &slot : _schedules) {
+        const RowStore *rows = slot.sched->rows.get();
+        auto at = std::find(stores.begin(), stores.end(), rows);
+        storeOf.push_back(uint32_t(at - stores.begin()));
+        if (at == stores.end())
+            stores.push_back(rows);
+    }
+    std::ostringstream body;
+    bio::writePod<uint32_t>(body, uint32_t(stores.size()));
+    for (const RowStore *rows : stores)
+        serializeRowStore(body, *rows);
+    bio::writePod<uint32_t>(body, uint32_t(_schedules.size()));
+    for (size_t i = 0; i < _schedules.size(); ++i) {
+        const ScheduleSlot &slot = _schedules[i];
         bio::writePod<uint64_t>(body, slot.ldHash);
         bio::writePod<uint64_t>(body, slot.tableHash);
         bio::writePod<uint64_t>(body, uint64_t(slot.entryCount));
@@ -266,9 +292,10 @@ Engine::saveScheduleCache(std::ostream &out) const
         bio::writePod<uint64_t>(body, uint64_t(slot.streamLen));
         bio::writePod<uint8_t>(body, uint8_t(slot.kernel));
         bio::writePod<uint32_t>(body, slot.omega);
+        bio::writePod<uint32_t>(body, storeOf[i]);
         serializeSchedule(body, *slot.sched);
     }
-    const std::string bytes = body.str();
+    const std::string bytes = std::move(body).str();
     bio::writePod<uint32_t>(out, kSchedCacheMagic);
     bio::writePod<uint32_t>(out, kSchedCacheVersion);
     bio::writePod<uint64_t>(out, scheduleParamsFingerprint(_params));
@@ -320,7 +347,15 @@ Engine::loadScheduleCache(std::istream &in)
             throw std::runtime_error("truncated schedule cache");
         if (hash::ofBytes(bytes.data(), bytes.size()) != bodyHash)
             throw std::runtime_error("schedule cache checksum mismatch");
-        std::istringstream body(bytes);
+        std::istringstream body(std::move(bytes));
+        const uint32_t storeCount = bio::readPod<uint32_t>(body);
+        if (storeCount > 4096)
+            throw std::runtime_error("implausible row store count");
+        std::vector<std::shared_ptr<const RowStore>> stores;
+        for (uint32_t i = 0; i < storeCount; ++i)
+            stores.push_back(
+                std::make_shared<const RowStore>(deserializeRowStore(body)));
+        std::vector<bool> named(storeCount, false);
         uint32_t count = bio::readPod<uint32_t>(body);
         if (count > 4096)
             throw std::runtime_error("implausible schedule count");
@@ -333,8 +368,14 @@ Engine::loadScheduleCache(std::istream &in)
             slot.streamLen = size_t(bio::readPod<uint64_t>(body));
             slot.kernel = KernelType(bio::readPod<uint8_t>(body));
             slot.omega = bio::readPod<uint32_t>(body);
-            slot.sched =
-                std::make_unique<ExecSchedule>(deserializeSchedule(body));
+            const uint32_t store = bio::readPod<uint32_t>(body);
+            if (store >= storeCount)
+                throw std::runtime_error("schedule names a missing row store");
+            slot.sched = std::make_unique<ExecSchedule>(
+                deserializeSchedule(body, stores[store]));
+            // The first schedule to name a store counts its bytes.
+            slot.sched->countsRows = !named[store];
+            named[store] = true;
             // Function pointers do not serialize: re-stamp the replay
             // entry points for this process's ISA and knobs, making
             // the restored schedule indistinguishable from a fresh
@@ -839,19 +880,18 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     // line it left, charging no cycles.  So an SpMM makes its SpMV's
     // cache accesses and switches, in the same order and at the same
     // cycles, from any entry state, and only its stream terms, which
-    // depend on k alone, differ: the block streams once and its rows
-    // issue once per right-hand side (the occupied rows when empty
-    // rows are skipped, else all omega).  It therefore walks as the
-    // SpMV does with its own stream terms, and shares the SpMV's memo
-    // entries, which hold SpMV timings: a walk records its timing with
-    // the SpMV stream terms, and a replay swaps in its own.
+    // depend on k alone, differ: the block streams its SpMV's payload
+    // once and its rows issue once per right-hand side (the occupied
+    // rows when empty rows are skipped, else all omega).  It therefore
+    // walks as the SpMV does with its own stream terms, and shares the
+    // SpMV's memo entries, which hold SpMV timings: a walk records its
+    // timing with the SpMV stream terms, and a replay swaps in its own.
     Walk w(*this, memo, {});
     const std::vector<StreamTerm> rowTerms = rowStreamTerms();
     auto spmmTerm = [&](size_t i) {
-        const size_t rowCount = _params.skipEmptyBlockRows
-                                    ? S.rowBegin[i + 1] - S.rowBegin[i]
-                                    : size_t(S.omega);
-        StreamTerm st = rowTerms[rowCount];
+        const size_t rowCount =
+            _params.skipEmptyBlockRows ? S.pathRows(i) : size_t(S.omega);
+        StreamTerm st = gemvStreamTerm(S, i, rowTerms);
         st.cycles = std::max(st.mem, uint64_t(rowCount) * k);
         return st;
     };
@@ -877,7 +917,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     _rcu.cache().addPending({.reads = (k - 1) * once.reads,
                              .writes = (k - 1) * once.writes,
                              .hits = (k - 1) * (once.reads + once.writes)});
-    w.ranSchedule(S, S.spmmStreamBytes, double(k));
+    w.ranSchedule(S, S.totalStreamBytes, double(k));
     commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops * double(k),
                .usefulBytes = S.usefulBytes, .name = "spmm"},
               timing);
@@ -902,6 +942,7 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     const DenseVector &diag = _ld->diagonal();
     const auto [sched, memo] = prepare();
     const ExecSchedule &S = *sched;
+    const RowStore &R = *S.rows;
 
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
 
@@ -943,15 +984,17 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         } else {
             const Index r0 = br * omega;
             links.popAccumulate(acc.data(), omega);
-            for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr) {
-                Index r = S.rowIndex[rr];
+            for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+                Index r = R.rowIndex[rr];
                 Index lr = r - r0;
-                const Value *v = &S.values[rr * omega];
-                // The diagonal lane stays explicitly masked (the
-                // interpreter zeroes value *and* operand there; the
-                // padded buffer covers the matrix-edge lanes).
+                const Value *v = &R.values[rr * omega];
+                // The record holds the diagonal, so its lane is masked
+                // to exactly +0.0, as the interpreter's zeroed value
+                // and operand give (v * 0.0 would be -0.0 for a
+                // negative diagonal); the padded buffer covers the
+                // matrix-edge lanes.
                 for (Index lc = 0; lc < omega; ++lc)
-                    lanes[lc] = v[lc] * (lc == lr ? 0.0 : xw[r0 + lc]);
+                    lanes[lc] = lc == lr ? 0.0 : v[lc] * xw[r0 + lc];
                 Value dot = fcutree::sumTree(lanes.data(), omega);
                 Value sum = acc[lr] + dot;
                 xw[r] = (b[r] - sum) / diag[r];
@@ -973,7 +1016,7 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         // The chain starts once the pipeline has filled behind the
         // stream front, the previous link is done and the diagonal
         // chunk is read; x^t's chunk writes back after it.
-        const size_t pathRows = S.rowBegin[i + 1] - S.rowBegin[i];
+        const size_t pathRows = S.pathRows(i);
         w.enter(dp, br, false);
         w.stream(chainTerm, pathRows * sizeof(Value));
         const uint64_t diagRead = w.dependentRead(CacheVec::Diag, br);

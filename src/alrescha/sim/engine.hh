@@ -137,8 +137,10 @@ class Engine
     /**
      * Compile (or fetch from the cache) the execution schedule for the
      * programmed pair, so the first run after programming is already
-     * cheap.  SpMV, SpMM and SymGS runs replay it.  Returns nullptr
-     * when the table kernel is not schedulable (graph rounds walk the
+     * cheap.  SpMV, SpMM and SymGS runs replay it.  A compile binds the
+     * row store of a cached schedule of the same matrix and
+     * rowStoreKey instead of gathering its own.  Returns nullptr when
+     * the table kernel is not schedulable (graph rounds walk the
      * table).
      */
     const ExecSchedule *prepareSchedule();
@@ -195,9 +197,9 @@ class Engine
 
     /**
      * Persist the MRU schedule cache (front-to-back) in the versioned
-     * binary cache format: content-hash keys plus the complete
-     * compiled state of each schedule.  Returns false (after warn) on
-     * a write failure.
+     * binary cache format: each distinct row store once, then the
+     * content-hash keys and the compiled state of each schedule, which
+     * names its store.  Returns false (after warn) on a write failure.
      */
     bool saveScheduleCache(std::ostream &out) const;
     bool saveScheduleCacheFile(const std::string &path) const;
@@ -391,7 +393,7 @@ class Engine
                               const std::vector<StreamTerm> &row_terms) const
     {
         if (_params.skipEmptyBlockRows)
-            return row_terms[S.rowBegin[i + 1] - S.rowBegin[i]];
+            return row_terms[S.pathRows(i)];
         return blockStreamTerm(LocallyDenseMatrix::payloadSize(
             _ld->layout(), S.blockRow[i] == S.blockCol[i], _ld->omega()));
     }

@@ -71,8 +71,9 @@ pathRowsGeneric(const ExecSchedule &S, size_t i, const Value *x,
                 Value *buf, Sink &&sink)
 {
     const Index omega = S.omega;
-    const Value *vals = S.values.data();
-    for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr) {
+    const RowStore &R = *S.rows;
+    const Value *vals = R.values.data();
+    for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
         const Value *v = vals + rr * size_t(omega);
         for (Index l = 0; l < omega; ++l)
             buf[l] = v[l] * x[l];
@@ -87,10 +88,11 @@ spmvGeneric(const ExecSchedule &S, const Value *xpad, Value *y,
             size_t pBegin, size_t pEnd)
 {
     GenericBuf buf(S.omega);
+    const Index *rowIndex = S.rows->rowIndex.data();
     for (size_t i = pBegin; i < pEnd; ++i)
         pathRowsGeneric(S, i, xpad + S.xOff[i], buf.p,
-                        [y, &S](size_t rr, Value d) {
-                            y[S.rowIndex[rr]] += d;
+                        [y, rowIndex](size_t rr, Value d) {
+                            y[rowIndex[rr]] += d;
                         });
 }
 
@@ -100,13 +102,14 @@ spmmGeneric(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 {
     const Index omega = S.omega;
     const size_t stride = spmmStride(k);
-    const Value *vals = S.values.data();
+    const RowStore &R = *S.rows;
+    const Value *vals = R.values.data();
     GenericBuf buf(omega);
     for (size_t i = pBegin; i < pEnd; ++i) {
         const Value *x = xt + size_t(S.xOff[i]) * stride;
-        for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr) {
+        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
             const Value *v = vals + rr * size_t(omega);
-            Value *y = yt + size_t(S.rowIndex[rr]) * stride;
+            Value *y = yt + size_t(R.rowIndex[rr]) * stride;
             for (size_t j = 0; j < k; ++j) {
                 for (Index l = 0; l < omega; ++l)
                     buf.p[l] = v[l] * x[l * stride + j];
@@ -121,10 +124,11 @@ symgsGeneric(const ExecSchedule &S, size_t path, const Value *xpad,
              Value *partials)
 {
     const Index r0 = S.blockRow[path] * S.omega;
+    const Index *rowIndex = S.rows->rowIndex.data();
     GenericBuf buf(S.omega);
     pathRowsGeneric(S, path, xpad + S.xOff[path], buf.p,
-                    [partials, r0, &S](size_t rr, Value d) {
-                        partials[S.rowIndex[rr] - r0] = d;
+                    [partials, r0, rowIndex](size_t rr, Value d) {
+                        partials[rowIndex[rr] - r0] = d;
                     });
 }
 

@@ -214,16 +214,16 @@ pairDot(const V *pu, const V *pw)
  */
 template <Index Omega, typename Sink>
 inline void
-pathRows(const ExecSchedule &S, size_t i, const Value *x, Sink &&sink)
+pathRows(const RowStore &R, size_t i, const Value *x, Sink &&sink)
 {
     constexpr int C = kLanes < int(Omega) ? kLanes : int(Omega);
     constexpr int N = int(Omega) / C;
-    const Value *vals = S.values.data();
+    const Value *vals = R.values.data();
     Vec<C> xv[N];
     for (int j = 0; j < N; ++j)
         xv[j] = loadv<C>(x + j * C);
-    size_t rr = S.rowBegin[i];
-    const size_t re = S.rowBegin[i + 1];
+    size_t rr = R.rowBegin[i];
+    const size_t re = R.rowBegin[i + 1];
     for (; rr + 2 <= re; rr += 2) {
         const Value *v = vals + rr * size_t(Omega);
         Vec<C> pu[N], pw[N];
@@ -266,10 +266,10 @@ dotScalar(const Value *v, const Value *x)
 
 template <Index Omega, typename Sink>
 inline void
-pathRows(const ExecSchedule &S, size_t i, const Value *x, Sink &&sink)
+pathRows(const RowStore &R, size_t i, const Value *x, Sink &&sink)
 {
-    const Value *vals = S.values.data();
-    for (size_t rr = S.rowBegin[i]; rr < S.rowBegin[i + 1]; ++rr)
+    const Value *vals = R.values.data();
+    for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr)
         sink(rr, dotScalar<Omega>(vals + rr * size_t(Omega), x));
 }
 
@@ -278,7 +278,7 @@ pathRows(const ExecSchedule &S, size_t i, const Value *x, Sink &&sink)
 // ---------------------------------------------------------------- //
 // Specialized drivers.  Contig folds the row indirection: when the  //
 // schedule's GEMV-path rows are consecutive, the row index is       //
-// base + offset and ExecSchedule::rowIndex is read once per path.   //
+// base + offset and RowStore::rowIndex is read once per path.       //
 // ---------------------------------------------------------------- //
 
 template <Index Omega, bool Contig>
@@ -286,19 +286,20 @@ void
 spmvPathsT(const ExecSchedule &S, const Value *xpad, Value *y,
            size_t pBegin, size_t pEnd)
 {
-    const Index *rowIndex = S.rowIndex.data();
+    const RowStore &R = *S.rows;
+    const Index *rowIndex = R.rowIndex.data();
     for (size_t i = pBegin; i < pEnd; ++i) {
-        const size_t rr0 = S.rowBegin[i];
-        if (rr0 == S.rowBegin[i + 1])
+        const size_t rr0 = R.rowBegin[i];
+        if (rr0 == R.rowBegin[i + 1])
             continue;
         const Value *x = xpad + S.xOff[i];
         if constexpr (Contig) {
             Value *yp = y + rowIndex[rr0];
-            pathRows<Omega>(S, i, x, [yp, rr0](size_t rr, Value d) {
+            pathRows<Omega>(R, i, x, [yp, rr0](size_t rr, Value d) {
                 yp[rr - rr0] += d;
             });
         } else {
-            pathRows<Omega>(S, i, x, [y, rowIndex](size_t rr, Value d) {
+            pathRows<Omega>(R, i, x, [y, rowIndex](size_t rr, Value d) {
                 y[rowIndex[rr]] += d;
             });
         }
@@ -320,12 +321,13 @@ spmmLanes(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
           size_t pBegin, size_t pEnd)
 {
     const size_t stride = spmmStride(k);
-    const Index *rowIndex = S.rowIndex.data();
-    const Value *vals = S.values.data();
+    const RowStore &R = *S.rows;
+    const Index *rowIndex = R.rowIndex.data();
+    const Value *vals = R.values.data();
     for (size_t i = pBegin; i < pEnd; ++i) {
         const Value *x = xt + size_t(S.xOff[i]) * stride;
-        const size_t rr0 = S.rowBegin[i];
-        const size_t re = S.rowBegin[i + 1];
+        const size_t rr0 = R.rowBegin[i];
+        const size_t re = R.rowBegin[i + 1];
         const Index base = rr0 < re && Contig ? rowIndex[rr0] : 0;
         for (size_t rr = rr0; rr < re; ++rr) {
             const Value *v = vals + rr * size_t(Omega);
@@ -382,19 +384,20 @@ void
 symgsPathT(const ExecSchedule &S, size_t path, const Value *xpad,
            Value *partials)
 {
-    const size_t rr0 = S.rowBegin[path];
-    if (rr0 == S.rowBegin[path + 1])
+    const RowStore &R = *S.rows;
+    const size_t rr0 = R.rowBegin[path];
+    if (rr0 == R.rowBegin[path + 1])
         return;
     const Value *x = xpad + S.xOff[path];
     const Index r0 = S.blockRow[path] * Omega;
-    const Index *rowIndex = S.rowIndex.data();
+    const Index *rowIndex = R.rowIndex.data();
     if constexpr (Contig) {
         Value *pp = partials + (rowIndex[rr0] - r0);
-        pathRows<Omega>(S, path, x, [pp, rr0](size_t rr, Value d) {
+        pathRows<Omega>(R, path, x, [pp, rr0](size_t rr, Value d) {
             pp[rr - rr0] = d;
         });
     } else {
-        pathRows<Omega>(S, path, x,
+        pathRows<Omega>(R, path, x,
                         [partials, r0, rowIndex](size_t rr, Value d) {
                             partials[rowIndex[rr] - r0] = d;
                         });

@@ -27,7 +27,7 @@ namespace detail {
  * One ISA's specialized kernels: [ω index][row-layout shape].  The ω
  * axis indexes the compile-time specialized widths {2, 4, 8}; the
  * shape axis is 0 for scattered rows (indirect through
- * ExecSchedule::rowIndex) and 1 for schedules whose GEMV-path rows
+ * RowStore::rowIndex) and 1 for schedules whose GEMV-path rows
  * are consecutive, where the row index folds to base + offset.
  */
 struct KernelTable

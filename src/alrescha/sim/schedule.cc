@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "alrescha/sim/replay.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -17,22 +18,46 @@ namespace {
  */
 constexpr size_t kCompileChunkPaths = 1024;
 
+template <typename V>
+size_t
+vecBytes(const V &v)
+{
+    return v.capacity() * sizeof(v[0]);
+}
+
 } // namespace
+
+size_t
+RowStore::bytes() const
+{
+    return vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(values);
+}
 
 size_t
 ExecSchedule::bytes() const
 {
-    auto vecBytes = [](const auto &v) {
-        return v.capacity() * sizeof(v[0]);
-    };
     return vecBytes(dp) + vecBytes(blockRow) + vecBytes(blockCol) +
-           vecBytes(operandVec) + vecBytes(xOff) + vecBytes(rowBegin) +
-           vecBytes(rowIndex) + vecBytes(values) + vecBytes(groupBegin);
+           vecBytes(operandVec) + vecBytes(xOff) + vecBytes(groupBegin) +
+           (countsRows && rows ? rows->bytes() : 0);
+}
+
+uint64_t
+rowStoreKey(const ConfigTable &table, const AccelParams &params)
+{
+    hash::WordHasher h;
+    h.field(table.kernel() == KernelType::SymGS &&
+            table.direction() == GsSweep::Backward);
+    h.field(params.skipEmptyBlockRows);
+    h.field(uint64_t(table.entries().size()));
+    for (const ConfigEntry &e : table.entries())
+        h.field(e.blockId);
+    return h.digest();
 }
 
 ExecSchedule
 compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
-                const AccelParams &params, ThreadPool *pool)
+                const AccelParams &params, ThreadPool *pool,
+                std::shared_ptr<const RowStore> shared)
 {
     ALR_ASSERT(table.kernel() == KernelType::SpMV ||
                    table.kernel() == KernelType::SymGS,
@@ -61,7 +86,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     s.blockCol.resize(P);
     s.operandVec.resize(P, CacheVec::Xt);
     s.xOff.resize(P, 0);
-    s.rowBegin.resize(P + 1, 0);
 
     // Pass 1, serial: each path's static geometry, and whether block
     // rows never decrease.  Nothing here reads the payload.
@@ -102,59 +126,109 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     auto isChain = [&](size_t i) {
         return !spmv && s.dp[i] == DataPathType::DSymgs;
     };
-    // The omega x omega payload-position LUT of a block's ordering
-    // case, and logical element (lr, lc) of the block through it.
+
+    // The omega x omega payload-position LUT of a block's ordering case,
+    // and logical element (lr, lc) of the block through it.
     auto lutOf = [&](const LdBlockInfo &blk) {
         const bool diagBlk =
             ld.layout() == LdLayout::SymGs && blk.isDiagonal();
         return ld.payloadLut(diagBlk, blk.blockCol > blk.blockRow);
     };
-    auto element = [&](const LdBlockInfo &blk, const int32_t *lut,
-                       Index lr, Index lc) {
+    auto element = [&](const LdBlockInfo &blk, const int32_t *lut, Index lr,
+                       Index lc) {
         int32_t pos = lut[size_t(lr) * omega + lc];
         return pos >= 0 ? stream[blk.offset + size_t(pos)]
                         : diag[blk.blockRow * omega + lr];
     };
+    auto occupiedRow = [&](const LdBlockInfo &blk, const int32_t *lut,
+                           Index lr) {
+        for (Index lc = 0; lc < omega; ++lc)
+            if (element(blk, lut, lr, lc) != 0.0)
+                return true;
+        return false;
+    };
 
-    // Pass 2, parallel: occupied rows per path.  A chain records every
-    // step inside the matrix; a GEMV every row inside it, less the
-    // all-zero ones when they are skipped.
-    tp.parallelFor(0, chunks, [&](size_t c) {
-        auto [lo, hi] = chunkPaths(c);
-        for (size_t i = lo; i < hi; ++i) {
-            const LdBlockInfo &blk = blocks[entries[i].blockId];
-            Index inside = Index(std::clamp<int64_t>(
-                int64_t(rows) - int64_t(blk.blockRow) * omega, 0, omega));
-            if (isChain(i) || !skipEmpty) {
-                s.rowBegin[i + 1] = inside;
-                continue;
-            }
-            const int32_t *lut = lutOf(blk);
-            Index occupied = 0;
-            for (Index lr = 0; lr < inside; ++lr) {
-                for (Index lc = 0; lc < omega; ++lc) {
-                    if (element(blk, lut, lr, lc) != 0.0) {
-                        ++occupied;
-                        break;
-                    }
+    // The row records: a sibling's store, or one this schedule gathers
+    // (and counts).
+    std::shared_ptr<RowStore> built;
+    if (shared) {
+        ALR_ASSERT(shared->key == rowStoreKey(table, params) &&
+                       shared->omega == omega &&
+                       shared->rowBegin.size() == P + 1,
+                   "row store does not serve this table");
+        s.rows = std::move(shared);
+    } else {
+        built = std::make_shared<RowStore>();
+        built->key = rowStoreKey(table, params);
+        built->omega = omega;
+        built->rowBegin.resize(P + 1, 0);
+
+        // Pass 2, parallel: occupied rows per path.  A chain records
+        // every step inside the matrix; a GEMV every row inside it,
+        // less the all-zero ones when they are skipped.
+        tp.parallelFor(0, chunks, [&](size_t c) {
+            auto [lo, hi] = chunkPaths(c);
+            for (size_t i = lo; i < hi; ++i) {
+                const LdBlockInfo &blk = blocks[entries[i].blockId];
+                Index inside = Index(std::clamp<int64_t>(
+                    int64_t(rows) - int64_t(blk.blockRow) * omega, 0,
+                    omega));
+                if (isChain(i) || !skipEmpty) {
+                    built->rowBegin[i + 1] = inside;
+                    continue;
                 }
+                const int32_t *lut = lutOf(blk);
+                Index occupied = 0;
+                for (Index lr = 0; lr < inside; ++lr)
+                    occupied += occupiedRow(blk, lut, lr);
+                built->rowBegin[i + 1] = occupied;
             }
-            s.rowBegin[i + 1] = occupied;
+        });
+
+        // Pass 3, serial: the prefix sum gives every path its row
+        // slots, so the row arrays are sized exactly, once.
+        for (size_t i = 0; i < P; ++i)
+            built->rowBegin[i + 1] += built->rowBegin[i];
+        const size_t records = built->rowBegin[P];
+        built->rowIndex.resize(records);
+        built->values.resize(records * omega);
+        s.rows = built;
+        s.countsRows = true;
+    }
+    const RowStore &R = *s.rows;
+
+    // Gather path i's rows into its own slots of the store being built
+    // -- a chain's in execution order (reversed for backward sweeps) --
+    // with every logical value, the diagonal included.
+    auto gather = [&](size_t i) {
+        const LdBlockInfo &blk = blocks[entries[i].blockId];
+        const int32_t *lut = lutOf(blk);
+        const bool chain = isChain(i);
+        size_t slot = built->rowBegin[i];
+        for (Index step = 0; step < omega; ++step) {
+            const Index lr = chain && backward ? omega - 1 - step : step;
+            const Index r = blk.blockRow * omega + lr;
+            // Test before writing: a skipped last row must not touch
+            // the next path's first slot.
+            if (r >= rows ||
+                (!chain && skipEmpty && !occupiedRow(blk, lut, lr)))
+                continue;
+            ALR_ASSERT(slot < built->rowBegin[i + 1],
+                       "row count pass disagrees");
+            Value *dst = built->values.data() + slot * omega;
+            for (Index lc = 0; lc < omega; ++lc)
+                dst[lc] = element(blk, lut, lr, lc);
+            built->rowIndex[slot] = r;
+            ++slot;
         }
-    });
+        ALR_ASSERT(slot == built->rowBegin[i + 1], "row count pass disagrees");
+    };
 
-    // Pass 3, serial: the prefix sum gives every path its row slots,
-    // so the row arrays are sized exactly, once.
-    for (size_t i = 0; i < P; ++i)
-        s.rowBegin[i + 1] += s.rowBegin[i];
-    const size_t records = s.rowBegin[P];
-    s.rowIndex.resize(records);
-    s.values.resize(records * omega);
-
-    // Pass 4, parallel: gather each path's rows into its own slots,
-    // with per-chunk stat partials.  Every partial is an integer-valued
-    // double far below 2^53, so their sum is exact and equals the
-    // serial accumulation in any order.
+    // Pass 4, parallel: gather each path when the store is new, then
+    // tally the per-run stat totals from its records, with per-chunk
+    // partials.  Every partial is an integer-valued double far below
+    // 2^53, so their sum is exact and equals the serial accumulation in
+    // any order.
     struct Partial
     {
         double parFlops = 0.0;
@@ -163,7 +237,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         double peOps = 0.0;
         double rowOps = 0.0; ///< FCU mul = alu = reduce ops
         uint64_t streamBytes = 0;
-        uint64_t spmmBytes = 0;
         bool contiguous = true;
     };
     std::vector<Partial> partials(chunks);
@@ -171,77 +244,47 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         auto [lo, hi] = chunkPaths(c);
         Partial &acc = partials[c];
         for (size_t i = lo; i < hi; ++i) {
+            if (built)
+                gather(i);
             const LdBlockInfo &blk = blocks[entries[i].blockId];
-            const int32_t *lut = lutOf(blk);
             const Index r0 = blk.blockRow * omega;
-            size_t slot = s.rowBegin[i];
-            const size_t end = s.rowBegin[i + 1];
-
-            if (!isChain(i)) {
-                for (Index lr = 0; lr < omega; ++lr) {
-                    Index r = r0 + lr;
-                    if (r >= rows)
-                        break;
-                    Index useful = 0;
-                    for (Index lc = 0; lc < omega; ++lc)
-                        useful += element(blk, lut, lr, lc) != 0.0;
-                    // Test before writing: a skipped last row must not
-                    // touch the next path's first slot.
-                    if (useful == 0 && skipEmpty)
-                        continue;
-                    ALR_ASSERT(slot < end, "row count pass disagrees");
-                    Value *dst = s.values.data() + slot * omega;
-                    for (Index lc = 0; lc < omega; ++lc)
-                        dst[lc] = element(blk, lut, lr, lc);
-                    if (slot > s.rowBegin[i] &&
-                        s.rowIndex[slot - 1] + 1 != r)
-                        acc.contiguous = false;
-                    s.rowIndex[slot] = r;
-                    ++slot;
-                    acc.parFlops += 2.0 * useful;
-                    acc.usefulBytes += double(useful) * sizeof(Value);
-                    acc.rowOps += double(omega);
-                }
-
-                // The stream stats: a skipping run streams the occupied
-                // rows, any other the whole block payload; SpMM streams
-                // row-granular either way.
-                const Index occupied = Index(end - s.rowBegin[i]);
-                const Index streamedRows = skipEmpty ? occupied : omega;
+            const size_t begin = R.rowBegin[i];
+            const size_t end = R.rowBegin[i + 1];
+            const bool chain = isChain(i);
+            if (!chain) {
+                // A skipping run streams the occupied rows, any other
+                // the whole block payload.
                 acc.streamBytes +=
-                    skipEmpty ? uint64_t(occupied) * omega * sizeof(Value)
+                    skipEmpty ? uint64_t(end - begin) * omega * sizeof(Value)
                               : uint64_t(blk.size) * sizeof(Value);
-                acc.spmmBytes +=
-                    uint64_t(streamedRows) * omega * sizeof(Value);
             } else {
                 // The block payload, plus the b operand through its
                 // FIFO: one useful double per chain record.
-                acc.streamBytes += (uint64_t(blk.size) + end - s.rowBegin[i]) *
-                                   sizeof(Value);
-                acc.usefulBytes += double(end - s.rowBegin[i]) * sizeof(Value);
-                // Chain steps in execution order (reversed for backward
-                // sweeps); the diagonal lane is pre-zeroed like the
-                // interpreter's operand rotation.
-                for (Index step = 0; step < omega; ++step) {
-                    Index lr = backward ? omega - 1 - step : step;
-                    Index r = r0 + lr;
-                    if (r >= rows)
-                        continue;
-                    Value *dst = s.values.data() + slot * omega;
-                    Index useful = 0;
-                    for (Index lc = 0; lc < omega; ++lc) {
-                        dst[lc] = lc == lr ? 0.0 : element(blk, lut, lr, lc);
-                        useful += dst[lc] != 0.0;
-                    }
-                    s.rowIndex[slot] = r;
-                    ++slot;
-                    acc.rowOps += double(omega);
+                acc.streamBytes +=
+                    (uint64_t(blk.size) + end - begin) * sizeof(Value);
+                acc.usefulBytes += double(end - begin) * sizeof(Value);
+            }
+            for (size_t rr = begin; rr < end; ++rr) {
+                const Value *v = R.values.data() + rr * omega;
+                Index useful = 0;
+                for (Index lc = 0; lc < omega; ++lc)
+                    useful += v[lc] != 0.0;
+                // A chain masks its diagonal lane when it replays.
+                if (chain)
+                    useful -= v[R.rowIndex[rr] - r0] != 0.0;
+                acc.rowOps += double(omega);
+                if (!chain) {
+                    if (rr > begin &&
+                        R.rowIndex[rr - 1] + 1 != R.rowIndex[rr])
+                        acc.contiguous = false;
+                    acc.parFlops += 2.0 * useful;
+                    acc.usefulBytes += double(useful) * sizeof(Value);
+                } else {
                     acc.peOps += 2.0;
                     acc.seqFlops += 2.0 * useful + 2.0;
                     acc.usefulBytes += double(useful + 2) * sizeof(Value);
                 }
             }
-            ALR_ASSERT(slot == end, "row count pass disagrees");
         }
     });
     s.contiguousRows = true;
@@ -254,7 +297,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         s.fcuOps.alu += acc.rowOps;
         s.fcuOps.reduce += acc.rowOps;
         s.totalStreamBytes += acc.streamBytes;
-        s.spmmStreamBytes += acc.spmmBytes;
         s.contiguousRows = s.contiguousRows && acc.contiguous;
     }
 

@@ -10,9 +10,13 @@
  * What is precomputed (everything that is invariant across runs and
  * that the functional replay or the cache-access sequence reads):
  *  - per-path data path, block geometry, operand cache vector and
- *    gather offset, and the resolved block values, gathered once
- *    through the payload-position LUTs into a struct-of-arrays of
- *    omega-wide row records (rowBegin gives each path its row count);
+ *    gather offset;
+ *  - the resolved block values, gathered once through the
+ *    payload-position LUTs into omega-wide row records (RowStore).
+ *    The records depend only on the matrix, the order the table
+ *    visits its blocks and the direction of its chain steps, so every
+ *    schedule with the same three shares one immutable store: a PDE
+ *    load's SpMV and forward-SymGS schedules hold one copy;
  *  - the configured data path the run leaves behind (lastDp), for a
  *    run whose walk the engine replays from its timing memo;
  *  - per-run totals of every accumulated stat (flops, useful bytes,
@@ -36,6 +40,7 @@
 #define ALR_ALRESCHA_SIM_SCHEDULE_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "alrescha/config_table.hh"
@@ -48,6 +53,47 @@
 namespace alr {
 
 class ThreadPool;
+
+/**
+ * The row records of a compiled schedule: for each path, its occupied
+ * rows (a GEMV) or its chain steps in execution order (a D-SymGS),
+ * each with its global output row and its omega logical block values
+ * in lane order, the diagonal included (a chain masks its diagonal
+ * lane when it replays).  Immutable once built, and held through
+ * std::shared_ptr<const RowStore> by every schedule of one matrix
+ * whose table has the same key (rowStoreKey).
+ */
+struct RowStore
+{
+    /** rowStoreKey of the tables the records serve. */
+    uint64_t key = 0;
+    Index omega = 0;
+    /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]).  Its
+     *  length -- the occupied rows a GEMV path streams when empty rows
+     *  are skipped, the steps of a D-SymGS chain -- is what the timing
+     *  walk derives the path's stream and chain terms from. */
+    std::vector<size_t> rowBegin;
+    std::vector<Index> rowIndex; ///< global output row
+    /** Gathered block values, omega per record, in lane order.
+     *  64-byte-aligned so the ω-specialized replay kernels load whole
+     *  records at full width (a record is one cache line at the
+     *  paper's ω = 8). */
+    AlignedValueVector values;
+
+    /** Heap footprint. */
+    size_t bytes() const;
+};
+
+/**
+ * What a table's row records depend on besides the matrix: a digest of
+ * the block ids in the table's visit order, the direction of its chain
+ * steps (reversed only in a backward SymGS sweep) and whether empty
+ * rows are skipped.  Two tables of one matrix with equal keys gather
+ * identical records: a GEMV and a chain over a SymGs-layout diagonal
+ * block record the same rows, because the diagonal keeps every row
+ * occupied.
+ */
+uint64_t rowStoreKey(const ConfigTable &table, const AccelParams &params);
 
 /**
  * A compiled execution schedule: the configuration table lowered into
@@ -73,20 +119,20 @@ struct ExecSchedule
      * full-width, in-bounds load -- no per-lane tail handling.
      */
     std::vector<uint32_t> xOff;
-    /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]).  Its
-     *  length -- the occupied rows a GEMV path streams when empty rows
-     *  are skipped, the steps of a D-SymGS chain -- is what the timing
-     *  walk derives the path's stream and chain terms from. */
-    std::vector<size_t> rowBegin;
 
     // ---- row records (one per occupied row / diagonal chain step) ----
-    std::vector<Index> rowIndex; ///< global output row
-    /** Gathered block values, omega per record, in lane order; the
-     *  diagonal lane of D-SymGS chain records is pre-zeroed exactly as
-     *  the interpreter zeroes it.  64-byte-aligned so the ω-specialized
-     *  replay kernels load whole records at full width (a record is one
-     *  cache line at the paper's ω = 8). */
-    AlignedValueVector values;
+    /** The records, shared with every sibling schedule of the same
+     *  matrix and rowStoreKey. */
+    std::shared_ptr<const RowStore> rows;
+    /** bytes() counts the store here: this schedule built it, or was
+     *  the first in a restored cache file to name it.  Summing bytes()
+     *  over an engine's schedules then counts each store once. */
+    bool countsRows = false;
+    /** Row records of path i. */
+    size_t pathRows(size_t i) const
+    {
+        return rows->rowBegin[i + 1] - rows->rowBegin[i];
+    }
 
     // ---- block-row groups (independent GEMV path ranges) ----
     /** Path range of group g: [groupBegin[g], groupBegin[g+1]).  Two
@@ -122,10 +168,8 @@ struct ExecSchedule
     /** FCU op totals for one run (per right-hand side for SpMM). */
     FcuOpCounts fcuOps;
     double peOps = 0.0;
-    /** Streamed payload bytes per run (SpMV / SymGS accounting). */
+    /** Streamed payload bytes per run (an SpMM streams its SpMV's). */
     uint64_t totalStreamBytes = 0;
-    /** Streamed payload bytes under SpMM accounting (row-granular). */
-    uint64_t spmmStreamBytes = 0;
     /**
      * Length the operand vector must be staged to for the gather plan:
      * the chunk count times omega (operand entries past the matrix edge
@@ -134,7 +178,8 @@ struct ExecSchedule
      */
     size_t paddedOperand = 0;
 
-    /** Heap footprint, for curiosity and cache-size accounting. */
+    /** Heap footprint, for curiosity and cache-size accounting: the
+     *  store counts only where countsRows is set. */
     size_t bytes() const;
 };
 
@@ -148,11 +193,17 @@ struct ExecSchedule
  * the engine passes its host pool, the one encode and convert use) and
  * write exact-size row arrays; the result is byte-identical at any
  * pool size (DESIGN.md "Schedule compiler").
+ *
+ * @p shared, when given, is a sibling schedule's store for the same
+ * matrix and rowStoreKey: the schedule binds it instead of gathering
+ * its own records.  Without it the schedule builds (and counts) a
+ * store of its own.
  */
 ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,
                              const AccelParams &params,
-                             ThreadPool *pool = nullptr);
+                             ThreadPool *pool = nullptr,
+                             std::shared_ptr<const RowStore> shared = nullptr);
 
 } // namespace alr
 

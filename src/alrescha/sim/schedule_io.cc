@@ -12,11 +12,64 @@ namespace alr {
 
 namespace {
 
-// Per-schedule framing inside a cache file.  Bump on any layout
-// change: version-mismatched files fall back to recompile.
+// Framing inside a cache file.  Bump on any layout change:
+// version-mismatched files fall back to recompile.
 constexpr uint32_t kScheduleTag = 0x5C4ED001; // "SCHED" v1
+constexpr uint32_t kRowStoreTag = 0x5C4E0005; // "SCHED ROWS"
+
+/** Throw the loader's corruption error unless @p ok. */
+void
+check(bool ok)
+{
+    if (!ok)
+        throw std::runtime_error("inconsistent schedule in cache");
+}
+
+/** @p v starts at 0, ends at @p last and never decreases. */
+bool
+monotone(const std::vector<size_t> &v, size_t last)
+{
+    return !v.empty() && v.front() == 0 && v.back() == last &&
+           std::is_sorted(v.begin(), v.end());
+}
 
 } // namespace
+
+void
+serializeRowStore(std::ostream &out, const RowStore &r)
+{
+    bio::writePod<uint32_t>(out, kRowStoreTag);
+    bio::writePod<uint64_t>(out, r.key);
+    bio::writePod<uint32_t>(out, r.omega);
+    bio::writeVec(out, r.rowBegin);
+    bio::writeVec(out, r.rowIndex);
+    bio::writeVec(out, r.values);
+}
+
+RowStore
+deserializeRowStore(std::istream &in)
+{
+    if (bio::readPod<uint32_t>(in) != kRowStoreTag)
+        throw std::runtime_error("bad row store tag");
+    RowStore r;
+    r.key = bio::readPod<uint64_t>(in);
+    r.omega = bio::readPod<uint32_t>(in);
+    bio::readVecInto(in, r.rowBegin);
+    bio::readVecInto(in, r.rowIndex);
+    bio::readVecInto(in, r.values);
+
+    // What replay indexes with must be in range on its own: omega
+    // values per record, a monotone row range per path ending at the
+    // record count, and no path holding more than omega records (the
+    // timing walk indexes its per-row-count stream terms with a path's
+    // record count).
+    check(r.omega > 0);
+    check(r.values.size() == r.rowIndex.size() * size_t(r.omega));
+    check(monotone(r.rowBegin, r.rowIndex.size()));
+    for (size_t i = 0; i + 1 < r.rowBegin.size(); ++i)
+        check(r.rowBegin[i + 1] - r.rowBegin[i] <= size_t(r.omega));
+    return r;
+}
 
 void
 serializeSchedule(std::ostream &out, const ExecSchedule &s)
@@ -31,10 +84,6 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writeVec(out, s.blockCol);
     bio::writeVec(out, s.operandVec);
     bio::writeVec(out, s.xOff);
-    bio::writeVec(out, s.rowBegin);
-
-    bio::writeVec(out, s.rowIndex);
-    bio::writeVec(out, s.values);
 
     bio::writeVec(out, s.groupBegin);
     bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
@@ -50,12 +99,11 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writePod<double>(out, s.fcuOps.add);
     bio::writePod<double>(out, s.peOps);
     bio::writePod<uint64_t>(out, s.totalStreamBytes);
-    bio::writePod<uint64_t>(out, s.spmmStreamBytes);
     bio::writePod<uint64_t>(out, uint64_t(s.paddedOperand));
 }
 
 ExecSchedule
-deserializeSchedule(std::istream &in)
+deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
 {
     if (bio::readPod<uint32_t>(in) != kScheduleTag)
         throw std::runtime_error("bad schedule tag");
@@ -74,10 +122,6 @@ deserializeSchedule(std::istream &in)
     bio::readVecInto(in, s.blockCol);
     bio::readVecInto(in, s.operandVec);
     bio::readVecInto(in, s.xOff);
-    bio::readVecInto(in, s.rowBegin);
-
-    bio::readVecInto(in, s.rowIndex);
-    bio::readVecInto(in, s.values);
 
     bio::readVecInto(in, s.groupBegin);
     s.parallelSafe = bio::readPod<uint8_t>(in) != 0;
@@ -96,43 +140,30 @@ deserializeSchedule(std::istream &in)
     s.fcuOps.add = bio::readPod<double>(in);
     s.peOps = bio::readPod<double>(in);
     s.totalStreamBytes = bio::readPod<uint64_t>(in);
-    s.spmmStreamBytes = bio::readPod<uint64_t>(in);
     s.paddedOperand = size_t(bio::readPod<uint64_t>(in));
 
     // Structural sanity: the checksum only proves the bytes are the
     // ones some writer hashed, so everything replay indexes with must
     // be in range on its own.  Every per-path vector covers pathCount,
-    // the row and group ranges are monotone and end at the record and
-    // path counts, no path holds more than omega row records, and every
-    // operand chunk lies inside the staged operand.  A file that parses
-    // but violates these is corrupt; throwing here turns it into the
-    // same warn-and-recompile path as a truncated one.  (What depends
-    // on the live matrix is checked when a cache miss claims the
-    // schedule.)
-    auto check = [&](bool ok) {
-        if (!ok)
-            throw std::runtime_error("inconsistent schedule in cache");
-    };
+    // the group ranges are monotone and end at the path count, the row
+    // store (checked on its own when it was read) covers every path at
+    // this schedule's omega, and every operand chunk lies inside the
+    // staged operand.  A file that parses but violates these is
+    // corrupt; throwing here turns it into the same warn-and-recompile
+    // path as a truncated one.  (What depends on the live matrix is
+    // checked when a cache miss claims the schedule.)
     const size_t P = s.pathCount;
     check(s.omega > 0);
     for (size_t n : {s.dp.size(), s.blockRow.size(), s.blockCol.size(),
                      s.operandVec.size(), s.xOff.size()})
         check(n == P);
-    auto monotone = [](const std::vector<size_t> &v, size_t last) {
-        return !v.empty() && v.front() == 0 && v.back() == last &&
-               std::is_sorted(v.begin(), v.end());
-    };
-    check(s.rowBegin.size() == P + 1);
-    check(monotone(s.rowBegin, s.rowIndex.size()));
     check(monotone(s.groupBegin, P));
-    check(s.values.size() == s.rowIndex.size() * size_t(s.omega));
+    check(rows && rows->omega == s.omega && rows->rowBegin.size() == P + 1);
     for (size_t i = 0; i < P; ++i) {
         check(s.dp[i] <= DataPathType::DPr);
         check(size_t(s.xOff[i]) + s.omega <= s.paddedOperand);
-        // The timing walk indexes its per-row-count stream terms with
-        // a path's record count.
-        check(s.rowBegin[i + 1] - s.rowBegin[i] <= size_t(s.omega));
     }
+    s.rows = std::move(rows);
     return s;
 }
 

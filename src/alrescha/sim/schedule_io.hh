@@ -6,8 +6,10 @@
  * next to the program image lets a warm start replay with zero
  * compileSchedule calls.
  *
- * What round-trips: every per-path vector, row record, group
- * boundary, and per-run constant -- the complete compiled state.
+ * What round-trips: every per-path vector, group boundary, and
+ * per-run constant, and the row records -- the complete compiled
+ * state.  A row store is written once, however many schedules hold it,
+ * and each schedule names its store (DESIGN.md "Schedule compiler").
  * What does not: the stamped replay entry points (fns), which are
  * process-local function pointers; the loader
  * re-stamps them through replay::specialize, so a restored schedule is
@@ -24,22 +26,39 @@
 #define ALR_ALRESCHA_SIM_SCHEDULE_IO_HH
 
 #include <iosfwd>
+#include <memory>
 
 #include "alrescha/params.hh"
 #include "alrescha/sim/schedule.hh"
 
 namespace alr {
 
-/** Write the complete compiled state of @p s (everything except the
- *  process-local replay entry points). */
+/** Write the row records of @p r, with its key and omega. */
+void serializeRowStore(std::ostream &out, const RowStore &r);
+
+/**
+ * Read one row store back, checked on its own: omega values per
+ * record, a monotone row range per path that ends at the record count,
+ * and at most omega records per path.  Throws std::runtime_error on
+ * truncated or corrupt input.
+ */
+RowStore deserializeRowStore(std::istream &in);
+
+/** Write the compiled state of @p s except its row store (written
+ *  separately, once per store) and the process-local replay entry
+ *  points. */
 void serializeSchedule(std::ostream &out, const ExecSchedule &s);
 
 /**
- * Read one schedule back.  Throws std::runtime_error on truncated or
- * corrupt input.  The replay entry points are NOT stamped -- callers
- * must run replay::specialize before executing the schedule.
+ * Read one schedule back and bind @p rows, the store its file names
+ * for it; throws std::runtime_error on truncated or corrupt input, or
+ * when @p rows is missing or does not cover the schedule's paths.  The
+ * replay entry points are NOT stamped -- callers must run
+ * replay::specialize before executing the schedule -- and countsRows is
+ * left to the caller.
  */
-ExecSchedule deserializeSchedule(std::istream &in);
+ExecSchedule deserializeSchedule(std::istream &in,
+                                 std::shared_ptr<const RowStore> rows);
 
 /**
  * Digest of the AccelParams fields a compiled schedule's contents

@@ -287,11 +287,15 @@ ReferenceEngine::runSpmm(const std::vector<DenseVector> &xs,
             // The payload is useful once; the reuse is the win.
             usefulBytes += double(useful) * sizeof(Value);
         }
-        // The block streams once; its rows issue once per RHS.
+        // The block streams its SpMV payload once (the occupied rows
+        // when empty rows are skipped, else the whole block); its rows
+        // issue once per RHS.
         Index streamedRows =
             _params.skipEmptyBlockRows ? occupied : omega;
         uint64_t streamedBytes =
-            uint64_t(streamedRows) * omega * sizeof(Value);
+            _params.skipEmptyBlockRows
+                ? uint64_t(occupied) * omega * sizeof(Value)
+                : uint64_t(blk.size) * sizeof(Value);
         _memory.recordStream(streamedBytes);
         uint64_t mem = _memory.streamCycles(streamedBytes);
         uint64_t issue = uint64_t(streamedRows) * k;

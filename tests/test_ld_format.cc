@@ -9,6 +9,7 @@
 
 #include "alrescha/format.hh"
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "sparse/bcsr.hh"
 #include "sparse/coo.hh"
 #include "sparse/dense.hh"
@@ -211,6 +212,45 @@ TEST(LdFormat, StreamBytesAccountsDenseBlocks)
     for (const auto &blk : ld.blocks())
         expected += blk.size * sizeof(Value);
     EXPECT_EQ(ld.streamBytes(), expected);
+}
+
+/**
+ * The encoder's output pinned to digests taken from an earlier encoder
+ * (one that built each block row into its own buffer and merged them):
+ * any rewrite of the encode must keep every stream byte, block
+ * descriptor and diagonal entry, at any pool size.
+ */
+TEST(LdFormat, EncodeOutputIsPinned)
+{
+    struct Case
+    {
+        const char *name;
+        CsrMatrix a;
+        Index omega;
+        LdLayout layout;
+        uint64_t hash;
+        size_t streamBytes;
+    };
+    Rng rmatRng(11), rectRng(12), spdRng(13);
+    const Case cases[] = {
+        {"stencil3d:12 SymGs w8", gen::stencil3d(12, 12, 12, 27), 8,
+         LdLayout::SymGs, 0x5fda50eab5fad751ull, 1448448},
+        {"rmat:10 Plain w4", gen::rmat(10, 8, rmatRng), 4, LdLayout::Plain,
+         0x0edbbc31f6508579ull, 555136},
+        {"randomSpd(97) SymGs w6", gen::randomSpd(97, 5, spdRng), 6,
+         LdLayout::SymGs, 0x0dcc75a9e8ae3ab0ull, 72048},
+        {"randomSparse(70x45) Plain w8", gen::randomSparse(70, 45, 6, rectRng),
+         8, LdLayout::Plain, 0x74a1edf5a8edefa7ull, 27648},
+    };
+    for (const Case &c : cases) {
+        for (int threads : {1, 3}) {
+            ThreadPool pool(threads);
+            auto ld = LocallyDenseMatrix::encode(c.a, c.omega, c.layout, &pool);
+            EXPECT_EQ(ld.contentHash(), c.hash) << c.name << ", " << threads;
+            EXPECT_EQ(ld.streamBytes(), c.streamBytes) << c.name;
+            EXPECT_EQ(ld.decode(), c.a) << c.name;
+        }
+    }
 }
 
 } // namespace

@@ -133,6 +133,7 @@ std::string
 serializeSched(const ExecSchedule &s)
 {
     std::ostringstream out;
+    serializeRowStore(out, *s.rows);
     serializeSchedule(out, s);
     return out.str();
 }
@@ -172,15 +173,15 @@ TEST(ParallelPipeline, CompileIsThreadCountInvariant)
                 // row when empty rows are skipped.
                 if (skip && t.kernel == KernelType::SymGS) {
                     bool endsEmpty = false;
+                    const RowStore &R = *gold.rows;
                     for (size_t i = 0; i + 1 < gold.pathCount; ++i) {
                         if (gold.dp[i] != DataPathType::Gemv ||
-                            gold.rowBegin[i] == gold.rowBegin[i + 1])
+                            gold.pathRows(i) == 0)
                             continue;
                         Index last = std::min<Index>(
                             a.rows(), (gold.blockRow[i] + 1) * omega);
                         endsEmpty |=
-                            gold.rowIndex[gold.rowBegin[i + 1] - 1] + 1 <
-                            last;
+                            R.rowIndex[R.rowBegin[i + 1] - 1] + 1 < last;
                     }
                     EXPECT_TRUE(endsEmpty);
                 }

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 
@@ -249,6 +251,65 @@ TEST(ScheduleEquivalence, PcgFullSolveBitIdentical)
     EXPECT_EQ(r.history, s.history);
     EXPECT_EQ(ref.report().cycles, sch.report().cycles);
     EXPECT_EQ(statDump(ref.engine()), statDump(sch.engine()));
+}
+
+TEST(ScheduleEquivalence, SymgsSignedZerosBitIdentical)
+{
+    // Negative diagonals and zero right-hand-side rows make the sweeps
+    // produce -0.0: rows 0-15 form an island with b = 0, so each sweep
+    // sets them to (0 - 0) / d with d < 0, and those signed zeros feed
+    // the products of later rows.  Every iterate is compared bit for
+    // bit: == would let -0.0 stand for +0.0.  (The row store holds the
+    // diagonal, and a chain masks that lane to +0.0.  A lane of -0.0
+    // from v * 0.0 instead could not show here: the chain adds its dot
+    // to a link-stack sum that starts at +0.0.)
+    const Index n = 83;
+    CooMatrix coo(n, n);
+    for (Index r = 0; r < n; ++r) {
+        coo.add(r, r, -(4.0 + r % 3));
+        const Index lo = r < 16 ? 0 : 16;
+        const Index hi = r < 16 ? 16 : n;
+        for (Index c = r > lo + 2 ? r - 3 : lo; c < std::min(r + 4, hi); ++c)
+            if (c != r && (r + c) % 3 != 0)
+                coo.add(r, c, -0.5 - 0.125 * ((r * c) % 4));
+    }
+    const CsrMatrix a = CsrMatrix::fromCoo(coo);
+    DenseVector b(n);
+    for (Index r = 0; r < n; ++r)
+        b[r] = r < 16 || r % 5 == 0 ? 0.0 : Value(r % 7) - 3.0;
+
+    auto negativeZeros = [](const DenseVector &x) {
+        return std::count_if(x.begin(), x.end(), [](Value v) {
+            return v == 0.0 && std::signbit(v);
+        });
+    };
+    for (Index omega : {Index(4), Index(8)}) {
+        SCOPED_TRACE("omega " + std::to_string(omega));
+        LocallyDenseMatrix ld =
+            LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
+        ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                               GsSweep::Forward);
+        ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                               GsSweep::Backward);
+        Engine refEngine(makeParams(omega, 1));
+        ReferenceEngine ref(refEngine);
+        Engine sch(makeParams(omega, 1));
+        DenseVector xr(n, 0.0), xs(n, 0.0);
+        for (int run = 0; run < 4; ++run) {
+            const ConfigTable &t = run % 2 ? bwd : fwd;
+            ref.program(&ld, &t);
+            sch.program(&ld, &t);
+            RunTiming tr, ts;
+            ref.runSymgsSweep(b, xr, &tr);
+            sch.runSymgsSweep(b, xs, &ts);
+            EXPECT_GE(negativeZeros(xr), 16) << "sweep " << run;
+            ASSERT_EQ(std::memcmp(xr.data(), xs.data(), n * sizeof(Value)),
+                      0)
+                << "sweep " << run;
+            expectTimingEq(tr, ts, "symgs timing");
+        }
+        EXPECT_EQ(statDump(refEngine), statDump(sch));
+    }
 }
 
 TEST(ScheduleEquivalence, UnskippedBlockRowsBitIdentical)
@@ -501,6 +562,42 @@ TEST(ScheduleCache, DistinctTablesGetDistinctSchedules)
     // One compile per table, re-used across all later sweeps.
     EXPECT_EQ(e.scheduleCompiles(), 2u);
     EXPECT_EQ(e.cachedSchedules(), 2u);
+}
+
+TEST(ScheduleCache, PdeSpmvAndForwardSweepShareOneRowStore)
+{
+    // SpMV and the forward sweep visit a SymGs-layout matrix's blocks in
+    // stream order and step their chains forward, so their schedules
+    // hold one row store; the backward sweep visits block rows in
+    // reverse and keeps its own.  Only the schedule that built a store
+    // counts it, so the summed footprint counts each store once.
+    CsrMatrix a = gen::stencil2d(12, 12);
+    Accelerator acc(makeParams(8, 1));
+    acc.loadPde(a);
+    Engine &e = acc.engine();
+    auto prepare = [&](KernelType kernel, GsSweep dir) {
+        e.program(&acc.matrix(), &acc.table(kernel, dir));
+        return e.prepareSchedule();
+    };
+    const ExecSchedule *fwd = prepare(KernelType::SymGS, GsSweep::Forward);
+    const ExecSchedule *bwd = prepare(KernelType::SymGS, GsSweep::Backward);
+    const ExecSchedule *spmv = prepare(KernelType::SpMV, GsSweep::Forward);
+    EXPECT_EQ(e.scheduleCompiles(), 3u);
+    EXPECT_EQ(spmv->rows, fwd->rows);
+    EXPECT_NE(bwd->rows, fwd->rows);
+    EXPECT_TRUE(fwd->countsRows);
+    EXPECT_TRUE(bwd->countsRows);
+    EXPECT_FALSE(spmv->countsRows);
+
+    // The shared store is exactly the one the SpMV table gathers alone.
+    const ExecSchedule alone =
+        compileSchedule(acc.matrix(), acc.table(KernelType::SpMV), e.params());
+    EXPECT_EQ(alone.rows->rowBegin, spmv->rows->rowBegin);
+    EXPECT_EQ(alone.rows->rowIndex, spmv->rows->rowIndex);
+    EXPECT_EQ(alone.rows->values, spmv->rows->values);
+    EXPECT_EQ(alone.totalStreamBytes, spmv->totalStreamBytes);
+    EXPECT_EQ(alone.parFlops, spmv->parFlops);
+    EXPECT_EQ(spmv->bytes() + alone.rows->bytes(), alone.bytes());
 }
 
 TEST(ScheduleCache, InvalidatedOnReload)
@@ -830,7 +927,8 @@ TEST(SimdReplay, GatherPlanInvariants)
             compileSchedule(ld, table, makeParams(omega, 1));
 
         // Value records are loadable at full vector width.
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(s.values.data()) % 64, 0u);
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(s.rows->values.data()) % 64,
+                  0u);
         // The staging length covers the operand in whole chunks.
         EXPECT_EQ(s.paddedOperand % omega, 0u);
         EXPECT_GE(s.paddedOperand, size_t(a.cols()));
@@ -872,17 +970,20 @@ TEST(ScheduleCompile, RecordsMatchMatrixShape)
     AccelParams p = makeParams(8, 1);
     ExecSchedule s = compileSchedule(ld, table, p);
 
+    const RowStore &R = *s.rows;
     EXPECT_EQ(s.pathCount, table.entries().size());
-    EXPECT_EQ(s.rowBegin.size(), s.pathCount + 1);
-    EXPECT_EQ(s.rowBegin.back(), s.rowIndex.size());
-    EXPECT_EQ(s.values.size(), s.rowIndex.size() * size_t(p.omega));
+    EXPECT_EQ(R.rowBegin.size(), s.pathCount + 1);
+    EXPECT_EQ(R.rowBegin.back(), R.rowIndex.size());
+    EXPECT_EQ(R.values.size(), R.rowIndex.size() * size_t(p.omega));
     EXPECT_TRUE(s.parallelSafe);
     EXPECT_GT(s.parFlops, 0.0);
-    EXPECT_GT(s.bytes(), 0u);
+    // A schedule that builds its store counts it.
+    EXPECT_TRUE(s.countsRows);
+    EXPECT_GE(s.bytes(), R.bytes());
     // Every gathered row belongs to its path's block row.
     for (size_t i = 0; i < s.pathCount; ++i) {
-        for (size_t rr = s.rowBegin[i]; rr < s.rowBegin[i + 1]; ++rr) {
-            EXPECT_EQ(s.rowIndex[rr] / p.omega, s.blockRow[i]);
+        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+            EXPECT_EQ(R.rowIndex[rr] / p.omega, s.blockRow[i]);
         }
     }
 }

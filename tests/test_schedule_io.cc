@@ -79,32 +79,40 @@ reframe(const std::string &file, const std::string &body,
     return out.str();
 }
 
-/** The serialized per-path and row vectors of a schedule, in order. */
+/** The serialized vectors of a cache body holding one row store and one
+ *  schedule, in file order: the store's, then the schedule's. */
 enum ScheduleVec
 {
-    kDp, kBlockRow, kBlockCol, kOperandVec, kXOff, kRowBegin, kRowIndex,
-    kValues, kGroupBegin, kScheduleVecs
+    kRowBegin, kRowIndex, kValues, kDp, kBlockRow, kBlockCol, kOperandVec,
+    kXOff, kGroupBegin, kScheduleVecs
 };
 
-/** Bytes of a cache body in front of its one schedule record: the slot
- *  count (u32) and the slot's keys (five u64, kernel u8, omega u32). */
-constexpr size_t kSlotKeys = 4 + (5 * 8 + 1 + 4);
+/** Bytes of such a body in front of the store's first vector: the store
+ *  count (u32), then the store's tag (u32), key (u64) and omega (u32). */
+constexpr size_t kStoreHead = 4 + (4 + 8 + 4);
 
-/** Offset, in a cache body holding one schedule, of the length prefix
- *  of vector @p vec. */
+/** Bytes between the store's last vector and the schedule's first: the
+ *  schedule count (u32), the slot's keys (five u64, kernel u8, omega
+ *  u32) and store index (u32), and the schedule's tag (u32), kernel
+ *  (u8), omega (u32) and path count (u64). */
+constexpr size_t kSlotHead = 4 + (5 * 8 + 1 + 4) + 4 + (4 + 1 + 4 + 8);
+
+/** Offset, in a cache body holding one store and one schedule, of the
+ *  length prefix of vector @p vec. */
 size_t
 vectorAt(const std::string &body, ScheduleVec vec)
 {
     const size_t elem[kScheduleVecs] = {
-        sizeof(DataPathType), sizeof(Index),  sizeof(Index),
-        sizeof(CacheVec),     sizeof(uint32_t), sizeof(size_t),
-        sizeof(Index),        sizeof(Value),  sizeof(size_t)};
-    // Schedule tag (u32), kernel (u8), omega (u32), path count (u64).
-    size_t at = kSlotKeys + (4 + 1 + 4 + 8);
+        sizeof(size_t),   sizeof(Index), sizeof(Value),
+        sizeof(DataPathType), sizeof(Index), sizeof(Index),
+        sizeof(CacheVec), sizeof(uint32_t), sizeof(size_t)};
+    size_t at = kStoreHead;
     for (int k = 0; k < vec; ++k) {
         uint64_t n = 0;
         std::memcpy(&n, body.data() + at, sizeof(n));
         at += sizeof(n) + n * elem[k];
+        if (k == kValues)
+            at += kSlotHead;
     }
     return at;
 }
@@ -241,8 +249,10 @@ TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
     ExecSchedule s = compileSchedule(p.ld, p.table, params);
 
     std::stringstream ss;
+    serializeRowStore(ss, *s.rows);
     serializeSchedule(ss, s);
-    ExecSchedule back = deserializeSchedule(ss);
+    auto rows = std::make_shared<const RowStore>(deserializeRowStore(ss));
+    ExecSchedule back = deserializeSchedule(ss, rows);
     replay::specialize(back, params);
 
     // Flat fields and every vector round-trip exactly.
@@ -250,13 +260,14 @@ TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
     EXPECT_EQ(back.omega, s.omega);
     EXPECT_EQ(back.pathCount, s.pathCount);
     EXPECT_EQ(back.dp, s.dp);
-    EXPECT_EQ(back.rowIndex, s.rowIndex);
-    EXPECT_EQ(back.values, s.values);
-    EXPECT_EQ(back.rowBegin, s.rowBegin);
+    EXPECT_EQ(back.rows, rows);
+    EXPECT_EQ(rows->key, s.rows->key);
+    EXPECT_EQ(rows->rowIndex, s.rows->rowIndex);
+    EXPECT_EQ(rows->values, s.rows->values);
+    EXPECT_EQ(rows->rowBegin, s.rows->rowBegin);
     EXPECT_EQ(back.xOff, s.xOff);
     EXPECT_EQ(back.lastDp, s.lastDp);
     EXPECT_EQ(back.totalStreamBytes, s.totalStreamBytes);
-    EXPECT_EQ(back.spmmStreamBytes, s.spmmStreamBytes);
     EXPECT_EQ(back.parFlops, s.parFlops);
     EXPECT_EQ(back.paddedOperand, s.paddedOperand);
 }
@@ -322,6 +333,68 @@ TEST(ScheduleCachePersistence, MultiTableFleetRoundTrip)
     EXPECT_EQ(warm.engine().scheduleCompiles(), 0u);
     EXPECT_EQ(xc, xw);
     EXPECT_EQ(cold.engine().totalCycles(), warm.engine().totalCycles());
+    EXPECT_EQ(statDump(cold.engine()), statDump(warm.engine()));
+}
+
+TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
+{
+    // A PDE load's SpMV and forward-SymGS schedules share one row store
+    // and the backward sweep holds its own: the file carries the two
+    // stores once each, and the restored schedules share them again.
+    CsrMatrix a = gen::stencil2d(11, 11);
+    AccelParams params = makeParams();
+    auto prepareAll = [](Accelerator &acc) {
+        std::vector<const ExecSchedule *> s;
+        for (auto [kernel, dir] :
+             {std::pair{KernelType::SpMV, GsSweep::Forward},
+              std::pair{KernelType::SymGS, GsSweep::Forward},
+              std::pair{KernelType::SymGS, GsSweep::Backward}}) {
+            acc.engine().program(&acc.matrix(), &acc.table(kernel, dir));
+            s.push_back(acc.engine().prepareSchedule());
+        }
+        return s;
+    };
+    // The row-store bytes the schedules count between them.
+    auto storeBytes = [](const std::vector<const ExecSchedule *> &s) {
+        size_t bytes = 0;
+        for (const ExecSchedule *x : s)
+            bytes += x->countsRows ? x->rows->bytes() : 0;
+        return bytes;
+    };
+
+    Accelerator cold(params);
+    cold.loadPde(a);
+    const auto coldScheds = prepareAll(cold);
+    EXPECT_EQ(coldScheds[0]->rows, coldScheds[1]->rows);
+    EXPECT_NE(coldScheds[1]->rows, coldScheds[2]->rows);
+    std::stringstream ss;
+    ASSERT_TRUE(cold.engine().saveScheduleCache(ss));
+    const std::string file = ss.str();
+    uint32_t stores = 0;
+    std::memcpy(&stores, file.data() + kCacheHeader, sizeof(stores));
+    EXPECT_EQ(stores, 2u);
+
+    Accelerator warm(params);
+    warm.loadPde(a);
+    ASSERT_TRUE(warm.engine().loadScheduleCache(ss));
+    EXPECT_EQ(warm.engine().restoredSchedules(), 3u);
+    const auto warmScheds = prepareAll(warm);
+    EXPECT_EQ(warm.engine().scheduleCompiles(), 0u);
+    EXPECT_EQ(warmScheds[0]->rows, warmScheds[1]->rows);
+    EXPECT_NE(warmScheds[1]->rows, warmScheds[2]->rows);
+    // Exactly one of the sharing pair counts the store, so the summed
+    // footprint counts each store once, as it does on the cold side.
+    EXPECT_NE(warmScheds[0]->countsRows, warmScheds[1]->countsRows);
+    EXPECT_TRUE(warmScheds[2]->countsRows);
+    EXPECT_EQ(storeBytes(warmScheds), storeBytes(coldScheds));
+    EXPECT_EQ(storeBytes(warmScheds),
+              warmScheds[1]->rows->bytes() + warmScheds[2]->rows->bytes());
+
+    DenseVector b(a.rows(), 1.0), xc(a.rows(), 0.0), xw(a.rows(), 0.0);
+    EXPECT_EQ(cold.spmv(b), warm.spmv(b));
+    cold.symgsSweep(b, xc, GsSweep::Symmetric);
+    warm.symgsSweep(b, xw, GsSweep::Symmetric);
+    EXPECT_EQ(xc, xw);
     EXPECT_EQ(statDump(cold.engine()), statDump(warm.engine()));
 }
 
@@ -394,15 +467,16 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     // boundaries right after the parallelSafe flag; versions 1 to 3
     // also wrote xValid, validRows and rowUseful; versions 1 to 4 also
     // wrote nine per-path timing arrays, the final out row and the
-    // reconfiguration totals.  The legacy files built here carry
-    // exactly those layouts, with the values those compilers gave them,
-    // under a valid checksum, so only the version check stops the
-    // loader from misparsing them.
+    // reconfiguration totals; versions 1 to 5 wrote each schedule's row
+    // records inside it, and its SpMM stream bytes.  The legacy files
+    // built here carry exactly those layouts, with the values those
+    // compilers gave them, under a valid checksum, so only the version
+    // check stops the loader from misparsing them.
     Problem p(45);
     const AccelParams params = makeParams();
     const std::string file = savedCache(45);
-    const std::string body = file.substr(kCacheHeader);
     ExecSchedule s = compileSchedule(p.ld, p.table, params);
+    const RowStore &R = *s.rows;
     const size_t P = s.pathCount;
     ASSERT_EQ(s.kernel, KernelType::SpMV);
     ASSERT_TRUE(std::all_of(s.dp.begin(), s.dp.end(), [](DataPathType dp) {
@@ -422,7 +496,7 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     std::vector<Index> streamedRows(P);
     int64_t curRow = -1;
     for (size_t i = 0; i < P; ++i) {
-        const Index occupied = Index(s.rowBegin[i + 1] - s.rowBegin[i]);
+        const Index occupied = Index(s.pathRows(i));
         const uint64_t bytes = uint64_t(occupied) * s.omega * sizeof(Value);
         if (i == 0)
             fillCycles[i] = fill;
@@ -437,45 +511,56 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     }
     // Version 3's arrays, with the values the version-3 compiler gave.
     std::vector<Index> xValid(P), validRows(P, 0);
-    std::vector<Index> rowUseful(s.rowIndex.size());
+    std::vector<Index> rowUseful(R.rowIndex.size());
     for (size_t i = 0; i < P; ++i)
         xValid[i] = std::min<Index>(s.omega,
                                     p.a.cols() - s.blockCol[i] * s.omega);
     for (size_t rr = 0; rr < rowUseful.size(); ++rr)
         rowUseful[rr] = Index(std::count_if(
-            s.values.begin() + std::ptrdiff_t(rr * s.omega),
-            s.values.begin() + std::ptrdiff_t((rr + 1) * s.omega),
+            R.values.begin() + std::ptrdiff_t(rr * s.omega),
+            R.values.begin() + std::ptrdiff_t((rr + 1) * s.omega),
             [](Value v) { return v != 0.0; }));
 
-    // The saved slot keys, then one schedule record in @p version's
-    // layout.
+    // One slot's keys, then its schedule record in @p version's layout.
     auto legacyBody = [&](uint32_t version) {
         std::ostringstream out;
-        out << body.substr(0, kSlotKeys);
-        out.write(body.data() + kSlotKeys, 4 + 1 + 4 + 8); // tag .. paths
+        bio::writePod<uint32_t>(out, 1); // schedule count
+        for (uint64_t key : {p.ld.contentHash(), p.table.contentHash(),
+                             uint64_t(P), uint64_t(p.ld.blocks().size()),
+                             uint64_t(p.ld.stream().size())})
+            bio::writePod<uint64_t>(out, key);
+        bio::writePod<uint8_t>(out, uint8_t(s.kernel));
+        bio::writePod<uint32_t>(out, s.omega);
+        bio::writePod<uint32_t>(out, 0x5C4ED001); // schedule tag
+        bio::writePod<uint8_t>(out, uint8_t(s.kernel));
+        bio::writePod<uint32_t>(out, s.omega);
+        bio::writePod<uint64_t>(out, uint64_t(P));
         bio::writeVec(out, s.dp);
         bio::writeVec(out, s.blockRow);
         bio::writeVec(out, s.blockCol);
         bio::writeVec(out, s.operandVec);
-        bio::writeVec(out, cfgCycles);
-        bio::writeVec(out, fillCycles);
-        bio::writeVec(out, writeOutRow);
-        bio::writeVec(out, streamCycles);
-        bio::writeVec(out, memCycles);
-        bio::writeVec(out, streamBytes);
-        bio::writeVec(out, streamedRows);
-        bio::writeVec(out, spmmMemCycles);
+        if (version <= 4) {
+            bio::writeVec(out, cfgCycles);
+            bio::writeVec(out, fillCycles);
+            bio::writeVec(out, writeOutRow);
+            bio::writeVec(out, streamCycles);
+            bio::writeVec(out, memCycles);
+            bio::writeVec(out, streamBytes);
+            bio::writeVec(out, streamedRows);
+            bio::writeVec(out, spmmMemCycles);
+        }
         if (version <= 3)
             bio::writeVec(out, xValid);
         bio::writeVec(out, s.xOff);
         if (version <= 3)
             bio::writeVec(out, validRows);
-        bio::writeVec(out, chainCycles);
-        bio::writeVec(out, s.rowBegin);
-        bio::writeVec(out, s.rowIndex);
+        if (version <= 4)
+            bio::writeVec(out, chainCycles);
+        bio::writeVec(out, R.rowBegin);
+        bio::writeVec(out, R.rowIndex);
         if (version <= 3)
             bio::writeVec(out, rowUseful);
-        bio::writeVec(out, s.values);
+        bio::writeVec(out, R.values);
         bio::writeVec(out, s.groupBegin);
         bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
         if (version <= 2) {
@@ -483,19 +568,24 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
             bio::writeVec(out, std::vector<size_t>{}); // no levels in SpMV
         }
         bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
-        bio::writePod<int64_t>(out, curRow); // finalOutRow
+        if (version <= 4)
+            bio::writePod<int64_t>(out, curRow); // finalOutRow
         bio::writePod<uint8_t>(out, uint8_t(s.lastDp));
-        for (double v : {0.0, 0.0, s.parFlops, s.seqFlops, s.usefulBytes,
+        if (version <= 4) // reconfiguration count and stall
+            for (double v : {0.0, 0.0})
+                bio::writePod<double>(out, v);
+        for (double v : {s.parFlops, s.seqFlops, s.usefulBytes,
                          s.fcuOps.alu, s.fcuOps.reduce, s.fcuOps.mul,
                          s.fcuOps.add, s.peOps})
-            bio::writePod<double>(out, v); // reconfig count, stall, ...
+            bio::writePod<double>(out, v);
         bio::writePod<uint64_t>(out, s.totalStreamBytes);
-        bio::writePod<uint64_t>(out, s.spmmStreamBytes);
+        // SpMM stream bytes: the occupied rows, as for SpMV.
+        bio::writePod<uint64_t>(out, s.totalStreamBytes);
         bio::writePod<uint64_t>(out, uint64_t(s.paddedOperand));
         return out.str();
     };
 
-    for (uint32_t version : {1u, 2u, 3u, 4u}) {
+    for (uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
         SCOPED_TRACE("version " + std::to_string(version));
         std::stringstream old(reframe(file, legacyBody(version), version));
         Engine warm(params);
@@ -553,6 +643,8 @@ TEST(ScheduleCachePersistence, PathWithMoreRecordsThanItsBlockHasRows)
     std::vector<Index> rowIndex =
         vecAt<Index>(body, vectorAt(body, kRowIndex));
     std::vector<Value> values = vecAt<Value>(body, vectorAt(body, kValues));
+    const size_t storeEnd =
+        vectorAt(body, kValues) + vecBytes(values).size();
     ASSERT_GT(rowBegin.size(), 1u);
     ASSERT_GT(rowBegin[1], 0u);
     const size_t extra = size_t(omega) + 1 - rowBegin[1];
@@ -562,7 +654,7 @@ TEST(ScheduleCachePersistence, PathWithMoreRecordsThanItsBlockHasRows)
         values.insert(values.begin(), first.begin(), first.end());
     for (size_t i = 1; i < rowBegin.size(); ++i)
         rowBegin[i] += extra;
-    body.replace(at, vectorAt(body, kGroupBegin) - at,
+    body.replace(at, storeEnd - at,
                  vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(values));
     // After the group ranges: parallelSafe, then contiguousRows (u8).
     const size_t groups = vectorAt(body, kGroupBegin);
@@ -582,6 +674,45 @@ TEST(ScheduleCachePersistence, RowRecordOutsideTheLiveMatrix)
     const Index far = Index(1) << 30;
     std::memcpy(body.data() + end - sizeof(far), &far, sizeof(far));
     expectRecompiled(reframe(file, body), 49, true);
+}
+
+TEST(ScheduleCachePersistence, RowStoreShorterThanItsSchedule)
+{
+    // The store drops its last path, records and all: consistent on its
+    // own, but one path short of the schedule that names it.
+    const Index omega = makeParams().omega;
+    const std::string file = savedCache(54);
+    std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kRowBegin);
+    std::vector<size_t> rowBegin = vecAt<size_t>(body, at);
+    std::vector<Index> rowIndex =
+        vecAt<Index>(body, vectorAt(body, kRowIndex));
+    std::vector<Value> values = vecAt<Value>(body, vectorAt(body, kValues));
+    const size_t storeEnd =
+        vectorAt(body, kValues) + vecBytes(values).size();
+    ASSERT_GT(rowBegin.size(), 2u);
+    rowBegin.pop_back();
+    rowIndex.resize(rowBegin.back());
+    values.resize(rowBegin.back() * omega);
+    body.replace(at, storeEnd - at,
+                 vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(values));
+    expectRecompiled(reframe(file, body), 54);
+}
+
+TEST(ScheduleCachePersistence, ScheduleNamingAMissingStore)
+{
+    // The one schedule names store 1 of a file holding one store.
+    const std::string file = savedCache(55);
+    std::string body = file.substr(kCacheHeader);
+    // The store index (u32) sits right before the schedule's tag (u32),
+    // kernel (u8), omega (u32) and path count (u64).
+    const size_t index = vectorAt(body, kDp) - (4 + 1 + 4 + 8) - 4;
+    uint32_t store = 0;
+    std::memcpy(&store, body.data() + index, sizeof(store));
+    ASSERT_EQ(store, 0u);
+    store = 1;
+    std::memcpy(body.data() + index, &store, sizeof(store));
+    expectRecompiled(reframe(file, body), 55);
 }
 
 TEST(ScheduleCachePersistence, BytesAfterTheLastSchedule)

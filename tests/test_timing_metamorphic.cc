@@ -198,12 +198,9 @@ TEST(TimingMetamorphic, ScalingTheValuesKeepsTheTiming)
 
 TEST(TimingMetamorphic, SpmmOfOneRhsIsSpmv)
 {
-    // SpMM with k = 1 streams each block once and issues its rows
-    // once, as SpMV does, on every layout that streams the same bytes
-    // for both: Plain with or without row skipping, SymGs with it.
-    // (SymGs without skipping differs by design: SpMV streams a
-    // diagonal block's omega(omega - 1) stored values, SpMM omega whole
-    // rows.)
+    // SpMM with k = 1 streams each block's SpMV payload once and
+    // issues its rows once, as SpMV does, on either layout with or
+    // without row skipping.
     Rng rng(23);
     const CsrMatrix a = gen::randomSpd(150, 4, rng);
     struct Case
@@ -212,7 +209,7 @@ TEST(TimingMetamorphic, SpmmOfOneRhsIsSpmv)
         bool skip;
     };
     for (const Case c : {Case{false, true}, Case{false, false},
-                         Case{true, true}}) {
+                         Case{true, true}, Case{true, false}}) {
         SCOPED_TRACE(std::string(c.pde ? "SymGs" : "Plain") +
                      (c.skip ? " skipping" : " not skipping"));
         AccelParams p;
