@@ -182,7 +182,8 @@ MultiAccelerator::relaxRounds(const DenseVector &init, KernelType kernel,
 GraphResult
 MultiAccelerator::bfs(Index source)
 {
-    ALR_ASSERT(source < _rows, "source out of range");
+    if (source >= _rows)
+        fatal("source out of range");
     DenseVector init(_rows, kInf);
     init[source] = 0.0;
     GraphResult res;
@@ -193,7 +194,8 @@ MultiAccelerator::bfs(Index source)
 GraphResult
 MultiAccelerator::sssp(Index source)
 {
-    ALR_ASSERT(source < _rows, "source out of range");
+    if (source >= _rows)
+        fatal("source out of range");
     DenseVector init(_rows, kInf);
     init[source] = 0.0;
     GraphResult res;

@@ -49,9 +49,9 @@ fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
             const ConfigTable &table)
 {
     const Index omega = ld.omega();
-    const bool spmv = table.kernel() == KernelType::SpMV;
-    const Index operandLen =
-        spmv ? ld.cols() : std::max(ld.rows(), ld.cols());
+    const Index operandLen = table.kernel() != KernelType::SymGS
+                                 ? ld.cols()
+                                 : std::max(ld.rows(), ld.cols());
     if (s.kernel != table.kernel() || s.omega != omega ||
         s.pathCount != table.entries().size() ||
         s.paddedOperand != size_t((operandLen + omega - 1) / omega) * omega)
@@ -159,9 +159,6 @@ Engine::Prepared
 Engine::prepare()
 {
     ALR_ASSERT(_ld && _table, "engine not programmed");
-    if (_table->kernel() != KernelType::SpMV &&
-        _table->kernel() != KernelType::SymGS)
-        return {};
     std::lock_guard<std::mutex> lock(_scheduleMutex);
     for (size_t i = 0; i < _schedules.size(); ++i) {
         ScheduleSlot &slot = _schedules[i];
@@ -488,14 +485,14 @@ withStream(RunTiming t, uint64_t stream)
 /**
  * One run's timing walk.  It owns the run's timing state -- the clock
  * (the stream front), the fill flag, the block row whose out chunk is
- * live, the profiler scope and the modeled-plane data-path segment --
- * and has one method per charge rule, so SpMV, SpMM, SymGS and the
- * graph rounds charge every path through one copy of each.  A
- * scheduled run hands it the schedule's timing memo: a hit replays the
- * recorded walk (walking() is false), a miss walks and record()s.
- * Runs the profiler or the modeled-plane timeline observes always
- * walk.  Every method is inline: a walk calls them once or more per
- * path.
+ * live, the streamed bytes, the profiler scope and the modeled-plane
+ * data-path segment -- and has one method per charge rule, so SpMV,
+ * SpMM, SymGS and the graph rounds charge every path through one copy
+ * of each.  A run hands it its schedule's timing memo (a frontier
+ * round hands none): a hit replays the recorded walk (walking() is
+ * false), a miss walks and record()s.  Runs the profiler or the
+ * modeled-plane timeline observes always walk.  Every method is
+ * inline: a walk calls them once or more per path.
  */
 class Engine::Walk
 {
@@ -629,20 +626,48 @@ class Engine::Walk
         _prof.add(_dp, _br, Cause::FcuCompute, st.cycles - st.mem);
         _clock += st.cycles;
         _par += st.cycles;
+        _streamed += st.bytes + extra_bytes;
     }
 
-    /** The GEMV walk of an SpMV table's schedule: each path switches,
-     *  makes its block row's out chunk live, reads its operand chunk
-     *  and streams @p term(i). */
+    /**
+     * The walk of a GEMV-class schedule (every table but SymGS's):
+     * each path switches, makes its block row's out chunk live, reads
+     * its operand chunk -- a D-PR path its out-degree chunk too,
+     * through the second port (Table 1) -- and streams @p term(i).
+     * Under a frontier mask @p active, a path whose source chunk is
+     * inactive cannot improve any candidate, so its block never leaves
+     * memory.
+     */
     template <class Term>
-    void gemvPaths(const ExecSchedule &S, Term term)
+    void gemvPaths(const ExecSchedule &S, Term term,
+                   const std::vector<uint8_t> *active = nullptr)
     {
         for (size_t i = 0; i < S.pathCount; ++i) {
+            if (active && !(*active)[S.blockCol[i]])
+                continue;
             enter(S.dp[i], S.blockRow[i]);
             outRow(S.blockRow[i]);
             read(S.operandVec[i], S.blockCol[i]);
+            if (S.dp[i] == DataPathType::DPr)
+                read(CacheVec::Aux, S.blockCol[i]);
             stream(term(i));
         }
+    }
+
+    /** A GEMV-class run's timing: the memo's replay, or the gemvPaths
+     *  walk with the schedule's own stream terms, recorded. */
+    RunTiming gemvRun(const ExecSchedule &S,
+                      const std::vector<uint8_t> *active = nullptr)
+    {
+        if (!_walking)
+            return _replayed;
+        const std::vector<StreamTerm> rowTerms = _engine.rowStreamTerms();
+        gemvPaths(
+            S, [&](size_t i) { return _engine.gemvStreamTerm(S, i, rowTerms); },
+            active);
+        const RunTiming t = end();
+        record(t);
+        return t;
     }
 
     /**
@@ -667,19 +692,19 @@ class Engine::Walk
             _memo->record(_rcu, t);
     }
 
-    /** What a walked or replayed scheduled run leaves: the switch on
-     *  @p S's last data path, @p stream_bytes of payload, and the
-     *  schedule's FCU and PE operations, once per right-hand side. */
-    void ranSchedule(const ExecSchedule &S, uint64_t stream_bytes,
-                     double k = 1.0)
+    /** What a run leaves besides its timing: the payload its walk
+     *  streamed (a replay streams @p S's whole payload), its @p fcu and
+     *  @p pe operations, and on a replay the switch on @p S's last data
+     *  path, where the walk's last path left it. */
+    void ranSchedule(const ExecSchedule &S, const FcuOpCounts &fcu,
+                     double pe)
     {
-        if (S.pathCount == 0)
-            return;
-        _rcu.setConfigured(S.lastDp);
-        _engine._memory.recordStream(stream_bytes);
-        _engine._fcu.noteOps({S.fcuOps.alu * k, S.fcuOps.reduce * k,
-                             S.fcuOps.mul * k, S.fcuOps.add * k});
-        _rcu.notePeOps(S.peOps * k);
+        if (!_walking && S.pathCount > 0)
+            _rcu.setConfigured(S.lastDp);
+        _engine._memory.recordStream(_walking ? _streamed
+                                              : S.totalStreamBytes);
+        _engine._fcu.noteOps(fcu);
+        _rcu.notePeOps(pe);
     }
 
   private:
@@ -723,6 +748,7 @@ class Engine::Walk
 
     uint64_t _clock = 0;
     uint64_t _par = 0;
+    uint64_t _streamed = 0;
     bool _filled = false;
     DataPathType _dp;
     Index _br = 0;
@@ -810,16 +836,8 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     // access sequence (the cache is stateful across runs), serially,
     // charging every path as the reference engine does.
     Walk w(*this, memo, {.spans = true});
-    RunTiming t = w.replayed();
-    if (w.walking()) {
-        const std::vector<StreamTerm> rowTerms = rowStreamTerms();
-        w.gemvPaths(S, [&](size_t i) {
-            return gemvStreamTerm(S, i, rowTerms);
-        });
-        t = w.end();
-        w.record(t);
-    }
-    w.ranSchedule(S, S.totalStreamBytes);
+    const RunTiming t = w.gemvRun(S);
+    w.ranSchedule(S, S.fcuOps, S.peOps);
     commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops,
                .usefulBytes = S.usefulBytes},
               timing);
@@ -917,8 +935,12 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     _rcu.cache().addPending({.reads = (k - 1) * once.reads,
                              .writes = (k - 1) * once.writes,
                              .hits = (k - 1) * (once.reads + once.writes)});
-    w.ranSchedule(S, S.totalStreamBytes, double(k));
-    commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops * double(k),
+    const double rhs = double(k);
+    w.ranSchedule(S,
+                  {S.fcuOps.alu * rhs, S.fcuOps.reduce * rhs,
+                   S.fcuOps.mul * rhs, S.fcuOps.add * rhs},
+                  S.peOps * rhs);
+    commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops * rhs,
                .usefulBytes = S.usefulBytes, .name = "spmm"},
               timing);
     return ys;
@@ -1045,7 +1067,7 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     if (S.pathCount > 0)
         std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
                   x.begin());
-    w.ranSchedule(S, S.totalStreamBytes);
+    w.ranSchedule(S, S.fcuOps, S.peOps);
     commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops,
                .seqFlops = S.seqFlops, .usefulBytes = S.usefulBytes},
               timing);
@@ -1088,72 +1110,60 @@ Engine::relaxImpl(const DenseVector &dist, bool zero_addend,
     ALR_ASSERT(_table->kernel() == KernelType::BFS ||
                    _table->kernel() == KernelType::SSSP,
                "table was converted for %s", toString(_table->kernel()));
-    ALR_ASSERT(dist.size() == _ld->rows(), "operand length mismatch");
+    ALR_ASSERT(dist.size() == _ld->rows() && _ld->rows() == _ld->cols(),
+               "a graph round needs a square matrix and one value per "
+               "vertex");
+    ALR_ASSERT(!active_chunks ||
+                   active_chunks->size() >=
+                       (_ld->cols() + _params.omega - 1) / _params.omega,
+               "frontier mask too short");
 
-    const Index omega = _params.omega;
+    const auto [sched, memo] = prepare();
+    const ExecSchedule &S = *sched;
+    const RowStore &R = *S.rows;
+    const Index omega = S.omega;
     const bool hops = _table->kernel() == KernelType::BFS;
     constexpr Value inf = std::numeric_limits<Value>::infinity();
 
     timeline::ScopedHostSpan hostSpan("relax", "run");
-    Walk w(*this, nullptr, {.relaxation = true});
-    const std::vector<StreamTerm> rowTerms = rowStreamTerms();
 
-    DenseVector cand(_ld->rows(), inf);
-    double parFlops = 0.0, usefulBytes = 0.0;
-    FcuOpCounts fcuOps;
-
-    std::vector<Value> srcDist(omega), addend(omega);
-    std::vector<uint8_t> valid(omega);
-    if (active_chunks) {
-        ALR_ASSERT(active_chunks->size() >=
-                       (_ld->cols() + omega - 1) / omega,
-                   "frontier mask too short");
-    }
-    for (const ConfigEntry &e : _table->entries()) {
-        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        // Frontier skipping: an inactive source chunk cannot improve
-        // any candidate, so the block never leaves memory.
-        if (active_chunks && !(*active_chunks)[blk.blockCol])
+    // Functional pass: a lane is an edge when its weight is non-zero.
+    // Each row's candidate is the min over its edges of the source's
+    // distance plus the addend (one hop, the weight, or nothing for
+    // labels), reduced in the FCU tree's order with +inf in the other
+    // lanes, as the hardware masks them.
+    const Value *xpad = stageOperand(S, dist);
+    DenseVector cand(dist.size(), inf);
+    std::vector<Value> lanes(fcutree::ceilPow2(omega));
+    uint64_t useful = 0;
+    for (size_t i = 0; i < S.pathCount; ++i) {
+        if (active_chunks && !(*active_chunks)[S.blockCol[i]])
             continue;
-        w.enter(e.dp, blk.blockRow);
-        w.outRow(blk.blockRow);
-        w.read(CacheVec::Xt, blk.blockCol);
-
-        Index c0 = blk.blockCol * omega;
-        Index occupied = 0;
-        for (Index lr = 0; lr < omega; ++lr) {
-            Index r = blk.blockRow * omega + lr;
-            if (r >= _ld->rows())
-                break;
-            Index useful = 0;
+        const Value *x = xpad + S.xOff[i];
+        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+            const Value *v = &R.values[rr * omega];
             for (Index lc = 0; lc < omega; ++lc) {
-                Index src = c0 + lc;
-                Value wgt = _ld->blockValue(blk, lr, lc);
-                bool present = wgt != 0.0 && src < _ld->cols();
-                valid[lc] = present;
-                srcDist[lc] = present ? dist[src] : inf;
-                addend[lc] = zero_addend ? 0.0 : (hops ? 1.0 : wgt);
-                if (present)
-                    ++useful;
+                const bool edge = v[lc] != 0.0;
+                useful += edge;
+                lanes[lc] = edge ? x[lc] + (zero_addend ? 0.0
+                                            : hops      ? 1.0
+                                                        : v[lc])
+                                 : inf;
             }
-            if (useful == 0 && _params.skipEmptyBlockRows)
-                continue;
-            ++occupied;
-            Value m = _fcu.vectorReduce(srcDist, addend, VecOp::Add,
-                                        ReduceOp::Min, valid, &fcuOps);
-            cand[r] = std::min(cand[r], m);
-            parFlops += 2.0 * useful;
-            usefulBytes += double(useful) * sizeof(Value);
+            Value &c = cand[R.rowIndex[rr]];
+            c = std::min(c, fcutree::minTree(lanes.data(), omega));
         }
-        const StreamTerm st = _params.skipEmptyBlockRows
-                                  ? rowTerms[occupied]
-                                  : blockStreamTerm(blk.size);
-        _memory.recordStream(st.bytes);
-        w.stream(st);
     }
-    _fcu.noteOps(fcuOps);
-    commitRun({.base = w.base(), .timing = w.end(), .parFlops = parFlops,
-               .usefulBytes = usefulBytes,
+
+    // Timing: a frontier round's paths depend on its mask, so only a
+    // round without one reads and writes the memo.  The ALUs add, and
+    // the tree reduces, only the edge lanes.
+    Walk w(*this, active_chunks ? nullptr : memo, {.relaxation = true});
+    const RunTiming t = w.gemvRun(S, active_chunks);
+    const double ops = double(useful);
+    w.ranSchedule(S, {.alu = ops, .reduce = ops, .add = ops}, 0.0);
+    commitRun({.base = w.base(), .timing = t, .parFlops = 2.0 * ops,
+               .usefulBytes = ops * sizeof(Value),
                .name = zero_addend ? "d-cc" : (hops ? "d-bfs" : "d-sssp")},
               timing);
 
@@ -1170,68 +1180,51 @@ Engine::runPrRound(const DenseVector &rank,
     ALR_ASSERT(_ld && _table, "engine not programmed");
     ALR_ASSERT(_table->kernel() == KernelType::PageRank,
                "table was converted for %s", toString(_table->kernel()));
-    ALR_ASSERT(rank.size() == _ld->rows() &&
+    ALR_ASSERT(rank.size() == _ld->rows() && _ld->rows() == _ld->cols() &&
                    outdeg.size() == _ld->rows(),
-               "operand length mismatch");
+               "a graph round needs a square matrix and one value per "
+               "vertex");
+
+    const auto [sched, memo] = prepare();
+    const ExecSchedule &S = *sched;
+    const RowStore &R = *S.rows;
+    const Index omega = S.omega;
 
     timeline::ScopedHostSpan hostSpan("pagerank", "run");
-    Walk w(*this, nullptr, {});
-    const std::vector<StreamTerm> rowTerms = rowStreamTerms();
 
-    const Index omega = _params.omega;
-    DenseVector sums(_ld->rows(), 0.0);
-    double parFlops = 0.0, usefulBytes = 0.0, peOps = 0.0;
-    FcuOpCounts fcuOps;
-
-    std::vector<Value> contrib(omega), pattern(omega);
-    for (const ConfigEntry &e : _table->entries()) {
-        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
-        w.enter(e.dp, blk.blockRow);
-        w.outRow(blk.blockRow);
-        // rank chunk (port1) and out-degree chunk (port2, Table 1).
-        w.read(CacheVec::Xt, blk.blockCol);
-        w.read(CacheVec::Aux, blk.blockCol);
-
-        Index c0 = blk.blockCol * omega;
-        for (Index lc = 0; lc < omega; ++lc) {
-            Index src = c0 + lc;
-            if (src < _ld->rows() && outdeg[src] > 0) {
-                contrib[lc] = rank[src] / Value(outdeg[src]);
-                peOps += 1.0; // the phase-1 division (overlapped)
-            } else {
-                contrib[lc] = 0.0;
-            }
+    // Phase 1 divides each source's rank by its out-degree on the RCU
+    // PEs, once for every block that reads it; the quotient is the same
+    // for each, so it is staged once per vertex.  Each row then sums
+    // the pattern (1.0 on an edge) times the quotients in the FCU
+    // tree's order.
+    DenseVector contrib(rank.size(), 0.0);
+    std::vector<Index> divisions(S.paddedOperand / omega, 0);
+    for (size_t v = 0; v < rank.size(); ++v) {
+        if (outdeg[v] > 0) {
+            contrib[v] = rank[v] / Value(outdeg[v]);
+            ++divisions[v / omega];
         }
-        Index occupied = 0;
-        for (Index lr = 0; lr < omega; ++lr) {
-            Index r = blk.blockRow * omega + lr;
-            if (r >= _ld->rows())
-                break;
-            Index useful = 0;
-            for (Index lc = 0; lc < omega; ++lc) {
-                pattern[lc] =
-                    _ld->blockValue(blk, lr, lc) != 0.0 ? 1.0 : 0.0;
-                if (pattern[lc] != 0.0)
-                    ++useful;
-            }
-            if (useful == 0 && _params.skipEmptyBlockRows)
-                continue;
-            ++occupied;
-            sums[r] += _fcu.vectorReduce(pattern, contrib, VecOp::Mul,
-                                         ReduceOp::Sum, {}, &fcuOps);
-            parFlops += 2.0 * useful;
-            usefulBytes += double(useful) * sizeof(Value);
-        }
-        const StreamTerm st = _params.skipEmptyBlockRows
-                                  ? rowTerms[occupied]
-                                  : blockStreamTerm(blk.size);
-        _memory.recordStream(st.bytes);
-        w.stream(st);
     }
-    _fcu.noteOps(fcuOps);
-    _rcu.notePeOps(peOps);
-    commitRun({.base = w.base(), .timing = w.end(), .parFlops = parFlops,
-               .usefulBytes = usefulBytes, .name = "d-pr"},
+    const Value *xpad = stageOperand(S, contrib);
+    DenseVector sums(_ld->rows(), 0.0);
+    std::vector<Value> lanes(fcutree::ceilPow2(omega));
+    double peOps = 0.0;
+    for (size_t i = 0; i < S.pathCount; ++i) {
+        peOps += divisions[S.blockCol[i]];
+        const Value *x = xpad + S.xOff[i];
+        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+            const Value *v = &R.values[rr * omega];
+            for (Index lc = 0; lc < omega; ++lc)
+                lanes[lc] = (v[lc] != 0.0 ? 1.0 : 0.0) * x[lc];
+            sums[R.rowIndex[rr]] += fcutree::sumTree(lanes.data(), omega);
+        }
+    }
+
+    Walk w(*this, memo, {});
+    const RunTiming t = w.gemvRun(S);
+    w.ranSchedule(S, S.fcuOps, peOps);
+    commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops,
+               .usefulBytes = S.usefulBytes, .name = "d-pr"},
               timing);
     return sums;
 }

@@ -1,12 +1,14 @@
 /**
  * @file
  * The Alrescha execution engine: runs a configuration table against a
- * locally-dense matrix stream -- SpMV, SpMM and SymGS by replaying the
- * table's compiled ExecSchedule, graph rounds by walking the table --
- * computing real results (verified against the reference kernels)
- * while accounting cycles the way the paper's microarchitecture spends
- * them.  Every run charges its paths through one timing walker
- * (Engine::Walk), which holds one copy of each rule:
+ * locally-dense matrix stream by replaying the table's compiled
+ * ExecSchedule -- SpMV, SpMM, SymGS and the BFS, SSSP, connected-
+ * components and PageRank rounds alike; the table walks survive only as
+ * the test oracle (tests/reference) -- computing real results (verified
+ * against the reference kernels) while accounting cycles the way the
+ * paper's microarchitecture spends them.  Every run charges its paths
+ * through one timing walker (Engine::Walk), which holds one copy of
+ * each rule:
  *
  * - GEMV-class data paths (GEMV, D-BFS, D-SSSP, D-PR) are fully
  *   pipelined: one block row per cycle after the tree fills, bounded by
@@ -26,7 +28,9 @@
  * ahead of the data (§4.5).  So each cached schedule keeps a small
  * TimingMemo: the first run from an entry state walks and records what
  * the walk did, and a later run from the same state runs only its
- * functional pass and replays the record.
+ * functional pass and replays the record.  A frontier round is the one
+ * exception: which paths it visits depends on its frontier mask, so it
+ * always walks and never touches the memo.
  */
 
 #ifndef ALR_ALRESCHA_SIM_ENGINE_HH
@@ -137,11 +141,10 @@ class Engine
     /**
      * Compile (or fetch from the cache) the execution schedule for the
      * programmed pair, so the first run after programming is already
-     * cheap.  SpMV, SpMM and SymGS runs replay it.  A compile binds the
-     * row store of a cached schedule of the same matrix and
-     * rowStoreKey instead of gathering its own.  Returns nullptr when
-     * the table kernel is not schedulable (graph rounds walk the
-     * table).
+     * cheap; every run replays it.  A compile binds the row store of a
+     * cached schedule of the same matrix and rowStoreKey instead of
+     * gathering its own, so a graph load's BFS, SSSP, PageRank and SpMV
+     * schedules hold one store.  Never nullptr.
      */
     const ExecSchedule *prepareSchedule();
 
@@ -257,7 +260,9 @@ class Engine
      * blocks whose source chunk has no active vertex are skipped
      * entirely -- safe for monotone min-relaxations because a block's
      * unchanged contribution is already folded into @p dist.
-     * @p active_chunks has one flag per omega-wide chunk.
+     * @p active_chunks has one flag per omega-wide chunk.  A mask that
+     * skips every block streams nothing and leaves the RCU's configured
+     * data path where it was.
      */
     DenseVector runRelaxRound(const DenseVector &dist,
                               const std::vector<uint8_t> &active_chunks,
@@ -359,6 +364,8 @@ class Engine
     /** prepareSchedule, with the schedule's memo. */
     Prepared prepare();
 
+    /** The relaxation rounds: labels when @p zero_addend, skipping by
+     *  @p active_chunks when it is given. */
     DenseVector relaxImpl(const DenseVector &dist, bool zero_addend,
                           const std::vector<uint8_t> *active_chunks,
                           RunTiming *timing);
@@ -401,7 +408,8 @@ class Engine
     /** Pool for the scheduled functional pass (nullptr = run inline). */
     ThreadPool *enginePool();
 
-    /** Stage @p x into the aligned, chunk-padded gather-plan buffer. */
+    /** Stage @p x into the aligned, chunk-padded gather-plan buffer
+     *  (zero past @p x). */
     Value *stageOperand(const ExecSchedule &S, const DenseVector &x);
 
     AccelParams _params;

@@ -18,11 +18,13 @@ namespace {
  */
 constexpr size_t kCompileChunkPaths = 1024;
 
+/** The bytes @p v holds, not its capacity: a compiled schedule and its
+ *  restored copy then report the same footprint. */
 template <typename V>
 size_t
 vecBytes(const V &v)
 {
-    return v.capacity() * sizeof(v[0]);
+    return v.size() * sizeof(v[0]);
 }
 
 } // namespace
@@ -59,15 +61,14 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                 const AccelParams &params, ThreadPool *pool,
                 std::shared_ptr<const RowStore> shared)
 {
-    ALR_ASSERT(table.kernel() == KernelType::SpMV ||
-                   table.kernel() == KernelType::SymGS,
-               "only SpMV and SymGS tables are schedulable");
     ALR_ASSERT(ld.omega() == table.omega(), "omega mismatch");
 
     const Index omega = params.omega;
     const Index rows = ld.rows();
     const Index cols = ld.cols();
-    const bool spmv = table.kernel() == KernelType::SpMV;
+    // Every table but SymGS's is GEMV-class: one data path per block
+    // (GEMV, D-BFS, D-SSSP or D-PR) over the x^t operand.
+    const bool gemv = table.kernel() != KernelType::SymGS;
     const bool backward = table.direction() == GsSweep::Backward;
     const bool skipEmpty = params.skipEmptyBlockRows;
     const std::vector<ConfigEntry> &entries = table.entries();
@@ -99,11 +100,12 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         if (i > 0 && blk.blockRow < s.blockRow[i - 1])
             monotonic = false;
 
-        if (spmv || e.dp != DataPathType::DSymgs) {
-            ALR_ASSERT(e.dp == DataPathType::Gemv,
+        if (gemv || e.dp != DataPathType::DSymgs) {
+            ALR_ASSERT(e.dp == (gemv ? kernelDataPath(table.kernel())
+                                     : DataPathType::Gemv),
                        "unexpected data path in %s table",
                        toString(table.kernel()));
-            s.operandVec[i] = spmv || e.op == OperandPort::Port1
+            s.operandVec[i] = gemv || e.op == OperandPort::Port1
                                   ? CacheVec::Xt
                                   : CacheVec::Xprev;
             s.xOff[i] = blk.blockCol * omega;
@@ -124,7 +126,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             std::min(P, (c + 1) * kCompileChunkPaths));
     };
     auto isChain = [&](size_t i) {
-        return !spmv && s.dp[i] == DataPathType::DSymgs;
+        return !gemv && s.dp[i] == DataPathType::DSymgs;
     };
 
     // The omega x omega payload-position LUT of a block's ordering case,
@@ -300,9 +302,9 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         s.contiguousRows = s.contiguousRows && acc.contiguous;
     }
 
-    // The staged operand covers the SpMV operand (cols entries) or the
-    // SymGS iterate (rows entries), rounded up to whole chunks.
-    Index operandLen = spmv ? cols : std::max(rows, cols);
+    // The staged operand covers a GEMV-class operand (cols entries) or
+    // the SymGS iterate (rows entries), rounded up to whole chunks.
+    Index operandLen = gemv ? cols : std::max(rows, cols);
     s.paddedOperand =
         size_t((operandLen + omega - 1) / omega) * omega;
     if (P > 0)
@@ -318,7 +320,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     }
     if (P > 0)
         s.groupBegin.push_back(P);
-    s.parallelSafe = spmv && monotonic;
+    s.parallelSafe = gemv && monotonic;
 
     // Stamp the replay entry points: runtime ISA dispatch happens
     // here, once per compiled schedule, so the engine's hot loops

@@ -1,11 +1,14 @@
 /**
  * @file
- * The schedule compiler (ISSUE 2): a one-time pass that lowers a
+ * The schedule compiler: a one-time pass that lowers a
  * (LocallyDenseMatrix, ConfigTable) pair into a flat, cache-friendly
  * ExecSchedule so iterative kernels decode the table once and execute
  * it in tight loops every iteration -- the simulator-level analogue of
  * the paper's own offline conversion (Algorithm 1), which exists
  * precisely so the hardware streams with no runtime metadata decode.
+ * Every table lowers: SymGS into GEMVs and D-SymGS chains, every other
+ * kernel (SpMV, BFS, SSSP, PageRank) into one GEMV-class data path per
+ * block over the x^t operand.
  *
  * What is precomputed (everything that is invariant across runs and
  * that the functional replay or the cache-access sequence reads):
@@ -16,13 +19,17 @@
  *    The records depend only on the matrix, the order the table
  *    visits its blocks and the direction of its chain steps, so every
  *    schedule with the same three shares one immutable store: a PDE
- *    load's SpMV and forward-SymGS schedules hold one copy;
+ *    load's SpMV and forward-SymGS schedules hold one copy, and a
+ *    graph load's BFS, SSSP, PageRank and SpMV schedules another;
  *  - the configured data path the run leaves behind (lastDp), for a
  *    run whose walk the engine replays from its timing memo;
  *  - per-run totals of every accumulated stat (flops, useful bytes,
  *    streamed bytes, FCU/RCU op counts): all are integer-valued
  *    doubles, so adding the precomputed total once is bit-identical to
  *    the table interpreter's per-element accumulation in any order.
+ *    They describe a run that visits every path and multiplies in its
+ *    ALUs; a relaxation round counts its own, since its ALUs add only
+ *    the edge lanes and a frontier round skips paths.
  *
  * What is NOT precomputed: every timing term.  The engine's timing
  * walk charges each path as the reference engine (tests/reference)
@@ -80,7 +87,7 @@ struct RowStore
      *  paper's ω = 8). */
     AlignedValueVector values;
 
-    /** Heap footprint. */
+    /** Bytes held (element counts, not capacities). */
     size_t bytes() const;
 };
 
@@ -178,16 +185,17 @@ struct ExecSchedule
      */
     size_t paddedOperand = 0;
 
-    /** Heap footprint, for curiosity and cache-size accounting: the
-     *  store counts only where countsRows is set. */
+    /** Bytes held, for cache-size accounting (element counts, not
+     *  capacities, so a restored schedule reports what its compiled
+     *  original did): the store counts only where countsRows is set. */
     size_t bytes() const;
 };
 
 /**
  * Lower @p table against @p ld into an ExecSchedule.  Pure: touches no
- * engine state and no stats.  Only SpMV and SymGS tables are
- * schedulable (graph rounds walk the table: their control flow depends
- * on the frontier operand, which changes every round).
+ * engine state and no stats.  Every table kernel is schedulable; a
+ * graph round's frontier only decides which paths it visits, a filter
+ * the engine applies per path.
  *
  * The payload passes run on @p pool (nullptr = the process-wide pool;
  * the engine passes its host pool, the one encode and convert use) and

@@ -110,9 +110,8 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
 
     ExecSchedule s;
     uint8_t kernel = bio::readPod<uint8_t>(in);
-    if (kernel != uint8_t(KernelType::SpMV) &&
-        kernel != uint8_t(KernelType::SymGS))
-        throw std::runtime_error("unschedulable kernel in cache");
+    if (kernel > uint8_t(KernelType::PageRank))
+        throw std::runtime_error("bad kernel tag in cache");
     s.kernel = KernelType(kernel);
     s.omega = bio::readPod<uint32_t>(in);
     s.pathCount = size_t(bio::readPod<uint64_t>(in));
@@ -147,11 +146,14 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
     // be in range on its own.  Every per-path vector covers pathCount,
     // the group ranges are monotone and end at the path count, the row
     // store (checked on its own when it was read) covers every path at
-    // this schedule's omega, and every operand chunk lies inside the
-    // staged operand.  A file that parses but violates these is
-    // corrupt; throwing here turns it into the same warn-and-recompile
-    // path as a truncated one.  (What depends on the live matrix is
-    // checked when a cache miss claims the schedule.)
+    // this schedule's omega, every path runs a data path its kernel
+    // has, and every operand chunk lies inside the staged operand and
+    // is the one its block names (a graph round indexes its frontier
+    // mask and per-chunk counts by block column).  A file that parses
+    // but violates these is corrupt; throwing here turns it into the
+    // same warn-and-recompile path as a truncated one.  (What depends
+    // on the live matrix is checked when a cache miss claims the
+    // schedule.)
     const size_t P = s.pathCount;
     check(s.omega > 0);
     for (size_t n : {s.dp.size(), s.blockRow.size(), s.blockCol.size(),
@@ -160,8 +162,13 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
     check(monotone(s.groupBegin, P));
     check(rows && rows->omega == s.omega && rows->rowBegin.size() == P + 1);
     for (size_t i = 0; i < P; ++i) {
-        check(s.dp[i] <= DataPathType::DPr);
+        const bool chain = s.dp[i] == DataPathType::DSymgs;
+        check(s.kernel == KernelType::SymGS
+                  ? chain || s.dp[i] == DataPathType::Gemv
+                  : s.dp[i] == kernelDataPath(s.kernel));
         check(size_t(s.xOff[i]) + s.omega <= s.paddedOperand);
+        check(uint64_t(chain ? s.blockRow[i] : s.blockCol[i]) * s.omega ==
+              s.xOff[i]);
     }
     s.rows = std::move(rows);
     return s;

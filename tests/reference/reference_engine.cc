@@ -1,6 +1,7 @@
 #include "reference/reference_engine.hh"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "alrescha/sim/profile.hh"
@@ -45,6 +46,31 @@ ReferenceEngine::streamRowsCycles(Index rows_streamed) const
     uint64_t bytes =
         uint64_t(rows_streamed) * _params.omega * sizeof(Value);
     return std::max<uint64_t>(rows_streamed, _memory.streamCycles(bytes));
+}
+
+void
+ReferenceEngine::chargeStream(const LdBlockInfo &blk, Index occupied,
+                              DataPathType dp, profile::RunScope &prof,
+                              RunTiming &t)
+{
+    // A GEMV-class block streams its occupied rows when empty rows are
+    // skipped, else its whole payload.
+    uint64_t bc, streamedBytes;
+    if (_params.skipEmptyBlockRows) {
+        streamedBytes = uint64_t(occupied) * _params.omega * sizeof(Value);
+        bc = streamRowsCycles(occupied);
+    } else {
+        streamedBytes = uint64_t(blk.size) * sizeof(Value);
+        bc = streamBlockCycles(blk);
+    }
+    _memory.recordStream(streamedBytes);
+    if (prof.on()) {
+        uint64_t memC = _memory.streamCycles(streamedBytes);
+        prof.add(dp, blk.blockRow, Cause::Stream, memC, streamedBytes);
+        prof.add(dp, blk.blockRow, Cause::FcuCompute, bc - memC);
+    }
+    t.cycles += bc;
+    t.parCycles += bc;
 }
 
 DenseVector
@@ -148,24 +174,7 @@ ReferenceEngine::runSpmv(const DenseVector &x, RunTiming *timing)
             parFlops += 2.0 * useful;
             usefulBytes += double(useful) * sizeof(Value);
         }
-        uint64_t bc, streamedBytes;
-        if (_params.skipEmptyBlockRows) {
-            streamedBytes = uint64_t(occupied) * omega * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamRowsCycles(occupied);
-        } else {
-            streamedBytes = uint64_t(blk.size) * sizeof(Value);
-            _memory.recordStream(streamedBytes);
-            bc = streamBlockCycles(blk);
-        }
-        if (prof.on()) {
-            uint64_t memC = _memory.streamCycles(streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::Stream, memC,
-                     streamedBytes);
-            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, bc - memC);
-        }
-        t.cycles += bc;
-        t.parCycles += bc;
+        chargeStream(blk, occupied, e.dp, prof, t);
     }
     if (curRow >= 0) {
         bool wMiss = false;
@@ -570,6 +579,257 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     _engine.commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
                        .seqFlops = seqFlops, .usefulBytes = usefulBytes},
                       timing);
+}
+
+DenseVector
+ReferenceEngine::runRelaxRound(const DenseVector &dist, bool zero_addend,
+                               const std::vector<uint8_t> *active_chunks,
+                               RunTiming *timing)
+{
+    ALR_ASSERT(_ld && _table, "reference engine not programmed");
+    ALR_ASSERT(_table->kernel() == KernelType::BFS ||
+                   _table->kernel() == KernelType::SSSP,
+               "table was converted for %s", toString(_table->kernel()));
+    ALR_ASSERT(dist.size() == _ld->rows(), "operand length mismatch");
+
+    const Index omega = _params.omega;
+    const bool hops = _table->kernel() == KernelType::BFS;
+    constexpr Value inf = std::numeric_limits<Value>::infinity();
+
+    timeline::ScopedHostSpan hostSpan("relax", "run");
+    const uint64_t tlBase = _engine.totalCycles();
+    profile::RunScope prof;
+    const uint64_t lineBytes = _params.cacheLineBytes;
+    DataPathType drainDp = DataPathType::Gemv;
+
+    DenseVector cand(_ld->rows(), inf);
+    RunTiming t;
+    bool filled = false;
+    int64_t curRow = -1;
+    double parFlops = 0.0, usefulBytes = 0.0;
+    FcuOpCounts fcuOps;
+
+    std::vector<Value> srcDist(omega), addend(omega);
+    std::vector<uint8_t> valid(omega);
+    for (const ConfigEntry &e : _table->entries()) {
+        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
+        // Frontier skipping: an inactive source chunk cannot improve
+        // any candidate, so the block never leaves memory.
+        if (active_chunks && !(*active_chunks)[blk.blockCol])
+            continue;
+        drainDp = e.dp;
+        uint64_t hidden = 0;
+        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
+        if (cfg) {
+            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
+            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
+                     cfg - hidden);
+            t.cycles += cfg;
+            filled = false;
+        }
+        if (!filled) {
+            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Min));
+            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
+            t.cycles += fill;
+            filled = true;
+        }
+        if (int64_t(blk.blockRow) != curRow) {
+            if (curRow >= 0) {
+                // Assign phase: compare with the old distance chunk and
+                // write back (Table 1, phase 3).
+                bool rMiss = false, wMiss = false;
+                uint64_t oRead = _rcu.cache().read(
+                    CacheVec::Out, Index(curRow), false, &rMiss);
+                prof.add(e.dp, curRow, Cause::CacheMiss, oRead,
+                         rMiss ? lineBytes : 0);
+                t.cycles += oRead;
+                t.cycles += _rcu.cache().write(CacheVec::Out,
+                                               Index(curRow), &wMiss);
+                if (wMiss)
+                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
+                             lineBytes);
+            }
+            curRow = blk.blockRow;
+        }
+
+        bool xMiss = false;
+        uint64_t xRead =
+            _rcu.cache().read(CacheVec::Xt, blk.blockCol, false, &xMiss);
+        prof.add(e.dp, blk.blockRow, Cause::CacheMiss, xRead,
+                 xMiss ? lineBytes : 0);
+        t.cycles += xRead;
+
+        Index c0 = blk.blockCol * omega;
+        Index occupied = 0;
+        for (Index lr = 0; lr < omega; ++lr) {
+            Index r = blk.blockRow * omega + lr;
+            if (r >= _ld->rows())
+                break;
+            Index useful = 0;
+            for (Index lc = 0; lc < omega; ++lc) {
+                Index src = c0 + lc;
+                Value w = _ld->blockValue(blk, lr, lc);
+                bool present = w != 0.0 && src < _ld->cols();
+                valid[lc] = present;
+                srcDist[lc] = present ? dist[src] : inf;
+                addend[lc] = zero_addend ? 0.0 : (hops ? 1.0 : w);
+                if (present)
+                    ++useful;
+            }
+            if (useful == 0 && _params.skipEmptyBlockRows)
+                continue;
+            ++occupied;
+            Value m = _fcu.vectorReduce(srcDist, addend, VecOp::Add,
+                                        ReduceOp::Min, valid, &fcuOps);
+            cand[r] = std::min(cand[r], m);
+            parFlops += 2.0 * useful;
+            usefulBytes += double(useful) * sizeof(Value);
+        }
+        chargeStream(blk, occupied, e.dp, prof, t);
+    }
+    if (curRow >= 0) {
+        bool rMiss = false, wMiss = false;
+        uint64_t oRead = _rcu.cache().read(CacheVec::Out, Index(curRow),
+                                           false, &rMiss);
+        prof.add(drainDp, curRow, Cause::CacheMiss, oRead,
+                 rMiss ? lineBytes : 0);
+        t.cycles += oRead;
+        t.cycles +=
+            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
+        if (wMiss)
+            prof.add(drainDp, curRow, Cause::CacheMiss, 0, lineBytes);
+    }
+    t.cycles += uint64_t(_params.drainCycles());
+    prof.add(drainDp, -1, Cause::TreeDrain,
+             uint64_t(_params.drainCycles()));
+    _fcu.noteOps(fcuOps);
+    _engine.commitRun(
+        {.base = tlBase, .timing = t, .parFlops = parFlops,
+         .usefulBytes = usefulBytes,
+         .name = zero_addend ? "d-cc" : (hops ? "d-bfs" : "d-sssp")},
+        timing);
+
+    DenseVector next(dist.size());
+    for (size_t v = 0; v < dist.size(); ++v)
+        next[v] = std::min(dist[v], cand[v]);
+    return next;
+}
+
+DenseVector
+ReferenceEngine::runPrRound(const DenseVector &rank,
+                            const std::vector<Index> &outdeg,
+                            RunTiming *timing)
+{
+    ALR_ASSERT(_ld && _table, "reference engine not programmed");
+    ALR_ASSERT(_table->kernel() == KernelType::PageRank,
+               "table was converted for %s", toString(_table->kernel()));
+    ALR_ASSERT(rank.size() == _ld->rows() &&
+                   outdeg.size() == _ld->rows(),
+               "operand length mismatch");
+
+    timeline::ScopedHostSpan hostSpan("pagerank", "run");
+    const uint64_t tlBase = _engine.totalCycles();
+    profile::RunScope prof;
+    const uint64_t lineBytes = _params.cacheLineBytes;
+    DataPathType drainDp = DataPathType::Gemv;
+
+    const Index omega = _params.omega;
+    DenseVector sums(_ld->rows(), 0.0);
+    RunTiming t;
+    bool filled = false;
+    int64_t curRow = -1;
+    double parFlops = 0.0, usefulBytes = 0.0, peOps = 0.0;
+    FcuOpCounts fcuOps;
+
+    std::vector<Value> contrib(omega), pattern(omega);
+    for (const ConfigEntry &e : _table->entries()) {
+        const LdBlockInfo &blk = _ld->blocks()[e.blockId];
+        drainDp = e.dp;
+        uint64_t hidden = 0;
+        uint64_t cfg = _rcu.reconfigure(e.dp, &hidden);
+        if (cfg) {
+            prof.add(e.dp, blk.blockRow, Cause::ReconfigHidden, hidden);
+            prof.add(e.dp, blk.blockRow, Cause::ReconfigExposed,
+                     cfg - hidden);
+            t.cycles += cfg;
+            filled = false;
+        }
+        if (!filled) {
+            uint64_t fill = uint64_t(_fcu.fillLatency(ReduceOp::Sum));
+            prof.add(e.dp, blk.blockRow, Cause::FcuCompute, fill);
+            t.cycles += fill;
+            filled = true;
+        }
+        if (int64_t(blk.blockRow) != curRow) {
+            if (curRow >= 0) {
+                bool wMiss = false;
+                t.cycles += _rcu.cache().write(CacheVec::Out,
+                                               Index(curRow), &wMiss);
+                if (wMiss)
+                    prof.add(e.dp, curRow, Cause::CacheMiss, 0,
+                             lineBytes);
+            }
+            curRow = blk.blockRow;
+        }
+
+        // rank chunk (port1) and out-degree chunk (port2, Table 1).
+        for (CacheVec vec : {CacheVec::Xt, CacheVec::Aux}) {
+            bool rdMiss = false;
+            uint64_t rd =
+                _rcu.cache().read(vec, blk.blockCol, false, &rdMiss);
+            prof.add(e.dp, blk.blockRow, Cause::CacheMiss, rd,
+                     rdMiss ? lineBytes : 0);
+            t.cycles += rd;
+        }
+
+        Index c0 = blk.blockCol * omega;
+        for (Index lc = 0; lc < omega; ++lc) {
+            Index src = c0 + lc;
+            if (src < _ld->rows() && outdeg[src] > 0) {
+                contrib[lc] = rank[src] / Value(outdeg[src]);
+                peOps += 1.0; // the phase-1 division (overlapped)
+            } else {
+                contrib[lc] = 0.0;
+            }
+        }
+        Index occupied = 0;
+        for (Index lr = 0; lr < omega; ++lr) {
+            Index r = blk.blockRow * omega + lr;
+            if (r >= _ld->rows())
+                break;
+            Index useful = 0;
+            for (Index lc = 0; lc < omega; ++lc) {
+                pattern[lc] =
+                    _ld->blockValue(blk, lr, lc) != 0.0 ? 1.0 : 0.0;
+                if (pattern[lc] != 0.0)
+                    ++useful;
+            }
+            if (useful == 0 && _params.skipEmptyBlockRows)
+                continue;
+            ++occupied;
+            sums[r] += _fcu.vectorReduce(pattern, contrib, VecOp::Mul,
+                                         ReduceOp::Sum, {}, &fcuOps);
+            parFlops += 2.0 * useful;
+            usefulBytes += double(useful) * sizeof(Value);
+        }
+        chargeStream(blk, occupied, e.dp, prof, t);
+    }
+    if (curRow >= 0) {
+        bool wMiss = false;
+        t.cycles +=
+            _rcu.cache().write(CacheVec::Out, Index(curRow), &wMiss);
+        if (wMiss)
+            prof.add(drainDp, curRow, Cause::CacheMiss, 0, lineBytes);
+    }
+    t.cycles += uint64_t(_params.drainCycles());
+    prof.add(drainDp, -1, Cause::TreeDrain,
+             uint64_t(_params.drainCycles()));
+    _fcu.noteOps(fcuOps);
+    _rcu.notePeOps(peOps);
+    _engine.commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
+                       .usefulBytes = usefulBytes, .name = "d-pr"},
+                      timing);
+    return sums;
 }
 
 std::string

@@ -1,12 +1,13 @@
 /**
  * @file
  * The reference engine: the configuration-table interpreter the
- * equivalence suites compare the scheduled engine against.
+ * equivalence suites compare the scheduled engine against, for every
+ * kernel -- SpMV, SpMM, SymGS and the graph rounds (the graph oracle).
  *
  * It walks the table entry by entry, decodes every element through
  * LocallyDenseMatrix::blockValue and reduces each row on the FCU --
- * the most literal reading of the timing model, with no compiled
- * state to get wrong.  It charges a real Engine's memory, FCU, RCU and
+ * the most literal reading of the timing model, charging every term
+ * explicitly, with no compiled state or shared walker to get wrong.  It charges a real Engine's memory, FCU, RCU and
  * stat tree and ends every run in Engine::commitRun, so results,
  * RunTiming, stat dumps, profile buckets and modeled timeline events
  * all compare bit for bit against the engine's own runs.
@@ -23,6 +24,7 @@
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/engine.hh"
+#include "alrescha/sim/profile.hh"
 
 namespace alr {
 
@@ -47,9 +49,25 @@ class ReferenceEngine
     void runSymgsSweep(const DenseVector &b, DenseVector &x,
                        RunTiming *timing = nullptr);
 
+    /** Engine::runRelaxRound (runLabelRound when @p zero_addend),
+     *  interpreted; @p active_chunks is the frontier mask or nullptr. */
+    DenseVector runRelaxRound(const DenseVector &dist, bool zero_addend,
+                              const std::vector<uint8_t> *active_chunks,
+                              RunTiming *timing = nullptr);
+
+    /** Engine::runPrRound, interpreted. */
+    DenseVector runPrRound(const DenseVector &rank,
+                           const std::vector<Index> &outdeg,
+                           RunTiming *timing = nullptr);
+
   private:
     uint64_t streamBlockCycles(const LdBlockInfo &blk) const;
     uint64_t streamRowsCycles(Index rows_streamed) const;
+    /** Stream a GEMV-class block's payload: @p occupied rows when
+     *  empty rows are skipped, else the whole block. */
+    void chargeStream(const LdBlockInfo &blk, Index occupied,
+                      DataPathType dp, profile::RunScope &prof,
+                      RunTiming &t);
 
     Engine &_engine;
     const AccelParams &_params;

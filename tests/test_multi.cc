@@ -79,6 +79,21 @@ TEST(Multi, GraphKernelsMatchReference)
     }
 }
 
+TEST(MultiDeath, GraphSourceOutOfRangeExitsCleanly)
+{
+    // An out-of-range source is a caller error: a clean exit 1, as on a
+    // single accelerator, never an abort.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Rng rng(7);
+    CsrMatrix g = gen::rmat(6, 4, rng);
+    MultiAccelerator multi(withEngines(2));
+    multi.loadGraph(g);
+    EXPECT_EXIT(multi.bfs(g.rows()), ::testing::ExitedWithCode(1),
+                "source out of range");
+    EXPECT_EXIT(multi.sssp(g.rows() + 5), ::testing::ExitedWithCode(1),
+                "source out of range");
+}
+
 TEST(Multi, PagerankMatchesReference)
 {
     Rng rng(4);

@@ -100,8 +100,9 @@ runProfiled(const CsrMatrix &a, const std::string &kernel, Index omega,
         acc.loadPde(a);
         runSymgs(acc, mode);
     } else {
-        // The graph rounds walk the table on the engine itself: no
-        // reference engine or replay mode applies.
+        // The graph rounds run on the engine (their profile against
+        // the reference engine is GraphEquivalence's); no replay mode
+        // applies to their scalar record loops.
         acc.loadGraph(a);
         if (kernel == "bfs")
             acc.bfs(0);

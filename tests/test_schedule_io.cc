@@ -389,6 +389,15 @@ TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
     EXPECT_EQ(storeBytes(warmScheds), storeBytes(coldScheds));
     EXPECT_EQ(storeBytes(warmScheds),
               warmScheds[1]->rows->bytes() + warmScheds[2]->rows->bytes());
+    // A restored schedule reports the footprint its compiled original
+    // did.
+    auto totalBytes = [](const std::vector<const ExecSchedule *> &s) {
+        size_t bytes = 0;
+        for (const ExecSchedule *x : s)
+            bytes += x->bytes();
+        return bytes;
+    };
+    EXPECT_EQ(totalBytes(warmScheds), totalBytes(coldScheds));
 
     DenseVector b(a.rows(), 1.0), xc(a.rows(), 0.0), xw(a.rows(), 0.0);
     EXPECT_EQ(cold.spmv(b), warm.spmv(b));
@@ -396,6 +405,76 @@ TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
     warm.symgsSweep(b, xw, GsSweep::Symmetric);
     EXPECT_EQ(xc, xw);
     EXPECT_EQ(statDump(cold.engine()), statDump(warm.engine()));
+}
+
+TEST(ScheduleCachePersistence, GraphSchedulesShareOneRowStore)
+{
+    // A graph load's BFS, SSSP, PageRank and SpMV tables visit the same
+    // blocks in the same order, so their four schedules (connected
+    // components runs on the BFS table) share one row store.  The file
+    // carries it once, and a warm engine restores all four without a
+    // compile, with the same results, timing and stats.
+    Rng rng(5);
+    CsrMatrix g = gen::rmat(8, 8, rng);
+    const DenseVector x(g.rows(), 0.5);
+    struct Outcome
+    {
+        std::vector<DenseVector> values;
+        std::vector<RunTiming> timings;
+    };
+    auto runAll = [&](Accelerator &acc) {
+        Outcome o;
+        auto note = [&](DenseVector v) {
+            const Engine &e = acc.engine();
+            o.values.push_back(std::move(v));
+            o.timings.push_back(
+                {e.totalCycles(), e.seqCycles(), e.parCycles()});
+        };
+        note(acc.bfs(0).values);
+        note(acc.sssp(0).values);
+        note(acc.pagerank().values);
+        note(acc.connectedComponents().values);
+        note(acc.spmv(x));
+        return o;
+    };
+    auto schedules = [](Accelerator &acc) {
+        std::vector<const ExecSchedule *> s;
+        for (KernelType k : {KernelType::BFS, KernelType::SSSP,
+                             KernelType::PageRank, KernelType::SpMV}) {
+            acc.engine().program(&acc.matrix(), &acc.table(k));
+            s.push_back(acc.engine().prepareSchedule());
+        }
+        return s;
+    };
+
+    Accelerator cold(makeParams());
+    cold.loadGraph(g);
+    const Outcome coldOut = runAll(cold);
+    EXPECT_EQ(cold.engine().cachedSchedules(), 4u);
+    std::stringstream ss;
+    ASSERT_TRUE(cold.engine().saveScheduleCache(ss));
+    const std::string file = ss.str();
+    uint32_t stores = 0;
+    std::memcpy(&stores, file.data() + kCacheHeader, sizeof(stores));
+    EXPECT_EQ(stores, 1u);
+
+    Accelerator warm(makeParams());
+    warm.loadGraph(g);
+    ASSERT_TRUE(warm.engine().loadScheduleCache(ss));
+    EXPECT_EQ(warm.engine().restoredSchedules(), 4u);
+    const Outcome warmOut = runAll(warm);
+    EXPECT_EQ(warm.engine().scheduleCompiles(), 0u);
+    ASSERT_EQ(warmOut.values.size(), coldOut.values.size());
+    for (size_t i = 0; i < coldOut.values.size(); ++i) {
+        EXPECT_EQ(warmOut.values[i], coldOut.values[i]) << "kernel " << i;
+        EXPECT_EQ(warmOut.timings[i].cycles, coldOut.timings[i].cycles);
+        EXPECT_EQ(warmOut.timings[i].seqCycles, coldOut.timings[i].seqCycles);
+        EXPECT_EQ(warmOut.timings[i].parCycles, coldOut.timings[i].parCycles);
+    }
+    EXPECT_EQ(statDump(warm.engine()), statDump(cold.engine()));
+    const auto restored = schedules(warm);
+    for (const ExecSchedule *s : restored)
+        EXPECT_EQ(s->rows, restored[0]->rows);
 }
 
 TEST(ScheduleCachePersistence, FileRoundTripAndMissingFile)
@@ -616,6 +695,37 @@ TEST(ScheduleCachePersistence, OperandOffsetOutsideTheStagedOperand)
         std::memcpy(body.data() + at + 8 + i * sizeof(far), &far,
                     sizeof(far));
     expectRecompiled(reframe(file, body), 46);
+}
+
+TEST(ScheduleCachePersistence, BlockColumnOtherThanItsOperandChunk)
+{
+    // Every blockCol at 2^30 with xOff left in range: a graph round
+    // would index its frontier mask and per-chunk counts a gigabyte out.
+    const std::string file = savedCache(48);
+    std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kBlockCol);
+    uint64_t n = 0;
+    std::memcpy(&n, body.data() + at, sizeof(n));
+    ASSERT_GT(n, 0u);
+    const Index far = Index(1) << 30;
+    for (uint64_t i = 0; i < n; ++i)
+        std::memcpy(body.data() + at + 8 + i * sizeof(far), &far,
+                    sizeof(far));
+    expectRecompiled(reframe(file, body), 48);
+}
+
+TEST(ScheduleCachePersistence, DataPathItsKernelDoesNotRun)
+{
+    // An SpMV schedule whose paths claim D-PR: each would read an
+    // out-degree chunk no SpMV stages.
+    const std::string file = savedCache(49);
+    std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kDp);
+    uint64_t n = 0;
+    std::memcpy(&n, body.data() + at, sizeof(n));
+    ASSERT_GT(n, 0u);
+    std::memset(body.data() + at + 8, int(DataPathType::DPr), n);
+    expectRecompiled(reframe(file, body), 49);
 }
 
 TEST(ScheduleCachePersistence, PerPathArrayShorterThanThePaths)
