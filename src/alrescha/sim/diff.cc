@@ -5,7 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 
+#include "alrescha/sim/profile.hh"
+#include "common/metrics.hh"
+#include "common/timeline.hh"
 #include "common/version.hh"
 
 namespace alr::diff {
@@ -509,11 +513,13 @@ const char *
 toString(ArtifactKind k)
 {
     switch (k) {
-      case ArtifactKind::Profile: return "profile";
-      case ArtifactKind::Sim:     return "sim";
-      case ArtifactKind::Bench:   return "bench";
-      case ArtifactKind::Metrics: return "metrics";
-      case ArtifactKind::Unknown: return "unknown";
+      case ArtifactKind::Profile:  return "profile";
+      case ArtifactKind::Sim:      return "sim";
+      case ArtifactKind::Bench:    return "bench";
+      case ArtifactKind::Metrics:  return "metrics";
+      case ArtifactKind::Timeline: return "timeline";
+      case ArtifactKind::Serve:    return "serve";
+      case ArtifactKind::Unknown:  return "unknown";
     }
     return "?";
 }
@@ -529,6 +535,10 @@ classify(const json::Value &doc)
         return ArtifactKind::Bench;
     if (doc.find("metrics") && doc.find("snapshot"))
         return ArtifactKind::Metrics;
+    if (doc.find("traceEvents"))
+        return ArtifactKind::Timeline;
+    if (doc.find("fleet") && doc.find("completed"))
+        return ArtifactKind::Serve;
     if (doc.find("cycles") && doc.find("kernel"))
         return ArtifactKind::Sim;
     return ArtifactKind::Unknown;
@@ -540,8 +550,9 @@ diff(const json::Value &oldDoc, const json::Value &newDoc, Document *out,
 {
     *out = Document{};
     ArtifactKind ok = classify(oldDoc), nk = classify(newDoc);
-    if (ok == ArtifactKind::Unknown || nk == ArtifactKind::Unknown) {
-        *err = "unrecognized artifact (expected a profile, sim report, "
+    // Timelines and serve reports are checked, never diffed.
+    if (ok >= ArtifactKind::Timeline || nk >= ArtifactKind::Timeline) {
+        *err = "not a diffable artifact (expected a profile, sim report, "
                "BENCH, or metrics document)";
         return false;
     }
@@ -577,6 +588,8 @@ diff(const json::Value &oldDoc, const json::Value &newDoc, Document *out,
       case ArtifactKind::Metrics:
           diffMetricsDocs(oldDoc, newDoc, out);
           break;
+      case ArtifactKind::Timeline:
+      case ArtifactKind::Serve:
       case ArtifactKind::Unknown:
           break;
     }
@@ -954,6 +967,431 @@ describe(const FailRule &rule)
                   kMetric[size_t(rule.metric)], rule.threshold,
                   rule.relative ? "%" : "");
     return buf;
+}
+
+// ---------------------------------------------------------------------
+// alr_diff check: the schema and invariants of every artifact
+
+namespace {
+
+const json::Value kAbsent; // null: no members, no elements
+constexpr size_t kDataPaths = size_t(DataPathType::DPr) + 1;
+constexpr size_t kCauses = size_t(profile::Cause::kCount);
+constexpr size_t kMetricKinds = size_t(metrics::MetricKind::Histogram) + 1;
+
+/** Member @p key of @p obj, or kAbsent. */
+const json::Value &
+member(const json::Value &obj, std::string_view key)
+{
+    const json::Value *v = obj.find(key);
+    return v ? *v : kAbsent;
+}
+
+/** Member @p key when it is a non-negative integer, else -1. */
+int64_t
+countAt(const json::Value &obj, std::string_view key)
+{
+    const json::Value &v = member(obj, key);
+    return v.isInt() && v.asInt() >= 0 ? v.asInt() : -1;
+}
+
+/** The position of @p label among the labels toString(E(0 .. n-1)) its
+ *  emitter writes, or -1. */
+template <typename E, size_t n>
+int
+rankOf(const std::string &label)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (label == toString(E(i)))
+            return int(i);
+    return -1;
+}
+
+/** The checks of one artifact set, each recording what it finds. */
+struct Checker
+{
+    std::vector<Finding> out;
+
+    void expect(bool ok, const std::string &at, const std::string &what,
+                Finding::Kind kind = Finding::Kind::Broken)
+    {
+        if (!ok)
+            out.push_back({kind, at + ": " + what});
+    }
+
+    /** Each space-separated key of @p keys is a member of @p obj, of
+     *  the shape its first character names: '#' a non-negative integer,
+     *  '%' a number, '$' a string, '[' an array, '{' an object (else
+     *  any value). */
+    void need(const json::Value &obj, std::string_view keys,
+              const std::string &at)
+    {
+        static const char *const kShapes[] = {
+            "a non-negative integer", "a number", "a string", "an array",
+            "an object", ""};
+        for (size_t b = 0, e; b < keys.size(); b = e + 1) {
+            e = std::min(keys.find(' ', b), keys.size());
+            const size_t s = std::min<size_t>(
+                std::string_view("#%$[{").find(keys[b]), 5);
+            const std::string key(keys.substr(b + (s < 5), e - b - (s < 5)));
+            const json::Value *v = obj.find(key);
+            const bool shaped[] = {countAt(obj, key) >= 0, v && v->isNumber(),
+                                   v && v->isString(), v && v->isArray(),
+                                   v && v->isObject(), v != nullptr};
+            if (!shaped[s])
+                expect(false, at, v ? "'" + key + "' is not " + kShapes[s]
+                                    : "no '" + key + "'");
+        }
+    }
+
+    void schema(const json::Value &doc, const std::string &at)
+    {
+        const json::Value v(version::kJsonSchemaVersion);
+        expect(member(doc, "schema_version") == v, at, "wrong schema_version");
+    }
+
+    /** A profile, against its sim report when one is named. */
+    void profile(const json::Value &p, const std::string &at,
+                 const json::Value *report)
+    {
+        const size_t faults = out.size();
+        need(p, "{version $kernel #omega #total_cycles #attributed_cycles "
+                "#attributed_bytes #runs [buckets {critical_path", at);
+        need(member(p, "version"),
+             "git simd_build simd_runtime omega_specializations", at);
+        expect(countAt(p, "omega") != 0, at, "omega is 0");
+        expect(countAt(p, "runs") != 0, at, "no runs recorded");
+        const auto &buckets = member(p, "buckets").elements();
+        auto key = [](const json::Value &b) {
+            return std::array<int64_t, 3>{
+                rankOf<DataPathType, kDataPaths>(b.stringAt("dp")),
+                b.intAt("block_row", -2),
+                rankOf<profile::Cause, kCauses>(b.stringAt("cause"))};
+        };
+        uint64_t cycles = 0, bytes = 0, waits = 0, rowWaits = 0;
+        for (size_t i = 0; i < buckets.size(); ++i) {
+            const json::Value &b = buckets[i];
+            const std::string where = at + ": bucket " + std::to_string(i);
+            const auto [d, row, k] = key(b);
+            need(b, "$dp block_row $cause #cycles #bytes", where);
+            expect(d >= 0 && k >= 0, where, "unknown dp or cause label");
+            expect(row >= -1, where, "block_row below -1");
+            expect(countAt(b, "cycles") != 0 || countAt(b, "bytes") != 0,
+                   where, "empty bucket exported");
+            expect(i == 0 || key(buckets[i - 1]) < key(b), where,
+                   "buckets not sorted by (dp, block_row, cause)");
+            cycles += uint64_t(countAt(b, "cycles"));
+            bytes += uint64_t(countAt(b, "bytes"));
+            if (k == int(profile::Cause::DSymgsWait))
+                waits += uint64_t(countAt(b, "cycles"));
+        }
+
+        const json::Value &cp = member(p, "critical_path");
+        const std::string where = at + ": critical_path";
+        const auto &rows = member(cp, "per_block_row").elements();
+        need(cp, "#longest_chain_cycles [longest_chain_rows [per_block_row",
+             where);
+        expect(member(cp, "longest_chain_rows").elements().size() == 2,
+               where, "longest_chain_rows is not a [first, last] pair");
+        expect(rows.empty() || countAt(cp, "longest_chain_cycles") != 0,
+               where, "chains recorded but longest_chain_cycles is 0");
+        for (size_t i = 0; i < rows.size(); ++i) {
+            const json::Value &r = rows[i];
+            const std::string rw = where + ": row " + std::to_string(i);
+            need(r, "#block_row #chains #chain_cycles #wait_cycles "
+                    "#start_stall_cycles #slack_cycles #dep_bound_chains", rw);
+            expect(countAt(r, "dep_bound_chains") <= countAt(r, "chains"), rw,
+                   "more dependence-bound chains than chains");
+            expect(i == 0 || countAt(r, "block_row") >
+                                 countAt(rows[i - 1], "block_row"),
+                   rw, "rows not sorted by block_row");
+            rowWaits += uint64_t(countAt(r, "wait_cycles"));
+        }
+        expect(!report || p.stringAt("kernel") == report->stringAt("kernel"),
+               at, "kernel is not its sim report's");
+        expect(!report ||
+                   member(*report, "cycles") == member(p, "total_cycles"),
+               at, "total_cycles is not its sim report's cycles");
+
+        // The conservation contract, on a well-formed profile: exact
+        // equality, no tolerance.
+        if (out.size() != faults)
+            return;
+        const Finding::Kind lost = Finding::Kind::Unconserved;
+        expect(member(p, "attributed_cycles") == json::Value(cycles), at,
+               "bucket cycles sum to " + std::to_string(cycles), lost);
+        expect(member(p, "total_cycles") == member(p, "attributed_cycles"),
+               at, "attributed_cycles is not total_cycles", lost);
+        expect(member(p, "attributed_bytes") == json::Value(bytes), at,
+               "bucket bytes sum to " + std::to_string(bytes), lost);
+        expect(rowWaits == waits, where,
+               "wait cycles do not sum to the dsymgs_wait buckets", lost);
+    }
+
+    void sim(const json::Value &s, const std::string &at)
+    {
+        need(s, "$kernel #cycles %seconds %dram_bytes", at);
+        expect(countAt(s, "cycles") != 0, at, "cycles is 0");
+        if (const json::Value *stats = s.find("stats"))
+            statGroup(*stats, at + ": stats");
+        if (const json::Value *u = s.find("utilization")) {
+            need(*u, "%alu_occupancy tree_occupancy bandwidth_utilization "
+                     "%cache_hit_rate sequential_op_fraction "
+                     "%reconfig_hidden_frac arithmetic_intensity "
+                     "achieved_gflops attainable_gflops", at);
+            for (const char *k :
+                 {"alu_occupancy", "cache_hit_rate", "reconfig_hidden_frac"})
+                expect(u->numberAt(k) >= 0.0 && u->numberAt(k) <= 1.0, at,
+                       std::string(k) + " outside [0, 1]");
+        }
+        if (const json::Value *snap = s.find("snapshots")) {
+            const size_t width = member(*snap, "columns").elements().size();
+            const auto &rows = member(*snap, "rows").elements();
+            need(*snap, "#interval [columns [rows", at + ": snapshots");
+            for (size_t i = 0; i < rows.size(); ++i) {
+                const std::string w = at + ": snapshot " + std::to_string(i);
+                need(rows[i], "#cycle [values", w);
+                expect(member(rows[i], "values").elements().size() == width,
+                       w, "a row's width is not the column count");
+                expect(i == 0 || countAt(rows[i], "cycle") >=
+                                     countAt(rows[i - 1], "cycle"),
+                       w, "snapshot cycles not monotone");
+            }
+        }
+        if (const json::Value *p = s.find("profile")) {
+            schema(*p, at + ": profile");
+            profile(*p, at + ": profile", &s);
+        }
+    }
+
+    void statGroup(const json::Value &g, const std::string &at)
+    {
+        need(g, "$group {stats", at);
+        for (const auto &[name, e] : member(g, "stats").members()) {
+            const std::string kind = e.stringAt("kind");
+            need(e, "value desc $kind", at + "." + name);
+            if (kind == "distribution")
+                need(e, "count min max mean variance", at + "." + name);
+            expect(kind == "distribution" || kind == "scalar" ||
+                       kind == "formula",
+                   at + "." + name, "unknown kind '" + kind + "'");
+        }
+        for (const json::Value &child : member(g, "children").elements())
+            statGroup(child, at + "." + child.stringAt("group", "?"));
+    }
+
+    /** A timeline, against the sim report of its run when one is named:
+     *  the modeled plane's clock is that run's cycles. */
+    void timeline(const json::Value &t, const std::string &at,
+                  const json::Value *report)
+    {
+        const auto &events = member(t, "traceEvents").elements();
+        const int64_t end = report ? countAt(*report, "cycles") : -1;
+        size_t spans = 0, metas = 0;
+        need(t, "[traceEvents", at);
+        for (size_t i = 0; i < events.size(); ++i) {
+            const json::Value &ev = events[i];
+            const std::string where = at + ": event " + std::to_string(i);
+            const std::string ph = ev.stringAt("ph");
+            need(ev, "$ph pid name", where);
+            metas += ph == "M";
+            spans += ph == "X";
+            if (ph == "M" || ph.empty())
+                continue;
+            expect(ph == "X" || ph == "C" || ph == "i", where, "unknown ph");
+            need(ev, ph == "X" ? "tid #ts #dur" : "tid #ts", where);
+            if (ph == "C")
+                need(member(ev, "args"), "value", where + ": args");
+            const int64_t ts = countAt(ev, "ts"), dur = countAt(ev, "dur");
+            expect(ph != "X" || end < 0 || ts < 0 || dur < 0 ||
+                       countAt(ev, "pid") != timeline::kPidModeled ||
+                       (ts <= end && dur <= end - ts),
+                   where, "modeled span ends after the run's cycles");
+        }
+        expect(!events.empty(), at, "no traceEvents");
+        expect(events.empty() || spans > 0, at, "no complete spans");
+        expect(events.empty() || metas > 0, at, "no metadata events");
+    }
+
+    void metrics(const json::Value &m, const std::string &at)
+    {
+        const auto &list = member(m, "metrics").elements();
+        need(m, "#snapshot [metrics", at);
+        expect(countAt(m, "snapshot") != 0, at, "snapshot number is 0");
+        expect(!list.empty(), at, "no metrics");
+        std::map<std::string, int> seen;
+        for (const json::Value &h : list) {
+            const std::string type = h.stringAt("type");
+            const std::string where = at + ": " + h.stringAt("name");
+            need(h, "$name $type {labels", where);
+            expect(seen[where + json::dump(member(h, "labels"))]++ == 0, where,
+                   "repeats a label set");
+            expect(rankOf<metrics::MetricKind, kMetricKinds>(type) >= 0, where,
+                   "unknown type '" + type + "'");
+            const bool histogram =
+                type == toString(metrics::MetricKind::Histogram);
+            need(h, histogram ? "#count %sum %min %max %mean {window {buckets"
+                              : "%value",
+                 where);
+            if (!histogram)
+                continue;
+            const json::Value &window = member(h, "window");
+            const json::Value &buckets = member(h, "buckets");
+            const int64_t n = countAt(h, "count");
+            const double mean = h.numberAt("mean");
+            need(window, "#count %p50 %p95 %p99 %p99.9", where + ": window");
+            expect(n < 0 || countAt(window, "count") <= n, where,
+                   "window count exceeds the count");
+            expect(n <= 0 || (h.numberAt("min") <= mean &&
+                              mean <= h.numberAt("max")),
+                   where, "min <= mean <= max violated");
+            uint64_t sum = 0;
+            for (const auto &[edge, unused] : buckets.members())
+                sum += std::max<int64_t>(countAt(buckets, edge), 0);
+            expect(n <= 0 || sum == uint64_t(n), where,
+                   "bucket counts do not sum to count");
+        }
+    }
+
+    /** The Prometheus text of @p snapshot: a TYPE line per family, and
+     *  a _count line and a +Inf bucket line per histogram. */
+    void prom(const std::string &text, const json::Value &snapshot,
+              const std::string &at)
+    {
+        // A line that starts with @p head and holds @p tail after it.
+        auto has = [&](const std::string &head, const std::string &tail) {
+            std::istringstream in(text);
+            for (std::string l; std::getline(in, l);)
+                if (l.starts_with(head) && l.find(tail, head.size()) != l.npos)
+                    return true;
+            return false;
+        };
+        for (const json::Value &m : member(snapshot, "metrics").elements()) {
+            const std::string name = m.stringAt("name");
+            const std::string type = m.stringAt("type");
+            expect(has("# TYPE " + name + " " + type, ""), at,
+                   "no TYPE line for " + name);
+            if (type == toString(metrics::MetricKind::Histogram)) {
+                expect(has(name + "_count", " "), at, "no _count: " + name);
+                expect(has(name + "_bucket", "le=\"+Inf\""), at,
+                       "no +Inf bucket: " + name);
+            }
+        }
+    }
+
+    /** A serve report, against its metrics snapshot when one is named. */
+    void serve(const json::Value &r, const std::string &at,
+               const json::Value *snapshot)
+    {
+        const json::Value &slo = member(r, "slo");
+        const int64_t done = countAt(r, "completed");
+        need(r, "#completed {slo", at);
+        need(slo, "{total [per_matrix", at + ": slo");
+        // The good and bad counts of @p buckets add up to the completed
+        // requests; a bucket that saw requests has monotone percentiles.
+        auto tally = [&](const std::vector<json::Value> &buckets,
+                         const std::string &where) {
+            const size_t faults = out.size();
+            uint64_t sum = 0;
+            for (const json::Value &b : buckets) {
+                const json::Value &lat = member(b, "latency_us");
+                const double p[] = {lat.numberAt("p50"), lat.numberAt("p95"),
+                                    lat.numberAt("p99"),
+                                    lat.numberAt("p99.9")};
+                need(b, "#requests #good #bad {latency_us", where);
+                expect(countAt(b, "requests") <= 0 || std::is_sorted(p, p + 4),
+                       where, "percentiles not monotone");
+                for (const char *k : {"good", "bad"})
+                    sum += uint64_t(countAt(b, k));
+            }
+            expect(out.size() != faults || done < 0 || sum == uint64_t(done),
+                   where, "good + bad is " + std::to_string(sum));
+        };
+        tally({member(slo, "total")}, at + ": slo.total");
+        tally(member(slo, "per_matrix").elements(), at + ": slo.per_matrix");
+        if (!snapshot || done < 0)
+            return;
+
+        // Against the snapshot: each serve histogram observed every
+        // completed request once, and a request's queue wait is part of
+        // its latency, so wait's sum and maximum stay below latency's.
+        json::Value unlabeled = json::Value::object();
+        uint64_t perMatrix = 0;
+        for (const json::Value &m : member(*snapshot, "metrics").elements())
+            if (member(m, "labels").members().empty())
+                unlabeled.set(m.stringAt("name"), m);
+            else if (m.stringAt("name") == "serve_latency_us")
+                perMatrix += std::max<int64_t>(countAt(m, "count"), 0);
+        const json::Value &lat = member(unlabeled, "serve_latency_us");
+        const json::Value &wait = member(unlabeled, "serve_queue_wait_us");
+        const json::Value n(done);
+        expect(member(lat, "count") == n, at,
+               "the latency histogram count is not completed");
+        expect(member(wait, "count") == n, at,
+               "the queue-wait histogram count is not completed");
+        expect(member(member(unlabeled, "serve_requests_completed"),
+                      "value") == n,
+               at, "serve_requests_completed is not completed");
+        expect(perMatrix == uint64_t(done), at,
+               "per-matrix latency counts do not sum to completed");
+        for (const char *k : {"sum", "max"})
+            expect(wait.numberAt(k) <= lat.numberAt(k) * (1.0 + 1e-9), at,
+                   std::string("queue-wait ") + k + " exceeds latency " + k);
+    }
+};
+
+} // namespace
+
+std::vector<Finding>
+check(const std::vector<Artifact> &artifacts)
+{
+    Checker c;
+    std::map<ArtifactKind, std::vector<const json::Value *>> docs;
+    for (const Artifact &a : artifacts)
+        docs[classify(a.doc)].push_back(&a.doc);
+    // The one document of kind @p k named with @p a: more than one is
+    // ambiguous, and so is none when @p required.
+    auto partner = [&](ArtifactKind k, const Artifact &a,
+                       bool required = false) {
+        const auto &d = docs[k];
+        c.expect(d.size() == 1 || (d.empty() && !required), a.path,
+                 std::to_string(d.size()) + " " + toString(k) +
+                     " documents named with it",
+                 Finding::Kind::Unreadable);
+        return d.size() == 1 ? d[0] : nullptr;
+    };
+    for (const Artifact &a : artifacts) {
+        const ArtifactKind k = classify(a.doc);
+        const bool prom = a.path.ends_with(".prom");
+        c.expect(prom || k != ArtifactKind::Unknown, a.path,
+                 "unrecognized artifact", Finding::Kind::Unreadable);
+        if (k != ArtifactKind::Unknown)
+            c.schema(a.doc, a.path);
+        if (const json::Value *snap =
+                prom ? partner(ArtifactKind::Metrics, a, true) : nullptr)
+            c.prom(a.text, *snap, a.path);
+        if (k == ArtifactKind::Profile)
+            c.profile(a.doc, a.path, partner(ArtifactKind::Sim, a));
+        if (k == ArtifactKind::Sim)
+            c.sim(a.doc, a.path);
+        if (k == ArtifactKind::Timeline)
+            c.timeline(a.doc, a.path, partner(ArtifactKind::Sim, a));
+        if (k == ArtifactKind::Metrics)
+            c.metrics(a.doc, a.path);
+        if (k == ArtifactKind::Serve)
+            c.serve(a.doc, a.path, partner(ArtifactKind::Metrics, a));
+    }
+    return c.out;
+}
+
+int
+exitCode(const std::vector<Finding> &findings)
+{
+    static constexpr int kRank[] = {0, 1, 3, 2}; // by exit code: 2 > 3 > 1
+    int code = 0;
+    for (const Finding &f : findings)
+        code = kRank[int(f.kind)] > kRank[code] ? int(f.kind) : code;
+    return code;
 }
 
 } // namespace alr::diff

@@ -28,6 +28,11 @@
  * is also the one gate of the committed BENCH_*.json baselines: exact
  * cycles, bytes, energy and stats, plus the contract checks a Bench
  * comparison always applies (see Document::violations).
+ *
+ * check() is the one checker of the artifacts' schemas and of the
+ * invariants among the artifacts of one run (`alr_diff check`): the
+ * readers above and the checker share classify(), and the checker
+ * takes its labels and schema version from the emitters.
  */
 
 #ifndef ALR_ALRESCHA_SIM_DIFF_HH
@@ -42,12 +47,15 @@
 
 namespace alr::diff {
 
-/** Which emitter produced an artifact (detected from its shape). */
+/** Which emitter produced an artifact (detected from its shape).  The
+ *  kinds from Timeline on are checked but never diffed. */
 enum class ArtifactKind : uint8_t {
-    Profile, ///< profile::exportJson (alr_sim --profile)
-    Sim,     ///< alr_sim --json report document
-    Bench,   ///< BENCH_*.json (bench harness baselines)
-    Metrics, ///< metrics::Registry::writeJson snapshot
+    Profile,  ///< profile::exportJson (alr_sim --profile)
+    Sim,      ///< alr_sim --json report document
+    Bench,    ///< BENCH_*.json (bench harness baselines)
+    Metrics,  ///< metrics::Registry::writeJson snapshot
+    Timeline, ///< timeline::exportChromeTrace (checked, never diffed)
+    Serve,    ///< alr_serve --json report (checked, never diffed)
     Unknown,
 };
 
@@ -226,6 +234,47 @@ std::string gate(const Document &d, const std::vector<FailRule> &rules);
 
 /** Human-readable restatement of the rule for gate messages. */
 std::string describe(const FailRule &rule);
+
+/** One file named to check(): its path, its parsed document, and its
+ *  text, which is what a ".prom" file (a metrics snapshot's Prometheus
+ *  exposition) is checked by. */
+struct Artifact
+{
+    std::string path;
+    json::Value doc;
+    std::string text;
+};
+
+/** A broken invariant, classed by the exit code alr_diff gives it: a
+ *  schema or cross-document invariant, an unrecognized document or an
+ *  ambiguous set of them, or a profile whose cycles or bytes are not
+ *  conserved. */
+struct Finding
+{
+    enum class Kind : uint8_t { Broken = 1, Unreadable = 2, Unconserved = 3 };
+    Kind kind = Kind::Broken;
+    std::string text; ///< "<path>: <where>: <what>"
+};
+
+/**
+ * Check each artifact's schema and invariants -- every document's
+ * schema_version, then per kind: a profile's labels, bucket order and
+ * exact conservation, a sim report's stat tree, utilization and
+ * snapshots, a timeline's events, a snapshot's metrics, a serve
+ * report's SLO accounting -- and the invariants among the artifacts
+ * named together, each paired with the one partner of its kind: a
+ * timeline's modeled spans end by the sim report's cycles, a profile
+ * (standalone or embedded) matches its sim report's kernel and cycles,
+ * a .prom file exposes its snapshot's families, and a snapshot's
+ * histogram and completion counts add up to the serve report's
+ * completed requests.  Two partners of one kind, or a .prom file with
+ * no snapshot, is Unreadable.  Empty when everything holds.
+ */
+std::vector<Finding> check(const std::vector<Artifact> &artifacts);
+
+/** alr_diff check's exit code: 0 without findings, else 2 before 3
+ *  before 1 (Finding::Kind). */
+int exitCode(const std::vector<Finding> &findings);
 
 } // namespace alr::diff
 

@@ -1,67 +1,6 @@
 #include "alrescha/sim/fcu.hh"
 
-#include <algorithm>
-#include <limits>
-#include <vector>
-
-#include "alrescha/sim/reduce.hh"
-#include "common/logging.hh"
-
 namespace alr {
-
-Value
-Fcu::vectorReduce(std::span<const Value> a, std::span<const Value> b,
-                  VecOp op, ReduceOp reduce,
-                  std::span<const uint8_t> lane_valid, FcuOpCounts *counts)
-{
-    ALR_ASSERT(a.size() == b.size(), "FCU lane-count mismatch");
-    ALR_ASSERT(lane_valid.empty() || lane_valid.size() == a.size(),
-               "lane-valid mask size mismatch");
-
-    FcuOpCounts local;
-    FcuOpCounts &c = counts ? *counts : local;
-    const Index lanes = Index(a.size());
-    const Index width = fcutree::ceilPow2(lanes);
-    const Value identity = reduce == ReduceOp::Sum
-                               ? 0.0
-                               : std::numeric_limits<Value>::infinity();
-
-    // Phase 1: the lane ALUs.  Masked-out lanes (absent edges in a Min
-    // reduction) feed the tree the identity, like the pad lanes.
-    constexpr Index kStackLanes = 64;
-    Value stack[kStackLanes];
-    std::vector<Value> heap;
-    Value *p = stack;
-    if (width > kStackLanes) {
-        heap.resize(width);
-        p = heap.data();
-    }
-    for (Index lane = 0; lane < lanes; ++lane) {
-        if (!lane_valid.empty() && !lane_valid[lane]) {
-            p[lane] = identity;
-            continue;
-        }
-        if (op == VecOp::Mul) {
-            p[lane] = a[lane] * b[lane];
-            c.mul += 1.0;
-        } else {
-            p[lane] = a[lane] + b[lane];
-            c.add += 1.0;
-        }
-        c.alu += 1.0;
-        c.reduce += 1.0;
-    }
-
-    // Phase 2: the reduce-engine tree, in the canonical order (see
-    // reduce.hh).  The per-valid-lane op tally above is the modeling
-    // convention the stats have always used; it is independent of the
-    // tree shape.
-    Value acc = reduce == ReduceOp::Sum ? fcutree::sumTree(p, lanes)
-                                        : fcutree::minTree(p, lanes);
-    if (!counts)
-        noteOps(local);
-    return acc;
-}
 
 void
 Fcu::noteOps(const FcuOpCounts &c)

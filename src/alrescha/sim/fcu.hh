@@ -5,22 +5,19 @@
  * fixed for every data path; only the phase-1 operation (multiply or
  * add) and the reduction (sum or min) differ per path.
  *
- * The functional methods compute real values; the op counters drive the
- * energy model and the Fig 16 sequential-fraction metric.
+ * The replay kernels compute the values, in the tree order of
+ * reduce.hh; this model holds the pipeline latencies and the op
+ * counters that drive the energy model and the Fig 16
+ * sequential-fraction metric.
  */
 
 #ifndef ALR_ALRESCHA_SIM_FCU_HH
 #define ALR_ALRESCHA_SIM_FCU_HH
 
-#include <span>
-
 #include "alrescha/params.hh"
 #include "common/stats.hh"
 
 namespace alr {
-
-/** Phase-1 element-wise operation (Table 1). */
-enum class VecOp : uint8_t { Mul, Add };
 
 /** Phase-2 reduction (Table 1). */
 enum class ReduceOp : uint8_t { Sum, Min };
@@ -42,21 +39,6 @@ class Fcu
 {
   public:
     explicit Fcu(const AccelParams &params) : _params(params) {}
-
-    /**
-     * One block-row pass through the ALUs and the reduction tree:
-     * reduce(op(a_i, b_i)) over lanes where @p lane_valid holds (absent
-     * edges do not participate in a Min reduction).  @p lane_valid may
-     * be empty, meaning all lanes participate.
-     *
-     * When @p counts is non-null the per-lane operation tallies go into
-     * it (the caller flushes them later via noteOps); otherwise the
-     * shared atomic counters are updated directly.
-     */
-    Value vectorReduce(std::span<const Value> a, std::span<const Value> b,
-                       VecOp op, ReduceOp reduce,
-                       std::span<const uint8_t> lane_valid = {},
-                       FcuOpCounts *counts = nullptr);
 
     /** Add a batch of locally accumulated operation counts. */
     void noteOps(const FcuOpCounts &c);

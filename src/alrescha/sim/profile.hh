@@ -14,7 +14,7 @@
  * *exactly* to the run's modeled cycle count, and the attributed bytes
  * sum exactly to the memory model's total traffic (streamed payload
  * plus cache-miss line fills) -- no cycle or byte is dropped or double
- * counted (test-enforced, and re-checked by tools/check_profile.py).
+ * counted (test-enforced, and re-checked by alr_diff check).
  *
  * Accounting semantics (docs/MODELING.md "Cycle accounting" for the
  * full derivation):
@@ -271,8 +271,8 @@ struct ExportMeta
 /**
  * Export the recorded profile as @p w's next value, one JSON object:
  * build provenance (git describe, SIMD mode), the meta block, the
- * sorted buckets, and the critical-path section.  Schema validated by
- * tools/check_profile.py.
+ * sorted buckets, and the critical-path section.  Schema and
+ * conservation checked by diff::check (alr_diff check).
  */
 void exportJson(json::Writer &w, const ExportMeta &meta);
 /** The same object as a standalone document (alr_sim --profile). */

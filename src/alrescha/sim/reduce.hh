@@ -5,10 +5,10 @@
  * The hardware reduces a block row with a log2(ω)-deep tree of reduce
  * engines: adjacent lanes combine at the first level, adjacent partial
  * results at every level after.  The simulator commits to exactly that
- * order everywhere a block row is reduced -- Fcu::vectorReduce (the
- * test-only reference engine), the scheduled scalar replay and the
- * graph rounds' record loops, and the SIMD replay kernels -- so all of
- * them produce bit-identical doubles.
+ * order everywhere a block row is reduced -- the scheduled scalar
+ * replay and the graph rounds' record loops, the SIMD replay kernels,
+ * and vectorReduce of the test-only reference engine (tests/reference)
+ * -- so all of them produce bit-identical doubles.
  *
  * Lane counts that are not powers of two are padded to the next power
  * of two with the reduction identity (+0.0 for Sum, +inf for Min),

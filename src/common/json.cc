@@ -345,8 +345,12 @@ Value::asInt() const
 {
     if (_kind == Kind::Int)
         return _int;
+    // Saturate: intAt() reads numbers of untrusted artifacts, and
+    // casting a double outside int64's range (or NaN) is undefined.
     if (_kind == Kind::Double)
-        return int64_t(_double);
+        return !(_double >= -0x1p63) ? INT64_MIN
+               : _double >= 0x1p63   ? INT64_MAX
+                                     : int64_t(_double);
     return 0;
 }
 

@@ -101,7 +101,8 @@ class Value
     bool isObject() const { return _kind == Kind::Object; }
 
     /** Typed accessors; the caller checks the kind first (ALR code
-     *  style: these assert in debug, return zero values in release). */
+     *  style: these assert in debug, return zero values in release).
+     *  asInt() truncates a Double, saturating outside int64's range. */
     bool asBool() const { return _kind == Kind::Bool && _bool; }
     int64_t asInt() const;
     double asDouble() const;

@@ -10,7 +10,7 @@
  *
  * Exposition formats:
  *  - writeJson(): one self-contained JSON document (the schema
- *    tools/check_metrics.py validates);
+ *    diff::check -- alr_diff check -- validates);
  *  - writePrometheus(): Prometheus text exposition format 0.0.4
  *    (`# HELP` / `# TYPE` / `name{label="v"} value` lines), so the
  *    snapshot file can be scraped by node_exporter's textfile

@@ -15,9 +15,10 @@ namespace alr::version {
  * Version of every JSON artifact this repo emits (stats dumps,
  * profiles, timelines, metrics snapshots, sim reports, BENCH rows,
  * diff documents), stamped as a top-level "schema_version" member.
- * Cross-run tooling (tools/alr_diff, the check_*.py validators)
- * refuses artifacts whose versions disagree instead of misreading
- * them.  Bump on any incompatible schema change.
+ * Cross-run tooling (tools/alr_diff) refuses artifacts whose versions
+ * disagree instead of misreading them, and alr_diff check fails any
+ * artifact stamped with another.  Bump on any incompatible schema
+ * change.
  */
 constexpr int kJsonSchemaVersion = 1;
 

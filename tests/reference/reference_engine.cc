@@ -5,12 +5,52 @@
 #include <sstream>
 
 #include "alrescha/sim/profile.hh"
+#include "alrescha/sim/reduce.hh"
 #include "common/logging.hh"
 #include "common/timeline.hh"
 
 namespace alr {
 
 using profile::Cause;
+
+Value
+vectorReduce(std::span<const Value> a, std::span<const Value> b, VecOp op,
+             ReduceOp reduce, std::span<const uint8_t> lane_valid,
+             FcuOpCounts &counts)
+{
+    ALR_ASSERT(a.size() == b.size(), "FCU lane-count mismatch");
+    ALR_ASSERT(lane_valid.empty() || lane_valid.size() == a.size(),
+               "lane-valid mask size mismatch");
+    const Index lanes = Index(a.size());
+    const Value identity = reduce == ReduceOp::Sum
+                               ? 0.0
+                               : std::numeric_limits<Value>::infinity();
+    // Phase 1: the lane ALUs.  Masked-out lanes feed the tree the
+    // identity, like the pad lanes.
+    constexpr Index kStackLanes = 64;
+    Value stack[kStackLanes];
+    std::vector<Value> heap;
+    Value *p = stack;
+    if (fcutree::ceilPow2(lanes) > kStackLanes) {
+        heap.resize(fcutree::ceilPow2(lanes));
+        p = heap.data();
+    }
+    for (Index lane = 0; lane < lanes; ++lane) {
+        if (!lane_valid.empty() && !lane_valid[lane]) {
+            p[lane] = identity;
+            continue;
+        }
+        p[lane] = op == VecOp::Mul ? a[lane] * b[lane] : a[lane] + b[lane];
+        (op == VecOp::Mul ? counts.mul : counts.add) += 1.0;
+        counts.alu += 1.0;
+        counts.reduce += 1.0;
+    }
+    // Phase 2: the reduce-engine tree, in the canonical order.  The
+    // per-valid-lane tally above is the stats' modeling convention,
+    // independent of the tree shape.
+    return reduce == ReduceOp::Sum ? fcutree::sumTree(p, lanes)
+                                   : fcutree::minTree(p, lanes);
+}
 
 ReferenceEngine::ReferenceEngine(Engine &engine)
     : _engine(engine), _params(engine.params()), _memory(engine.memory()),
@@ -169,8 +209,8 @@ ReferenceEngine::runSpmv(const DenseVector &x, RunTiming *timing)
             if (useful == 0 && _params.skipEmptyBlockRows)
                 continue;
             ++occupied;
-            y[r] += _fcu.vectorReduce(rowVals, xChunk, VecOp::Mul,
-                                      ReduceOp::Sum, {}, &fcuOps);
+            y[r] += vectorReduce(rowVals, xChunk, VecOp::Mul,
+                                 ReduceOp::Sum, {}, fcuOps);
             parFlops += 2.0 * useful;
             usefulBytes += double(useful) * sizeof(Value);
         }
@@ -288,9 +328,9 @@ ReferenceEngine::runSpmm(const std::vector<DenseVector> &xs,
                 continue;
             ++occupied;
             for (size_t j = 0; j < k; ++j) {
-                ys[j][r] += _fcu.vectorReduce(rowVals, chunks[j],
-                                              VecOp::Mul, ReduceOp::Sum,
-                                              {}, &fcuOps);
+                ys[j][r] += vectorReduce(rowVals, chunks[j],
+                                         VecOp::Mul, ReduceOp::Sum,
+                                         {}, fcuOps);
                 parFlops += 2.0 * useful;
             }
             // The payload is useful once; the reuse is the win.
@@ -449,9 +489,9 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                     continue;
                 }
                 ++occupied;
-                partials[lr] = _fcu.vectorReduce(rowVals, xChunk,
-                                                 VecOp::Mul, ReduceOp::Sum,
-                                                 {}, &fcuOps);
+                partials[lr] = vectorReduce(rowVals, xChunk,
+                                            VecOp::Mul, ReduceOp::Sum,
+                                            {}, fcuOps);
                 parFlops += 2.0 * useful;
                 usefulBytes += double(useful) * sizeof(Value);
             }
@@ -541,8 +581,8 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                         ++useful;
                 }
                 Value sum = acc[lr] +
-                            _fcu.vectorReduce(rowVals, xChunk, VecOp::Mul,
-                                              ReduceOp::Sum, {}, &fcuOps);
+                            vectorReduce(rowVals, xChunk, VecOp::Mul,
+                                         ReduceOp::Sum, {}, fcuOps);
                 peOps += 2.0; // subtract + divide
                 x[r] = (b[r] - sum) / diag[r];
                 chain += uint64_t(stepLat);
@@ -679,8 +719,8 @@ ReferenceEngine::runRelaxRound(const DenseVector &dist, bool zero_addend,
             if (useful == 0 && _params.skipEmptyBlockRows)
                 continue;
             ++occupied;
-            Value m = _fcu.vectorReduce(srcDist, addend, VecOp::Add,
-                                        ReduceOp::Min, valid, &fcuOps);
+            Value m = vectorReduce(srcDist, addend, VecOp::Add,
+                                   ReduceOp::Min, valid, fcuOps);
             cand[r] = std::min(cand[r], m);
             parFlops += 2.0 * useful;
             usefulBytes += double(useful) * sizeof(Value);
@@ -807,8 +847,8 @@ ReferenceEngine::runPrRound(const DenseVector &rank,
             if (useful == 0 && _params.skipEmptyBlockRows)
                 continue;
             ++occupied;
-            sums[r] += _fcu.vectorReduce(pattern, contrib, VecOp::Mul,
-                                         ReduceOp::Sum, {}, &fcuOps);
+            sums[r] += vectorReduce(pattern, contrib, VecOp::Mul,
+                                    ReduceOp::Sum, {}, fcuOps);
             parFlops += 2.0 * useful;
             usefulBytes += double(useful) * sizeof(Value);
         }

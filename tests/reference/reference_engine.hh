@@ -5,7 +5,8 @@
  * kernel -- SpMV, SpMM, SymGS and the graph rounds (the graph oracle).
  *
  * It walks the table entry by entry, decodes every element through
- * LocallyDenseMatrix::blockValue and reduces each row on the FCU --
+ * LocallyDenseMatrix::blockValue and reduces each row with
+ * vectorReduce, the FCU's lane ALUs and reduction tree --
  * the most literal reading of the timing model, charging every term
  * explicitly, with no compiled state or shared walker to get wrong.  It charges a real Engine's memory, FCU, RCU and
  * stat tree and ends every run in Engine::commitRun, so results,
@@ -19,6 +20,7 @@
 #ifndef ALR_TESTS_REFERENCE_ENGINE_HH
 #define ALR_TESTS_REFERENCE_ENGINE_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,22 @@
 #include "alrescha/sim/profile.hh"
 
 namespace alr {
+
+/** Phase-1 element-wise operation of the FCU (Table 1). */
+enum class VecOp : uint8_t { Mul, Add };
+
+/**
+ * One block-row pass through the FCU's lane ALUs and reduction tree:
+ * reduce(op(a_i, b_i)) over the lanes where @p lane_valid holds (all of
+ * them when it is empty; an absent edge takes no part in a Min), in the
+ * canonical tree order of reduce.hh.  Each valid lane tallies one ALU
+ * op, one reduce op and its multiply or add into @p counts, which the
+ * caller flushes through Fcu::noteOps.
+ */
+Value vectorReduce(std::span<const Value> a, std::span<const Value> b,
+                   VecOp op, ReduceOp reduce,
+                   std::span<const uint8_t> lane_valid,
+                   FcuOpCounts &counts);
 
 class ReferenceEngine
 {

@@ -6,21 +6,34 @@
  * width) attributed to the cache buckets, bench-row alignment with
  * missing rows, metrics diffs, schema/kind refusal, the --fail-on
  * rule grammar, and the BENCH gate: one drift at a time spliced into
- * a copy of a committed BENCH_*.json baseline.
+ * a copy of a committed BENCH_*.json baseline.  Then the artifact
+ * checker (diff::check): every invariant broken on its own in a
+ * document its real emitter wrote, and a seeded mutation loop over the
+ * same documents.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/report.hh"
+#include "alrescha/serve.hh"
 #include "alrescha/sim/diff.hh"
 #include "alrescha/sim/profile.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "common/random.hh"
+#include "common/timeline.hh"
+#include "common/version.hh"
 #include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
 
@@ -406,33 +419,37 @@ withMember(const json::Value &obj, const std::string &key,
     return out;
 }
 
-/** @p doc with its first dataset row replaced by edit(row). */
-template <typename Edit>
+/** @p doc with the value at dotted @p path (array elements by index)
+ *  set to @p v, or dropped when @p v is empty. */
 json::Value
-withFirstRow(const json::Value &doc, Edit edit)
+edited(const json::Value &doc, std::string_view path,
+       const std::optional<json::Value> &v)
 {
-    json::Value rows = *doc.find("datasets");
-    rows.elements()[0] = edit(rows.elements()[0]);
-    return withMember(doc, "datasets", &rows);
+    const size_t dot = path.find('.');
+    const std::string head(path.substr(0, dot));
+    const std::string_view rest =
+        dot == std::string_view::npos ? "" : path.substr(dot + 1);
+    if (doc.isArray()) {
+        json::Value out = doc;
+        json::Value &e = out.elements()[std::stoul(head)];
+        e = rest.empty() ? *v : edited(e, rest, v);
+        return out;
+    }
+    if (rest.empty())
+        return withMember(doc, head, v ? &*v : nullptr);
+    json::Value child = edited(*doc.find(head), rest, v);
+    return withMember(doc, head, &child);
 }
 
-/** @p doc with leaf @p key of its first row's @p sub object set to @p v
- *  (dropped when v is null). */
-json::Value
-withFirstRowLeaf(const json::Value &doc, const char *sub, const char *key,
-                 const json::Value *v)
+/** The value at dotted @p path of @p doc. */
+const json::Value &
+at(const json::Value &doc, std::string_view path)
 {
-    return withFirstRow(doc, [&](const json::Value &row) {
-        json::Value s = withMember(*row.find(sub), key, v);
-        return withMember(row, sub, &s);
-    });
-}
-
-/** Leaf @p key of the first row's @p sub object of @p doc. */
-double
-firstRowLeaf(const json::Value &doc, const char *sub, const char *key)
-{
-    return doc.find("datasets")->elements()[0].find(sub)->numberAt(key);
+    const size_t dot = path.find('.');
+    const std::string head(path.substr(0, dot));
+    const json::Value &v = doc.isArray() ? doc.elements()[std::stoul(head)]
+                                         : *doc.find(head);
+    return dot == std::string_view::npos ? v : at(v, path.substr(dot + 1));
 }
 
 /** The gate's verdict: empty when @p drifted passes against @p base. */
@@ -475,20 +492,18 @@ TEST(DiffGate, CommittedBaselinesPassAgainstThemselves)
 TEST(DiffGate, StatsLeafDriftTrips)
 {
     json::Value base = committedBench("BENCH_spmv.json");
-    json::Value bumped(firstRowLeaf(base, "stats", "alu_ops") + 1.0);
-    EXPECT_NE(gateOf(base, withFirstRowLeaf(base, "stats", "alu_ops",
-                                            &bumped)),
-              "");
+    const char *leaf = "datasets.0.stats.alu_ops";
+    json::Value bumped(at(base, leaf).asDouble() + 1.0);
+    EXPECT_NE(gateOf(base, edited(base, leaf, bumped)), "");
 }
 
 TEST(DiffGate, EnergyComponentDriftTrips)
 {
     // The row total stays put: only the component rule can see it.
     json::Value base = committedBench("BENCH_energy.json");
-    json::Value scaled(firstRowLeaf(base, "energy", "dram") * (1.0 + 1e-7));
-    EXPECT_NE(gateOf(base, withFirstRowLeaf(base, "energy", "dram",
-                                            &scaled)),
-              "");
+    const char *leaf = "datasets.0.energy.dram";
+    json::Value scaled(at(base, leaf).asDouble() * (1.0 + 1e-7));
+    EXPECT_NE(gateOf(base, edited(base, leaf, scaled)), "");
 }
 
 TEST(DiffGate, MissingTopLevelKeyTrips)
@@ -503,21 +518,23 @@ TEST(DiffGate, RowShapeDriftTrips)
     // Every BENCH_serve row has stats.schedule_evictions == 0, so a
     // value diff (absent leaf = 0, nulls skipped) sees none of these.
     json::Value base = committedBench("BENCH_serve.json");
-    const json::Value null, zero(0), suite("other"), *drop = nullptr;
+    const std::optional<json::Value> drop;
     for (auto [key, v] : {std::pair{"schedule_evictions", drop},
-                          {"schedule_evictions", &null},
-                          {"schedule_restores", &zero}})
-        EXPECT_NE(gateOf(base, withFirstRowLeaf(base, "stats", key, v)), "")
+                          {"schedule_evictions", json::Value()},
+                          {"schedule_restores", json::Value(0)}})
+        EXPECT_NE(gateOf(base, edited(base,
+                                      std::string("datasets.0.stats.") + key,
+                                      v)),
+                  "")
             << key;
     // Likewise a new energy component that reads 0.
     json::Value energy = committedBench("BENCH_energy.json");
-    EXPECT_NE(gateOf(energy, withFirstRowLeaf(energy, "energy", "leakage",
-                                              &zero)),
+    EXPECT_NE(gateOf(energy, edited(energy, "datasets.0.energy.leakage",
+                                    json::Value(0))),
               "");
     // Rows align by name; a row that moves to another suite is drift.
-    EXPECT_NE(gateOf(base, withFirstRow(base, [&](const json::Value &row) {
-                  return withMember(row, "suite", &suite);
-              })),
+    EXPECT_NE(gateOf(base, edited(base, "datasets.0.suite",
+                                  json::Value("other"))),
               "");
 }
 
@@ -547,12 +564,9 @@ TEST(DiffGate, RepeatedRowIsMalformed)
 TEST(DiffGate, WallTimeOutsideToleranceTrips)
 {
     json::Value base = committedBench("BENCH_symgs.json");
-    double wall = base.find("datasets")->elements()[0].numberAt("wall_ms");
+    const double wall = at(base, "datasets.0.wall_ms").asDouble();
     auto withWall = [&](double ms) {
-        return withFirstRow(base, [&](const json::Value &row) {
-            json::Value v(ms);
-            return withMember(row, "wall_ms", &v);
-        });
+        return edited(base, "datasets.0.wall_ms", json::Value(ms));
     };
     EXPECT_NE(gateOf(base, withWall(0.0)), "");
     EXPECT_NE(gateOf(base, withWall(30.0 * wall)), "");
@@ -607,6 +621,736 @@ TEST(DiffGate, WallDerivedServeFieldsDoNotTrip)
     }
     EXPECT_FALSE(diffOk(base, drifted).empty());
     EXPECT_EQ(gateOf(base, drifted), "");
+}
+
+// ---------------------------------------------------------------------
+// The artifact checker: alr_diff check
+
+json::Value
+parsed(const std::string &text)
+{
+    json::Parsed p = json::parse(text);
+    EXPECT_TRUE(p.ok) << p.error;
+    return p.value;
+}
+
+/** The artifacts of one profiled, timelined, snapshotted run on the
+ *  SymGS layout (a symmetric sweep, then an SpMV), as their emitters
+ *  write them. */
+struct RunArtifacts
+{
+    json::Value report;   ///< stat tree, utilization, snapshots, profile
+    json::Value profile;  ///< the standalone --profile document
+    json::Value timeline; ///< the modeled and host planes
+};
+
+const RunArtifacts &
+runArtifacts()
+{
+    static const RunArtifacts artifacts = [] {
+        profile::reset();
+        profile::setEnabled(true);
+        timeline::reset();
+        timeline::setEnabled(true);
+        CsrMatrix a = gen::stencil2d(8, 8);
+        Accelerator acc;
+        acc.loadPde(a);
+        stats::StatSnapshotter snap(acc.engine().statGroup(), 1000);
+        snap.sampleNow(0);
+        acc.engine().setSnapshotter(&snap);
+        DenseVector b(a.rows(), 1.0), x(a.rows(), 0.0);
+        acc.symgsSweep(b, x, GsSweep::Symmetric);
+        acc.spmv(x);
+        snap.sampleNow(acc.engine().totalCycles());
+        acc.engine().setSnapshotter(nullptr);
+        timeline::setEnabled(false);
+
+        SimReportOptions opt;
+        opt.kernel = "symgs";
+        opt.utilization = true;
+        opt.stats = true;
+        opt.snapshots = &snap;
+        std::ostringstream report, prof, trace;
+        writeSimReportJson(report, acc, opt);
+        profile::exportJson(prof, {opt.kernel, opt.omega,
+                                   acc.engine().totalCycles(), opt.simdMode});
+        timeline::exportChromeTrace(trace);
+        profile::setEnabled(false);
+        profile::reset();
+        timeline::reset();
+        return RunArtifacts{parsed(report.str()), parsed(prof.str()),
+                            parsed(trace.str())};
+    }();
+    return artifacts;
+}
+
+/** The artifacts of one serving drain with the request-plane timeline
+ *  and the metrics registry live.  The report carries the members of
+ *  alr_serve --json that the checker reads, built from the drain's own
+ *  result and SLO accounting. */
+struct ServeArtifacts
+{
+    json::Value report;
+    json::Value snapshot;
+    std::string prom;
+    json::Value timeline;
+};
+
+const ServeArtifacts &
+serveArtifacts()
+{
+    static const ServeArtifacts artifacts = [] {
+        ServeFleet fleet;
+        fleet.add("poisson", gen::stencil2d(12, 12), true);
+        fleet.add("cube", gen::stencil3d(6, 6, 6), true);
+        fleet.warmSchedules();
+        TraceParams tp;
+        tp.requests = 80;
+        const std::vector<ServeRequest> trace =
+            generateTrace(tp, fleet.pdeMask());
+        metrics::Registry registry;
+        ServeConfig cfg;
+        cfg.threads = 2;
+        cfg.batchWindow = 4;
+        cfg.metrics = &registry;
+        timeline::reset();
+        timeline::setPidMask((1u << timeline::kPidHost) |
+                             (1u << timeline::kPidServe));
+        timeline::setEnabled(true);
+        const ServeResult res = serve(fleet, trace, cfg);
+        timeline::setEnabled(false);
+        timeline::setPidMask(~0u);
+
+        const std::string path = testing::TempDir() + "diff_check_" +
+                                 std::to_string(::getpid()) + ".json";
+        EXPECT_TRUE(registry.writeSnapshotFiles(path, path + ".prom"));
+        ServeArtifacts out;
+        json::Parsed snap = json::parseFile(path);
+        EXPECT_TRUE(snap.ok) << snap.error;
+        out.snapshot = snap.value;
+        std::ifstream prom(path + ".prom");
+        out.prom.assign(std::istreambuf_iterator<char>(prom), {});
+        std::remove(path.c_str());
+        std::remove((path + ".prom").c_str());
+        std::ostringstream tl;
+        timeline::exportChromeTrace(tl);
+        timeline::reset();
+        out.timeline = parsed(tl.str());
+
+        const SloReport slo = computeSlo(res, trace, fleet, 5000.0);
+        auto bucket = [](const SloBucket &b) {
+            json::Value lat = json::Value::object();
+            lat.set("p50", b.p50).set("p95", b.p95).set("p99", b.p99);
+            lat.set("p99.9", b.p999);
+            json::Value v = json::Value::object();
+            v.set("name", b.name).set("requests", b.requests);
+            v.set("good", b.good).set("bad", b.bad).set("latency_us", lat);
+            return v;
+        };
+        json::Value perMatrix = json::Value::array();
+        for (const SloBucket &b : slo.perMatrix)
+            perMatrix.append(bucket(b));
+        json::Value sloDoc = json::Value::object();
+        sloDoc.set("target_us", slo.sloUs).set("total", bucket(slo.total));
+        sloDoc.set("per_matrix", perMatrix);
+        out.report = json::Value::object();
+        out.report.set("schema_version", version::kJsonSchemaVersion)
+            .set("fleet", fleet.size())
+            .set("requests", trace.size())
+            .set("completed", res.completed)
+            .set("slo", sloDoc);
+        return out;
+    }();
+    return artifacts;
+}
+
+std::vector<diff::Artifact>
+runSet(const json::Value &report, const json::Value &profile,
+       const json::Value &timeline)
+{
+    return {{"report.json", report, ""},
+            {"profile.json", profile, ""},
+            {"timeline.json", timeline, ""}};
+}
+
+std::vector<diff::Artifact>
+serveSet(const json::Value &report, const json::Value &snapshot,
+         const std::string &prom, const json::Value &timeline)
+{
+    return {{"serve.json", report, ""},
+            {"metrics.json", snapshot, ""},
+            {"metrics.json.prom", {}, prom},
+            {"serve_timeline.json", timeline, ""}};
+}
+
+std::string
+listed(const std::vector<diff::Finding> &findings)
+{
+    std::string all;
+    for (const diff::Finding &f : findings)
+        all += "  " + f.text + "\n";
+    return all;
+}
+
+/** check(@p set) names @p what, and alr_diff would exit @p code. */
+void
+expectFinding(const std::vector<diff::Artifact> &set, const std::string &what,
+              int code = 1)
+{
+    const std::vector<diff::Finding> findings = diff::check(set);
+    EXPECT_NE(listed(findings).find(what), std::string::npos)
+        << "no finding names \"" << what << "\":\n"
+        << listed(findings);
+    EXPECT_EQ(diff::exitCode(findings), code) << listed(findings);
+}
+
+/** One invariant broken on its own: the value at @p path of one
+ *  document set to @p value (dropped when empty), and the finding that
+ *  must name it. */
+struct Break
+{
+    std::string path;
+    std::optional<json::Value> value;
+    std::string finding;
+    int code = 1;
+};
+
+/** Each of @p breaks, applied alone to document @p doc of the run set. */
+void
+expectRunBreaks(int doc, const std::vector<Break> &breaks)
+{
+    const RunArtifacts &r = runArtifacts();
+    for (const Break &b : breaks) {
+        SCOPED_TRACE(b.path);
+        json::Value docs[] = {r.report, r.profile, r.timeline};
+        docs[doc] = edited(docs[doc], b.path, b.value);
+        expectFinding(runSet(docs[0], docs[1], docs[2]), b.finding, b.code);
+    }
+}
+
+/** Each of @p breaks, applied alone to the serve report (doc 0) or the
+ *  metrics snapshot (doc 1) of the serve set. */
+void
+expectServeBreaks(int doc, const std::vector<Break> &breaks)
+{
+    const ServeArtifacts &s = serveArtifacts();
+    for (const Break &b : breaks) {
+        SCOPED_TRACE(b.path);
+        json::Value docs[] = {s.report, s.snapshot};
+        docs[doc] = edited(docs[doc], b.path, b.value);
+        expectFinding(serveSet(docs[0], docs[1], s.prom, s.timeline),
+                      b.finding, b.code);
+    }
+}
+
+enum { kReport, kProfile, kTimeline };
+enum { kServeReport, kSnapshot };
+
+TEST(DiffCheck, EmittedArtifactsHoldEveryInvariant)
+{
+    const RunArtifacts &r = runArtifacts();
+    const ServeArtifacts &s = serveArtifacts();
+    // The run set exercises every optional section.
+    ASSERT_FALSE(at(r.profile, "critical_path.per_block_row")
+                     .elements()
+                     .empty());
+    ASSERT_GE(at(r.report, "snapshots.rows").elements().size(), 2u);
+    for (const auto &set :
+         {runSet(r.report, r.profile, r.timeline),
+          serveSet(s.report, s.snapshot, s.prom, s.timeline)}) {
+        const std::vector<diff::Finding> findings = diff::check(set);
+        EXPECT_TRUE(findings.empty()) << listed(findings);
+        EXPECT_EQ(diff::exitCode(findings), 0);
+    }
+    // Each document holds its own invariants alone, too.
+    for (const json::Value &doc :
+         {r.report, r.profile, r.timeline, s.report, s.snapshot})
+        EXPECT_TRUE(diff::check({{"a.json", doc, ""}}).empty());
+}
+
+TEST(DiffCheck, EveryKindCarriesTheSchemaVersion)
+{
+    const json::Value bumped(version::kJsonSchemaVersion + 1);
+    expectRunBreaks(kReport, {{"schema_version", bumped, "schema_version"}});
+    expectRunBreaks(kReport,
+                    {{"profile.schema_version", bumped, "schema_version"}});
+    expectRunBreaks(kProfile, {{"schema_version", bumped, "schema_version"}});
+    expectRunBreaks(kTimeline, {{"schema_version", {}, "schema_version"}});
+    expectServeBreaks(kServeReport,
+                      {{"schema_version", bumped, "schema_version"}});
+    expectServeBreaks(kSnapshot,
+                      {{"schema_version", bumped, "schema_version"}});
+}
+
+TEST(DiffCheck, ProfileSchema)
+{
+    std::vector<Break> breaks;
+    for (const char *key : {"version", "kernel", "omega", "attributed_cycles",
+                            "attributed_bytes", "runs", "critical_path"})
+        breaks.push_back({key, {}, std::string("no '") + key + "'"});
+    for (const char *key :
+         {"git", "simd_build", "simd_runtime", "omega_specializations"})
+        breaks.push_back({std::string("version.") + key, {},
+                          std::string("no '") + key + "'"});
+    for (const char *key : {"dp", "block_row", "cause", "cycles", "bytes"})
+        breaks.push_back({std::string("buckets.0.") + key, {},
+                          std::string("no '") + key + "'"});
+    breaks.push_back({"kernel", json::Value(7), "'kernel' is not a string"});
+    breaks.push_back({"omega", json::Value(0), "omega is 0"});
+    breaks.push_back({"runs", json::Value(0), "no runs recorded"});
+    breaks.push_back({"buckets.0.dp", json::Value("GEMM"), "unknown dp"});
+    breaks.push_back(
+        {"buckets.0.cause", json::Value("idle"), "unknown dp or cause"});
+    breaks.push_back({"buckets.0.block_row", json::Value(-2),
+                      "block_row below -1"});
+    breaks.push_back({"buckets.0.cycles", json::Value(-1),
+                      "'cycles' is not a non-negative integer"});
+    breaks.push_back({"buckets.0.bytes", json::Value(1.5),
+                      "'bytes' is not a non-negative integer"});
+    expectRunBreaks(kProfile, breaks);
+}
+
+TEST(DiffCheck, ProfileBucketsAreSortedAndNonEmpty)
+{
+    const json::Value &p = runArtifacts().profile;
+    // Swap the first two buckets; then repeat the first.
+    json::Value swapped = edited(p, "buckets.0", at(p, "buckets.1"));
+    swapped = edited(swapped, "buckets.1", at(p, "buckets.0"));
+    const RunArtifacts &r = runArtifacts();
+    expectFinding(runSet(r.report, swapped, r.timeline), "not sorted");
+    expectRunBreaks(kProfile,
+                    {{"buckets.1", at(p, "buckets.0"), "not sorted"}});
+    // An exported bucket holds cycles or bytes.
+    json::Value empty = edited(p, "buckets.0.cycles", json::Value(0));
+    empty = edited(empty, "buckets.0.bytes", json::Value(0));
+    expectFinding(runSet(r.report, empty, r.timeline), "empty bucket");
+}
+
+TEST(DiffCheck, ProfileConservationIsExact)
+{
+    const json::Value &p = runArtifacts().profile;
+    auto plus1 = [&](const char *path) {
+        return json::Value(at(p, path).asInt() + 1);
+    };
+    const int lost = 3;
+    expectRunBreaks(kProfile,
+                    {{"attributed_cycles", plus1("attributed_cycles"),
+                      "bucket cycles sum to", lost},
+                     {"attributed_bytes", plus1("attributed_bytes"),
+                      "bucket bytes sum to", lost},
+                     {"buckets.0.cycles", plus1("buckets.0.cycles"),
+                      "bucket cycles sum to", lost}});
+    // total_cycles alone: the buckets still sum to attributed_cycles.
+    const RunArtifacts &r = runArtifacts();
+    expectFinding({{"profile.json", edited(p, "total_cycles",
+                                           plus1("total_cycles")), ""}},
+                  "attributed_cycles is not total_cycles", lost);
+    // The embedded profile is held to the same contract.
+    const json::Value &e = at(r.report, "profile");
+    expectRunBreaks(kReport,
+                    {{"profile.attributed_bytes",
+                      json::Value(at(e, "attributed_bytes").asInt() + 1),
+                      "bucket bytes sum to", lost}});
+}
+
+TEST(DiffCheck, CriticalPath)
+{
+    const json::Value &p = runArtifacts().profile;
+    const std::string row = "critical_path.per_block_row.";
+    std::vector<Break> breaks;
+    for (const char *key : {"longest_chain_cycles", "longest_chain_rows",
+                            "per_block_row"})
+        breaks.push_back({std::string("critical_path.") + key, {},
+                          std::string("no '") + key + "'"});
+    for (const char *key :
+         {"block_row", "chains", "chain_cycles", "wait_cycles",
+          "start_stall_cycles", "slack_cycles", "dep_bound_chains"})
+        breaks.push_back(
+            {row + "0." + key, {}, std::string("no '") + key + "'"});
+    breaks.push_back({"critical_path.longest_chain_rows",
+                      json::Value::array(), "not a [first, last] pair"});
+    breaks.push_back({row + "1.block_row", at(p, row + "0.block_row"),
+                      "rows not sorted by block_row"});
+    breaks.push_back({row + "0.dep_bound_chains",
+                      json::Value(at(p, row + "0.chains").asInt() + 1),
+                      "more dependence-bound chains than chains"});
+    breaks.push_back({"critical_path.longest_chain_cycles", json::Value(0),
+                      "longest_chain_cycles is 0"});
+    breaks.push_back({row + "0.wait_cycles",
+                      json::Value(at(p, row + "0.wait_cycles").asInt() + 1),
+                      "wait cycles do not sum", 3});
+    expectRunBreaks(kProfile, breaks);
+}
+
+TEST(DiffCheck, ProfileMatchesItsSimReport)
+{
+    const RunArtifacts &r = runArtifacts();
+    const json::Value &p = r.profile;
+    expectRunBreaks(kProfile, {{"kernel", json::Value("spmv"),
+                                "kernel is not its sim report's"},
+                               {"total_cycles",
+                                json::Value(p.intAt("total_cycles") - 1),
+                                "total_cycles is not its sim report's"}});
+    // The embedded profile is matched against its enclosing report.
+    expectRunBreaks(kReport, {{"profile.kernel", json::Value("pcg"),
+                               "kernel is not its sim report's"}});
+}
+
+TEST(DiffCheck, SimReportSchema)
+{
+    const json::Value &rep = runArtifacts().report;
+    std::vector<Break> breaks;
+    for (const char *key : {"seconds", "dram_bytes"})
+        breaks.push_back({key, {}, std::string("no '") + key + "'"});
+    breaks.push_back({"kernel", json::Value(1), "'kernel' is not a string"});
+    breaks.push_back({"cycles", json::Value(0), "cycles is 0"});
+    // The stat tree, at the root group and one level down.
+    breaks.push_back({"stats.group", {}, "no 'group'"});
+    breaks.push_back(
+        {"stats.stats", json::Value(1), "'stats' is not an object"});
+    const std::string child = "stats.children.0.stats.";
+    const std::string stat =
+        at(rep, "stats.children.0.stats").members().front().first;
+    breaks.push_back({child + stat + ".desc", {}, "no 'desc'"});
+    breaks.push_back({child + stat + ".value", {}, "no 'value'"});
+    breaks.push_back({child + stat + ".kind", json::Value("gauge"),
+                      "unknown kind 'gauge'"});
+    breaks.push_back(
+        {"stats.stats.run_cycles.variance", {}, "no 'variance'"});
+    for (const char *key :
+         {"alu_occupancy", "tree_occupancy", "bandwidth_utilization",
+          "cache_hit_rate", "sequential_op_fraction", "reconfig_hidden_frac",
+          "arithmetic_intensity", "achieved_gflops", "attainable_gflops"})
+        breaks.push_back({std::string("utilization.") + key, {},
+                          std::string("no '") + key + "'"});
+    for (const char *key :
+         {"alu_occupancy", "cache_hit_rate", "reconfig_hidden_frac"})
+        breaks.push_back({std::string("utilization.") + key,
+                          json::Value(1.5), std::string(key) + " outside"});
+    for (const char *key : {"interval", "columns", "rows"})
+        breaks.push_back({std::string("snapshots.") + key, {},
+                          std::string("no '") + key + "'"});
+    json::Value wide = at(rep, "snapshots.rows.0.values");
+    wide.append(json::Value(0.0));
+    breaks.push_back({"snapshots.rows.0.values", wide,
+                      "a row's width is not the column count"});
+    const int64_t second = at(rep, "snapshots.rows.1.cycle").asInt();
+    breaks.push_back({"snapshots.rows.0.cycle", json::Value(second + 1),
+                      "snapshot cycles not monotone"});
+    expectRunBreaks(kReport, breaks);
+}
+
+TEST(DiffCheck, TimelineEvents)
+{
+    const json::Value &t = runArtifacts().timeline;
+    const std::vector<json::Value> &events = at(t, "traceEvents").elements();
+    auto first = [&](const char *ph) {
+        for (size_t i = 0; i < events.size(); ++i)
+            if (events[i].stringAt("ph") == ph)
+                return "traceEvents." + std::to_string(i) + ".";
+        ADD_FAILURE() << "no '" << ph << "' event";
+        return std::string("traceEvents.0.");
+    };
+    const std::string span = first("X"), counter = first("C");
+    const std::string meta = first("M");
+    std::vector<Break> breaks = {
+        {"traceEvents", json::Value::array(), "no traceEvents"},
+        {span + "ph", json::Value("Q"), "unknown ph"},
+        {span + "tid", {}, "no 'tid'"},
+        {span + "ts", {}, "no 'ts'"},
+        {span + "ts", json::Value(-1), "'ts' is not a non-negative integer"},
+        {span + "dur", {}, "no 'dur'"},
+        {span + "dur", json::Value(-4), "'dur' is not a non-negative integer"},
+        {counter + "args.value", {}, "no 'value'"},
+    };
+    for (const char *key : {"ph", "pid", "name"})
+        breaks.push_back({meta + key, {}, std::string("no '") + key + "'"});
+    expectRunBreaks(kTimeline, breaks);
+
+    // Without spans, or without the track-name metadata.
+    for (const char *ph : {"X", "M"}) {
+        json::Value kept = json::Value::array();
+        for (const json::Value &ev : events)
+            if (ev.stringAt("ph") != ph)
+                kept.append(ev);
+        const RunArtifacts &r = runArtifacts();
+        expectFinding(runSet(r.report, r.profile,
+                             edited(t, "traceEvents", kept)),
+                      *ph == 'X' ? "no complete spans" : "no metadata events");
+    }
+}
+
+TEST(DiffCheck, ModeledSpansEndByTheRunsCycles)
+{
+    // A modeled span past the sim report's cycle count; a host-clock
+    // span as long is not on that clock.
+    const RunArtifacts &r = runArtifacts();
+    const int64_t cycles = r.report.intAt("cycles");
+    const std::vector<json::Value> &events =
+        at(r.timeline, "traceEvents").elements();
+    size_t modeled = events.size(), host = events.size();
+    for (size_t i = 0; i < events.size(); ++i)
+        if (events[i].stringAt("ph") == "X")
+            (events[i].intAt("pid") == timeline::kPidModeled ? modeled
+                                                             : host) = i;
+    ASSERT_LT(modeled, events.size());
+    const std::string span = "traceEvents." + std::to_string(modeled) + ".";
+    const int64_t ts = at(r.timeline, span + "ts").asInt();
+    expectRunBreaks(kTimeline, {{span + "dur", json::Value(cycles - ts + 1),
+                                 "modeled span ends after the run's cycles"}});
+    // Alone, a timeline has no clock to end by.
+    const json::Value late = edited(r.timeline, span + "dur",
+                                    json::Value(cycles * 2));
+    EXPECT_TRUE(diff::check({{"timeline.json", late, ""}}).empty());
+    if (host < events.size()) {
+        const std::string h = "traceEvents." + std::to_string(host) + ".";
+        const json::Value long_host =
+            edited(r.timeline, h + "dur", json::Value(cycles * 2));
+        EXPECT_TRUE(
+            diff::check(runSet(r.report, r.profile, long_host)).empty());
+    }
+}
+
+TEST(DiffCheck, MetricsSnapshot)
+{
+    const json::Value &m = serveArtifacts().snapshot;
+    const std::vector<json::Value> &metrics = at(m, "metrics").elements();
+    auto index = [&](const char *name, bool labeled) {
+        for (size_t i = 0; i < metrics.size(); ++i)
+            if (metrics[i].stringAt("name") == name &&
+                metrics[i].find("labels")->members().empty() != labeled)
+                return "metrics." + std::to_string(i) + ".";
+        ADD_FAILURE() << "no metric " << name;
+        return std::string("metrics.0.");
+    };
+    const std::string h = index("serve_batch_size", false);
+    const std::string c = index("serve_requests_completed", false);
+    const int64_t n = at(m, h + "count").asInt();
+    std::vector<Break> breaks = {
+        {"snapshot", json::Value(0), "snapshot number is 0"},
+        {"metrics", json::Value::array(), "no metrics"},
+        {c + "name", {}, "no 'name'"},
+        {c + "type", json::Value("summary"), "unknown type 'summary'"},
+        {c + "labels", json::Value("matrix"), "'labels' is not an object"},
+        {c + "value", {}, "no 'value'"},
+        {h + "window", {}, "no 'window'"},
+        {h + "window.count", json::Value(n + 1), "window count exceeds"},
+        {h + "buckets", {}, "no 'buckets'"},
+        {h + "buckets", json::Value::object(), "bucket counts do not sum"},
+        {h + "mean", json::Value(at(m, h + "max").asDouble() + 1.0),
+         "min <= mean <= max"},
+    };
+    for (const char *key : {"count", "sum", "min", "max", "mean"})
+        breaks.push_back({h + key, {}, std::string("no '") + key + "'"});
+    for (const char *key : {"count", "p50", "p95", "p99", "p99.9"})
+        breaks.push_back({h + "window",
+                          withMember(at(m, h + "window"), key, nullptr),
+                          std::string("no '") + key + "'"});
+    const std::string edge = at(m, h + "buckets").members().front().first;
+    breaks.push_back({h + "buckets." + edge,
+                      json::Value(at(m, h + "buckets." + edge).asInt() + 1),
+                      "bucket counts do not sum"});
+    expectServeBreaks(kSnapshot, breaks);
+
+    // A label set repeated within its family.
+    json::Value twice = at(m, "metrics");
+    twice.append(at(m, c.substr(0, c.size() - 1)));
+    expectServeBreaks(kSnapshot, {{"metrics", twice, "repeats a label set"}});
+}
+
+TEST(DiffCheck, PrometheusTextExposesTheSnapshot)
+{
+    const ServeArtifacts &s = serveArtifacts();
+    // Drop every line that holds @p needle.
+    auto without = [&](const std::string &needle) {
+        std::istringstream in(s.prom);
+        std::string out;
+        for (std::string line; std::getline(in, line);)
+            if (line.find(needle) == std::string::npos)
+                out += line + "\n";
+        return out;
+    };
+    for (auto [needle, finding] :
+         {std::pair{"# TYPE serve_requests_completed",
+                    "no TYPE line for serve_requests_completed"},
+          {"serve_latency_us_count", "no _count: serve_latency_us"},
+          {"le=\"+Inf\"", "no +Inf bucket: serve_latency_us"}}) {
+        SCOPED_TRACE(needle);
+        expectFinding(serveSet(s.report, s.snapshot, without(needle),
+                               s.timeline),
+                      finding);
+    }
+}
+
+TEST(DiffCheck, ServeReportSloAccounting)
+{
+    const json::Value &rep = serveArtifacts().report;
+    auto plus1 = [&](const std::string &path) {
+        return json::Value(at(rep, path).asInt() + 1);
+    };
+    expectServeBreaks(
+        kServeReport,
+        {{"completed", json::Value("80"),
+          "'completed' is not a non-negative integer"},
+         {"slo", {}, "no 'slo'"},
+         {"slo.total", {}, "no 'total'"},
+         {"slo.per_matrix", {}, "no 'per_matrix'"},
+         {"slo.total.bad", plus1("slo.total.bad"), "slo.total"},
+         {"slo.total.good", plus1("slo.total.good"),
+          "good + bad is 81"},
+         {"slo.total.latency_us.p50",
+          json::Value(at(rep, "slo.total.latency_us.p99").asDouble() + 1.0),
+          "percentiles not monotone"},
+         {"slo.per_matrix.0.good", plus1("slo.per_matrix.0.good"),
+          "slo.per_matrix: good + bad is 81"},
+         {"slo.per_matrix.1.latency_us.p95", json::Value(-1.0),
+          "percentiles not monotone"}});
+}
+
+TEST(DiffCheck, SnapshotCountsAddUpToTheServeReport)
+{
+    const ServeArtifacts &s = serveArtifacts();
+    const std::vector<json::Value> &metrics =
+        at(s.snapshot, "metrics").elements();
+    auto path = [&](const char *name, bool labeled, const char *key) {
+        for (size_t i = 0; i < metrics.size(); ++i)
+            if (metrics[i].stringAt("name") == name &&
+                metrics[i].find("labels")->members().empty() != labeled)
+                return "metrics." + std::to_string(i) + "." + key;
+        ADD_FAILURE() << "no metric " << name;
+        return std::string("metrics.0.") + key;
+    };
+    auto scaled = [&](const std::string &p, double f) {
+        return json::Value(at(s.snapshot, p).asDouble() * f);
+    };
+    const std::string lat = path("serve_latency_us", false, "count");
+    const std::string wait = path("serve_queue_wait_us", false, "count");
+    const std::string done = path("serve_requests_completed", false, "value");
+    const std::string one = path("serve_latency_us", true, "count");
+    expectServeBreaks(
+        kSnapshot,
+        {{lat, json::Value(at(s.snapshot, lat).asInt() - 1),
+          "the latency histogram count is not completed"},
+         {wait, json::Value(at(s.snapshot, wait).asInt() + 1),
+          "the queue-wait histogram count is not completed"},
+         {done, scaled(done, 0.5),
+          "serve_requests_completed is not completed"},
+         {one, json::Value(at(s.snapshot, one).asInt() + 1),
+          "per-matrix latency counts"},
+         {path("serve_queue_wait_us", false, "sum"),
+          scaled(path("serve_latency_us", false, "sum"), 2.0),
+          "queue-wait sum exceeds latency sum"},
+         {path("serve_queue_wait_us", false, "max"),
+          scaled(path("serve_latency_us", false, "max"), 2.0),
+          "queue-wait max exceeds latency max"}});
+    // A missing serve metric breaks each count it carries.
+    json::Value kept = json::Value::array();
+    for (const json::Value &m : metrics)
+        if (m.stringAt("name") != "serve_queue_wait_us")
+            kept.append(m);
+    expectServeBreaks(kSnapshot, {{"metrics", kept,
+                                   "the queue-wait histogram count"}});
+}
+
+TEST(DiffCheck, UnrecognizedOrAmbiguousSetsAreUnreadable)
+{
+    const RunArtifacts &r = runArtifacts();
+    const ServeArtifacts &s = serveArtifacts();
+    expectFinding({{"junk.json", parsed(R"({"foo": 1})"), ""}},
+                  "unrecognized artifact", 2);
+    // A .prom file is checked against the one snapshot named with it.
+    expectFinding({{"m.json.prom", {}, s.prom}}, "0 metrics documents", 2);
+    expectFinding({{"a.json", s.snapshot, ""},
+                   {"b.json", s.snapshot, ""},
+                   {"a.json.prom", {}, s.prom}},
+                  "2 metrics documents", 2);
+    // A timeline named with two sim reports has no one clock.
+    expectFinding({{"a.json", r.report, ""},
+                   {"b.json", r.report, ""},
+                   {"t.json", r.timeline, ""}},
+                  "2 sim documents", 2);
+    // Two sim reports alone are two independent checks.
+    EXPECT_TRUE(diff::check({{"a.json", r.report, ""},
+                             {"b.json", r.report, ""}})
+                    .empty());
+}
+
+TEST(DiffCheck, ExitCodeRanksUnreadableThenConservation)
+{
+    using K = diff::Finding::Kind;
+    auto code = [](std::vector<K> kinds) {
+        std::vector<diff::Finding> f;
+        for (K k : kinds)
+            f.push_back({k, "x"});
+        return diff::exitCode(f);
+    };
+    EXPECT_EQ(code({}), 0);
+    EXPECT_EQ(code({K::Broken}), 1);
+    EXPECT_EQ(code({K::Broken, K::Unconserved}), 3);
+    EXPECT_EQ(code({K::Unconserved, K::Broken}), 3);
+    EXPECT_EQ(code({K::Broken, K::Unreadable, K::Unconserved}), 2);
+}
+
+/**
+ * Seeded mutations of the emitted documents: byte flips, splices and
+ * edited numbers (truncation is JsonRoundTrip's), each parsed and, if
+ * it parses, checked in its set.  Every case must end in a verdict --
+ * unparseable, or a list of findings -- never in an abort.
+ */
+TEST(DiffCheck, SeededMutationsEndInAVerdict)
+{
+    const RunArtifacts &r = runArtifacts();
+    const ServeArtifacts &s = serveArtifacts();
+    const std::vector<std::vector<diff::Artifact>> sets = {
+        runSet(r.report, r.profile, r.timeline),
+        serveSet(s.report, s.snapshot, s.prom, s.timeline)};
+    const char *const kNumbers[] = {
+        "0", "-1", "1.5", "-0.0", "1e300", "-1e300", "9223372036854775807",
+        "-9223372036854775808", "18446744073709551616", "4294967297"};
+    constexpr int kCases = 2000;
+    Rng rng(2024);
+    int parsedCases = 0, flagged = 0;
+    for (int c = 0; c < kCases; ++c) {
+        std::vector<diff::Artifact> set = sets[rng.nextRange(sets.size())];
+        diff::Artifact &victim = set[rng.nextRange(set.size())];
+        const bool prom = victim.path.ends_with(".prom");
+        std::string text = prom ? victim.text : json::dump(victim.doc);
+        const size_t pos = rng.nextRange(text.size());
+        switch (rng.nextRange(3)) {
+          case 0: // flip the bits of one byte
+              text[pos] = char(text[pos] ^ (1 + rng.nextRange(255)));
+              break;
+          case 1: { // splice a span of the text over another place
+              const size_t from = rng.nextRange(text.size());
+              const size_t len = 1 + rng.nextRange(64);
+              text.replace(pos, rng.nextRange(64), text.substr(from, len));
+              break;
+          }
+          default: { // edit the first number at or after pos
+              const size_t b = text.find_first_of("-0123456789", pos);
+              if (b == std::string::npos)
+                  break;
+              const size_t e = text.find_first_not_of("-+.eE0123456789", b);
+              text.replace(b, e - b, kNumbers[rng.nextRange(10)]);
+          }
+        }
+        if (prom) {
+            victim.text = text;
+        } else {
+            json::Parsed p = json::parse(text);
+            if (!p)
+                continue; // a verdict: unparseable, exit 2
+            victim.doc = std::move(p.value);
+        }
+        ++parsedCases;
+        const std::vector<diff::Finding> findings = diff::check(set);
+        const int code = diff::exitCode(findings);
+        EXPECT_TRUE(code >= 0 && code <= 3);
+        flagged += !findings.empty();
+    }
+    // The loop reaches the checker, and the checker sees the damage.
+    EXPECT_GT(parsedCases, kCases / 4);
+    EXPECT_GT(flagged, parsedCases / 4);
 }
 
 } // namespace

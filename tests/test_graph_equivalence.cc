@@ -8,7 +8,8 @@
  * block-row skipping, omega and the memory bandwidth, on an R-MAT graph
  * and a road grid whose vertex count is not a multiple of omega.
  * Rounds without a frontier repeat their accesses, so they replay the
- * timing memo; frontier rounds never touch it.
+ * timing memo; frontier rounds never touch it.  First, the oracle's row
+ * reduction itself (FcuUnit).
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,36 @@
 using namespace alr;
 
 namespace {
+
+// The reference engine reduces every row with vectorReduce, the FCU's
+// lane ALUs and reduction tree; its op tallies flush through
+// Fcu::noteOps.
+
+TEST(FcuUnit, MulSumReduce)
+{
+    Fcu fcu(AccelParams{});
+    FcuOpCounts ops;
+    std::vector<Value> a = {1.0, 2.0, 3.0};
+    std::vector<Value> b = {4.0, 5.0, 6.0};
+    EXPECT_DOUBLE_EQ(vectorReduce(a, b, VecOp::Mul, ReduceOp::Sum, {}, ops),
+                     32.0);
+    fcu.noteOps(ops);
+    EXPECT_DOUBLE_EQ(fcu.mulOps(), 3.0);
+}
+
+TEST(FcuUnit, AddMinReduceWithLaneMask)
+{
+    Fcu fcu(AccelParams{});
+    FcuOpCounts ops;
+    std::vector<Value> a = {5.0, 1.0, 9.0};
+    std::vector<Value> b = {1.0, 1.0, 1.0};
+    std::vector<uint8_t> valid = {1, 0, 1};
+    // Lane 1 (the minimum) is masked out.
+    EXPECT_DOUBLE_EQ(
+        vectorReduce(a, b, VecOp::Add, ReduceOp::Min, valid, ops), 6.0);
+    fcu.noteOps(ops);
+    EXPECT_DOUBLE_EQ(fcu.addOps(), 2.0); // masked lane does no work
+}
 
 enum class Kernel { Bfs, Sssp, Cc, Pr };
 

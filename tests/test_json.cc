@@ -432,4 +432,19 @@ TEST(JsonValue, ImplicitConversionsKeepKind)
     EXPECT_EQ(parseOk(os.str()).elements()[1], *obj.find("big"));
 }
 
+TEST(JsonValue, AsIntSaturatesOutOfRangeDoubles)
+{
+    // intAt() reads numbers of untrusted artifacts: a double past
+    // int64's range (or NaN) saturates instead of an undefined cast.
+    const json::Value doc = parseOk(
+        R"({"big": 1e300, "small": -1e300, "edge": 9223372036854775808,)"
+        R"( "frac": -2.75})");
+    EXPECT_EQ(doc.intAt("big"), INT64_MAX);
+    EXPECT_EQ(doc.intAt("small"), INT64_MIN);
+    EXPECT_EQ(doc.intAt("edge"), INT64_MAX);
+    EXPECT_EQ(doc.intAt("frac"), -2);
+    EXPECT_EQ(json::Value(std::numeric_limits<double>::quiet_NaN()).asInt(),
+              INT64_MIN);
+}
+
 } // namespace

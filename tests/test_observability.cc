@@ -29,8 +29,9 @@ namespace {
 
 /**
  * Minimal recursive-descent JSON syntax validator, enough to assert the
- * exporters emit well-formed documents without an external parser (the
- * CI check_timeline.py does the full json.load cross-check).
+ * exporters emit well-formed documents without the library's own
+ * parser (alr_diff check -- the artifact_check_* tests and DiffCheck.*
+ * in test_diff.cc -- parses them and checks their schemas).
  */
 class JsonChecker
 {

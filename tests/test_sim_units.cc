@@ -2,6 +2,8 @@
  * @file
  * Direct unit tests of the simulator components: memory pipe, local
  * cache, link stack, FCU, and RCU -- the pieces the engine composes.
+ * (The FCU's row reduction lives with the reference engine, and its
+ * FcuUnit cases in test_graph_equivalence.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -137,28 +139,6 @@ TEST(LinkStackUnit, EmptyPopIsZero)
     DenseVector acc = stack.popAccumulate(4);
     for (Value v : acc)
         EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(FcuUnit, MulSumReduce)
-{
-    Fcu fcu(defaults());
-    std::vector<Value> a = {1.0, 2.0, 3.0};
-    std::vector<Value> b = {4.0, 5.0, 6.0};
-    EXPECT_DOUBLE_EQ(fcu.vectorReduce(a, b, VecOp::Mul, ReduceOp::Sum),
-                     32.0);
-    EXPECT_DOUBLE_EQ(fcu.mulOps(), 3.0);
-}
-
-TEST(FcuUnit, AddMinReduceWithLaneMask)
-{
-    Fcu fcu(defaults());
-    std::vector<Value> a = {5.0, 1.0, 9.0};
-    std::vector<Value> b = {1.0, 1.0, 1.0};
-    std::vector<uint8_t> valid = {1, 0, 1};
-    // Lane 1 (the minimum) is masked out.
-    EXPECT_DOUBLE_EQ(
-        fcu.vectorReduce(a, b, VecOp::Add, ReduceOp::Min, valid), 6.0);
-    EXPECT_DOUBLE_EQ(fcu.addOps(), 2.0); // masked lane does no work
 }
 
 TEST(FcuUnit, FillLatencyFollowsTreeDepth)

@@ -4,9 +4,9 @@
  * or the operands whose effect on the modeled timing is known without
  * computing it.  Each relation pins one timing rule the engine's walk
  * applies -- the memory-rate stream (§4.5), the switch rewrite hidden
- * under the reduction-tree drain (§4.4), value-independence, and SpMM
- * as k SpMVs sharing one stream -- without consulting the reference
- * engine.
+ * under the reduction-tree drain (§4.4), value-independence, SpMM as k
+ * SpMVs sharing one stream, and a stream made of whole blocks wherever
+ * they sit -- without consulting the reference engine.
  */
 
 #include <gtest/gtest.h>
@@ -235,5 +235,41 @@ TEST(TimingMetamorphic, SpmmOfOneRhsIsSpmv)
             expectSameTimings({tv}, {tm});
         }
         EXPECT_EQ(statDump(spmv.engine()), statDump(spmm.engine()));
+    }
+}
+
+TEST(TimingMetamorphic, BlockPermutationKeepsTheStream)
+{
+    // Renumbering whole blocks -- block row and block column i both
+    // become pi(i), each block's contents untouched -- moves the stored
+    // blocks without changing one, so the block count, the payload
+    // bytes and an SpMV's streamed bytes stay, on either layout.
+    Rng rng(31);
+    const CsrMatrix a = gen::randomSpd(160, 4, rng);
+    const Index omega = AccelParams{}.omega;
+    ASSERT_EQ(a.rows() % omega, 0u);
+    const std::vector<uint32_t> pi = rng.permutation(a.rows() / omega);
+    std::vector<Index> perm(a.rows());
+    for (Index i = 0; i < a.rows(); ++i)
+        perm[i] = pi[i / omega] * omega + i % omega;
+    const CsrMatrix b = a.permuted(perm);
+    ASSERT_NE(b.colIdx(), a.colIdx()) << "the permutation moved nothing";
+    for (bool pde : {false, true}) {
+        SCOPED_TRACE(pde ? "SymGs layout" : "Plain layout");
+        Accelerator one, two;
+        for (auto [acc, m] : {std::pair{&one, &a}, {&two, &b}}) {
+            if (pde)
+                acc->loadPde(*m);
+            else
+                acc->loadSpmvOnly(*m);
+            acc->spmv(seeded(5, m->cols()));
+        }
+        EXPECT_EQ(one.matrix().blocks().size(), two.matrix().blocks().size());
+        EXPECT_EQ(one.matrix().streamBytes(), two.matrix().streamBytes());
+        const auto streamed = [](const Accelerator &acc) {
+            return acc.engine().statGroup().lookup("mem.bytes_streamed");
+        };
+        EXPECT_GT(streamed(one), 0.0);
+        EXPECT_EQ(streamed(one), streamed(two));
     }
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * alr_diff: cross-run regression attribution for the observability
- * artifacts.
+ * artifacts, and the one checker of their schemas.
  *
  * Point it at any two JSON artifacts the repo emits -- alr_sim --json
  * reports, --profile cycle-accounting profiles, BENCH_*.json baselines,
@@ -14,6 +14,17 @@
  *            --fail-on 'cycles>0,bytes>0,energy>0,stats>0' \
  *            --json diff.json --folded diff.folded
  *
+ * `alr_diff check FILE...` checks the artifacts of one run instead:
+ * each file's schema and invariants (exact profile conservation
+ * included), and the invariants among the files named together -- a
+ * timeline against its sim report, a profile against its sim report, a
+ * .prom file against its metrics snapshot, a snapshot against its
+ * serve report (diff::check).  Timelines and serve reports are only
+ * checked, never diffed.
+ *
+ *   alr_diff check stats.json timeline.json profile.json
+ *   alr_diff check serve.json m.json m.json.prom serve_timeline.json
+ *
  * With that rule list it is the one gate of the committed BENCH_*.json
  * baselines: exact cycles, bytes_streamed, energy components and
  * "stats" counters per row, no missing or new rows or counter fields,
@@ -21,12 +32,15 @@
  * row's wall_ms positive and within 25x of the baseline.
  *
  * Exit codes (CI contract):
- *   0  within threshold (or no --fail-on and diff computed)
- *   1  --fail-on rule exceeded
- *   2  usage / unreadable / unparseable / incomparable / malformed
- *      artifacts (a BENCH document that repeats a row name)
+ *   0  within threshold (or no --fail-on and diff computed); check:
+ *      every invariant holds
+ *   1  --fail-on rule exceeded; check: an invariant is broken
+ *   2  usage / unreadable / unparseable / unrecognized / incomparable /
+ *      malformed artifacts (a BENCH document that repeats a row name,
+ *      a timeline or serve report given to diff)
  *   3  conservation violated (bucket deltas do not sum to the total
- *      cycle delta -- an emitter bug, always worth failing loudly)
+ *      cycle delta, or a profile's buckets to its total -- an emitter
+ *      bug, always worth failing loudly)
  *
  * --folded F writes two flamegraph.pl-compatible stacks: F.pos
  * (regressions) and F.neg (improvements), magnitudes only, so both
@@ -38,6 +52,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -54,9 +69,12 @@ usage()
     std::fprintf(
         stderr,
         "usage: alr_diff OLD.json NEW.json [options]\n"
+        "       alr_diff check FILE...\n"
         "  OLD/NEW: any two artifacts of the same kind -- alr_sim\n"
         "           --json report, --profile output, BENCH_*.json,\n"
         "           or a metrics snapshot\n"
+        "  check:   each FILE's schema and invariants, and those among\n"
+        "           them (these kinds, timelines, serve reports, .prom)\n"
         "  --json F      machine-readable diff document to F (- for\n"
         "                stdout, replacing the text report)\n"
         "  --folded F    differential flamegraph stacks to F.pos\n"
@@ -69,11 +87,38 @@ usage()
     std::exit(2);
 }
 
+/** alr_diff check FILE...: read each artifact and run diff::check. */
+int
+runCheck(int argc, char **argv)
+{
+    std::vector<diff::Artifact> files;
+    for (int i = 2; i < argc; ++i) {
+        json::Parsed p = json::parseFile(argv[i]);
+        std::ifstream in(argv[i]);
+        if (!in || (!p && !std::string(argv[i]).ends_with(".prom"))) {
+            std::fprintf(stderr, "alr_diff: %s\n", p.error.c_str());
+            return 2;
+        }
+        files.push_back({argv[i], std::move(p.value),
+                         {std::istreambuf_iterator<char>(in), {}}});
+    }
+    if (files.empty())
+        usage();
+    std::vector<diff::Finding> findings = diff::check(files);
+    for (const diff::Finding &f : findings)
+        std::fprintf(stderr, "alr_diff: %s\n", f.text.c_str());
+    if (findings.empty())
+        std::printf("ok: %zu artifacts, all invariants hold\n", files.size());
+    return diff::exitCode(findings);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    if (argc > 1 && std::string(argv[1]) == "check")
+        return runCheck(argc, argv);
     std::string oldPath, newPath, jsonPath, foldedPath, err;
     std::vector<diff::FailRule> rules;
     long topK = 20;
