@@ -42,7 +42,7 @@ spmvParams(SimdMode mode)
 {
     AccelParams p;
     p.simdMode = mode;
-    p.engineThreads = 1; // single-threaded functional pass
+    p.hostThreads = 1; // single-threaded functional pass
     return p;
 }
 

@@ -229,7 +229,7 @@ main()
             runObservedPass(suite, spmvTrace, 8, registry));
         double done = 0.0;
         const uint64_t completed = observed.back().res.completed;
-        if (!registry.lookup("serve_requests_completed", {}, &done) ||
+        if (!registry.lookup(serve_metric::kRequestsCompleted, {}, &done) ||
             uint64_t(done) != completed) {
             std::printf("ERROR: metrics registry completed=%g, drain "
                         "completed=%llu\n", done,

@@ -99,23 +99,17 @@ struct AccelParams
     bool frontierSkipping = true;
 
     /**
-     * Worker threads for the host preprocessing pipeline (locally-dense
-     * encoding, Algorithm 1 conversion, schedule compilation).  0 uses
-     * the process-wide pool sized by the ALR_THREADS environment
-     * variable (or hardware concurrency); a positive value gives the
-     * engine a private pool of that size (Engine::hostPool).  Results
-     * are thread-count independent.
+     * Worker threads for the host work: the preprocessing pipeline
+     * (locally-dense encoding, Algorithm 1 conversion, schedule
+     * compilation) and the functional passes of SpMV and SpMM over
+     * independent GEMV block-row groups.  0 uses the process-wide pool
+     * sized by the ALR_THREADS environment variable (or hardware
+     * concurrency); a positive value gives the engine a private pool of
+     * that size (Engine::hostPool), and 1 runs inline.  Results are
+     * thread-count independent (block-row groups touch disjoint output
+     * rows; the timing walk is always serial).
      */
     int hostThreads = 0;
-
-    /**
-     * Worker threads for the scheduled functional pass over independent
-     * GEMV block-row groups.  1 runs inline (default); 0 uses the
-     * process-wide pool; N > 1 a private pool.  Results are
-     * thread-count independent (block-row partitions touch disjoint
-     * output rows; the timing walk is always sequential).
-     */
-    int engineThreads = 1;
 
     /**
      * Compiled ExecSchedules kept per engine before the least recently

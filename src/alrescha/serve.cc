@@ -239,13 +239,13 @@ struct ServeMetrics
 
     void bind(metrics::Registry &reg, const ServeFleet &fleet)
     {
-        completed = &reg.counter("serve_requests_completed",
+        completed = &reg.counter(serve_metric::kRequestsCompleted,
                                  "requests drained to completion");
         latencyUs = &reg.histogram(
-            "serve_latency_us",
+            serve_metric::kLatencyUs,
             "admission-to-completion wall latency per request, us");
         queueWaitUs = &reg.histogram(
-            "serve_queue_wait_us",
+            serve_metric::kQueueWaitUs,
             "admission-to-dequeue wall wait per request, us");
         batchSize = &reg.histogram(
             "serve_batch_size",
@@ -255,7 +255,7 @@ struct ServeMetrics
         latencyPerMatrix.reserve(fleet.size());
         for (size_t i = 0; i < fleet.size(); ++i)
             latencyPerMatrix.push_back(&reg.histogram(
-                "serve_latency_us",
+                serve_metric::kLatencyUs,
                 "admission-to-completion wall latency per request, us",
                 {{"matrix", fleet.nameOf(i)}}));
     }

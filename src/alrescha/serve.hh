@@ -142,6 +142,21 @@ class ServeFleet
     std::vector<std::unique_ptr<Entry>> _entries;
 };
 
+/**
+ * Names of the request-plane metrics serve() registers when
+ * ServeConfig::metrics is set: one definition for the emitter, for the
+ * readers that look them up, and for the artifact checker.
+ */
+namespace serve_metric {
+/** Counter: requests drained to completion. */
+inline constexpr const char *kRequestsCompleted = "serve_requests_completed";
+/** Histogram: admission-to-completion wall latency per request, us;
+ *  also once per matrix, labeled {"matrix", name}. */
+inline constexpr const char *kLatencyUs = "serve_latency_us";
+/** Histogram: admission-to-dequeue wall wait per request, us. */
+inline constexpr const char *kQueueWaitUs = "serve_queue_wait_us";
+} // namespace serve_metric
+
 /** Serving-loop knobs. */
 struct ServeConfig
 {

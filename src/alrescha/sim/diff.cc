@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "alrescha/serve.hh"
 #include "alrescha/sim/profile.hh"
 #include "common/metrics.hh"
 #include "common/timeline.hh"
@@ -1320,18 +1321,21 @@ struct Checker
         for (const json::Value &m : member(*snapshot, "metrics").elements())
             if (member(m, "labels").members().empty())
                 unlabeled.set(m.stringAt("name"), m);
-            else if (m.stringAt("name") == "serve_latency_us")
+            else if (m.stringAt("name") == serve_metric::kLatencyUs)
                 perMatrix += std::max<int64_t>(countAt(m, "count"), 0);
-        const json::Value &lat = member(unlabeled, "serve_latency_us");
-        const json::Value &wait = member(unlabeled, "serve_queue_wait_us");
+        const json::Value &lat = member(unlabeled, serve_metric::kLatencyUs);
+        const json::Value &wait =
+            member(unlabeled, serve_metric::kQueueWaitUs);
         const json::Value n(done);
         expect(member(lat, "count") == n, at,
                "the latency histogram count is not completed");
         expect(member(wait, "count") == n, at,
                "the queue-wait histogram count is not completed");
-        expect(member(member(unlabeled, "serve_requests_completed"),
+        expect(member(member(unlabeled, serve_metric::kRequestsCompleted),
                       "value") == n,
-               at, "serve_requests_completed is not completed");
+               at,
+               std::string(serve_metric::kRequestsCompleted) +
+                   " is not completed");
         expect(perMatrix == uint64_t(done), at,
                "per-matrix latency counts do not sum to completed");
         for (const char *k : {"sum", "max"})

@@ -424,18 +424,6 @@ Engine::hostPool()
     return *_hostPool;
 }
 
-ThreadPool *
-Engine::enginePool()
-{
-    if (_params.engineThreads == 1)
-        return nullptr;
-    if (_params.engineThreads <= 0)
-        return &ThreadPool::global();
-    if (!_privatePool)
-        _privatePool = std::make_unique<ThreadPool>(_params.engineThreads);
-    return _privatePool.get();
-}
-
 Value *
 Engine::stageOperand(const ExecSchedule &S, const DenseVector &x)
 {
@@ -785,8 +773,9 @@ Engine::commitRun(const RunCommit &run, RunTiming *timing)
                            run.base + t.cycles - drain, drain);
         timeline::counter("cache_lines", run.base + t.cycles,
                           double(_rcu.cache().occupancy()));
-        timeline::counter("link_depth", run.base + t.cycles,
-                          double(_rcu.linkStack().depth()));
+        // Every SymGS block row ends in the chain that pops its GEMVs,
+        // so a run leaves the link stack empty.
+        timeline::counter("link_depth", run.base + t.cycles, 0.0);
     }
 
     _cycles += double(t.cycles);
@@ -815,15 +804,15 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     timeline::ScopedHostSpan hostSpan("spmv.sched", "run");
 
     // Functional pass: block-row groups touch disjoint output rows, so
-    // they may run in parallel; within a group the path order (and thus
-    // the FP accumulation order into y) is the interpreter's.  The
-    // ω-wide work happens in the replay kernels against the staged
-    // operand, which parallel workers share read-only.
+    // they run in parallel on the host pool; within a group the path
+    // order (and thus the FP accumulation order into y) is the
+    // interpreter's.  The ω-wide work happens in the replay kernels
+    // against the staged operand, which parallel workers share
+    // read-only.
     const Value *xpad = stageOperand(S, x);
     size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
-    ThreadPool *pool = enginePool();
-    if (pool && S.parallelSafe && groups > 1) {
-        pool->parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
+    if (S.parallelSafe && groups > 1) {
+        hostPool().parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
             timeline::ScopedHostSpan chunkSpan("spmv.groups", "worker");
             S.fns.spmv(S, xpad, y.data(), S.groupBegin[gb],
                        S.groupBegin[ge]);
@@ -868,7 +857,6 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     // the results come back interleaved the same way.
     std::vector<DenseVector> ys(k, DenseVector(rows));
     size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
-    ThreadPool *pool = enginePool();
     for (size_t j0 = 0; j0 < k; j0 += replay::kSpmmMaxRhs) {
         const size_t kb = std::min(k - j0, replay::kSpmmMaxRhs);
         const size_t stride = replay::spmmStride(kb);
@@ -879,8 +867,9 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
         _ypadMulti.assign(rows * stride, 0.0);
         const Value *xt = _xpadMulti.data();
         Value *yt = _ypadMulti.data();
-        if (pool && S.parallelSafe && groups > 1) {
-            pool->parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
+        if (S.parallelSafe && groups > 1) {
+            hostPool().parallelForChunks(0, groups, [&](size_t gb,
+                                                        size_t ge) {
                 timeline::ScopedHostSpan chunkSpan("spmm.groups", "worker");
                 S.fns.spmm(S, xt, yt, kb, S.groupBegin[gb],
                            S.groupBegin[ge]);
@@ -959,115 +948,81 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     ALR_ASSERT(b.size() == _ld->rows() && x.size() == _ld->rows(),
                "operand length mismatch");
 
-    const Index omega = _params.omega;
-    const Index rows = _ld->rows();
-    const DenseVector &diag = _ld->diagonal();
     const auto [sched, memo] = prepare();
     const ExecSchedule &S = *sched;
-    const RowStore &R = *S.rows;
 
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
 
-    // One pass, functional and timing: the sweep is inherently
-    // sequential (each diagonal chain updates x for the GEMV gathers
-    // that follow).  The iterate stages into the padded aligned buffer
-    // once and is the working vector for the whole sweep (the GEMV
-    // majority of the paths then runs through the ω-wide replay
-    // kernels, writing their partials straight into the link stack);
-    // the diagonal chains stay scalar -- they are the serialized
-    // recurrence.  Each path's timing half -- the interpreter's exact
-    // cache and switch sequence -- runs only when the memo cannot
-    // replay the run.  The stream front is the walk's clock; the
-    // chains run on a second, dependence timeline.
-    Walk w(*this, memo, {.spans = true, .dp = DataPathType::DSymgs});
-    uint64_t dep_t = 0; // completion of the dependence chain
-    uint64_t seq = 0;
-
+    // Functional pass: the iterate stages into the padded aligned
+    // buffer, one sweep-kernel call updates it in place -- every block
+    // row's GEMVs through the link stack, then its serialized D-SymGS
+    // chain (replay::SweepFn) -- and it is copied back.
     Value *xw = stageOperand(S, x);
-    LinkStack &links = _rcu.linkStack();
-    std::vector<Value> acc(omega);
-    std::vector<Value> lanes(fcutree::ceilPow2(omega));
-    const std::vector<StreamTerm> rowTerms =
-        w.walking() ? rowStreamTerms() : std::vector<StreamTerm>();
-    // Every D-SymGS chain streams one whole diagonal block.
-    const StreamTerm chainTerm =
-        w.walking() ? blockStreamTerm(LocallyDenseMatrix::payloadSize(
-                          _ld->layout(), true, omega))
-                    : StreamTerm();
-    const uint64_t pipeline = uint64_t(_params.pipelineDepth());
-    // A chain step: multiply (ALU), then subtract and divide (PEs).
-    const uint64_t stepLat =
-        uint64_t(_params.aluLatency + 2 * _params.peLatency);
-    for (size_t i = 0; i < S.pathCount; ++i) {
-        const DataPathType dp = S.dp[i];
-        const Index br = S.blockRow[i];
-        if (dp == DataPathType::Gemv) {
-            S.fns.symgs(S, i, xw, links.push(omega));
-        } else {
-            const Index r0 = br * omega;
-            links.popAccumulate(acc.data(), omega);
-            for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
-                Index r = R.rowIndex[rr];
-                Index lr = r - r0;
-                const Value *v = &R.values[rr * omega];
-                // The record holds the diagonal, so its lane is masked
-                // to exactly +0.0, as the interpreter's zeroed value
-                // and operand give (v * 0.0 would be -0.0 for a
-                // negative diagonal); the padded buffer covers the
-                // matrix-edge lanes.
-                for (Index lc = 0; lc < omega; ++lc)
-                    lanes[lc] = lc == lr ? 0.0 : v[lc] * xw[r0 + lc];
-                Value dot = fcutree::sumTree(lanes.data(), omega);
-                Value sum = acc[lr] + dot;
-                xw[r] = (b[r] - sum) / diag[r];
-            }
-        }
-        if (!w.walking())
-            continue;
+    _links.resize(size_t(S.linkPeak) * S.omega);
+    S.fns.sweep(S, b.data(), _ld->diagonal().data(), xw, _links.data());
+    std::copy(xw, xw + x.size(), x.begin());
 
-        if (dp == DataPathType::Gemv) {
-            w.enter(dp, br);
-            w.read(S.operandVec[i], S.blockCol[i]);
-            w.stream(gemvStreamTerm(S, i, rowTerms));
-            if (w.spans())
-                timeline::counter("link_depth", w.base() + w.clock(),
-                                  double(links.depth()));
-            continue;
-        }
-        // The diagonal block streams whole, and b through its FIFO.
-        // The chain starts once the pipeline has filled behind the
-        // stream front, the previous link is done and the diagonal
-        // chunk is read; x^t's chunk writes back after it.
-        const size_t pathRows = S.pathRows(i);
-        w.enter(dp, br, false);
-        w.stream(chainTerm, pathRows * sizeof(Value));
-        const uint64_t diagRead = w.dependentRead(CacheVec::Diag, br);
-        const uint64_t depIn = dep_t;
-        const uint64_t start =
-            std::max(w.clock() + pipeline, dep_t) + diagRead;
-        const uint64_t chain = pathRows * stepLat;
-        dep_t = start + chain + w.write(CacheVec::Xt, br);
-        w.prof().chain(br, w.clock(), depIn, start, chain, dep_t);
-        seq += chain;
-        if (w.spans()) {
-            timeline::span("d-symgs chain", "datapath", timeline::kTidChain,
-                           w.base() + start, chain);
-            timeline::counter("link_depth", w.base() + start, 0.0);
-        }
-    }
+    // Timing: replay the memo, or walk the interpreter's exact cache and
+    // switch sequence.  The stream front is the walk's clock; the chains
+    // run on a second, dependence timeline.
+    Walk w(*this, memo, {.spans = true, .dp = DataPathType::DSymgs});
     RunTiming t = w.replayed();
     if (w.walking()) {
-        t = w.end(dep_t);
+        const std::vector<StreamTerm> rowTerms = rowStreamTerms();
+        // Every D-SymGS chain streams one whole diagonal block.
+        const StreamTerm chainTerm = blockStreamTerm(
+            LocallyDenseMatrix::payloadSize(_ld->layout(), true, S.omega));
+        const uint64_t pipeline = uint64_t(_params.pipelineDepth());
+        // A chain step: multiply (ALU), then subtract and divide (PEs).
+        const uint64_t stepLat =
+            uint64_t(_params.aluLatency + 2 * _params.peLatency);
+        uint64_t depT = 0; // completion of the dependence chain
+        uint64_t seq = 0;
+        uint64_t depth = 0; // link-stack occupancy
+        for (size_t i = 0; i < S.pathCount; ++i) {
+            const DataPathType dp = S.dp[i];
+            const Index br = S.blockRow[i];
+            if (dp == DataPathType::Gemv) {
+                w.enter(dp, br);
+                w.read(S.operandVec[i], S.blockCol[i]);
+                w.stream(gemvStreamTerm(S, i, rowTerms));
+                ++depth;
+                if (w.spans())
+                    timeline::counter("link_depth", w.base() + w.clock(),
+                                      double(depth));
+                continue;
+            }
+            // The diagonal block streams whole, and b through its FIFO.
+            // The chain starts once the pipeline has filled behind the
+            // stream front, the previous link is done and the diagonal
+            // chunk is read; x^t's chunk writes back after it.
+            const size_t pathRows = S.pathRows(i);
+            w.enter(dp, br, false);
+            w.stream(chainTerm, pathRows * sizeof(Value));
+            const uint64_t diagRead = w.dependentRead(CacheVec::Diag, br);
+            const uint64_t depIn = depT;
+            const uint64_t start =
+                std::max(w.clock() + pipeline, depT) + diagRead;
+            const uint64_t chain = pathRows * stepLat;
+            depT = start + chain + w.write(CacheVec::Xt, br);
+            w.prof().chain(br, w.clock(), depIn, start, chain, depT);
+            seq += chain;
+            depth = 0;
+            if (w.spans()) {
+                timeline::span("d-symgs chain", "datapath",
+                               timeline::kTidChain, w.base() + start, chain);
+                timeline::counter("link_depth", w.base() + start, 0.0);
+            }
+        }
+        t = w.end(depT);
         t.seqCycles = seq;
         // The whole stream front is pipelined work.
         t.parCycles = w.clock();
-        w.prof().commitSymgs(w.clock(), dep_t, pipeline);
+        w.prof().commitSymgs(w.clock(), depT, pipeline);
         w.record(t);
     }
-    if (S.pathCount > 0)
-        std::copy(_xpad.begin(), _xpad.begin() + std::ptrdiff_t(rows),
-                  x.begin());
     w.ranSchedule(S, S.fcuOps, S.peOps);
+    _rcu.linkStack().note(S.linkPushes, S.linkPushes, S.linkPeak);
     commitRun({.base = w.base(), .timing = t, .parFlops = S.parFlops,
                .seqFlops = S.seqFlops, .usefulBytes = S.usefulBytes},
               timing);

@@ -149,10 +149,11 @@ class Engine
     const ExecSchedule *prepareSchedule();
 
     /**
-     * The host preprocessing pool -- locally-dense encode, Algorithm 1
-     * conversion (Accelerator::load*) and schedule compilation: a
-     * private pool of params.hostThreads workers, built on first use,
-     * or the process-wide pool when that is <= 0.
+     * The host pool -- locally-dense encode, Algorithm 1 conversion
+     * (Accelerator::load*), schedule compilation, and the group-parallel
+     * functional passes of SpMV and SpMM: a private pool of
+     * params.hostThreads workers, built on first use, or the
+     * process-wide pool when that is <= 0.  One worker runs inline.
      */
     ThreadPool &hostPool();
 
@@ -405,9 +406,6 @@ class Engine
             _ld->layout(), S.blockRow[i] == S.blockCol[i], _ld->omega()));
     }
 
-    /** Pool for the scheduled functional pass (nullptr = run inline). */
-    ThreadPool *enginePool();
-
     /** Stage @p x into the aligned, chunk-padded gather-plan buffer
      *  (zero past @p x). */
     Value *stageOperand(const ExecSchedule &S, const DenseVector &x);
@@ -465,7 +463,6 @@ class Engine
     uint64_t _scheduleCompiles = 0;
     uint64_t _scheduleHits = 0;
     uint64_t _timingMemoHits = 0;
-    std::unique_ptr<ThreadPool> _privatePool;
     std::unique_ptr<ThreadPool> _hostPool;
 
     /** Operand staging scratch for the scheduled replay (gather plan):
@@ -477,6 +474,9 @@ class Engine
     AlignedValueVector _xpad;
     AlignedValueVector _xpadMulti;
     AlignedValueVector _ypadMulti;
+    /** The sweep kernel's link stack: one block row's GEMV partials
+     *  (replay::SweepFn). */
+    AlignedValueVector _links;
 
     stats::Scalar _cycles;
     stats::Scalar _seqCycles;

@@ -24,6 +24,7 @@
 
 #include "alrescha/sim/replay.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -120,16 +121,41 @@ spmmGeneric(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 }
 
 void
-symgsGeneric(const ExecSchedule &S, size_t path, const Value *xpad,
-             Value *partials)
+sweepGeneric(const ExecSchedule &S, const Value *b, const Value *diag,
+             Value *xw, Value *links)
 {
-    const Index r0 = S.blockRow[path] * S.omega;
-    const Index *rowIndex = S.rows->rowIndex.data();
-    GenericBuf buf(S.omega);
-    pathRowsGeneric(S, path, xpad + S.xOff[path], buf.p,
-                    [partials, r0, rowIndex](size_t rr, Value d) {
-                        partials[rowIndex[rr] - r0] = d;
-                    });
+    const Index omega = S.omega;
+    const RowStore &R = *S.rows;
+    const Index *rowIndex = R.rowIndex.data();
+    const Value *vals = R.values.data();
+    GenericBuf buf(omega), acc(omega);
+    for (size_t g = 0; g + 1 < S.groupBegin.size(); ++g) {
+        const size_t first = S.groupBegin[g];
+        const size_t chain = S.groupBegin[g + 1] - 1;
+        const Index r0 = S.blockRow[chain] * omega;
+        for (size_t i = first; i < chain; ++i) {
+            Value *slot = links + (i - first) * omega;
+            std::fill(slot, slot + omega, 0.0);
+            pathRowsGeneric(S, i, xw + S.xOff[i], buf.p,
+                            [slot, r0, rowIndex](size_t rr, Value d) {
+                                slot[rowIndex[rr] - r0] = d;
+                            });
+        }
+        std::fill(acc.p, acc.p + omega, 0.0);
+        for (size_t e = chain - first; e-- > 0;)
+            for (Index l = 0; l < omega; ++l)
+                acc.p[l] += links[e * omega + l];
+        for (size_t rr = R.rowBegin[chain]; rr < R.rowBegin[chain + 1];
+             ++rr) {
+            const Index r = rowIndex[rr];
+            const Index lr = r - r0;
+            const Value *v = vals + rr * size_t(omega);
+            for (Index l = 0; l < omega; ++l)
+                buf.p[l] = l == lr ? 0.0 : v[l] * xw[r0 + l];
+            xw[r] = (b[r] - (acc.p[lr] + fcutree::sumTree(buf.p, omega))) /
+                    diag[r];
+        }
+    }
 }
 
 // ---- runtime ISA availability ----
@@ -371,11 +397,11 @@ specialize(ExecSchedule &S, const AccelParams &params)
         const int ci = S.contiguousRows ? 1 : 0;
         S.fns.spmv = t->spmv[oi][ci];
         S.fns.spmm = t->spmm[oi][ci];
-        S.fns.symgs = t->symgs[oi][ci];
+        S.fns.sweep = t->sweep[oi][ci];
     } else {
         S.fns.spmv = &spmvGeneric;
         S.fns.spmm = &spmmGeneric;
-        S.fns.symgs = &symgsGeneric;
+        S.fns.sweep = &sweepGeneric;
     }
 }
 

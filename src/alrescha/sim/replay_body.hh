@@ -13,7 +13,7 @@
  *
  * and gets a makeTable() that fills a detail::KernelTable with fully
  * specialized entry points over ω ∈ {2, 4, 8} × {scattered,
- * contiguous} row layouts for SpMV, SpMM and the SymGS GEMV path.
+ * contiguous} row layouts for SpMV, SpMM and the SymGS sweep.
  *
  * Bit-identity: every arm computes each row dot in the canonical
  * pairwise tree order (reduce.hh) -- products p are combined level by
@@ -379,28 +379,81 @@ spmmPathsT(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 #endif
 }
 
+/**
+ * The D-SymGS chain of path @p i at compile-time ω: each row's dot with
+ * the block row's chunk updates xw[r] = (b[r] - (acc[lr] + dot)) /
+ * diag[r].  The record holds the diagonal, so its lane is masked to
+ * exactly +0.0, as the interpreter's zeroed value and operand give
+ * (v * 0.0 would be -0.0 for a negative diagonal).  Scalar in every
+ * ISA table: the chain is a latency-bound recurrence, and wider lanes
+ * measured no faster.
+ */
+template <Index Omega>
+inline void
+chainRows(const RowStore &R, size_t i, Index r0, const Value *acc,
+          const Value *b, const Value *diag, Value *xw)
+{
+    const Value *vals = R.values.data();
+    const Value *xc = xw + r0;
+    for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+        const Index r = R.rowIndex[rr];
+        const Index lr = r - r0;
+        const Value *v = vals + rr * size_t(Omega);
+        Value p[Omega];
+        for (Index l = 0; l < Omega; ++l)
+            p[l] = l == lr ? 0.0 : v[l] * xc[l];
+        for (Index w = Omega; w > 1; w >>= 1)
+            for (Index q = 0; q < w / 2; ++q)
+                p[q] = p[2 * q] + p[2 * q + 1];
+        xw[r] = (b[r] - (acc[lr] + p[0])) / diag[r];
+    }
+}
+
+/**
+ * A whole SymGS sweep (replay::SweepFn).  Each block-row group is its
+ * GEMVs and then its chain.  The GEMVs run in path order, each writing
+ * its row dots into its own zero-filled slot of @p links (a push); the
+ * slots then add newest first onto +0.0 (the pop-accumulate) -- the
+ * link stack's exact arithmetic -- and the chain runs on the sum.
+ * Path order streams the row store forwards, which measured faster
+ * than adding each dot into the sum as the GEMVs run newest first.
+ */
 template <Index Omega, bool Contig>
 void
-symgsPathT(const ExecSchedule &S, size_t path, const Value *xpad,
-           Value *partials)
+sweepT(const ExecSchedule &S, const Value *b, const Value *diag, Value *xw,
+       Value *links)
 {
     const RowStore &R = *S.rows;
-    const size_t rr0 = R.rowBegin[path];
-    if (rr0 == R.rowBegin[path + 1])
-        return;
-    const Value *x = xpad + S.xOff[path];
-    const Index r0 = S.blockRow[path] * Omega;
     const Index *rowIndex = R.rowIndex.data();
-    if constexpr (Contig) {
-        Value *pp = partials + (rowIndex[rr0] - r0);
-        pathRows<Omega>(R, path, x, [pp, rr0](size_t rr, Value d) {
-            pp[rr - rr0] = d;
-        });
-    } else {
-        pathRows<Omega>(R, path, x,
-                        [partials, r0, rowIndex](size_t rr, Value d) {
-                            partials[rowIndex[rr] - r0] = d;
-                        });
+    for (size_t g = 0; g + 1 < S.groupBegin.size(); ++g) {
+        const size_t first = S.groupBegin[g];
+        const size_t chain = S.groupBegin[g + 1] - 1;
+        const Index r0 = S.blockRow[chain] * Omega;
+        for (size_t i = first; i < chain; ++i) {
+            Value *slot = links + (i - first) * Omega;
+            for (Index l = 0; l < Omega; ++l)
+                slot[l] = 0.0;
+            const size_t rr0 = R.rowBegin[i];
+            if (rr0 == R.rowBegin[i + 1])
+                continue;
+            const Value *x = xw + S.xOff[i];
+            if constexpr (Contig) {
+                Value *sp = slot + (rowIndex[rr0] - r0);
+                pathRows<Omega>(R, i, x, [sp, rr0](size_t rr, Value d) {
+                    sp[rr - rr0] = d;
+                });
+            } else {
+                pathRows<Omega>(R, i, x,
+                                [slot, r0, rowIndex](size_t rr, Value d) {
+                                    slot[rowIndex[rr] - r0] = d;
+                                });
+            }
+        }
+        Value acc[Omega] = {};
+        for (size_t e = chain - first; e-- > 0;)
+            for (Index l = 0; l < Omega; ++l)
+                acc[l] += links[e * Omega + l];
+        chainRows<Omega>(R, chain, r0, acc, b, diag, xw);
     }
 }
 
@@ -412,8 +465,8 @@ fillOmega(detail::KernelTable &t, int oi)
     t.spmv[oi][1] = &spmvPathsT<Omega, true>;
     t.spmm[oi][0] = &spmmPathsT<Omega, false>;
     t.spmm[oi][1] = &spmmPathsT<Omega, true>;
-    t.symgs[oi][0] = &symgsPathT<Omega, false>;
-    t.symgs[oi][1] = &symgsPathT<Omega, true>;
+    t.sweep[oi][0] = &sweepT<Omega, false>;
+    t.sweep[oi][1] = &sweepT<Omega, true>;
 }
 
 inline detail::KernelTable

@@ -52,17 +52,25 @@ spmmStride(size_t k)
 using SpmmFn = void (*)(const ExecSchedule &S, const Value *xt, Value *yt,
                         size_t k, size_t pBegin, size_t pEnd);
 
-/** Replay one SymGS GEMV path: scatter each row record's dot product
- *  to partials[row - blockRow * ω] (assignment; caller pre-zeroes). */
-using SymgsFn = void (*)(const ExecSchedule &S, size_t path,
-                         const Value *xpad, Value *partials);
+/**
+ * Replay a whole SymGS sweep in place on the staged iterate @p xw
+ * (ExecSchedule::paddedOperand entries, zero past the rows).  Each
+ * block-row group is its GEMV paths and then one D-SymGS chain
+ * (tallySweepGroups): the GEMVs push their row dots to the link stack
+ * in @p links (scratch of ExecSchedule::linkPeak * ω entries), the
+ * chain pops them -- newest first, onto +0.0 -- into an ω-wide sum,
+ * and sets xw[r] = (b[r] - (sum[lr] + dot)) / diag[r] row by row, its
+ * diagonal lane masked out of the dot.
+ */
+using SweepFn = void (*)(const ExecSchedule &S, const Value *b,
+                         const Value *diag, Value *xw, Value *links);
 
 /** The resolved entry points, stamped by replay::specialize. */
 struct Fns
 {
     SpmvFn spmv = nullptr;
     SpmmFn spmm = nullptr;
-    SymgsFn symgs = nullptr;
+    SweepFn sweep = nullptr;
 };
 
 } // namespace replay

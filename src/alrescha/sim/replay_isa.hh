@@ -35,7 +35,7 @@ struct KernelTable
     const char *name = "";
     SpmvFn spmv[3][2] = {};
     SpmmFn spmm[3][2] = {};
-    SymgsFn symgs[3][2] = {};
+    SweepFn sweep[3][2] = {};
 };
 
 /** ω → specialization index (2→0, 4→1, 8→2; -1 otherwise). */

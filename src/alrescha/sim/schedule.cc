@@ -56,6 +56,27 @@ rowStoreKey(const ConfigTable &table, const AccelParams &params)
     return h.digest();
 }
 
+bool
+tallySweepGroups(ExecSchedule &s)
+{
+    s.linkPushes = s.linkPeak = 0;
+    if (s.kernel != KernelType::SymGS)
+        return true;
+    for (size_t g = 0; g + 1 < s.groupBegin.size(); ++g) {
+        const size_t first = s.groupBegin[g];
+        const size_t end = s.groupBegin[g + 1];
+        if (end == first || s.dp[end - 1] != DataPathType::DSymgs)
+            return false;
+        const size_t chain = end - 1;
+        for (size_t i = first; i < chain; ++i)
+            if (s.dp[i] != DataPathType::Gemv)
+                return false;
+        s.linkPushes += chain - first;
+        s.linkPeak = std::max<uint64_t>(s.linkPeak, chain - first);
+    }
+    return true;
+}
+
 ExecSchedule
 compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                 const AccelParams &params, ThreadPool *pool,
@@ -151,8 +172,10 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     };
 
     // The row records: a sibling's store, or one this schedule gathers
-    // (and counts).
+    // (and counts).  occupied[i * omega + lr] says whether row lr of
+    // GEMV path i holds a non-zero, when empty rows are skipped.
     std::shared_ptr<RowStore> built;
+    std::unique_ptr<uint8_t[]> occupied;
     if (shared) {
         ALR_ASSERT(shared->key == rowStoreKey(table, params) &&
                        shared->omega == omega &&
@@ -167,7 +190,10 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
 
         // Pass 2, parallel: occupied rows per path.  A chain records
         // every step inside the matrix; a GEMV every row inside it,
-        // less the all-zero ones when they are skipped.
+        // less the all-zero ones when they are skipped, which it marks
+        // so the gather never reads them again.
+        if (skipEmpty)
+            occupied = std::make_unique_for_overwrite<uint8_t[]>(P * omega);
         tp.parallelFor(0, chunks, [&](size_t c) {
             auto [lo, hi] = chunkPaths(c);
             for (size_t i = lo; i < hi; ++i) {
@@ -180,10 +206,11 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                     continue;
                 }
                 const int32_t *lut = lutOf(blk);
-                Index occupied = 0;
+                uint8_t *occ = occupied.get() + i * omega;
+                Index count = 0;
                 for (Index lr = 0; lr < inside; ++lr)
-                    occupied += occupiedRow(blk, lut, lr);
-                built->rowBegin[i + 1] = occupied;
+                    count += occ[lr] = occupiedRow(blk, lut, lr);
+                built->rowBegin[i + 1] = count;
             }
         });
 
@@ -201,7 +228,8 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
 
     // Gather path i's rows into its own slots of the store being built
     // -- a chain's in execution order (reversed for backward sweeps) --
-    // with every logical value, the diagonal included.
+    // with every logical value, the diagonal included.  Each kept row
+    // is read once; pass 2 already found the skipped ones empty.
     auto gather = [&](size_t i) {
         const LdBlockInfo &blk = blocks[entries[i].blockId];
         const int32_t *lut = lutOf(blk);
@@ -213,7 +241,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             // Test before writing: a skipped last row must not touch
             // the next path's first slot.
             if (r >= rows ||
-                (!chain && skipEmpty && !occupiedRow(blk, lut, lr)))
+                (!chain && skipEmpty && !occupied[i * omega + lr]))
                 continue;
             ALR_ASSERT(slot < built->rowBegin[i + 1],
                        "row count pass disagrees");
@@ -321,6 +349,9 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     if (P > 0)
         s.groupBegin.push_back(P);
     s.parallelSafe = gemv && monotonic;
+    ALR_ASSERT(tallySweepGroups(s),
+               "a SymGS block row is not its GEMVs followed by one D-SymGS "
+               "chain: only reordered SymGS tables are executable");
 
     // Stamp the replay entry points: runtime ISA dispatch happens
     // here, once per compiled schedule, so the engine's hot loops

@@ -149,6 +149,14 @@ struct ExecSchedule
      *  rows and the functional pass may run them in parallel. */
     bool parallelSafe = false;
 
+    // ---- link-stack traffic of one SymGS sweep (tallySweepGroups) ----
+    /** GEMV paths: each pushes its partials once and its block row's
+     *  chain pops them once.  Derived, never persisted. */
+    uint64_t linkPushes = 0;
+    /** The widest block row's GEMV count: the stack's deepest
+     *  occupancy.  Derived, never persisted. */
+    uint64_t linkPeak = 0;
+
     // ---- stamped replay specialization (replay::specialize) ----
     /**
      * Resolved replay entry points: the fully specialized
@@ -192,6 +200,16 @@ struct ExecSchedule
 };
 
 /**
+ * Check that every block-row group of a SymGS schedule is its GEMV
+ * paths followed by exactly one D-SymGS chain -- the shape the sweep
+ * kernel (replay::SweepFn) and the link stack assume -- and set @p s's
+ * linkPushes and linkPeak from them.  False when some group is not;
+ * other kernels pass with zero counts.  (Each group is one block row's
+ * run: compileSchedule builds them so, and the cache loader checks it.)
+ */
+bool tallySweepGroups(ExecSchedule &s);
+
+/**
  * Lower @p table against @p ld into an ExecSchedule.  Pure: touches no
  * engine state and no stats.  Every table kernel is schedulable; a
  * graph round's frontier only decides which paths it visits, a filter
@@ -206,6 +224,8 @@ struct ExecSchedule
  * matrix and rowStoreKey: the schedule binds it instead of gathering
  * its own records.  Without it the schedule builds (and counts) a
  * store of its own.
+ *
+ * A SymGS table must be reordered (tallySweepGroups); any other panics.
  */
 ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,

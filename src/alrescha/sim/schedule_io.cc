@@ -170,6 +170,19 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
         check(uint64_t(chain ? s.blockRow[i] : s.blockCol[i]) * s.omega ==
               s.xOff[i]);
     }
+    // Each group is one block row's run of paths, and where groups run
+    // in parallel (parallelSafe) the block rows rise from group to
+    // group, so no two groups write one output row.  A SymGS sweep
+    // replays each group as its GEMVs and then one chain.
+    for (size_t g = 0; g + 1 < s.groupBegin.size(); ++g) {
+        const size_t first = s.groupBegin[g];
+        check(first < s.groupBegin[g + 1]);
+        for (size_t i = first + 1; i < s.groupBegin[g + 1]; ++i)
+            check(s.blockRow[i] == s.blockRow[first]);
+        check(!s.parallelSafe || g == 0 ||
+              s.blockRow[first] > s.blockRow[first - 1]);
+    }
+    check(tallySweepGroups(s));
     s.rows = std::move(rows);
     return s;
 }

@@ -11,9 +11,10 @@
  *   (stream spans), FCU (fill / reduce-drain), RCU (reconfig spans),
  *   plus counter tracks for link-stack depth and cache occupancy.
  * - pid kPidHost ("host"): timestamps are wall-clock microseconds
- *   since the recorder was enabled; one track per host thread
- *   (engineThreads workers are tagged with a stable per-thread id), so
- *   simulator-side parallelism is visible next to the modeled run.
+ *   since the recorder was enabled; one track per host thread (the
+ *   host pool's SpMV and SpMM workers are tagged with a stable
+ *   per-thread id), so simulator-side parallelism is visible next to
+ *   the modeled run.
  *
  * Recording is disabled by default and zero-cost when off: every emit
  * helper is an inline relaxed-atomic load and branch, no locks, no

@@ -8,6 +8,7 @@
 #include "alrescha/sim/reduce.hh"
 #include "common/logging.hh"
 #include "common/timeline.hh"
+#include "reference/link_buffer.hh"
 
 namespace alr {
 
@@ -405,6 +406,7 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     FcuOpCounts fcuOps;
 
     std::vector<Value> rowVals(omega), xChunk(omega), partials(omega);
+    LinkBuffer links;
 
     /**
      * Timing: two overlapping timelines.  The memory stream never
@@ -514,10 +516,10 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                          bc - memC);
             }
             stream_t += bc;
-            _rcu.linkStack().push(partials);
+            links.push(partials);
             if (tlOn)
                 timeline::counter("link_depth", tlBase + stream_t,
-                                  double(_rcu.linkStack().depth()));
+                                  double(links.depth()));
         } else {
             ALR_ASSERT(e.dp == DataPathType::DSymgs,
                        "unexpected data path in SymGS table");
@@ -561,7 +563,7 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                 diag_read;
             uint64_t chain = 0;
 
-            DenseVector acc = _rcu.linkStack().popAccumulate(omega);
+            DenseVector acc = links.popAccumulate(omega);
             for (Index step = 0; step < omega; ++step) {
                 Index lr = backward ? omega - 1 - step : step;
                 Index r = r0 + lr;
@@ -616,6 +618,7 @@ ReferenceEngine::runSymgsSweep(const DenseVector &b, DenseVector &x,
                      uint64_t(_params.pipelineDepth()));
     _fcu.noteOps(fcuOps);
     _rcu.notePeOps(peOps);
+    _rcu.linkStack().note(links.pushes(), links.pops(), links.peak());
     _engine.commitRun({.base = tlBase, .timing = t, .parFlops = parFlops,
                        .seqFlops = seqFlops, .usefulBytes = usefulBytes},
                       timing);

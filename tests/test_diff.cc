@@ -1124,7 +1124,7 @@ TEST(DiffCheck, MetricsSnapshot)
         return std::string("metrics.0.");
     };
     const std::string h = index("serve_batch_size", false);
-    const std::string c = index("serve_requests_completed", false);
+    const std::string c = index(serve_metric::kRequestsCompleted, false);
     const int64_t n = at(m, h + "count").asInt();
     std::vector<Break> breaks = {
         {"snapshot", json::Value(0), "snapshot number is 0"},
@@ -1170,11 +1170,12 @@ TEST(DiffCheck, PrometheusTextExposesTheSnapshot)
                 out += line + "\n";
         return out;
     };
+    const std::string done = serve_metric::kRequestsCompleted;
+    const std::string lat = serve_metric::kLatencyUs;
     for (auto [needle, finding] :
-         {std::pair{"# TYPE serve_requests_completed",
-                    "no TYPE line for serve_requests_completed"},
-          {"serve_latency_us_count", "no _count: serve_latency_us"},
-          {"le=\"+Inf\"", "no +Inf bucket: serve_latency_us"}}) {
+         {std::pair{"# TYPE " + done, "no TYPE line for " + done},
+          {lat + "_count", "no _count: " + lat},
+          {"le=\"+Inf\"", "no +Inf bucket: " + lat}}) {
         SCOPED_TRACE(needle);
         expectFinding(serveSet(s.report, s.snapshot, without(needle),
                                s.timeline),
@@ -1223,10 +1224,11 @@ TEST(DiffCheck, SnapshotCountsAddUpToTheServeReport)
     auto scaled = [&](const std::string &p, double f) {
         return json::Value(at(s.snapshot, p).asDouble() * f);
     };
-    const std::string lat = path("serve_latency_us", false, "count");
-    const std::string wait = path("serve_queue_wait_us", false, "count");
-    const std::string done = path("serve_requests_completed", false, "value");
-    const std::string one = path("serve_latency_us", true, "count");
+    const std::string lat = path(serve_metric::kLatencyUs, false, "count");
+    const std::string wait = path(serve_metric::kQueueWaitUs, false, "count");
+    const std::string done =
+        path(serve_metric::kRequestsCompleted, false, "value");
+    const std::string one = path(serve_metric::kLatencyUs, true, "count");
     expectServeBreaks(
         kSnapshot,
         {{lat, json::Value(at(s.snapshot, lat).asInt() - 1),
@@ -1234,19 +1236,20 @@ TEST(DiffCheck, SnapshotCountsAddUpToTheServeReport)
          {wait, json::Value(at(s.snapshot, wait).asInt() + 1),
           "the queue-wait histogram count is not completed"},
          {done, scaled(done, 0.5),
-          "serve_requests_completed is not completed"},
+          std::string(serve_metric::kRequestsCompleted) +
+              " is not completed"},
          {one, json::Value(at(s.snapshot, one).asInt() + 1),
           "per-matrix latency counts"},
-         {path("serve_queue_wait_us", false, "sum"),
-          scaled(path("serve_latency_us", false, "sum"), 2.0),
+         {path(serve_metric::kQueueWaitUs, false, "sum"),
+          scaled(path(serve_metric::kLatencyUs, false, "sum"), 2.0),
           "queue-wait sum exceeds latency sum"},
-         {path("serve_queue_wait_us", false, "max"),
-          scaled(path("serve_latency_us", false, "max"), 2.0),
+         {path(serve_metric::kQueueWaitUs, false, "max"),
+          scaled(path(serve_metric::kLatencyUs, false, "max"), 2.0),
           "queue-wait max exceeds latency max"}});
     // A missing serve metric breaks each count it carries.
     json::Value kept = json::Value::array();
     for (const json::Value &m : metrics)
-        if (m.stringAt("name") != "serve_queue_wait_us")
+        if (m.stringAt("name") != serve_metric::kQueueWaitUs)
             kept.append(m);
     expectServeBreaks(kSnapshot, {{"metrics", kept,
                                    "the queue-wait histogram count"}});

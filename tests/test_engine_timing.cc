@@ -2,7 +2,8 @@
  * @file
  * Timing-model invariants of the cycle-level engine: pipelined GEMV
  * throughput, D-SymGS serialization, reconfiguration hiding, bandwidth
- * utilization tracking block density, and cache accounting.
+ * utilization tracking block density, and cache accounting; and the
+ * link stack's counters.
  */
 
 #include <gtest/gtest.h>
@@ -164,11 +165,33 @@ TEST(Timing, LinkStackBalancedAndBounded)
     DenseVector b = ones(512), x(512, 0.0);
     acc.symgsSweep(b, x, GsSweep::Symmetric);
 
+    // Each sweep pushes one partial per off-diagonal block, and its
+    // block row's chain pops every one.
+    double offDiagonal = 0.0;
+    for (const LdBlockInfo &blk : acc.matrix().blocks())
+        offDiagonal += blk.isDiagonal() ? 0.0 : 1.0;
     const LinkStack &ls = acc.engine().rcu().linkStack();
-    EXPECT_GT(ls.pushes(), 0.0);
-    EXPECT_TRUE(ls.empty()); // every push consumed
+    EXPECT_EQ(ls.pushes(), 2.0 * offDiagonal);
+    EXPECT_EQ(ls.pops(), ls.pushes());
     // Depth bounded by the widest block row's off-diagonal count.
+    EXPECT_GE(ls.maxDepth(), 1.0);
     EXPECT_LE(ls.maxDepth(), 20.0 / 8.0 * 2.0 + 2.0);
+}
+
+TEST(LinkStackUnit, NotedCountsFlushIntoStats)
+{
+    LinkStack ls;
+    ls.note(3, 3, 2);
+    ls.note(1, 1, 1);
+    EXPECT_EQ(ls.pushes(), 4.0); // pending counts already show
+    ls.flush();
+    ls.note(0, 0, 1);
+    ls.flush();
+    EXPECT_EQ(ls.pushes(), 4.0);
+    EXPECT_EQ(ls.pops(), 4.0);
+    EXPECT_EQ(ls.maxDepth(), 2.0); // the deepest run, not the last
+    ls.reset();
+    EXPECT_EQ(ls.pushes(), 0.0);
 }
 
 TEST(Timing, SecondsFollowClock)

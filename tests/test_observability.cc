@@ -632,7 +632,7 @@ TEST(Timeline, ParallelEngineWorkersRecordSafely)
     timeline::reset();
     timeline::setEnabled(true);
     AccelParams params;
-    params.engineThreads = 3;
+    params.hostThreads = 3;
     Accelerator acc(params);
     acc.loadSpmvOnly(gen::stencil2d(32, 32, 5));
     DenseVector x(1024, 1.0);

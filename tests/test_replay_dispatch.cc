@@ -8,6 +8,9 @@
  *    block row) must take the Generic fallback under every mode;
  *  - forcing an unavailable ISA (params or ALR_SIMD_FORCE) must fall
  *    back down the dispatch chain with a warning, never crash;
+ *  - the SymGS sweep kernel must match the reference at every runnable
+ *    mode and omega, on contiguous and scattered GEMV rows and on a
+ *    block row without GEMVs;
  *  - compileSchedule must stamp the specialized entry points (and the
  *    generic runtime-omega arms at any other omega) and detect
  *    contiguous row layouts;
@@ -18,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,7 +46,7 @@ makeParams(Index omega, SimdMode mode)
 {
     AccelParams p;
     p.omega = omega;
-    p.engineThreads = 1;
+    p.hostThreads = 1;
     p.simdMode = mode;
     return p;
 }
@@ -66,9 +71,10 @@ runnableModes()
 }
 
 /**
- * Run SpMV, SpMM, and a SymGS sweep through the reference engine and
- * a scheduled engine at @p mode; every result, cycle count, and the
- * serialized stat dumps must agree exactly.
+ * Run SpMV, SpMM, and forward and backward SymGS sweeps through the
+ * reference engine and a scheduled engine at @p mode; every result,
+ * cycle count, and the serialized stat dumps must agree exactly (the
+ * sweeps' iterates bit for bit: == would let -0.0 stand for +0.0).
  */
 void
 expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
@@ -78,8 +84,10 @@ expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
     LocallyDenseMatrix ld =
         LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
     ConfigTable spmv = ConfigTable::convert(KernelType::SpMV, ld);
-    ConfigTable symgs = ConfigTable::convert(KernelType::SymGS, ld, true,
-                                             GsSweep::Forward);
+    ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                           GsSweep::Forward);
+    ConfigTable bwd = ConfigTable::convert(KernelType::SymGS, ld, true,
+                                           GsSweep::Backward);
 
     Engine refEngine(makeParams(omega, SimdMode::Scalar));
     ReferenceEngine ref(refEngine);
@@ -108,15 +116,22 @@ expectModeBitIdentical(const CsrMatrix &a, Index omega, SimdMode mode)
         ASSERT_EQ(ref.runSpmm(xs), sch.runSpmm(xs)) << "k " << k;
     }
 
-    ref.program(&ld, &symgs);
-    sch.program(&ld, &symgs);
-    DenseVector b(a.rows(), 1.0);
-    DenseVector xr(a.rows(), 0.0), xv(a.rows(), 0.0);
-    for (int run = 0; run < 2; ++run) {
+    const Index n = a.rows();
+    DenseVector b(n), xr(n);
+    for (Index r = 0; r < n; ++r) {
+        b[r] = r % 5 == 0 ? 0.0 : Value(r % 7) - 3.0;
+        xr[r] = r % 4 == 0 ? -0.0 : Value(r % 11) * 0.25 - 1.0;
+    }
+    DenseVector xv = xr;
+    for (int run = 0; run < 4; ++run) {
+        const ConfigTable &t = run % 2 ? bwd : fwd;
+        ref.program(&ld, &t);
+        sch.program(&ld, &t);
         RunTiming tr, ts;
         ref.runSymgsSweep(b, xr, &tr);
         sch.runSymgsSweep(b, xv, &ts);
-        ASSERT_EQ(xr, xv) << "symgs sweep " << run;
+        ASSERT_EQ(std::memcmp(xr.data(), xv.data(), n * sizeof(Value)), 0)
+            << "symgs sweep " << run;
         EXPECT_EQ(tr.cycles, ts.cycles) << "symgs sweep " << run;
     }
     EXPECT_EQ(statDump(refEngine), statDump(sch));
@@ -176,6 +191,87 @@ TEST(ReplayDispatch, SingleBlockRowEveryMode)
     CsrMatrix a = CsrMatrix::fromCoo(coo);
     for (SimdMode mode : kAllModes)
         expectModeBitIdentical(a, 8, mode);
+}
+
+// ---------------------------------------------------------------------
+// The sweep kernel at every runnable mode and omega, on both row
+// layouts and on a block row without GEMVs.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * expectModeBitIdentical at every runnable mode and at omega 2, 4, 8
+ * and 6 (the generic arm), on SymGS schedules whose GEMV rows are
+ * consecutive exactly when @p contiguous(omega) says.
+ */
+template <typename Layout>
+void
+expectEveryModeAndOmega(const CsrMatrix &a, Layout contiguous)
+{
+    for (SimdMode mode : runnableModes()) {
+        for (Index omega : {Index(2), Index(4), Index(8), Index(6)}) {
+            LocallyDenseMatrix ld =
+                LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
+            ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld,
+                                                   true, GsSweep::Forward);
+            EXPECT_EQ(compileSchedule(ld, fwd, makeParams(omega, mode))
+                          .contiguousRows,
+                      contiguous(omega))
+                << "omega " << omega;
+            expectModeBitIdentical(a, omega, mode);
+        }
+    }
+}
+
+/** An n x n matrix whose row r couples to each column c within @p half
+ *  of it where @p keep(r, c) holds, with a dominant diagonal. */
+template <typename Keep>
+CsrMatrix
+bandMatrix(Index n, Index half, Keep keep)
+{
+    CooMatrix coo(n, n);
+    for (Index r = 0; r < n; ++r) {
+        coo.add(r, r, 8.0 + Value(r % 3));
+        for (Index c = r > half ? r - half : 0; c < std::min(n, r + half + 1);
+             ++c)
+            if (c != r && keep(r, c))
+                coo.add(r, c, -0.25 - 0.125 * Value((r * 7 + c * 3) % 5));
+    }
+    return CsrMatrix::fromCoo(coo);
+}
+
+} // namespace
+
+TEST(SweepKernel, ContiguousRowsEveryModeBitIdentical)
+{
+    // A full band 20 wide: every row of every off-diagonal block the
+    // band touches is occupied, so each GEMV's rows are consecutive.
+    CsrMatrix a = bandMatrix(61, 20, [](Index, Index) { return true; });
+    expectEveryModeAndOmega(a, [](Index) { return true; });
+}
+
+TEST(SweepKernel, ScatteredRowsEveryModeBitIdentical)
+{
+    // Rows r % 4 == 1 hold only their diagonal: from omega 4 up, a GEMV
+    // block skips that row between occupied ones.  (At omega 2 a block
+    // has two rows, which are always consecutive.)
+    CsrMatrix a =
+        bandMatrix(61, 20, [](Index r, Index) { return r % 4 != 1; });
+    expectEveryModeAndOmega(a, [](Index omega) { return omega == 2; });
+}
+
+TEST(SweepKernel, BlockRowWithoutGemvsEveryModeBitIdentical)
+{
+    // Rows 24-47 couple only to their pair partner r ^ 1, which shares
+    // their block at every even omega, and 24 and 48 are multiples of
+    // 2, 4, 6 and 8: those block rows are their chains alone and pop
+    // nothing.
+    auto isolated = [](Index r) { return r >= 24 && r < 48; };
+    CsrMatrix a = bandMatrix(61, 9, [&](Index r, Index c) {
+        return isolated(r) || isolated(c) ? (r ^ 1) == c : true;
+    });
+    expectEveryModeAndOmega(a, [](Index) { return true; });
 }
 
 // ---------------------------------------------------------------------
@@ -252,13 +348,21 @@ TEST(ReplaySpecialize, StampsSpecializedEntryPoints)
 
     ASSERT_NE(s.fns.spmv, nullptr);
     ASSERT_NE(s.fns.spmm, nullptr);
-    ASSERT_NE(s.fns.symgs, nullptr);
+    ASSERT_NE(s.fns.sweep, nullptr);
     // omega=8 -> index 2; the stamped pointer must be the table slot
     // for the detected row layout.
     int ci = s.contiguousRows ? 1 : 0;
     EXPECT_EQ(s.fns.spmv, t->spmv[2][ci]);
     EXPECT_EQ(s.fns.spmm, t->spmm[2][ci]);
-    EXPECT_EQ(s.fns.symgs, t->symgs[2][ci]);
+
+    // A SymGS schedule stamps the sweep kernel the same way.
+    CsrMatrix spd = gen::banded(64, 5, 0.7, rng);
+    LocallyDenseMatrix lds =
+        LocallyDenseMatrix::encode(spd, 8, LdLayout::SymGs);
+    ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, lds, true,
+                                           GsSweep::Forward);
+    ExecSchedule sw = compileSchedule(lds, fwd, p);
+    EXPECT_EQ(sw.fns.sweep, t->sweep[2][sw.contiguousRows ? 1 : 0]);
 
     // omega=6 has no table slot: the generic arms, not any slot.
     LocallyDenseMatrix ld6 =
@@ -266,10 +370,19 @@ TEST(ReplaySpecialize, StampsSpecializedEntryPoints)
     ConfigTable table6 = ConfigTable::convert(KernelType::SpMV, ld6);
     p.omega = 6;
     ExecSchedule g = compileSchedule(ld6, table6, p);
+    LocallyDenseMatrix lds6 =
+        LocallyDenseMatrix::encode(spd, 6, LdLayout::SymGs);
+    ConfigTable fwd6 = ConfigTable::convert(KernelType::SymGS, lds6, true,
+                                            GsSweep::Forward);
+    ExecSchedule gs = compileSchedule(lds6, fwd6, p);
     ASSERT_NE(g.fns.spmv, nullptr);
-    for (int oi = 0; oi < 3; ++oi)
-        for (int c = 0; c < 2; ++c)
+    ASSERT_NE(gs.fns.sweep, nullptr);
+    for (int oi = 0; oi < 3; ++oi) {
+        for (int c = 0; c < 2; ++c) {
             EXPECT_NE(g.fns.spmv, t->spmv[oi][c]);
+            EXPECT_NE(gs.fns.sweep, t->sweep[oi][c]);
+        }
+    }
 }
 
 TEST(ReplaySpecialize, DetectsContiguousRows)

@@ -6,8 +6,9 @@
  * bit -- results, cycle counts, the entire serialized stat dump, and
  * the modeled timeline -- across omegas, matrices, repeated runs
  * (cross-run cache and switch state), and functional-pass thread
- * counts.  Plus unit tests for the payload-position LUT and the
- * schedule cache (reuse, invalidation, eviction).
+ * counts.  Plus unit tests for the reference engine's link stack, the
+ * payload-position LUT and the schedule cache (reuse, invalidation,
+ * eviction).
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "common/random.hh"
 #include "common/timeline.hh"
 #include "datasets/suites.hh"
+#include "reference/link_buffer.hh"
 #include "reference/reference_engine.hh"
 #include "sparse/coo.hh"
 #include "sparse/generators.hh"
@@ -40,7 +42,7 @@ makeParams(Index omega, int threads, bool simd = true,
 {
     AccelParams p;
     p.omega = omega;
-    p.engineThreads = threads;
+    p.hostThreads = threads;
     p.simdMode = simd ? SimdMode::Auto : SimdMode::Scalar;
     if (bytes_per_cycle != 0)
         p.memBandwidthGBs = bytes_per_cycle * p.clockGhz;
@@ -463,6 +465,33 @@ TEST(TimelineEquivalence, SymgsBothSweeps)
                 e.runSymgsSweep(p.x, x);
         });
     }
+}
+
+// ---------------------------------------------------------------------
+// The reference engine's link stack (tests/reference/link_buffer.hh).
+// ---------------------------------------------------------------------
+
+TEST(LinkStackUnit, LifoAccumulation)
+{
+    LinkBuffer stack;
+    stack.push({1.0, 2.0});
+    stack.push({10.0, 20.0});
+    EXPECT_EQ(stack.depth(), 2u);
+    DenseVector acc = stack.popAccumulate(2);
+    EXPECT_DOUBLE_EQ(acc[0], 11.0);
+    EXPECT_DOUBLE_EQ(acc[1], 22.0);
+    EXPECT_TRUE(stack.empty());
+    EXPECT_EQ(stack.peak(), 2u);
+    EXPECT_EQ(stack.pushes(), 2u);
+    EXPECT_EQ(stack.pops(), 2u);
+}
+
+TEST(LinkStackUnit, EmptyPopIsZero)
+{
+    LinkBuffer stack;
+    DenseVector acc = stack.popAccumulate(4);
+    for (Value v : acc)
+        EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(PayloadLut, MatchesPayloadPosition)

@@ -728,6 +728,95 @@ TEST(ScheduleCachePersistence, DataPathItsKernelDoesNotRun)
     expectRecompiled(reframe(file, body), 49);
 }
 
+TEST(ScheduleCachePersistence, SweepGroupNotItsGemvsThenOneChain)
+{
+    // A forward sweep's block-row groups, spliced two ways that pass
+    // every per-path check: the first two groups merged (one group with
+    // two chains over two block rows), and the first group split after
+    // its first GEMV (a group with no chain).  The sweep kernel would
+    // run either as one block row, so the loader must refuse both.
+    Rng rng(50);
+    const CsrMatrix a = gen::banded(73, 5, 0.7, rng);
+    const LocallyDenseMatrix ld =
+        LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    const ConfigTable fwd =
+        ConfigTable::convert(KernelType::SymGS, ld, true, GsSweep::Forward);
+    Engine saver(makeParams());
+    saver.program(&ld, &fwd);
+    saver.prepareSchedule();
+    std::stringstream saved;
+    ASSERT_TRUE(saver.saveScheduleCache(saved));
+    const std::string file = saved.str();
+    const std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kGroupBegin);
+    const std::vector<size_t> groups = vecAt<size_t>(body, at);
+    ASSERT_GT(groups.size(), 3u);
+    ASSERT_GT(groups[1], 1u) << "the first block row has a GEMV";
+
+    std::vector<size_t> merged = groups, split = groups;
+    merged.erase(merged.begin() + 1);
+    split.insert(split.begin() + 1, 1);
+    for (const std::vector<size_t> &g : {merged, split}) {
+        std::string spliced = body;
+        spliced.replace(at, vecBytes(groups).size(), vecBytes(g));
+        std::stringstream in(reframe(file, spliced));
+        Engine warm(makeParams()), cold(makeParams());
+        setLogCapture(true);
+        EXPECT_FALSE(warm.loadScheduleCache(in));
+        EXPECT_EQ(warm.restoredSchedules(), 0u);
+        warm.program(&ld, &fwd);
+        cold.program(&ld, &fwd);
+        DenseVector b(a.rows(), 1.0), xw(a.rows(), 0.0), xc(a.rows(), 0.0);
+        for (int run = 0; run < 2; ++run) {
+            warm.runSymgsSweep(b, xw);
+            cold.runSymgsSweep(b, xc);
+            EXPECT_EQ(xw, xc);
+        }
+        const std::string log = setLogCapture(false);
+        EXPECT_NE(log.find("schedule cache unusable"), std::string::npos)
+            << log;
+        EXPECT_EQ(warm.scheduleCompiles(), 1u);
+        EXPECT_EQ(statDump(warm), statDump(cold));
+    }
+}
+
+TEST(ScheduleCachePersistence, ParallelGroupsSharingABlockRow)
+{
+    // An SpMV schedule, which runs its groups in parallel, with its
+    // first block row's paths split over two groups, and with its first
+    // two block rows merged into one group.  Either way two groups
+    // could write one output row at once, or one group two block rows.
+    const std::string file = savedCache(56);
+    const std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kGroupBegin);
+    const std::vector<size_t> groups = vecAt<size_t>(body, at);
+    ASSERT_GT(groups.size(), 3u);
+    ASSERT_GT(groups[1], 1u) << "the first block row has two paths";
+
+    std::vector<size_t> split = groups, merged = groups;
+    split.insert(split.begin() + 1, 1);
+    merged.erase(merged.begin() + 1);
+    for (const std::vector<size_t> &g : {split, merged}) {
+        std::string spliced = body;
+        spliced.replace(at, vecBytes(groups).size(), vecBytes(g));
+        expectRecompiled(reframe(file, spliced), 56);
+    }
+}
+
+TEST(ScheduleCompileDeath, UnreorderedSweepPanics)
+{
+    // The reordering ablation's table visits a block row's blocks in
+    // column order, its chain among its GEMVs: no sweep can replay it.
+    Rng rng(51);
+    const CsrMatrix a = gen::banded(73, 5, 0.7, rng);
+    const LocallyDenseMatrix ld =
+        LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    const ConfigTable natural =
+        ConfigTable::convert(KernelType::SymGS, ld, false, GsSweep::Forward);
+    EXPECT_DEATH(compileSchedule(ld, natural, makeParams()),
+                 "only reordered SymGS tables");
+}
+
 TEST(ScheduleCachePersistence, PerPathArrayShorterThanThePaths)
 {
     // blockCol cut to a single entry: every walk would read past it.

@@ -611,18 +611,18 @@ TEST(ServeObservability, MetricsRegistryCountsMatchTheDrain)
     ASSERT_EQ(res.completed, trace.size());
 
     double v = 0.0;
-    ASSERT_TRUE(reg.lookup("serve_requests_completed", {}, &v));
+    ASSERT_TRUE(reg.lookup(serve_metric::kRequestsCompleted, {}, &v));
     EXPECT_EQ(uint64_t(v), res.completed);
-    ASSERT_TRUE(reg.lookup("serve_latency_us", {}, &v));
+    ASSERT_TRUE(reg.lookup(serve_metric::kLatencyUs, {}, &v));
     EXPECT_EQ(uint64_t(v), res.completed)
         << "latency histogram must hold one sample per request";
-    ASSERT_TRUE(reg.lookup("serve_queue_wait_us", {}, &v));
+    ASSERT_TRUE(reg.lookup(serve_metric::kQueueWaitUs, {}, &v));
     EXPECT_EQ(uint64_t(v), res.completed);
 
     uint64_t perMatrix = 0;
     for (size_t i = 0; i < fleet.size(); ++i) {
         metrics::Labels labels = {{"matrix", fleet.nameOf(i)}};
-        ASSERT_TRUE(reg.lookup("serve_latency_us", labels, &v));
+        ASSERT_TRUE(reg.lookup(serve_metric::kLatencyUs, labels, &v));
         perMatrix += uint64_t(v);
         ASSERT_TRUE(reg.lookup("serve_schedule_hits", labels, &v));
         ASSERT_TRUE(reg.lookup("serve_modeled_cycles", labels, &v));

@@ -1,16 +1,16 @@
 /**
  * @file
  * Direct unit tests of the simulator components: memory pipe, local
- * cache, link stack, FCU, and RCU -- the pieces the engine composes.
- * (The FCU's row reduction lives with the reference engine, and its
- * FcuUnit cases in test_graph_equivalence.cc.)
+ * cache, FCU, and RCU -- the pieces the engine composes.  (The FCU's
+ * row reduction and the link stack's buffer live with the reference
+ * engine; their FcuUnit and LinkStackUnit cases are in
+ * test_graph_equivalence.cc and test_schedule.cc.)
  */
 
 #include <gtest/gtest.h>
 
 #include "alrescha/sim/cache.hh"
 #include "alrescha/sim/fcu.hh"
-#include "alrescha/sim/link_stack.hh"
 #include "alrescha/sim/memory.hh"
 #include "alrescha/sim/rcu.hh"
 
@@ -118,27 +118,6 @@ TEST(CacheUnit, CapacityEviction)
     double missesBefore = cache.misses();
     cache.read(CacheVec::Xt, 0, false);
     EXPECT_GT(cache.misses(), missesBefore);
-}
-
-TEST(LinkStackUnit, LifoAccumulation)
-{
-    LinkStack stack;
-    stack.push({1.0, 2.0});
-    stack.push({10.0, 20.0});
-    EXPECT_EQ(stack.depth(), 2u);
-    DenseVector acc = stack.popAccumulate(2);
-    EXPECT_DOUBLE_EQ(acc[0], 11.0);
-    EXPECT_DOUBLE_EQ(acc[1], 22.0);
-    EXPECT_TRUE(stack.empty());
-    EXPECT_DOUBLE_EQ(stack.maxDepth(), 2.0);
-}
-
-TEST(LinkStackUnit, EmptyPopIsZero)
-{
-    LinkStack stack;
-    DenseVector acc = stack.popAccumulate(4);
-    for (Value v : acc)
-        EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(FcuUnit, FillLatencyFollowsTreeDepth)

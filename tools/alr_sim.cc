@@ -84,7 +84,6 @@ struct Options
     long statsInterval = 0;
     int maxIterations = 500;
     int threads = 0;
-    int engineThreads = 0;
     int scheduleCache = 0;
     bool ab = false;          ///< --ab given (possibly empty overrides)
     std::string abOverrides;  ///< variant flag string
@@ -103,7 +102,7 @@ usage()
         "               [--report] [--timeline F.json] [--stats-interval N]\n"
         "               [--profile F.json] [--profile-csv F.csv]\n"
         "               [--profile-folded F.folded]\n"
-        "               [--iters N] [--threads N] [--engine-threads N]\n"
+        "               [--iters N] [--threads N]\n"
         "               [--schedule-cache N]\n"
         "               [--save F.alr]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULES]\n"
@@ -122,6 +121,10 @@ usage()
         "                    the CPU runs), scalar, sse2, avx2, avx512,\n"
         "                    neon; forced modes fall back down the chain\n"
         "                    with a warning when unavailable\n"
+        "  --threads N       host pool size: encode, convert, compile\n"
+        "                    and the SpMV/SpMM functional passes\n"
+        "                    (default ALR_THREADS, else the core count;\n"
+        "                    results are identical at any size)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"
         "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"
@@ -229,9 +232,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--threads") {
             opt.threads = int(parseInteger("--threads", next(), 1,
                                            kMaxThreads));
-        } else if (arg == "--engine-threads") {
-            opt.engineThreads = int(parseInteger("--engine-threads", next(),
-                                                 1, kMaxThreads));
         } else if (arg == "--schedule-cache") {
             opt.scheduleCache = int(
                 parseInteger("--schedule-cache", next(), 1, kMaxCount));
@@ -314,10 +314,8 @@ paramsFrom(const Options &opt)
 {
     AccelParams params;
     params.omega = opt.omega;
-    // Functional-replay knobs: both are bit-identical to the defaults,
-    // exposed for timing the host-side replay cost in isolation.
-    if (opt.engineThreads > 0)
-        params.engineThreads = opt.engineThreads;
+    // The replay ISA is bit-identical to the default, exposed for
+    // timing the host-side replay cost in isolation.
     params.simdMode = opt.simdMode;
     if (opt.scheduleCache > 0)
         params.scheduleCacheCapacity = opt.scheduleCache;
@@ -639,8 +637,8 @@ main(int argc, char **argv)
 {
     Options opt = parse(argc, argv);
 
-    // Host-preprocessing thread count: --threads beats ALR_THREADS
-    // beats hardware concurrency.
+    // Host pool size: --threads beats ALR_THREADS beats hardware
+    // concurrency.
     if (opt.threads > 0)
         ThreadPool::setGlobalThreadCount(opt.threads);
 

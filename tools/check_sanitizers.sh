@@ -51,14 +51,16 @@ for isa in scalar sse2 avx2 avx512 neon; do
     echo "== ASan+UBSan (ALR_SIMD_FORCE=${isa}): replay dispatch =="
     (cd "${prefix}-asan" && \
         ALR_SIMD_FORCE="${isa}" ctest --output-on-failure -j "${jobs}" \
-            -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay')
+            -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay|SweepKernel')
 done
 
-# Thread-sanitizer pass over the parallel suites.  ALR_THREADS=8
-# forces real concurrency even on small CI machines.
+# Thread-sanitizer pass over the parallel suites -- the serve drains
+# among them, whose workers share the process pool for SpMV and SpMM --
+# with the CI tsan job's regex.  ALR_THREADS=8 forces real concurrency
+# even on small CI machines.
 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "-fsanitize=thread" \
     "TSan" \
-    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|ServeConcurrency|TimingMemo'
+    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|Serve|TimingMemo'
 
 echo "== sanitizers: all passes clean =="
