@@ -810,7 +810,7 @@ Engine::runSpmv(const DenseVector &x, RunTiming *timing)
     // against the staged operand, which parallel workers share
     // read-only.
     const Value *xpad = stageOperand(S, x);
-    size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
+    const size_t groups = S.groupCount();
     if (S.parallelSafe && groups > 1) {
         hostPool().parallelForChunks(0, groups, [&](size_t gb, size_t ge) {
             timeline::ScopedHostSpan chunkSpan("spmv.groups", "worker");
@@ -856,7 +856,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     // kernels carry the right-hand sides across the vector lanes, and
     // the results come back interleaved the same way.
     std::vector<DenseVector> ys(k, DenseVector(rows));
-    size_t groups = S.groupBegin.empty() ? 0 : S.groupBegin.size() - 1;
+    const size_t groups = S.groupCount();
     for (size_t j0 = 0; j0 < k; j0 += replay::kSpmmMaxRhs) {
         const size_t kb = std::min(k - j0, replay::kSpmmMaxRhs);
         const size_t stride = replay::spmmStride(kb);
@@ -954,12 +954,29 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
     timeline::ScopedHostSpan hostSpan("symgs.sched", "run");
 
     // Functional pass: the iterate stages into the padded aligned
-    // buffer, one sweep-kernel call updates it in place -- every block
-    // row's GEMVs through the link stack, then its serialized D-SymGS
-    // chain (replay::SweepFn) -- and it is copied back.
+    // buffer, the sweep kernel updates it in place -- every block row's
+    // GEMVs through the link stack, then its serialized D-SymGS chain
+    // (replay::SweepFn) -- and it is copied back.  A schedule whose
+    // dependence levels carry enough work (ExecSchedule::wideLevels)
+    // runs them one after another, each level's block rows at once on
+    // the host pool (replay::sweepLevels).  Any other sweep is one
+    // serial call in natural order, and so is one on a one-thread pool
+    // or from a pool worker, where parallelForChunks would run the
+    // participants inline and the level order serially is slower.
+    // Both give the same bits.
     Value *xw = stageOperand(S, x);
-    _links.resize(size_t(S.linkPeak) * S.omega);
-    S.fns.sweep(S, b.data(), _ld->diagonal().data(), xw, _links.data());
+    const Value *diag = _ld->diagonal().data();
+    const size_t scratch = size_t(S.linkPeak) * S.omega;
+    ThreadPool &pool = hostPool();
+    if (pool.threadCount() > 1 && !ThreadPool::onWorkerThread() &&
+        S.wideLevels()) {
+        _links.resize(size_t(pool.threadCount()) * scratch);
+        replay::sweepLevels(S, pool, b.data(), diag, xw, _links.data());
+    } else {
+        _links.resize(scratch);
+        S.fns.sweep(S, b.data(), diag, xw, _links.data(), nullptr, 0,
+                    S.groupCount());
+    }
     std::copy(xw, xw + x.size(), x.begin());
 
     // Timing: replay the memo, or walk the interpreter's exact cache and

@@ -150,8 +150,9 @@ class Engine
 
     /**
      * The host pool -- locally-dense encode, Algorithm 1 conversion
-     * (Accelerator::load*), schedule compilation, and the group-parallel
-     * functional passes of SpMV and SpMM: a private pool of
+     * (Accelerator::load*), schedule compilation, the group-parallel
+     * functional passes of SpMV and SpMM, and the levels of a SymGS
+     * sweep whose levels carry enough work: a private pool of
      * params.hostThreads workers, built on first use, or the
      * process-wide pool when that is <= 0.  One worker runs inline.
      */
@@ -474,8 +475,10 @@ class Engine
     AlignedValueVector _xpad;
     AlignedValueVector _xpadMulti;
     AlignedValueVector _ypadMulti;
-    /** The sweep kernel's link stack: one block row's GEMV partials
-     *  (replay::SweepFn). */
+    /** The sweep kernel's link stacks: one block row's GEMV partials
+     *  (replay::SweepFn) for each participant of a sweep -- one for a
+     *  serial sweep, one per host-pool thread for a level-parallel one
+     *  (replay::sweepLevels). */
     AlignedValueVector _links;
 
     stats::Scalar _cycles;

@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/thread_pool.hh"
+#include "common/timeline.hh"
 #include "common/version.hh"
 
 #include "alrescha/sim/reduce.hh"
@@ -122,14 +124,16 @@ spmmGeneric(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 
 void
 sweepGeneric(const ExecSchedule &S, const Value *b, const Value *diag,
-             Value *xw, Value *links)
+             Value *xw, Value *links, const size_t *order, size_t begin,
+             size_t end)
 {
     const Index omega = S.omega;
     const RowStore &R = *S.rows;
     const Index *rowIndex = R.rowIndex.data();
     const Value *vals = R.values.data();
     GenericBuf buf(omega), acc(omega);
-    for (size_t g = 0; g + 1 < S.groupBegin.size(); ++g) {
+    for (size_t k = begin; k < end; ++k) {
+        const size_t g = order ? order[k] : k;
         const size_t first = S.groupBegin[g];
         const size_t chain = S.groupBegin[g + 1] - 1;
         const Index r0 = S.blockRow[chain] * omega;
@@ -403,6 +407,43 @@ specialize(ExecSchedule &S, const AccelParams &params)
         S.fns.spmm = &spmmGeneric;
         S.fns.sweep = &sweepGeneric;
     }
+}
+
+void
+sweepLevels(const ExecSchedule &S, ThreadPool &pool, const Value *b,
+            const Value *diag, Value *xw, Value *links)
+{
+    // Every level splits into one contiguous slice per participant, and
+    // the slices are numbered level by level.  Participants claim them
+    // in that order and start one only when every slice of the levels
+    // below is done, so the first l * parties slices done are exactly
+    // those of levels 0 .. l - 1.  Whoever runs takes the slices of a
+    // participant that does not yet (a worker still waking, preempted,
+    // or busy with another region): the caller alone can finish the
+    // sweep.
+    const size_t parties = size_t(pool.threadCount());
+    const size_t scratch = size_t(S.linkPeak) * S.omega;
+    const size_t slices = S.levelCount() * parties;
+    struct Counters
+    {
+        alignas(64) std::atomic<size_t> next{0};
+        alignas(64) std::atomic<size_t> done{0};
+    } c;
+    pool.parallelForChunks(0, parties, [&](size_t t, size_t) {
+        timeline::ScopedHostSpan span("symgs.levels", "worker");
+        Value *own = links + t * scratch;
+        for (size_t s; (s = c.next.fetch_add(1, std::memory_order_relaxed)) <
+                       slices;) {
+            const size_t l = s / parties, part = s % parties;
+            waitAtLeast(c.done, l * parties);
+            const size_t lo = S.levelBegin[l];
+            const size_t n = S.levelBegin[l + 1] - lo;
+            S.fns.sweep(S, b, diag, xw, own, S.sweepOrder.data(),
+                        lo + n * part / parties,
+                        lo + n * (part + 1) / parties);
+            c.done.fetch_add(1, std::memory_order_release);
+        }
+    });
 }
 
 } // namespace replay

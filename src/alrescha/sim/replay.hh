@@ -36,6 +36,7 @@
 #include "alrescha/sim/replay_fns.hh"
 
 namespace alr {
+class ThreadPool;
 namespace json {
 class Writer;
 }
@@ -99,6 +100,19 @@ const detail::KernelTable *select(SimdMode mode);
  * be final.
  */
 void specialize(ExecSchedule &S, const AccelParams &params);
+
+/**
+ * Run a whole SymGS sweep of @p S level by level on @p pool, in place
+ * on the staged iterate @p xw: one parallel region whose T =
+ * pool.threadCount() participants run every level's T contiguous
+ * slices (ExecSchedule::sweepOrder) through S.fns.sweep, a level's
+ * slices only once the level below is done.  Each participant has its
+ * own link stack, @p links + t * linkPeak * ω, so @p links holds T
+ * times a serial sweep's scratch.  The results are bit-identical to one
+ * serial call in natural order.
+ */
+void sweepLevels(const ExecSchedule &S, ThreadPool &pool, const Value *b,
+                 const Value *diag, Value *xw, Value *links);
 
 } // namespace replay
 } // namespace alr

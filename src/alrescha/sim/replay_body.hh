@@ -410,22 +410,24 @@ chainRows(const RowStore &R, size_t i, Index r0, const Value *acc,
 }
 
 /**
- * A whole SymGS sweep (replay::SweepFn).  Each block-row group is its
- * GEMVs and then its chain.  The GEMVs run in path order, each writing
- * its row dots into its own zero-filled slot of @p links (a push); the
- * slots then add newest first onto +0.0 (the pop-accumulate) -- the
- * link stack's exact arithmetic -- and the chain runs on the sum.
- * Path order streams the row store forwards, which measured faster
- * than adding each dot into the sum as the GEMVs run newest first.
+ * A range of a SymGS sweep's group order (replay::SweepFn).  Each
+ * block-row group is its GEMVs and then its chain.  The GEMVs run in
+ * path order, each writing its row dots into its own zero-filled slot
+ * of @p links (a push); the slots then add newest first onto +0.0 (the
+ * pop-accumulate) -- the link stack's exact arithmetic -- and the chain
+ * runs on the sum.  Path order streams the row store forwards, which
+ * measured faster than adding each dot into the sum as the GEMVs run
+ * newest first.
  */
 template <Index Omega, bool Contig>
 void
 sweepT(const ExecSchedule &S, const Value *b, const Value *diag, Value *xw,
-       Value *links)
+       Value *links, const size_t *order, size_t begin, size_t end)
 {
     const RowStore &R = *S.rows;
     const Index *rowIndex = R.rowIndex.data();
-    for (size_t g = 0; g + 1 < S.groupBegin.size(); ++g) {
+    for (size_t k = begin; k < end; ++k) {
+        const size_t g = order ? order[k] : k;
         const size_t first = S.groupBegin[g];
         const size_t chain = S.groupBegin[g + 1] - 1;
         const Index r0 = S.blockRow[chain] * Omega;

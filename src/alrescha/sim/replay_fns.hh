@@ -53,17 +53,21 @@ using SpmmFn = void (*)(const ExecSchedule &S, const Value *xt, Value *yt,
                         size_t k, size_t pBegin, size_t pEnd);
 
 /**
- * Replay a whole SymGS sweep in place on the staged iterate @p xw
- * (ExecSchedule::paddedOperand entries, zero past the rows).  Each
- * block-row group is its GEMV paths and then one D-SymGS chain
- * (tallySweepGroups): the GEMVs push their row dots to the link stack
- * in @p links (scratch of ExecSchedule::linkPeak * ω entries), the
- * chain pops them -- newest first, onto +0.0 -- into an ω-wide sum,
- * and sets xw[r] = (b[r] - (sum[lr] + dot)) / diag[r] row by row, its
- * diagonal lane masked out of the dot.
+ * Replay positions [@p begin, @p end) of a SymGS sweep's group order
+ * in place on the staged iterate @p xw (ExecSchedule::paddedOperand
+ * entries, zero past the rows): group @p order[k] at each position k,
+ * or group k itself when @p order is null (the natural order, in which
+ * [0, groups) is the whole serial sweep).  Each block-row group is its
+ * GEMV paths and then one D-SymGS chain (tallySweepGroups): the GEMVs
+ * push their row dots to the link stack in @p links (scratch of
+ * ExecSchedule::linkPeak * ω entries), the chain pops them -- newest
+ * first, onto +0.0 -- into an ω-wide sum, and sets xw[r] = (b[r] -
+ * (sum[lr] + dot)) / diag[r] row by row, its diagonal lane masked out
+ * of the dot.
  */
 using SweepFn = void (*)(const ExecSchedule &S, const Value *b,
-                         const Value *diag, Value *xw, Value *links);
+                         const Value *diag, Value *xw, Value *links,
+                         const size_t *order, size_t begin, size_t end);
 
 /** The resolved entry points, stamped by replay::specialize. */
 struct Fns

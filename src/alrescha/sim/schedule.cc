@@ -40,6 +40,7 @@ ExecSchedule::bytes() const
 {
     return vecBytes(dp) + vecBytes(blockRow) + vecBytes(blockCol) +
            vecBytes(operandVec) + vecBytes(xOff) + vecBytes(groupBegin) +
+           vecBytes(sweepOrder) + vecBytes(levelBegin) +
            (countsRows && rows ? rows->bytes() : 0);
 }
 
@@ -60,9 +61,18 @@ bool
 tallySweepGroups(ExecSchedule &s)
 {
     s.linkPushes = s.linkPeak = 0;
+    s.sweepOrder.clear();
+    s.levelBegin.clear();
     if (s.kernel != KernelType::SymGS)
         return true;
-    for (size_t g = 0; g + 1 < s.groupBegin.size(); ++g) {
+    const size_t groups = s.groupCount();
+    // Per x chunk, the highest level (1-based; 0 = none yet) of a group
+    // that read it and of the group that last wrote it.
+    const size_t chunks = s.paddedOperand / s.omega;
+    std::vector<size_t> lastReader(chunks, 0), lastWriter(chunks, 0);
+    std::vector<size_t> level(groups);
+    size_t levels = 0;
+    for (size_t g = 0; g < groups; ++g) {
         const size_t first = s.groupBegin[g];
         const size_t end = s.groupBegin[g + 1];
         if (end == first || s.dp[end - 1] != DataPathType::DSymgs)
@@ -73,7 +83,33 @@ tallySweepGroups(ExecSchedule &s)
                 return false;
         s.linkPushes += chain - first;
         s.linkPeak = std::max<uint64_t>(s.linkPeak, chain - first);
+
+        // Read after write on every chunk the GEMVs read; write after
+        // read and write after write on the chunk the chain writes.
+        const size_t written = s.xOff[chain] / s.omega;
+        size_t l = std::max(lastReader[written], lastWriter[written]);
+        for (size_t i = first; i < chain; ++i)
+            l = std::max(l, lastWriter[s.xOff[i] / s.omega]);
+        level[g] = ++l;
+        for (size_t i = first; i < chain; ++i) {
+            size_t &r = lastReader[s.xOff[i] / s.omega];
+            r = std::max(r, l);
+        }
+        lastWriter[written] = l;
+        levels = std::max(levels, l);
     }
+
+    // A stable counting sort by level: levelBegin[l] counts the groups
+    // below level l + 1, and each level keeps its groups ascending.
+    s.levelBegin.assign(levels + 1, 0);
+    for (size_t g = 0; g < groups; ++g)
+        ++s.levelBegin[level[g]];
+    for (size_t l = 0; l < levels; ++l)
+        s.levelBegin[l + 1] += s.levelBegin[l];
+    std::vector<size_t> next(s.levelBegin.begin(), s.levelBegin.end() - 1);
+    s.sweepOrder.resize(groups);
+    for (size_t g = 0; g < groups; ++g)
+        s.sweepOrder[next[level[g] - 1]++] = g;
     return true;
 }
 

@@ -148,6 +148,10 @@ struct ExecSchedule
     /** Block rows were non-decreasing, so groups touch disjoint output
      *  rows and the functional pass may run them in parallel. */
     bool parallelSafe = false;
+    size_t groupCount() const
+    {
+        return groupBegin.empty() ? 0 : groupBegin.size() - 1;
+    }
 
     // ---- link-stack traffic of one SymGS sweep (tallySweepGroups) ----
     /** GEMV paths: each pushes its partials once and its block row's
@@ -156,6 +160,37 @@ struct ExecSchedule
     /** The widest block row's GEMV count: the stack's deepest
      *  occupancy.  Derived, never persisted. */
     uint64_t linkPeak = 0;
+
+    // ---- dependence levels of a SymGS sweep (tallySweepGroups) ----
+    /**
+     * The block-row groups level by level, each level's in ascending
+     * group order.  A group's level is one past the highest level of
+     * every earlier group it conflicts with on an x chunk: one that
+     * wrote a chunk its GEMVs read, or read or wrote the chunk its
+     * chain writes.  Groups of one level therefore touch no chunk
+     * another of them writes, and run in any order, or at once, with
+     * the serial sweep's exact results (DESIGN.md "Why the timing walk
+     * is serial").  Derived, never persisted; empty for other kernels.
+     */
+    std::vector<size_t> sweepOrder;
+    /** Level l's groups: sweepOrder[levelBegin[l], levelBegin[l+1]). */
+    std::vector<size_t> levelBegin;
+    size_t levelCount() const
+    {
+        return levelBegin.empty() ? 0 : levelBegin.size() - 1;
+    }
+    /**
+     * The work rule: a sweep runs its levels on the host pool only when
+     * they hold at least kLevelRecords row records on average; below
+     * that a level's barrier costs more than its groups' parallel work
+     * saves, and the sweep stays one serial call.
+     */
+    static constexpr size_t kLevelRecords = 2048;
+    bool wideLevels() const
+    {
+        return levelCount() > 0 &&
+               rows->rowBegin.back() >= kLevelRecords * levelCount();
+    }
 
     // ---- stamped replay specialization (replay::specialize) ----
     /**
@@ -203,9 +238,12 @@ struct ExecSchedule
  * Check that every block-row group of a SymGS schedule is its GEMV
  * paths followed by exactly one D-SymGS chain -- the shape the sweep
  * kernel (replay::SweepFn) and the link stack assume -- and set @p s's
- * linkPushes and linkPeak from them.  False when some group is not;
- * other kernels pass with zero counts.  (Each group is one block row's
- * run: compileSchedule builds them so, and the cache loader checks it.)
+ * linkPushes and linkPeak from them, and its sweepOrder and levelBegin
+ * from the x chunks (xOff / omega) each group reads and writes.  False
+ * when some group is not; other kernels pass with zero counts and no
+ * levels.  (Each group is one block row's run: compileSchedule builds
+ * them so, and the cache loader checks it.  The loader calls this only
+ * once every xOff is a chunk inside paddedOperand.)
  */
 bool tallySweepGroups(ExecSchedule &s);
 

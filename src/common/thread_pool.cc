@@ -1,6 +1,7 @@
 #include "common/thread_pool.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -147,10 +148,13 @@ ThreadPool::defaultThreadCount()
 {
     if (const char *env = std::getenv("ALR_THREADS")) {
         char *tail = nullptr;
+        errno = 0;
         long n = std::strtol(env, &tail, 10);
-        if (tail != env && *tail == '\0' && n > 0)
+        if (tail != env && *tail == '\0' && errno != ERANGE && n > 0 &&
+            n <= kMaxThreads)
             return int(n);
-        warn("ignoring invalid ALR_THREADS value '%s'", env);
+        warn("ignoring invalid ALR_THREADS value '%s' (want 1 to %d)", env,
+             kMaxThreads);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? int(hw) : 1;
@@ -176,6 +180,27 @@ bool
 ThreadPool::onWorkerThread()
 {
     return tls_on_worker;
+}
+
+void
+waitAtLeast(const std::atomic<size_t> &count, size_t target)
+{
+    // A short spin, then yield: spinning thousands of pauses starved
+    // concurrent regions on a shared pool (DESIGN.md "Level-parallel
+    // SymGS sweeps").
+    constexpr int kSpins = 64;
+    for (int spin = 0; count.load(std::memory_order_acquire) < target;
+         ++spin) {
+        if (spin < kSpins) {
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#elif defined(__aarch64__)
+            asm volatile("yield");
+#endif
+        } else {
+            std::this_thread::yield();
+        }
+    }
 }
 
 void

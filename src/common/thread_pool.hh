@@ -20,12 +20,19 @@
  *
  * The process-wide pool is sized by the ALR_THREADS environment
  * variable (or hardware concurrency when unset); tools expose a
- * --threads flag through setGlobalThreadCount().
+ * --threads flag through setGlobalThreadCount().  Both are bounded by
+ * kMaxThreads.
+ *
+ * waitAtLeast is the one way a pool task may wait on another task: the
+ * participants of a level-parallel SymGS sweep (replay::sweepLevels)
+ * wait with it for the slices of the level below.  Every other pool
+ * task must run to completion without waiting on another task.
  */
 
 #ifndef ALR_COMMON_THREAD_POOL_HH
 #define ALR_COMMON_THREAD_POOL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -35,6 +42,10 @@
 #include <vector>
 
 namespace alr {
+
+/** The largest pool ALR_THREADS or a --threads flag may ask for: more
+ *  than 1024 threads is a typo, not a configuration. */
+constexpr int kMaxThreads = 1024;
 
 class ThreadPool
 {
@@ -68,8 +79,9 @@ class ThreadPool
 
     /**
      * Thread count from the ALR_THREADS environment variable when set
-     * to a positive integer, else std::thread::hardware_concurrency()
-     * (never less than 1).
+     * to an integer in [1, kMaxThreads], else
+     * std::thread::hardware_concurrency() (never less than 1); any
+     * other ALR_THREADS value warns.
      */
     static int defaultThreadCount();
 
@@ -93,6 +105,14 @@ class ThreadPool
     std::deque<std::function<void()>> _queue;
     bool _stop = false;
 };
+
+/**
+ * Wait until @p count holds at least @p target: spin a few pauses, then
+ * yield the core, so an oversubscribed pool (more waiting threads than
+ * cores) still makes progress.  Everything written before the release
+ * increments that brought @p count there is visible after the wait.
+ */
+void waitAtLeast(const std::atomic<size_t> &count, size_t target);
 
 /** parallelFor on the global pool. */
 void parallelFor(size_t begin, size_t end,

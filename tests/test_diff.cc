@@ -685,9 +685,8 @@ runArtifacts()
 }
 
 /** The artifacts of one serving drain with the request-plane timeline
- *  and the metrics registry live.  The report carries the members of
- *  alr_serve --json that the checker reads, built from the drain's own
- *  result and SLO accounting. */
+ *  and the metrics registry live, the report written by alr_serve's
+ *  own --json emitter (writeServeReportJson). */
 struct ServeArtifacts
 {
     json::Value report;
@@ -738,27 +737,10 @@ serveArtifacts()
         out.timeline = parsed(tl.str());
 
         const SloReport slo = computeSlo(res, trace, fleet, 5000.0);
-        auto bucket = [](const SloBucket &b) {
-            json::Value lat = json::Value::object();
-            lat.set("p50", b.p50).set("p95", b.p95).set("p99", b.p99);
-            lat.set("p99.9", b.p999);
-            json::Value v = json::Value::object();
-            v.set("name", b.name).set("requests", b.requests);
-            v.set("good", b.good).set("bad", b.bad).set("latency_us", lat);
-            return v;
-        };
-        json::Value perMatrix = json::Value::array();
-        for (const SloBucket &b : slo.perMatrix)
-            perMatrix.append(bucket(b));
-        json::Value sloDoc = json::Value::object();
-        sloDoc.set("target_us", slo.sloUs).set("total", bucket(slo.total));
-        sloDoc.set("per_matrix", perMatrix);
-        out.report = json::Value::object();
-        out.report.set("schema_version", version::kJsonSchemaVersion)
-            .set("fleet", fleet.size())
-            .set("requests", trace.size())
-            .set("completed", res.completed)
-            .set("slo", sloDoc);
+        std::ostringstream report;
+        writeServeReportJson(report, fleet, cfg, res, slo,
+                             {.requests = trace.size()});
+        out.report = parsed(report.str());
         return out;
     }();
     return artifacts;

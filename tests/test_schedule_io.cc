@@ -23,6 +23,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "reference/reference_engine.hh"
 #include "sparse/generators.hh"
 
@@ -398,6 +399,13 @@ TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
         return bytes;
     };
     EXPECT_EQ(totalBytes(warmScheds), totalBytes(coldScheds));
+    // The sweep levels are derived, not persisted: the restored
+    // schedules derive the compiled ones' order.
+    for (size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(warmScheds[k]->sweepOrder, coldScheds[k]->sweepOrder);
+        EXPECT_EQ(warmScheds[k]->levelBegin, coldScheds[k]->levelBegin);
+        EXPECT_EQ(coldScheds[k]->levelCount() > 0, k > 0);
+    }
 
     DenseVector b(a.rows(), 1.0), xc(a.rows(), 0.0), xw(a.rows(), 0.0);
     EXPECT_EQ(cold.spmv(b), warm.spmv(b));
@@ -801,6 +809,78 @@ TEST(ScheduleCachePersistence, ParallelGroupsSharingABlockRow)
         spliced.replace(at, vecBytes(groups).size(), vecBytes(g));
         expectRecompiled(reframe(file, spliced), 56);
     }
+}
+
+TEST(ScheduleCachePersistence, SweepLevelsDoNotDependOnThePool)
+{
+    // The level order is a pure function of the schedule's groups and
+    // chunks: compiled on one thread or four, or restored, it is the
+    // same.
+    const CsrMatrix a = gen::stencil3d(16, 6, 5);
+    const LocallyDenseMatrix ld =
+        LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    ThreadPool one(1), four(4);
+    for (GsSweep dir : {GsSweep::Forward, GsSweep::Backward}) {
+        const ConfigTable t =
+            ConfigTable::convert(KernelType::SymGS, ld, true, dir);
+        const ExecSchedule s1 = compileSchedule(ld, t, makeParams(), &one);
+        const ExecSchedule s4 = compileSchedule(ld, t, makeParams(), &four);
+        EXPECT_EQ(s1.sweepOrder, s4.sweepOrder);
+        EXPECT_EQ(s1.levelBegin, s4.levelBegin);
+        EXPECT_EQ(s1.levelCount(), 1u + 2 * 5 + 4 * 4 + 1);
+
+        std::stringstream ss;
+        serializeRowStore(ss, *s1.rows);
+        serializeSchedule(ss, s1);
+        auto rows = std::make_shared<const RowStore>(deserializeRowStore(ss));
+        const ExecSchedule back = deserializeSchedule(ss, rows);
+        EXPECT_EQ(back.sweepOrder, s1.sweepOrder);
+        EXPECT_EQ(back.levelBegin, s1.levelBegin);
+    }
+}
+
+TEST(ScheduleCachePersistence, SweepOperandChunkOutsideTheStagedOperand)
+{
+    // A forward sweep whose first GEMV reads the chunk just past the
+    // staged operand, its block column and xOff spliced to agree: the
+    // loader's range check must refuse it before the level derivation
+    // indexes its per-chunk arrays with it.
+    Rng rng(57);
+    const CsrMatrix a = gen::banded(73, 5, 0.7, rng);
+    const LocallyDenseMatrix ld =
+        LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    const ConfigTable fwd =
+        ConfigTable::convert(KernelType::SymGS, ld, true, GsSweep::Forward);
+    Engine saver(makeParams());
+    saver.program(&ld, &fwd);
+    const ExecSchedule *s = saver.prepareSchedule();
+    ASSERT_EQ(s->dp[0], DataPathType::Gemv);
+    const Index outside = Index(s->paddedOperand / s->omega);
+    std::stringstream saved;
+    ASSERT_TRUE(saver.saveScheduleCache(saved));
+    const std::string file = saved.str();
+    std::string body = file.substr(kCacheHeader);
+    const uint32_t xOff = outside * 8;
+    std::memcpy(body.data() + vectorAt(body, kBlockCol) + 8, &outside,
+                sizeof(outside));
+    std::memcpy(body.data() + vectorAt(body, kXOff) + 8, &xOff,
+                sizeof(xOff));
+
+    std::stringstream in(reframe(file, body));
+    Engine warm(makeParams()), cold(makeParams());
+    setLogCapture(true);
+    EXPECT_FALSE(warm.loadScheduleCache(in));
+    const std::string log = setLogCapture(false);
+    EXPECT_NE(log.find("schedule cache unusable"), std::string::npos)
+        << log;
+    EXPECT_EQ(warm.restoredSchedules(), 0u);
+    warm.program(&ld, &fwd);
+    cold.program(&ld, &fwd);
+    DenseVector b(a.rows(), 1.0), xw(a.rows(), 0.0), xc(a.rows(), 0.0);
+    warm.runSymgsSweep(b, xw);
+    cold.runSymgsSweep(b, xc);
+    EXPECT_EQ(xw, xc);
+    EXPECT_EQ(warm.scheduleCompiles(), 1u);
 }
 
 TEST(ScheduleCompileDeath, UnreorderedSweepPanics)

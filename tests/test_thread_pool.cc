@@ -1,8 +1,9 @@
 /**
  * @file
  * Thread-pool unit tests: full range coverage, chunk contiguity,
- * serial fallback, nested-call inlining, exception propagation, and
- * the ALR_THREADS environment override.
+ * serial fallback, nested-call inlining, exception propagation, the
+ * ALR_THREADS environment override and its bound, and waitAtLeast, the
+ * wait a region's participants use.
  */
 
 #include <algorithm>
@@ -113,12 +114,51 @@ TEST(ThreadPool, PropagatesFirstException)
 
 TEST(ThreadPool, EnvOverridesDefaultThreadCount)
 {
+    ASSERT_EQ(unsetenv("ALR_THREADS"), 0);
+    const int hardware = ThreadPool::defaultThreadCount();
+    EXPECT_GE(hardware, 1);
     ASSERT_EQ(setenv("ALR_THREADS", "3", 1), 0);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3);
-    ASSERT_EQ(setenv("ALR_THREADS", "not-a-number", 1), 0);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
+    ASSERT_EQ(setenv("ALR_THREADS", "1024", 1), 0);
+    EXPECT_EQ(ThreadPool::defaultThreadCount(), kMaxThreads);
+    // Past the bound, out of long's range, or not a positive integer:
+    // warn and use the hardware count.  (Only the count is asked for; a
+    // pool that large is never built.)
+    for (const char *bad : {"1025", "100000", "5000000000",
+                            "99999999999999999999999", "0", "-3",
+                            "not-a-number", "4x", ""}) {
+        ASSERT_EQ(setenv("ALR_THREADS", bad, 1), 0);
+        EXPECT_EQ(ThreadPool::defaultThreadCount(), hardware) << bad;
+    }
     ASSERT_EQ(unsetenv("ALR_THREADS"), 0);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
+}
+
+TEST(ThreadPool, WaitAtLeastOrdersEveryPhase)
+{
+    // A barrier built on waitAtLeast: each participant of a region
+    // writes its slot of phase p, counts itself in with a release
+    // increment, waits for the whole phase, and then must see every
+    // slot of phase p.  At 8 threads the pool is oversubscribed on a
+    // small machine, so waiters must yield for the last arrival to run.
+    for (int threads : {1, 2, 3, 4, 8}) {
+        ThreadPool pool(threads);
+        const size_t parties = size_t(threads);
+        constexpr size_t kPhases = 200;
+        std::vector<size_t> slot(parties * kPhases, 0);
+        std::atomic<size_t> arrived{0}, mismatches{0};
+        pool.parallelForChunks(0, parties, [&](size_t t, size_t end) {
+            ASSERT_EQ(end, t + 1);
+            for (size_t p = 0; p < kPhases; ++p) {
+                slot[p * parties + t] = p + 1;
+                arrived.fetch_add(1, std::memory_order_release);
+                waitAtLeast(arrived, (p + 1) * parties);
+                for (size_t u = 0; u < parties; ++u)
+                    if (slot[p * parties + u] != p + 1)
+                        mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+        EXPECT_EQ(mismatches.load(), 0u) << threads << " threads";
+    }
 }
 
 TEST(ThreadPool, GlobalPoolResizes)

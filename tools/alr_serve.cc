@@ -41,13 +41,11 @@
 
 #include "cli_parse.hh"
 
+#include "alrescha/report.hh"
 #include "alrescha/serve.hh"
-#include "alrescha/sim/replay.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/timeline.hh"
-#include "common/version.hh"
 #include "datasets/suites.hh"
 
 using namespace alr;
@@ -275,78 +273,12 @@ main(int argc, char **argv)
     SloReport slo =
         computeSlo(res, trace, fleet, opt.sloUs, opt.sloObjective);
 
-    uint64_t evictions = 0;
-    for (size_t i = 0; i < fleet.size(); ++i)
-        evictions += fleet.at(i).engine().scheduleEvictions();
-
     if (opt.json) {
-        json::Writer w(std::cout);
-        w.beginObject()
-            .member("schema_version", version::kJsonSchemaVersion)
-            .member("fleet", fleet.size())
-            .member("requests", trace.size())
-            .member("completed", res.completed)
-            .member("work_items", res.workItems)
-            .member("batch_window", opt.cfg.batchWindow)
-            .member("threads", opt.cfg.threads)
-            .member("schedules_restored", restored)
-            .member("schedule_compiles_warm", warmCompiles)
-            .member("schedule_compiles_total", fleet.scheduleCompiles())
-            .member("schedule_evictions", evictions)
-            .member("modeled_cycles", fleet.totalCycles())
-            .member("wall_ms", res.wallMs)
-            .member("requests_per_sec", res.requestsPerSec)
-            .key("latency_ns")
-            .beginObject(true)
-            .member("p50", metrics::exactPercentile(res.latencyUs, 50) * 1e3)
-            .member("p95", metrics::exactPercentile(res.latencyUs, 95) * 1e3)
-            .member("p99", metrics::exactPercentile(res.latencyUs, 99) * 1e3)
-            .end();
-        auto sloBucket = [&](const SloBucket &b) {
-            w.beginObject(true)
-                .member("name", b.name)
-                .member("requests", b.requests)
-                .member("good", b.good)
-                .member("bad", b.bad)
-                .key("latency_us")
-                .beginObject()
-                .member("p50", b.p50)
-                .member("p95", b.p95)
-                .member("p99", b.p99)
-                .member("p99.9", b.p999)
-                .end()
-                .end();
-        };
-        // SLO accounting, overall and per matrix, with its own exact
-        // percentiles in microseconds.
-        w.key("slo")
-            .beginObject()
-            .member("target_us", slo.sloUs)
-            .member("objective", slo.objective)
-            .member("bad_fraction", slo.badFraction())
-            .member("burn_rate", slo.burnRate())
-            .key("total");
-        sloBucket(slo.total);
-        w.key("per_matrix").beginArray();
-        for (const SloBucket &b : slo.perMatrix)
-            sloBucket(b);
-        w.end().end();
-        w.key("queue")
-            .beginObject(true)
-            .member("high_water", res.queueHighWater)
-            .member("blocked_pushes", res.queueBlockedPushes)
-            .member("rejects", res.queueRejects)
-            .end()
-            .key("batch_size")
-            .beginObject(true)
-            .member("batches", res.batchSize.count())
-            .member("mean", res.batchSize.mean())
-            .member("max", res.batchSize.max())
-            .end()
-            .key("version");
-        replay::writeVersionJson(w, params.simdMode);
-        w.end();
-        std::cout << '\n';
+        writeServeReportJson(std::cout, fleet, opt.cfg, res, slo,
+                             {.requests = trace.size(),
+                              .schedulesRestored = restored,
+                              .warmCompiles = warmCompiles,
+                              .simdMode = params.simdMode});
         std::cout.flush();
     } else {
         std::printf("fleet: %zu matrices (scale %u, omega %u)\n",
@@ -391,6 +323,9 @@ main(int argc, char **argv)
             std::printf("  spmv batches: %llu, mean size %.2f, max %.0f\n",
                         (unsigned long long)res.batchSize.count(),
                         res.batchSize.mean(), res.batchSize.max());
+        uint64_t evictions = 0;
+        for (size_t i = 0; i < fleet.size(); ++i)
+            evictions += fleet.at(i).engine().scheduleEvictions();
         std::printf("  modeled cycles %llu, evictions %llu\n",
                     (unsigned long long)fleet.totalCycles(),
                     (unsigned long long)evictions);

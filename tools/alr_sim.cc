@@ -121,8 +121,9 @@ usage()
         "                    the CPU runs), scalar, sse2, avx2, avx512,\n"
         "                    neon; forced modes fall back down the chain\n"
         "                    with a warning when unavailable\n"
-        "  --threads N       host pool size: encode, convert, compile\n"
-        "                    and the SpMV/SpMM functional passes\n"
+        "  --threads N       host pool size (1 to 1024): encode,\n"
+        "                    convert, compile, the SpMV/SpMM functional\n"
+        "                    passes and the levels of wide SymGS sweeps\n"
         "                    (default ALR_THREADS, else the core count;\n"
         "                    results are identical at any size)\n"
         "  --schedule-cache  compiled-schedule MRU cache capacity\n"

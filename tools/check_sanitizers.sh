@@ -4,10 +4,10 @@
 #   1. ASan + UBSan build, full ctest suite.
 #   2. TSan build, the suites that run on thread pools (thread pool,
 #      parallel encode/convert/compile determinism, multi-engine
-#      scale-out, profiles, concurrent serving), every equivalence
-#      suite (scheduled replay against the reference engine, serving)
-#      and the timing-memo suite, with a high thread count to provoke
-#      races.
+#      scale-out, profiles, concurrent serving, level-parallel SymGS
+#      sweeps), every equivalence suite (scheduled replay against the
+#      reference engine, serving) and the timing-memo suite, with a high
+#      thread count to provoke races.
 #
 # Both builds compile the whole tree, the test-only reference engine
 # (tests/reference) included.
@@ -51,16 +51,17 @@ for isa in scalar sse2 avx2 avx512 neon; do
     echo "== ASan+UBSan (ALR_SIMD_FORCE=${isa}): replay dispatch =="
     (cd "${prefix}-asan" && \
         ALR_SIMD_FORCE="${isa}" ctest --output-on-failure -j "${jobs}" \
-            -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay|SweepKernel')
+            -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay|SweepKernel|SweepLevels')
 done
 
 # Thread-sanitizer pass over the parallel suites -- the serve drains
-# among them, whose workers share the process pool for SpMV and SpMM --
-# with the CI tsan job's regex.  ALR_THREADS=8 forces real concurrency
-# even on small CI machines.
+# among them, whose workers share the process pool for SpMV, SpMM and
+# the levels of wide SymGS sweeps -- with the CI tsan job's regex.
+# ALR_THREADS=8 forces real concurrency even on small CI machines, and
+# there oversubscribes the sweep's barrier.
 ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
     "-fsanitize=thread" \
     "TSan" \
-    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|Serve|TimingMemo'
+    -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|Serve|TimingMemo|SweepKernel|SweepLevels'
 
 echo "== sanitizers: all passes clean =="

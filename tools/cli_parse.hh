@@ -18,14 +18,15 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace alr {
 namespace cli {
 
-/** Bounds of the integer flags: a block wider than 1024 or a pool of
- *  more than 1024 threads is a typo, not a configuration. */
+/** Bounds of the integer flags: a block wider than 1024 is a typo, not
+ *  a configuration.  --threads is bounded by kMaxThreads
+ *  (common/thread_pool.hh), which bounds ALR_THREADS too. */
 constexpr long kMaxOmega = 1024;
-constexpr long kMaxThreads = 1024;
 constexpr long kMaxCount = std::numeric_limits<int>::max();
 
 /** Parse @p text as a whole base-10 integer in [lo, hi]. */
