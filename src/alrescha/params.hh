@@ -112,16 +112,6 @@ struct AccelParams
     int hostThreads = 0;
 
     /**
-     * Compiled ExecSchedules kept per engine before the least recently
-     * used one is evicted (alr_sim --schedule-cache=N).  One schedule
-     * is cached per programmed (matrix, table) pair, so a serving
-     * fleet wants this at least as large as (matrices x tables in
-     * rotation) or it thrashes compiles; the engine counts evictions
-     * under schedule_evictions.  Must be >= 1.
-     */
-    int scheduleCacheCapacity = 8;
-
-    /**
      * Replay ISA for the scheduled functional pass (alr_sim --simd=).
      * Dispatch happens once, at schedule-compile time: the selected
      * kernel table's entry points are stamped into the ExecSchedule.

@@ -98,7 +98,6 @@ class ServeFleet
     Accelerator &at(size_t i) { return *_entries[i]->acc; }
     const Accelerator &at(size_t i) const { return *_entries[i]->acc; }
     const std::string &nameOf(size_t i) const { return _entries[i]->name; }
-    bool isPde(size_t i) const { return _entries[i]->pde; }
     std::vector<uint8_t> pdeMask() const;
 
     /**

@@ -29,19 +29,21 @@ using profile::Cause;
  *  rowUseful arrays, which no run read, version 5 dropped every
  *  precomputed timing term (the timing walk computes them) and
  *  narrowed the params fingerprint to omega and skipEmptyBlockRows,
- *  and version 6 writes each distinct row store once, ahead of the
- *  schedules that name it, and dropped the SpMM stream bytes. */
+ *  version 6 writes each distinct row store once, ahead of the
+ *  schedules that name it, and dropped the SpMM stream bytes, and
+ *  version 7 dropped the contiguous-rows flag, which chose a replay
+ *  kernel arm that no longer exists, and the last data path, which is
+ *  the last entry of the per-path data paths. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 6;
+constexpr uint32_t kSchedCacheVersion = 7;
 
 namespace {
 
 /**
  * Whether a restored schedule can replay against the programmed
  * (@p ld, @p table) pair: one path per table entry, an operand staging
- * length equal to the one compileSchedule would choose, every row
- * record inside the matrix and inside its path's block row, and
- * consecutive GEMV rows wherever contiguousRows says so.  The cache
+ * length equal to the one compileSchedule would choose, and every row
+ * record inside the matrix and inside its path's block row.  The cache
  * loader has already checked what the schedule alone determines.
  */
 bool
@@ -59,14 +61,10 @@ fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
     const RowStore &R = *s.rows;
     for (size_t i = 0; i < s.pathCount; ++i) {
         const uint64_t r0 = uint64_t(s.blockRow[i]) * omega;
-        const bool consecutive =
-            s.contiguousRows && s.dp[i] != DataPathType::DSymgs;
         for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
             // Unsigned: a row below r0 wraps far past omega.
             const uint64_t r = R.rowIndex[rr];
-            if (r >= ld.rows() || r - r0 >= omega ||
-                (consecutive && rr > R.rowBegin[i] &&
-                 r != uint64_t(R.rowIndex[rr - 1]) + 1))
+            if (r >= ld.rows() || r - r0 >= omega)
                 return false;
         }
     }
@@ -239,10 +237,7 @@ Engine::prepare()
     }
     slot.memo = std::make_unique<TimingMemo>();
     _schedules.insert(_schedules.begin(), std::move(slot));
-    size_t capacity = _params.scheduleCacheCapacity < 1
-                          ? 1
-                          : size_t(_params.scheduleCacheCapacity);
-    if (_schedules.size() > capacity) {
+    if (_schedules.size() > kScheduleCacheCapacity) {
         _schedules.pop_back();
         _scheduleEvictions += 1.0;
     }
@@ -688,7 +683,7 @@ class Engine::Walk
                      double pe)
     {
         if (!_walking && S.pathCount > 0)
-            _rcu.setConfigured(S.lastDp);
+            _rcu.setConfigured(S.dp.back());
         _engine._memory.recordStream(_walking ? _streamed
                                               : S.totalStreamBytes);
         _engine._fcu.noteOps(fcu);

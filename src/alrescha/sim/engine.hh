@@ -187,6 +187,15 @@ class Engine
      *  a stat dump never depends on how warm the memo was. */
     uint64_t timingMemoHits() const { return _timingMemoHits; }
 
+    /**
+     * Compiled schedules kept before the least recently used one is
+     * evicted (and counted under schedule_evictions).  It never binds
+     * an Accelerator's engine: every load* drops the cache, and a load
+     * runs at most four schedules (a graph load's BFS, SSSP, PageRank
+     * and SpMV).
+     */
+    static constexpr size_t kScheduleCacheCapacity = 8;
+
     /** Number of schedules currently cached. */
     size_t cachedSchedules() const
     {
@@ -437,9 +446,9 @@ class Engine
      * eviction stat) is guarded by _scheduleMutex: concurrent lookups
      * through prepareSchedule are safe.  A pointer returned by a
      * lookup stays valid until that schedule is evicted or
-     * invalidated, so engines shared across threads need a capacity
-     * covering the concurrent working set (the serving layer sizes it
-     * to the fleet).
+     * invalidated, so threads sharing an engine must not run more
+     * distinct tables at once than kScheduleCacheCapacity (a serving
+     * fleet gives each matrix its own Accelerator and engine).
      */
     struct ScheduleSlot
     {

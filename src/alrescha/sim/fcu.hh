@@ -46,9 +46,6 @@ class Fcu
     /** Pipeline fill latency for a path using the given reduction. */
     int fillLatency(ReduceOp reduce) const;
 
-    /** Issue interval between block rows in steady state (cycles). */
-    int rowIssueCycles() const { return 1; }
-
     double aluOps() const { return _aluOps.value(); }
     double reduceOps() const { return _reduceOps.value(); }
     double mulOps() const { return _mulOps.value(); }

@@ -5,12 +5,14 @@
  * Fig 11).  GEMV pushes one omega-wide partial-sum vector per block;
  * D-SymGS pops and accumulates everything pushed for its block row.
  *
- * The engine's sweep kernel adds each partial into its chain's
- * accumulator as it is made (replay::SweepFn), so no partial goes
- * through a buffer; a sweep's pushes, pops and peak depth are fixed by
- * its schedule (ExecSchedule::linkPushes, linkPeak).  This model keeps
- * only those counts, noted once per run and added to the stats at the
- * run's flush().  (The test-only reference engine keeps a real buffer.)
+ * The engine's sweep kernel (replay::SweepFn) keeps a block row's
+ * partials in scratch of its own: each GEMV writes its row dots into a
+ * zero-filled omega-wide slot, and the chain adds the slots newest
+ * first onto +0.0, the stack's exact arithmetic.  A sweep's pushes,
+ * pops and peak depth are fixed by its schedule
+ * (ExecSchedule::linkPushes, linkPeak).  This model keeps only those
+ * counts, noted once per run and added to the stats at the run's
+ * flush().  (The test-only reference engine keeps a real buffer.)
  */
 
 #ifndef ALR_ALRESCHA_SIM_LINK_STACK_HH

@@ -398,10 +398,9 @@ specialize(ExecSchedule &S, const AccelParams &params)
     const int oi = detail::omegaIndex(S.omega);
     if (oi >= 0) {
         const detail::KernelTable *t = select(params.simdMode);
-        const int ci = S.contiguousRows ? 1 : 0;
-        S.fns.spmv = t->spmv[oi][ci];
-        S.fns.spmm = t->spmm[oi][ci];
-        S.fns.sweep = t->sweep[oi][ci];
+        S.fns.spmv = t->spmv[oi];
+        S.fns.spmm = t->spmm[oi];
+        S.fns.sweep = t->sweep[oi];
     } else {
         S.fns.spmv = &spmvGeneric;
         S.fns.spmm = &spmmGeneric;

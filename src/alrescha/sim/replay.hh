@@ -18,10 +18,10 @@
  *    environment variable; an unavailable choice falls back down the
  *    chain, never crashes.
  *  - Stage 2 (schedule-time specialization): specialize() stamps the
- *    per-(ω, kernel, row-layout) entry points straight into the
- *    ExecSchedule, so the replayed loop body carries zero switches
- *    and zero indirect table reads.  ω outside {2, 4, 8} stamps the
- *    runtime-ω generic arms instead.
+ *    per-(ω, kernel) entry points straight into the ExecSchedule, so
+ *    the replayed loop body carries zero switches and zero indirect
+ *    table reads.  ω outside {2, 4, 8} stamps the runtime-ω generic
+ *    arms instead.
  *
  * Every arm reduces in the canonical pairwise tree order (reduce.hh),
  * so the reference engine (the table interpreter, tests/reference),
@@ -94,10 +94,9 @@ const detail::KernelTable *select(SimdMode mode);
 
 /**
  * Stamp the replay entry points for @p S into S.fns: the selected
- * table's per-(ω, kernel, row-layout) slot when ω ∈ {2, 4, 8}, the
- * generic runtime-ω arms otherwise.  Called by compileSchedule as its
- * final step; requires S.omega / S.contiguousRows / S.blockRow etc. to
- * be final.
+ * table's per-(ω, kernel) slot when ω ∈ {2, 4, 8}, the generic
+ * runtime-ω arms otherwise.  Called by compileSchedule as its final
+ * step, and by the cache loader on every restored schedule.
  */
 void specialize(ExecSchedule &S, const AccelParams &params);
 

@@ -12,8 +12,9 @@
  *                        uses no vector extensions at all
  *
  * and gets a makeTable() that fills a detail::KernelTable with fully
- * specialized entry points over ω ∈ {2, 4, 8} × {scattered,
- * contiguous} row layouts for SpMV, SpMM and the SymGS sweep.
+ * specialized entry points over ω ∈ {2, 4, 8} for SpMV, SpMM and the
+ * SymGS sweep.  Every kernel writes a row record's dot to the output
+ * row RowStore::rowIndex names.
  *
  * Bit-identity: every arm computes each row dot in the canonical
  * pairwise tree order (reduce.hh) -- products p are combined level by
@@ -276,34 +277,21 @@ pathRows(const RowStore &R, size_t i, const Value *x, Sink &&sink)
 #endif // ALR_REPLAY_LANES
 
 // ---------------------------------------------------------------- //
-// Specialized drivers.  Contig folds the row indirection: when the  //
-// schedule's GEMV-path rows are consecutive, the row index is       //
-// base + offset and RowStore::rowIndex is read once per path.       //
+// Specialized drivers.                                             //
 // ---------------------------------------------------------------- //
 
-template <Index Omega, bool Contig>
+template <Index Omega>
 void
 spmvPathsT(const ExecSchedule &S, const Value *xpad, Value *y,
            size_t pBegin, size_t pEnd)
 {
     const RowStore &R = *S.rows;
     const Index *rowIndex = R.rowIndex.data();
-    for (size_t i = pBegin; i < pEnd; ++i) {
-        const size_t rr0 = R.rowBegin[i];
-        if (rr0 == R.rowBegin[i + 1])
-            continue;
-        const Value *x = xpad + S.xOff[i];
-        if constexpr (Contig) {
-            Value *yp = y + rowIndex[rr0];
-            pathRows<Omega>(R, i, x, [yp, rr0](size_t rr, Value d) {
-                yp[rr - rr0] += d;
-            });
-        } else {
-            pathRows<Omega>(R, i, x, [y, rowIndex](size_t rr, Value d) {
-                y[rowIndex[rr]] += d;
-            });
-        }
-    }
+    for (size_t i = pBegin; i < pEnd; ++i)
+        pathRows<Omega>(R, i, xpad + S.xOff[i],
+                        [y, rowIndex](size_t rr, Value d) {
+                            y[rowIndex[rr]] += d;
+                        });
 }
 
 /**
@@ -315,7 +303,7 @@ spmvPathsT(const ExecSchedule &S, const Value *xpad, Value *y,
  * scalar arm); lanes past k compute on staged zeros into result slots
  * the engine never reads.
  */
-template <int G, Index Omega, bool Contig>
+template <int G, Index Omega>
 void
 spmmLanes(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
           size_t pBegin, size_t pEnd)
@@ -326,14 +314,9 @@ spmmLanes(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
     const Value *vals = R.values.data();
     for (size_t i = pBegin; i < pEnd; ++i) {
         const Value *x = xt + size_t(S.xOff[i]) * stride;
-        const size_t rr0 = R.rowBegin[i];
-        const size_t re = R.rowBegin[i + 1];
-        const Index base = rr0 < re && Contig ? rowIndex[rr0] : 0;
-        for (size_t rr = rr0; rr < re; ++rr) {
+        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
             const Value *v = vals + rr * size_t(Omega);
-            const Index r =
-                Contig ? Index(base + Index(rr - rr0)) : rowIndex[rr];
-            Value *y = yt + size_t(r) * stride;
+            Value *y = yt + size_t(rowIndex[rr]) * stride;
             for (size_t j = 0; j < k; j += G) {
 #if ALR_REPLAY_LANES > 0
                 Vec<G> p[Omega];
@@ -359,7 +342,7 @@ spmmLanes(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 
 /** SpMM entry: the narrowest lane group that holds the k right-hand
  *  sides, up to the ISA's width (two groups of 4 on AVX2, say). */
-template <Index Omega, bool Contig>
+template <Index Omega>
 void
 spmmPathsT(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
            size_t pBegin, size_t pEnd)
@@ -367,15 +350,15 @@ spmmPathsT(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 #if ALR_REPLAY_LANES > 0
     if constexpr (kLanes >= 8) {
         if (k > 4)
-            return spmmLanes<8, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+            return spmmLanes<8, Omega>(S, xt, yt, k, pBegin, pEnd);
     }
     if constexpr (kLanes >= 4) {
         if (k > 2)
-            return spmmLanes<4, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+            return spmmLanes<4, Omega>(S, xt, yt, k, pBegin, pEnd);
     }
-    spmmLanes<2, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+    spmmLanes<2, Omega>(S, xt, yt, k, pBegin, pEnd);
 #else
-    spmmLanes<1, Omega, Contig>(S, xt, yt, k, pBegin, pEnd);
+    spmmLanes<1, Omega>(S, xt, yt, k, pBegin, pEnd);
 #endif
 }
 
@@ -419,7 +402,7 @@ chainRows(const RowStore &R, size_t i, Index r0, const Value *acc,
  * measured faster than adding each dot into the sum as the GEMVs run
  * newest first.
  */
-template <Index Omega, bool Contig>
+template <Index Omega>
 void
 sweepT(const ExecSchedule &S, const Value *b, const Value *diag, Value *xw,
        Value *links, const size_t *order, size_t begin, size_t end)
@@ -435,21 +418,10 @@ sweepT(const ExecSchedule &S, const Value *b, const Value *diag, Value *xw,
             Value *slot = links + (i - first) * Omega;
             for (Index l = 0; l < Omega; ++l)
                 slot[l] = 0.0;
-            const size_t rr0 = R.rowBegin[i];
-            if (rr0 == R.rowBegin[i + 1])
-                continue;
-            const Value *x = xw + S.xOff[i];
-            if constexpr (Contig) {
-                Value *sp = slot + (rowIndex[rr0] - r0);
-                pathRows<Omega>(R, i, x, [sp, rr0](size_t rr, Value d) {
-                    sp[rr - rr0] = d;
-                });
-            } else {
-                pathRows<Omega>(R, i, x,
-                                [slot, r0, rowIndex](size_t rr, Value d) {
-                                    slot[rowIndex[rr] - r0] = d;
-                                });
-            }
+            pathRows<Omega>(R, i, xw + S.xOff[i],
+                            [slot, r0, rowIndex](size_t rr, Value d) {
+                                slot[rowIndex[rr] - r0] = d;
+                            });
         }
         Value acc[Omega] = {};
         for (size_t e = chain - first; e-- > 0;)
@@ -463,12 +435,9 @@ template <Index Omega>
 inline void
 fillOmega(detail::KernelTable &t, int oi)
 {
-    t.spmv[oi][0] = &spmvPathsT<Omega, false>;
-    t.spmv[oi][1] = &spmvPathsT<Omega, true>;
-    t.spmm[oi][0] = &spmmPathsT<Omega, false>;
-    t.spmm[oi][1] = &spmmPathsT<Omega, true>;
-    t.sweep[oi][0] = &sweepT<Omega, false>;
-    t.sweep[oi][1] = &sweepT<Omega, true>;
+    t.spmv[oi] = &spmvPathsT<Omega>;
+    t.spmm[oi] = &spmmPathsT<Omega>;
+    t.sweep[oi] = &sweepT<Omega>;
 }
 
 inline detail::KernelTable

@@ -3,12 +3,12 @@
  * Replay entry-point signatures stamped into ExecSchedule.
  *
  * compileSchedule resolves the replay kernels once -- per (runtime
- * ISA, ω, row-layout shape) -- and stores the chosen function pointers
- * here, so the engine's hot loops call straight into a fully
- * specialized body: no per-call ω switch, no ISA branch, no table
- * reads.  Kept separate from replay.hh so schedule.hh can embed the
- * pointers without an include cycle (the signatures only need a
- * forward-declared ExecSchedule).
+ * ISA, ω) -- and stores the chosen function pointers here, so the
+ * engine's hot loops call straight into a fully specialized body: no
+ * per-call ω switch, no ISA branch, no table reads.  Kept separate
+ * from replay.hh so schedule.hh can embed the pointers without an
+ * include cycle (the signatures only need a forward-declared
+ * ExecSchedule).
  */
 
 #ifndef ALR_ALRESCHA_SIM_REPLAY_FNS_HH

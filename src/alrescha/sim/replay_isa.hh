@@ -23,19 +23,14 @@ namespace alr {
 namespace replay {
 namespace detail {
 
-/**
- * One ISA's specialized kernels: [ω index][row-layout shape].  The ω
- * axis indexes the compile-time specialized widths {2, 4, 8}; the
- * shape axis is 0 for scattered rows (indirect through
- * RowStore::rowIndex) and 1 for schedules whose GEMV-path rows
- * are consecutive, where the row index folds to base + offset.
- */
+/** One ISA's specialized kernels, indexed by ω: the compile-time
+ *  specialized widths {2, 4, 8} (omegaIndex). */
 struct KernelTable
 {
     const char *name = "";
-    SpmvFn spmv[3][2] = {};
-    SpmmFn spmm[3][2] = {};
-    SweepFn sweep[3][2] = {};
+    SpmvFn spmv[3] = {};
+    SpmmFn spmm[3] = {};
+    SweepFn sweep[3] = {};
 };
 
 /** ω → specialization index (2→0, 4→1, 8→2; -1 otherwise). */

@@ -303,7 +303,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         double peOps = 0.0;
         double rowOps = 0.0; ///< FCU mul = alu = reduce ops
         uint64_t streamBytes = 0;
-        bool contiguous = true;
     };
     std::vector<Partial> partials(chunks);
     tp.parallelFor(0, chunks, [&](size_t c) {
@@ -340,9 +339,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
                     useful -= v[R.rowIndex[rr] - r0] != 0.0;
                 acc.rowOps += double(omega);
                 if (!chain) {
-                    if (rr > begin &&
-                        R.rowIndex[rr - 1] + 1 != R.rowIndex[rr])
-                        acc.contiguous = false;
                     acc.parFlops += 2.0 * useful;
                     acc.usefulBytes += double(useful) * sizeof(Value);
                 } else {
@@ -353,7 +349,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             }
         }
     });
-    s.contiguousRows = true;
     for (const Partial &acc : partials) {
         s.parFlops += acc.parFlops;
         s.seqFlops += acc.seqFlops;
@@ -363,7 +358,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         s.fcuOps.alu += acc.rowOps;
         s.fcuOps.reduce += acc.rowOps;
         s.totalStreamBytes += acc.streamBytes;
-        s.contiguousRows = s.contiguousRows && acc.contiguous;
     }
 
     // The staged operand covers a GEMV-class operand (cols entries) or
@@ -371,8 +365,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     Index operandLen = gemv ? cols : std::max(rows, cols);
     s.paddedOperand =
         size_t((operandLen + omega - 1) / omega) * omega;
-    if (P > 0)
-        s.lastDp = s.dp[P - 1];
 
     // Block-row groups: maximal runs of paths sharing a block row.
     // When block rows never decrease, each output row belongs to

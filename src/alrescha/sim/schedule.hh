@@ -21,8 +21,6 @@
  *    schedule with the same three shares one immutable store: a PDE
  *    load's SpMV and forward-SymGS schedules hold one copy, and a
  *    graph load's BFS, SSSP, PageRank and SpMV schedules another;
- *  - the configured data path the run leaves behind (lastDp), for a
- *    run whose walk the engine replays from its timing memo;
  *  - per-run totals of every accumulated stat (flops, useful bytes,
  *    streamed bytes, FCU/RCU op counts): all are integer-valued
  *    doubles, so adding the precomputed total once is bit-identical to
@@ -195,23 +193,13 @@ struct ExecSchedule
     // ---- stamped replay specialization (replay::specialize) ----
     /**
      * Resolved replay entry points: the fully specialized
-     * per-(runtime ISA, ω, row-layout) kernels when ω ∈ {2, 4, 8},
-     * else the generic runtime-ω arms.  The engine's functional pass
-     * calls these blind -- no ω switch, no ISA branch in the replayed
-     * loop.
+     * per-(runtime ISA, ω) kernels when ω ∈ {2, 4, 8}, else the
+     * generic runtime-ω arms.  The engine's functional pass calls these
+     * blind -- no ω switch, no ISA branch in the replayed loop.
      */
     replay::Fns fns;
-    /**
-     * Every GEMV path's rows are consecutive (no row skipped inside
-     * any path), so a row's output index folds to base + offset and
-     * the specialized kernels skip the rowIndex indirection.
-     */
-    bool contiguousRows = false;
 
     // ---- per-run constants ----
-    /** Data path of the last path: where a replayed run leaves the
-     *  RCU's switch. */
-    DataPathType lastDp = DataPathType::Gemv;
     double parFlops = 0.0;
     double seqFlops = 0.0;
     double usefulBytes = 0.0;

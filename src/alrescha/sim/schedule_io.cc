@@ -87,9 +87,7 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
 
     bio::writeVec(out, s.groupBegin);
     bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
-    bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
 
-    bio::writePod<uint8_t>(out, uint8_t(s.lastDp));
     bio::writePod<double>(out, s.parFlops);
     bio::writePod<double>(out, s.seqFlops);
     bio::writePod<double>(out, s.usefulBytes);
@@ -124,12 +122,7 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
 
     bio::readVecInto(in, s.groupBegin);
     s.parallelSafe = bio::readPod<uint8_t>(in) != 0;
-    s.contiguousRows = bio::readPod<uint8_t>(in) != 0;
 
-    uint8_t lastDp = bio::readPod<uint8_t>(in);
-    if (lastDp > uint8_t(DataPathType::DPr))
-        throw std::runtime_error("bad data-path tag in cache");
-    s.lastDp = DataPathType(lastDp);
     s.parFlops = bio::readPod<double>(in);
     s.seqFlops = bio::readPod<double>(in);
     s.usefulBytes = bio::readPod<double>(in);

@@ -9,11 +9,11 @@
  *  - forcing an unavailable ISA (params or ALR_SIMD_FORCE) must fall
  *    back down the dispatch chain with a warning, never crash;
  *  - the SymGS sweep kernel must match the reference at every runnable
- *    mode and omega, on contiguous and scattered GEMV rows and on a
+ *    mode and omega, on consecutive and gapped GEMV rows and on a
  *    block row without GEMVs;
- *  - compileSchedule must stamp the specialized entry points (and the
- *    generic runtime-omega arms at any other omega) and detect
- *    contiguous row layouts;
+ *  - compileSchedule must stamp the one specialized entry point per
+ *    omega (and the generic runtime-omega arms at any other omega),
+ *    and a block that skips a row must replay bit-identically;
  *  - the build must keep FP contraction off: a reduction whose result
  *    is exact 0.0 under separate rounding would come out nonzero if
  *    the compiler fused the product into the tree add as an FMA.
@@ -194,34 +194,20 @@ TEST(ReplayDispatch, SingleBlockRowEveryMode)
 }
 
 // ---------------------------------------------------------------------
-// The sweep kernel at every runnable mode and omega, on both row
-// layouts and on a block row without GEMVs.
+// The sweep kernel at every runnable mode and omega, on consecutive and
+// gapped GEMV rows and on a block row without GEMVs.
 // ---------------------------------------------------------------------
 
 namespace {
 
-/**
- * expectModeBitIdentical at every runnable mode and at omega 2, 4, 8
- * and 6 (the generic arm), on SymGS schedules whose GEMV rows are
- * consecutive exactly when @p contiguous(omega) says.
- */
-template <typename Layout>
+/** expectModeBitIdentical at every runnable mode and at omega 2, 4, 8
+ *  and 6 (the generic arm). */
 void
-expectEveryModeAndOmega(const CsrMatrix &a, Layout contiguous)
+expectEveryModeAndOmega(const CsrMatrix &a)
 {
-    for (SimdMode mode : runnableModes()) {
-        for (Index omega : {Index(2), Index(4), Index(8), Index(6)}) {
-            LocallyDenseMatrix ld =
-                LocallyDenseMatrix::encode(a, omega, LdLayout::SymGs);
-            ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, ld,
-                                                   true, GsSweep::Forward);
-            EXPECT_EQ(compileSchedule(ld, fwd, makeParams(omega, mode))
-                          .contiguousRows,
-                      contiguous(omega))
-                << "omega " << omega;
+    for (SimdMode mode : runnableModes())
+        for (Index omega : {Index(2), Index(4), Index(8), Index(6)})
             expectModeBitIdentical(a, omega, mode);
-        }
-    }
 }
 
 /** An n x n matrix whose row r couples to each column c within @p half
@@ -248,7 +234,7 @@ TEST(SweepKernel, ContiguousRowsEveryModeBitIdentical)
     // A full band 20 wide: every row of every off-diagonal block the
     // band touches is occupied, so each GEMV's rows are consecutive.
     CsrMatrix a = bandMatrix(61, 20, [](Index, Index) { return true; });
-    expectEveryModeAndOmega(a, [](Index) { return true; });
+    expectEveryModeAndOmega(a);
 }
 
 TEST(SweepKernel, ScatteredRowsEveryModeBitIdentical)
@@ -258,7 +244,7 @@ TEST(SweepKernel, ScatteredRowsEveryModeBitIdentical)
     // has two rows, which are always consecutive.)
     CsrMatrix a =
         bandMatrix(61, 20, [](Index r, Index) { return r % 4 != 1; });
-    expectEveryModeAndOmega(a, [](Index omega) { return omega == 2; });
+    expectEveryModeAndOmega(a);
 }
 
 TEST(SweepKernel, BlockRowWithoutGemvsEveryModeBitIdentical)
@@ -271,7 +257,7 @@ TEST(SweepKernel, BlockRowWithoutGemvsEveryModeBitIdentical)
     CsrMatrix a = bandMatrix(61, 9, [&](Index r, Index c) {
         return isolated(r) || isolated(c) ? (r ^ 1) == c : true;
     });
-    expectEveryModeAndOmega(a, [](Index) { return true; });
+    expectEveryModeAndOmega(a);
 }
 
 // ---------------------------------------------------------------------
@@ -337,38 +323,40 @@ TEST(ReplayDispatch, EnvForceAppliesToAutoOnly)
 
 TEST(ReplaySpecialize, StampsSpecializedEntryPoints)
 {
+    // At omega 2, 4 and 8 every schedule stamps its omega's one slot of
+    // the selected table: an SpMV schedule's SpMV and SpMM kernels and a
+    // SymGS schedule's sweep kernel.
     Rng rng(46);
     CsrMatrix a = gen::blockStructured(64, 8, 3, 0.6, rng);
-    LocallyDenseMatrix ld =
-        LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
-    ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
-    AccelParams p = makeParams(8, SimdMode::Auto);
-    ExecSchedule s = compileSchedule(ld, table, p);
-    const replay::detail::KernelTable *t = replay::select(p.simdMode);
-
-    ASSERT_NE(s.fns.spmv, nullptr);
-    ASSERT_NE(s.fns.spmm, nullptr);
-    ASSERT_NE(s.fns.sweep, nullptr);
-    // omega=8 -> index 2; the stamped pointer must be the table slot
-    // for the detected row layout.
-    int ci = s.contiguousRows ? 1 : 0;
-    EXPECT_EQ(s.fns.spmv, t->spmv[2][ci]);
-    EXPECT_EQ(s.fns.spmm, t->spmm[2][ci]);
-
-    // A SymGS schedule stamps the sweep kernel the same way.
     CsrMatrix spd = gen::banded(64, 5, 0.7, rng);
-    LocallyDenseMatrix lds =
-        LocallyDenseMatrix::encode(spd, 8, LdLayout::SymGs);
-    ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, lds, true,
-                                           GsSweep::Forward);
-    ExecSchedule sw = compileSchedule(lds, fwd, p);
-    EXPECT_EQ(sw.fns.sweep, t->sweep[2][sw.contiguousRows ? 1 : 0]);
+    const replay::detail::KernelTable *t = replay::select(SimdMode::Auto);
+    for (Index omega : {Index(2), Index(4), Index(8)}) {
+        SCOPED_TRACE("omega " + std::to_string(omega));
+        const int oi = replay::detail::omegaIndex(omega);
+        ASSERT_GE(oi, 0);
+        AccelParams p = makeParams(omega, SimdMode::Auto);
+        LocallyDenseMatrix ld =
+            LocallyDenseMatrix::encode(a, omega, LdLayout::Plain);
+        ConfigTable table = ConfigTable::convert(KernelType::SpMV, ld);
+        ExecSchedule s = compileSchedule(ld, table, p);
+        ASSERT_NE(t->spmv[oi], nullptr);
+        ASSERT_NE(t->spmm[oi], nullptr);
+        ASSERT_NE(t->sweep[oi], nullptr);
+        EXPECT_EQ(s.fns.spmv, t->spmv[oi]);
+        EXPECT_EQ(s.fns.spmm, t->spmm[oi]);
+
+        LocallyDenseMatrix lds =
+            LocallyDenseMatrix::encode(spd, omega, LdLayout::SymGs);
+        ConfigTable fwd = ConfigTable::convert(KernelType::SymGS, lds, true,
+                                               GsSweep::Forward);
+        EXPECT_EQ(compileSchedule(lds, fwd, p).fns.sweep, t->sweep[oi]);
+    }
 
     // omega=6 has no table slot: the generic arms, not any slot.
+    AccelParams p = makeParams(6, SimdMode::Auto);
     LocallyDenseMatrix ld6 =
         LocallyDenseMatrix::encode(a, 6, LdLayout::Plain);
     ConfigTable table6 = ConfigTable::convert(KernelType::SpMV, ld6);
-    p.omega = 6;
     ExecSchedule g = compileSchedule(ld6, table6, p);
     LocallyDenseMatrix lds6 =
         LocallyDenseMatrix::encode(spd, 6, LdLayout::SymGs);
@@ -376,33 +364,20 @@ TEST(ReplaySpecialize, StampsSpecializedEntryPoints)
                                             GsSweep::Forward);
     ExecSchedule gs = compileSchedule(lds6, fwd6, p);
     ASSERT_NE(g.fns.spmv, nullptr);
+    ASSERT_NE(g.fns.spmm, nullptr);
     ASSERT_NE(gs.fns.sweep, nullptr);
     for (int oi = 0; oi < 3; ++oi) {
-        for (int c = 0; c < 2; ++c) {
-            EXPECT_NE(g.fns.spmv, t->spmv[oi][c]);
-            EXPECT_NE(gs.fns.sweep, t->sweep[oi][c]);
-        }
+        EXPECT_NE(g.fns.spmv, t->spmv[oi]);
+        EXPECT_NE(g.fns.spmm, t->spmm[oi]);
+        EXPECT_NE(gs.fns.sweep, t->sweep[oi]);
     }
 }
 
-TEST(ReplaySpecialize, DetectsContiguousRows)
+TEST(ReplaySpecialize, RowSkippedInsideABlockReplaysBitIdentically)
 {
-    // Fully dense blocks: every row of every block occupied, so paths
-    // cover consecutive rows and the contiguous kernels apply.
-    CooMatrix dense(16, 16);
-    for (Index r = 0; r < 16; ++r)
-        for (Index c = 0; c < 16; ++c)
-            dense.add(r, c, 1.0 + Value(r * 16 + c) * 0.01);
-    CsrMatrix ad = CsrMatrix::fromCoo(dense);
-    LocallyDenseMatrix ldd =
-        LocallyDenseMatrix::encode(ad, 8, LdLayout::Plain);
-    ConfigTable td = ConfigTable::convert(KernelType::SpMV, ldd);
-    AccelParams p = makeParams(8, SimdMode::Auto);
-    EXPECT_TRUE(compileSchedule(ldd, td, p).contiguousRows);
-
-    // A block that skips a row: rows 0 and 2 occupied, row 1 empty --
-    // the path's rows are not consecutive, so the scattered kernels
-    // must be stamped, and they must still replay bit-identically.
+    // A block that skips a row: rows 0 and 2 occupied, row 1 empty, so
+    // the path's row records are not consecutive rows, and each dot
+    // must still land in the row its record names.
     CooMatrix gap(16, 16);
     for (Index c = 0; c < 16; ++c) {
         gap.add(0, c, 1.0 + Value(c));
@@ -412,8 +387,6 @@ TEST(ReplaySpecialize, DetectsContiguousRows)
     LocallyDenseMatrix ldg =
         LocallyDenseMatrix::encode(ag, 8, LdLayout::Plain);
     ConfigTable tg = ConfigTable::convert(KernelType::SpMV, ldg);
-    ExecSchedule sg = compileSchedule(ldg, tg, p);
-    EXPECT_FALSE(sg.contiguousRows);
 
     Engine refEngine(makeParams(8, SimdMode::Scalar));
     ReferenceEngine ref(refEngine);
@@ -424,6 +397,12 @@ TEST(ReplaySpecialize, DetectsContiguousRows)
     for (size_t i = 0; i < x.size(); ++i)
         x[i] = Value(i) - 7.5;
     EXPECT_EQ(ref.runSpmv(x), sch.runSpmv(x));
+    for (size_t k : {1, 3, 8}) {
+        std::vector<DenseVector> xs(k, x);
+        for (size_t j = 0; j < k; ++j)
+            xs[j][j] = -2.0 * Value(j + 1);
+        EXPECT_EQ(ref.runSpmm(xs), sch.runSpmm(xs)) << "k " << k;
+    }
 }
 
 // ---------------------------------------------------------------------

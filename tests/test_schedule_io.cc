@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/replay.hh"
@@ -267,7 +269,6 @@ TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
     EXPECT_EQ(rows->values, s.rows->values);
     EXPECT_EQ(rows->rowBegin, s.rows->rowBegin);
     EXPECT_EQ(back.xOff, s.xOff);
-    EXPECT_EQ(back.lastDp, s.lastDp);
     EXPECT_EQ(back.totalStreamBytes, s.totalStreamBytes);
     EXPECT_EQ(back.parFlops, s.parFlops);
     EXPECT_EQ(back.paddedOperand, s.paddedOperand);
@@ -555,10 +556,12 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     // also wrote xValid, validRows and rowUseful; versions 1 to 4 also
     // wrote nine per-path timing arrays, the final out row and the
     // reconfiguration totals; versions 1 to 5 wrote each schedule's row
-    // records inside it, and its SpMM stream bytes.  The legacy files
-    // built here carry exactly those layouts, with the values those
-    // compilers gave them, under a valid checksum, so only the version
-    // check stops the loader from misparsing them.
+    // records inside it, and its SpMM stream bytes; versions 1 to 6
+    // wrote the contiguous-rows flag and the last data path (u8 each)
+    // after the parallelSafe flag.  The legacy files built here carry
+    // exactly those layouts, with the values those compilers gave them,
+    // under a valid checksum, so only the version check stops the
+    // loader from misparsing them.
     Problem p(45);
     const AccelParams params = makeParams();
     const std::string file = savedCache(45);
@@ -596,6 +599,12 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
         streamBytes[i] = bytes;
         streamedRows[i] = occupied;
     }
+    // The flag versions 1 to 6 wrote: no path's rows skip a row.
+    bool contiguous = true;
+    for (size_t i = 0; i < P; ++i)
+        for (size_t rr = R.rowBegin[i] + 1; rr < R.rowBegin[i + 1]; ++rr)
+            contiguous =
+                contiguous && R.rowIndex[rr] == R.rowIndex[rr - 1] + 1;
     // Version 3's arrays, with the values the version-3 compiler gave.
     std::vector<Index> xValid(P), validRows(P, 0);
     std::vector<Index> rowUseful(R.rowIndex.size());
@@ -654,10 +663,10 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
             bio::writeVec(out, std::vector<size_t>{0, P / 2, P});
             bio::writeVec(out, std::vector<size_t>{}); // no levels in SpMV
         }
-        bio::writePod<uint8_t>(out, s.contiguousRows ? 1 : 0);
+        bio::writePod<uint8_t>(out, contiguous ? 1 : 0);
         if (version <= 4)
             bio::writePod<int64_t>(out, curRow); // finalOutRow
-        bio::writePod<uint8_t>(out, uint8_t(s.lastDp));
+        bio::writePod<uint8_t>(out, uint8_t(s.dp.back()));
         if (version <= 4) // reconfiguration count and stall
             for (double v : {0.0, 0.0})
                 bio::writePod<double>(out, v);
@@ -672,9 +681,23 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
         return out.str();
     };
 
-    for (uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
+    // Version 6: today's body with the two flags after parallelSafe.
+    auto version6Body = [&] {
+        std::string body = file.substr(kCacheHeader);
+        const size_t groups = vectorAt(body, kGroupBegin);
+        uint64_t n = 0;
+        std::memcpy(&n, body.data() + groups, sizeof(n));
+        const char flags[] = {char(contiguous), char(s.dp.back())};
+        body.insert(groups + sizeof(n) + n * sizeof(size_t) + 1, flags,
+                    sizeof(flags));
+        return body;
+    };
+
+    for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
         SCOPED_TRACE("version " + std::to_string(version));
-        std::stringstream old(reframe(file, legacyBody(version), version));
+        std::stringstream old(reframe(
+            file, version == 6 ? version6Body() : legacyBody(version),
+            version));
         Engine warm(params);
         setLogCapture(true);
         EXPECT_FALSE(warm.loadScheduleCache(old));
@@ -910,10 +933,10 @@ TEST(ScheduleCachePersistence, PerPathArrayShorterThanThePaths)
 
 TEST(ScheduleCachePersistence, PathWithMoreRecordsThanItsBlockHasRows)
 {
-    // The first path holds omega + 1 records of its first row, and
-    // contiguousRows is cleared so that every record passes the
-    // live-matrix check.  The timing walk indexes its per-row-count
-    // stream terms (omega + 1 of them) with a path's record count.
+    // The first path holds omega + 1 records of its first row, each of
+    // which passes the live-matrix check.  The timing walk indexes its
+    // per-row-count stream terms (omega + 1 of them) with a path's
+    // record count.
     const Index omega = makeParams().omega;
     const std::string file = savedCache(53);
     std::string body = file.substr(kCacheHeader);
@@ -935,11 +958,6 @@ TEST(ScheduleCachePersistence, PathWithMoreRecordsThanItsBlockHasRows)
         rowBegin[i] += extra;
     body.replace(at, storeEnd - at,
                  vecBytes(rowBegin) + vecBytes(rowIndex) + vecBytes(values));
-    // After the group ranges: parallelSafe, then contiguousRows (u8).
-    const size_t groups = vectorAt(body, kGroupBegin);
-    uint64_t n = 0;
-    std::memcpy(&n, body.data() + groups, sizeof(n));
-    body[groups + sizeof(n) + n * sizeof(size_t) + 1] = 0;
     expectRecompiled(reframe(file, body), 53);
 }
 
@@ -1134,25 +1152,26 @@ TEST(ScheduleCachePersistence, StaleHashRecompilesInsteadOfAliasing)
     EXPECT_EQ(y, ref.runSpmv(x));
 }
 
-TEST(ScheduleCacheCapacity, ParamBoundsTheCacheAndCountsEvictions)
+TEST(ScheduleCacheCapacity, ConstantBoundsTheCacheAndCountsEvictions)
 {
+    // Three tables past the capacity: the three least recently used
+    // schedules are evicted.
+    const size_t capacity = Engine::kScheduleCacheCapacity;
     Rng rng(71);
     CsrMatrix a = gen::randomSpd(48, 4, rng);
     auto ld = LocallyDenseMatrix::encode(a, 8, LdLayout::Plain);
     std::vector<ConfigTable> tables;
-    for (int i = 0; i < 5; ++i)
+    for (size_t i = 0; i < capacity + 3; ++i)
         tables.push_back(ConfigTable::convert(KernelType::SpMV, ld));
 
-    AccelParams params = makeParams();
-    params.scheduleCacheCapacity = 2;
-    Engine e(params);
+    Engine e(makeParams());
     DenseVector x(a.cols(), 1.0);
     for (auto &t : tables) {
         e.program(&ld, &t);
         e.runSpmv(x);
     }
-    EXPECT_EQ(e.scheduleCompiles(), 5u);
-    EXPECT_EQ(e.cachedSchedules(), 2u);
+    EXPECT_EQ(e.scheduleCompiles(), capacity + 3);
+    EXPECT_EQ(e.cachedSchedules(), capacity);
     EXPECT_EQ(e.scheduleEvictions(), 3u);
 
     // The eviction count is a registered stat, visible in the dump.
@@ -1161,32 +1180,44 @@ TEST(ScheduleCacheCapacity, ParamBoundsTheCacheAndCountsEvictions)
 
 TEST(ScheduleCacheCapacity, RestoredPoolSurvivesEviction)
 {
-    // Capacity 1 with two restored schedules: each program() switch
-    // evicts the other's slot, but promotion out of the restored pool
-    // happened at most once per table -- after both promotions the
-    // evicted schedule is gone and must recompile (correct, counted).
-    CsrMatrix a = gen::stencil2d(8, 8);
-    AccelParams params = makeParams();
-    Accelerator cold(params);
-    cold.loadPde(a);
-    DenseVector b(a.rows(), 1.0), x0(a.rows(), 0.0);
-    cold.spmv(b);
-    cold.symgsSweep(b, x0, GsSweep::Forward);
-    std::stringstream ss;
-    ASSERT_TRUE(cold.engine().saveScheduleCache(ss));
+    // Two more restored schedules than the capacity, one per matrix:
+    // claiming them all evicts the first two, and promotion out of the
+    // restored pool happened once per schedule -- so an evicted one is
+    // gone and must recompile (correct, counted).
+    const size_t count = Engine::kScheduleCacheCapacity + 2;
+    std::vector<std::unique_ptr<Problem>> problems;
+    for (size_t i = 0; i < count; ++i)
+        problems.push_back(std::make_unique<Problem>(300 + i));
+    // One cold engine holds at most the capacity, so two files cover
+    // the set: the first half, then the most recent schedules.
+    Engine cold(makeParams());
+    std::stringstream first, last;
+    for (size_t i = 0; i < count; ++i) {
+        cold.program(&problems[i]->ld, &problems[i]->table);
+        cold.prepareSchedule();
+        if (i + 1 == count / 2) {
+            ASSERT_TRUE(cold.saveScheduleCache(first));
+        }
+    }
+    ASSERT_TRUE(cold.saveScheduleCache(last));
 
-    AccelParams tiny = params;
-    tiny.scheduleCacheCapacity = 1;
-    Accelerator warm(tiny);
-    warm.loadPde(a);
-    ASSERT_TRUE(warm.engine().loadScheduleCache(ss));
-    EXPECT_EQ(warm.engine().restoredSchedules(), 2u);
+    Engine warm(makeParams());
+    ASSERT_TRUE(warm.loadScheduleCache(first));
+    ASSERT_TRUE(warm.loadScheduleCache(last));
+    EXPECT_EQ(warm.restoredSchedules(), count);
 
-    DenseVector xw(a.rows(), 0.0);
-    warm.spmv(b);                               // restore #1
-    warm.symgsSweep(b, xw, GsSweep::Forward);   // restore #2, evicts #1
-    EXPECT_EQ(warm.engine().scheduleCompiles(), 0u);
-    warm.spmv(b); // evicted and no longer in the pool: recompile
-    EXPECT_EQ(warm.engine().scheduleCompiles(), 1u);
-    EXPECT_GE(warm.engine().scheduleEvictions(), 1u);
+    std::vector<DenseVector> y;
+    for (const auto &p : problems) {
+        warm.program(&p->ld, &p->table);
+        y.push_back(warm.runSpmv(DenseVector(p->a.cols(), 1.0)));
+    }
+    EXPECT_EQ(warm.scheduleCompiles(), 0u);
+    EXPECT_EQ(warm.scheduleEvictions(), 2u);
+    EXPECT_EQ(warm.restoredSchedules(), 0u);
+
+    // Evicted and no longer in the pool: recompile, same result.
+    const Problem &p = *problems.front();
+    warm.program(&p.ld, &p.table);
+    EXPECT_EQ(warm.runSpmv(DenseVector(p.a.cols(), 1.0)), y.front());
+    EXPECT_EQ(warm.scheduleCompiles(), 1u);
 }

@@ -64,7 +64,6 @@ struct Options
     TraceParams trace;
     ServeConfig cfg;
     std::string cacheDir;
-    int scheduleCache = 0;
     Index omega = 8;
     bool json = false;
     std::string timelinePath;
@@ -85,7 +84,7 @@ usage()
         "                 [--requests N] [--zipf S] [--seed X]\n"
         "                 [--burstiness P] [--threads N]\n"
         "                 [--batch-window N] [--queue N] [--pcg-iters N]\n"
-        "                 [--schedule-cache N] [--cache-dir DIR] [--json]\n"
+        "                 [--cache-dir DIR] [--json]\n"
         "                 [--timeline F.json] [--metrics-out F.json]\n"
         "                 [--metrics-interval MS] [--slo-us US]\n"
         "                 [--slo-objective P]\n"
@@ -98,7 +97,6 @@ usage()
         "  --batch-window N   SpMV coalescing window / max batch size\n"
         "                     (<= 1 disables batching)\n"
         "  --queue N          bounded admission-queue depth\n"
-        "  --schedule-cache N engine schedule-cache capacity per matrix\n"
         "  --cache-dir DIR    restore <DIR>/<name>.sched before warming,\n"
         "                     save refreshed caches after (a second run\n"
         "                     against the same DIR warm-starts with zero\n"
@@ -159,9 +157,6 @@ parse(int argc, char **argv)
         } else if (arg == "--pcg-iters") {
             opt.cfg.pcgIterations =
                 int(parseInteger("--pcg-iters", next(), 1, kMaxCount));
-        } else if (arg == "--schedule-cache") {
-            opt.scheduleCache =
-                int(parseInteger("--schedule-cache", next(), 1, kMaxCount));
         } else if (arg == "--cache-dir") {
             opt.cacheDir = next();
         } else if (arg == "--json") {
@@ -194,11 +189,6 @@ main(int argc, char **argv)
 
     AccelParams params;
     params.omega = opt.omega;
-    // A fleet entry replays up to three schedules (SpMV + both SymGS
-    // sweeps); make sure the default capacity covers them all so
-    // serving never thrashes the cache.
-    params.scheduleCacheCapacity =
-        opt.scheduleCache > 0 ? opt.scheduleCache : 8;
 
     ServeFleet fleet(params);
     std::vector<Dataset> suite = scientificSuite(opt.scale);

@@ -84,7 +84,6 @@ struct Options
     long statsInterval = 0;
     int maxIterations = 500;
     int threads = 0;
-    int scheduleCache = 0;
     bool ab = false;          ///< --ab given (possibly empty overrides)
     std::string abOverrides;  ///< variant flag string
     std::string failOn;       ///< --fail-on rule list (A/B gate)
@@ -103,7 +102,6 @@ usage()
         "               [--profile F.json] [--profile-csv F.csv]\n"
         "               [--profile-folded F.folded]\n"
         "               [--iters N] [--threads N]\n"
-        "               [--schedule-cache N]\n"
         "               [--save F.alr]\n"
         "               [--simd MODE] [--ab \"FLAGS\"] [--fail-on RULES]\n"
         "               [--version]\n"
@@ -126,8 +124,6 @@ usage()
         "                    passes and the levels of wide SymGS sweeps\n"
         "                    (default ALR_THREADS, else the core count;\n"
         "                    results are identical at any size)\n"
-        "  --schedule-cache  compiled-schedule MRU cache capacity\n"
-        "                    (default 8; evictions recompile)\n"
         "  --ab \"FLAGS\"      in-process A/B: rerun with FLAGS applied\n"
         "                    on top of the baseline flags (same matrix,\n"
         "                    same process) and print the attributed\n"
@@ -233,9 +229,6 @@ applyArgs(Options &opt, const std::vector<std::string> &args,
         } else if (arg == "--threads") {
             opt.threads = int(parseInteger("--threads", next(), 1,
                                            kMaxThreads));
-        } else if (arg == "--schedule-cache") {
-            opt.scheduleCache = int(
-                parseInteger("--schedule-cache", next(), 1, kMaxCount));
         } else if (arg == "--simd") {
             std::string mode = next();
             if (!replay::parseSimdMode(mode.c_str(), &opt.simdMode))
@@ -318,8 +311,6 @@ paramsFrom(const Options &opt)
     // The replay ISA is bit-identical to the default, exposed for
     // timing the host-side replay cost in isolation.
     params.simdMode = opt.simdMode;
-    if (opt.scheduleCache > 0)
-        params.scheduleCacheCapacity = opt.scheduleCache;
     return params;
 }
 
