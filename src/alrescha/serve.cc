@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "common/logging.hh"
@@ -224,6 +226,10 @@ struct QueuedItem
 {
     ServeWorkItem work;
     std::chrono::steady_clock::time_point admitted;
+    /** When a worker popped it (a parked item keeps its pop time). */
+    std::chrono::steady_clock::time_point popped;
+    /** The pop on the timeline's host clock, while tracing. */
+    uint64_t poppedUs = 0;
 };
 
 /** Request-plane metric handles, registered once before the workers
@@ -303,39 +309,44 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
     if (cfg.metrics != nullptr)
         sm.bind(*cfg.metrics, fleet);
 
-    // Plan sequence numbers restart at 0 for every drain, so every
-    // entry's gate must too: a fleet may be drained more than once.
-    for (size_t i = 0; i < fleet.size(); ++i) {
-        ServeFleet::Entry &entry = fleet.entry(i);
-        std::lock_guard<std::mutex> lock(entry.mutex);
-        entry.nextSeq = 0;
-    }
-
     RequestQueue<QueuedItem> queue(cfg.queueDepth);
     int threads = std::max(1, cfg.threads);
     std::mutex tallyMutex;
     std::atomic<int64_t> inFlight{0};
     auto start = std::chrono::steady_clock::now();
 
-    auto runItem = [&](const ServeWorkItem &item, WorkerTally &tally) {
-        ServeFleet::Entry &entry = fleet.entry(item.matrix);
-        Accelerator &acc = *entry.acc;
+    // This drain's per-matrix turns, which replay each matrix's items
+    // in plan order at any thread count (modeled counters depend on an
+    // engine's run order through its cache and RCU switch state).
+    // nextSeq[m] is the sequence number of matrix m's item that is
+    // running or runs next; an item popped before its turn waits in
+    // parked[m] until the worker that finishes its predecessor takes it.
+    struct Turns
+    {
+        std::mutex mutex;
+        std::vector<uint64_t> nextSeq;
+        std::vector<std::map<uint64_t, QueuedItem>> parked;
+    } turns;
+    turns.nextSeq.assign(fleet.size(), 0);
+    turns.parked.resize(fleet.size());
+
+    auto runItem = [&](const QueuedItem &qi, WorkerTally &tally) {
+        const ServeWorkItem &item = qi.work;
+        Accelerator &acc = fleet.at(item.matrix);
         const Index n = acc.matrix().rows();
         const size_t k = item.requestIds.size();
 
-        // Per-matrix plan-order gate: the entry's lock serializes runs
-        // on this accelerator, and the sequence check replays them in
-        // plan order at any thread count (modeled counters depend on
-        // run order via the cache and RCU switch state).
         const bool tracing = timeline::enabled();
-        uint64_t gateUs = tracing ? timeline::hostNowUs() : 0;
-        std::unique_lock<std::mutex> lock(entry.mutex);
-        entry.turn.wait(lock, [&] { return entry.nextSeq == item.seq; });
-
         uint64_t replayUs = 0;
         if (tracing) {
             replayUs = timeline::hostNowUs();
-            timeline::hostSpan("gate", "serve", gateUs, replayUs);
+            timeline::serveCounter(
+                "in_flight", replayUs,
+                double(inFlight.fetch_add(1, std::memory_order_relaxed) +
+                       1));
+            // Pop to replay start: how long the item waited for its
+            // matrix, parked.
+            timeline::hostSpan("gate", "serve", qi.poppedUs, replayUs);
             timeline::serveCounter("batch_occupancy", replayUs, double(k));
         }
 
@@ -375,10 +386,7 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
                 res.results[id] = std::move(sol.x);
         }
         uint64_t delta = acc.engine().totalCycles() - before;
-
-        entry.nextSeq = item.seq + 1;
-        entry.turn.notify_all();
-        lock.unlock();
+        auto done = std::chrono::steady_clock::now();
 
         if (tracing) {
             uint64_t endUs = timeline::hostNowUs();
@@ -393,6 +401,10 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
             timeline::serveSpan(opName, "serve",
                                 timeline::kTidServeAccBase + item.matrix,
                                 replayUs, endUs);
+            timeline::serveCounter(
+                "in_flight", endUs,
+                double(inFlight.fetch_sub(1, std::memory_order_relaxed) -
+                       1));
         }
 
         // Batched latency attribution: the batch's modeled cycles
@@ -405,51 +417,61 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
         if (item.op == ServeOp::Spmv)
             tally.batchSize.sample(double(k));
         tally.completed += k;
+
+        // Exact per-request samples: a coalesced request shares its
+        // batch's wall clock (the batch is one replay).  Distinct ids
+        // index a preallocated vector, so workers never race.
+        double waitUs = usBetween(qi.admitted, qi.popped);
+        double e2eUs = usBetween(qi.admitted, done);
+        for (uint32_t id : item.requestIds) {
+            res.queueWaitUs[id] = waitUs;
+            res.latencyUs[id] = e2eUs;
+        }
+        if (sm.completed != nullptr) {
+            sm.completed->add(double(k));
+            for (size_t j = 0; j < k; ++j) {
+                sm.latencyUs->observe(e2eUs);
+                sm.queueWaitUs->observe(waitUs);
+                sm.latencyPerMatrix[item.matrix]->observe(e2eUs);
+            }
+            if (item.op == ServeOp::Spmv)
+                sm.batchSize->observe(double(k));
+        }
     };
 
+    // Park and chain: a worker never waits on a matrix.  Pops are FIFO
+    // over plan order, so a parked item's predecessor has been popped
+    // too: it is running, parked, or about to take the lock, and
+    // whoever finishes it runs the parked item.  The only blocking
+    // waits are the admission queue's push and pop.
     auto worker = [&]() {
         WorkerTally tally;
         QueuedItem qi;
         while (queue.pop(qi)) {
-            auto dequeued = std::chrono::steady_clock::now();
+            qi.popped = std::chrono::steady_clock::now();
             if (timeline::enabled()) {
-                uint64_t nowUs = timeline::hostNowUs();
-                timeline::serveCounter("queue_depth", nowUs,
+                qi.poppedUs = timeline::hostNowUs();
+                timeline::serveCounter("queue_depth", qi.poppedUs,
                                        double(queue.size()));
-                timeline::serveCounter(
-                    "in_flight", nowUs,
-                    double(inFlight.fetch_add(1,
-                                              std::memory_order_relaxed) +
-                           1));
             }
-            runItem(qi.work, tally);
-            auto done = std::chrono::steady_clock::now();
-            if (timeline::enabled())
-                timeline::serveCounter(
-                    "in_flight", timeline::hostNowUs(),
-                    double(inFlight.fetch_sub(1,
-                                              std::memory_order_relaxed) -
-                           1));
-
-            // Exact per-request samples: a coalesced request shares its
-            // batch's wall clock (the batch is one replay).  Distinct
-            // ids index a preallocated vector, so workers never race.
-            const size_t k = qi.work.requestIds.size();
-            double waitUs = usBetween(qi.admitted, dequeued);
-            double e2eUs = usBetween(qi.admitted, done);
-            for (uint32_t id : qi.work.requestIds) {
-                res.queueWaitUs[id] = waitUs;
-                res.latencyUs[id] = e2eUs;
-            }
-            if (sm.completed != nullptr) {
-                sm.completed->add(double(k));
-                for (size_t j = 0; j < k; ++j) {
-                    sm.latencyUs->observe(e2eUs);
-                    sm.queueWaitUs->observe(waitUs);
-                    sm.latencyPerMatrix[qi.work.matrix]->observe(e2eUs);
+            const uint32_t m = qi.work.matrix;
+            {
+                std::lock_guard<std::mutex> lock(turns.mutex);
+                if (qi.work.seq != turns.nextSeq[m]) {
+                    uint64_t seq = qi.work.seq;
+                    turns.parked[m].emplace(seq, std::move(qi));
+                    continue;
                 }
-                if (qi.work.op == ServeOp::Spmv)
-                    sm.batchSize->observe(double(k));
+            }
+            for (;;) {
+                runItem(qi, tally);
+                std::lock_guard<std::mutex> lock(turns.mutex);
+                turns.nextSeq[m] = qi.work.seq + 1;
+                auto next = turns.parked[m].find(turns.nextSeq[m]);
+                if (next == turns.parked[m].end())
+                    break;
+                qi = std::move(next->second);
+                turns.parked[m].erase(next);
             }
         }
         std::lock_guard<std::mutex> g(tallyMutex);
@@ -467,7 +489,7 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
     for (ServeWorkItem &item : plan) {
         bool tracing = timeline::enabled();
         uint64_t admitUs = tracing ? timeline::hostNowUs() : 0;
-        queue.push({std::move(item), std::chrono::steady_clock::now()});
+        queue.push({std::move(item), std::chrono::steady_clock::now(), {}, 0});
         if (tracing) {
             uint64_t enqueueUs = timeline::hostNowUs();
             timeline::hostSpan("admit", "serve", admitUs, enqueueUs);

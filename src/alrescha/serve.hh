@@ -10,10 +10,12 @@
  * Determinism contract (the equivalence suite pins all of it):
  *  - the batching plan is a pure function of (trace, batchWindow) --
  *    never of thread count, queue depth, or timing;
- *  - per-matrix work executes in plan order (a per-matrix sequence
- *    gate), so each accelerator sees the identical run sequence at any
- *    thread count: per-request results AND modeled counters are
- *    bit-identical whether the stream drains on 1 thread or 16;
+ *  - per-matrix work executes in plan order (an item that reaches a
+ *    worker before its matrix's turn is parked, and runs when the
+ *    matrix's previous item finishes), so each accelerator sees the
+ *    identical run sequence at any thread count: per-request results
+ *    AND modeled counters are bit-identical whether the stream drains
+ *    on 1 thread or 16;
  *  - a coalesced SpMV request's result is bit-identical to its
  *    unbatched run (the SpMM replay issues each RHS through the same
  *    canonical reduction tree as SpMV);
@@ -28,10 +30,8 @@
 #ifndef ALR_ALRESCHA_SERVE_HH
 #define ALR_ALRESCHA_SERVE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,10 +80,11 @@ std::vector<ServeRequest> generateTrace(const TraceParams &params,
                                         const std::vector<uint8_t> &pde_mask);
 
 /**
- * The fleet: one long-lived Accelerator per matrix.  Each entry runs
- * under its own lock (an Engine is single-driver), so distinct
- * matrices serve concurrently while one matrix's requests serialize
- * in plan order.
+ * The fleet: one long-lived Accelerator per matrix.  An Engine is
+ * single-driver, so serve() runs at most one item per entry at a time:
+ * distinct matrices serve concurrently while one matrix's requests
+ * serialize in plan order.  The fleet holds no drain state, so it can
+ * be drained any number of times.
  */
 class ServeFleet
 {
@@ -123,20 +124,14 @@ class ServeFleet
      *  files restored. */
     size_t restoreScheduleCaches(const std::string &dir);
 
-    /** Per-entry lock + in-order execution gate (used by serve(),
-     *  which resets nextSeq to 0 at the start of every drain). */
+  private:
     struct Entry
     {
         std::string name;
         std::unique_ptr<Accelerator> acc;
         bool pde = false;
-        std::mutex mutex;
-        std::condition_variable turn;
-        uint64_t nextSeq = 0;
     };
-    Entry &entry(size_t i) { return *_entries[i]; }
 
-  private:
     AccelParams _params;
     std::vector<std::unique_ptr<Entry>> _entries;
 };
@@ -194,7 +189,8 @@ struct ServeWorkItem
     ServeOp op = ServeOp::Spmv;
     /** Coalesced request ids, in arrival order (>1 only for SpMV). */
     std::vector<uint32_t> requestIds;
-    /** Per-matrix sequence number (in-order execution gate). */
+    /** Per-matrix plan-order sequence number, from 0 in every plan:
+     *  a matrix runs its items in seq order. */
     uint64_t seq = 0;
 };
 
@@ -303,7 +299,13 @@ DenseVector serveRequestRhs(uint64_t seed, uint32_t id, Index n);
 /**
  * Drain @p trace against @p fleet: requests flow through a bounded
  * admission queue to cfg.threads workers; per-matrix work executes in
- * plan order (see the determinism contract above).  The RHS of
+ * plan order (see the determinism contract above).  The drain is
+ * work-conserving: a worker that pops an item whose matrix is busy, or
+ * not yet at the item's turn, parks the item with its matrix and pops
+ * the next one, and the worker that finishes a matrix's item runs the
+ * matrix's next item if it is parked.  Parked items sit outside the
+ * admission queue, so its depth bounds only the admitted items no
+ * worker has popped; parked ones are bounded by the plan.  The RHS of
  * request r is serveRequestRhs(cfg.rhsSeed, r.id, n).
  */
 ServeResult serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,

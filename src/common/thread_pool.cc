@@ -1,5 +1,6 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -76,6 +77,7 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
 
     struct Shared
     {
+        std::atomic<size_t> next{1};
         std::atomic<size_t> remaining;
         std::mutex mutex;
         std::condition_variable done;
@@ -84,46 +86,50 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
     auto shared = std::make_shared<Shared>();
     shared->remaining.store(chunks, std::memory_order_relaxed);
 
-    size_t per = range / chunks;
-    size_t extra = range % chunks;
-    size_t lo = begin;
+    // Chunk c covers [lo, lo + len): the first range % chunks chunks
+    // take one index more.
+    const size_t per = range / chunks;
+    const size_t extra = range % chunks;
+    auto runChunk = [shared, &fn, begin, per, extra](size_t c) {
+        size_t lo = begin + c * per + std::min(c, extra);
+        size_t len = per + (c < extra ? 1 : 0);
+        try {
+            fn(lo, lo + len);
+        } catch (...) {
+            std::lock_guard<std::mutex> elock(shared->mutex);
+            if (!shared->error)
+                shared->error = std::current_exception();
+        }
+        if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            std::lock_guard<std::mutex> dlock(shared->mutex);
+            shared->done.notify_all();
+        }
+    };
+    // Chunk 0 is the caller's, so a region's first index always runs on
+    // the calling thread; every other chunk runs on whichever thread
+    // claims its index first.  A claim that finds none left
+    // returns without touching fn: a queued task may run after the
+    // caller has returned.
+    auto claim = [shared, runChunk, chunks] {
+        for (size_t c;
+             (c = shared->next.fetch_add(1, std::memory_order_relaxed)) <
+             chunks;)
+            runChunk(c);
+    };
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        // Chunks after the first go to the queue; the first runs on the
-        // calling thread below.
-        size_t chunkLo = lo + per + (extra > 0 ? 1 : 0);
-        for (size_t c = 1; c < chunks; ++c) {
-            size_t len = per + (c < extra ? 1 : 0);
-            size_t chunkHi = chunkLo + len;
-            _queue.emplace_back([shared, &fn, chunkLo, chunkHi] {
-                try {
-                    fn(chunkLo, chunkHi);
-                } catch (...) {
-                    std::lock_guard<std::mutex> elock(shared->mutex);
-                    if (!shared->error)
-                        shared->error = std::current_exception();
-                }
-                if (shared->remaining.fetch_sub(
-                        1, std::memory_order_acq_rel) == 1) {
-                    std::lock_guard<std::mutex> dlock(shared->mutex);
-                    shared->done.notify_all();
-                }
-            });
-            chunkLo = chunkHi;
-        }
+        for (size_t c = 1; c < chunks; ++c)
+            _queue.emplace_back(claim);
     }
     _cv.notify_all();
 
-    // The caller executes the first chunk itself.
-    size_t firstHi = lo + per + (extra > 0 ? 1 : 0);
-    try {
-        fn(lo, firstHi);
-    } catch (...) {
-        std::lock_guard<std::mutex> elock(shared->mutex);
-        if (!shared->error)
-            shared->error = std::current_exception();
-    }
-    if (shared->remaining.fetch_sub(1, std::memory_order_acq_rel) > 1) {
+    // After its own chunk the caller claims until none is left, so it
+    // never sleeps while a chunk of its region waits in the queue behind
+    // workers busy with another region; then it waits only for the
+    // chunks still running.
+    runChunk(0);
+    claim();
+    {
         std::unique_lock<std::mutex> lock(shared->mutex);
         shared->done.wait(lock, [&] {
             return shared->remaining.load(std::memory_order_acquire) == 0;

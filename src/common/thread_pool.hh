@@ -10,13 +10,18 @@
  * - Determinism: parallelFor only promises that fn(i) runs exactly once
  *   per index; callers keep bit-for-bit reproducibility by writing into
  *   pre-sized slots and merging in index order.
+ * - Work conservation: a region's chunks are claimed from a shared
+ *   counter, by the caller as well as by the pool tasks it queues, so
+ *   a caller never sleeps while a chunk of its region waits in the
+ *   queue behind workers busy with another caller's region; it waits
+ *   only for chunks already running.
  * - Serial fallback: a pool with one thread (or a singleton range) runs
  *   the loop inline on the caller -- the exact serial code path, no
  *   queueing, no synchronization.
  * - Nesting: a parallelFor issued from inside a pool worker runs inline
  *   serially instead of deadlocking on the pool's own queue.
  * - Exceptions: the first exception thrown by any iteration is captured
- *   and rethrown on the calling thread after all workers finish.
+ *   and rethrown on the calling thread after every chunk has finished.
  *
  * The process-wide pool is sized by the ALR_THREADS environment
  * variable (or hardware concurrency when unset); tools expose a
@@ -61,15 +66,19 @@ class ThreadPool
 
     /**
      * Run fn(i) for every i in [begin, end).  The range is split into
-     * one contiguous chunk per worker; iteration order within a chunk
-     * is ascending.
+     * min(threadCount(), end - begin) contiguous chunks, the first
+     * (end - begin) % chunks of them one index longer; iteration order
+     * within a chunk is ascending.
      */
     void parallelFor(size_t begin, size_t end,
                      const std::function<void(size_t)> &fn);
 
     /**
      * Chunked variant: fn(chunkBegin, chunkEnd) once per contiguous
-     * chunk, for callers that amortize per-task state across a chunk.
+     * chunk (the chunks of parallelFor), for callers that amortize
+     * per-task state across a chunk.  The caller runs the first chunk;
+     * each other chunk runs on whichever thread claims it first, a pool
+     * worker or the caller once its own chunk is done.
      */
     void parallelForChunks(size_t begin, size_t end,
                            const std::function<void(size_t, size_t)> &fn);

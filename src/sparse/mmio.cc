@@ -1,6 +1,7 @@
 #include "sparse/mmio.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -72,12 +73,18 @@ readMatrixMarket(std::istream &in)
             malformed("missing size line");
     } while (line.empty() || line[0] == '%');
 
+    // Dimensions past the largest Index would wrap in the narrowing
+    // below and load a different shape.
+    constexpr long kMaxDim = long(std::numeric_limits<Index>::max());
     std::istringstream size(line);
     long rows = 0, cols = 0, entries = 0;
     size >> rows >> cols >> entries;
-    if (size.fail() || rows <= 0 || cols <= 0 || entries < 0 ||
-        hasTrailingToken(size))
+    if (size.fail() || rows <= 0 || cols <= 0 || rows > kMaxDim ||
+        cols > kMaxDim || entries < 0 || hasTrailingToken(size))
         malformedAt(lineno, "bad size line '" + line + "'");
+    // A mirrored entry (c, r) must fit the shape too.
+    if ((symmetric || skew) && rows != cols)
+        malformedAt(lineno, "a " + symmetry + " matrix must be square");
 
     CooMatrix coo{Index(rows), Index(cols)};
     for (long i = 0; i < entries; ++i) {

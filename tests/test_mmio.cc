@@ -1,10 +1,13 @@
 /**
  * @file
  * Matrix Market reader/writer tests, including symmetric/pattern
- * variants and malformed-input rejection.
+ * variants, malformed-input rejection and a seeded mutation loop.
  */
 
+#include <algorithm>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +106,41 @@ TEST(Mmio, RejectsOutOfRangeIndices)
        << "2 2 1\n"
        << "3 1 1.0\n";
     EXPECT_THROW(readMatrixMarket(ss), std::runtime_error);
+}
+
+TEST(Mmio, RejectsDimensionsPastTheIndexRange)
+{
+    // Narrowed to a 32-bit Index, 2^32 + 1 would load as 1 and 5e9 as
+    // 705,032,704: another shape, or entries that no longer fit it.
+    for (const char *size : {"4294967297 4294967297 1",
+                             "5000000000 5000000000 1", "1 4294967296 1"}) {
+        std::stringstream ss;
+        ss << "%%MatrixMarket matrix coordinate real general\n"
+           << size << "\n"
+           << "1 1 1.0\n";
+        EXPECT_THROW(readMatrixMarket(ss), std::runtime_error) << size;
+    }
+    // The largest Index is still a dimension.
+    std::stringstream ss;
+    ss << "%%MatrixMarket matrix coordinate real general\n"
+       << "4294967295 1 1\n"
+       << "4294967295 1 2.0\n";
+    CooMatrix coo = readMatrixMarket(ss);
+    EXPECT_EQ(coo.rows(), 4294967295u);
+    ASSERT_EQ(coo.nnz(), 1u);
+    EXPECT_EQ(coo.triplets()[0].row, 4294967294u);
+}
+
+TEST(Mmio, RejectsRectangularSymmetricFiles)
+{
+    // Entry (3, 1) fits a 3 x 2 shape, but its mirror (1, 3) does not.
+    for (const char *symmetry : {"symmetric", "skew-symmetric"}) {
+        std::stringstream ss;
+        ss << "%%MatrixMarket matrix coordinate real " << symmetry << "\n"
+           << "3 2 1\n"
+           << "3 1 1.0\n";
+        EXPECT_THROW(readMatrixMarket(ss), std::runtime_error) << symmetry;
+    }
 }
 
 TEST(Mmio, RejectsTruncatedEntryList)
@@ -221,6 +259,89 @@ TEST(Mmio, FileRoundTrip)
     CooMatrix back = readMatrixMarketFile(path);
     EXPECT_EQ(CsrMatrix::fromCoo(back), a);
     std::remove(path.c_str());
+}
+
+/**
+ * Seeded mutations of three valid files -- general, symmetric and
+ * pattern: truncation, byte flips, splices, an edited number anywhere,
+ * and an edited field of the size line, whose values every later check
+ * reads.  Every case must end in a matrix whose triplets all lie
+ * inside its shape or in the reader's error, never in an abort.
+ */
+TEST(Mmio, SeededMutationsEndInAMatrixOrAnError)
+{
+    Rng gen(11);
+    std::stringstream general, symmetric;
+    writeMatrixMarket(general, gen::randomSparse(12, 9, 3, gen).toCoo());
+    writeMatrixMarket(symmetric, gen::randomSpd(10, 3, gen).toCoo());
+    ASSERT_NE(symmetric.str().find(" symmetric\n"), std::string::npos);
+    const std::string inputs[] = {
+        general.str(), symmetric.str(),
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "% a comment line\n"
+        "6 5 7\n1 1\n2 3\n6 5\n3 2\n4 4\n5 1\n6 2\n"};
+    const char *const kNumbers[] = {
+        "0",          "-1",         "-12",        "1",
+        "3",          "2147483648", "4294967295", "4294967296",
+        "4294967297", "5000000000", "1e999",      "0.5"};
+    // [begin, end) of the first number at or after pos.
+    auto numberAt = [](const std::string &text, size_t pos) {
+        const size_t b = std::min(text.find_first_of("-0123456789", pos),
+                                  text.size());
+        const size_t e = text.find_first_not_of("-+.eE0123456789", b);
+        return std::make_pair(b, std::min(e, text.size()));
+    };
+    constexpr int kCases = 2000;
+    Rng rng(2025);
+    int matrices = 0, errors = 0;
+    for (int c = 0; c < kCases; ++c) {
+        std::string text = inputs[rng.nextRange(3)];
+        const size_t pos = rng.nextRange(text.size());
+        const char *number = kNumbers[rng.nextRange(12)];
+        switch (rng.nextRange(5)) {
+          case 0: // truncate
+              text.resize(pos);
+              break;
+          case 1: // flip the bits of one byte
+              text[pos] = char(text[pos] ^ (1 + rng.nextRange(255)));
+              break;
+          case 2: { // splice a span of the text over another place
+              const size_t from = rng.nextRange(text.size());
+              const size_t len = 1 + rng.nextRange(32);
+              text.replace(pos, rng.nextRange(32), text.substr(from, len));
+              break;
+          }
+          case 3: { // edit the first number at or after pos
+              const auto [b, e] = numberAt(text, pos);
+              text.replace(b, e - b, number);
+              break;
+          }
+          default: { // edit rows, columns or entries of the size line
+              size_t line = text.find('\n') + 1;
+              while (text[line] == '%')
+                  line = text.find('\n', line) + 1;
+              auto [b, e] = numberAt(text, line);
+              for (uint64_t field = rng.nextRange(3); field > 0; --field)
+                  std::tie(b, e) = numberAt(text, e);
+              text.replace(b, e - b, number);
+          }
+        }
+        std::istringstream in(text);
+        try {
+            const CooMatrix coo = readMatrixMarket(in);
+            ++matrices;
+            for (const Triplet &t : coo.triplets())
+                EXPECT_TRUE(t.row < coo.rows() && t.col < coo.cols())
+                    << "case " << c << ":\n" << text;
+        } catch (const std::runtime_error &e) {
+            ++errors;
+            EXPECT_EQ(std::string(e.what()).rfind("matrix market: ", 0), 0u)
+                << e.what();
+        }
+    }
+    // Both outcomes are reached, so the loop is not all rejects.
+    EXPECT_GT(matrices, kCases / 10);
+    EXPECT_GT(errors, kCases / 4);
 }
 
 } // namespace

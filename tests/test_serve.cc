@@ -37,15 +37,38 @@ testMatrices()
             gen::randomSpd(37, 4, rng)};
 }
 
+/** A warm fleet of the first @p entries test matrices. */
 ServeFleet
-makeFleet(const AccelParams &params = {})
+makeFleet(size_t entries = 3)
 {
-    ServeFleet fleet(params);
+    ServeFleet fleet;
     std::vector<CsrMatrix> ms = testMatrices();
-    for (size_t i = 0; i < ms.size(); ++i)
+    for (size_t i = 0; i < entries; ++i)
         fleet.add("m" + std::to_string(i), ms[i], true);
     fleet.warmSchedules();
     return fleet;
+}
+
+/** Two drains of one trace agree bit for bit: per request (results,
+ *  checksums, modeled cycles) and per engine (cycles, stat dumps). */
+void
+expectSameDrain(const ServeResult &want, const ServeFleet &wantFleet,
+                const ServeResult &got, const ServeFleet &gotFleet)
+{
+    EXPECT_EQ(want.completed, got.completed);
+    EXPECT_EQ(want.workItems, got.workItems);
+    EXPECT_EQ(want.checksums, got.checksums);
+    EXPECT_EQ(want.modeledCycles, got.modeledCycles);
+    ASSERT_EQ(want.results.size(), got.results.size());
+    for (size_t i = 0; i < want.results.size(); ++i)
+        EXPECT_EQ(want.results[i], got.results[i]) << "request " << i;
+    ASSERT_EQ(wantFleet.size(), gotFleet.size());
+    for (size_t m = 0; m < wantFleet.size(); ++m) {
+        EXPECT_EQ(wantFleet.at(m).engine().totalCycles(),
+                  gotFleet.at(m).engine().totalCycles());
+        EXPECT_EQ(statDump(wantFleet.at(m).engine()),
+                  statDump(gotFleet.at(m).engine()));
+    }
 }
 
 TraceParams
@@ -272,6 +295,9 @@ TEST(ServeEquivalence, BatchedRequestCyclesSumExactly)
 
 TEST(ServeEquivalence, ThreadCountInvariant)
 {
+    // Every (workers, queue depth) drain reproduces the one-worker
+    // drain: a queue of depth 1 keeps the producer blocked, one of 64
+    // lets workers pop far ahead of a matrix's turn and park.
     std::vector<ServeRequest> trace =
         generateTrace(smallTrace(60), {1, 1, 1});
     ServeConfig cfg;
@@ -279,26 +305,44 @@ TEST(ServeEquivalence, ThreadCountInvariant)
     cfg.keepResults = true;
     cfg.pcgIterations = 4;
 
-    ServeConfig cfg4 = cfg;
-    cfg4.threads = 4;
-    cfg4.queueDepth = 3; // exercise producer back-pressure too
-
     ServeFleet f1 = makeFleet();
     ServeResult r1 = serve(f1, trace, cfg);
-    ServeFleet f4 = makeFleet();
-    ServeResult r4 = serve(f4, trace, cfg4);
+    ASSERT_EQ(r1.completed, trace.size());
+    for (int threads : {2, 3, 8})
+        for (size_t depth : {size_t(1), size_t(3), size_t(64)}) {
+            SCOPED_TRACE(std::to_string(threads) + " workers, queue depth " +
+                         std::to_string(depth));
+            ServeConfig many = cfg;
+            many.threads = threads;
+            many.queueDepth = depth;
+            ServeFleet fleet = makeFleet();
+            ServeResult res = serve(fleet, trace, many);
+            expectSameDrain(r1, f1, res, fleet);
+        }
+}
 
-    EXPECT_EQ(r1.completed, r4.completed);
-    EXPECT_EQ(r1.workItems, r4.workItems);
-    EXPECT_EQ(r1.checksums, r4.checksums);
-    EXPECT_EQ(r1.modeledCycles, r4.modeledCycles);
-    for (size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(r1.results[i], r4.results[i]) << "request " << i;
-    for (size_t m = 0; m < f1.size(); ++m) {
-        EXPECT_EQ(f1.at(m).engine().totalCycles(),
-                  f4.at(m).engine().totalCycles());
-        EXPECT_EQ(statDump(f1.at(m).engine()),
-                  statDump(f4.at(m).engine()));
+TEST(ServeEquivalence, OneMatrixTraceParksAndChains)
+{
+    // Every request targets one matrix, so at 8 workers nearly every
+    // popped item finds its matrix busy and parks, and the worker that
+    // finishes an item runs the next one itself.
+    std::vector<ServeRequest> trace = generateTrace(smallTrace(80), {1});
+    ServeConfig cfg;
+    cfg.batchWindow = 4;
+    cfg.keepResults = true;
+    cfg.pcgIterations = 4;
+
+    ServeFleet f1 = makeFleet(1);
+    ServeResult r1 = serve(f1, trace, cfg);
+    for (size_t depth : {size_t(3), size_t(64)}) {
+        SCOPED_TRACE("queue depth " + std::to_string(depth));
+        ServeConfig many = cfg;
+        many.threads = 8;
+        many.queueDepth = depth;
+        ServeFleet fleet = makeFleet(1);
+        ServeResult res = serve(fleet, trace, many);
+        EXPECT_EQ(res.completed, trace.size());
+        expectSameDrain(r1, f1, res, fleet);
     }
 }
 
@@ -319,8 +363,9 @@ TEST(ServeFleetTest, WarmSchedulesCompilesEverythingOnce)
 TEST(ServeFleetTest, SecondDrainOfOneFleetMatchesFreshFleets)
 {
     // Every drain numbers each matrix's work items from 0, so a second
-    // serve() on the same fleet must start its per-matrix gates over
-    // instead of waiting forever for sequence 0.
+    // serve() on the same fleet must start each matrix's turns over:
+    // turns carried over from the first drain would park every item of
+    // the second, each waiting for a turn that never comes.
     std::vector<ServeRequest> first =
         generateTrace(smallTrace(40), {1, 1, 1});
     TraceParams tp = smallTrace(40);

@@ -1,14 +1,17 @@
 /**
  * @file
  * Thread-pool unit tests: full range coverage, chunk contiguity,
- * serial fallback, nested-call inlining, exception propagation, the
+ * serial fallback, nested-call inlining, a caller finishing its region
+ * while the workers are busy, exception propagation, the
  * ALR_THREADS environment override and its bound, and waitAtLeast, the
  * wait a region's participants use.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -110,6 +113,53 @@ TEST(ThreadPool, PropagatesFirstException)
         }
         EXPECT_GT(ran.load(), 0);
     }
+}
+
+TEST(ThreadPool, CallerFinishesItsRegionWhileWorkersAreBusy)
+{
+    // Region A holds every worker of the pool, and its own caller, in a
+    // chunk that waits on a flag.  Region B, run from another thread,
+    // must still cover its range before the flag is released: B's
+    // caller claims the chunks its queued tasks cannot reach behind
+    // the busy workers.  A region that waits for those tasks instead
+    // finishes only after the release, so the wait is bounded and a
+    // timeout fails the case rather than hanging it.
+    ThreadPool pool(4);
+    std::atomic<bool> release{false};
+    std::atomic<int> holding{0};
+    std::thread a([&] {
+        pool.parallelForChunks(0, 4, [&](size_t, size_t) {
+            holding.fetch_add(1);
+            while (!release.load())
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+    });
+    while (holding.load() < 4)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    constexpr size_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    std::promise<void> finished;
+    std::future<void> regionB = finished.get_future();
+    std::thread b([&] {
+        pool.parallelFor(0, kN, [&](size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        finished.set_value();
+    });
+    const bool beforeRelease = regionB.wait_for(std::chrono::seconds(10)) ==
+                               std::future_status::ready;
+    std::vector<int> seen(kN);
+    for (size_t i = 0; i < kN; ++i)
+        seen[i] = hits[i].load();
+    release.store(true);
+    b.join();
+    a.join();
+
+    EXPECT_TRUE(beforeRelease)
+        << "region B waited for workers held by region A";
+    for (size_t i = 0; i < kN; ++i)
+        EXPECT_EQ(seen[i], 1) << "index " << i;
 }
 
 TEST(ThreadPool, EnvOverridesDefaultThreadCount)
