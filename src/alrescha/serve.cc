@@ -345,8 +345,11 @@ serve(ServeFleet &fleet, const std::vector<ServeRequest> &trace,
                 double(inFlight.fetch_add(1, std::memory_order_relaxed) +
                        1));
             // Pop to replay start: how long the item waited for its
-            // matrix, parked.
-            timeline::hostSpan("gate", "serve", qi.poppedUs, replayUs);
+            // matrix, parked.  Keyed by the item's first request, as
+            // another worker may have popped it while this one ran
+            // earlier spans.
+            timeline::hostAsyncSpan("gate", "serve", item.requestIds[0],
+                                    qi.poppedUs, replayUs);
             timeline::serveCounter("batch_occupancy", replayUs, double(k));
         }
 

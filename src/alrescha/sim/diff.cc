@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "alrescha/serve.hh"
 #include "alrescha/sim/profile.hh"
@@ -1182,13 +1183,27 @@ struct Checker
     }
 
     /** A timeline, against the sim report of its run when one is named:
-     *  the modeled plane's clock is that run's cycles. */
+     *  the modeled plane's clock is that run's cycles.  On the host and
+     *  serve planes the complete spans of each track nest (a wait that
+     *  crosses threads is an async begin/end pair instead), and every
+     *  async begin has one end, no earlier, under its name and id. */
     void timeline(const json::Value &t, const std::string &at,
                   const json::Value *report)
     {
         const auto &events = member(t, "traceEvents").elements();
         const int64_t end = report ? countAt(*report, "cycles") : -1;
         size_t spans = 0, metas = 0;
+        // Wall-clock spans per (pid, tid) track, [ts, ts + dur) with
+        // the event index; async begin and end per (pid, name, id).
+        struct Span
+        {
+            int64_t ts, end;
+            size_t i;
+        };
+        std::map<std::pair<int64_t, int64_t>, std::vector<Span>> tracks;
+        std::map<std::tuple<int64_t, std::string, int64_t>,
+                 std::pair<int64_t, int64_t>>
+            async;
         need(t, "[traceEvents", at);
         for (size_t i = 0; i < events.size(); ++i) {
             const json::Value &ev = events[i];
@@ -1199,15 +1214,60 @@ struct Checker
             spans += ph == "X";
             if (ph == "M" || ph.empty())
                 continue;
-            expect(ph == "X" || ph == "C" || ph == "i", where, "unknown ph");
-            need(ev, ph == "X" ? "tid #ts #dur" : "tid #ts", where);
+            const bool pair = ph == "b" || ph == "e";
+            expect(ph == "X" || ph == "C" || ph == "i" || pair, where,
+                   "unknown ph");
+            need(ev, ph == "X" ? "tid #ts #dur" : pair ? "tid #ts #id"
+                                                       : "tid #ts",
+                 where);
             if (ph == "C")
                 need(member(ev, "args"), "value", where + ": args");
             const int64_t ts = countAt(ev, "ts"), dur = countAt(ev, "dur");
+            const int64_t pid = countAt(ev, "pid");
             expect(ph != "X" || end < 0 || ts < 0 || dur < 0 ||
-                       countAt(ev, "pid") != timeline::kPidModeled ||
+                       pid != timeline::kPidModeled ||
                        (ts <= end && dur <= end - ts),
                    where, "modeled span ends after the run's cycles");
+            if (ph == "X" && ts >= 0 && dur >= 0 &&
+                (pid == timeline::kPidHost || pid == timeline::kPidServe))
+                tracks[{pid, countAt(ev, "tid")}].push_back(
+                    {ts, ts + dur, i});
+            if (pair && ts >= 0) {
+                auto &[b, e] = async.try_emplace(
+                    {pid, ev.stringAt("name"), countAt(ev, "id")}, -1, -1)
+                    .first->second;
+                int64_t &mark = ph == "b" ? b : e;
+                expect(mark < 0, where, "async " + ph + " repeated");
+                mark = ts;
+            }
+        }
+        for (auto &[track, list] : tracks) {
+            // Ascending start, the longer of two equal starts first:
+            // each span must end inside every open span it starts in.
+            std::sort(list.begin(), list.end(),
+                      [](const Span &a, const Span &b) {
+                          return a.ts != b.ts ? a.ts < b.ts : a.end > b.end;
+                      });
+            std::vector<const Span *> open;
+            for (const Span &sp : list) {
+                while (!open.empty() && open.back()->end <= sp.ts)
+                    open.pop_back();
+                expect(open.empty() || sp.end <= open.back()->end,
+                       at + ": event " + std::to_string(sp.i),
+                       "span overlaps event " +
+                           std::to_string(open.empty() ? 0 : open.back()->i) +
+                           " on its track without nesting");
+                open.push_back(&sp);
+            }
+        }
+        for (const auto &[key, be] : async) {
+            const std::string where = at + ": async '" + std::get<1>(key) +
+                                      "' id " +
+                                      std::to_string(std::get<2>(key));
+            expect(be.first >= 0 && be.second >= 0, where,
+                   "begin without end or end without begin");
+            expect(be.first < 0 || be.second < 0 || be.first <= be.second,
+                   where, "ends before it begins");
         }
         expect(!events.empty(), at, "no traceEvents");
         expect(events.empty() || spans > 0, at, "no complete spans");

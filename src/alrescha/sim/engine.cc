@@ -30,21 +30,26 @@ using profile::Cause;
  *  precomputed timing term (the timing walk computes them) and
  *  narrowed the params fingerprint to omega and skipEmptyBlockRows,
  *  version 6 writes each distinct row store once, ahead of the
- *  schedules that name it, and dropped the SpMM stream bytes, and
- *  version 7 dropped the contiguous-rows flag, which chose a replay
- *  kernel arm that no longer exists, and the last data path, which is
- *  the last entry of the per-path data paths. */
+ *  schedules that name it, and dropped the SpMM stream bytes, version
+ *  7 dropped the contiguous-rows flag, which chose a replay kernel arm
+ *  that no longer exists, and the last data path, which is the last
+ *  entry of the per-path data paths, and version 8 writes one row
+ *  store per matrix, named by the matrix's content hash instead of a
+ *  store index and a per-table key, and a backward sweep's store
+ *  offset per block-row group. */
 constexpr uint32_t kSchedCacheMagic = 0xA15ECAC1;
-constexpr uint32_t kSchedCacheVersion = 7;
+constexpr uint32_t kSchedCacheVersion = 8;
 
 namespace {
 
 /**
  * Whether a restored schedule can replay against the programmed
- * (@p ld, @p table) pair: one path per table entry, an operand staging
- * length equal to the one compileSchedule would choose, and every row
- * record inside the matrix and inside its path's block row.  The cache
- * loader has already checked what the schedule alone determines.
+ * (@p ld, @p table) pair: one path per table entry, each on the store
+ * path, block and data path its entry names, an operand staging length
+ * equal to the one compileSchedule would choose, a store of one path
+ * per stored block, and every row record inside the matrix and inside
+ * its path's block row.  The cache loader has already checked what the
+ * schedule alone determines.
  */
 bool
 fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
@@ -54,18 +59,30 @@ fitsProgram(const ExecSchedule &s, const LocallyDenseMatrix &ld,
     const Index operandLen = table.kernel() != KernelType::SymGS
                                  ? ld.cols()
                                  : std::max(ld.rows(), ld.cols());
+    const std::vector<ConfigEntry> &entries = table.entries();
+    const std::vector<LdBlockInfo> &blocks = ld.blocks();
+    const bool backward = table.kernel() == KernelType::SymGS &&
+                          table.direction() == GsSweep::Backward;
     if (s.kernel != table.kernel() || s.omega != omega ||
-        s.pathCount != table.entries().size() ||
+        s.reversed() != backward || s.pathCount != entries.size() ||
+        s.rows->paths() != blocks.size() ||
         s.paddedOperand != size_t((operandLen + omega - 1) / omega) * omega)
         return false;
     const RowStore &R = *s.rows;
-    for (size_t i = 0; i < s.pathCount; ++i) {
-        const uint64_t r0 = uint64_t(s.blockRow[i]) * omega;
-        for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
-            // Unsigned: a row below r0 wraps far past omega.
-            const uint64_t r = R.rowIndex[rr];
-            if (r >= ld.rows() || r - r0 >= omega)
+    for (size_t g = 0; g < s.groupCount(); ++g) {
+        for (size_t i = s.groupBegin[g]; i < s.groupBegin[g + 1]; ++i) {
+            const size_t j = s.groupFirst(g) + (i - s.groupBegin[g]);
+            if (j != entries[i].blockId || s.dp[i] != entries[i].dp ||
+                s.blockRow[i] != blocks[j].blockRow ||
+                s.blockCol[i] != blocks[j].blockCol)
                 return false;
+            const uint64_t r0 = uint64_t(s.blockRow[i]) * omega;
+            for (size_t rr = R.rowBegin[j]; rr < R.rowBegin[j + 1]; ++rr) {
+                // Unsigned: a row below r0 wraps far past omega.
+                const uint64_t r = R.rowIndex[rr];
+                if (r >= ld.rows() || r - r0 >= omega)
+                    return false;
+            }
         }
     }
     return true;
@@ -223,16 +240,10 @@ Engine::prepare()
         break;
     }
     if (!slot.sched) {
-        // A live schedule of the same matrix whose table has the same
-        // row-store key holds exactly the records this one needs.
-        const uint64_t rowKey = rowStoreKey(*_table, _params);
-        auto sibling = std::find_if(
-            _schedules.begin(), _schedules.end(), [&](const ScheduleSlot &s) {
-                return s.ldGen == slot.ldGen && s.sched->rows->key == rowKey;
-            });
+        // A live schedule of the same matrix holds its row store.
         slot.sched = std::make_unique<ExecSchedule>(compileSchedule(
             *_ld, *_table, _params, &hostPool(),
-            sibling != _schedules.end() ? sibling->sched->rows : nullptr));
+            sameLd != _schedules.end() ? sameLd->sched->rows : nullptr));
         ++_scheduleCompiles;
     }
     slot.memo = std::make_unique<TimingMemo>();
@@ -259,24 +270,24 @@ Engine::saveScheduleCache(std::ostream &out) const
     // Serialize the body first so the header can carry its checksum:
     // structural validation alone cannot catch a flipped byte inside a
     // serialized double, but the digest catches any corruption.  Each
-    // distinct row store is written once, in the order schedules first
-    // name it, and every schedule names its store by that position.
-    std::vector<const RowStore *> stores;
-    std::vector<uint32_t> storeOf;
-    for (const ScheduleSlot &slot : _schedules) {
-        const RowStore *rows = slot.sched->rows.get();
-        auto at = std::find(stores.begin(), stores.end(), rows);
-        storeOf.push_back(uint32_t(at - stores.begin()));
-        if (at == stores.end())
-            stores.push_back(rows);
-    }
+    // matrix's row store is written once, in the order schedules first
+    // name the matrix, under the matrix's content hash, which names it
+    // for every schedule of that matrix.
+    std::vector<const ScheduleSlot *> stores;
+    for (const ScheduleSlot &slot : _schedules)
+        if (std::none_of(stores.begin(), stores.end(),
+                         [&](const ScheduleSlot *s) {
+                             return s->ldHash == slot.ldHash;
+                         }))
+            stores.push_back(&slot);
     std::ostringstream body;
     bio::writePod<uint32_t>(body, uint32_t(stores.size()));
-    for (const RowStore *rows : stores)
-        serializeRowStore(body, *rows);
+    for (const ScheduleSlot *slot : stores) {
+        bio::writePod<uint64_t>(body, slot->ldHash);
+        serializeRowStore(body, *slot->sched->rows);
+    }
     bio::writePod<uint32_t>(body, uint32_t(_schedules.size()));
-    for (size_t i = 0; i < _schedules.size(); ++i) {
-        const ScheduleSlot &slot = _schedules[i];
+    for (const ScheduleSlot &slot : _schedules) {
         bio::writePod<uint64_t>(body, slot.ldHash);
         bio::writePod<uint64_t>(body, slot.tableHash);
         bio::writePod<uint64_t>(body, uint64_t(slot.entryCount));
@@ -284,7 +295,6 @@ Engine::saveScheduleCache(std::ostream &out) const
         bio::writePod<uint64_t>(body, uint64_t(slot.streamLen));
         bio::writePod<uint8_t>(body, uint8_t(slot.kernel));
         bio::writePod<uint32_t>(body, slot.omega);
-        bio::writePod<uint32_t>(body, storeOf[i]);
         serializeSchedule(body, *slot.sched);
     }
     const std::string bytes = std::move(body).str();
@@ -333,6 +343,8 @@ Engine::loadScheduleCache(std::istream &in)
         uint64_t bodyHash = bio::readPod<uint64_t>(in);
         if (bodyLen > (uint64_t(1) << 34))
             throw std::runtime_error("implausible schedule cache size");
+        if (bodyLen > bio::remaining(in))
+            throw std::runtime_error("truncated schedule cache");
         std::string bytes(size_t(bodyLen), '\0');
         in.read(bytes.data(), std::streamsize(bytes.size()));
         if (size_t(in.gcount()) != bytes.size())
@@ -343,11 +355,24 @@ Engine::loadScheduleCache(std::istream &in)
         const uint32_t storeCount = bio::readPod<uint32_t>(body);
         if (storeCount > 4096)
             throw std::runtime_error("implausible row store count");
-        std::vector<std::shared_ptr<const RowStore>> stores;
-        for (uint32_t i = 0; i < storeCount; ++i)
+        // One store per matrix, keyed by its content hash; the first
+        // schedule to name a store counts its bytes.
+        struct Store
+        {
+            uint64_t ldHash;
+            std::shared_ptr<const RowStore> rows;
+            bool named = false;
+        };
+        std::vector<Store> stores;
+        for (uint32_t i = 0; i < storeCount; ++i) {
+            const uint64_t ldHash = bio::readPod<uint64_t>(body);
+            for (const Store &st : stores)
+                if (st.ldHash == ldHash)
+                    throw std::runtime_error("two row stores of one matrix");
             stores.push_back(
-                std::make_shared<const RowStore>(deserializeRowStore(body)));
-        std::vector<bool> named(storeCount, false);
+                {ldHash,
+                 std::make_shared<const RowStore>(deserializeRowStore(body))});
+        }
         uint32_t count = bio::readPod<uint32_t>(body);
         if (count > 4096)
             throw std::runtime_error("implausible schedule count");
@@ -360,14 +385,15 @@ Engine::loadScheduleCache(std::istream &in)
             slot.streamLen = size_t(bio::readPod<uint64_t>(body));
             slot.kernel = KernelType(bio::readPod<uint8_t>(body));
             slot.omega = bio::readPod<uint32_t>(body);
-            const uint32_t store = bio::readPod<uint32_t>(body);
-            if (store >= storeCount)
+            auto store = std::find_if(
+                stores.begin(), stores.end(),
+                [&](const Store &st) { return st.ldHash == slot.ldHash; });
+            if (store == stores.end())
                 throw std::runtime_error("schedule names a missing row store");
             slot.sched = std::make_unique<ExecSchedule>(
-                deserializeSchedule(body, stores[store]));
-            // The first schedule to name a store counts its bytes.
-            slot.sched->countsRows = !named[store];
-            named[store] = true;
+                deserializeSchedule(body, store->rows));
+            slot.sched->countsRows = !store->named;
+            store->named = true;
             // Function pointers do not serialize: re-stamp the replay
             // entry points for this process's ISA and knobs, making
             // the restored schedule indistinguishable from a fresh
@@ -646,7 +672,10 @@ class Engine::Walk
             return _replayed;
         const std::vector<StreamTerm> rowTerms = _engine.rowStreamTerms();
         gemvPaths(
-            S, [&](size_t i) { return _engine.gemvStreamTerm(S, i, rowTerms); },
+            S,
+            [&](size_t i) {
+                return _engine.gemvStreamTerm(S, i, S.pathRows(i), rowTerms);
+            },
             active);
         const RunTiming t = end();
         record(t);
@@ -893,7 +922,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     auto spmmTerm = [&](size_t i) {
         const size_t rowCount =
             _params.skipEmptyBlockRows ? S.pathRows(i) : size_t(S.omega);
-        StreamTerm st = gemvStreamTerm(S, i, rowTerms);
+        StreamTerm st = gemvStreamTerm(S, i, S.pathRows(i), rowTerms);
         st.cycles = std::max(st.mem, uint64_t(rowCount) * k);
         return st;
     };
@@ -901,7 +930,7 @@ Engine::runSpmm(const std::vector<DenseVector> &xs, RunTiming *timing)
     if (w.walking()) {
         uint64_t spmvStream = 0;
         w.gemvPaths(S, [&](size_t i) {
-            spmvStream += gemvStreamTerm(S, i, rowTerms).cycles;
+            spmvStream += gemvStreamTerm(S, i, S.pathRows(i), rowTerms).cycles;
             return spmmTerm(i);
         });
         t = w.end();
@@ -991,13 +1020,21 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
         uint64_t depT = 0; // completion of the dependence chain
         uint64_t seq = 0;
         uint64_t depth = 0; // link-stack occupancy
+        // Path by path in table order; a path's record count is its
+        // store path's (a backward sweep's groups sit at groupStore).
+        const RowStore &R = *S.rows;
+        size_t g = 0;
         for (size_t i = 0; i < S.pathCount; ++i) {
+            if (i == S.groupBegin[g + 1])
+                ++g;
             const DataPathType dp = S.dp[i];
             const Index br = S.blockRow[i];
+            const size_t pathRows =
+                R.pathRows(S.groupFirst(g) + (i - S.groupBegin[g]));
             if (dp == DataPathType::Gemv) {
                 w.enter(dp, br);
                 w.read(S.operandVec[i], S.blockCol[i]);
-                w.stream(gemvStreamTerm(S, i, rowTerms));
+                w.stream(gemvStreamTerm(S, i, pathRows, rowTerms));
                 ++depth;
                 if (w.spans())
                     timeline::counter("link_depth", w.base() + w.clock(),
@@ -1008,7 +1045,6 @@ Engine::runSymgsSweep(const DenseVector &b, DenseVector &x,
             // The chain starts once the pipeline has filled behind the
             // stream front, the previous link is done and the diagonal
             // chunk is read; x^t's chunk writes back after it.
-            const size_t pathRows = S.pathRows(i);
             w.enter(dp, br, false);
             w.stream(chainTerm, pathRows * sizeof(Value));
             const uint64_t diagRead = w.dependentRead(CacheVec::Diag, br);

@@ -142,9 +142,10 @@ class Engine
      * Compile (or fetch from the cache) the execution schedule for the
      * programmed pair, so the first run after programming is already
      * cheap; every run replays it.  A compile binds the row store of a
-     * cached schedule of the same matrix and rowStoreKey instead of
-     * gathering its own, so a graph load's BFS, SSSP, PageRank and SpMV
-     * schedules hold one store.  Never nullptr.
+     * cached schedule of the same matrix instead of gathering its own,
+     * so a PDE load's SpMV and sweep schedules hold one store, as do a
+     * graph load's BFS, SSSP, PageRank and SpMV schedules.  Never
+     * nullptr.
      */
     const ExecSchedule *prepareSchedule();
 
@@ -211,9 +212,10 @@ class Engine
 
     /**
      * Persist the MRU schedule cache (front-to-back) in the versioned
-     * binary cache format: each distinct row store once, then the
-     * content-hash keys and the compiled state of each schedule, which
-     * names its store.  Returns false (after warn) on a write failure.
+     * binary cache format: each matrix's row store once, under the
+     * matrix's content hash, then the content-hash keys and the
+     * compiled state of each schedule.  Returns false (after warn) on
+     * a write failure.
      */
     bool saveScheduleCache(std::ostream &out) const;
     bool saveScheduleCacheFile(const std::string &path) const;
@@ -403,15 +405,16 @@ class Engine
      *  values: one block row of omega operands issues per cycle, and
      *  the memory pipe may be the slower side for wide blocks. */
     StreamTerm blockStreamTerm(Index payload) const;
-    /** The stream term of GEMV path @p i of @p S: its occupied rows'
-     *  entry of @p row_terms when empty rows are skipped, else its
-     *  block's whole payload (LocallyDenseMatrix::payloadSize).
-     *  Inline: the timing walk asks once per path. */
-    StreamTerm gemvStreamTerm(const ExecSchedule &S, size_t i,
+    /** The stream term of GEMV path @p i of @p S, whose store path
+     *  holds @p rows records: their entry of @p row_terms when empty
+     *  rows are skipped, else its block's whole payload
+     *  (LocallyDenseMatrix::payloadSize).  Inline: the timing walk asks
+     *  once per path. */
+    StreamTerm gemvStreamTerm(const ExecSchedule &S, size_t i, size_t rows,
                               const std::vector<StreamTerm> &row_terms) const
     {
         if (_params.skipEmptyBlockRows)
-            return row_terms[S.pathRows(i)];
+            return row_terms[rows];
         return blockStreamTerm(LocallyDenseMatrix::payloadSize(
             _ld->layout(), S.blockRow[i] == S.blockCol[i], _ld->omega()));
     }

@@ -66,17 +66,17 @@ struct GenericBuf
     std::vector<Value> heap;
 };
 
-/** All row dots of one runtime-ω path (buf holds ceilPow2(ω) lanes;
- *  sumTree zeroes its own pad lanes). */
+/** All row dots of runtime-ω store path @p j (buf holds ceilPow2(ω)
+ *  lanes; sumTree zeroes its own pad lanes). */
 template <typename Sink>
 inline void
-pathRowsGeneric(const ExecSchedule &S, size_t i, const Value *x,
+pathRowsGeneric(const ExecSchedule &S, size_t j, const Value *x,
                 Value *buf, Sink &&sink)
 {
     const Index omega = S.omega;
     const RowStore &R = *S.rows;
     const Value *vals = R.values.data();
-    for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+    for (size_t rr = R.rowBegin[j]; rr < R.rowBegin[j + 1]; ++rr) {
         const Value *v = vals + rr * size_t(omega);
         for (Index l = 0; l < omega; ++l)
             buf[l] = v[l] * x[l];
@@ -131,26 +131,30 @@ sweepGeneric(const ExecSchedule &S, const Value *b, const Value *diag,
     const RowStore &R = *S.rows;
     const Index *rowIndex = R.rowIndex.data();
     const Value *vals = R.values.data();
+    const bool reverse = S.reversed();
     GenericBuf buf(omega), acc(omega);
     for (size_t k = begin; k < end; ++k) {
         const size_t g = order ? order[k] : k;
         const size_t first = S.groupBegin[g];
-        const size_t chain = S.groupBegin[g + 1] - 1;
-        const Index r0 = S.blockRow[chain] * omega;
-        for (size_t i = first; i < chain; ++i) {
-            Value *slot = links + (i - first) * omega;
+        const size_t gemvs = S.groupBegin[g + 1] - 1 - first;
+        const size_t j0 = S.groupFirst(g);
+        const Index r0 = S.blockRow[first] * omega;
+        for (size_t e = 0; e < gemvs; ++e) {
+            Value *slot = links + e * omega;
             std::fill(slot, slot + omega, 0.0);
-            pathRowsGeneric(S, i, xw + S.xOff[i], buf.p,
+            pathRowsGeneric(S, j0 + e, xw + S.xOff[first + e], buf.p,
                             [slot, r0, rowIndex](size_t rr, Value d) {
                                 slot[rowIndex[rr] - r0] = d;
                             });
         }
         std::fill(acc.p, acc.p + omega, 0.0);
-        for (size_t e = chain - first; e-- > 0;)
+        for (size_t e = gemvs; e-- > 0;)
             for (Index l = 0; l < omega; ++l)
                 acc.p[l] += links[e * omega + l];
-        for (size_t rr = R.rowBegin[chain]; rr < R.rowBegin[chain + 1];
-             ++rr) {
+        const size_t c = R.rowBegin[j0 + gemvs];
+        const size_t steps = R.rowBegin[j0 + gemvs + 1] - c;
+        for (size_t n = 0; n < steps; ++n) {
+            const size_t rr = reverse ? c + steps - 1 - n : c + n;
             const Index r = rowIndex[rr];
             const Index lr = r - r0;
             const Value *v = vals + rr * size_t(omega);

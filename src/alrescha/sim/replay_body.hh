@@ -208,14 +208,14 @@ pairDot(const V *pu, const V *pw)
 }
 
 /**
- * All row dots of one path at compile-time ω, two rows per iteration
- * (fills the shuffle ports; the pair epilogue shares work between the
- * rows).  The operand chunk loads once into registers for the whole
- * path.  sink(rr, dot) receives rows in record order.
+ * All row dots of store path @p path at compile-time ω, two rows per
+ * iteration (fills the shuffle ports; the pair epilogue shares work
+ * between the rows).  The operand chunk loads once into registers for
+ * the whole path.  sink(rr, dot) receives rows in record order.
  */
 template <Index Omega, typename Sink>
 inline void
-pathRows(const RowStore &R, size_t i, const Value *x, Sink &&sink)
+pathRows(const RowStore &R, size_t path, const Value *x, Sink &&sink)
 {
     constexpr int C = kLanes < int(Omega) ? kLanes : int(Omega);
     constexpr int N = int(Omega) / C;
@@ -223,8 +223,8 @@ pathRows(const RowStore &R, size_t i, const Value *x, Sink &&sink)
     Vec<C> xv[N];
     for (int j = 0; j < N; ++j)
         xv[j] = loadv<C>(x + j * C);
-    size_t rr = R.rowBegin[i];
-    const size_t re = R.rowBegin[i + 1];
+    size_t rr = R.rowBegin[path];
+    const size_t re = R.rowBegin[path + 1];
     for (; rr + 2 <= re; rr += 2) {
         const Value *v = vals + rr * size_t(Omega);
         Vec<C> pu[N], pw[N];
@@ -267,10 +267,10 @@ dotScalar(const Value *v, const Value *x)
 
 template <Index Omega, typename Sink>
 inline void
-pathRows(const RowStore &R, size_t i, const Value *x, Sink &&sink)
+pathRows(const RowStore &R, size_t path, const Value *x, Sink &&sink)
 {
     const Value *vals = R.values.data();
-    for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr)
+    for (size_t rr = R.rowBegin[path]; rr < R.rowBegin[path + 1]; ++rr)
         sink(rr, dotScalar<Omega>(vals + rr * size_t(Omega), x));
 }
 
@@ -363,22 +363,25 @@ spmmPathsT(const ExecSchedule &S, const Value *xt, Value *yt, size_t k,
 }
 
 /**
- * The D-SymGS chain of path @p i at compile-time ω: each row's dot with
- * the block row's chunk updates xw[r] = (b[r] - (acc[lr] + dot)) /
- * diag[r].  The record holds the diagonal, so its lane is masked to
- * exactly +0.0, as the interpreter's zeroed value and operand give
- * (v * 0.0 would be -0.0 for a negative diagonal).  Scalar in every
- * ISA table: the chain is a latency-bound recurrence, and wider lanes
- * measured no faster.
+ * The D-SymGS chain of store path @p j at compile-time ω, its records
+ * first to last, or last to first when @p reverse (a backward sweep):
+ * each row's dot with the block row's chunk updates xw[r] = (b[r] -
+ * (acc[lr] + dot)) / diag[r].  The record holds the diagonal, so its
+ * lane is masked to exactly +0.0, as the interpreter's zeroed value and
+ * operand give (v * 0.0 would be -0.0 for a negative diagonal).  Scalar
+ * in every ISA table: the chain is a latency-bound recurrence, and
+ * wider lanes measured no faster.
  */
 template <Index Omega>
 inline void
-chainRows(const RowStore &R, size_t i, Index r0, const Value *acc,
-          const Value *b, const Value *diag, Value *xw)
+chainRows(const RowStore &R, size_t j, bool reverse, Index r0,
+          const Value *acc, const Value *b, const Value *diag, Value *xw)
 {
     const Value *vals = R.values.data();
     const Value *xc = xw + r0;
-    for (size_t rr = R.rowBegin[i]; rr < R.rowBegin[i + 1]; ++rr) {
+    const size_t first = R.rowBegin[j], steps = R.rowBegin[j + 1] - first;
+    for (size_t n = 0; n < steps; ++n) {
+        const size_t rr = reverse ? first + steps - 1 - n : first + n;
         const Index r = R.rowIndex[rr];
         const Index lr = r - r0;
         const Value *v = vals + rr * size_t(Omega);
@@ -394,13 +397,14 @@ chainRows(const RowStore &R, size_t i, Index r0, const Value *acc,
 
 /**
  * A range of a SymGS sweep's group order (replay::SweepFn).  Each
- * block-row group is its GEMVs and then its chain.  The GEMVs run in
- * path order, each writing its row dots into its own zero-filled slot
- * of @p links (a push); the slots then add newest first onto +0.0 (the
- * pop-accumulate) -- the link stack's exact arithmetic -- and the chain
- * runs on the sum.  Path order streams the row store forwards, which
- * measured faster than adding each dot into the sum as the GEMVs run
- * newest first.
+ * block-row group is its GEMVs and then its chain, store paths
+ * groupFirst(g) onwards.  The GEMVs run in path order, each writing its
+ * row dots into its own zero-filled slot of @p links (a push); the
+ * slots then add newest first onto +0.0 (the pop-accumulate) -- the
+ * link stack's exact arithmetic -- and the chain runs on the sum,
+ * backwards in a backward sweep.  Path order streams each block row's
+ * records forwards, which measured faster than adding each dot into
+ * the sum as the GEMVs run newest first.
  */
 template <Index Omega>
 void
@@ -409,25 +413,27 @@ sweepT(const ExecSchedule &S, const Value *b, const Value *diag, Value *xw,
 {
     const RowStore &R = *S.rows;
     const Index *rowIndex = R.rowIndex.data();
+    const bool reverse = S.reversed();
     for (size_t k = begin; k < end; ++k) {
         const size_t g = order ? order[k] : k;
         const size_t first = S.groupBegin[g];
-        const size_t chain = S.groupBegin[g + 1] - 1;
-        const Index r0 = S.blockRow[chain] * Omega;
-        for (size_t i = first; i < chain; ++i) {
-            Value *slot = links + (i - first) * Omega;
+        const size_t gemvs = S.groupBegin[g + 1] - 1 - first;
+        const size_t j0 = S.groupFirst(g);
+        const Index r0 = S.blockRow[first] * Omega;
+        for (size_t e = 0; e < gemvs; ++e) {
+            Value *slot = links + e * Omega;
             for (Index l = 0; l < Omega; ++l)
                 slot[l] = 0.0;
-            pathRows<Omega>(R, i, xw + S.xOff[i],
+            pathRows<Omega>(R, j0 + e, xw + S.xOff[first + e],
                             [slot, r0, rowIndex](size_t rr, Value d) {
                                 slot[rowIndex[rr] - r0] = d;
                             });
         }
         Value acc[Omega] = {};
-        for (size_t e = chain - first; e-- > 0;)
+        for (size_t e = gemvs; e-- > 0;)
             for (Index l = 0; l < Omega; ++l)
                 acc[l] += links[e * Omega + l];
-        chainRows<Omega>(R, chain, r0, acc, b, diag, xw);
+        chainRows<Omega>(R, j0 + gemvs, reverse, r0, acc, b, diag, xw);
     }
 }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "alrescha/sim/replay.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -40,21 +39,9 @@ ExecSchedule::bytes() const
 {
     return vecBytes(dp) + vecBytes(blockRow) + vecBytes(blockCol) +
            vecBytes(operandVec) + vecBytes(xOff) + vecBytes(groupBegin) +
-           vecBytes(sweepOrder) + vecBytes(levelBegin) +
+           vecBytes(groupStore) + vecBytes(sweepOrder) +
+           vecBytes(levelBegin) +
            (countsRows && rows ? rows->bytes() : 0);
-}
-
-uint64_t
-rowStoreKey(const ConfigTable &table, const AccelParams &params)
-{
-    hash::WordHasher h;
-    h.field(table.kernel() == KernelType::SymGS &&
-            table.direction() == GsSweep::Backward);
-    h.field(params.skipEmptyBlockRows);
-    h.field(uint64_t(table.entries().size()));
-    for (const ConfigEntry &e : table.entries())
-        h.field(e.blockId);
-    return h.digest();
 }
 
 bool
@@ -126,7 +113,7 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     // Every table but SymGS's is GEMV-class: one data path per block
     // (GEMV, D-BFS, D-SSSP or D-PR) over the x^t operand.
     const bool gemv = table.kernel() != KernelType::SymGS;
-    const bool backward = table.direction() == GsSweep::Backward;
+    const bool reversed = !gemv && table.direction() == GsSweep::Backward;
     const bool skipEmpty = params.skipEmptyBlockRows;
     const std::vector<ConfigEntry> &entries = table.entries();
     const std::vector<LdBlockInfo> &blocks = ld.blocks();
@@ -139,6 +126,9 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     s.pathCount = entries.size();
 
     const size_t P = s.pathCount;
+    ALR_ASSERT(P == blocks.size(),
+               "a %s table must visit each of the %zu stored blocks once",
+               toString(table.kernel()), blocks.size());
     s.dp.resize(P);
     s.blockRow.resize(P);
     s.blockCol.resize(P);
@@ -150,6 +140,8 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     bool monotonic = true;
     for (size_t i = 0; i < P; ++i) {
         const ConfigEntry &e = entries[i];
+        ALR_ASSERT(e.blockId < P, "table entry %zu names no stored block",
+                   i);
         const LdBlockInfo &blk = blocks[e.blockId];
         s.dp[i] = e.dp;
         s.blockRow[i] = blk.blockRow;
@@ -168,10 +160,54 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             s.xOff[i] = blk.blockCol * omega;
         } else {
             // D-SymGS: the serialized diagonal chain gathers the block
-            // row's own chunk.
+            // row's own chunk, stepping through every row the store
+            // records for a SymGs-layout diagonal block.
+            ALR_ASSERT(ld.layout() == LdLayout::SymGs && blk.isDiagonal(),
+                       "a D-SymGS chain needs a SymGs-layout diagonal block");
             s.xOff[i] = blk.blockRow * omega;
         }
     }
+
+    // Block-row groups: maximal runs of paths sharing a block row.
+    // When block rows never decrease, each output row belongs to
+    // exactly one group, so groups may execute in parallel.
+    s.groupBegin.push_back(0);
+    for (size_t i = 1; i < P; ++i) {
+        if (s.blockRow[i] != s.blockRow[i - 1])
+            s.groupBegin.push_back(i);
+    }
+    if (P > 0)
+        s.groupBegin.push_back(P);
+    s.parallelSafe = gemv && monotonic;
+
+    // The staged operand covers a GEMV-class operand (cols entries) or
+    // the SymGS iterate (rows entries), rounded up to whole chunks.
+    Index operandLen = gemv ? cols : std::max(rows, cols);
+    s.paddedOperand =
+        size_t((operandLen + omega - 1) / omega) * omega;
+    ALR_ASSERT(tallySweepGroups(s),
+               "a SymGS block row is not its GEMVs followed by one D-SymGS "
+               "chain: only reordered SymGS tables are executable");
+
+    // The store order: path i is block i, or -- a backward sweep --
+    // group g is the run of blocks at groupStore[g], the runs taken
+    // from the last group back, so they tile blocks() in reverse.
+    const size_t groups = s.groupCount();
+    if (reversed) {
+        s.groupStore.resize(groups);
+        size_t at = 0;
+        for (size_t g = groups; g-- > 0;) {
+            s.groupStore[g] = at;
+            at += s.groupBegin[g + 1] - s.groupBegin[g];
+        }
+    }
+    for (size_t g = 0; g < groups; ++g)
+        for (size_t i = s.groupBegin[g]; i < s.groupBegin[g + 1]; ++i)
+            ALR_ASSERT(entries[i].blockId ==
+                           s.groupFirst(g) + (i - s.groupBegin[g]),
+                       "the %s table does not visit the stored blocks in "
+                       "store order",
+                       toString(table.kernel()));
 
     // The payload passes run over fixed chunks of paths: the
     // decomposition is a pure function of P, never of the pool size.
@@ -181,9 +217,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         return std::pair<size_t, size_t>(
             c * kCompileChunkPaths,
             std::min(P, (c + 1) * kCompileChunkPaths));
-    };
-    auto isChain = [&](size_t i) {
-        return !gemv && s.dp[i] == DataPathType::DSymgs;
     };
 
     // The omega x omega payload-position LUT of a block's ordering case,
@@ -207,53 +240,55 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         return false;
     };
 
-    // The row records: a sibling's store, or one this schedule gathers
-    // (and counts).  occupied[i * omega + lr] says whether row lr of
-    // GEMV path i holds a non-zero, when empty rows are skipped.
+    // The row records: another schedule's store of this matrix, or one
+    // this schedule gathers (and counts).  occupied[j * omega + lr]
+    // says whether row lr of block j holds a non-zero, when empty rows
+    // are skipped.
     std::shared_ptr<RowStore> built;
     std::unique_ptr<uint8_t[]> occupied;
     if (shared) {
-        ALR_ASSERT(shared->key == rowStoreKey(table, params) &&
-                       shared->omega == omega &&
-                       shared->rowBegin.size() == P + 1,
-                   "row store does not serve this table");
+        ALR_ASSERT(shared->omega == omega && shared->paths() == P,
+                   "row store does not serve this matrix");
         s.rows = std::move(shared);
     } else {
         built = std::make_shared<RowStore>();
-        built->key = rowStoreKey(table, params);
         built->omega = omega;
         built->rowBegin.resize(P + 1, 0);
 
-        // Pass 2, parallel: occupied rows per path.  A chain records
-        // every step inside the matrix; a GEMV every row inside it,
-        // less the all-zero ones when they are skipped, which it marks
-        // so the gather never reads them again.
+        // Pass 2, parallel over blocks: occupied rows per block.  A
+        // SymGs-layout diagonal block records every row inside the
+        // matrix, as its chain steps through them; any other block
+        // every row inside it, less the all-zero ones when they are
+        // skipped, which it marks so the gather never reads them again.
         if (skipEmpty)
             occupied = std::make_unique_for_overwrite<uint8_t[]>(P * omega);
         tp.parallelFor(0, chunks, [&](size_t c) {
             auto [lo, hi] = chunkPaths(c);
-            for (size_t i = lo; i < hi; ++i) {
-                const LdBlockInfo &blk = blocks[entries[i].blockId];
+            for (size_t j = lo; j < hi; ++j) {
+                const LdBlockInfo &blk = blocks[j];
                 Index inside = Index(std::clamp<int64_t>(
                     int64_t(rows) - int64_t(blk.blockRow) * omega, 0,
                     omega));
-                if (isChain(i) || !skipEmpty) {
-                    built->rowBegin[i + 1] = inside;
+                if (!skipEmpty ||
+                    (ld.layout() == LdLayout::SymGs && blk.isDiagonal())) {
+                    if (skipEmpty)
+                        std::fill_n(occupied.get() + j * omega, omega, 1);
+                    built->rowBegin[j + 1] = inside;
                     continue;
                 }
                 const int32_t *lut = lutOf(blk);
-                uint8_t *occ = occupied.get() + i * omega;
+                uint8_t *occ = occupied.get() + j * omega;
                 Index count = 0;
                 for (Index lr = 0; lr < inside; ++lr)
                     count += occ[lr] = occupiedRow(blk, lut, lr);
-                built->rowBegin[i + 1] = count;
+                built->rowBegin[j + 1] = count;
             }
         });
 
-        // Pass 3, serial: the prefix sum gives every path its row
+        // Pass 3, serial: the prefix sum gives every block its row
         // slots, so the row arrays are sized exactly, once.
-        for (size_t i = 0; i < P; ++i)
-            built->rowBegin[i + 1] += built->rowBegin[i];
+        for (size_t j = 0; j < P; ++j)
+            built->rowBegin[j + 1] += built->rowBegin[j];
         const size_t records = built->rowBegin[P];
         built->rowIndex.resize(records);
         built->values.resize(records * omega);
@@ -262,24 +297,21 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
     }
     const RowStore &R = *s.rows;
 
-    // Gather path i's rows into its own slots of the store being built
-    // -- a chain's in execution order (reversed for backward sweeps) --
-    // with every logical value, the diagonal included.  Each kept row
-    // is read once; pass 2 already found the skipped ones empty.
-    auto gather = [&](size_t i) {
-        const LdBlockInfo &blk = blocks[entries[i].blockId];
+    // Gather block j's rows, ascending, into its own slots of the store
+    // being built, with every logical value, the diagonal included.
+    // Each kept row is read once; pass 2 already found the skipped ones
+    // empty.
+    auto gather = [&](size_t j) {
+        const LdBlockInfo &blk = blocks[j];
         const int32_t *lut = lutOf(blk);
-        const bool chain = isChain(i);
-        size_t slot = built->rowBegin[i];
-        for (Index step = 0; step < omega; ++step) {
-            const Index lr = chain && backward ? omega - 1 - step : step;
+        size_t slot = built->rowBegin[j];
+        for (Index lr = 0; lr < omega; ++lr) {
             const Index r = blk.blockRow * omega + lr;
             // Test before writing: a skipped last row must not touch
-            // the next path's first slot.
-            if (r >= rows ||
-                (!chain && skipEmpty && !occupied[i * omega + lr]))
+            // the next block's first slot.
+            if (r >= rows || (skipEmpty && !occupied[j * omega + lr]))
                 continue;
-            ALR_ASSERT(slot < built->rowBegin[i + 1],
+            ALR_ASSERT(slot < built->rowBegin[j + 1],
                        "row count pass disagrees");
             Value *dst = built->values.data() + slot * omega;
             for (Index lc = 0; lc < omega; ++lc)
@@ -287,11 +319,12 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
             built->rowIndex[slot] = r;
             ++slot;
         }
-        ALR_ASSERT(slot == built->rowBegin[i + 1], "row count pass disagrees");
+        ALR_ASSERT(slot == built->rowBegin[j + 1], "row count pass disagrees");
     };
 
-    // Pass 4, parallel: gather each path when the store is new, then
-    // tally the per-run stat totals from its records, with per-chunk
+    // Pass 4, parallel: gather each path's block when the store is new
+    // (every block once, since the table visits each once), then tally
+    // the per-run stat totals from its records, with per-chunk
     // partials.  Every partial is an integer-valued double far below
     // 2^53, so their sum is exact and equals the serial accumulation in
     // any order.
@@ -309,13 +342,14 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         auto [lo, hi] = chunkPaths(c);
         Partial &acc = partials[c];
         for (size_t i = lo; i < hi; ++i) {
+            const size_t j = entries[i].blockId;
             if (built)
-                gather(i);
-            const LdBlockInfo &blk = blocks[entries[i].blockId];
+                gather(j);
+            const LdBlockInfo &blk = blocks[j];
             const Index r0 = blk.blockRow * omega;
-            const size_t begin = R.rowBegin[i];
-            const size_t end = R.rowBegin[i + 1];
-            const bool chain = isChain(i);
+            const size_t begin = R.rowBegin[j];
+            const size_t end = R.rowBegin[j + 1];
+            const bool chain = !gemv && s.dp[i] == DataPathType::DSymgs;
             if (!chain) {
                 // A skipping run streams the occupied rows, any other
                 // the whole block payload.
@@ -359,27 +393,6 @@ compileSchedule(const LocallyDenseMatrix &ld, const ConfigTable &table,
         s.fcuOps.reduce += acc.rowOps;
         s.totalStreamBytes += acc.streamBytes;
     }
-
-    // The staged operand covers a GEMV-class operand (cols entries) or
-    // the SymGS iterate (rows entries), rounded up to whole chunks.
-    Index operandLen = gemv ? cols : std::max(rows, cols);
-    s.paddedOperand =
-        size_t((operandLen + omega - 1) / omega) * omega;
-
-    // Block-row groups: maximal runs of paths sharing a block row.
-    // When block rows never decrease, each output row belongs to
-    // exactly one group, so groups may execute in parallel.
-    s.groupBegin.push_back(0);
-    for (size_t i = 1; i < P; ++i) {
-        if (s.blockRow[i] != s.blockRow[i - 1])
-            s.groupBegin.push_back(i);
-    }
-    if (P > 0)
-        s.groupBegin.push_back(P);
-    s.parallelSafe = gemv && monotonic;
-    ALR_ASSERT(tallySweepGroups(s),
-               "a SymGS block row is not its GEMVs followed by one D-SymGS "
-               "chain: only reordered SymGS tables are executable");
 
     // Stamp the replay entry points: runtime ISA dispatch happens
     // here, once per compiled schedule, so the engine's hot loops

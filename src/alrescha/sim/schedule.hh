@@ -16,11 +16,14 @@
  *    gather offset;
  *  - the resolved block values, gathered once through the
  *    payload-position LUTs into omega-wide row records (RowStore).
- *    The records depend only on the matrix, the order the table
- *    visits its blocks and the direction of its chain steps, so every
- *    schedule with the same three shares one immutable store: a PDE
- *    load's SpMV and forward-SymGS schedules hold one copy, and a
- *    graph load's BFS, SSSP, PageRank and SpMV schedules another;
+ *    The store is laid out in LocallyDenseMatrix::blocks() order, each
+ *    block's rows ascending, so it depends only on the matrix: every
+ *    schedule of one matrix binds the one store whichever of them
+ *    compiled first built -- a PDE load's SpMV and both sweeps, a
+ *    graph load's BFS, SSSP, PageRank and SpMV.  Every table but the
+ *    backward sweep's visits the blocks in that order and indexes the
+ *    store by path; the backward sweep visits the same block-row runs
+ *    in descending order and replays each chain last to first;
  *  - per-run totals of every accumulated stat (flops, useful bytes,
  *    streamed bytes, FCU/RCU op counts): all are integer-valued
  *    doubles, so adding the precomputed total once is bit-identical to
@@ -60,23 +63,25 @@ namespace alr {
 class ThreadPool;
 
 /**
- * The row records of a compiled schedule: for each path, its occupied
- * rows (a GEMV) or its chain steps in execution order (a D-SymGS),
- * each with its global output row and its omega logical block values
- * in lane order, the diagonal included (a chain masks its diagonal
- * lane when it replays).  Immutable once built, and held through
- * std::shared_ptr<const RowStore> by every schedule of one matrix
- * whose table has the same key (rowStoreKey).
+ * The row records of one matrix: for each stored block, in
+ * LocallyDenseMatrix::blocks() order (a store path), its rows in
+ * ascending order, each with its global output row and its omega
+ * logical block values in lane order, the diagonal included (a chain
+ * masks its diagonal lane when it replays).  A block records every row
+ * inside the matrix, except that a GEMV-class block skips its all-zero
+ * rows when empty rows are skipped; a SymGs-layout diagonal block, the
+ * one a D-SymGS chain steps through, always records every row inside
+ * the matrix (the encoder keeps its diagonal non-zero, so none is
+ * empty).  Immutable once built, and held through
+ * std::shared_ptr<const RowStore> by every schedule of the matrix.
  */
 struct RowStore
 {
-    /** rowStoreKey of the tables the records serve. */
-    uint64_t key = 0;
     Index omega = 0;
-    /** Row-record range of path i: [rowBegin[i], rowBegin[i+1]).  Its
-     *  length -- the occupied rows a GEMV path streams when empty rows
-     *  are skipped, the steps of a D-SymGS chain -- is what the timing
-     *  walk derives the path's stream and chain terms from. */
+    /** Row-record range of store path j: [rowBegin[j], rowBegin[j+1]).
+     *  Its length -- the occupied rows a GEMV path streams when empty
+     *  rows are skipped, the steps of a D-SymGS chain -- is what the
+     *  timing walk derives the path's stream and chain terms from. */
     std::vector<size_t> rowBegin;
     std::vector<Index> rowIndex; ///< global output row
     /** Gathered block values, omega per record, in lane order.
@@ -85,20 +90,20 @@ struct RowStore
      *  paper's ω = 8). */
     AlignedValueVector values;
 
+    /** Store paths: one per stored block. */
+    size_t paths() const
+    {
+        return rowBegin.empty() ? 0 : rowBegin.size() - 1;
+    }
+    /** Row records of store path j. */
+    size_t pathRows(size_t j) const
+    {
+        return rowBegin[j + 1] - rowBegin[j];
+    }
+
     /** Bytes held (element counts, not capacities). */
     size_t bytes() const;
 };
-
-/**
- * What a table's row records depend on besides the matrix: a digest of
- * the block ids in the table's visit order, the direction of its chain
- * steps (reversed only in a backward SymGS sweep) and whether empty
- * rows are skipped.  Two tables of one matrix with equal keys gather
- * identical records: a GEMV and a chain over a SymGs-layout diagonal
- * block record the same rows, because the diagonal keeps every row
- * occupied.
- */
-uint64_t rowStoreKey(const ConfigTable &table, const AccelParams &params);
 
 /**
  * A compiled execution schedule: the configuration table lowered into
@@ -126,18 +131,17 @@ struct ExecSchedule
     std::vector<uint32_t> xOff;
 
     // ---- row records (one per occupied row / diagonal chain step) ----
-    /** The records, shared with every sibling schedule of the same
-     *  matrix and rowStoreKey. */
+    /** The matrix's records, shared with every schedule of the same
+     *  matrix. */
     std::shared_ptr<const RowStore> rows;
     /** bytes() counts the store here: this schedule built it, or was
-     *  the first in a restored cache file to name it.  Summing bytes()
-     *  over an engine's schedules then counts each store once. */
+     *  the first of its matrix in a restored cache file.  Summing
+     *  bytes() over an engine's schedules then counts each store
+     *  once. */
     bool countsRows = false;
-    /** Row records of path i. */
-    size_t pathRows(size_t i) const
-    {
-        return rows->rowBegin[i + 1] - rows->rowBegin[i];
-    }
+    /** Row records of path i of a schedule that indexes the store by
+     *  path (every one but a backward sweep's). */
+    size_t pathRows(size_t i) const { return rows->pathRows(i); }
 
     // ---- block-row groups (independent GEMV path ranges) ----
     /** Path range of group g: [groupBegin[g], groupBegin[g+1]).  Two
@@ -149,6 +153,21 @@ struct ExecSchedule
     size_t groupCount() const
     {
         return groupBegin.empty() ? 0 : groupBegin.size() - 1;
+    }
+    /**
+     * A backward sweep's store offsets: group g's paths are store paths
+     * groupStore[g] onwards, in order -- the block row's run of blocks,
+     * visited in descending block-row order -- and its chain replays
+     * its records last to first.  Empty in every other schedule, whose
+     * path i is store path i.
+     */
+    std::vector<size_t> groupStore;
+    /** Whether the schedule walks the store backwards (groupStore). */
+    bool reversed() const { return !groupStore.empty(); }
+    /** The store path of group g's first path. */
+    size_t groupFirst(size_t g) const
+    {
+        return reversed() ? groupStore[g] : groupBegin[g];
     }
 
     // ---- link-stack traffic of one SymGS sweep (tallySweepGroups) ----
@@ -246,12 +265,14 @@ bool tallySweepGroups(ExecSchedule &s);
  * write exact-size row arrays; the result is byte-identical at any
  * pool size (DESIGN.md "Schedule compiler").
  *
- * @p shared, when given, is a sibling schedule's store for the same
- * matrix and rowStoreKey: the schedule binds it instead of gathering
- * its own records.  Without it the schedule builds (and counts) a
- * store of its own.
+ * @p shared, when given, is the store of another schedule of @p ld:
+ * the schedule binds it instead of gathering its own records.  Without
+ * it the schedule builds (and counts) the matrix's store.
  *
- * A SymGS table must be reordered (tallySweepGroups); any other panics.
+ * The table must visit every stored block once, in blocks() order, or
+ * -- a backward SymGS sweep -- the block-row runs of blocks() in
+ * descending order; a SymGS table must also be reordered
+ * (tallySweepGroups).  Any other panics.
  */
 ExecSchedule compileSchedule(const LocallyDenseMatrix &ld,
                              const ConfigTable &table,

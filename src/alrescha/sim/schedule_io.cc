@@ -39,7 +39,6 @@ void
 serializeRowStore(std::ostream &out, const RowStore &r)
 {
     bio::writePod<uint32_t>(out, kRowStoreTag);
-    bio::writePod<uint64_t>(out, r.key);
     bio::writePod<uint32_t>(out, r.omega);
     bio::writeVec(out, r.rowBegin);
     bio::writeVec(out, r.rowIndex);
@@ -52,7 +51,6 @@ deserializeRowStore(std::istream &in)
     if (bio::readPod<uint32_t>(in) != kRowStoreTag)
         throw std::runtime_error("bad row store tag");
     RowStore r;
-    r.key = bio::readPod<uint64_t>(in);
     r.omega = bio::readPod<uint32_t>(in);
     bio::readVecInto(in, r.rowBegin);
     bio::readVecInto(in, r.rowIndex);
@@ -86,6 +84,7 @@ serializeSchedule(std::ostream &out, const ExecSchedule &s)
     bio::writeVec(out, s.xOff);
 
     bio::writeVec(out, s.groupBegin);
+    bio::writeVec(out, s.groupStore);
     bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
 
     bio::writePod<double>(out, s.parFlops);
@@ -121,6 +120,7 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
     bio::readVecInto(in, s.xOff);
 
     bio::readVecInto(in, s.groupBegin);
+    bio::readVecInto(in, s.groupStore);
     s.parallelSafe = bio::readPod<uint8_t>(in) != 0;
 
     s.parFlops = bio::readPod<double>(in);
@@ -138,22 +138,33 @@ deserializeSchedule(std::istream &in, std::shared_ptr<const RowStore> rows)
     // ones some writer hashed, so everything replay indexes with must
     // be in range on its own.  Every per-path vector covers pathCount,
     // the group ranges are monotone and end at the path count, the row
-    // store (checked on its own when it was read) covers every path at
-    // this schedule's omega, every path runs a data path its kernel
-    // has, and every operand chunk lies inside the staged operand and
-    // is the one its block names (a graph round indexes its frontier
-    // mask and per-chunk counts by block column).  A file that parses
-    // but violates these is corrupt; throwing here turns it into the
-    // same warn-and-recompile path as a truncated one.  (What depends
-    // on the live matrix is checked when a cache miss claims the
-    // schedule.)
+    // store (checked on its own when it was read) has one path per
+    // schedule path at this schedule's omega, a backward sweep's groups
+    // each sit inside it, every path runs a data path its kernel has,
+    // and every operand chunk lies inside the staged operand and is the
+    // one its block names (a graph round indexes its frontier mask and
+    // per-chunk counts by block column).  A file that parses but
+    // violates these is corrupt; throwing here turns it into the same
+    // warn-and-recompile path as a truncated one.  (What depends on the
+    // live matrix -- that each path's store path is its table entry's
+    // block, and its records lie in that block's rows -- is checked
+    // when a cache miss claims the schedule.)
     const size_t P = s.pathCount;
     check(s.omega > 0);
     for (size_t n : {s.dp.size(), s.blockRow.size(), s.blockCol.size(),
                      s.operandVec.size(), s.xOff.size()})
         check(n == P);
     check(monotone(s.groupBegin, P));
-    check(rows && rows->omega == s.omega && rows->rowBegin.size() == P + 1);
+    check(rows && rows->omega == s.omega && rows->paths() == P);
+    check(s.groupStore.empty() || (s.kernel == KernelType::SymGS &&
+                                   s.groupStore.size() == s.groupCount()));
+    for (size_t g = 0; g < s.groupStore.size(); ++g)
+        check(s.groupStore[g] <= P &&
+              s.groupBegin[g + 1] - s.groupBegin[g] <= P - s.groupStore[g]);
+    // A sweep stages one chunk per block row, and every block row is a
+    // group: bound the level derivation's per-chunk arrays by the file.
+    check(s.kernel != KernelType::SymGS ||
+          s.paddedOperand == s.groupCount() * size_t(s.omega));
     for (size_t i = 0; i < P; ++i) {
         const bool chain = s.dp[i] == DataPathType::DSymgs;
         check(s.kernel == KernelType::SymGS

@@ -8,8 +8,9 @@
  *
  * What round-trips: every per-path vector, group boundary, and
  * per-run constant, and the row records -- the complete compiled
- * state.  A row store is written once, however many schedules hold it,
- * and each schedule names its store (DESIGN.md "Schedule compiler").
+ * state.  A matrix's row store is written once, under the matrix's
+ * content hash, however many of its schedules hold it
+ * (DESIGN.md "Schedule compiler").
  * What does not: the stamped replay entry points (fns), which are
  * process-local function pointers; the loader
  * re-stamps them through replay::specialize, so a restored schedule is
@@ -33,7 +34,7 @@
 
 namespace alr {
 
-/** Write the row records of @p r, with its key and omega. */
+/** Write the row records of @p r, with its omega. */
 void serializeRowStore(std::ostream &out, const RowStore &r);
 
 /**

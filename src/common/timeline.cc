@@ -214,6 +214,19 @@ exportChromeTrace(std::ostream &os)
     }
 
     for (const Event &ev : events()) {
+        if (ev.kind == Event::Kind::Async) {
+            for (const char *ph : {"b", "e"})
+                w.beginObject(true)
+                    .member("ph", ph)
+                    .member("pid", ev.pid)
+                    .member("tid", ev.tid)
+                    .member("ts", *ph == 'b' ? ev.ts : ev.ts + ev.dur)
+                    .member("id", ev.id)
+                    .member("name", ev.name)
+                    .member("cat", ev.cat ? ev.cat : "event")
+                    .end();
+            continue;
+        }
         const char *ph = ev.kind == Event::Kind::Span      ? "X"
                          : ev.kind == Event::Kind::Counter ? "C"
                                                            : "i";

@@ -66,7 +66,8 @@ constexpr uint32_t kTidServeAccBase = 16;
  *  recorder stores the pointers, not copies). */
 struct Event
 {
-    enum class Kind : uint8_t { Span, Counter, Instant };
+    /** Async: a span keyed by id instead of nested on its track. */
+    enum class Kind : uint8_t { Span, Counter, Instant, Async };
 
     const char *name = nullptr;
     const char *cat = nullptr;
@@ -76,6 +77,7 @@ struct Event
     uint32_t pid = kPidModeled;
     uint32_t tid = 0;
     Kind kind = Kind::Span;
+    uint64_t id = 0; ///< an async span's key
 };
 
 namespace detail {
@@ -179,6 +181,24 @@ hostSpan(const char *name, const char *cat, uint64_t start_us,
 }
 
 /**
+ * Record a wall-clock async span [start_us, end_us) on the calling host
+ * thread's track, keyed by @p id: a wait that began before the thread
+ * took it up (a parked serve item's, popped by another worker) and so
+ * need not nest inside the thread's complete spans.  Exported as a
+ * begin/end pair, which Perfetto draws on a track of its own.
+ */
+inline void
+hostAsyncSpan(const char *name, const char *cat, uint64_t id,
+              uint64_t start_us, uint64_t end_us)
+{
+    if (!enabled())
+        return;
+    detail::record({name, cat, start_us,
+                    end_us > start_us ? end_us - start_us : 0, 0.0,
+                    kPidHost, hostThreadId(), Event::Kind::Async, id});
+}
+
+/**
  * Record a wall-clock span on a serve-plane track (request lifecycle:
  * queue wait, batch runs per accelerator).  Timestamps share the host
  * clock (hostNowUs), so worker tracks and accelerator tracks line up
@@ -238,8 +258,8 @@ class ScopedHostSpan
 /**
  * Serialize everything recorded so far as a Chrome trace-event JSON
  * document ({"traceEvents": [...]}): "M" metadata naming the
- * processes/tracks, "X" complete spans, "C" counters.  Loadable in
- * chrome://tracing and Perfetto.
+ * processes/tracks, "X" complete spans, "C" counters, and a "b"/"e"
+ * pair per async span.  Loadable in chrome://tracing and Perfetto.
  */
 void exportChromeTrace(std::ostream &os);
 

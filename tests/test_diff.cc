@@ -1062,6 +1062,81 @@ TEST(DiffCheck, TimelineEvents)
     }
 }
 
+TEST(DiffCheck, HostAndServeSpansNestOnTheirTracks)
+{
+    // The serve drain's timeline holds its parked waits as async pairs
+    // and checks clean.
+    const json::Value &served = serveArtifacts().timeline;
+    size_t begins = 0;
+    for (const json::Value &ev : at(served, "traceEvents").elements())
+        begins += ev.stringAt("ph") == "b";
+    EXPECT_GT(begins, 0u) << "no gate waits drawn as async spans";
+    EXPECT_TRUE(diff::check({{"timeline.json", served, ""}}).empty());
+
+    // A timeline of one metadata event and the events of @p extra.
+    auto timelineOf = [](const std::string &extra) {
+        return parsed(R"({"schema_version": )" +
+                      std::to_string(version::kJsonSchemaVersion) +
+                      R"(, "traceEvents": [{"ph": "M", "pid": 2,
+                          "name": "process_name", "args": {"name": "host"}},
+                         )" + extra + "]}");
+    };
+    auto span = [](int pid, int tid, int ts, int dur) {
+        return R"({"ph": "X", "pid": )" + std::to_string(pid) +
+               R"(, "tid": )" + std::to_string(tid) + R"(, "ts": )" +
+               std::to_string(ts) + R"(, "dur": )" + std::to_string(dur) +
+               R"(, "name": "s", "cat": "c"})";
+    };
+    auto async = [](const char *ph, int id, int ts) {
+        return std::string(R"({"ph": ")") + ph +
+               R"(", "pid": 2, "tid": 1, "ts": )" + std::to_string(ts) +
+               R"(, "id": )" + std::to_string(id) +
+               R"(, "name": "gate", "cat": "serve"})";
+    };
+    auto clean = [&](const std::string &events) {
+        const std::vector<diff::Finding> f =
+            diff::check({{"timeline.json", timelineOf(events), ""}});
+        EXPECT_TRUE(f.empty()) << events << "\n" << listed(f);
+    };
+    auto broken = [&](const std::string &events, const std::string &what) {
+        SCOPED_TRACE(events);
+        expectFinding({{"timeline.json", timelineOf(events), ""}}, what);
+    };
+    // Nested, back to back, or on two tracks: clean.
+    clean(span(2, 1, 0, 10) + "," + span(2, 1, 2, 8));
+    clean(span(2, 1, 0, 10) + "," + span(2, 1, 10, 5));
+    clean(span(2, 1, 0, 10) + "," + span(2, 2, 5, 10));
+    clean(span(2, 1, 5, 10) + "," + span(2, 1, 5, 3) + "," +
+          span(2, 1, 8, 2));
+    // Overlapping without nesting on one host or serve track; the
+    // modeled plane's tracks are not held to it.
+    broken(span(2, 1, 0, 10) + "," + span(2, 1, 5, 10),
+           "on its track without nesting");
+    broken(span(3, 16, 5, 10) + "," + span(3, 16, 0, 10),
+           "on its track without nesting");
+    broken(span(2, 1, 0, 20) + "," + span(2, 1, 2, 8) + "," +
+               span(2, 1, 6, 6),
+           "on its track without nesting");
+    clean(span(1, 1, 0, 10) + "," + span(1, 1, 5, 10));
+    // An async wait over a span of its track is fine; its pair is not
+    // optional.
+    clean(span(2, 1, 0, 10) + "," + async("b", 7, 5) + "," +
+          async("e", 7, 15));
+    broken(span(2, 1, 0, 10) + "," + async("b", 7, 5),
+           "begin without end or end without begin");
+    broken(span(2, 1, 0, 10) + "," + async("e", 7, 5),
+           "begin without end or end without begin");
+    broken(span(2, 1, 0, 10) + "," + async("b", 7, 9) + "," +
+               async("e", 7, 5),
+           "ends before it begins");
+    broken(span(2, 1, 0, 10) + "," + async("b", 7, 1) + "," +
+               async("b", 7, 2) + "," + async("e", 7, 5),
+           "async b repeated");
+    broken(span(2, 1, 0, 10) + "," + async("b", 7, 1) + R"(, {"ph": "e",
+               "pid": 2, "tid": 1, "ts": 5, "name": "gate"})",
+           "no 'id'");
+}
+
 TEST(DiffCheck, ModeledSpansEndByTheRunsCycles)
 {
     // A modeled span past the sim report's cycle count; a host-clock

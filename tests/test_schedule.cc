@@ -17,10 +17,14 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "alrescha/accelerator.hh"
 #include "alrescha/sim/replay.hh"
 #include "alrescha/sim/schedule.hh"
+#include "alrescha/sim/schedule_io.hh"
 #include "common/random.hh"
 #include "common/timeline.hh"
 #include "datasets/suites.hh"
@@ -595,11 +599,10 @@ TEST(ScheduleCache, DistinctTablesGetDistinctSchedules)
 
 TEST(ScheduleCache, PdeSpmvAndForwardSweepShareOneRowStore)
 {
-    // SpMV and the forward sweep visit a SymGs-layout matrix's blocks in
-    // stream order and step their chains forward, so their schedules
-    // hold one row store; the backward sweep visits block rows in
-    // reverse and keeps its own.  Only the schedule that built a store
-    // counts it, so the summed footprint counts each store once.
+    // The store is laid out in block order, so it depends only on the
+    // matrix: SpMV and both sweeps of a PDE load hold the one store the
+    // first of them built.  Only that schedule counts it, so the summed
+    // footprint counts it once.
     CsrMatrix a = gen::stencil2d(12, 12);
     Accelerator acc(makeParams(8, 1));
     acc.loadPde(a);
@@ -613,10 +616,13 @@ TEST(ScheduleCache, PdeSpmvAndForwardSweepShareOneRowStore)
     const ExecSchedule *spmv = prepare(KernelType::SpMV, GsSweep::Forward);
     EXPECT_EQ(e.scheduleCompiles(), 3u);
     EXPECT_EQ(spmv->rows, fwd->rows);
-    EXPECT_NE(bwd->rows, fwd->rows);
+    EXPECT_EQ(bwd->rows, fwd->rows);
     EXPECT_TRUE(fwd->countsRows);
-    EXPECT_TRUE(bwd->countsRows);
+    EXPECT_FALSE(bwd->countsRows);
     EXPECT_FALSE(spmv->countsRows);
+    EXPECT_FALSE(fwd->reversed());
+    EXPECT_TRUE(bwd->reversed());
+    EXPECT_FALSE(spmv->reversed());
 
     // The shared store is exactly the one the SpMV table gathers alone.
     const ExecSchedule alone =
@@ -627,6 +633,66 @@ TEST(ScheduleCache, PdeSpmvAndForwardSweepShareOneRowStore)
     EXPECT_EQ(alone.totalStreamBytes, spmv->totalStreamBytes);
     EXPECT_EQ(alone.parFlops, spmv->parFlops);
     EXPECT_EQ(spmv->bytes() + alone.rows->bytes(), alone.bytes());
+}
+
+TEST(ScheduleCache, EveryPrepareOrderBuildsOneStore)
+{
+    // Whichever of a PDE load's three tables prepares first builds the
+    // store, byte for byte the same, the other two bind it, and the
+    // schedules' summed bytes count it once.  Each table's own state
+    // does not depend on the order either.
+    CsrMatrix a = gen::stencil3d(13, 7, 5);
+    const std::pair<KernelType, GsSweep> tables[] = {
+        {KernelType::SymGS, GsSweep::Forward},
+        {KernelType::SymGS, GsSweep::Backward},
+        {KernelType::SpMV, GsSweep::Forward}};
+    std::vector<int> order = {0, 1, 2};
+    std::string firstStore;
+    std::vector<std::string> firstScheds;
+    size_t firstBytes = 0;
+    int orders = 0;
+    do {
+        SCOPED_TRACE("order " + std::to_string(order[0]) +
+                     std::to_string(order[1]) + std::to_string(order[2]));
+        Accelerator acc(makeParams(8, 1));
+        acc.loadPde(a);
+        Engine &e = acc.engine();
+        const ExecSchedule *s[3];
+        for (int k : order) {
+            e.program(&acc.matrix(),
+                      &acc.table(tables[k].first, tables[k].second));
+            s[k] = e.prepareSchedule();
+        }
+        EXPECT_EQ(e.scheduleCompiles(), 3u);
+        EXPECT_EQ(s[1]->rows, s[0]->rows);
+        EXPECT_EQ(s[2]->rows, s[0]->rows);
+        for (int k = 0; k < 3; ++k)
+            EXPECT_EQ(s[k]->countsRows, k == order[0]) << "table " << k;
+        std::ostringstream store;
+        serializeRowStore(store, *s[0]->rows);
+        std::vector<std::string> scheds;
+        size_t bytes = 0, own = 0;
+        for (int k = 0; k < 3; ++k) {
+            std::ostringstream out;
+            serializeSchedule(out, *s[k]);
+            scheds.push_back(out.str());
+            bytes += s[k]->bytes();
+            ExecSchedule alone = *s[k];
+            alone.countsRows = false;
+            own += alone.bytes();
+        }
+        EXPECT_EQ(bytes, own + s[0]->rows->bytes());
+        if (orders++ == 0) {
+            firstStore = store.str();
+            firstScheds = scheds;
+            firstBytes = bytes;
+            continue;
+        }
+        EXPECT_EQ(store.str(), firstStore);
+        EXPECT_EQ(scheds, firstScheds);
+        EXPECT_EQ(bytes, firstBytes);
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(orders, 6);
 }
 
 TEST(ScheduleCache, InvalidatedOnReload)

@@ -87,18 +87,19 @@ reframe(const std::string &file, const std::string &body,
 enum ScheduleVec
 {
     kRowBegin, kRowIndex, kValues, kDp, kBlockRow, kBlockCol, kOperandVec,
-    kXOff, kGroupBegin, kScheduleVecs
+    kXOff, kGroupBegin, kGroupStore, kScheduleVecs
 };
 
 /** Bytes of such a body in front of the store's first vector: the store
- *  count (u32), then the store's tag (u32), key (u64) and omega (u32). */
-constexpr size_t kStoreHead = 4 + (4 + 8 + 4);
+ *  count (u32), then the matrix's content hash (u64) and the store's
+ *  tag (u32) and omega (u32). */
+constexpr size_t kStoreHead = 4 + 8 + (4 + 4);
 
 /** Bytes between the store's last vector and the schedule's first: the
  *  schedule count (u32), the slot's keys (five u64, kernel u8, omega
- *  u32) and store index (u32), and the schedule's tag (u32), kernel
- *  (u8), omega (u32) and path count (u64). */
-constexpr size_t kSlotHead = 4 + (5 * 8 + 1 + 4) + 4 + (4 + 1 + 4 + 8);
+ *  u32), and the schedule's tag (u32), kernel (u8), omega (u32) and
+ *  path count (u64). */
+constexpr size_t kSlotHead = 4 + (5 * 8 + 1 + 4) + (4 + 1 + 4 + 8);
 
 /** Offset, in a cache body holding one store and one schedule, of the
  *  length prefix of vector @p vec. */
@@ -108,7 +109,8 @@ vectorAt(const std::string &body, ScheduleVec vec)
     const size_t elem[kScheduleVecs] = {
         sizeof(size_t),   sizeof(Index), sizeof(Value),
         sizeof(DataPathType), sizeof(Index), sizeof(Index),
-        sizeof(CacheVec), sizeof(uint32_t), sizeof(size_t)};
+        sizeof(CacheVec), sizeof(uint32_t), sizeof(size_t),
+        sizeof(size_t)};
     size_t at = kStoreHead;
     for (int k = 0; k < vec; ++k) {
         uint64_t n = 0;
@@ -264,7 +266,7 @@ TEST(ScheduleSerialization, RoundTripReplaysBitIdentically)
     EXPECT_EQ(back.pathCount, s.pathCount);
     EXPECT_EQ(back.dp, s.dp);
     EXPECT_EQ(back.rows, rows);
-    EXPECT_EQ(rows->key, s.rows->key);
+    EXPECT_EQ(rows->omega, s.rows->omega);
     EXPECT_EQ(rows->rowIndex, s.rows->rowIndex);
     EXPECT_EQ(rows->values, s.rows->values);
     EXPECT_EQ(rows->rowBegin, s.rows->rowBegin);
@@ -340,9 +342,9 @@ TEST(ScheduleCachePersistence, MultiTableFleetRoundTrip)
 
 TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
 {
-    // A PDE load's SpMV and forward-SymGS schedules share one row store
-    // and the backward sweep holds its own: the file carries the two
-    // stores once each, and the restored schedules share them again.
+    // A PDE load's SpMV and both sweep schedules share the matrix's one
+    // row store: the file carries it once, under the matrix's content
+    // hash, and the restored schedules share it again.
     CsrMatrix a = gen::stencil2d(11, 11);
     AccelParams params = makeParams();
     auto prepareAll = [](Accelerator &acc) {
@@ -368,13 +370,17 @@ TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
     cold.loadPde(a);
     const auto coldScheds = prepareAll(cold);
     EXPECT_EQ(coldScheds[0]->rows, coldScheds[1]->rows);
-    EXPECT_NE(coldScheds[1]->rows, coldScheds[2]->rows);
+    EXPECT_EQ(coldScheds[1]->rows, coldScheds[2]->rows);
     std::stringstream ss;
     ASSERT_TRUE(cold.engine().saveScheduleCache(ss));
     const std::string file = ss.str();
     uint32_t stores = 0;
     std::memcpy(&stores, file.data() + kCacheHeader, sizeof(stores));
-    EXPECT_EQ(stores, 2u);
+    EXPECT_EQ(stores, 1u);
+    uint64_t storeHash = 0;
+    std::memcpy(&storeHash, file.data() + kCacheHeader + 4,
+                sizeof(storeHash));
+    EXPECT_EQ(storeHash, cold.matrix().contentHash());
 
     Accelerator warm(params);
     warm.loadPde(a);
@@ -383,14 +389,14 @@ TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
     const auto warmScheds = prepareAll(warm);
     EXPECT_EQ(warm.engine().scheduleCompiles(), 0u);
     EXPECT_EQ(warmScheds[0]->rows, warmScheds[1]->rows);
-    EXPECT_NE(warmScheds[1]->rows, warmScheds[2]->rows);
-    // Exactly one of the sharing pair counts the store, so the summed
-    // footprint counts each store once, as it does on the cold side.
-    EXPECT_NE(warmScheds[0]->countsRows, warmScheds[1]->countsRows);
-    EXPECT_TRUE(warmScheds[2]->countsRows);
+    EXPECT_EQ(warmScheds[1]->rows, warmScheds[2]->rows);
+    // Exactly one schedule counts the store, so the summed footprint
+    // counts it once, as it does on the cold side.
+    EXPECT_EQ(warmScheds[0]->countsRows + warmScheds[1]->countsRows +
+                  warmScheds[2]->countsRows,
+              1);
     EXPECT_EQ(storeBytes(warmScheds), storeBytes(coldScheds));
-    EXPECT_EQ(storeBytes(warmScheds),
-              warmScheds[1]->rows->bytes() + warmScheds[2]->rows->bytes());
+    EXPECT_EQ(storeBytes(warmScheds), warmScheds[1]->rows->bytes());
     // A restored schedule reports the footprint its compiled original
     // did.
     auto totalBytes = [](const std::vector<const ExecSchedule *> &s) {
@@ -401,11 +407,14 @@ TEST(ScheduleCachePersistence, RoundTripKeepsRowStoreSharing)
     };
     EXPECT_EQ(totalBytes(warmScheds), totalBytes(coldScheds));
     // The sweep levels are derived, not persisted: the restored
-    // schedules derive the compiled ones' order.
+    // schedules derive the compiled ones' order.  The backward sweep's
+    // store offsets are persisted.
     for (size_t k = 0; k < 3; ++k) {
         EXPECT_EQ(warmScheds[k]->sweepOrder, coldScheds[k]->sweepOrder);
         EXPECT_EQ(warmScheds[k]->levelBegin, coldScheds[k]->levelBegin);
+        EXPECT_EQ(warmScheds[k]->groupStore, coldScheds[k]->groupStore);
         EXPECT_EQ(coldScheds[k]->levelCount() > 0, k > 0);
+        EXPECT_EQ(coldScheds[k]->reversed(), k == 2);
     }
 
     DenseVector b(a.rows(), 1.0), xc(a.rows(), 0.0), xw(a.rows(), 0.0);
@@ -558,7 +567,10 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
     // reconfiguration totals; versions 1 to 5 wrote each schedule's row
     // records inside it, and its SpMM stream bytes; versions 1 to 6
     // wrote the contiguous-rows flag and the last data path (u8 each)
-    // after the parallelSafe flag.  The legacy files built here carry
+    // after the parallelSafe flag; versions 6 and 7 wrote a store per
+    // visit order and chain direction, with a key, named by its index in
+    // the file, and no backward sweep's store offsets.  The legacy files
+    // built here carry
     // exactly those layouts, with the values those compilers gave them,
     // under a valid checksum, so only the version check stops the
     // loader from misparsing them.
@@ -681,22 +693,62 @@ TEST(ScheduleCachePersistence, VersionOneCacheRecompiles)
         return out.str();
     };
 
-    // Version 6: today's body with the two flags after parallelSafe.
-    auto version6Body = [&] {
-        std::string body = file.substr(kCacheHeader);
-        const size_t groups = vectorAt(body, kGroupBegin);
-        uint64_t n = 0;
-        std::memcpy(&n, body.data() + groups, sizeof(n));
-        const char flags[] = {char(contiguous), char(s.dp.back())};
-        body.insert(groups + sizeof(n) + n * sizeof(size_t) + 1, flags,
-                    sizeof(flags));
-        return body;
+    // Versions 6 and 7: the row store ahead of the schedule, with the
+    // per-table key those compilers shared stores by (a digest of the
+    // sweep direction, the skip flag and the visited block ids), and
+    // the schedule naming it by index; version 6 also wrote the two
+    // flags after parallelSafe.
+    auto storedBody = [&](uint32_t version) {
+        std::ostringstream out;
+        hash::WordHasher key;
+        key.field(false); // not a backward sweep
+        key.field(params.skipEmptyBlockRows);
+        key.field(uint64_t(P));
+        for (const ConfigEntry &e : p.table.entries())
+            key.field(e.blockId);
+        bio::writePod<uint32_t>(out, 1);          // store count
+        bio::writePod<uint32_t>(out, 0x5C4E0005); // row store tag
+        bio::writePod<uint64_t>(out, key.digest());
+        bio::writePod<uint32_t>(out, R.omega);
+        bio::writeVec(out, R.rowBegin);
+        bio::writeVec(out, R.rowIndex);
+        bio::writeVec(out, R.values);
+        bio::writePod<uint32_t>(out, 1); // schedule count
+        for (uint64_t k : {p.ld.contentHash(), p.table.contentHash(),
+                           uint64_t(P), uint64_t(p.ld.blocks().size()),
+                           uint64_t(p.ld.stream().size())})
+            bio::writePod<uint64_t>(out, k);
+        bio::writePod<uint8_t>(out, uint8_t(s.kernel));
+        bio::writePod<uint32_t>(out, s.omega);
+        bio::writePod<uint32_t>(out, 0);          // store index
+        bio::writePod<uint32_t>(out, 0x5C4ED001); // schedule tag
+        bio::writePod<uint8_t>(out, uint8_t(s.kernel));
+        bio::writePod<uint32_t>(out, s.omega);
+        bio::writePod<uint64_t>(out, uint64_t(P));
+        bio::writeVec(out, s.dp);
+        bio::writeVec(out, s.blockRow);
+        bio::writeVec(out, s.blockCol);
+        bio::writeVec(out, s.operandVec);
+        bio::writeVec(out, s.xOff);
+        bio::writeVec(out, s.groupBegin);
+        bio::writePod<uint8_t>(out, s.parallelSafe ? 1 : 0);
+        if (version == 6) {
+            bio::writePod<uint8_t>(out, contiguous ? 1 : 0);
+            bio::writePod<uint8_t>(out, uint8_t(s.dp.back()));
+        }
+        for (double v : {s.parFlops, s.seqFlops, s.usefulBytes,
+                         s.fcuOps.alu, s.fcuOps.reduce, s.fcuOps.mul,
+                         s.fcuOps.add, s.peOps})
+            bio::writePod<double>(out, v);
+        bio::writePod<uint64_t>(out, s.totalStreamBytes);
+        bio::writePod<uint64_t>(out, uint64_t(s.paddedOperand));
+        return out.str();
     };
 
-    for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    for (uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
         SCOPED_TRACE("version " + std::to_string(version));
         std::stringstream old(reframe(
-            file, version == 6 ? version6Body() : legacyBody(version),
+            file, version >= 6 ? storedBody(version) : legacyBody(version),
             version));
         Engine warm(params);
         setLogCapture(true);
@@ -906,6 +958,195 @@ TEST(ScheduleCachePersistence, SweepOperandChunkOutsideTheStagedOperand)
     EXPECT_EQ(warm.scheduleCompiles(), 1u);
 }
 
+TEST(ScheduleCachePersistence, BackwardGroupOutsideTheStoreOrItsBlockRow)
+{
+    // A backward sweep's first group (the last block row's run) moved
+    // to the end of the store, where its paths would read past the
+    // last record range: the loader refuses the file.  Moved onto the
+    // next group's run instead, it stays inside the store, but its
+    // paths would replay another block row's records: the claim
+    // refuses it.  Either way the engine recompiles and sweeps as a
+    // cold one does.
+    Rng rng(59);
+    const CsrMatrix a = gen::banded(73, 5, 0.7, rng);
+    const LocallyDenseMatrix ld =
+        LocallyDenseMatrix::encode(a, 8, LdLayout::SymGs);
+    const ConfigTable bwd =
+        ConfigTable::convert(KernelType::SymGS, ld, true, GsSweep::Backward);
+    Engine saver(makeParams());
+    saver.program(&ld, &bwd);
+    const ExecSchedule *s = saver.prepareSchedule();
+    ASSERT_TRUE(s->reversed());
+    ASSERT_GT(s->groupCount(), 2u);
+    std::stringstream saved;
+    ASSERT_TRUE(saver.saveScheduleCache(saved));
+    const std::string file = saved.str();
+    const std::string body = file.substr(kCacheHeader);
+    const size_t at = vectorAt(body, kGroupStore) + 8;
+    EXPECT_EQ(vecAt<size_t>(body, at - 8), s->groupStore);
+
+    for (bool outside : {true, false}) {
+        SCOPED_TRACE(outside ? "outside the store" : "another block row");
+        const size_t offset = outside ? s->pathCount : s->groupStore[1];
+        std::string spliced = body;
+        std::memcpy(spliced.data() + at, &offset, sizeof(offset));
+        std::stringstream in(reframe(file, spliced));
+        Engine warm(makeParams()), cold(makeParams());
+        setLogCapture(true);
+        EXPECT_EQ(warm.loadScheduleCache(in), !outside);
+        EXPECT_EQ(warm.restoredSchedules(), outside ? 0u : 1u);
+        warm.program(&ld, &bwd);
+        cold.program(&ld, &bwd);
+        DenseVector b(a.rows(), 1.0), xw(a.rows(), 0.0), xc(a.rows(), 0.0);
+        for (int run = 0; run < 2; ++run) {
+            warm.runSymgsSweep(b, xw);
+            cold.runSymgsSweep(b, xc);
+            EXPECT_EQ(xw, xc);
+        }
+        const std::string log = setLogCapture(false);
+        EXPECT_NE(log.find(outside ? "schedule cache unusable"
+                                   : "recompiling"),
+                  std::string::npos)
+            << log;
+        EXPECT_EQ(warm.scheduleCompiles(), 1u);
+        EXPECT_EQ(statDump(warm), statDump(cold));
+    }
+}
+
+TEST(ScheduleCachePersistence, SeededMutationsEndInARestoreOrARecompile)
+{
+    // The version-8 caches of a PDE load (one store, three schedules,
+    // the backward sweep's reversed) and of a graph load (one store,
+    // four schedules), truncated, byte-flipped, spliced and with
+    // numbers edited, then re-sealed -- the header's body length and
+    // checksum recomputed -- so every mutation reaches the parser.  A
+    // case ends either in the loader's warning, with nothing restored,
+    // or in a restored pool whose schedules a cache miss claims only
+    // when they fit the programmed matrix; every table then runs.
+    // Nothing may abort.
+    const AccelParams params = makeParams();
+    Rng gen(60);
+    Accelerator pde(params), graph(params);
+    pde.loadPde(gen::stencil3d(10, 6, 3));
+    graph.loadGraph(gen::rmat(6, 6, gen));
+    struct Table
+    {
+        Accelerator *acc;
+        KernelType kernel;
+        GsSweep dir;
+    };
+    const std::vector<Table> loads[2] = {
+        {{&pde, KernelType::SymGS, GsSweep::Forward},
+         {&pde, KernelType::SymGS, GsSweep::Backward},
+         {&pde, KernelType::SpMV, GsSweep::Forward}},
+        {{&graph, KernelType::BFS, GsSweep::Forward},
+         {&graph, KernelType::SSSP, GsSweep::Forward},
+         {&graph, KernelType::PageRank, GsSweep::Forward},
+         {&graph, KernelType::SpMV, GsSweep::Forward}}};
+    // Run table @p t once on @p e (each kernel's own entry point).
+    auto run = [](Engine &e, const Table &t) {
+        const LocallyDenseMatrix &ld = t.acc->matrix();
+        e.program(&ld, &t.acc->table(t.kernel, t.dir));
+        DenseVector x(ld.cols());
+        for (size_t i = 0; i < x.size(); ++i)
+            x[i] = i % 4 == 0 ? -0.0 : Value(i % 9) - 4.0;
+        if (t.kernel == KernelType::SymGS) {
+            DenseVector b(ld.rows(), 1.0);
+            e.runSymgsSweep(b, x);
+        } else if (t.kernel == KernelType::SpMV) {
+            e.runSpmv(x);
+        } else if (t.kernel == KernelType::PageRank) {
+            e.runPrRound(x, std::vector<Index>(ld.rows(), 2));
+        } else {
+            e.runRelaxRound(x);
+        }
+    };
+    std::string files[2];
+    for (int f = 0; f < 2; ++f) {
+        Engine e(params);
+        for (const Table &t : loads[f])
+            run(e, t);
+        std::stringstream out;
+        ASSERT_TRUE(e.saveScheduleCache(out));
+        files[f] = out.str();
+    }
+
+    const uint64_t kNumbers[] = {0,
+                                 1,
+                                 2,
+                                 7,
+                                 8,
+                                 9,
+                                 63,
+                                 64,
+                                 uint64_t(1) << 30,
+                                 (uint64_t(1) << 32) - 1,
+                                 uint64_t(1) << 32,
+                                 uint64_t(1) << 62,
+                                 ~uint64_t(0)};
+    constexpr int kCases = 2000;
+    Rng rng(2026);
+    int restored = 0, recompiled = 0;
+    for (int c = 0; c < kCases; ++c) {
+        const int f = int(rng.nextRange(2));
+        std::string bytes = files[f];
+        const size_t pos = rng.nextRange(bytes.size());
+        switch (rng.nextRange(4)) {
+          case 0: // truncate
+              bytes.resize(pos);
+              break;
+          case 1: // flip the bits of one byte
+              bytes[pos] = char(bytes[pos] ^ (1 + rng.nextRange(255)));
+              break;
+          case 2: { // splice a span of the file over another place
+              const size_t from = rng.nextRange(bytes.size());
+              const size_t len = 1 + rng.nextRange(64);
+              bytes.replace(pos, rng.nextRange(64), bytes.substr(from, len));
+              break;
+          }
+          default: { // write a number, 4 or 8 bytes wide, at pos
+              const uint64_t v = kNumbers[rng.nextRange(13)];
+              const size_t width = rng.nextRange(2) ? 8 : 4;
+              const size_t at = std::min(pos, bytes.size() - width);
+              std::memcpy(bytes.data() + at, &v, width);
+          }
+        }
+        if (bytes.size() >= kCacheHeader)
+            bytes = reframe(bytes, bytes.substr(kCacheHeader));
+
+        Engine warm(params);
+        std::stringstream in(bytes);
+        setLogCapture(true);
+        const bool loaded = warm.loadScheduleCache(in);
+        const size_t pool = warm.restoredSchedules();
+        for (const Table &t : loads[f])
+            run(warm, t);
+        const std::string log = setLogCapture(false);
+        const bool warned =
+            log.find("will recompile") != std::string::npos;
+        EXPECT_NE(loaded, warned) << "case " << c << ": " << log;
+        if (!loaded) {
+            ++recompiled;
+            EXPECT_EQ(pool, 0u) << "case " << c;
+            EXPECT_EQ(warm.scheduleCompiles(), loads[f].size());
+            continue;
+        }
+        ++restored;
+        // Every table is claimed or, refused with a warning, compiled.
+        const size_t claimed = pool - warm.restoredSchedules();
+        size_t refused = 0;
+        for (size_t at = log.find("recompiling"); at != std::string::npos;
+             at = log.find("recompiling", at + 1))
+            ++refused;
+        EXPECT_EQ(claimed + warm.scheduleCompiles(), loads[f].size())
+            << "case " << c;
+        EXPECT_LE(refused, warm.scheduleCompiles()) << "case " << c;
+    }
+    // Both outcomes are reached, so the loop is not all rejects.
+    EXPECT_GT(restored, kCases / 10);
+    EXPECT_GT(recompiled, kCases / 4);
+}
+
 TEST(ScheduleCompileDeath, UnreorderedSweepPanics)
 {
     // The reordering ablation's table visits a block row's blocks in
@@ -998,18 +1239,31 @@ TEST(ScheduleCachePersistence, RowStoreShorterThanItsSchedule)
 
 TEST(ScheduleCachePersistence, ScheduleNamingAMissingStore)
 {
-    // The one schedule names store 1 of a file holding one store.
+    // The file's one store is filed under another matrix's content
+    // hash, so the one schedule names a store the file does not hold.
     const std::string file = savedCache(55);
     std::string body = file.substr(kCacheHeader);
-    // The store index (u32) sits right before the schedule's tag (u32),
-    // kernel (u8), omega (u32) and path count (u64).
-    const size_t index = vectorAt(body, kDp) - (4 + 1 + 4 + 8) - 4;
-    uint32_t store = 0;
-    std::memcpy(&store, body.data() + index, sizeof(store));
-    ASSERT_EQ(store, 0u);
-    store = 1;
-    std::memcpy(body.data() + index, &store, sizeof(store));
+    const size_t at = 4; // after the store count
+    uint64_t hash = 0;
+    std::memcpy(&hash, body.data() + at, sizeof(hash));
+    ASSERT_EQ(hash, Problem(55).ld.contentHash());
+    hash ^= 1;
+    std::memcpy(body.data() + at, &hash, sizeof(hash));
     expectRecompiled(reframe(file, body), 55);
+}
+
+TEST(ScheduleCachePersistence, TwoStoresOfOneMatrix)
+{
+    // The file's one store written twice under the same matrix hash.
+    const std::string file = savedCache(58);
+    std::string body = file.substr(kCacheHeader);
+    const size_t storeEnd =
+        vectorAt(body, kValues) +
+        vecBytes(vecAt<Value>(body, vectorAt(body, kValues))).size();
+    uint32_t stores = 2;
+    std::string twice = body.substr(0, storeEnd) + body.substr(4, storeEnd - 4);
+    std::memcpy(twice.data(), &stores, sizeof(stores));
+    expectRecompiled(reframe(file, twice + body.substr(storeEnd)), 58);
 }
 
 TEST(ScheduleCachePersistence, BytesAfterTheLastSchedule)

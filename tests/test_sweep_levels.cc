@@ -15,7 +15,11 @@
  *  - the engine takes the parallel path exactly when the work rule
  *    says so, also with two accelerators sweeping at once on one
  *    shared pool, and a sweep started from inside a pool task runs
- *    serially instead of hanging.
+ *    serially instead of hanging;
+ *  - a backward sweep bound to the forward sweep's row store -- its
+ *    block rows in descending order, each chain replayed last to
+ *    first -- is byte-equal to the reference engine serially and level
+ *    by level on pools of 1, 2, 3, 4 and 8 threads (BackwardSweep).
  */
 
 #include <gtest/gtest.h>
@@ -335,6 +339,85 @@ expectEngineMatchesReference(const CsrMatrix &a, Index omega)
     }
 }
 
+/** Rows 13 * 11 * 7 = 1001, a multiple of none of kOmegas: the last
+ *  block row's chain is shorter than omega at each of them. */
+CsrMatrix
+shortLastChain()
+{
+    const CsrMatrix a = gen::stencil3d(13, 11, 7);
+    for (Index omega : kOmegas)
+        EXPECT_NE(a.rows() % omega, 0u) << omega;
+    return a;
+}
+
+/**
+ * For every runnable mode and omega: the backward sweep of @p a from
+ * the operands above, replayed by a schedule that binds the store the
+ * forward sweep's schedule built, matches the reference engine byte for
+ * byte -- as one serial call when @p pools is empty, else level by
+ * level on each pool.  The last chain has fewer records than omega
+ * exactly when omega does not divide the row count.
+ */
+void
+expectBackwardMatchesReference(const CsrMatrix &a,
+                               const std::vector<int> &pools)
+{
+    for (Index omega : kOmegas) {
+        Sweeps sw(a, omega);
+        const Index n = a.rows();
+        DenseVector b, x0;
+        operands(n, b, x0);
+        Engine refEngine(makeParams(omega, SimdMode::Scalar));
+        ReferenceEngine ref(refEngine);
+        DenseVector want = x0;
+        ref.program(&sw.ld, &sw.bwd);
+        ref.runSymgsSweep(b, want);
+
+        for (SimdMode mode : runnableModes()) {
+            SCOPED_TRACE(std::string("mode=") + replay::toString(mode) +
+                         " omega=" + std::to_string(omega));
+            Engine e(makeParams(omega, mode));
+            e.program(&sw.ld, &sw.fwd);
+            const ExecSchedule *fwd = e.prepareSchedule();
+            e.program(&sw.ld, &sw.bwd);
+            const ExecSchedule &S = *e.prepareSchedule();
+            ASSERT_EQ(S.rows, fwd->rows);
+            ASSERT_TRUE(S.reversed());
+            ASSERT_FALSE(S.countsRows);
+            const RowStore &R = *S.rows;
+            EXPECT_EQ(R.pathRows(R.paths() - 1) < size_t(omega),
+                      n % omega != 0);
+            const Value *diag = sw.ld.diagonal().data();
+            AlignedValueVector links(8 * S.linkPeak * omega + 1);
+            auto staged = [&] {
+                AlignedValueVector x(S.paddedOperand, 0.0);
+                std::copy(x0.begin(), x0.end(), x.begin());
+                return x;
+            };
+            if (pools.empty()) {
+                AlignedValueVector xw = staged();
+                S.fns.sweep(S, b.data(), diag, xw.data(), links.data(),
+                            nullptr, 0, S.groupCount());
+                ASSERT_EQ(std::memcmp(xw.data(), want.data(),
+                                      n * sizeof(Value)),
+                          0);
+            }
+            for (int threads : pools) {
+                ThreadPool pool(threads);
+                AlignedValueVector xw = staged();
+                replay::sweepLevels(S, pool, b.data(), diag, xw.data(),
+                                    links.data());
+                ASSERT_EQ(std::memcmp(xw.data(), want.data(),
+                                      n * sizeof(Value)),
+                          0)
+                    << threads << " threads";
+            }
+        }
+    }
+}
+
+const std::vector<int> kBackwardPools = {1, 2, 3, 4, 8};
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -550,4 +633,38 @@ TEST(SweepLevels, OneParticipantFinishesTheSweep)
     EXPECT_EQ(std::memcmp(serial.data(), inline_.data(),
                           a.rows() * sizeof(Value)),
               0);
+}
+
+// ---------------------------------------------------------------------
+// The backward sweep over the forward sweep's row store.
+// ---------------------------------------------------------------------
+
+TEST(BackwardSweep, ShortLastChainSerial)
+{
+    expectBackwardMatchesReference(shortLastChain(), {});
+}
+
+TEST(BackwardSweep, ShortLastChainOnPools)
+{
+    expectBackwardMatchesReference(shortLastChain(), kBackwardPools);
+}
+
+TEST(BackwardSweep, CircuitLikeSerial)
+{
+    expectBackwardMatchesReference(circuitLike(), {});
+}
+
+TEST(BackwardSweep, CircuitLikeOnPools)
+{
+    expectBackwardMatchesReference(circuitLike(), kBackwardPools);
+}
+
+TEST(BackwardSweep, UpperCoupledSerial)
+{
+    expectBackwardMatchesReference(upperCoupledOnly(), {});
+}
+
+TEST(BackwardSweep, UpperCoupledOnPools)
+{
+    expectBackwardMatchesReference(upperCoupledOnly(), kBackwardPools);
 }

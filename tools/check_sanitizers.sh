@@ -5,7 +5,8 @@
 #   2. TSan build, the suites that run on thread pools (thread pool,
 #      parallel encode/convert/compile determinism, multi-engine
 #      scale-out, profiles, concurrent serving, level-parallel SymGS
-#      sweeps), every equivalence suite (scheduled replay against the
+#      sweeps, backward sweeps over the shared row store on pools),
+#      every equivalence suite (scheduled replay against the
 #      reference engine, serving) and the timing-memo suite, with a high
 #      thread count to provoke races.
 #
@@ -55,7 +56,7 @@ asan_pass() {
         echo "== ASan+UBSan (ALR_SIMD_FORCE=${isa}): replay dispatch =="
         (cd "${prefix}-asan" && \
             ALR_SIMD_FORCE="${isa}" ctest --output-on-failure -j "${jobs}" \
-                -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay|SweepKernel|SweepLevels')
+                -R 'ReplayDispatch|ReplaySpecialize|ReplayContract|SimdReplay|SweepKernel|SweepLevels|BackwardSweep')
     done
 }
 
@@ -68,7 +69,7 @@ tsan_pass() {
     ALR_THREADS=8 TSAN_OPTIONS="halt_on_error=1" run_suite "${prefix}-tsan" \
         "-fsanitize=thread" \
         "TSan" \
-        -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|Serve|TimingMemo|SweepKernel|SweepLevels'
+        -R 'ThreadPool|ParallelPipeline|Multi|Mmio|Equivalence|Profile|Serve|TimingMemo|SweepKernel|SweepLevels|BackwardSweep\..*OnPools'
 }
 
 case "${pass}" in
